@@ -8,7 +8,7 @@ from .assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, DofMap, FemField,
                        SymmetricSparseMatrix, assemble, broken_energy_inner,
                        broken_error_norms, build_dof_map,
                        eigen_error_identity_terms, element_matrices,
-                       interpolate_global)
+                       interpolate_global, nested_dissection)
 from .element import ReferenceElement, build_reference_element, physical_dof_scaling
 from .eigensolve import (EigenResult, factor_spd, residual_report,
                          smallest_k_dense, smallest_k_shift_invert, solve_smallest)
@@ -60,6 +60,7 @@ __all__ = [
     "interpolate_global",
     "interpolation_convergence_probe",
     "moment_project",
+    "nested_dissection",
     "physical_dof_scaling",
     "refined_identity_check",
     "residual_report",

@@ -79,19 +79,58 @@ def build_dof_map(mesh: CartesianMesh, bc: str) -> DofMap:
     free_facets = np.flatnonzero(~facet_constrained)
     facet_dof[free_facets] = len(free_vertices) + np.arange(len(free_facets))
 
-    nvert = 2 ** mesh.dim
-    ndof = nvert + 2 * mesh.dim
-    cell_dofs = np.empty((mesh.num_elements, ndof), dtype=np.int64)
-    cell_signs = np.empty((mesh.num_elements, ndof))
-    for e in range(mesh.num_elements):
-        cell_dofs[e, :nvert] = vertex_dof[mesh.element_vertices(e)]
-        cell_signs[e, :nvert] = 1.0
-        for k, (fid, sign) in enumerate(mesh.element_facets(e)):
-            cell_dofs[e, nvert + k] = facet_dof[fid]
-            cell_signs[e, nvert + k] = sign
+    facet_ids, facet_signs = mesh.cell_facets()
+    cell_dofs = np.concatenate([vertex_dof[mesh.cell_vertices()], facet_dof[facet_ids]], axis=1)
+    cell_signs = np.concatenate([np.ones((mesh.num_elements, 2 ** mesh.dim)), facet_signs],
+                                axis=1)
 
     return DofMap(mesh, bc, vertex_dof, facet_dof, cell_dofs, cell_signs,
                   free_vertices, free_facets)
+
+
+def dof_coordinates(dofmap: DofMap) -> np.ndarray:
+    """Doubled integer coordinates of the free DOFs, shape (num_free, dim).
+
+    A vertex sits at 2 * its multi-index; a facet at 2 * its multi-index
+    along its normal axis and 2 * multi-index + 1 (its midpoint) across it.
+    """
+    mesh = dofmap.mesh
+    vertices = 2 * mesh.vertex_multi_indices()[dofmap.free_vertices]
+    axes, multis = mesh.facet_multi_indices()
+    facets = 2 * multis + (np.arange(mesh.dim) != axes[:, None])
+    return np.concatenate([vertices, facets[dofmap.free_facets]])
+
+
+# Boxes with at most this many DOFs are not split further.
+ND_LEAF_SIZE = 32
+
+
+def nested_dissection(dofmap: DofMap) -> np.ndarray:
+    """Fill-reducing ordering of the free DOFs by coordinate-plane bisection.
+
+    Each step splits the longest axis of the current box at an even doubled
+    coordinate, i.e. a plane through mesh vertices.  The DOFs on that plane
+    (its vertices and the facets normal to it) separate the two sides exactly:
+    no element touches both, so the stiffness and mass matrices do not couple
+    them.  Both sides are ordered recursively and the separator goes last.
+    Returns perm with perm[i] the free DOF placed at position i.
+    """
+    coords = dof_coordinates(dofmap)
+
+    def order(ids):
+        if len(ids) <= ND_LEAF_SIZE:
+            return [ids]
+        sub = coords[ids]
+        lo, hi = sub.min(axis=0), sub.max(axis=0)
+        axis = int(np.argmax(hi - lo))
+        plane = 2 * ((lo[axis] + hi[axis]) // 4)
+        if not lo[axis] < plane < hi[axis]:
+            return [ids]
+        side = sub[:, axis]
+        return (order(ids[side < plane]) + order(ids[side > plane])
+                + [ids[side == plane]])
+
+    return np.concatenate(order(np.arange(dofmap.num_free)))
 
 
 # ---------------------------------------------------------------------------

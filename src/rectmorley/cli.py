@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
                   solver: str = "auto"):
     """Assemble and solve one configuration; returns (dofmap, EigenResult)."""
-    from .assembly import assemble, build_dof_map
+    from .assembly import assemble, build_dof_map, nested_dissection
     from .eigensolve import solve_smallest
     from .element import build_reference_element
     from .mesh import build_mesh
@@ -129,7 +129,8 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     # The clamped stiffness matrix is definite, so the origin is a safe
     # shift; simply supported runs shift below the spectrum instead.
     sigma = 0.0 if bc == "clamped" else -1.0
-    result = solve_smallest(a_mat, m_mat, k, method=solver, sigma=sigma)
+    result = solve_smallest(a_mat, m_mat, k, method=solver, sigma=sigma,
+                            perm=nested_dissection(dofmap))
     return dofmap, result
 
 

@@ -1,11 +1,13 @@
 """Symmetric generalized eigensolvers for the smallest eigenvalues.
 
-Two routes: a dense LAPACK path that is the reference below a few thousand
-DOFs, and an ARPACK shift-invert path for larger problems.  Both return
-ascending eigenvalues with mass-orthonormal eigenvectors and per-pair
-relative residuals.  The shift-invert start vector is a fixed deterministic
-vector (sin of the index), so repeated runs agree bit for bit without any
-random state.
+The production route is ARPACK shift-invert around one no-pivot factorization
+of A - sigma M in a fill-reducing order (nested dissection for finite element
+pencils), with a guard that no copy of a repeated eigenvalue was skipped.
+The dense LAPACK path is the test oracle, and the fallback for pencils too
+small for shift-invert.  Both return ascending eigenvalues with
+mass-orthonormal eigenvectors and per-pair relative residuals.  The
+shift-invert start vectors are fixed deterministic vectors (sin and cos of
+the index), so repeated runs agree bit for bit without any random state.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ import scipy.linalg as dla
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
-# Above this order the dense path stops being interactive; auto routing
-# switches to shift-invert.
-DENSE_AUTO_LIMIT = 5000
-
 RESIDUAL_TOL = 1e-8
+# The skipped-copy guard merges an eigenvalue found outside the first k only
+# when it lies below lambda_k by more than this relative gap.
+GUARD_REL_GAP = 1e-8
 
 METHOD_DENSE = "dense"
 METHOD_SHIFT_INVERT = "shift-invert"
@@ -141,13 +142,84 @@ def deterministic_start_vector(order: int) -> np.ndarray:
     return np.sin(np.arange(1, order + 1, dtype=float))
 
 
+def guard_start_vector(order: int) -> np.ndarray:
+    """Second fixed start vector, cos(1), cos(2), ..., for the skipped-copy guard."""
+    return np.cos(np.arange(1, order + 1, dtype=float))
+
+
+class _ShiftedFactor:
+    """Solves with A - sigma M through one no-pivot factorization.
+
+    The factor is of P (A - sigma M) P^T with P the permutation `perm`
+    (identity when None), taken in the given order without pivoting.  That
+    is stable only when A - sigma M is positive definite; by Sylvester's law
+    of inertia a pivot <= 0 shows it is not, and the constructor raises
+    ValueError naming sigma.  `applications` counts solved right-hand sides.
+    """
+
+    def __init__(self, a_csr, m_csr, sigma: float, perm=None):
+        order = a_csr.shape[0]
+        self.perm = np.arange(order) if perm is None else np.asarray(perm)
+        shifted = (a_csr - sigma * m_csr)[self.perm][:, self.perm].tocsc()
+        try:
+            lu = sla.splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                          options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            raise ValueError(f"shift-invert factorization failed at sigma={sigma}") from exc
+        upper = lu.U
+        if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(upper.diagonal() > 0)):
+            raise ValueError(
+                f"A - sigma*M is not positive definite at sigma={sigma}; "
+                "shift below the smallest eigenvalue"
+            )
+        self.lu = lu
+        self.nnz = int(lu.L.nnz + upper.nnz)
+        self.applications = 0
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        self.applications += 1 if rhs.ndim == 1 else rhs.shape[1]
+        out = np.empty_like(rhs)
+        out[self.perm] = self.lu.solve(rhs[self.perm])
+        return out
+
+    def operator(self, deflate=None) -> sla.LinearOperator:
+        """(A - sigma M)^-1 as a LinearOperator, optionally followed by the
+        M-orthogonal projection off the M-orthonormal columns of `deflate`."""
+        matvec = self.solve
+        if deflate is not None:
+            basis, m_basis = deflate
+
+            def matvec(rhs):
+                out = self.solve(rhs)
+                return out - basis @ (m_basis.T @ out)
+
+        order = len(self.perm)
+        return sla.LinearOperator((order, order), matvec=matvec, dtype=float)
+
+
 def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0,
-                            tol: float = 1e-10, max_iter=None) -> EigenResult:
+                            tol: float = 1e-10, max_iter=None,
+                            perm=None) -> EigenResult:
     """ARPACK shift-invert solver for the k smallest generalized eigenvalues.
 
-    sigma must not coincide with an eigenvalue; use a negative shift when the
-    stiffness matrix is only semidefinite.  Partial results on non-convergence
-    are returned with converged=False in the metadata.
+    A - sigma*M must be positive definite: sigma below the smallest
+    eigenvalue (negative when the stiffness matrix is only semidefinite).
+    `perm` orders the single factorization; pass nested_dissection(dofmap)
+    for finite element pencils.  Three steps use that factor:
+
+    1. ARPACK from deterministic_start_vector finds k eigenpairs.
+    2. The skipped-copy guard: a one-vector Krylov space sees one direction
+       per distinct eigenvalue, so ARPACK can return one copy of a repeated
+       eigenvalue and silently take the next one instead.  A k=1 ARPACK pass
+       from guard_start_vector, on the operator projected M-orthogonally off
+       the found vectors, finds the smallest eigenvalue mu left out.  While
+       mu < lambda_k (1 - GUARD_REL_GAP) it is merged in and the pass is
+       repeated; an equal mu (a cluster cut at k) ends the loop.
+    3. One block inverse-iteration step and a Rayleigh-Ritz step, which
+       also leave the vectors M-orthonormal.
+
+    Partial results on non-convergence are returned with converged=False in
+    the metadata.
     """
     a_csr = _as_csr(A)
     m_csr = _as_csr(M)
@@ -155,29 +227,45 @@ def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0,
     _check_k(k, order)
     if k == 0:
         return _empty_result(order, METHOD_SHIFT_INVERT)
-    if k >= order:
-        raise ValueError("shift-invert needs k < order; use the dense solver")
+    if k + 1 >= order:
+        raise ValueError("shift-invert needs k < order - 1; use the dense solver")
 
-    v0 = deterministic_start_vector(order)
+    factor = _ShiftedFactor(a_csr, m_csr, sigma, perm)
     arpack_converged = True
     try:
         w, x = sla.eigsh(a_csr, k=k, M=m_csr, sigma=sigma, which="LM",
-                         v0=v0, tol=tol, maxiter=max_iter)
+                         v0=deterministic_start_vector(order), tol=tol,
+                         maxiter=max_iter, OPinv=factor.operator())
     except sla.ArpackNoConvergence as exc:
         w, x = exc.eigenvalues, exc.eigenvectors
         arpack_converged = False
-    except RuntimeError as exc:
-        raise ValueError(f"shift-invert factorization failed at sigma={sigma}") from exc
+    ascending = np.argsort(w, kind="stable")
+    w, x = w[ascending], x[:, ascending]
 
-    order_idx = np.argsort(w)
-    w = w[order_idx]
-    x = x[:, order_idx]
+    guard_rounds = 0
+    while arpack_converged and len(w) == k:
+        guard_rounds += 1
+        # ARPACK's vectors are M-orthonormal to working precision.
+        deflated = factor.operator(deflate=(x, m_csr @ x))
+        try:
+            mu, y = sla.eigsh(a_csr, k=1, M=m_csr, sigma=sigma, which="LM",
+                              v0=guard_start_vector(order), tol=tol,
+                              maxiter=max_iter, ncv=min(order - k, 20),
+                              OPinv=deflated)
+        except sla.ArpackNoConvergence:
+            arpack_converged = False
+            break
+        if not mu[0] < w[-1] - GUARD_REL_GAP * abs(w[-1]):
+            break
+        keep = np.argsort(np.append(w, mu), kind="stable")[:k]
+        w, x = np.append(w, mu)[keep], np.column_stack([x, y])[:, keep]
+
     if x.shape[1]:
-        # Re-orthonormalize in the mass inner product; ARPACK's Ritz vectors
-        # are close to M-orthonormal but clusters benefit from the cleanup.
-        gram = x.T @ (m_csr @ x)
-        chol = dla.cholesky(gram, lower=True)
-        x = dla.solve_triangular(chol, x.T, lower=True).T
+        y = factor.solve(m_csr @ x)
+        a_small = y.T @ (a_csr @ y)
+        m_small = y.T @ (m_csr @ y)
+        w, z = dla.eigh(0.5 * (a_small + a_small.T), 0.5 * (m_small + m_small.T))
+        x = y @ z
 
     result = EigenResult(
         eigenvalues=w,
@@ -190,6 +278,10 @@ def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0,
             "sigma": float(sigma),
             "tol": float(tol),
             "converged": arpack_converged,
+            "ordering": "natural" if perm is None else "permuted",
+            "factor_nnz": factor.nnz,
+            "opinv_applications": factor.applications,
+            "guard_rounds": guard_rounds,
         },
     )
     residual_report(A, M, result)
@@ -197,17 +289,19 @@ def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0,
 
 
 def solve_smallest(A, M, k: int, method: str = "auto", sigma: float = 0.0,
-                   tol: float = 1e-10, max_iter=None) -> EigenResult:
-    """Route to the dense or shift-invert solver.
+                   tol: float = 1e-10, max_iter=None, perm=None) -> EigenResult:
+    """Route to the shift-invert or dense solver.
 
-    method 'auto' uses the dense path up to order DENSE_AUTO_LIMIT and
-    shift-invert beyond it.
+    method 'auto' uses shift-invert whenever k + 1 < order, and the dense
+    path only for the tiny pencils where it cannot run.  perm orders the
+    shift-invert factorization and is ignored by the dense path.
     """
     order = _as_csr(A).shape[0]
     if method == "auto":
-        method = METHOD_DENSE if order <= DENSE_AUTO_LIMIT else METHOD_SHIFT_INVERT
+        method = METHOD_SHIFT_INVERT if k + 1 < order else METHOD_DENSE
     if method == METHOD_DENSE:
         return smallest_k_dense(A, M, k)
     if method == METHOD_SHIFT_INVERT:
-        return smallest_k_shift_invert(A, M, k, sigma=sigma, tol=tol, max_iter=max_iter)
+        return smallest_k_shift_invert(A, M, k, sigma=sigma, tol=tol,
+                                       max_iter=max_iter, perm=perm)
     raise ValueError(f"unknown solver method {method!r}")

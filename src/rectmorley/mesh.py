@@ -16,6 +16,12 @@ import numpy as np
 SUPPORTED_DIMS = (2, 3)
 
 
+def _grid_multi_indices(shape) -> np.ndarray:
+    """(count, dim) multi-indices of a lexicographic grid, axis 0 fastest."""
+    count = int(np.prod(shape))
+    return np.stack(np.unravel_index(np.arange(count), shape, order="F"), axis=1)
+
+
 @dataclass(frozen=True)
 class CartesianMesh:
     dim: int
@@ -131,16 +137,46 @@ class CartesianMesh:
                 out.append((self.facet_id(axis, multi), sign))
         return tuple(out)
 
+    def vertex_multi_indices(self) -> np.ndarray:
+        """Multi-indices of all vertices in id order, shape (num_vertices, dim)."""
+        return _grid_multi_indices((self.n + 1,) * self.dim)
+
+    def facet_multi_indices(self):
+        """Normal axes and multi-indices of all facets in id order."""
+        axes, multis = [], []
+        for axis in range(self.dim):
+            shape = tuple(self.n + 1 if a == axis else self.n for a in range(self.dim))
+            multis.append(_grid_multi_indices(shape))
+            axes.append(np.full(self.facets_per_axis, axis))
+        return np.concatenate(axes), np.concatenate(multis)
+
+    def cell_vertices(self) -> np.ndarray:
+        """element_vertices for every element at once, shape (num_elements, 2^dim)."""
+        cells = _grid_multi_indices((self.n,) * self.dim)
+        corners = (np.arange(2 ** self.dim)[:, None] >> np.arange(self.dim)) & 1
+        strides = (self.n + 1) ** np.arange(self.dim)
+        return (cells[:, None, :] + corners[None, :, :]) @ strides
+
+    def cell_facets(self):
+        """element_facets for every element at once: ids and signs, each of
+        shape (num_elements, 2 dim) in local order (axis0-, axis0+, axis1-, ...)."""
+        cells = _grid_multi_indices((self.n,) * self.dim)
+        ids = []
+        for axis in range(self.dim):
+            radix = [self.n + 1 if a == axis else self.n for a in range(self.dim)]
+            strides = np.cumprod([1] + radix[:-1])
+            base = axis * self.facets_per_axis + cells @ strides
+            ids += [base, base + strides[axis]]
+        signs = np.tile([-1.0, 1.0], (self.num_elements, self.dim))
+        return np.stack(ids, axis=1), signs
+
     def boundary_flags(self):
         """Boolean masks (vertex_on_boundary, facet_on_boundary)."""
-        vflags = np.zeros(self.num_vertices, dtype=bool)
-        for v in range(self.num_vertices):
-            multi = self.vertex_multi_index(v)
-            vflags[v] = any(m == 0 or m == self.n for m in multi)
-        fflags = np.zeros(self.num_facets, dtype=bool)
-        for f in range(self.num_facets):
-            axis, multi = self.facet_axis_and_multi(f)
-            fflags[f] = multi[axis] == 0 or multi[axis] == self.n
+        vmulti = self.vertex_multi_indices()
+        vflags = np.any((vmulti == 0) | (vmulti == self.n), axis=1)
+        axes, fmulti = self.facet_multi_indices()
+        normal = fmulti[np.arange(self.num_facets), axes]
+        fflags = (normal == 0) | (normal == self.n)
         return vflags, fflags
 
     # -- geometry -------------------------------------------------------------

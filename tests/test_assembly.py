@@ -44,6 +44,22 @@ def test_free_dof_counts_3d():
     assert ss.num_free == 1 + 36
 
 
+@pytest.mark.parametrize("dim,n", [(2, 1), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("bc", [BC_CLAMPED, BC_SIMPLY_SUPPORTED])
+def test_cell_connectivity_matches_entity_incidence(dim, n, bc):
+    mesh = build_mesh(dim, n)
+    dofmap = build_dof_map(mesh, bc)
+    for e in range(mesh.num_elements):
+        facets = mesh.element_facets(e)
+        expected_dofs = np.concatenate([
+            dofmap.vertex_dof[mesh.element_vertices(e)],
+            [dofmap.facet_dof[fid] for fid, _ in facets],
+        ])
+        expected_signs = np.concatenate([np.ones(2 ** dim), [sign for _, sign in facets]])
+        assert np.array_equal(dofmap.cell_dofs[e], expected_dofs)
+        assert np.array_equal(dofmap.cell_signs[e], expected_signs)
+
+
 def test_vertices_are_numbered_before_facets():
     mesh = build_mesh(2, 2)
     dofmap = build_dof_map(mesh, BC_SIMPLY_SUPPORTED)

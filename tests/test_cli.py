@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -42,6 +43,32 @@ def test_solve_json_payload(capsys):
     assert len(run["eigenvalues"]) == 6
     assert run["eigenvalues"][0] == pytest.approx(347.5266, rel=1e-6)
     assert all(r < 1e-8 for r in run["residuals"])
+
+
+def test_solve_json_reports_solver_work(capsys):
+    code, out, _ = run_cli(
+        ["solve", "--dim", "2", "--n", "8", "--format", "json"], capsys
+    )
+    assert code == 0
+    run = json.loads(out)["runs"][0]
+    assert run["method"] == "shift-invert"
+    meta = run["metadata"]
+    assert meta["ordering"] == "permuted"
+    assert meta["factor_nnz"] > run["order"]
+    assert meta["opinv_applications"] > 0
+    assert meta["guard_rounds"] >= 1
+
+
+def test_solve_fine_2d_simply_supported_passes_residual_check(capsys):
+    code, out, err = run_cli(
+        ["solve", "--dim", "2", "--n", "128", "--bc", "simply-supported",
+         "--format", "json"], capsys
+    )
+    assert code == 0, err
+    run = json.loads(out)["runs"][0]
+    assert run["metadata"]["converged"]
+    assert max(run["residuals"]) <= 1e-8
+    assert run["eigenvalues"][0] == pytest.approx(4 * math.pi ** 4, rel=1e-3)
 
 
 def test_solve_csv_layout(capsys):

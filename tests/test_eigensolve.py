@@ -3,9 +3,10 @@ import pytest
 from scipy import sparse
 
 from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, assemble,
-                                 build_dof_map)
-from rectmorley.eigensolve import (DENSE_AUTO_LIMIT, METHOD_DENSE,
-                                   METHOD_SHIFT_INVERT, compute_residuals,
+                                 build_dof_map, dof_coordinates,
+                                 nested_dissection)
+from rectmorley.eigensolve import (METHOD_DENSE, METHOD_SHIFT_INVERT,
+                                   compute_residuals,
                                    deterministic_start_vector, factor_spd,
                                    residual_report, smallest_k_dense,
                                    smallest_k_shift_invert, solve_smallest)
@@ -16,6 +17,12 @@ def assembled(dim, n, bc, element):
     mesh = build_mesh(dim, n)
     dofmap = build_dof_map(mesh, bc)
     return assemble(mesh, dofmap, element)
+
+
+def assembled_with_ordering(dim, n, bc, element):
+    mesh = build_mesh(dim, n)
+    dofmap = build_dof_map(mesh, bc)
+    return (*assemble(mesh, dofmap, element), nested_dissection(dofmap))
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +147,95 @@ def test_repeat_solves_are_bitwise_identical(ref2):
 
 
 # ---------------------------------------------------------------------------
+# nested-dissection ordering and the skipped-copy guard
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim,n", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("bc", [BC_CLAMPED, BC_SIMPLY_SUPPORTED])
+def test_nested_dissection_is_a_permutation_along_exact_separators(dim, n, bc, ref2,
+                                                                    ref3):
+    mesh = build_mesh(dim, n)
+    dofmap = build_dof_map(mesh, bc)
+    a_csr = assemble(mesh, dofmap, ref2 if dim == 2 else ref3)[0].to_csr()
+    perm = nested_dissection(dofmap)
+    assert np.array_equal(np.sort(perm), np.arange(dofmap.num_free))
+    # Every split is at an even doubled coordinate; at each such plane no
+    # nonzero of A couples the DOFs on its two sides.
+    coords = dof_coordinates(dofmap)
+    for axis in range(dim):
+        for plane in range(2, 2 * n, 2):
+            lower = coords[:, axis] < plane
+            upper = coords[:, axis] > plane
+            assert a_csr[lower][:, upper].nnz == 0
+
+
+def test_nested_dissection_reduces_fill(ref2):
+    a_mat, m_mat, perm = assembled_with_ordering(2, 16, BC_CLAMPED, ref2)
+    natural = smallest_k_shift_invert(a_mat, m_mat, 2)
+    ordered = smallest_k_shift_invert(a_mat, m_mat, 2, perm=perm)
+    assert ordered.metadata["factor_nnz"] < natural.metadata["factor_nnz"] / 2
+    assert ordered.eigenvalues == pytest.approx(natural.eigenvalues, rel=1e-10)
+
+
+# Sizes 4, 10 and 16 are ones where ARPACK alone returns one copy of the
+# double eigenvalue at index 6 and silently takes the next one instead.
+@pytest.mark.parametrize("dim,n,bc", [
+    *[(2, n, BC_SIMPLY_SUPPORTED) for n in range(4, 17)],
+    (3, 4, BC_SIMPLY_SUPPORTED), (3, 6, BC_SIMPLY_SUPPORTED),
+    (3, 4, BC_CLAMPED), (3, 6, BC_CLAMPED),
+])
+def test_ordered_shift_invert_matches_dense(dim, n, bc, ref2, ref3):
+    a_mat, m_mat, perm = assembled_with_ordering(dim, n, bc, ref2 if dim == 2 else ref3)
+    sigma = 0.0 if bc == BC_CLAMPED else -1.0
+    si = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=sigma, perm=perm)
+    dense = smallest_k_dense(a_mat, m_mat, 6)
+    assert si.converged
+    assert si.metadata["guard_rounds"] >= 1
+    assert si.eigenvalues == pytest.approx(dense.eigenvalues, rel=1e-9)
+    gram = si.eigenvectors.T @ (m_mat.to_csr() @ si.eigenvectors)
+    assert np.allclose(gram, np.eye(6), atol=1e-10)
+
+
+def test_guard_restores_skipped_copy(ref2):
+    # On this mesh ARPACK alone returns one copy of the double eigenvalue
+    # (1,3)/(3,1) and the next eigenvalue in place of the second copy.
+    a_mat, m_mat, perm = assembled_with_ordering(2, 4, BC_SIMPLY_SUPPORTED, ref2)
+    result = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=-1.0, perm=perm)
+    assert result.metadata["guard_rounds"] == 2
+    assert result.eigenvalues[5] == pytest.approx(result.eigenvalues[4], rel=1e-8)
+
+
+def test_shift_between_eigenvalues_is_rejected(ref2):
+    a_mat, m_mat, perm = assembled_with_ordering(2, 6, BC_CLAMPED, ref2)
+    lam = smallest_k_dense(a_mat, m_mat, 2).eigenvalues
+    sigma = 0.5 * (lam[0] + lam[1])
+    with pytest.raises(ValueError, match=f"sigma={sigma}"):
+        smallest_k_shift_invert(a_mat, m_mat, 2, sigma=sigma, perm=perm)
+
+
+def test_ordered_repeat_solves_are_bitwise_identical(ref3):
+    a_mat, m_mat, perm = assembled_with_ordering(3, 4, BC_SIMPLY_SUPPORTED, ref3)
+    first = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=-1.0, perm=perm)
+    second = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=-1.0, perm=perm)
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    assert np.array_equal(first.eigenvectors, second.eigenvectors)
+    assert first.metadata == second.metadata
+
+
+def test_solver_metadata_reports_factor_and_work(ref2):
+    a_mat, m_mat, perm = assembled_with_ordering(2, 8, BC_CLAMPED, ref2)
+    result = smallest_k_shift_invert(a_mat, m_mat, 3, perm=perm)
+    meta = result.metadata
+    assert meta["ordering"] == "permuted"
+    assert meta["factor_nnz"] >= a_mat.nnz_stored
+    # ARPACK, at least one guard pass, then one block solve of k vectors.
+    assert meta["opinv_applications"] > 3
+    assert meta["guard_rounds"] >= 1
+    natural = smallest_k_shift_invert(a_mat, m_mat, 3)
+    assert natural.metadata["ordering"] == "natural"
+
+
+# ---------------------------------------------------------------------------
 # residual bookkeeping
 # ---------------------------------------------------------------------------
 
@@ -206,11 +302,20 @@ def test_eigenvalues_decrease_under_refinement(dim, bc, n, ref2, ref3):
 # routing
 # ---------------------------------------------------------------------------
 
-def test_solve_smallest_routes_small_problems_to_dense(ref2):
+def test_solve_smallest_routes_to_shift_invert(ref2):
     a_mat, m_mat = assembled(2, 4, BC_CLAMPED, ref2)
-    assert a_mat.order <= DENSE_AUTO_LIMIT
     result = solve_smallest(a_mat, m_mat, 3, method="auto")
+    assert result.method == METHOD_SHIFT_INVERT
+
+
+def test_solve_smallest_routes_tiny_pencils_to_dense():
+    # Shift-invert needs k + 1 < order; only then is dense the auto route.
+    a = np.diag([1.0, 2.0, 3.0])
+    m = np.eye(3)
+    assert solve_smallest(a, m, 1, method="auto").method == METHOD_SHIFT_INVERT
+    result = solve_smallest(a, m, 2, method="auto")
     assert result.method == METHOD_DENSE
+    assert result.eigenvalues == pytest.approx([1.0, 2.0])
 
 
 def test_solve_smallest_honors_explicit_method(ref2):
@@ -235,5 +340,5 @@ def test_result_json_payload(ref2):
 
     json.dumps(payload)
     assert len(payload["eigenvalues"]) == 2
-    assert payload["method"] == METHOD_DENSE
+    assert payload["method"] == METHOD_SHIFT_INVERT
     assert "eigenvectors" not in payload

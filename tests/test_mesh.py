@@ -69,6 +69,17 @@ def test_boundary_counts():
     assert fflags3.sum() == 6 * 4
 
 
+@pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
+def test_boundary_flags_follow_multi_indices(dim, n):
+    mesh = build_mesh(dim, n)
+    vflags, fflags = mesh.boundary_flags()
+    for v in range(mesh.num_vertices):
+        assert vflags[v] == any(m in (0, n) for m in mesh.vertex_multi_index(v))
+    for f in range(mesh.num_facets):
+        axis, multi = mesh.facet_axis_and_multi(f)
+        assert fflags[f] == (multi[axis] in (0, n))
+
+
 def test_geometry_maps_reference_corners_to_vertices():
     mesh = build_mesh(2, 4, domain=((0.0, -1.0), (2.0, 1.0)))
     from rectmorley.element import reference_corners
