@@ -1,9 +1,12 @@
 """Command line driver: solve, reproduce benchmark tables, rates, verify.
 
-Exit codes: 0 success, 1 solver failure, 2 verification failure, 3 bad
-arguments.  The only environment variable honored is RECTMORLEY_THREADS,
-which caps the BLAS/OpenMP thread pools before the numeric stack loads.
-Output is deterministic for fixed inputs.
+Exit codes: 0 success, 1 solver failure, 2 verification failure (a failed
+suite, or a table eigenvalue off its stored value by more than
+reference.STORED_REL_TOL), 3 bad arguments.  The only environment variable
+honored is RECTMORLEY_THREADS, which caps the BLAS/OpenMP thread pools
+before the numeric stack loads: this module and the package import no
+numpy until main() has set the caps.  Output is deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -94,9 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--format", choices=("text", "csv", "json"), default="text")
     rates.add_argument("--out", metavar="PATH")
 
+    from .operators import SUITES
+
     verify = sub.add_parser("verify", help="run structural verification suites")
-    verify.add_argument("suite", choices=("bubbles", "lemma2d", "lemma3d",
-                                          "commuting", "identity37", "all"))
+    verify.add_argument("suite", choices=(*SUITES, "all"))
     verify.add_argument("--seed", type=int, default=None,
                         help="seed for the randomized identity suites")
     verify.add_argument("--quad-order", type=int, default=8)
@@ -134,9 +138,13 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     return dofmap, result
 
 
-def _check_3d_scale(dim: int, n_values):
+def _check_ladder(dim: int, n_values):
+    """Every cell count must be positive, and at most MAX_CELLS_3D in 3D."""
     from .reference import MAX_CELLS_3D
 
+    not_positive = [n for n in n_values if n < 1]
+    if not_positive:
+        raise UsageError(f"cell counts must be positive, got {not_positive}")
     if dim == 3:
         too_big = [n for n in n_values if n > MAX_CELLS_3D]
         if too_big:
@@ -164,11 +172,9 @@ def _json_dumps(payload) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
-    _check_3d_scale(args.dim, args.n)
+    _check_ladder(args.dim, args.n)
     runs = []
     for n in args.n:
-        if n < 1:
-            raise UsageError(f"cell count must be positive, got {n}")
         dofmap, result = solve_problem(args.dim, n, args.bc, args.k, args.solver)
         runs.append((n, dofmap.num_free, result))
 
@@ -217,13 +223,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_table(args) -> int:
     from .reference import (BENCHMARK_CONFIG, BENCHMARK_N, BENCHMARK_VALUES,
-                            exact_eigenvalues)
+                            STORED_REL_TOL, exact_eigenvalues)
 
     dim, bc = BENCHMARK_CONFIG[args.table_id]
     ladder = tuple(args.n) if args.n else BENCHMARK_N[args.table_id]
     if len(set(ladder)) != len(ladder) or list(ladder) != sorted(ladder):
         raise UsageError(f"cell counts must be strictly increasing, got {list(ladder)}")
-    _check_3d_scale(dim, ladder)
+    _check_ladder(dim, ladder)
 
     exact = exact_eigenvalues(dim) if bc == "simply-supported" else None
     stored = BENCHMARK_VALUES[args.table_id]
@@ -298,7 +304,17 @@ def _cmd_table(args) -> int:
             )
         _emit("\n".join(lines), args.out)
 
-    return EXIT_OK if converged else EXIT_SOLVER_FAILURE
+    if not converged:
+        return EXIT_SOLVER_FAILURE
+    drifted = [row for row in rows
+               if row["rel_diff"] is not None and row["rel_diff"] > STORED_REL_TOL]
+    if drifted:
+        worst = max(drifted, key=lambda row: row["rel_diff"])
+        print(f"{len(drifted)} eigenvalue(s) differ from the stored table by more "
+              f"than {STORED_REL_TOL:g} relative; worst n={worst['n']} "
+              f"index={worst['index']}: {worst['rel_diff']:.3e}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILURE
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +327,20 @@ def _cmd_rates(args) -> int:
     n_values = sorted(set(args.n))
     if len(n_values) < 2:
         raise UsageError("rates need at least two distinct cell counts")
-    _check_3d_scale(args.dim, n_values)
+    _check_ladder(args.dim, n_values)
 
     if args.bc == "clamped" and not args.richardson:
         raise UsageError(
             "no closed-form eigenvalues for the clamped problem; pass "
             "--richardson to measure rates against an extrapolated reference"
         )
+    if args.bc == "simply-supported":
+        exact = exact_eigenvalues(args.dim)
+        if args.k > len(exact):
+            raise UsageError(
+                f"only the first {len(exact)} closed-form simply supported "
+                f"eigenvalues are stored; --k must be at most {len(exact)}"
+            )
 
     values = []
     converged = True
@@ -328,7 +351,7 @@ def _cmd_rates(args) -> int:
 
     per_index = list(zip(*values))
     if args.bc == "simply-supported":
-        refs = [float(v) for v in exact_eigenvalues(args.dim)[: args.k]]
+        refs = [float(v) for v in exact[: args.k]]
         ref_kind = "exact"
     else:
         refs = [richardson_reference(list(seq), n_values) for seq in per_index]
@@ -383,71 +406,18 @@ def _cmd_rates(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def run_eigen_identity_suite(n_values=(4, 8), quad_order: int = 8):
-    """Four-term eigenvalue error identity on the coarsest simply supported meshes.
-
-    Uses the first eigenpair (simple eigenvalue, no cluster ambiguity) and
-    checks the identity residual and its invariance under flipping the sign
-    of the discrete eigenvector.
-    """
-    from .assembly import (FemField, assemble, build_dof_map,
-                           eigen_error_identity_terms)
-    from .element import build_reference_element
-    from .eigensolve import smallest_k_dense
-    from .functions import sine_eigenvalue, unit_box_eigenfunction
-    from .mesh import build_mesh
-    from .operators import VerificationReport, equality_record
-
-    report = VerificationReport("eigenvalue-error-identity")
-    element = build_reference_element(2)
-    modes = (1, 1)
-    u = unit_box_eigenfunction(modes)
-    lam = sine_eigenvalue(modes)
-    for n in n_values:
-        mesh = build_mesh(2, n)
-        dofmap = build_dof_map(mesh, "simply-supported")
-        a_mat, m_mat = assemble(mesh, dofmap, element)
-        result = smallest_k_dense(a_mat, m_mat, 1)
-        lam_h = float(result.eigenvalues[0])
-        u_h = FemField(dofmap, result.eigenvectors[:, 0])
-        tol = 1e-6 * lam
-
-        terms = eigen_error_identity_terms(lam, u, lam_h, u_h, mesh, dofmap,
-                                           element, A=a_mat, M=m_mat,
-                                           quad_order=quad_order)
-        report.records.append(equality_record(
-            f"2d-ss/n={n}/residual", terms.residual, 0.0, tol,
-            note=f"lam_gap={terms.lam_gap:.6f} t1={terms.t1:.6f} t2={terms.t2:.6f} "
-                 f"t3={terms.t3:.6f} t4={terms.t4:.6f}",
-        ))
-        flipped = FemField(dofmap, -result.eigenvectors[:, 0])
-        terms_flip = eigen_error_identity_terms(lam, u, lam_h, flipped, mesh,
-                                                dofmap, element, A=a_mat, M=m_mat,
-                                                quad_order=quad_order)
-        report.records.append(equality_record(
-            f"2d-ss/n={n}/sign-flip-residual", terms_flip.residual, 0.0, tol,
-            note="identity must not depend on the eigenvector sign",
-        ))
-    return report
-
-
 def _cmd_verify(args) -> int:
-    from .operators import (DEFAULT_SEED, run_bubble_suite, run_commuting_suite,
-                            run_refined_identity_suite)
+    from .operators import DEFAULT_SEED, SUITES
+    from .quadrature import MAX_POINTS_1D
 
+    if not 1 <= args.quad_order <= MAX_POINTS_1D:
+        raise UsageError(
+            f"--quad-order must be in [1, {MAX_POINTS_1D}], got {args.quad_order}"
+        )
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    suites = []
     wanted = args.suite
-    if wanted in ("bubbles", "all"):
-        suites.append(run_bubble_suite())
-    if wanted in ("lemma2d", "all"):
-        suites.append(run_refined_identity_suite(2, seed=seed))
-    if wanted in ("lemma3d", "all"):
-        suites.append(run_refined_identity_suite(3, seed=seed))
-    if wanted in ("commuting", "all"):
-        suites.append(run_commuting_suite())
-    if wanted in ("identity37", "all"):
-        suites.append(run_eigen_identity_suite(quad_order=args.quad_order))
+    names = SUITES if wanted == "all" else (wanted,)
+    suites = [SUITES[name](seed, args.quad_order) for name in names]
 
     if args.format == "json":
         payload = {

@@ -157,6 +157,11 @@ class CartesianMesh:
         strides = (self.n + 1) ** np.arange(self.dim)
         return (cells[:, None, :] + corners[None, :, :]) @ strides
 
+    def cell_centers(self) -> np.ndarray:
+        """element_geometry centers for every element at once, shape (num_elements, dim)."""
+        cells = _grid_multi_indices((self.n,) * self.dim)
+        return np.asarray(self.lower) + (cells + 0.5) * self.cell_width
+
     def cell_facets(self):
         """element_facets for every element at once: ids and signs, each of
         shape (num_elements, 2 dim) in local order (axis0-, axis0+, axis1-, ...)."""

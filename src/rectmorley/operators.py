@@ -1,4 +1,4 @@
-"""Interpolation operators, bubble functions, and their verification suites.
+"""Interpolation operators, bubble functions, and the verification suites.
 
 Everything here lives on the reference cell [-1, 1]^dim unless stated
 otherwise.  The canonical interpolation matches the element's degrees of
@@ -11,14 +11,13 @@ table) into structured pass/fail records.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .element import ReferenceElement, build_reference_element
 from .polynomial import Polynomial
-from .quadrature import facet_rule, tensor_rule
+from .quadrature import facet_rule
 
 DEFAULT_QUAD_ORDER = 8
 DEFAULT_SEED = 1729
@@ -328,64 +327,33 @@ class ConvergenceProbe:
 
 
 def interpolation_convergence_probe(f, dim: int, n_values, orders=(0, 1, 2),
-                                    quad_order: int = DEFAULT_QUAD_ORDER,
-                                    domain=None) -> ConvergenceProbe:
+                                    quad_order: int = DEFAULT_QUAD_ORDER) -> ConvergenceProbe:
     """Measure cellwise interpolation errors of an analytic function.
 
     For seminorm order l the error is the broken H^l seminorm of f minus its
     cellwise canonical interpolant; observed orders are least-squares slopes
-    in log h.  Interpolation is purely local, so no boundary conditions enter.
+    in log h.  Interpolation is purely local, so no boundary conditions enter:
+    every vertex and facet value is gathered, constrained or not.
     """
-    from .mesh import build_mesh  # local import keeps module dependencies one-way
+    # Imported at call time: assembly imports this module.
+    from .assembly import broken_error_norms, entity_values
+    from .mesh import build_mesh
 
     element = build_reference_element(dim)
-    rule = tensor_rule(dim, quad_order)
-    if any(l not in (0, 1, 2) for l in orders):
-        raise ValueError("seminorm orders must be in {0, 1, 2}")
-
-    deriv_alphas = {
-        0: [tuple([0] * dim)],
-        1: [tuple(1 if a == ax else 0 for a in range(dim)) for ax in range(dim)],
-        2: [
-            tuple((a == ax) + (a == bx) for a in range(dim))
-            for ax in range(dim)
-            for bx in range(dim)
-        ],
-    }
-    tables = {
-        l: [element.eval_basis(alpha, rule.points) for alpha in deriv_alphas[l]]
-        for l in orders
-    }
-
     errors = {l: [] for l in orders}
     h_values = []
     for n in n_values:
-        mesh = build_mesh(dim, n, domain)
+        mesh = build_mesh(dim, n)
         h = mesh.half_width
         h_values.append(h)
-        acc = {l: 0.0 for l in orders}
-        for e in range(mesh.num_elements):
-            center, _ = mesh.element_geometry(e)
-            coeffs, _ = interpolation_dofs(element, f, center, h, quad_order)
-            phys = center + h * rule.points
-            for l in orders:
-                if l == 0:
-                    exact = [f.value(phys)]
-                elif l == 1:
-                    grad = f.gradient(phys)
-                    exact = [grad[:, a] for a in range(dim)]
-                else:
-                    hess = f.hessian(phys)
-                    exact = [
-                        hess[:, a, b] for a in range(dim) for b in range(dim)
-                    ]
-                cell = 0.0
-                for table, target in zip(tables[l], exact):
-                    diff = target - (table @ coeffs) / h ** l
-                    cell += diff * diff @ rule.weights
-                acc[l] += cell * h ** dim
+        vertex_vals, facet_vals = entity_values(f, mesh, quad_order)
+        facet_ids, facet_signs = mesh.cell_facets()
+        # Per-cell reference coefficients, as FemField.local_reference_coefficients.
+        coeffs = np.concatenate([vertex_vals[mesh.cell_vertices()],
+                                 facet_signs * facet_vals[facet_ids] * h], axis=1)
+        norms = broken_error_norms(f, coeffs, mesh, element, orders, quad_order)
         for l in orders:
-            errors[l].append(math.sqrt(acc[l]))
+            errors[l].append(norms[l])
 
     h_arr = np.array(h_values)
     err_arrays = {l: np.array(vals) for l, vals in errors.items()}
@@ -592,3 +560,61 @@ def run_refined_identity_suite(dim: int, n_pairs: int = 200,
             )
         )
     return report
+
+
+def run_eigen_identity_suite(n_values=(4, 8), quad_order: int = DEFAULT_QUAD_ORDER):
+    """Four-term eigenvalue error identity on the coarsest simply supported meshes.
+
+    Uses the first eigenpair (simple eigenvalue, no cluster ambiguity) and
+    checks the identity residual and its invariance under flipping the sign
+    of the discrete eigenvector.
+    """
+    # Imported at call time: assembly imports this module.
+    from .assembly import (FemField, assemble, build_dof_map,
+                           eigen_error_identity_terms)
+    from .eigensolve import smallest_k_dense
+    from .functions import sine_eigenvalue, unit_box_eigenfunction
+    from .mesh import build_mesh
+
+    report = VerificationReport("eigenvalue-error-identity")
+    element = build_reference_element(2)
+    modes = (1, 1)
+    u = unit_box_eigenfunction(modes)
+    lam = sine_eigenvalue(modes)
+    for n in n_values:
+        mesh = build_mesh(2, n)
+        dofmap = build_dof_map(mesh, "simply-supported")
+        a_mat, m_mat = assemble(mesh, dofmap, element)
+        result = smallest_k_dense(a_mat, m_mat, 1)
+        lam_h = float(result.eigenvalues[0])
+        u_h = FemField(dofmap, result.eigenvectors[:, 0])
+        tol = 1e-6 * lam
+
+        terms = eigen_error_identity_terms(lam, u, lam_h, u_h, mesh, dofmap,
+                                           element, A=a_mat, M=m_mat,
+                                           quad_order=quad_order)
+        report.records.append(equality_record(
+            f"2d-ss/n={n}/residual", terms.residual, 0.0, tol,
+            note=f"lam_gap={terms.lam_gap:.6f} t1={terms.t1:.6f} t2={terms.t2:.6f} "
+                 f"t3={terms.t3:.6f} t4={terms.t4:.6f}",
+        ))
+        flipped = FemField(dofmap, -result.eigenvectors[:, 0])
+        terms_flip = eigen_error_identity_terms(lam, u, lam_h, flipped, mesh,
+                                                dofmap, element, A=a_mat, M=m_mat,
+                                                quad_order=quad_order)
+        report.records.append(equality_record(
+            f"2d-ss/n={n}/sign-flip-residual", terms_flip.residual, 0.0, tol,
+            note="identity must not depend on the eigenvector sign",
+        ))
+    return report
+
+
+# Verification suites by CLI name, in the order `verify all` runs them; each
+# runner takes the seed of the randomized suites and the quadrature order.
+SUITES = {
+    "bubbles": lambda seed, quad_order: run_bubble_suite(),
+    "lemma2d": lambda seed, quad_order: run_refined_identity_suite(2, seed=seed),
+    "lemma3d": lambda seed, quad_order: run_refined_identity_suite(3, seed=seed),
+    "commuting": lambda seed, quad_order: run_commuting_suite(),
+    "identity37": lambda seed, quad_order: run_eigen_identity_suite(quad_order=quad_order),
+}

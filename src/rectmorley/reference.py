@@ -35,6 +35,10 @@ BENCHMARK_N = {
 
 MAX_CELLS_3D = 16
 
+# Recomputed eigenvalues must match the stored ones below to this relative
+# tolerance (the stored values carry 4 decimals).
+STORED_REL_TOL = 1e-3
+
 # First six discrete eigenvalues per cell count, reported to 4 decimals.
 BENCHMARK_VALUES = {
     1: {

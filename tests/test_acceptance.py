@@ -221,7 +221,7 @@ def test_criterion_10_commuting_projection():
 
 
 def test_criterion_11_eigenvalue_error_identity():
-    from rectmorley.cli import run_eigen_identity_suite
+    from rectmorley.operators import run_eigen_identity_suite
 
     rep = run_eigen_identity_suite(n_values=(4, 8))
     names = [r.name for r in rep.records]

@@ -1,16 +1,17 @@
-import io
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
 
 from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, FemField,
-                                 SymmetricSparseMatrix, assemble,
+                                 assemble,
                                  broken_energy_inner, broken_error_norms,
                                  build_dof_map, eigen_error_identity_terms,
                                  element_matrices, interpolate_global,
                                  l2_norm_analytic, reference_matrices)
-from rectmorley.eigensolve import factor_spd, smallest_k_dense
+from rectmorley.eigensolve import smallest_k_dense
 from rectmorley.element import physical_dof_scaling
 from rectmorley.functions import (PolynomialFunction, sine_eigenvalue,
                                   unit_box_eigenfunction)
@@ -89,45 +90,6 @@ def test_bad_bc_rejected():
 
 
 # ---------------------------------------------------------------------------
-# symmetric sparse storage
-# ---------------------------------------------------------------------------
-
-def test_symmetric_storage_round_trip():
-    full = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, -2.0], [0.0, -2.0, 5.0]])
-    mat = SymmetricSparseMatrix.from_full(full)
-    assert mat.order == 3
-    assert mat.nnz_stored == 5  # three diagonal plus two strictly lower entries
-    assert np.allclose(mat.to_dense(), full)
-    assert mat.diagonal() == pytest.approx([4.0, 3.0, 5.0])
-    x = np.array([1.0, -1.0, 2.0])
-    assert mat.matvec(x) == pytest.approx(full @ x)
-
-
-def test_asymmetric_input_rejected():
-    full = np.array([[1.0, 2.0], [0.5, 1.0]])
-    with pytest.raises(ValueError):
-        SymmetricSparseMatrix.from_full(full)
-
-
-def test_coordinate_export_reloads_exactly():
-    rng = np.random.default_rng(4)
-    base = rng.standard_normal((5, 5))
-    full = base + base.T
-    mat = SymmetricSparseMatrix.from_full(full)
-    out = io.StringIO()
-    mat.write_coordinate(out)
-    lines = out.getvalue().splitlines()
-    assert lines[0].startswith("%")
-    assert "order 5" in lines[0]
-    rebuilt = np.zeros((5, 5))
-    for line in lines[1:]:
-        i, j, v = line.split()
-        rebuilt[int(i), int(j)] = float(v)
-    rebuilt = rebuilt + rebuilt.T - np.diag(np.diag(rebuilt))
-    assert np.allclose(rebuilt, full, atol=0.0)
-
-
-# ---------------------------------------------------------------------------
 # element matrices
 # ---------------------------------------------------------------------------
 
@@ -194,9 +156,21 @@ def test_assembled_matrices_are_spd(bc, ref2):
     mesh = build_mesh(2, 3)
     dofmap = build_dof_map(mesh, bc)
     a_mat, m_mat = assemble(mesh, dofmap, ref2)
-    assert a_mat.order == dofmap.num_free
-    factor_spd(a_mat.to_dense())
-    factor_spd(m_mat.to_dense())
+    assert a_mat.shape == (dofmap.num_free, dofmap.num_free)
+    cholesky(a_mat.toarray())
+    cholesky(m_mat.toarray())
+
+
+@pytest.mark.parametrize("dim,n", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("bc", [BC_CLAMPED, BC_SIMPLY_SUPPORTED])
+def test_assembled_matrices_are_exactly_symmetric_without_stored_zeros(dim, n, bc,
+                                                                       ref2, ref3):
+    mesh = build_mesh(dim, n)
+    dofmap = build_dof_map(mesh, bc)
+    for mat in assemble(mesh, dofmap, ref2 if dim == 2 else ref3):
+        assert mat.format == "csr" and mat.has_canonical_format
+        assert (mat != mat.T).nnz == 0
+        assert np.all(mat.data != 0.0)
 
 
 def test_assembly_matches_manual_gather_on_single_cell(ref2):
@@ -210,8 +184,8 @@ def test_assembly_matches_manual_gather_on_single_cell(ref2):
     signs = dofmap.cell_signs[0, 4:]
     expected_a = signs[:, None] * ke[4:, 4:] * signs[None, :]
     expected_m = signs[:, None] * me[4:, 4:] * signs[None, :]
-    assert np.allclose(a_mat.to_dense(), expected_a, atol=1e-12)
-    assert np.allclose(m_mat.to_dense(), expected_m, atol=1e-12)
+    assert np.allclose(a_mat.toarray(), expected_a, atol=1e-12)
+    assert np.allclose(m_mat.toarray(), expected_m, atol=1e-12)
 
 
 def test_rayleigh_quotient_of_solved_pair_reproduces_eigenvalue(ref2):
@@ -222,8 +196,8 @@ def test_rayleigh_quotient_of_solved_pair_reproduces_eigenvalue(ref2):
     w, vecs = result.eigenvalues, result.eigenvectors
     for k in range(3):
         c = vecs[:, k]
-        num = c @ a_mat.matvec(c)
-        den = c @ m_mat.matvec(c)
+        num = c @ (a_mat @ c)
+        den = c @ (m_mat @ c)
         assert num / den == pytest.approx(w[k], rel=1e-12)
 
 
@@ -272,6 +246,47 @@ def test_interpolated_quadratic_is_recovered_pointwise(ref2):
     assert grad0 == pytest.approx(poly.diff(0)(phys), abs=1e-11)
 
 
+def cubic_with_boundary_values(dim):
+    # Nonzero values and normal derivatives on the boundary, so constrained
+    # DOFs carry data under both boundary conditions.
+    return PolynomialFunction(Polynomial(dim, {
+        (3,) + (0,) * (dim - 1): 1.0,
+        (1, 1) + (0,) * (dim - 2): 0.5,
+        (0, 2) + (0,) * (dim - 2): -1.0,
+        (0,) * dim: 0.25,
+    }))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("bc", [BC_CLAMPED, BC_SIMPLY_SUPPORTED])
+def test_interpolate_global_matches_entity_definitions(dim, n, bc):
+    mesh = build_mesh(dim, n)
+    dofmap = build_dof_map(mesh, bc)
+    f = cubic_with_boundary_values(dim)
+    interp = interpolate_global(f, mesh, dofmap)
+    base = tensor_rule(dim - 1, 8)
+    h = mesh.half_width
+    constrained = []
+    for vid in range(mesh.num_vertices):
+        val = float(f.value(mesh.vertex_coords(vid)))
+        gid = dofmap.vertex_dof[vid]
+        if gid >= 0:
+            assert interp.field.coeffs[gid] == pytest.approx(val, rel=1e-12, abs=1e-14)
+        else:
+            constrained.append(abs(val))
+    for fid in range(mesh.num_facets):
+        axis, center = mesh.facet_geometry(fid)
+        phys = np.repeat(center[None, :], base.num_points, axis=0)
+        phys[:, [a for a in range(dim) if a != axis]] += h * base.points
+        val = f.gradient(phys)[:, axis] @ base.weights / 2.0 ** (dim - 1)
+        gid = dofmap.facet_dof[fid]
+        if gid >= 0:
+            assert interp.field.coeffs[gid] == pytest.approx(val, rel=1e-12, abs=1e-14)
+        else:
+            constrained.append(abs(val))
+    assert interp.max_constrained_residual == pytest.approx(max(constrained), rel=1e-12)
+
+
 def test_constrained_residual_flags_incompatible_boundary_data():
     mesh = build_mesh(2, 4)
     sine = unit_box_eigenfunction((1, 1))
@@ -293,19 +308,6 @@ def test_clamped_compatible_bubble_function_is_admissible():
     assert interp.max_constrained_residual < 1e-13
 
 
-def test_export_csv_row_count():
-    mesh = build_mesh(2, 2)
-    dofmap = build_dof_map(mesh, BC_SIMPLY_SUPPORTED)
-    field = FemField(dofmap, np.arange(dofmap.num_free, dtype=float))
-    out = io.StringIO()
-    field.export_csv(out)
-    lines = out.getvalue().splitlines()
-    assert lines[0] == "kind,entity,value"
-    assert len(lines) == 1 + dofmap.num_free
-    assert sum(1 for ln in lines[1:] if ln.startswith("vertex")) == 1
-    assert sum(1 for ln in lines[1:] if ln.startswith("facet")) == 12
-
-
 # ---------------------------------------------------------------------------
 # broken inner products and norms
 # ---------------------------------------------------------------------------
@@ -318,7 +320,7 @@ def test_energy_inner_field_field_is_rayleigh_numerator(ref2):
     w, vecs = result.eigenvalues, result.eigenvectors
     field = FemField(dofmap, vecs[:, 0])
     energy = broken_energy_inner(field, field, mesh, ref2)
-    assert energy == pytest.approx(float(vecs[:, 0] @ a_mat.matvec(vecs[:, 0])), rel=1e-12)
+    assert energy == pytest.approx(float(vecs[:, 0] @ (a_mat @ vecs[:, 0])), rel=1e-12)
     assert energy == pytest.approx(w[0], rel=1e-10)  # vectors are mass-normalized
 
 
@@ -360,14 +362,64 @@ def test_broken_error_norms_match_local_probe_route(ref2):
         assert norms[l] == pytest.approx(probe.errors[l][0], rel=1e-12)
 
 
+def cellwise_integral(mesh, element, order, pointwise, u, v, quad_order=8):
+    """Per-cell loop from the definition: sum over cells and over every ordered
+    axis tuple of length `order` of the quadrature of pointwise(d u, d v)."""
+    rule = tensor_rule(mesh.dim, quad_order)
+    total = 0.0
+    for e in range(mesh.num_elements):
+        center, h = mesh.element_geometry(e)
+        phys = center + h * rule.points
+        for axes in itertools.product(range(mesh.dim), repeat=order):
+            samples = []
+            for w in (u, v):
+                if isinstance(w, FemField):
+                    alpha = [0] * mesh.dim
+                    for a in axes:
+                        alpha[a] += 1
+                    samples.append(w.evaluate_on_element(element, e, rule.points, alpha))
+                elif order == 0:
+                    samples.append(w.value(phys))
+                elif order == 1:
+                    samples.append(w.gradient(phys)[:, axes[0]])
+                else:
+                    samples.append(w.hessian(phys)[:, axes[0], axes[1]])
+            total += pointwise(*samples) @ rule.weights * h ** mesh.dim
+    return total
+
+
+@pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
+def test_broken_quadrature_matches_cellwise_definition(dim, n, ref2, ref3):
+    element = ref2 if dim == 2 else ref3
+    mesh = build_mesh(dim, n)
+    dofmap = build_dof_map(mesh, BC_SIMPLY_SUPPORTED)
+    sine = unit_box_eigenfunction((1,) * dim)
+    cubic = cubic_with_boundary_values(dim)
+    field = FemField(dofmap, np.random.default_rng(5).standard_normal(dofmap.num_free))
+
+    def squared_error(a, b):
+        return (a - b) ** 2
+
+    norms = broken_error_norms(sine, field, mesh, element)
+    for l in (0, 1, 2):
+        expected = math.sqrt(cellwise_integral(mesh, element, l, squared_error, sine, field))
+        assert norms[l] == pytest.approx(expected, rel=1e-12)
+    assert l2_norm_analytic(sine, mesh) == pytest.approx(
+        math.sqrt(cellwise_integral(mesh, element, 0, np.multiply, sine, sine)), rel=1e-12)
+    assert broken_energy_inner(sine, field, mesh, element) == pytest.approx(
+        cellwise_integral(mesh, element, 2, np.multiply, sine, field), rel=1e-12)
+    assert broken_energy_inner(sine, cubic, mesh, element) == pytest.approx(
+        cellwise_integral(mesh, element, 2, np.multiply, sine, cubic), rel=1e-12)
+
+
 def test_interpolant_rayleigh_bounds_smallest_eigenvalue(ref2):
     mesh = build_mesh(2, 4)
     dofmap = build_dof_map(mesh, BC_SIMPLY_SUPPORTED)
     a_mat, m_mat = assemble(mesh, dofmap, ref2)
     w = smallest_k_dense(a_mat, m_mat, 1).eigenvalues
     field = interpolate_global(unit_box_eigenfunction((1, 1)), mesh, dofmap).field
-    num = field.coeffs @ a_mat.matvec(field.coeffs)
-    den = field.coeffs @ m_mat.matvec(field.coeffs)
+    num = field.coeffs @ (a_mat @ field.coeffs)
+    den = field.coeffs @ (m_mat @ field.coeffs)
     assert num / den >= w[0] * (1.0 - 1e-12)
 
 

@@ -1,11 +1,12 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
-from rectmorley import cli
+from rectmorley import cli, reference
 
 
 def run_cli(argv, capsys):
@@ -146,6 +147,16 @@ def test_table_3d_guard(capsys):
     assert "3D" in err or "n > 16" in err
 
 
+def test_table_exits_2_when_a_value_drifts_from_the_stored_table(monkeypatch, capsys):
+    stored = reference.BENCHMARK_VALUES[1][4]
+    monkeypatch.setitem(reference.BENCHMARK_VALUES[1], 4,
+                        (stored[0] * 1.01, *stored[1:]))
+    code, out, err = run_cli(["table", "1", "--n", "4", "--format", "json"], capsys)
+    assert code == 2
+    assert json.loads(out)["rows"][0]["rel_diff"] > 1e-3
+    assert "n=4 index=1" in err
+
+
 # ---------------------------------------------------------------------------
 # rates
 # ---------------------------------------------------------------------------
@@ -185,6 +196,29 @@ def test_rates_need_two_meshes(capsys):
     code, _, err = run_cli(["rates", "--n", "4"], capsys)
     assert code == 3
     assert "two" in err
+
+
+def test_rates_k_beyond_closed_form_values_is_a_usage_error(capsys):
+    code, _, err = run_cli(
+        ["rates", "--bc", "simply-supported", "--n", "4", "--n", "8", "--k", "7"], capsys
+    )
+    assert code == 3
+    assert "at most 6" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "0"],
+    ["table", "1", "--n", "0"],
+    ["rates", "--n", "0", "--n", "4"],
+    ["rates", "--dim", "3", "--n", "8", "--n", "32"],
+    ["verify", "identity37", "--quad-order", "0"],
+    ["verify", "lemma2d", "--quad-order", "0"],
+    ["verify", "bubbles", "--quad-order", "17"],
+])
+def test_bad_sizes_and_orders_are_usage_errors(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 3
+    assert "error" in err
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +312,24 @@ def test_threads_env_propagates(monkeypatch, capsys):
     import os
 
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads through /proc")
+def test_threads_env_caps_the_blas_pool_of_a_fresh_process():
+    # The cap has to be set before numpy loads, which importing the CLI must
+    # not do.  A dense solve starts the BLAS pool; count the threads after it.
+    script = ("import os\n"
+              "from rectmorley.cli import main\n"
+              "code = main(['solve', '--n', '16', '--k', '1', '--solver', 'dense'])\n"
+              "print(code, len(os.listdir('/proc/self/task')))\n")
+    env = {key: value for key, value in os.environ.items()
+           if not key.endswith("_NUM_THREADS")}
+    env[cli.THREADS_ENV] = "1"
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "1"]
 
 
 def test_repeated_runs_are_identical(capsys):

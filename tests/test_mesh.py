@@ -80,6 +80,15 @@ def test_boundary_flags_follow_multi_indices(dim, n):
         assert fflags[f] == (multi[axis] in (0, n))
 
 
+@pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
+def test_cell_centers_equal_element_geometry(dim, n):
+    mesh = build_mesh(dim, n, domain=((-0.5,) * dim, (1.5,) * dim))
+    centers = mesh.cell_centers()
+    assert centers.shape == (mesh.num_elements, dim)
+    for e in range(mesh.num_elements):
+        assert np.array_equal(centers[e], mesh.element_geometry(e)[0])
+
+
 def test_geometry_maps_reference_corners_to_vertices():
     mesh = build_mesh(2, 4, domain=((0.0, -1.0), (2.0, 1.0)))
     from rectmorley.element import reference_corners
