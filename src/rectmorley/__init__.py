@@ -16,7 +16,7 @@ _EXPORTS = {
     "assembly": ("BC_CLAMPED", "BC_SIMPLY_SUPPORTED", "DofMap", "FemField",
                  "assemble", "broken_energy_inner", "broken_error_norms",
                  "build_dof_map", "eigen_error_identity_terms", "element_matrices",
-                 "interpolate_global", "nested_dissection"),
+                 "interpolate_global"),
     "element": ("ReferenceElement", "build_reference_element", "physical_dof_scaling"),
     "eigensolve": ("EigenResult", "residual_report", "smallest_k_dense",
                    "smallest_k_shift_invert", "solve_smallest"),

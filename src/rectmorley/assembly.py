@@ -4,8 +4,9 @@ Degrees of freedom attach to mesh vertices (point values) and facets (mean
 normal derivatives along the global facet normal, which points in the
 positive axis direction).  Constrained DOFs are eliminated, not penalized:
 clamped boundaries constrain boundary vertices and boundary facets, simply
-supported boundaries constrain boundary vertices only.  Free vertices are
-numbered before free facets, each in entity order.
+supported boundaries constrain boundary vertices only.  Free DOFs are
+numbered in nested-dissection order, so the assembled pencil is factored as
+it stands.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ class DofMap:
     """Free-DOF numbering for one mesh and boundary condition.
 
     vertex_dof / facet_dof map entity ids to global free indices, -1 where
-    constrained.  cell_dofs and cell_signs hold the gathered numbering per
-    element in reference DOF order; facet signs flip where the global facet
-    normal is inward for the element.
+    constrained; the free DOFs are numbered in nested-dissection order.
+    cell_dofs holds the gathered numbering per element in reference DOF
+    order.
     """
 
     mesh: CartesianMesh
@@ -46,78 +47,39 @@ class DofMap:
     vertex_dof: np.ndarray
     facet_dof: np.ndarray
     cell_dofs: np.ndarray
-    cell_signs: np.ndarray
-    free_vertices: np.ndarray
-    free_facets: np.ndarray
 
     @property
     def num_free(self) -> int:
-        return len(self.free_vertices) + len(self.free_facets)
-
-    @property
-    def num_free_vertices(self) -> int:
-        return len(self.free_vertices)
-
-    @property
-    def num_free_facets(self) -> int:
-        return len(self.free_facets)
+        return int(np.count_nonzero(self.vertex_dof >= 0)
+                   + np.count_nonzero(self.facet_dof >= 0))
 
 
-def build_dof_map(mesh: CartesianMesh, bc: str) -> DofMap:
-    """Number the free DOFs and gather the element connectivity."""
-    if bc not in BOUNDARY_CONDITIONS:
-        raise ValueError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {bc!r}")
-    vflags, fflags = mesh.boundary_flags()
-
-    vertex_constrained = vflags
-    facet_constrained = fflags if bc == BC_CLAMPED else np.zeros_like(fflags)
-
-    vertex_dof = np.full(mesh.num_vertices, -1, dtype=np.int64)
-    free_vertices = np.flatnonzero(~vertex_constrained)
-    vertex_dof[free_vertices] = np.arange(len(free_vertices))
-
-    facet_dof = np.full(mesh.num_facets, -1, dtype=np.int64)
-    free_facets = np.flatnonzero(~facet_constrained)
-    facet_dof[free_facets] = len(free_vertices) + np.arange(len(free_facets))
-
-    facet_ids, facet_signs = mesh.cell_facets()
-    cell_dofs = np.concatenate([vertex_dof[mesh.cell_vertices()], facet_dof[facet_ids]], axis=1)
-    cell_signs = np.concatenate([np.ones((mesh.num_elements, 2 ** mesh.dim)), facet_signs],
-                                axis=1)
-
-    return DofMap(mesh, bc, vertex_dof, facet_dof, cell_dofs, cell_signs,
-                  free_vertices, free_facets)
-
-
-def dof_coordinates(dofmap: DofMap) -> np.ndarray:
-    """Doubled integer coordinates of the free DOFs, shape (num_free, dim).
+def _entity_coordinates(mesh: CartesianMesh) -> np.ndarray:
+    """Doubled integer coordinates of all vertices, then all facets, in id order.
 
     A vertex sits at 2 * its multi-index; a facet at 2 * its multi-index
     along its normal axis and 2 * multi-index + 1 (its midpoint) across it.
     """
-    mesh = dofmap.mesh
-    vertices = 2 * mesh.vertex_multi_indices()[dofmap.free_vertices]
     axes, multis = mesh.facet_multi_indices()
     facets = 2 * multis + (np.arange(mesh.dim) != axes[:, None])
-    return np.concatenate([vertices, facets[dofmap.free_facets]])
+    return np.concatenate([2 * mesh.vertex_multi_indices(), facets])
 
 
 # Boxes with at most this many DOFs are not split further.
 ND_LEAF_SIZE = 32
 
 
-def nested_dissection(dofmap: DofMap) -> np.ndarray:
-    """Fill-reducing ordering of the free DOFs by coordinate-plane bisection.
+def _nested_dissection(coords: np.ndarray) -> np.ndarray:
+    """Fill-reducing order of points by coordinate-plane bisection.
 
     Each step splits the longest axis of the current box at an even doubled
     coordinate, i.e. a plane through mesh vertices.  The DOFs on that plane
     (its vertices and the facets normal to it) separate the two sides exactly:
     no element touches both, so the stiffness and mass matrices do not couple
     them.  Both sides are ordered recursively and the separator goes last.
-    Returns perm with perm[i] the free DOF placed at position i.
+    Returns order with order[i] the row of coords placed at position i.
+    (George, "Nested dissection of a regular finite element mesh", 1973.)
     """
-    coords = dof_coordinates(dofmap)
-
     def order(ids):
         if len(ids) <= ND_LEAF_SIZE:
             return [ids]
@@ -131,7 +93,40 @@ def nested_dissection(dofmap: DofMap) -> np.ndarray:
         return (order(ids[side < plane]) + order(ids[side > plane])
                 + [ids[side == plane]])
 
-    return np.concatenate(order(np.arange(dofmap.num_free)))
+    return np.concatenate(order(np.arange(len(coords))))
+
+
+def build_dof_map(mesh: CartesianMesh, bc: str) -> DofMap:
+    """Number the free DOFs in nested-dissection order and gather the element
+    connectivity.
+
+    The bisection starts from the free vertices, then the free facets, each
+    in id order; a box too small to split keeps that order.
+    """
+    if bc not in BOUNDARY_CONDITIONS:
+        raise ValueError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {bc!r}")
+    vflags, fflags = mesh.boundary_flags()
+    if bc != BC_CLAMPED:
+        fflags = np.zeros_like(fflags)
+    free = np.flatnonzero(~np.concatenate([vflags, fflags]))
+
+    dofs = np.full(mesh.num_vertices + mesh.num_facets, -1, dtype=np.int64)
+    dofs[free[_nested_dissection(_entity_coordinates(mesh)[free])]] = np.arange(len(free))
+    vertex_dof, facet_dof = np.split(dofs, [mesh.num_vertices])
+
+    cell_dofs = np.concatenate([vertex_dof[mesh.cell_vertices()],
+                                facet_dof[mesh.cell_facets()]], axis=1)
+    return DofMap(mesh, bc, vertex_dof, facet_dof, cell_dofs)
+
+
+def dof_coordinates(dofmap: DofMap) -> np.ndarray:
+    """Doubled integer coordinates of the free DOFs by DOF number, shape
+    (num_free, dim); see _entity_coordinates."""
+    dofs = np.concatenate([dofmap.vertex_dof, dofmap.facet_dof])
+    free = dofs >= 0
+    coords = np.empty((dofmap.num_free, dofmap.mesh.dim), dtype=np.int64)
+    coords[dofs[free]] = _entity_coordinates(dofmap.mesh)[free]
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +185,8 @@ def assemble(mesh: CartesianMesh, dofmap: DofMap, element: ReferenceElement):
     exactly symmetric, and no stored zeros (entries that cancel are dropped).
     """
     ke, me = element_matrices(element, mesh.half_width)
+    sgn = element.orientation
     idx = dofmap.cell_dofs
-    sgn = dofmap.cell_signs
-    pair_sign = sgn[:, :, None] * sgn[:, None, :]
     keep = (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
 
     rows = np.broadcast_to(idx[:, :, None], keep.shape)[keep]
@@ -200,7 +194,8 @@ def assemble(mesh: CartesianMesh, dofmap: DofMap, element: ReferenceElement):
     n = dofmap.num_free
 
     def gather(local):
-        mat = sparse.coo_matrix(((pair_sign * local[None, :, :])[keep], (rows, cols)),
+        signed = sgn[:, None] * local * sgn[None, :]
+        mat = sparse.coo_matrix((np.broadcast_to(signed, keep.shape)[keep], (rows, cols)),
                                 shape=(n, n)).tocsr()
         mat.eliminate_zeros()
         return mat
@@ -234,7 +229,7 @@ class FemField:
         """
         idx = self.dofmap.cell_dofs
         vals = np.where(idx >= 0, self.coeffs[np.clip(idx, 0, None)], 0.0)
-        vals = vals * self.dofmap.cell_signs
+        vals = vals * element.orientation
         vals[:, element.facet_dof_mask] *= self.dofmap.mesh.half_width
         return vals
 
@@ -304,13 +299,12 @@ def interpolate_global(f, mesh: CartesianMesh, dofmap: DofMap,
             f"facet quadrature order {quad_order} is below the configured "
             f"default {DEFAULT_QUAD_ORDER}",
         )
-    vertex_vals, facet_vals = entity_values(f, mesh, quad_order)
-    # Free vertices come first, then free facets, each in entity order.
-    coeffs = np.concatenate([vertex_vals[dofmap.free_vertices],
-                             facet_vals[dofmap.free_facets]])
-    constrained = np.concatenate([vertex_vals[dofmap.vertex_dof < 0],
-                                  facet_vals[dofmap.facet_dof < 0]])
-    worst = float(np.max(np.abs(constrained), initial=0.0))
+    vals = np.concatenate(entity_values(f, mesh, quad_order))
+    dofs = np.concatenate([dofmap.vertex_dof, dofmap.facet_dof])
+    free = dofs >= 0
+    coeffs = np.empty(dofmap.num_free)
+    coeffs[dofs[free]] = vals[free]
+    worst = float(np.max(np.abs(vals[~free]), initial=0.0))
     return GlobalInterpolation(FemField(dofmap, coeffs), worst, warnings)
 
 

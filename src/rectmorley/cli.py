@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
                   solver: str = "auto"):
     """Assemble and solve one configuration; returns (dofmap, EigenResult)."""
-    from .assembly import assemble, build_dof_map, nested_dissection
+    from .assembly import assemble, build_dof_map
     from .eigensolve import solve_smallest
     from .element import build_reference_element
     from .mesh import build_mesh
@@ -133,8 +133,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     # The clamped stiffness matrix is definite, so the origin is a safe
     # shift; simply supported runs shift below the spectrum instead.
     sigma = 0.0 if bc == "clamped" else -1.0
-    result = solve_smallest(a_mat, m_mat, k, method=solver, sigma=sigma,
-                            perm=nested_dissection(dofmap))
+    result = solve_smallest(a_mat, m_mat, k, method=solver, sigma=sigma)
     return dofmap, result
 
 
@@ -156,8 +155,11 @@ def _check_ladder(dim: int, n_values):
 
 def _emit(text: str, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as stream:
-            stream.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as stream:
+                stream.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from None
         print(f"wrote {out_path}")
     else:
         print(text)
@@ -414,6 +416,8 @@ def _cmd_verify(args) -> int:
         raise UsageError(
             f"--quad-order must be in [1, {MAX_POINTS_1D}], got {args.quad_order}"
         )
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     seed = DEFAULT_SEED if args.seed is None else args.seed
     wanted = args.suite
     names = SUITES if wanted == "all" else (wanted,)

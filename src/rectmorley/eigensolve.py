@@ -1,8 +1,9 @@
 """Symmetric generalized eigensolvers for the smallest eigenvalues.
 
 The production route is ARPACK shift-invert around one no-pivot factorization
-of A - sigma M in a fill-reducing order (nested dissection for finite element
-pencils), with a guard that no copy of a repeated eigenvalue was skipped.
+of A - sigma M in the order the pencil is given (finite element pencils come
+numbered in nested-dissection order), with a guard that no copy of a repeated
+eigenvalue was skipped.
 The dense LAPACK path is the test oracle, and the fallback for pencils too
 small for shift-invert.  Both return ascending eigenvalues with
 mass-orthonormal eigenvectors and per-pair relative residuals.  The
@@ -20,6 +21,8 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
 RESIDUAL_TOL = 1e-8
+# ARPACK convergence tolerance, reported as metadata["tol"].
+ARPACK_TOL = 1e-10
 # The skipped-copy guard merges an eigenvalue found outside the first k only
 # when it lies below lambda_k by more than this relative gap.
 GUARD_REL_GAP = 1e-8
@@ -146,20 +149,16 @@ def guard_start_vector(order: int) -> np.ndarray:
 class _ShiftedFactor:
     """Solves with A - sigma M through one no-pivot factorization.
 
-    The factor is of P (A - sigma M) P^T with P the permutation `perm`
-    (identity when None), taken in the given order without pivoting.  That
+    The factor is of A - sigma M in the given order, without pivoting.  That
     is stable only when A - sigma M is positive definite; by Sylvester's law
     of inertia a pivot <= 0 shows it is not, and the constructor raises
     ValueError naming sigma.  `applications` counts solved right-hand sides.
     """
 
-    def __init__(self, a_csr, m_csr, sigma: float, perm=None):
-        order = a_csr.shape[0]
-        self.perm = np.arange(order) if perm is None else np.asarray(perm)
-        shifted = (a_csr - sigma * m_csr)[self.perm][:, self.perm].tocsc()
+    def __init__(self, a_csr, m_csr, sigma: float):
         try:
-            lu = sla.splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                          options=dict(SymmetricMode=True))
+            lu = sla.splu((a_csr - sigma * m_csr).tocsc(), permc_spec="NATURAL",
+                          diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise ValueError(f"shift-invert factorization failed at sigma={sigma}") from exc
         upper = lu.U
@@ -174,9 +173,7 @@ class _ShiftedFactor:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         self.applications += 1 if rhs.ndim == 1 else rhs.shape[1]
-        out = np.empty_like(rhs)
-        out[self.perm] = self.lu.solve(rhs[self.perm])
-        return out
+        return self.lu.solve(rhs)
 
     def operator(self, deflate=None) -> sla.LinearOperator:
         """(A - sigma M)^-1 as a LinearOperator, optionally followed by the
@@ -189,19 +186,16 @@ class _ShiftedFactor:
                 out = self.solve(rhs)
                 return out - basis @ (m_basis.T @ out)
 
-        order = len(self.perm)
+        order = self.lu.shape[0]
         return sla.LinearOperator((order, order), matvec=matvec, dtype=float)
 
 
-def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0,
-                            tol: float = 1e-10, max_iter=None,
-                            perm=None) -> EigenResult:
+def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0) -> EigenResult:
     """ARPACK shift-invert solver for the k smallest generalized eigenvalues.
 
     A - sigma*M must be positive definite: sigma below the smallest
     eigenvalue (negative when the stiffness matrix is only semidefinite).
-    `perm` orders the single factorization; pass nested_dissection(dofmap)
-    for finite element pencils.  Three steps use that factor:
+    A single factorization, in the given order, serves three steps:
 
     1. ARPACK from deterministic_start_vector finds k eigenpairs.
     2. The skipped-copy guard: a one-vector Krylov space sees one direction
@@ -226,12 +220,12 @@ def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0,
     if k + 1 >= order:
         raise ValueError("shift-invert needs k < order - 1; use the dense solver")
 
-    factor = _ShiftedFactor(a_csr, m_csr, sigma, perm)
+    factor = _ShiftedFactor(a_csr, m_csr, sigma)
     arpack_converged = True
     try:
         w, x = sla.eigsh(a_csr, k=k, M=m_csr, sigma=sigma, which="LM",
-                         v0=deterministic_start_vector(order), tol=tol,
-                         maxiter=max_iter, OPinv=factor.operator())
+                         v0=deterministic_start_vector(order), tol=ARPACK_TOL,
+                         OPinv=factor.operator())
     except sla.ArpackNoConvergence as exc:
         w, x = exc.eigenvalues, exc.eigenvectors
         arpack_converged = False
@@ -245,8 +239,8 @@ def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0,
         deflated = factor.operator(deflate=(x, m_csr @ x))
         try:
             mu, y = sla.eigsh(a_csr, k=1, M=m_csr, sigma=sigma, which="LM",
-                              v0=guard_start_vector(order), tol=tol,
-                              maxiter=max_iter, ncv=min(order - k, 20),
+                              v0=guard_start_vector(order), tol=ARPACK_TOL,
+                              ncv=min(order - k, 20),
                               OPinv=deflated)
         except sla.ArpackNoConvergence:
             arpack_converged = False
@@ -272,9 +266,8 @@ def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0,
             "order": order,
             "k": int(k),
             "sigma": float(sigma),
-            "tol": float(tol),
+            "tol": ARPACK_TOL,
             "converged": arpack_converged,
-            "ordering": "natural" if perm is None else "permuted",
             "factor_nnz": factor.nnz,
             "opinv_applications": factor.applications,
             "guard_rounds": guard_rounds,
@@ -284,13 +277,11 @@ def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0,
     return result
 
 
-def solve_smallest(A, M, k: int, method: str = "auto", sigma: float = 0.0,
-                   tol: float = 1e-10, max_iter=None, perm=None) -> EigenResult:
+def solve_smallest(A, M, k: int, method: str = "auto", sigma: float = 0.0) -> EigenResult:
     """Route to the shift-invert or dense solver.
 
     method 'auto' uses shift-invert whenever k + 1 < order, and the dense
-    path only for the tiny pencils where it cannot run.  perm orders the
-    shift-invert factorization and is ignored by the dense path.
+    path only for the tiny pencils where it cannot run.
     """
     order = _as_csr(A).shape[0]
     if method == "auto":
@@ -298,6 +289,5 @@ def solve_smallest(A, M, k: int, method: str = "auto", sigma: float = 0.0,
     if method == METHOD_DENSE:
         return smallest_k_dense(A, M, k)
     if method == METHOD_SHIFT_INVERT:
-        return smallest_k_shift_invert(A, M, k, sigma=sigma, tol=tol,
-                                       max_iter=max_iter, perm=perm)
+        return smallest_k_shift_invert(A, M, k, sigma=sigma)
     raise ValueError(f"unknown solver method {method!r}")

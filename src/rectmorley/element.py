@@ -114,6 +114,13 @@ class ReferenceElement:
     def facet_dof_mask(self) -> np.ndarray:
         return np.array([d.kind == FACET_NORMAL_MEAN for d in self.dofs])
 
+    @property
+    def orientation(self) -> np.ndarray:
+        """Sign of each DOF against the global DOF of a uniform mesh: 1 on
+        vertices, the outward normal sign on facets (global normals point
+        along +axis), the same for every cell."""
+        return np.array([1.0 if d.normal_sign is None else d.normal_sign for d in self.dofs])
+
     def apply_dof(self, i: int, f: Polynomial) -> float:
         return self.dofs[i].apply(f)
 

@@ -162,9 +162,10 @@ class CartesianMesh:
         cells = _grid_multi_indices((self.n,) * self.dim)
         return np.asarray(self.lower) + (cells + 0.5) * self.cell_width
 
-    def cell_facets(self):
-        """element_facets for every element at once: ids and signs, each of
-        shape (num_elements, 2 dim) in local order (axis0-, axis0+, axis1-, ...)."""
+    def cell_facets(self) -> np.ndarray:
+        """element_facets ids for every element at once, shape
+        (num_elements, 2 dim) in local order (axis0-, axis0+, axis1-, ...).
+        The signs are the same for every element: -1, +1 per axis."""
         cells = _grid_multi_indices((self.n,) * self.dim)
         ids = []
         for axis in range(self.dim):
@@ -172,8 +173,7 @@ class CartesianMesh:
             strides = np.cumprod([1] + radix[:-1])
             base = axis * self.facets_per_axis + cells @ strides
             ids += [base, base + strides[axis]]
-        signs = np.tile([-1.0, 1.0], (self.num_elements, self.dim))
-        return np.stack(ids, axis=1), signs
+        return np.stack(ids, axis=1)
 
     def boundary_flags(self):
         """Boolean masks (vertex_on_boundary, facet_on_boundary)."""

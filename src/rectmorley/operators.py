@@ -347,10 +347,10 @@ def interpolation_convergence_probe(f, dim: int, n_values, orders=(0, 1, 2),
         h = mesh.half_width
         h_values.append(h)
         vertex_vals, facet_vals = entity_values(f, mesh, quad_order)
-        facet_ids, facet_signs = mesh.cell_facets()
         # Per-cell reference coefficients, as FemField.local_reference_coefficients.
         coeffs = np.concatenate([vertex_vals[mesh.cell_vertices()],
-                                 facet_signs * facet_vals[facet_ids] * h], axis=1)
+                                 facet_vals[mesh.cell_facets()] * h], axis=1)
+        coeffs *= element.orientation
         norms = broken_error_norms(f, coeffs, mesh, element, orders, quad_order)
         for l in orders:
             errors[l].append(norms[l])

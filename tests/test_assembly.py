@@ -28,12 +28,12 @@ from rectmorley.quadrature import tensor_rule
 def test_free_dof_counts_2d():
     mesh = build_mesh(2, 4)
     clamped = build_dof_map(mesh, BC_CLAMPED)
-    assert clamped.num_free_vertices == 9
-    assert clamped.num_free_facets == 24
+    assert (clamped.vertex_dof >= 0).sum() == 9
+    assert (clamped.facet_dof >= 0).sum() == 24
     assert clamped.num_free == 33
     ss = build_dof_map(mesh, BC_SIMPLY_SUPPORTED)
-    assert ss.num_free_vertices == 9
-    assert ss.num_free_facets == 40
+    assert (ss.vertex_dof >= 0).sum() == 9
+    assert (ss.facet_dof >= 0).sum() == 40
     assert ss.num_free == 49
 
 
@@ -47,9 +47,10 @@ def test_free_dof_counts_3d():
 
 @pytest.mark.parametrize("dim,n", [(2, 1), (2, 3), (3, 2), (3, 3)])
 @pytest.mark.parametrize("bc", [BC_CLAMPED, BC_SIMPLY_SUPPORTED])
-def test_cell_connectivity_matches_entity_incidence(dim, n, bc):
+def test_cell_connectivity_matches_entity_incidence(dim, n, bc, ref2, ref3):
     mesh = build_mesh(dim, n)
     dofmap = build_dof_map(mesh, bc)
+    orientation = (ref2 if dim == 2 else ref3).orientation
     for e in range(mesh.num_elements):
         facets = mesh.element_facets(e)
         expected_dofs = np.concatenate([
@@ -58,20 +59,32 @@ def test_cell_connectivity_matches_entity_incidence(dim, n, bc):
         ])
         expected_signs = np.concatenate([np.ones(2 ** dim), [sign for _, sign in facets]])
         assert np.array_equal(dofmap.cell_dofs[e], expected_dofs)
-        assert np.array_equal(dofmap.cell_signs[e], expected_signs)
+        # Every element sees its DOFs with the reference element's signs.
+        assert np.array_equal(orientation, expected_signs)
 
 
-def test_vertices_are_numbered_before_facets():
-    mesh = build_mesh(2, 2)
-    dofmap = build_dof_map(mesh, BC_SIMPLY_SUPPORTED)
-    nv = dofmap.num_free_vertices
-    assert set(dofmap.vertex_dof[dofmap.vertex_dof >= 0]) == set(range(nv))
-    assert set(dofmap.facet_dof[dofmap.facet_dof >= 0]) == set(
-        range(nv, dofmap.num_free)
-    )
+@pytest.mark.parametrize("dim,n", [(2, 8), (3, 4)])
+@pytest.mark.parametrize("bc", [BC_CLAMPED, BC_SIMPLY_SUPPORTED])
+def test_free_dofs_are_numbered_with_the_mid_plane_last(dim, n, bc):
+    mesh = build_mesh(dim, n)
+    dofmap = build_dof_map(mesh, bc)
+    numbers = np.concatenate([dofmap.vertex_dof, dofmap.facet_dof])
+    free = numbers >= 0
+    assert np.array_equal(np.sort(numbers[free]), np.arange(dofmap.num_free))
+    # The box is a cube, so the first split is the mid-plane x_0 = 1/2: its
+    # vertices and the facets normal to axis 0 on it, numbered last; the
+    # side x_0 < 1/2 comes before the side x_0 > 1/2.
+    axes, multis = mesh.facet_multi_indices()
+    across = np.where(axes[:, None] == np.arange(dim), 2 * multis, 2 * multis + 1)
+    x0 = np.concatenate([2 * mesh.vertex_multi_indices()[:, 0], across[:, 0]])[free]
+    numbers = numbers[free]
+    on_plane = numbers[x0 == n]
+    assert np.array_equal(np.sort(on_plane),
+                          np.arange(dofmap.num_free - len(on_plane), dofmap.num_free))
+    assert numbers[x0 < n].max() < numbers[x0 > n].min()
 
 
-def test_shared_facet_signs_are_opposite():
+def test_shared_facet_signs_are_opposite(ref2):
     mesh = build_mesh(2, 2)
     dofmap = build_dof_map(mesh, BC_SIMPLY_SUPPORTED)
     # Local facet slots start after the four vertex slots; slot 5 is the
@@ -79,8 +92,8 @@ def test_shared_facet_signs_are_opposite():
     right_of_0 = dofmap.cell_dofs[0, 5]
     left_of_1 = dofmap.cell_dofs[1, 4]
     assert right_of_0 == left_of_1
-    assert dofmap.cell_signs[0, 5] == 1.0
-    assert dofmap.cell_signs[1, 4] == -1.0
+    assert ref2.orientation[5] == 1.0
+    assert ref2.orientation[4] == -1.0
 
 
 def test_bad_bc_rejected():
@@ -181,7 +194,7 @@ def test_assembly_matches_manual_gather_on_single_cell(ref2):
     assert dofmap.num_free == 4
     a_mat, m_mat = assemble(mesh, dofmap, ref2)
     ke, me = element_matrices(ref2, mesh.half_width)
-    signs = dofmap.cell_signs[0, 4:]
+    signs = ref2.orientation[4:]
     expected_a = signs[:, None] * ke[4:, 4:] * signs[None, :]
     expected_m = signs[:, None] * me[4:, 4:] * signs[None, :]
     assert np.allclose(a_mat.toarray(), expected_a, atol=1e-12)

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from rectmorley import cli, reference
+from rectmorley.operators import SUITES
 
 
 def run_cli(argv, capsys):
@@ -54,7 +55,6 @@ def test_solve_json_reports_solver_work(capsys):
     run = json.loads(out)["runs"][0]
     assert run["method"] == "shift-invert"
     meta = run["metadata"]
-    assert meta["ordering"] == "permuted"
     assert meta["factor_nnz"] > run["order"]
     assert meta["opinv_applications"] > 0
     assert meta["guard_rounds"] >= 1
@@ -236,6 +236,14 @@ def test_verify_bubbles_json(capsys):
     assert deviations, "published-form deviations must be reported"
 
 
+@pytest.mark.parametrize("suite", [*SUITES, "all"])
+def test_negative_seed_is_a_usage_error(suite, capsys):
+    code, out, err = run_cli(["verify", suite, "--seed", "-1"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("rectmorley: error:") and "--seed" in err
+
+
 def test_verify_lemma2d_and_lemma3d_subcommands(capsys):
     code, out, _ = run_cli(["verify", "lemma2d", "--seed", "7"], capsys)
     assert code == 0
@@ -297,6 +305,18 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert payload["command"] == "solve"
 
 
+def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        ["solve", "--n", "2", "--k", "1", "--format", "json",
+         "--out", str(target)], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("rectmorley: error:") and str(target) in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_threads_env_validation(monkeypatch, capsys):
     monkeypatch.setenv(cli.THREADS_ENV, "abc")
     code, _, err = run_cli(["solve", "--n", "2", "--k", "1"], capsys)
@@ -336,6 +356,15 @@ def test_repeated_runs_are_identical(capsys):
     args = ["solve", "--n", "4", "--bc", "simply-supported", "--format", "json"]
     _, first, _ = run_cli(args, capsys)
     _, second, _ = run_cli(args, capsys)
+    assert first == second
+
+
+def test_repeated_processes_print_identical_output():
+    args = [sys.executable, "-m", "rectmorley", "solve", "--dim", "3", "--n", "4",
+            "--bc", "simply-supported", "--format", "json"]
+    first, second = (subprocess.run(args, capture_output=True, check=True).stdout
+                     for _ in range(2))
+    assert json.loads(first)["runs"][0]["metadata"]["converged"]
     assert first == second
 
 

@@ -3,8 +3,7 @@ import pytest
 from scipy import sparse
 
 from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, assemble,
-                                 build_dof_map, dof_coordinates,
-                                 nested_dissection)
+                                 build_dof_map, dof_coordinates)
 from rectmorley.eigensolve import (METHOD_DENSE, METHOD_SHIFT_INVERT,
                                    compute_residuals,
                                    deterministic_start_vector,
@@ -17,12 +16,6 @@ def assembled(dim, n, bc, element):
     mesh = build_mesh(dim, n)
     dofmap = build_dof_map(mesh, bc)
     return assemble(mesh, dofmap, element)
-
-
-def assembled_with_ordering(dim, n, bc, element):
-    mesh = build_mesh(dim, n)
-    dofmap = build_dof_map(mesh, bc)
-    return (*assemble(mesh, dofmap, element), nested_dissection(dofmap))
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +129,11 @@ def test_nested_dissection_is_a_permutation_along_exact_separators(dim, n, bc, r
     mesh = build_mesh(dim, n)
     dofmap = build_dof_map(mesh, bc)
     a_csr = assemble(mesh, dofmap, ref2 if dim == 2 else ref3)[0]
-    perm = nested_dissection(dofmap)
-    assert np.array_equal(np.sort(perm), np.arange(dofmap.num_free))
+    # Each DOF number has its own point.
+    coords = dof_coordinates(dofmap)
+    assert len(np.unique(coords, axis=0)) == dofmap.num_free
     # Every split is at an even doubled coordinate; at each such plane no
     # nonzero of A couples the DOFs on its two sides.
-    coords = dof_coordinates(dofmap)
     for axis in range(dim):
         for plane in range(2, 2 * n, 2):
             lower = coords[:, axis] < plane
@@ -149,9 +142,14 @@ def test_nested_dissection_is_a_permutation_along_exact_separators(dim, n, bc, r
 
 
 def test_nested_dissection_reduces_fill(ref2):
-    a_mat, m_mat, perm = assembled_with_ordering(2, 16, BC_CLAMPED, ref2)
-    natural = smallest_k_shift_invert(a_mat, m_mat, 2)
-    ordered = smallest_k_shift_invert(a_mat, m_mat, 2, perm=perm)
+    mesh = build_mesh(2, 16)
+    dofmap = build_dof_map(mesh, BC_CLAMPED)
+    a_mat, m_mat = assemble(mesh, dofmap, ref2)
+    # The same pencil in entity order: free vertices, then free facets, by id.
+    entity = np.concatenate([dofmap.vertex_dof[dofmap.vertex_dof >= 0],
+                             dofmap.facet_dof[dofmap.facet_dof >= 0]])
+    natural = smallest_k_shift_invert(a_mat[entity][:, entity], m_mat[entity][:, entity], 2)
+    ordered = smallest_k_shift_invert(a_mat, m_mat, 2)
     assert ordered.metadata["factor_nnz"] < natural.metadata["factor_nnz"] / 2
     assert ordered.eigenvalues == pytest.approx(natural.eigenvalues, rel=1e-10)
 
@@ -164,9 +162,9 @@ def test_nested_dissection_reduces_fill(ref2):
     (3, 4, BC_CLAMPED), (3, 6, BC_CLAMPED),
 ])
 def test_ordered_shift_invert_matches_dense(dim, n, bc, ref2, ref3):
-    a_mat, m_mat, perm = assembled_with_ordering(dim, n, bc, ref2 if dim == 2 else ref3)
+    a_mat, m_mat = assembled(dim, n, bc, ref2 if dim == 2 else ref3)
     sigma = 0.0 if bc == BC_CLAMPED else -1.0
-    si = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=sigma, perm=perm)
+    si = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=sigma)
     dense = smallest_k_dense(a_mat, m_mat, 6)
     assert si.converged
     assert si.metadata["guard_rounds"] >= 1
@@ -178,40 +176,37 @@ def test_ordered_shift_invert_matches_dense(dim, n, bc, ref2, ref3):
 def test_guard_restores_skipped_copy(ref2):
     # On this mesh ARPACK alone returns one copy of the double eigenvalue
     # (1,3)/(3,1) and the next eigenvalue in place of the second copy.
-    a_mat, m_mat, perm = assembled_with_ordering(2, 4, BC_SIMPLY_SUPPORTED, ref2)
-    result = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=-1.0, perm=perm)
+    a_mat, m_mat = assembled(2, 4, BC_SIMPLY_SUPPORTED, ref2)
+    result = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=-1.0)
     assert result.metadata["guard_rounds"] == 2
     assert result.eigenvalues[5] == pytest.approx(result.eigenvalues[4], rel=1e-8)
 
 
 def test_shift_between_eigenvalues_is_rejected(ref2):
-    a_mat, m_mat, perm = assembled_with_ordering(2, 6, BC_CLAMPED, ref2)
+    a_mat, m_mat = assembled(2, 6, BC_CLAMPED, ref2)
     lam = smallest_k_dense(a_mat, m_mat, 2).eigenvalues
     sigma = 0.5 * (lam[0] + lam[1])
     with pytest.raises(ValueError, match=f"sigma={sigma}"):
-        smallest_k_shift_invert(a_mat, m_mat, 2, sigma=sigma, perm=perm)
+        smallest_k_shift_invert(a_mat, m_mat, 2, sigma=sigma)
 
 
 def test_ordered_repeat_solves_are_bitwise_identical(ref3):
-    a_mat, m_mat, perm = assembled_with_ordering(3, 4, BC_SIMPLY_SUPPORTED, ref3)
-    first = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=-1.0, perm=perm)
-    second = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=-1.0, perm=perm)
+    a_mat, m_mat = assembled(3, 4, BC_SIMPLY_SUPPORTED, ref3)
+    first = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=-1.0)
+    second = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=-1.0)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
     assert first.metadata == second.metadata
 
 
 def test_solver_metadata_reports_factor_and_work(ref2):
-    a_mat, m_mat, perm = assembled_with_ordering(2, 8, BC_CLAMPED, ref2)
-    result = smallest_k_shift_invert(a_mat, m_mat, 3, perm=perm)
+    a_mat, m_mat = assembled(2, 8, BC_CLAMPED, ref2)
+    result = smallest_k_shift_invert(a_mat, m_mat, 3)
     meta = result.metadata
-    assert meta["ordering"] == "permuted"
     assert meta["factor_nnz"] >= sparse.tril(a_mat).nnz
     # ARPACK, at least one guard pass, then one block solve of k vectors.
     assert meta["opinv_applications"] > 3
     assert meta["guard_rounds"] >= 1
-    natural = smallest_k_shift_invert(a_mat, m_mat, 3)
-    assert natural.metadata["ordering"] == "natural"
 
 
 # ---------------------------------------------------------------------------
