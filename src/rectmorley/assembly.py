@@ -344,15 +344,18 @@ def broken_integral(mesh: CartesianMesh, element: ReferenceElement, order: int,
     """
     rule = tensor_rule(mesh.dim, quad_order)
     h = mesh.half_width
-    tables = np.stack([element.eval_basis(alpha, rule.points)
-                       for alpha in derivative_alphas(mesh.dim, order)], axis=-1) / h ** order
+    alphas = derivative_alphas(mesh.dim, order)
+    # (ndof, points * derivatives): one matmul maps cell coefficients to samples.
+    table = np.stack([element.eval_basis(alpha, rule.points).T for alpha in alphas],
+                     axis=-1).reshape(element.ndof, -1) / h ** order
+    sample_shape = (rule.num_points, len(alphas))
     centers = mesh.cell_centers()
     total = 0.0
     for cells in _blocks(0, mesh.num_elements, rule.num_points):
         points = centers[cells, None, :] + h * rule.points
-        samples = [np.einsum("cd,qdk->cqk", u[cells], tables) if isinstance(u, np.ndarray)
+        samples = [(u[cells] @ table).reshape(-1, *sample_shape) if isinstance(u, np.ndarray)
                    else _analytic_derivatives(u, order, points) for u in functions]
-        total += float(np.einsum("cqk,q->", integrand(*samples), rule.weights))
+        total += float((rule.weights @ integrand(*samples)).sum())
     return total * h ** mesh.dim
 
 

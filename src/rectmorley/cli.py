@@ -12,6 +12,7 @@ inputs.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -153,6 +154,20 @@ def _check_ladder(dim: int, n_values):
             )
 
 
+def _check_out(out_path):
+    """Fail before any work when the directory of --out cannot take the file."""
+    if not out_path:
+        return
+    parent = os.path.dirname(os.path.abspath(out_path))
+    if not os.path.isdir(parent):
+        reason = errno.ENOENT
+    elif not os.access(parent, os.W_OK | os.X_OK):
+        reason = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write --out {out_path}: {os.strerror(reason)}")
+
+
 def _emit(text: str, out_path):
     if out_path:
         try:
@@ -197,7 +212,8 @@ def _cmd_solve(args) -> int:
         for n, _, result in runs:
             for i, lam in enumerate(result.eigenvalues):
                 lines.append(
-                    f"{n},{i + 1},{lam!r},{result.residuals[i]!r},{result.method}"
+                    f"{n},{i + 1},{float(lam)!r},{float(result.residuals[i])!r},"
+                    f"{result.method}"
                 )
         _emit("\n".join(lines), args.out)
     else:
@@ -460,6 +476,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"rectmorley: error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -203,25 +204,34 @@ def multi_indices_up_to(dim: int, degree: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def moment_matrix(dim: int) -> np.ndarray:
+    """Read-only matrix of int_box d^alpha x^beta over |alpha|, |beta| <= 4.
+
+    Rows are the moments alpha and columns the quartic monomials beta, both
+    in multi_indices_up_to(dim, 4) order: 15x15 in 2D, 35x35 in 3D.
+    """
+    alphas = multi_indices_up_to(dim, 4)
+    system = np.empty((len(alphas), len(alphas)))
+    for r, alpha in enumerate(alphas):
+        for c, exps in enumerate(alphas):
+            system[r, c] = Polynomial.monomial(dim, exps).diff_multi(alpha).integrate_box()
+    system.flags.writeable = False
+    return system
+
+
 def moment_project(f: Polynomial) -> Polynomial:
     """Projection onto quartics matching every derivative moment up to order 4.
 
     The projection P satisfies int_box d^alpha (P - f) = 0 for all |alpha| <= 4.
     """
     dim = f.dim
-    alphas = multi_indices_up_to(dim, 4)
-    monos = alphas  # the same index set spans the quartic target space
-    size = len(alphas)
-    system = np.empty((size, size))
-    rhs = np.empty(size)
-    for r, alpha in enumerate(alphas):
-        rhs[r] = f.diff_multi(alpha).integrate_box()
-        for c, exps in enumerate(monos):
-            system[r, c] = Polynomial.monomial(dim, exps).diff_multi(alpha).integrate_box()
+    alphas = multi_indices_up_to(dim, 4)  # the same set spans the quartic target space
+    rhs = np.array([f.diff_multi(alpha).integrate_box() for alpha in alphas])
     # The moment matrix is square and nonsingular for this pairing; a failure
     # here means the index bookkeeping broke, not bad input.
-    sol = np.linalg.solve(system, rhs)
-    return Polynomial(dim, {exps: sol[c] for c, exps in enumerate(monos) if sol[c] != 0.0})
+    sol = np.linalg.solve(moment_matrix(dim), rhs)
+    return Polynomial(dim, {exps: sol[c] for c, exps in enumerate(alphas) if sol[c] != 0.0})
 
 
 def commuting_discrepancy(f: Polynomial) -> float:
@@ -299,10 +309,12 @@ def refined_identity_check(element: ReferenceElement, u: Polynomial, v: Polynomi
         raise ValueError(f"half-width must be positive, got {h!r}")
     err = canonical_interpolate(element, u).error
     scale = float(h) ** (dim - 4)
+    err_grad = [err.diff(a) for a in range(dim)]
+    v_grad = [v.diff(a) for a in range(dim)]
     lhs = 0.0
     for a in range(dim):
         for b in range(dim):
-            lhs += (err.diff(a).diff(b) * v.diff(a).diff(b)).integrate_box()
+            lhs += (err_grad[a].diff(b) * v_grad[a].diff(b)).integrate_box()
     rhs = 0.0
     for i in range(dim):
         for j in range(dim):

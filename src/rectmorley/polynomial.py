@@ -4,6 +4,13 @@ Polynomials are stored as a map from exponent tuples to float coefficients.
 All manipulation used by the element construction (products, derivatives,
 box integrals, facet means) stays in this closed form, so reference-cell
 quantities are computed without quadrature error.
+
+The public constructor Polynomial(dim, terms) validates its input: exponent
+tuples must have dim non-negative integer entries, repeated keys are summed
+and coefficients are converted to float.  Results of the class's own
+arithmetic (+, -, *, diff, substitute) are built by the private
+Polynomial._from_terms, which trusts that its keys are already valid and
+distinct and only drops exact zeros.
 """
 
 from __future__ import annotations
@@ -40,6 +47,18 @@ class Polynomial:
                 clean[key] = c
         self.terms = clean
 
+    @classmethod
+    def _from_terms(cls, dim: int, terms: dict) -> Polynomial:
+        """Wrap terms produced by this class's arithmetic without re-validating.
+
+        The keys must already be distinct tuples of dim non-negative ints and
+        the values floats; only exact zeros are dropped.
+        """
+        out = object.__new__(cls)
+        out.dim = dim
+        out.terms = {k: v for k, v in terms.items() if v != _DROP_TOL}
+        return out
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -67,7 +86,7 @@ class Polynomial:
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, 0.0) + v
-        return Polynomial(self.dim, out)
+        return Polynomial._from_terms(self.dim, out)
 
     __radd__ = __add__
 
@@ -78,18 +97,19 @@ class Polynomial:
         return self._coerce(other) + (-self)
 
     def __neg__(self):
-        return Polynomial(self.dim, {k: -v for k, v in self.terms.items()})
+        return Polynomial._from_terms(self.dim, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, numbers.Real):
-            return Polynomial(self.dim, {k: v * float(other) for k, v in self.terms.items()})
+            scale = float(other)
+            return Polynomial._from_terms(self.dim, {k: v * scale for k, v in self.terms.items()})
         other = self._coerce(other)
         out: dict[tuple, float] = {}
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
                 key = tuple(a + b for a, b in zip(ka, kb))
                 out[key] = out.get(key, 0.0) + va * vb
-        return Polynomial(self.dim, out)
+        return Polynomial._from_terms(self.dim, out)
 
     __rmul__ = __mul__
 
@@ -127,7 +147,7 @@ class Polynomial:
                     continue
                 key = exps[:axis] + (e - 1,) + exps[axis + 1:]
                 terms[key] = terms.get(key, 0.0) + coeff * e
-            out = Polynomial(self.dim, terms)
+            out = Polynomial._from_terms(self.dim, terms)
         return out
 
     def diff_multi(self, alpha) -> Polynomial:
@@ -141,22 +161,30 @@ class Polynomial:
         """Fix one coordinate, keeping the polynomial embedded in dim variables."""
         if not 0 <= axis < self.dim:
             raise ValueError(f"axis out of range: {axis}")
+        value = float(value)
         terms: dict[tuple, float] = {}
         for exps, coeff in self.terms.items():
             key = exps[:axis] + (0,) + exps[axis + 1:]
-            terms[key] = terms.get(key, 0.0) + coeff * float(value) ** exps[axis]
-        return Polynomial(self.dim, terms)
+            terms[key] = terms.get(key, 0.0) + coeff * value ** exps[axis]
+        return Polynomial._from_terms(self.dim, terms)
 
     # -- evaluation and integration -----------------------------------------
 
     def __call__(self, x):
         """Evaluate at one point (shape (dim,)) or many (shape (npts, dim))."""
         pts = np.asarray(x, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts.reshape(1, -1)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points must have {self.dim} coordinates")
+        if pts.ndim == 1:
+            point = pts.tolist()
+            total = 0.0
+            for exps, coeff in self.terms.items():
+                term = coeff
+                for xa, e in zip(point, exps):
+                    if e:
+                        term = term * xa ** e
+                total += term
+            return total
         vals = np.zeros(pts.shape[0])
         for exps, coeff in self.terms.items():
             term = np.full(pts.shape[0], coeff)
@@ -164,7 +192,7 @@ class Polynomial:
                 if e:
                     term = term * pts[:, axis] ** e
             vals += term
-        return float(vals[0]) if single else vals
+        return vals
 
     def integrate_box(self) -> float:
         """Exact integral over [-1, 1]^dim."""

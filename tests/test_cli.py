@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import rectmorley
 from rectmorley import cli, reference
 from rectmorley.operators import SUITES
 
@@ -14,6 +15,14 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """Environment for a child interpreter that imports this same rectmorley."""
+    env = dict(os.environ)
+    source = os.path.dirname(os.path.dirname(rectmorley.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +90,20 @@ def test_solve_csv_layout(capsys):
     assert lines[0] == "n,index,eigenvalue,residual,method"
     assert len(lines) == 3
     assert lines[1].startswith("2,1,")
+    # Every number field is a plain float literal equal to the JSON value,
+    # on the dense route (k + 1 >= order) and the shift-invert route.
+    for argv, method in ((["solve", "--n", "2", "--k", "4"], "dense"),
+                         (["solve", "--n", "4", "--bc", "simply-supported"],
+                          "shift-invert")):
+        code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+        assert code == 0
+        run = json.loads(out)["runs"][0]
+        assert [float(row[2]) for row in rows] == run["eigenvalues"]
+        assert [float(row[3]) for row in rows] == run["residuals"]
+        assert {row[4] for row in rows} == {run["method"]} == {method}
 
 
 def test_solve_accepts_repeated_n(capsys):
@@ -317,6 +340,27 @@ def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--n", "4"],
+    ["table", "3"],
+    ["rates", "--n", "4", "--n", "8"],
+    ["verify", "all"],
+])
+def test_unwritable_out_fails_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "solve_problem", must_not_run)
+    monkeypatch.setattr("rectmorley.operators.SUITES",
+                        {name: must_not_run for name in SUITES})
+    target = tmp_path / "missing" / "x.out"
+    code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("rectmorley: error:") and str(target) in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_threads_env_validation(monkeypatch, capsys):
     monkeypatch.setenv(cli.THREADS_ENV, "abc")
     code, _, err = run_cli(["solve", "--n", "2", "--k", "1"], capsys)
@@ -343,7 +387,7 @@ def test_threads_env_caps_the_blas_pool_of_a_fresh_process():
               "from rectmorley.cli import main\n"
               "code = main(['solve', '--n', '16', '--k', '1', '--solver', 'dense'])\n"
               "print(code, len(os.listdir('/proc/self/task')))\n")
-    env = {key: value for key, value in os.environ.items()
+    env = {key: value for key, value in child_env().items()
            if not key.endswith("_NUM_THREADS")}
     env[cli.THREADS_ENV] = "1"
     proc = subprocess.run([sys.executable, "-c", script], env=env,
@@ -362,7 +406,8 @@ def test_repeated_runs_are_identical(capsys):
 def test_repeated_processes_print_identical_output():
     args = [sys.executable, "-m", "rectmorley", "solve", "--dim", "3", "--n", "4",
             "--bc", "simply-supported", "--format", "json"]
-    first, second = (subprocess.run(args, capture_output=True, check=True).stdout
+    first, second = (subprocess.run(args, capture_output=True, check=True,
+                                    env=child_env()).stdout
                      for _ in range(2))
     assert json.loads(first)["runs"][0]["metadata"]["converged"]
     assert first == second
@@ -373,6 +418,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "rectmorley", "solve", "--n", "2", "--k", "1"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()

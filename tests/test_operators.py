@@ -13,7 +13,8 @@ from rectmorley.operators import (VerificationReport, build_bubbles,
                                   commuting_discrepancy, deviation_record,
                                   equality_record,
                                   interpolation_convergence_probe,
-                                  interpolation_dofs, moment_project,
+                                  interpolation_dofs, moment_matrix,
+                                  moment_project,
                                   multi_indices_up_to, refined_identity_check,
                                   run_bubble_suite, run_commuting_suite,
                                   run_refined_identity_suite,
@@ -443,3 +444,32 @@ def test_check_records_from_numpy_scalars_serialize():
         assert type(rec.lhs) is float and type(rec.rhs) is float
     assert eq.passed and dev.passed
     json.dumps(VerificationReport("s", [eq, dev]).to_json_dict())
+
+
+def _uncached_moment_matrix(dim):
+    alphas = multi_indices_up_to(dim, 4)
+    return np.array([[Polynomial.monomial(dim, beta).diff_multi(alpha).integrate_box()
+                      for beta in alphas] for alpha in alphas])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cached_moment_matrix_projects_like_a_fresh_one(dim):
+    alphas = multi_indices_up_to(dim, 4)
+    system = _uncached_moment_matrix(dim)
+    assert np.array_equal(moment_matrix(dim), system)
+    for alpha in multi_indices_up_to(dim, 6):
+        f = Polynomial.monomial(dim, alpha)
+        rhs = np.array([f.diff_multi(beta).integrate_box() for beta in alphas])
+        sol = np.linalg.solve(system, rhs)
+        expected = {exps: float(sol[c]) for c, exps in enumerate(alphas) if sol[c] != 0.0}
+        assert moment_project(f).terms == expected
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_moment_matrix_is_cached_and_read_only(dim):
+    first = moment_matrix(dim)
+    hits = moment_matrix.cache_info().hits
+    assert moment_matrix(dim) is first
+    assert moment_matrix.cache_info().hits == hits + 1
+    with pytest.raises(ValueError):
+        first[0, 0] = 1.0

@@ -143,3 +143,40 @@ def test_integrate_matches_quadrature(p):
     rule = tensor_rule(2, 4)
     quad = float(p(rule.points) @ rule.weights)
     assert p.integrate_box() == pytest.approx(quad, abs=1e-9)
+
+
+def _arithmetic_results(p, q, scalar, axis, value):
+    """Every kind of result the class's own arithmetic builds from p and q."""
+    return [
+        p + q, p - q, -p, p + scalar, scalar - p,
+        scalar * p, p * scalar, p * q, p ** 2,
+        p.diff(axis), p.diff(axis, order=2), p.diff_multi((1,) * p.dim),
+        p.substitute(axis, value),
+    ]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(),
+       scalar=st.sampled_from([0.0, -1.0, 0.5, 3.0]),
+       value=st.sampled_from([-1.0, 0.0, 0.25, 1.0]))
+def test_arithmetic_results_satisfy_the_public_invariant(dim, data, scalar, value):
+    p = data.draw(small_polynomials(dim))
+    q = data.draw(small_polynomials(dim))
+    axis = data.draw(st.integers(min_value=0, max_value=dim - 1))
+    for r in _arithmetic_results(p, q, scalar, axis, value):
+        assert r.dim == dim
+        assert Polynomial(dim, r.terms).terms == r.terms
+        for key, coeff in r.terms.items():
+            assert type(key) is tuple and len(key) == dim
+            assert all(type(e) is int and e >= 0 for e in key)
+            assert type(coeff) is float and coeff != 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=small_polynomials(),
+       point=st.tuples(*[st.floats(min_value=-2.0, max_value=2.0)] * 2))
+def test_single_point_evaluation_matches_batch(p, point):
+    single = p(np.array(point))
+    assert type(single) is float
+    assert single == pytest.approx(p(np.array([point]))[0], rel=1e-14, abs=1e-14)
