@@ -233,15 +233,6 @@ class FemField:
         vals[:, element.facet_dof_mask] *= self.dofmap.mesh.half_width
         return vals
 
-    def evaluate_on_element(self, element: ReferenceElement, e: int, ref_points,
-                            alpha=None) -> np.ndarray:
-        """Physical derivative d^alpha of the field on cell e at reference points."""
-        dim = self.dofmap.mesh.dim
-        alpha = tuple(alpha) if alpha is not None else (0,) * dim
-        table = element.eval_basis(alpha, ref_points)
-        coeffs = self.local_reference_coefficients(element)[e]
-        return (table @ coeffs) / self.dofmap.mesh.half_width ** sum(alpha)
-
 
 @dataclass(frozen=True)
 class GlobalInterpolation:
@@ -249,7 +240,6 @@ class GlobalInterpolation:
 
     field: FemField
     max_constrained_residual: float
-    warnings: tuple = ()
 
 
 # Quadrature points per block of cells (or facets): bounds the work arrays.
@@ -293,19 +283,13 @@ def interpolate_global(f, mesh: CartesianMesh, dofmap: DofMap,
     input carries on them is reported so callers can detect boundary
     incompatibility.
     """
-    warnings = ()
-    if quad_order < DEFAULT_QUAD_ORDER:
-        warnings = (
-            f"facet quadrature order {quad_order} is below the configured "
-            f"default {DEFAULT_QUAD_ORDER}",
-        )
     vals = np.concatenate(entity_values(f, mesh, quad_order))
     dofs = np.concatenate([dofmap.vertex_dof, dofmap.facet_dof])
     free = dofs >= 0
     coeffs = np.empty(dofmap.num_free)
     coeffs[dofs[free]] = vals[free]
     worst = float(np.max(np.abs(vals[~free]), initial=0.0))
-    return GlobalInterpolation(FemField(dofmap, coeffs), worst, warnings)
+    return GlobalInterpolation(FemField(dofmap, coeffs), worst)
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("table_id", type=int, choices=(1, 2, 3, 4))
     table.add_argument("--n", type=int, action="append", metavar="N",
                        help="override the refinement ladder (repeatable)")
-    table.add_argument("--solver", choices=("auto", "dense", "shift-invert"),
-                       default="auto")
     table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     table.add_argument("--out", metavar="PATH")
 
@@ -90,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--bc", choices=("clamped", "simply-supported"),
                        default="simply-supported")
     rates.add_argument("--k", type=int, default=DEFAULT_K)
-    rates.add_argument("--solver", choices=("auto", "dense", "shift-invert"),
-                       default="auto")
     rates.add_argument("--richardson", action="store_true",
                        help="allow problems without closed-form eigenvalues by "
                             "extrapolating a reference from the two finest meshes")
@@ -104,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("suite", choices=(*SUITES, "all"))
     verify.add_argument("--seed", type=int, default=None,
                         help="seed for the randomized identity suites")
-    verify.add_argument("--quad-order", type=int, default=8)
+    verify.add_argument("--quad-order", type=int, default=8,
+                        help="Gauss points per axis of the quadrature rules "
+                             "(only identity37 uses it)")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", metavar="PATH")
 
@@ -241,7 +239,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_table(args) -> int:
     from .reference import (BENCHMARK_CONFIG, BENCHMARK_N, BENCHMARK_VALUES,
-                            STORED_REL_TOL, exact_eigenvalues)
+                            STORED_REL_TOL, exact_eigenvalues, observed_rates)
 
     dim, bc = BENCHMARK_CONFIG[args.table_id]
     ladder = tuple(args.n) if args.n else BENCHMARK_N[args.table_id]
@@ -257,7 +255,7 @@ def _cmd_table(args) -> int:
     prev_vals = None
     prev_n = None
     for n in ladder:
-        _, result = solve_problem(dim, n, bc, DEFAULT_K, args.solver)
+        _, result = solve_problem(dim, n, bc, DEFAULT_K)
         converged = converged and result.converged
         for i, lam in enumerate(result.eigenvalues):
             ref = stored[n][i] if n in stored else None
@@ -273,11 +271,7 @@ def _cmd_table(args) -> int:
                 "monotone": None if prev_vals is None else bool(lam >= prev_vals[i]),
             }
             if exact is not None and prev_vals is not None:
-                from .reference import observed_rate
-
-                row["rate"] = observed_rate(
-                    exact[i] - prev_vals[i], exact[i] - lam, prev_n, n
-                )
+                row["rate"] = observed_rates((prev_vals[i], lam), exact[i], (prev_n, n))[0]
             rows.append(row)
         prev_vals = result.eigenvalues
         prev_n = n
@@ -363,7 +357,7 @@ def _cmd_rates(args) -> int:
     values = []
     converged = True
     for n in n_values:
-        _, result = solve_problem(args.dim, n, args.bc, args.k, args.solver)
+        _, result = solve_problem(args.dim, n, args.bc, args.k)
         converged = converged and result.converged
         values.append([float(v) for v in result.eigenvalues])
 
@@ -400,7 +394,8 @@ def _cmd_rates(args) -> int:
             for step, rate in enumerate(entry["rates"]):
                 lines.append(
                     f"{entry['index']},{entry['reference']!r},{entry['reference_kind']},"
-                    f"{n_values[step]}->{n_values[step + 1]},{rate!r}"
+                    f"{n_values[step]}->{n_values[step + 1]},"
+                    f"{'' if rate is None else repr(rate)}"
                 )
         _emit("\n".join(lines), args.out)
     else:
@@ -413,7 +408,8 @@ def _cmd_rates(args) -> int:
             f"{'idx':>4} {'reference':>14}  {steps}",
         ]
         for entry in entries:
-            rates_txt = " ".join(f"{r:>10.6f}" for r in entry["rates"])
+            rates_txt = " ".join("---".rjust(10) if r is None else f"{r:>10.6f}"
+                                 for r in entry["rates"])
             lines.append(f"{entry['index']:>4} {entry['reference']:>14.4f}  {rates_txt}")
         _emit("\n".join(lines), args.out)
 

@@ -60,82 +60,7 @@ class CartesianMesh:
     def num_facets(self) -> int:
         return self.dim * self.facets_per_axis
 
-    # -- index arithmetic ------------------------------------------------------
-
-    def _check_element(self, e: int):
-        if not 0 <= e < self.num_elements:
-            raise IndexError(f"element id {e} out of range [0, {self.num_elements})")
-
-    def element_multi_index(self, e: int) -> tuple:
-        self._check_element(e)
-        idx = []
-        for _ in range(self.dim):
-            idx.append(e % self.n)
-            e //= self.n
-        return tuple(idx)
-
-    def vertex_id(self, multi) -> int:
-        vid = 0
-        stride = 1
-        for v in multi:
-            vid += v * stride
-            stride *= self.n + 1
-        return vid
-
-    def vertex_multi_index(self, v: int) -> tuple:
-        if not 0 <= v < self.num_vertices:
-            raise IndexError(f"vertex id {v} out of range [0, {self.num_vertices})")
-        idx = []
-        for _ in range(self.dim):
-            idx.append(v % (self.n + 1))
-            v //= self.n + 1
-        return tuple(idx)
-
-    def facet_id(self, axis: int, multi) -> int:
-        """Facet normal to `axis`; multi[axis] in 0..n, other entries in 0..n-1."""
-        fid = 0
-        stride = 1
-        for a, m in enumerate(multi):
-            radix = self.n + 1 if a == axis else self.n
-            fid += m * stride
-            stride *= radix
-        return axis * self.facets_per_axis + fid
-
-    def facet_axis_and_multi(self, f: int) -> tuple:
-        if not 0 <= f < self.num_facets:
-            raise IndexError(f"facet id {f} out of range [0, {self.num_facets})")
-        axis, rem = divmod(f, self.facets_per_axis)
-        idx = []
-        for a in range(self.dim):
-            radix = self.n + 1 if a == axis else self.n
-            idx.append(rem % radix)
-            rem //= radix
-        return axis, tuple(idx)
-
     # -- incidence ---------------------------------------------------------------
-
-    def element_vertices(self, e: int) -> np.ndarray:
-        """Corner vertex ids in reference corner order (axis 0 toggles fastest)."""
-        cell = self.element_multi_index(e)
-        out = np.empty(2 ** self.dim, dtype=np.int64)
-        for corner in range(2 ** self.dim):
-            multi = tuple(cell[a] + ((corner >> a) & 1) for a in range(self.dim))
-            out[corner] = self.vertex_id(multi)
-        return out
-
-    def element_facets(self, e: int):
-        """Pairs (facet id, sign) in local order (axis0-, axis0+, axis1-, ...).
-
-        Sign +1 means the global facet normal is outward for this element.
-        """
-        cell = self.element_multi_index(e)
-        out = []
-        for axis in range(self.dim):
-            for side, sign in ((0, -1.0), (1, 1.0)):
-                multi = list(cell)
-                multi[axis] = cell[axis] + side
-                out.append((self.facet_id(axis, multi), sign))
-        return tuple(out)
 
     def vertex_multi_indices(self) -> np.ndarray:
         """Multi-indices of all vertices in id order, shape (num_vertices, dim)."""
@@ -151,21 +76,23 @@ class CartesianMesh:
         return np.concatenate(axes), np.concatenate(multis)
 
     def cell_vertices(self) -> np.ndarray:
-        """element_vertices for every element at once, shape (num_elements, 2^dim)."""
+        """Corner vertex ids of every element, shape (num_elements, 2^dim), in
+        reference corner order (axis 0 toggles fastest)."""
         cells = _grid_multi_indices((self.n,) * self.dim)
         corners = (np.arange(2 ** self.dim)[:, None] >> np.arange(self.dim)) & 1
         strides = (self.n + 1) ** np.arange(self.dim)
         return (cells[:, None, :] + corners[None, :, :]) @ strides
 
     def cell_centers(self) -> np.ndarray:
-        """element_geometry centers for every element at once, shape (num_elements, dim)."""
+        """Center of every element, shape (num_elements, dim); the affine cell
+        map is x = center + half_width * xi on the reference cell [-1, 1]^dim."""
         cells = _grid_multi_indices((self.n,) * self.dim)
         return np.asarray(self.lower) + (cells + 0.5) * self.cell_width
 
     def cell_facets(self) -> np.ndarray:
-        """element_facets ids for every element at once, shape
-        (num_elements, 2 dim) in local order (axis0-, axis0+, axis1-, ...).
-        The signs are the same for every element: -1, +1 per axis."""
+        """Facet ids of every element, shape (num_elements, 2 dim), in local
+        order (axis0-, axis0+, axis1-, ...).  Every element sees them with the
+        same signs, -1, +1 per axis: +1 where the global normal is outward."""
         cells = _grid_multi_indices((self.n,) * self.dim)
         ids = []
         for axis in range(self.dim):
@@ -183,31 +110,6 @@ class CartesianMesh:
         normal = fmulti[np.arange(self.num_facets), axes]
         fflags = (normal == 0) | (normal == self.n)
         return vflags, fflags
-
-    # -- geometry -------------------------------------------------------------
-
-    def vertex_coords(self, v: int) -> np.ndarray:
-        multi = self.vertex_multi_index(v)
-        return np.array([self.lower[a] + m * self.cell_width for a, m in enumerate(multi)])
-
-    def element_geometry(self, e: int):
-        """Center of the cell and the half-width h of its affine map."""
-        cell = self.element_multi_index(e)
-        center = np.array(
-            [self.lower[a] + (c + 0.5) * self.cell_width for a, c in enumerate(cell)]
-        )
-        return center, self.half_width
-
-    def facet_geometry(self, f: int):
-        """Normal axis and midpoint of the facet."""
-        axis, multi = self.facet_axis_and_multi(f)
-        center = np.empty(self.dim)
-        for a, m in enumerate(multi):
-            if a == axis:
-                center[a] = self.lower[a] + m * self.cell_width
-            else:
-                center[a] = self.lower[a] + (m + 0.5) * self.cell_width
-        return axis, center
 
 
 def build_mesh(dim: int, n: int, domain=None) -> CartesianMesh:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .element import ReferenceElement, build_reference_element
 from .polynomial import Polynomial
-from .quadrature import facet_rule
 
 DEFAULT_QUAD_ORDER = 8
 DEFAULT_SEED = 1729
@@ -117,76 +116,37 @@ def build_bubbles(dim: int) -> BubbleSet:
 
 @dataclass(frozen=True)
 class InterpolationResult:
-    """Outcome of canonical interpolation on one cell.
+    """Outcome of canonical interpolation of a polynomial on the reference cell.
 
-    coefficients are the reference degrees of freedom of the (pulled back)
-    input; interpolant is expressed in reference coordinates.  error is the
-    exact residual for polynomial input and None for analytic input.
+    coefficients are the reference degrees of freedom of the input,
+    interpolant is expressed in reference coordinates, and error is the exact
+    residual input - interpolant.
     """
 
     coefficients: np.ndarray
     interpolant: Polynomial
-    error: Polynomial | None = None
-    warnings: tuple = ()
+    error: Polynomial
 
 
-def interpolation_dofs(element: ReferenceElement, f, center, h: float,
-                       quad_order: int = DEFAULT_QUAD_ORDER):
-    """Reference DOF values of the pullback of an analytic function.
-
-    Vertex DOFs are point values at mapped corners; facet DOFs are outward
-    mean normal derivatives of the pullback, i.e. h times the physical facet
-    mean of the matching gradient component.
-    """
-    center = np.asarray(center, dtype=float)
-    if center.shape != (element.dim,):
-        raise ValueError(f"center must have shape ({element.dim},)")
-    if h <= 0:
-        raise ValueError(f"half-width must be positive, got {h!r}")
-    warnings = ()
-    if quad_order < DEFAULT_QUAD_ORDER:
-        warnings = (
-            f"facet quadrature order {quad_order} is below the configured "
-            f"default {DEFAULT_QUAD_ORDER}; facet means of non-polynomial "
-            "integrands may be inexact",
-        )
-    coeffs = np.empty(element.ndof)
-    for i, dof in enumerate(element.dofs):
-        if dof.kind == "vertex-value":
-            coeffs[i] = f.value(center + h * np.asarray(dof.point))
-        else:
-            rule = facet_rule(element.dim, dof.axis, dof.side, quad_order)
-            phys = center + h * rule.points
-            comp = f.gradient(phys)[:, dof.axis]
-            mean = comp @ rule.weights / 2.0 ** (element.dim - 1)
-            coeffs[i] = dof.normal_sign * h * mean
-    return coeffs, warnings
-
-
-def canonical_interpolate(element: ReferenceElement, f, *, center=None, h=None,
-                          quad_order: int = DEFAULT_QUAD_ORDER) -> InterpolationResult:
+def canonical_interpolate(element: ReferenceElement, f: Polynomial) -> InterpolationResult:
     """Interpolate into the shape space by matching all degrees of freedom.
 
-    Polynomial input is treated in reference coordinates and handled exactly.
-    Analytic input (objects with value/gradient) needs the cell geometry
-    (center, h); facet means then use Gauss quadrature of the stated order.
+    The input is a Polynomial in reference coordinates and is handled exactly;
+    analytic functions on a mesh go through assembly.interpolate_global.
     """
-    if isinstance(f, Polynomial):
-        if f.dim != element.dim:
-            raise ValueError("dimension mismatch")
-        coeffs = np.array([dof.apply(f) for dof in element.dofs])
-        warnings = ()
-    else:
-        if center is None or h is None:
-            raise ValueError("analytic input needs the cell geometry (center, h)")
-        coeffs, warnings = interpolation_dofs(element, f, center, h, quad_order)
-
+    if not isinstance(f, Polynomial):
+        raise ValueError(
+            f"canonical_interpolate takes a Polynomial, got {type(f).__name__}; "
+            "interpolate analytic functions on a mesh with interpolate_global"
+        )
+    if f.dim != element.dim:
+        raise ValueError("dimension mismatch")
+    coeffs = np.array([dof.apply(f) for dof in element.dofs])
     interpolant = Polynomial.zero(element.dim)
     for c, phi in zip(coeffs, element.basis):
         if c != 0.0:
             interpolant = interpolant + c * phi
-    error = f - interpolant if isinstance(f, Polynomial) else None
-    return InterpolationResult(coeffs, interpolant, error, warnings)
+    return InterpolationResult(coeffs, interpolant, f - interpolant)
 
 
 # ---------------------------------------------------------------------------

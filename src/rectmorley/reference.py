@@ -121,12 +121,16 @@ def observed_rate(err_prev: float, err_cur: float, n_prev: int, n_cur: int) -> f
 
 
 def observed_rates(values, exact: float, n_values) -> list:
-    """Orders for one eigenvalue across a refinement ladder (length len(n)-1)."""
+    """Orders for one eigenvalue across a refinement ladder (length len(n)-1).
+
+    A step where either value is not below exact has no order; it is None.
+    """
     out = []
     for k in range(1, len(n_values)):
         e_prev = exact - values[k - 1]
         e_cur = exact - values[k]
-        out.append(observed_rate(e_prev, e_cur, n_values[k - 1], n_values[k]))
+        out.append(observed_rate(e_prev, e_cur, n_values[k - 1], n_values[k])
+                   if e_prev > 0 and e_cur > 0 else None)
     return out
 
 

@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from rectmorley.cli import solve_problem
@@ -26,3 +29,63 @@ def solve_cached():
         return cache[key]
 
     return get
+
+
+def _in_id_order(shape):
+    """Multi-indices of a grid listed the way the mesh numbers them: axis 0 fastest."""
+    return [m[::-1] for m in itertools.product(*(range(s) for s in shape[::-1]))]
+
+
+class EntityIds:
+    """Per-entity oracle of a mesh's numbering, by enumeration of the rules in
+    the rectmorley.mesh docstring: entities are listed lexicographically with
+    axis 0 fastest, and facets are grouped by normal axis.
+
+    cells[e] is the multi-index of element e; vertex[m] is the id of the vertex
+    with multi-index m; facet[axis, m] the id of the facet normal to axis whose
+    multi-index is m (m[axis] in 0..n, the others in 0..n-1).
+    """
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        n, dim = mesh.n, mesh.dim
+        self.cells = _in_id_order((n,) * dim)
+        self.vertex = {m: v for v, m in enumerate(_in_id_order((n + 1,) * dim))}
+        self.facet = {}
+        for axis in range(dim):
+            shape = tuple(n + 1 if a == axis else n for a in range(dim))
+            for m in _in_id_order(shape):
+                self.facet[axis, m] = len(self.facet)
+
+    def vertices_of(self, e):
+        """Corner vertex ids of element e, axis 0 toggling fastest."""
+        cell = self.cells[e]
+        return [self.vertex[tuple(c + d for c, d in zip(cell, offset[::-1]))]
+                for offset in itertools.product((0, 1), repeat=len(cell))]
+
+    def facets_of(self, e):
+        """(facet id, sign) of element e in local order (axis0-, axis0+, ...);
+        the sign is +1 where the global normal is outward."""
+        cell = self.cells[e]
+        out = []
+        for axis in range(len(cell)):
+            for side, sign in ((0, -1.0), (1, 1.0)):
+                m = tuple(c + side * (a == axis) for a, c in enumerate(cell))
+                out.append((self.facet[axis, m], sign))
+        return out
+
+    def point(self, m, shift=0.0):
+        """Physical point of grid coordinates m + shift (in cell widths)."""
+        return np.asarray(self.mesh.lower) + (np.asarray(m) + shift) * self.mesh.cell_width
+
+    def center(self, e):
+        return self.point(self.cells[e], 0.5)
+
+    def facet_midpoint(self, axis, m):
+        return self.point(m, 0.5 * (np.arange(self.mesh.dim) != axis))
+
+
+@pytest.fixture(scope="session")
+def entity_ids():
+    """EntityIds, the per-entity numbering oracle: entity_ids(mesh)."""
+    return EntityIds

@@ -47,14 +47,15 @@ def test_free_dof_counts_3d():
 
 @pytest.mark.parametrize("dim,n", [(2, 1), (2, 3), (3, 2), (3, 3)])
 @pytest.mark.parametrize("bc", [BC_CLAMPED, BC_SIMPLY_SUPPORTED])
-def test_cell_connectivity_matches_entity_incidence(dim, n, bc, ref2, ref3):
+def test_cell_connectivity_matches_entity_incidence(dim, n, bc, ref2, ref3, entity_ids):
     mesh = build_mesh(dim, n)
     dofmap = build_dof_map(mesh, bc)
     orientation = (ref2 if dim == 2 else ref3).orientation
+    ids = entity_ids(mesh)
     for e in range(mesh.num_elements):
-        facets = mesh.element_facets(e)
+        facets = ids.facets_of(e)
         expected_dofs = np.concatenate([
-            dofmap.vertex_dof[mesh.element_vertices(e)],
+            dofmap.vertex_dof[ids.vertices_of(e)],
             [dofmap.facet_dof[fid] for fid, _ in facets],
         ])
         expected_signs = np.concatenate([np.ones(2 ** dim), [sign for _, sign in facets]])
@@ -241,7 +242,7 @@ def test_local_coefficients_carry_sign_and_h():
     assert local[1, 4] == pytest.approx(-h)
 
 
-def test_interpolated_quadratic_is_recovered_pointwise(ref2):
+def test_interpolated_quadratic_is_recovered_pointwise(ref2, entity_ids):
     mesh = build_mesh(2, 4)
     dofmap = build_dof_map(mesh, BC_SIMPLY_SUPPORTED)
     poly = Polynomial(2, {(2, 0): 1.0, (1, 1): 0.5, (0, 1): -1.0, (0, 0): 0.3})
@@ -251,11 +252,12 @@ def test_interpolated_quadratic_is_recovered_pointwise(ref2):
     # is the exact local interpolant ... and quadratics interpolate exactly.
     e = 1 + 1 * 4
     pts = np.array([[0.3, -0.8], [0.0, 0.0], [-0.6, 0.9]])
-    center, h = mesh.element_geometry(e)
-    phys = center + h * pts
-    got = interp.field.evaluate_on_element(ref2, e, pts)
+    h = mesh.half_width
+    phys = entity_ids(mesh).center(e) + h * pts
+    local = interp.field.local_reference_coefficients(ref2)[e]
+    got = ref2.eval_basis((0, 0), pts) @ local
     assert got == pytest.approx(poly(phys), abs=1e-12)
-    grad0 = interp.field.evaluate_on_element(ref2, e, pts, alpha=(1, 0))
+    grad0 = ref2.eval_basis((1, 0), pts) @ local / h
     assert grad0 == pytest.approx(poly.diff(0)(phys), abs=1e-11)
 
 
@@ -272,23 +274,24 @@ def cubic_with_boundary_values(dim):
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
 @pytest.mark.parametrize("bc", [BC_CLAMPED, BC_SIMPLY_SUPPORTED])
-def test_interpolate_global_matches_entity_definitions(dim, n, bc):
+def test_interpolate_global_matches_entity_definitions(dim, n, bc, entity_ids):
     mesh = build_mesh(dim, n)
+    ids = entity_ids(mesh)
     dofmap = build_dof_map(mesh, bc)
     f = cubic_with_boundary_values(dim)
     interp = interpolate_global(f, mesh, dofmap)
     base = tensor_rule(dim - 1, 8)
     h = mesh.half_width
     constrained = []
-    for vid in range(mesh.num_vertices):
-        val = float(f.value(mesh.vertex_coords(vid)))
+    for multi, vid in ids.vertex.items():
+        val = float(f.value(ids.point(multi)))
         gid = dofmap.vertex_dof[vid]
         if gid >= 0:
             assert interp.field.coeffs[gid] == pytest.approx(val, rel=1e-12, abs=1e-14)
         else:
             constrained.append(abs(val))
-    for fid in range(mesh.num_facets):
-        axis, center = mesh.facet_geometry(fid)
+    for (axis, multi), fid in ids.facet.items():
+        center = ids.facet_midpoint(axis, multi)
         phys = np.repeat(center[None, :], base.num_points, axis=0)
         phys[:, [a for a in range(dim) if a != axis]] += h * base.points
         val = f.gradient(phys)[:, axis] @ base.weights / 2.0 ** (dim - 1)
@@ -375,14 +378,16 @@ def test_broken_error_norms_match_local_probe_route(ref2):
         assert norms[l] == pytest.approx(probe.errors[l][0], rel=1e-12)
 
 
-def cellwise_integral(mesh, element, order, pointwise, u, v, quad_order=8):
-    """Per-cell loop from the definition: sum over cells and over every ordered
-    axis tuple of length `order` of the quadrature of pointwise(d u, d v)."""
+def cellwise_integral(ids, element, order, pointwise, u, v, quad_order=8):
+    """Per-cell loop from the definition on the mesh of the oracle ids: sum over
+    cells and over every ordered axis tuple of length `order` of the quadrature
+    of pointwise(d u, d v)."""
+    mesh = ids.mesh
     rule = tensor_rule(mesh.dim, quad_order)
+    h = mesh.half_width
     total = 0.0
     for e in range(mesh.num_elements):
-        center, h = mesh.element_geometry(e)
-        phys = center + h * rule.points
+        phys = ids.center(e) + h * rule.points
         for axes in itertools.product(range(mesh.dim), repeat=order):
             samples = []
             for w in (u, v):
@@ -390,7 +395,9 @@ def cellwise_integral(mesh, element, order, pointwise, u, v, quad_order=8):
                     alpha = [0] * mesh.dim
                     for a in axes:
                         alpha[a] += 1
-                    samples.append(w.evaluate_on_element(element, e, rule.points, alpha))
+                    local = w.local_reference_coefficients(element)[e]
+                    samples.append(element.eval_basis(alpha, rule.points) @ local
+                                   / h ** order)
                 elif order == 0:
                     samples.append(w.value(phys))
                 elif order == 1:
@@ -402,9 +409,10 @@ def cellwise_integral(mesh, element, order, pointwise, u, v, quad_order=8):
 
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
-def test_broken_quadrature_matches_cellwise_definition(dim, n, ref2, ref3):
+def test_broken_quadrature_matches_cellwise_definition(dim, n, ref2, ref3, entity_ids):
     element = ref2 if dim == 2 else ref3
     mesh = build_mesh(dim, n)
+    ids = entity_ids(mesh)
     dofmap = build_dof_map(mesh, BC_SIMPLY_SUPPORTED)
     sine = unit_box_eigenfunction((1,) * dim)
     cubic = cubic_with_boundary_values(dim)
@@ -415,14 +423,14 @@ def test_broken_quadrature_matches_cellwise_definition(dim, n, ref2, ref3):
 
     norms = broken_error_norms(sine, field, mesh, element)
     for l in (0, 1, 2):
-        expected = math.sqrt(cellwise_integral(mesh, element, l, squared_error, sine, field))
+        expected = math.sqrt(cellwise_integral(ids, element, l, squared_error, sine, field))
         assert norms[l] == pytest.approx(expected, rel=1e-12)
     assert l2_norm_analytic(sine, mesh) == pytest.approx(
-        math.sqrt(cellwise_integral(mesh, element, 0, np.multiply, sine, sine)), rel=1e-12)
+        math.sqrt(cellwise_integral(ids, element, 0, np.multiply, sine, sine)), rel=1e-12)
     assert broken_energy_inner(sine, field, mesh, element) == pytest.approx(
-        cellwise_integral(mesh, element, 2, np.multiply, sine, field), rel=1e-12)
+        cellwise_integral(ids, element, 2, np.multiply, sine, field), rel=1e-12)
     assert broken_energy_inner(sine, cubic, mesh, element) == pytest.approx(
-        cellwise_integral(mesh, element, 2, np.multiply, sine, cubic), rel=1e-12)
+        cellwise_integral(ids, element, 2, np.multiply, sine, cubic), rel=1e-12)
 
 
 def test_interpolant_rayleigh_bounds_smallest_eigenvalue(ref2):

@@ -158,6 +158,22 @@ def test_table_text_format(capsys):
     assert "1223.1076" in out  # stored reference at n=8, index 1
 
 
+def test_table_reports_an_undefined_rate_as_missing(capsys):
+    # At n=2 the sixth simply supported eigenvalue, 11520, lies above the
+    # exact 100 pi^4, so the n=2 -> 4 step has no order.
+    argv = ["table", "2", "--n", "2", "--n", "4"]
+    code, out, err = run_cli(argv + ["--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert [row["rate"] is None for row in rows[6:]] == [False] * 5 + [True]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[-1].split()[-2:] == ["---", "NO"]
+    code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1].split(",")[-2:] == ["", "no"]
+
+
 def test_table_rejects_unsorted_ladder(capsys):
     code, _, err = run_cli(["table", "1", "--n", "8", "--n", "4"], capsys)
     assert code == 3
@@ -196,6 +212,20 @@ def test_rates_simply_supported_json(capsys):
     assert len(first["rates"]) == 2
     assert first["rates"][0] == pytest.approx(1.816267, abs=1e-3)
     assert first["rates"][1] == pytest.approx(1.937758, abs=1e-3)
+
+
+def test_rates_report_an_undefined_rate_as_missing(capsys):
+    argv = ["rates", "--dim", "2", "--n", "2", "--n", "4"]
+    code, out, err = run_cli(argv + ["--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    entries = json.loads(out)["entries"]
+    assert [entry["rates"][0] is None for entry in entries] == [False] * 5 + [True]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["6", "9740.9091", "---"]
+    code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1].endswith(",2->4,")
 
 
 def test_rates_clamped_requires_richardson(capsys):
@@ -314,6 +344,18 @@ def test_unknown_command_exits_3():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["spectrum"])
     assert excinfo.value.code == 3
+
+
+@pytest.mark.parametrize("argv", [["table", "1"], ["rates", "--n", "4", "--n", "8"]])
+def test_only_solve_takes_a_solver_option(argv):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv + ["--solver", "dense"])
+    assert excinfo.value.code == 3
+
+
+def test_every_export_resolves_through_the_lazy_loader():
+    for name in rectmorley.__all__:
+        assert rectmorley.__getattr__(name) is not None
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

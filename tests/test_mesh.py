@@ -26,31 +26,29 @@ def test_entity_counts_3d():
 def test_element_vertices_follow_corner_order():
     mesh = build_mesh(2, 2)
     # Vertex ids stride 1 along axis 0 and n+1 = 3 along axis 1.
-    assert list(mesh.element_vertices(0)) == [0, 1, 3, 4]
-    assert list(mesh.element_vertices(3)) == [4, 5, 7, 8]
+    assert list(mesh.cell_vertices()[0]) == [0, 1, 3, 4]
+    assert list(mesh.cell_vertices()[3]) == [4, 5, 7, 8]
     mesh3 = build_mesh(3, 2)
-    assert list(mesh3.element_vertices(0)) == [0, 1, 3, 4, 9, 10, 12, 13]
+    assert list(mesh3.cell_vertices()[0]) == [0, 1, 3, 4, 9, 10, 12, 13]
 
 
-def test_neighbours_share_a_facet_with_opposite_signs():
+def test_neighbours_share_a_facet_with_opposite_signs(ref2, entity_ids):
     mesh = build_mesh(2, 2)
-    # Elements 0 and 1 are adjacent along axis 0.
-    right_of_0 = mesh.element_facets(0)[1]
-    left_of_1 = mesh.element_facets(1)[0]
-    assert right_of_0[0] == left_of_1[0]
-    assert right_of_0[1] == 1.0
-    assert left_of_1[1] == -1.0
+    # Elements 0 and 1 are adjacent along axis 0: the axis0+ facet (local
+    # slot 1) of the one is the axis0- facet (slot 0) of the other.
+    right_of_0, left_of_1 = mesh.cell_facets()[[0, 1], [1, 0]]
+    assert right_of_0 == left_of_1 == entity_ids(mesh).facet[0, (1, 0)]
+    facet_signs = ref2.orientation[ref2.facet_dof_mask]
+    assert (facet_signs[1], facet_signs[0]) == (1.0, -1.0)
 
 
-def test_every_interior_facet_is_shared_exactly_twice():
-    for dim, n in ((2, 3), (3, 2)):
-        mesh = build_mesh(dim, n)
-        counts = np.zeros(mesh.num_facets, dtype=int)
-        signed = np.zeros(mesh.num_facets)
-        for e in range(mesh.num_elements):
-            for fid, sign in mesh.element_facets(e):
-                counts[fid] += 1
-                signed[fid] += sign
+def test_every_interior_facet_is_shared_exactly_twice(ref2, ref3):
+    for element, n in ((ref2, 3), (ref3, 2)):
+        mesh = build_mesh(element.dim, n)
+        facets = mesh.cell_facets().ravel()
+        counts = np.bincount(facets, minlength=mesh.num_facets)
+        signs = np.tile(element.orientation[element.facet_dof_mask], mesh.num_elements)
+        signed = np.bincount(facets, weights=signs, minlength=mesh.num_facets)
         _, fflags = mesh.boundary_flags()
         assert np.all(counts[fflags] == 1)
         assert np.all(counts[~fflags] == 2)
@@ -70,53 +68,47 @@ def test_boundary_counts():
 
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
-def test_boundary_flags_follow_multi_indices(dim, n):
+def test_boundary_flags_follow_multi_indices(dim, n, entity_ids):
     mesh = build_mesh(dim, n)
+    ids = entity_ids(mesh)
     vflags, fflags = mesh.boundary_flags()
-    for v in range(mesh.num_vertices):
-        assert vflags[v] == any(m in (0, n) for m in mesh.vertex_multi_index(v))
-    for f in range(mesh.num_facets):
-        axis, multi = mesh.facet_axis_and_multi(f)
+    for multi, v in ids.vertex.items():
+        assert vflags[v] == any(m in (0, n) for m in multi)
+    for (axis, multi), f in ids.facet.items():
         assert fflags[f] == (multi[axis] in (0, n))
 
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
-def test_cell_centers_equal_element_geometry(dim, n):
+def test_cell_centers_equal_element_geometry(dim, n, entity_ids):
     mesh = build_mesh(dim, n, domain=((-0.5,) * dim, (1.5,) * dim))
+    ids = entity_ids(mesh)
     centers = mesh.cell_centers()
     assert centers.shape == (mesh.num_elements, dim)
     for e in range(mesh.num_elements):
-        assert np.array_equal(centers[e], mesh.element_geometry(e)[0])
+        assert np.array_equal(centers[e], ids.center(e))
 
 
-def test_geometry_maps_reference_corners_to_vertices():
+def test_geometry_maps_reference_corners_to_vertices(entity_ids):
     mesh = build_mesh(2, 4, domain=((0.0, -1.0), (2.0, 1.0)))
     from rectmorley.element import reference_corners
 
+    ids = entity_ids(mesh)
+    vertex_multi = {v: m for m, v in ids.vertex.items()}
     corners = reference_corners(2)
     for e in (0, 5, 15):
-        center, h = mesh.element_geometry(e)
-        vids = mesh.element_vertices(e)
-        for corner, vid in zip(corners, vids):
-            mapped = center + h * np.asarray(corner)
-            assert mapped == pytest.approx(mesh.vertex_coords(vid), abs=1e-14)
+        center = mesh.cell_centers()[e]
+        for corner, vid in zip(corners, mesh.cell_vertices()[e]):
+            mapped = center + mesh.half_width * np.asarray(corner)
+            assert mapped == pytest.approx(ids.point(vertex_multi[vid]), abs=1e-14)
 
 
 def test_facet_geometry_midpoints():
+    from rectmorley.assembly import _entity_coordinates
+
     mesh = build_mesh(2, 2)
-    fid, _ = mesh.element_facets(0)[1]  # right edge of cell (0, 0)
-    axis, mid = mesh.facet_geometry(fid)
-    assert axis == 0
-    assert mid == pytest.approx([0.5, 0.25])
-
-
-def test_round_trip_ids():
-    mesh = build_mesh(3, 3)
-    for v in range(mesh.num_vertices):
-        assert mesh.vertex_id(mesh.vertex_multi_index(v)) == v
-    for f in range(mesh.num_facets):
-        axis, multi = mesh.facet_axis_and_multi(f)
-        assert mesh.facet_id(axis, multi) == f
+    fid = mesh.cell_facets()[0, 1]  # right edge of cell (0, 0)
+    # Doubled integer coordinates: the midpoint (0.5, 0.25) in half cell widths.
+    assert list(_entity_coordinates(mesh)[mesh.num_vertices + fid]) == [2, 1]
 
 
 def test_build_mesh_validates_arguments():
@@ -135,14 +127,6 @@ def test_build_mesh_validates_arguments():
         build_mesh(2, 4, domain=((0.0,), (1.0,)))
 
 
-def test_ids_rejected_out_of_range():
-    mesh = build_mesh(2, 2)
-    with pytest.raises(IndexError):
-        mesh.element_multi_index(4)
-    with pytest.raises(IndexError):
-        mesh.facet_axis_and_multi(12)
-
-
 @settings(max_examples=25, deadline=None)
 @given(dim=st.sampled_from([2, 3]), n=st.integers(min_value=1, max_value=4))
 def test_incidence_sizes_are_consistent(dim, n):
@@ -150,6 +134,5 @@ def test_incidence_sizes_are_consistent(dim, n):
     assert mesh.num_elements == n ** dim
     assert mesh.num_vertices == (n + 1) ** dim
     assert mesh.num_facets == dim * (n + 1) * n ** (dim - 1)
-    for e in range(mesh.num_elements):
-        assert len(mesh.element_vertices(e)) == 2 ** dim
-        assert len(mesh.element_facets(e)) == 2 * dim
+    assert mesh.cell_vertices().shape == (mesh.num_elements, 2 ** dim)
+    assert mesh.cell_facets().shape == (mesh.num_elements, 2 * dim)

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectmorley.assembly import entity_values
 from rectmorley.element import build_reference_element
 from rectmorley.functions import PolynomialFunction, unit_box_eigenfunction
+from rectmorley.mesh import build_mesh
 from rectmorley.operators import (VerificationReport, build_bubbles,
                                   bubble_expansion, canonical_interpolate,
                                   commuting_discrepancy, deviation_record,
                                   equality_record,
-                                  interpolation_convergence_probe,
-                                  interpolation_dofs, moment_matrix,
+                                  interpolation_convergence_probe, moment_matrix,
                                   moment_project,
                                   multi_indices_up_to, refined_identity_check,
                                   run_bubble_suite, run_commuting_suite,
@@ -93,32 +94,30 @@ def test_interpolation_matches_independent_quadrature_solve(dim):
         assert ours.almost_equal(theirs, tol=1e-10)
 
 
-def test_analytic_and_exact_paths_agree(ref2):
-    poly = Polynomial(2, {(0, 0): 0.5, (1, 2): 1.0, (3, 0): -2.0, (2, 2): 0.25})
-    exact = canonical_interpolate(ref2, poly)
-    analytic = canonical_interpolate(
-        ref2, PolynomialFunction(poly), center=np.zeros(2), h=1.0
-    )
-    assert analytic.coefficients == pytest.approx(exact.coefficients, abs=1e-12)
-    assert analytic.error is None
+def test_analytic_and_exact_paths_agree(ref2, ref3):
+    # On the one-cell mesh of the reference cell (h = 1) the production path
+    # for analytic input, gathered per cell, is the exact interpolation.
+    for element, poly in (
+        (ref2, Polynomial(2, {(0, 0): 0.5, (1, 2): 1.0, (3, 0): -2.0, (2, 2): 0.25})),
+        (ref3, Polynomial(3, {(0, 0, 0): 0.5, (1, 2, 0): 1.0, (3, 0, 1): -2.0,
+                              (2, 1, 1): 0.25, (0, 0, 4): 0.75})),
+    ):
+        dim = element.dim
+        mesh = build_mesh(dim, 1, domain=((-1.0,) * dim, (1.0,) * dim))
+        assert mesh.half_width == 1.0
+        vertex_vals, facet_vals = entity_values(PolynomialFunction(poly), mesh)
+        gathered = np.concatenate([vertex_vals[mesh.cell_vertices()[0]],
+                                   facet_vals[mesh.cell_facets()[0]]])
+        exact = canonical_interpolate(element, poly).coefficients
+        assert gathered * element.orientation == pytest.approx(exact, abs=1e-12)
 
 
-def test_low_quadrature_order_warns(ref2):
-    f = PolynomialFunction(Polynomial.monomial(2, (2, 2)))
-    coeffs, warnings = interpolation_dofs(ref2, f, np.zeros(2), 1.0, quad_order=2)
-    assert len(warnings) == 1
-    assert "quadrature" in warnings[0]
-    assert coeffs.shape == (8,)
-
-
-def test_interpolation_rejects_bad_geometry(ref2):
+def test_interpolation_rejects_non_polynomial_input(ref2, ref3):
     f = PolynomialFunction(Polynomial.monomial(2, (2, 0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="interpolate_global"):
         canonical_interpolate(ref2, f)
     with pytest.raises(ValueError):
-        interpolation_dofs(ref2, f, np.zeros(3), 1.0)
-    with pytest.raises(ValueError):
-        interpolation_dofs(ref2, f, np.zeros(2), -1.0)
+        canonical_interpolate(ref3, Polynomial.monomial(2, (2, 0)))
 
 
 @settings(max_examples=40, deadline=None)
