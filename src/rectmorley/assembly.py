@@ -2,9 +2,11 @@
 
 Degrees of freedom attach to mesh vertices (point values) and facets (mean
 normal derivatives along the global facet normal, which points in the
-positive axis direction).  Constrained DOFs are eliminated, not penalized:
-clamped boundaries constrain boundary vertices and boundary facets, simply
-supported boundaries constrain boundary vertices only.  Free DOFs are
+positive axis direction).  Constrained DOFs are eliminated, not penalized.
+Each face of the box takes one condition from FACE_CONSTRAINTS: clamped
+faces constrain their vertices and facets, simply supported faces their
+vertices only, and the mid-plane faces of a reflection-parity block their
+facets (even parity) or their vertices (odd parity).  Free DOFs are
 numbered in nested-dissection order, so the assembled pencil is factored as
 it stands.
 """
@@ -26,6 +28,20 @@ from .quadrature import tensor_rule
 BC_CLAMPED = "clamped"
 BC_SIMPLY_SUPPORTED = "simply-supported"
 BOUNDARY_CONDITIONS = (BC_CLAMPED, BC_SIMPLY_SUPPORTED)
+# Mid-plane conditions of the half-box problems that carry one reflection
+# parity each: an even function has zero normal derivative on its mirror
+# plane, an odd one vanishes there.
+PARITY_EVEN = "even"
+PARITY_ODD = "odd"
+
+# What each face condition constrains: (the vertices on the face, the facets
+# lying in it).
+FACE_CONSTRAINTS = {
+    BC_CLAMPED: (True, True),
+    BC_SIMPLY_SUPPORTED: (True, False),
+    PARITY_EVEN: (False, True),
+    PARITY_ODD: (True, False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +112,39 @@ def _nested_dissection(coords: np.ndarray) -> np.ndarray:
     return np.concatenate(order(np.arange(len(coords))))
 
 
-def build_dof_map(mesh: CartesianMesh, bc: str) -> DofMap:
-    """Number the free DOFs in nested-dissection order and gather the element
-    connectivity.
+def _constrained(mesh: CartesianMesh, bc: str, faces) -> np.ndarray:
+    """Constrained flags of all vertices, then all facets, in id order.
 
-    The bisection starts from the free vertices, then the free facets, each
-    in id order; a box too small to split keeps that order.
+    faces gives one FACE_CONSTRAINTS key per face, in the order of
+    CartesianMesh.face_flags; None puts bc on every face.
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {bc!r}")
-    vflags, fflags = mesh.boundary_flags()
-    if bc != BC_CLAMPED:
-        fflags = np.zeros_like(fflags)
-    free = np.flatnonzero(~np.concatenate([vflags, fflags]))
+    faces = (bc,) * (2 * mesh.dim) if faces is None else tuple(faces)
+    if len(faces) != 2 * mesh.dim or not set(faces) <= FACE_CONSTRAINTS.keys():
+        raise ValueError(f"faces must hold {2 * mesh.dim} conditions out of "
+                         f"{tuple(FACE_CONSTRAINTS)}, got {faces!r}")
+    fixes = np.array([FACE_CONSTRAINTS[face] for face in faces])
+    vflags, fflags = mesh.face_flags()
+    return np.concatenate([(vflags & fixes[:, :1]).any(axis=0),
+                           (fflags & fixes[:, 1:]).any(axis=0)])
+
+
+def free_dof_count(mesh: CartesianMesh, bc: str, faces=None) -> int:
+    """Number of free DOFs of build_dof_map(mesh, bc, faces), without numbering them."""
+    return int(np.count_nonzero(~_constrained(mesh, bc, faces)))
+
+
+def build_dof_map(mesh: CartesianMesh, bc: str, faces=None) -> DofMap:
+    """Number the free DOFs in nested-dissection order and gather the element
+    connectivity.
+
+    Every face gets the boundary condition bc unless faces gives one
+    condition per face (see _constrained).  The bisection starts from the
+    free vertices, then the free facets, each in id order; a box too small
+    to split keeps that order.
+    """
+    free = np.flatnonzero(~_constrained(mesh, bc, faces))
 
     dofs = np.full(mesh.num_vertices + mesh.num_facets, -1, dtype=np.int64)
     dofs[free[_nested_dissection(_entity_coordinates(mesh)[free])]] = np.arange(len(free))

@@ -16,6 +16,11 @@ import errno
 import json
 import os
 import sys
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_SOLVER_FAILURE = 1
@@ -113,27 +118,125 @@ def build_parser() -> argparse.ArgumentParser:
 # shared solving helpers
 # ---------------------------------------------------------------------------
 
+# Problems with fewer free DOFs than this are solved as one block: below it,
+# setting up the half-box blocks costs more than their smaller factors save
+# (CHANGES.md records the measured crossover).
+SPLIT_MIN_ORDER = 1600
+
+
+@dataclass
+class Solution:
+    """The k smallest eigenvalues of one problem, merged over its parity blocks.
+
+    parities[i] labels eigenvalue i with the reflection parity of its block,
+    one letter per axis ('e' even, 'o' odd under x_a -> 1 - x_a), or None
+    when the problem was solved as one block.  residuals[i] is the relative
+    residual of eigenvalue i in its own block's pencil.  No eigenvectors are
+    kept: a block's live on the half box, and no caller reads them.
+    """
+
+    eigenvalues: np.ndarray
+    residuals: np.ndarray
+    parities: list
+    method: str
+    metadata: dict
+
+    @property
+    def converged(self) -> bool:
+        return self.metadata["converged"]
+
+    def to_json_dict(self) -> dict:
+        return {
+            "eigenvalues": [float(v) for v in self.eigenvalues],
+            "parities": list(self.parities),
+            "residuals": [float(r) for r in self.residuals],
+            "method": self.method,
+            "metadata": self.metadata,
+        }
+
+
 def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
-                  solver: str = "auto"):
-    """Assemble and solve one configuration; returns (dofmap, EigenResult)."""
-    from .assembly import assemble, build_dof_map
+                  solver: str = "auto") -> Solution:
+    """Assemble and solve one configuration.
+
+    Each mid-plane reflection x_a -> 1 - x_a commutes with the pencil, so for
+    even n the problem splits into 2^dim parity blocks.  Each block is the
+    same Morley problem on the half box [0, 1/2]^dim, with the given bc on
+    the outer faces and an even (facets) or odd (vertices) condition on the
+    mid-plane faces.  An axis permutation maps one block onto another with
+    as many odd axes, so one representative per count j of odd axes is
+    solved, for min(k, its order) eigenpairs, and its eigenvalues count
+    C(dim, j) times.  Odd n, and problems with fewer than SPLIT_MIN_ORDER
+    free DOFs, are solved as one block on the full box.  The k smallest of
+    the merged eigenvalues are returned in ascending order (a stable sort);
+    no full-space eigenvectors are assembled.  metadata["order"] is the
+    free-DOF count of the full problem, converged holds only if every block
+    converged, and the work counters sum over the blocks solved, which
+    metadata["blocks"] lists.
+    """
+    import itertools
+
+    import numpy as np
+
+    from .assembly import (PARITY_EVEN, PARITY_ODD, assemble, build_dof_map,
+                           free_dof_count)
     from .eigensolve import solve_smallest
     from .element import build_reference_element
     from .mesh import build_mesh
 
     mesh = build_mesh(dim, n)
-    dofmap = build_dof_map(mesh, bc)
-    if not 1 <= k <= dofmap.num_free:
-        raise UsageError(
-            f"k={k} out of range for this mesh ({dofmap.num_free} free DOFs)"
-        )
+    order = free_dof_count(mesh, bc)
+    if not 1 <= k <= order:
+        raise UsageError(f"k={k} out of range for this mesh ({order} free DOFs)")
+    if n % 2 == 0 and order >= SPLIT_MIN_ORDER:
+        mesh = build_mesh(dim, n // 2, domain=((0.0,) * dim, (0.5,) * dim))
+        parities = ["".join(p) for p in itertools.product("eo", repeat=dim)]
+        representatives = ["o" * j + "e" * (dim - j) for j in range(dim + 1)]
+    else:
+        parities = representatives = [None]
     element = build_reference_element(dim)
-    a_mat, m_mat = assemble(mesh, dofmap, element)
     # The clamped stiffness matrix is definite, so the origin is a safe
     # shift; simply supported runs shift below the spectrum instead.
     sigma = 0.0 if bc == "clamped" else -1.0
-    result = solve_smallest(a_mat, m_mat, k, method=solver, sigma=sigma)
-    return dofmap, result
+
+    solved = {}
+    for parity in representatives:
+        faces = None if parity is None else [
+            side for p in parity
+            for side in (bc, PARITY_ODD if p == "o" else PARITY_EVEN)]
+        dofmap = build_dof_map(mesh, bc, faces)
+        a_mat, m_mat = assemble(mesh, dofmap, element)
+        solved[parity] = solve_smallest(a_mat, m_mat, min(k, dofmap.num_free),
+                                        method=solver, sigma=sigma)
+
+    def block_of(parity):
+        """The solved representative of parity's class: its odd axes first."""
+        return None if parity is None else "".join(sorted(parity, reverse=True))
+
+    merged = [(lam, res, parity) for parity in parities
+              for lam, res in zip(solved[block_of(parity)].eigenvalues,
+                                  solved[block_of(parity)].residuals)]
+    keep = np.argsort([lam for lam, _, _ in merged], kind="stable")[:k]
+    eigenvalues, residuals, labels = zip(*(merged[i] for i in keep))
+
+    counters = ("factor_nnz", "opinv_applications", "guard_rounds")
+    metadata = {}
+    for result in solved.values():
+        metadata.update(result.metadata)
+    for key in counters:
+        if key in metadata:
+            metadata[key] = sum(r.metadata.get(key, 0) for r in solved.values())
+    metadata.update(order=order, k=k,
+                    converged=all(r.converged for r in solved.values()),
+                    blocks=[{"parity": parity,
+                             "multiplicity": [block_of(p) for p in parities].count(parity),
+                             "order": result.metadata["order"],
+                             **{key: result.metadata.get(key) for key in counters},
+                             "converged": result.converged}
+                            for parity, result in solved.items()])
+    method = "+".join(sorted({r.method for r in solved.values()}))
+    return Solution(np.array(eigenvalues), np.array(residuals), list(labels),
+                    method, metadata)
 
 
 def _check_ladder(dim: int, n_values):
@@ -190,8 +293,8 @@ def _cmd_solve(args) -> int:
     _check_ladder(args.dim, args.n)
     runs = []
     for n in args.n:
-        dofmap, result = solve_problem(args.dim, n, args.bc, args.k, args.solver)
-        runs.append((n, dofmap.num_free, result))
+        result = solve_problem(args.dim, n, args.bc, args.k, args.solver)
+        runs.append((n, result.metadata["order"], result))
 
     if args.format == "json":
         payload = {
@@ -255,7 +358,7 @@ def _cmd_table(args) -> int:
     prev_vals = None
     prev_n = None
     for n in ladder:
-        _, result = solve_problem(dim, n, bc, DEFAULT_K)
+        result = solve_problem(dim, n, bc, DEFAULT_K)
         converged = converged and result.converged
         for i, lam in enumerate(result.eigenvalues):
             ref = stored[n][i] if n in stored else None
@@ -357,7 +460,7 @@ def _cmd_rates(args) -> int:
     values = []
     converged = True
     for n in n_values:
-        _, result = solve_problem(args.dim, n, args.bc, args.k)
+        result = solve_problem(args.dim, n, args.bc, args.k)
         converged = converged and result.converged
         values.append([float(v) for v in result.eigenvalues])
 

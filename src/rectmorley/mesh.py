@@ -102,14 +102,19 @@ class CartesianMesh:
             ids += [base, base + strides[axis]]
         return np.stack(ids, axis=1)
 
-    def boundary_flags(self):
-        """Boolean masks (vertex_on_boundary, facet_on_boundary)."""
+    def face_flags(self):
+        """Boolean masks (vertex_on_face, facet_on_face), each of shape
+        (2 dim, count), faces in the order (axis0 lower, axis0 upper, axis1
+        lower, ...).  The facets on a face are those lying in it, which are
+        the facets normal to its axis."""
+        sides = np.array([0, self.n])
         vmulti = self.vertex_multi_indices()
-        vflags = np.any((vmulti == 0) | (vmulti == self.n), axis=1)
+        vflags = vmulti.T[:, None, :] == sides[None, :, None]
         axes, fmulti = self.facet_multi_indices()
         normal = fmulti[np.arange(self.num_facets), axes]
-        fflags = (normal == 0) | (normal == self.n)
-        return vflags, fflags
+        fflags = ((axes == np.arange(self.dim)[:, None])[:, None, :]
+                  & (normal == sides[:, None])[None, :, :])
+        return vflags.reshape(2 * self.dim, -1), fflags.reshape(2 * self.dim, -1)
 
 
 def build_mesh(dim: int, n: int, domain=None) -> CartesianMesh:

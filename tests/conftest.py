@@ -19,7 +19,7 @@ def ref3():
 
 @pytest.fixture(scope="session")
 def solve_cached():
-    """Memoized (dim, n, bc) -> (dofmap, EigenResult); shared across tests."""
+    """Memoized (dim, n, bc, k, solver) -> cli.Solution; shared across tests."""
     cache = {}
 
     def get(dim, n, bc, k=6, solver="auto"):

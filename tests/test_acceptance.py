@@ -31,7 +31,7 @@ def report(num: int, label: str, ok: bool, detail: str = ""):
 def max_table_rel_diff(table_id, dim, bc, n_values, solve_cached):
     worst = 0.0
     for n in n_values:
-        _, result = solve_cached(dim, n, bc)
+        result = solve_cached(dim, n, bc)
         stored = BENCHMARK_VALUES[table_id][n]
         for lam, ref in zip(result.eigenvalues, stored):
             worst = max(worst, abs(lam - ref) / abs(ref))
@@ -56,7 +56,7 @@ def test_criterion_2_table_1_clamped_2d(solve_cached):
     degenerate = 0.0
     prev = None
     for n in n_values:
-        _, result = solve_cached(2, n, "clamped")
+        result = solve_cached(2, n, "clamped")
         lam = result.eigenvalues
         if prev is not None:
             increasing = increasing and bool(np.all(lam > prev))
@@ -77,7 +77,7 @@ def test_criterion_3_table_4_simply_supported_3d(solve_cached):
     cluster = 0.0
     methods_ok = True
     for n in n_values:
-        _, result = solve_cached(3, n, "simply-supported")
+        result = solve_cached(3, n, "simply-supported")
         lam = result.eigenvalues
         cluster = max(
             cluster,
@@ -101,7 +101,7 @@ def test_criterion_4_table_3_clamped_3d(solve_cached):
     increasing = True
     prev = None
     for n in n_values:
-        _, result = solve_cached(3, n, "clamped")
+        result = solve_cached(3, n, "clamped")
         lam = result.eigenvalues
         if prev is not None:
             increasing = increasing and bool(np.all(lam > prev))
@@ -121,7 +121,7 @@ def test_criterion_5_lower_bound_property(solve_cached):
     for dim, table_id in ((2, 2), (3, 4)):
         exact = exact_eigenvalues(dim)
         for n in BENCHMARK_N[table_id]:
-            _, result = solve_cached(dim, n, "simply-supported")
+            result = solve_cached(dim, n, "simply-supported")
             gaps = exact - result.eigenvalues
             ok = ok and bool(np.all(gaps > 0))
             margin = min(margin, float(np.min(gaps)))
@@ -139,7 +139,7 @@ def test_criterion_6_convergence_rates(solve_cached):
     for dim, table_id in ((2, 2), (3, 4)):
         exact = exact_eigenvalues(dim)
         ladder = BENCHMARK_N[table_id]
-        values = [solve_cached(dim, n, "simply-supported")[1].eigenvalues
+        values = [solve_cached(dim, n, "simply-supported").eigenvalues
                   for n in ladder]
         for idx, stored in BENCHMARK_RATES[table_id].items():
             seq = [float(v[idx]) for v in values]

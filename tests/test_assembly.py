@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky
 
-from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, FemField,
-                                 assemble,
+from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, PARITY_EVEN,
+                                 PARITY_ODD, FemField, assemble,
                                  broken_energy_inner, broken_error_norms,
                                  build_dof_map, eigen_error_identity_terms,
-                                 element_matrices, interpolate_global,
-                                 l2_norm_analytic, reference_matrices)
+                                 element_matrices, free_dof_count,
+                                 interpolate_global, l2_norm_analytic,
+                                 reference_matrices)
 from rectmorley.eigensolve import smallest_k_dense
 from rectmorley.element import physical_dof_scaling
 from rectmorley.functions import (PolynomialFunction, sine_eigenvalue,
@@ -35,6 +36,8 @@ def test_free_dof_counts_2d():
     assert (ss.vertex_dof >= 0).sum() == 9
     assert (ss.facet_dof >= 0).sum() == 40
     assert ss.num_free == 49
+    assert free_dof_count(mesh, BC_CLAMPED) == 33
+    assert free_dof_count(mesh, BC_SIMPLY_SUPPORTED) == 49
 
 
 def test_free_dof_counts_3d():
@@ -101,6 +104,33 @@ def test_bad_bc_rejected():
     mesh = build_mesh(2, 2)
     with pytest.raises(ValueError):
         build_dof_map(mesh, "periodic")
+    for faces in ([BC_CLAMPED] * 3, [BC_CLAMPED] * 3 + ["periodic"]):
+        with pytest.raises(ValueError, match="faces"):
+            build_dof_map(mesh, BC_CLAMPED, faces)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("bc", [BC_CLAMPED, BC_SIMPLY_SUPPORTED])
+def test_mid_plane_conditions_constrain_their_face(dim, bc, entity_ids):
+    # The half box [0, 1/2]^dim with 4 cells per axis: its upper faces are
+    # mirror planes (multi-index 4), its lower faces keep bc.
+    n = 4
+    mesh = build_mesh(dim, n, domain=((0.0,) * dim, (0.5,) * dim))
+    ids = entity_ids(mesh)
+    for parity in itertools.product((PARITY_EVEN, PARITY_ODD), repeat=dim):
+        faces = [face for p in parity for face in (bc, p)]
+        dofmap = build_dof_map(mesh, bc, faces)
+        assert dofmap.num_free == free_dof_count(mesh, bc, faces)
+        for multi, v in ids.vertex.items():
+            # Odd parity fixes the vertices of its plane; both bcs the outer ones.
+            fixed = 0 in multi or any(m == n and p == PARITY_ODD
+                                      for m, p in zip(multi, parity))
+            assert (dofmap.vertex_dof[v] < 0) == fixed
+        for (axis, multi), f in ids.facet.items():
+            # Even parity fixes the facets in its plane; clamping the outer ones.
+            fixed = ((multi[axis] == 0 and bc == BC_CLAMPED)
+                     or (multi[axis] == n and parity[axis] == PARITY_EVEN))
+            assert (dofmap.facet_dof[f] < 0) == fixed
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,35 @@ def test_solve_json_reports_solver_work(capsys):
     assert meta["guard_rounds"] >= 1
 
 
+def test_solve_json_reports_parity_blocks(capsys):
+    code, out, _ = run_cli(
+        ["solve", "--dim", "3", "--n", "8", "--format", "json"], capsys
+    )
+    assert code == 0
+    run = json.loads(out)["runs"][0]
+    meta = run["metadata"]
+    blocks = meta["blocks"]
+    assert [b["parity"] for b in blocks] == ["eee", "oee", "ooe", "ooo"]
+    assert [b["multiplicity"] for b in blocks] == [1, 3, 3, 1]
+    assert sum(b["order"] * b["multiplicity"] for b in blocks) == run["order"] == 1687
+    assert all(b["converged"] for b in blocks)
+    for key in ("factor_nnz", "opinv_applications", "guard_rounds"):
+        assert meta[key] == sum(b[key] for b in blocks)
+    # The 6369.4367 triple: one copy in each block with one odd axis.
+    assert run["parities"] == ["eee", "eeo", "eoe", "oee", "eoo", "oeo"]
+
+    for dim, n in ((2, 16), (3, 5)):
+        code, out, _ = run_cli(
+            ["solve", "--dim", str(dim), "--n", str(n), "--format", "json"], capsys
+        )
+        assert code == 0
+        run = json.loads(out)["runs"][0]
+        (block,) = run["metadata"]["blocks"]
+        assert block["parity"] is None and block["multiplicity"] == 1
+        assert block["order"] == run["order"]
+        assert run["parities"] == [None] * 6
+
+
 def test_solve_fine_2d_simply_supported_passes_residual_check(capsys):
     code, out, err = run_cli(
         ["solve", "--dim", "2", "--n", "128", "--bc", "simply-supported",
@@ -446,12 +475,15 @@ def test_repeated_runs_are_identical(capsys):
 
 
 def test_repeated_processes_print_identical_output():
+    # n=4 is solved as one block, n=8 as parity blocks.
     args = [sys.executable, "-m", "rectmorley", "solve", "--dim", "3", "--n", "4",
-            "--bc", "simply-supported", "--format", "json"]
+            "--n", "8", "--bc", "simply-supported", "--format", "json"]
     first, second = (subprocess.run(args, capture_output=True, check=True,
                                     env=child_env()).stdout
                      for _ in range(2))
-    assert json.loads(first)["runs"][0]["metadata"]["converged"]
+    runs = json.loads(first)["runs"]
+    assert [len(run["metadata"]["blocks"]) for run in runs] == [1, 4]
+    assert all(run["metadata"]["converged"] for run in runs)
     assert first == second
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,7 +51,7 @@ def test_every_interior_facet_is_shared_exactly_twice(ref2, ref3):
         counts = np.bincount(facets, minlength=mesh.num_facets)
         signs = np.tile(element.orientation[element.facet_dof_mask], mesh.num_elements)
         signed = np.bincount(facets, weights=signs, minlength=mesh.num_facets)
-        _, fflags = mesh.boundary_flags()
+        fflags = mesh.face_flags()[1].any(axis=0)
         assert np.all(counts[fflags] == 1)
         assert np.all(counts[~fflags] == 2)
         # Interior facets see one plus side and one minus side.
@@ -58,11 +60,11 @@ def test_every_interior_facet_is_shared_exactly_twice(ref2, ref3):
 
 def test_boundary_counts():
     mesh = build_mesh(2, 4)
-    vflags, fflags = mesh.boundary_flags()
+    vflags, fflags = (flags.any(axis=0) for flags in mesh.face_flags())
     assert vflags.sum() == 16
     assert fflags.sum() == 16
     mesh3 = build_mesh(3, 2)
-    vflags3, fflags3 = mesh3.boundary_flags()
+    vflags3, fflags3 = (flags.any(axis=0) for flags in mesh3.face_flags())
     assert vflags3.sum() == 27 - 1
     assert fflags3.sum() == 6 * 4
 
@@ -71,11 +73,13 @@ def test_boundary_counts():
 def test_boundary_flags_follow_multi_indices(dim, n, entity_ids):
     mesh = build_mesh(dim, n)
     ids = entity_ids(mesh)
-    vflags, fflags = mesh.boundary_flags()
-    for multi, v in ids.vertex.items():
-        assert vflags[v] == any(m in (0, n) for m in multi)
-    for (axis, multi), f in ids.facet.items():
-        assert fflags[f] == (multi[axis] in (0, n))
+    vflags, fflags = mesh.face_flags()
+    # Faces in the order (axis0 lower, axis0 upper, axis1 lower, ...).
+    for face, (axis, side) in enumerate(itertools.product(range(dim), (0, n))):
+        for multi, v in ids.vertex.items():
+            assert vflags[face, v] == (multi[axis] == side)
+        for (normal, multi), f in ids.facet.items():
+            assert fflags[face, f] == (normal == axis and multi[axis] == side)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
