@@ -22,7 +22,6 @@ import scipy.sparse as sparse
 
 from .element import ReferenceElement, build_reference_element, physical_dof_scaling
 from .mesh import CartesianMesh
-from .operators import DEFAULT_QUAD_ORDER
 from .quadrature import tensor_rule
 
 BC_CLAMPED = "clamped"
@@ -258,16 +257,28 @@ class FemField:
             )
 
     def local_reference_coefficients(self, element: ReferenceElement) -> np.ndarray:
-        """Per-element reference basis coefficients, shape (num_elements, ndof).
+        """Per-element reference basis coefficients, shape (num_elements, ndof);
+        see cell_reference_coefficients."""
+        # The appended zero is what index -1, a constrained DOF, picks up.
+        padded = np.append(self.coeffs, 0.0)
+        return cell_reference_coefficients(padded[self.dofmap.vertex_dof],
+                                           padded[self.dofmap.facet_dof],
+                                           self.dofmap.mesh, element)
 
-        Facet entries absorb the orientation sign and the factor h relating
-        physical to reference normal derivatives.
-        """
-        idx = self.dofmap.cell_dofs
-        vals = np.where(idx >= 0, self.coeffs[np.clip(idx, 0, None)], 0.0)
-        vals = vals * element.orientation
-        vals[:, element.facet_dof_mask] *= self.dofmap.mesh.half_width
-        return vals
+
+def cell_reference_coefficients(vertex_vals, facet_vals, mesh: CartesianMesh,
+                                element: ReferenceElement) -> np.ndarray:
+    """Per-element reference basis coefficients, shape (num_elements, ndof),
+    of a function given by its DOF values on every vertex and facet.
+
+    The layout is the element's DOF order: the vertex values, then the facet
+    values times h (reference normal derivatives), all times the local
+    orientation sign.
+    """
+    coeffs = np.concatenate([vertex_vals[mesh.cell_vertices()],
+                             facet_vals[mesh.cell_facets()] * mesh.half_width], axis=1)
+    coeffs *= element.orientation
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -280,6 +291,8 @@ class GlobalInterpolation:
 
 # Quadrature points per block of cells (or facets): bounds the work arrays.
 BLOCK_POINTS = 4096
+# Gauss points per axis of every rule for analytic integrands.
+QUAD_ORDER = 8
 
 
 def _blocks(start: int, stop: int, points_each: int):
@@ -289,7 +302,7 @@ def _blocks(start: int, stop: int, points_each: int):
         yield slice(first, min(first + step, stop))
 
 
-def entity_values(f, mesh: CartesianMesh, quad_order: int = DEFAULT_QUAD_ORDER):
+def entity_values(f, mesh: CartesianMesh):
     """Every DOF functional of f on every mesh entity, constrained or not.
 
     Returns (vertex values, facet values) in entity id order; a facet value
@@ -300,7 +313,7 @@ def entity_values(f, mesh: CartesianMesh, quad_order: int = DEFAULT_QUAD_ORDER):
 
     axes, multis = mesh.facet_multi_indices()
     midpoints = lower + (multis + 0.5 * (np.arange(mesh.dim) != axes[:, None])) * width
-    base = tensor_rule(mesh.dim - 1, quad_order)
+    base = tensor_rule(mesh.dim - 1, QUAD_ORDER)
     facet_vals = np.empty(mesh.num_facets)
     for axis in range(mesh.dim):
         offsets = np.insert(mesh.half_width * base.points, axis, 0.0, axis=1)
@@ -311,15 +324,14 @@ def entity_values(f, mesh: CartesianMesh, quad_order: int = DEFAULT_QUAD_ORDER):
     return vertex_vals, facet_vals
 
 
-def interpolate_global(f, mesh: CartesianMesh, dofmap: DofMap,
-                       quad_order: int = DEFAULT_QUAD_ORDER) -> GlobalInterpolation:
+def interpolate_global(f, mesh: CartesianMesh, dofmap: DofMap) -> GlobalInterpolation:
     """Fill every free DOF with the matching functional of f.
 
     Constrained DOFs are checked rather than set: the largest magnitude the
     input carries on them is reported so callers can detect boundary
     incompatibility.
     """
-    vals = np.concatenate(entity_values(f, mesh, quad_order))
+    vals = np.concatenate(entity_values(f, mesh))
     dofs = np.concatenate([dofmap.vertex_dof, dofmap.facet_dof])
     free = dofs >= 0
     coeffs = np.empty(dofmap.num_free)
@@ -351,18 +363,17 @@ def _analytic_derivatives(f, order: int, points) -> np.ndarray:
 
 
 def broken_integral(mesh: CartesianMesh, element: ReferenceElement, order: int,
-                    integrand, *functions,
-                    quad_order: int = DEFAULT_QUAD_ORDER) -> float:
+                    integrand, *functions) -> float:
     """Sum over cells and order-th derivatives of integral integrand(d u, d v, ...).
 
     Each function is an analytic object (value/gradient/hessian) or per-cell
     reference coefficients of shape (num_elements, ndof), as returned by
-    FemField.local_reference_coefficients.  integrand receives one array of
+    cell_reference_coefficients.  integrand receives one array of
     shape (cells, points, derivatives) per function, the derivatives in
     derivative_alphas order, and returns an array of the same shape.  Cells
     are processed in blocks of at most BLOCK_POINTS quadrature points.
     """
-    rule = tensor_rule(mesh.dim, quad_order)
+    rule = tensor_rule(mesh.dim, QUAD_ORDER)
     h = mesh.half_width
     alphas = derivative_alphas(mesh.dim, order)
     # (ndof, points * derivatives): one matmul maps cell coefficients to samples.
@@ -379,34 +390,25 @@ def broken_integral(mesh: CartesianMesh, element: ReferenceElement, order: int,
     return total * h ** mesh.dim
 
 
-def broken_energy_inner(a, b, mesh: CartesianMesh, element: ReferenceElement,
-                        quad_order: int = DEFAULT_QUAD_ORDER) -> float:
+def broken_energy_inner(a, b, mesh: CartesianMesh, element: ReferenceElement) -> float:
     """Cellwise integral of the full Hessian contraction of a and b.
 
     Both arguments may be FemField or analytic objects exposing .hessian.
-    Field/field products are evaluated exactly through the reference
-    stiffness matrix; anything analytic goes through Gauss quadrature.
+    A field's Hessian is linear inside each cell, so a field/field product
+    is integrated exactly by the same Gauss rule as everything else.
     """
-    if isinstance(a, FemField) and isinstance(b, FemField):
-        khat, _ = reference_matrices(element)
-        ca = a.local_reference_coefficients(element)
-        cb = b.local_reference_coefficients(element)
-        return mesh.half_width ** (mesh.dim - 4) * float(np.einsum("ei,ij,ej->", ca, khat, cb))
     a, b = (u.local_reference_coefficients(element) if isinstance(u, FemField) else u
             for u in (a, b))
-    return broken_integral(mesh, element, 2, np.multiply, a, b, quad_order=quad_order)
+    return broken_integral(mesh, element, 2, np.multiply, a, b)
 
 
-def l2_norm_analytic(f, mesh: CartesianMesh,
-                     quad_order: int = DEFAULT_QUAD_ORDER) -> float:
+def l2_norm_analytic(f, mesh: CartesianMesh) -> float:
     element = build_reference_element(mesh.dim)
-    return math.sqrt(broken_integral(mesh, element, 0, np.square, f,
-                                     quad_order=quad_order))
+    return math.sqrt(broken_integral(mesh, element, 0, np.square, f))
 
 
 def broken_error_norms(f, field, mesh: CartesianMesh,
-                       element: ReferenceElement, orders=(0, 1, 2),
-                       quad_order: int = DEFAULT_QUAD_ORDER) -> dict:
+                       element: ReferenceElement, orders=(0, 1, 2)) -> dict:
     """Broken seminorm of (f - field) for each requested derivative order.
 
     field is a FemField or per-cell reference coefficients (num_elements, ndof).
@@ -417,8 +419,7 @@ def broken_error_norms(f, field, mesh: CartesianMesh,
     def squared_error(exact, discrete):
         return (exact - discrete) ** 2
 
-    return {l: math.sqrt(broken_integral(mesh, element, l, squared_error, f, field,
-                                         quad_order=quad_order))
+    return {l: math.sqrt(broken_integral(mesh, element, l, squared_error, f, field))
             for l in orders}
 
 
@@ -451,25 +452,10 @@ class IdentityTerms:
     def identity_sum(self) -> float:
         return self.t1 + self.t2 + self.t3 + self.t4
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t1": self.t1,
-            "t2": self.t2,
-            "t3": self.t3,
-            "t4": self.t4,
-            "identity_sum": self.identity_sum,
-            "lam_gap": self.lam_gap,
-            "residual": self.residual,
-            "u_norm": self.u_norm,
-            "uh_norm": self.uh_norm,
-            "constrained_residual": self.constrained_residual,
-        }
-
 
 def eigen_error_identity_terms(lam_exact: float, u, lam_h: float, u_h: FemField,
                                mesh: CartesianMesh, dofmap: DofMap,
                                element: ReferenceElement, A=None, M=None,
-                               quad_order: int = DEFAULT_QUAD_ORDER,
                                normalize: bool = True,
                                admissibility_tol: float = 1e-8) -> IdentityTerms:
     """Evaluate the four-term decomposition of lam_exact - lam_h.
@@ -484,7 +470,7 @@ def eigen_error_identity_terms(lam_exact: float, u, lam_h: float, u_h: FemField,
     if A is None or M is None:
         A, M = assemble(mesh, dofmap, element)
 
-    u_norm = l2_norm_analytic(u, mesh, quad_order)
+    u_norm = l2_norm_analytic(u, mesh)
     if u_norm <= 0:
         raise ValueError("cannot normalize a zero function")
     uh_norm = math.sqrt(float(u_h.coeffs @ (M @ u_h.coeffs)))
@@ -494,7 +480,7 @@ def eigen_error_identity_terms(lam_exact: float, u, lam_h: float, u_h: FemField,
         u = ScaledFunction(u, 1.0 / u_norm)
         u_h = FemField(dofmap, u_h.coeffs / uh_norm)
 
-    interp = interpolate_global(u, mesh, dofmap, quad_order)
+    interp = interpolate_global(u, mesh, dofmap)
     if interp.max_constrained_residual > admissibility_tol:
         raise ValueError(
             "input function is not admissible for this boundary condition "
@@ -503,16 +489,16 @@ def eigen_error_identity_terms(lam_exact: float, u, lam_h: float, u_h: FemField,
     p = interp.field.coeffs
     c = u_h.coeffs
 
-    err = broken_error_norms(u, u_h, mesh, element, orders=(2,), quad_order=quad_order)
+    err = broken_error_norms(u, u_h, mesh, element, orders=(2,))
     t1 = err[2] ** 2
 
     d = p - c
     t2 = -lam_h * float(d @ (M @ d))
 
-    u_sq = l2_norm_analytic(u, mesh, quad_order) ** 2
+    u_sq = l2_norm_analytic(u, mesh) ** 2
     t3 = lam_h * (float(p @ (M @ p)) - u_sq)
 
-    a_mixed = broken_energy_inner(u, u_h, mesh, element, quad_order)
+    a_mixed = broken_energy_inner(u, u_h, mesh, element)
     a_interp = float(p @ (A @ c))
     t4 = 2.0 * (a_mixed - a_interp)
 

@@ -95,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--k", type=int, default=DEFAULT_K)
     rates.add_argument("--richardson", action="store_true",
                        help="allow problems without closed-form eigenvalues by "
-                            "extrapolating a reference from the two finest meshes")
+                            "extrapolating a reference from the two finest meshes "
+                            "(needs three or more)")
     rates.add_argument("--format", choices=("text", "csv", "json"), default="text")
     rates.add_argument("--out", metavar="PATH")
 
@@ -105,9 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("suite", choices=(*SUITES, "all"))
     verify.add_argument("--seed", type=int, default=None,
                         help="seed for the randomized identity suites")
-    verify.add_argument("--quad-order", type=int, default=8,
-                        help="Gauss points per axis of the quadrature rules "
-                             "(only identity37 uses it)")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", metavar="PATH")
 
@@ -444,12 +442,19 @@ def _cmd_rates(args) -> int:
         raise UsageError("rates need at least two distinct cell counts")
     _check_ladder(args.dim, n_values)
 
-    if args.bc == "clamped" and not args.richardson:
-        raise UsageError(
-            "no closed-form eigenvalues for the clamped problem; pass "
-            "--richardson to measure rates against an extrapolated reference"
-        )
-    if args.bc == "simply-supported":
+    if args.bc == "clamped":
+        if not args.richardson:
+            raise UsageError(
+                "no closed-form eigenvalues for the clamped problem; pass "
+                "--richardson to measure rates against an extrapolated reference"
+            )
+        if len(n_values) < 3:
+            raise UsageError(
+                "--richardson needs at least three distinct cell counts: the "
+                "reference comes from the two finest, so their step has no "
+                "measured order"
+            )
+    else:
         exact = exact_eigenvalues(args.dim)
         if args.k > len(exact):
             raise UsageError(
@@ -474,12 +479,16 @@ def _cmd_rates(args) -> int:
 
     entries = []
     for i, seq in enumerate(per_index):
+        rates = observed_rates(list(seq), refs[i], n_values)
+        if ref_kind == "extrapolated":
+            # The extrapolation assumes the last step's order; it is not measured.
+            rates[-1] = None
         entries.append({
             "index": i + 1,
             "reference": refs[i],
             "reference_kind": ref_kind,
             "eigenvalues": list(seq),
-            "rates": observed_rates(list(seq), refs[i], n_values),
+            "rates": rates,
         })
 
     if args.format == "json":
@@ -525,18 +534,13 @@ def _cmd_rates(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .operators import DEFAULT_SEED, SUITES
-    from .quadrature import MAX_POINTS_1D
 
-    if not 1 <= args.quad_order <= MAX_POINTS_1D:
-        raise UsageError(
-            f"--quad-order must be in [1, {MAX_POINTS_1D}], got {args.quad_order}"
-        )
     if args.seed is not None and args.seed < 0:
         raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     seed = DEFAULT_SEED if args.seed is None else args.seed
     wanted = args.suite
     names = SUITES if wanted == "all" else (wanted,)
-    suites = [SUITES[name](seed, args.quad_order) for name in names]
+    suites = [SUITES[name](seed) for name in names]
 
     if args.format == "json":
         payload = {

@@ -45,17 +45,6 @@ class EigenResult:
     def converged(self) -> bool:
         return bool(self.metadata.get("converged", True))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "residuals": [float(r) for r in self.residuals],
-            "method": self.method,
-            "metadata": {
-                k: (bool(v) if isinstance(v, np.bool_) else v)
-                for k, v in self.metadata.items()
-            },
-        }
-
 
 def _as_csr(mat) -> sparse.csr_matrix:
     if sparse.issparse(mat):

@@ -97,12 +97,6 @@ EXACT_MULTIPLIERS = {
     3: (9, 36, 36, 36, 81, 81),
 }
 
-# Sine mode vectors matching the multipliers above, one representative per slot.
-EXACT_MODES = {
-    2: ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (1, 3)),
-    3: ((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (2, 1, 2)),
-}
-
 
 def exact_eigenvalues(dim: int) -> np.ndarray:
     """First six simply supported eigenvalues on the unit box."""
@@ -139,7 +133,8 @@ def richardson_reference(values, n_values, order: float = 2.0) -> float:
 
     Assumes the asymptotic error model lam - lam_h ~ C h^order; used to label
     rates for problems without a closed form, and marked as extrapolated in
-    all outputs.
+    all outputs.  The rate of the last step against this reference is order
+    by construction, so it measures nothing.
     """
     if len(values) < 2:
         raise ValueError("need at least two values to extrapolate")

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from rectmorley.eigensolve import METHOD_SHIFT_INVERT
-from rectmorley.functions import unit_box_eigenfunction
-from rectmorley.operators import (interpolation_convergence_probe,
-                                  run_bubble_suite, run_commuting_suite,
+from rectmorley.operators import (run_bubble_suite, run_commuting_suite,
+                                  run_interpolation_suite,
                                   run_refined_identity_suite)
 from rectmorley.reference import (BENCHMARK_N, BENCHMARK_RATES,
                                   BENCHMARK_VALUES, exact_eigenvalues,
@@ -236,13 +235,13 @@ def test_criterion_11_eigenvalue_error_identity():
 
 
 def test_criterion_12_interpolation_convergence():
-    probe = interpolation_convergence_probe(
-        unit_box_eigenfunction((1, 1)), 2, (4, 8, 16)
-    )
-    ok = abs(probe.orders[0] - 3.0) < 0.3 and abs(probe.orders[2] - 1.0) < 0.3
+    rep = run_interpolation_suite()
+    worst = max(rep.records, key=lambda r: r.abs_diff)
+    ok = rep.passed and len(rep.records) == 18
     report(
         12,
-        "interpolation of the first eigenfunction converges at orders 3 (L2) and 1 (H2)",
+        "interpolation errors of the sine mode, x0^2 x1 and x0^4 converge at "
+        "L2/H1/H2 orders 3/2/1 (4/3/2 for x0^4) in 2D and 3D",
         ok,
-        f"observed orders L2={probe.orders[0]:.3f}, H2={probe.orders[2]:.3f}",
+        f"{len(rep.records)} orders, worst {worst.name}={worst.lhs:.3f}",
     )

@@ -272,6 +272,11 @@ def test_rates_clamped_with_richardson(capsys):
     )
     assert code == 0
     assert "extrapolated" in out
+    # The reference comes from n=8 and 16, so the 8->16 order is assumed,
+    # not measured, and prints as undefined; the 4->8 order is measured.
+    first, last = out.splitlines()[-1].split()[-2:]
+    assert last == "---"
+    assert float(first) > 0.0
 
 
 def test_rates_need_two_meshes(capsys):
@@ -293,14 +298,18 @@ def test_rates_k_beyond_closed_form_values_is_a_usage_error(capsys):
     ["table", "1", "--n", "0"],
     ["rates", "--n", "0", "--n", "4"],
     ["rates", "--dim", "3", "--n", "8", "--n", "32"],
-    ["verify", "identity37", "--quad-order", "0"],
-    ["verify", "lemma2d", "--quad-order", "0"],
-    ["verify", "bubbles", "--quad-order", "17"],
+    ["verify", "lemma2d", "--quad-order", "8"],
+    ["rates", "--bc", "clamped", "--richardson", "--n", "4", "--n", "8", "--n", "4"],
+    ["solve", "--dim", "3", "--n", "17"],
 ])
 def test_bad_sizes_and_orders_are_usage_errors(argv, capsys):
-    code, _, err = run_cli(argv, capsys)
+    # An unknown option fails in the parser, which exits instead of returning.
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     assert code == 3
-    assert "error" in err
+    assert "error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +366,35 @@ def test_verify_commuting(capsys):
     code, out, _ = run_cli(["verify", "commuting"], capsys)
     assert code == 0
     assert "overall: PASS" in out
+
+
+def test_verify_interpolation_reports_every_probed_order(capsys):
+    from rectmorley.functions import PolynomialFunction, unit_box_eigenfunction
+    from rectmorley.operators import interpolation_convergence_probe
+    from rectmorley.polynomial import Polynomial
+
+    code, out, _ = run_cli(["verify", "interpolation"], capsys)
+    assert code == 0
+    assert out.count("[PASS]") == 18
+    assert "overall: PASS" in out
+
+    code, out, _ = run_cli(["verify", "interpolation", "--format", "json"], capsys)
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    checks = report["checks"]
+    assert len(checks) == 18 and all(c["passed"] for c in checks)
+    expected = []
+    for dim, ladder in ((2, (4, 8, 16)), (3, (2, 4, 8))):
+        cubic = (2, 1) + (0,) * (dim - 2)
+        quartic = (4,) + (0,) * (dim - 1)
+        for f in (unit_box_eigenfunction((1,) * dim),
+                  PolynomialFunction(Polynomial.monomial(dim, cubic)),
+                  PolynomialFunction(Polynomial.monomial(dim, quartic))):
+            orders = interpolation_convergence_probe(f, dim, ladder).orders
+            expected += [orders[l] for l in (0, 1, 2)]
+    assert [c["lhs"] for c in checks] == expected
+    assert [c["rhs"] for c in checks] == [3, 2, 1, 3, 2, 1, 4, 3, 2] * 2
+    assert {c["tol"] for c in checks} == {0.3}
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +503,16 @@ def test_threads_env_caps_the_blas_pool_of_a_fresh_process():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split()[-2:] == ["0", "1"]
+
+
+def test_importing_assembly_does_not_load_the_verification_module():
+    script = ("import sys\n"
+              "import rectmorley.assembly\n"
+              "print('rectmorley.operators' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_repeated_runs_are_identical(capsys):

@@ -305,14 +305,3 @@ def test_solve_smallest_rejects_unknown_method(ref2):
     with pytest.raises(ValueError, match="method"):
         solve_smallest(a_mat, m_mat, 1, method="subspace")
 
-
-def test_result_json_payload(ref2):
-    a_mat, m_mat = assembled(2, 3, BC_CLAMPED, ref2)
-    result = solve_smallest(a_mat, m_mat, 2)
-    payload = result.to_json_dict()
-    import json
-
-    json.dumps(payload)
-    assert len(payload["eigenvalues"]) == 2
-    assert payload["method"] == METHOD_SHIFT_INVERT
-    assert "eigenvectors" not in payload
