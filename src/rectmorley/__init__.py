@@ -20,8 +20,8 @@ _EXPORTS = {
     "element": ("ReferenceElement", "build_reference_element", "physical_dof_scaling"),
     "eigensolve": ("EigenResult", "residual_report", "smallest_k_dense",
                    "smallest_k_shift_invert", "solve_smallest"),
-    "functions": ("PolynomialFunction", "ScaledFunction", "SineProduct",
-                  "sine_eigenvalue", "unit_box_eigenfunction"),
+    "functions": ("ScaledFunction", "SineProduct", "sine_eigenvalue",
+                  "unit_box_eigenfunction"),
     "mesh": ("CartesianMesh", "build_mesh"),
     "operators": ("BubbleSet", "build_bubbles", "bubble_expansion",
                   "canonical_interpolate", "commuting_discrepancy",

@@ -21,6 +21,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .element import ReferenceElement, build_reference_element, physical_dof_scaling
+from .functions import ScaledFunction
 from .mesh import CartesianMesh
 from .quadrature import tensor_rule
 
@@ -309,7 +310,8 @@ def entity_values(f, mesh: CartesianMesh):
     is the mean derivative of f along the global (positive-axis) normal.
     """
     lower, width = np.asarray(mesh.lower), mesh.cell_width
-    vertex_vals = f.value(lower + mesh.vertex_multi_indices() * width)
+    vertex_vals = f.derivatives(derivative_alphas(mesh.dim, 0),
+                                lower + mesh.vertex_multi_indices() * width)[:, 0]
 
     axes, multis = mesh.facet_multi_indices()
     midpoints = lower + (multis + 0.5 * (np.arange(mesh.dim) != axes[:, None])) * width
@@ -317,9 +319,10 @@ def entity_values(f, mesh: CartesianMesh):
     facet_vals = np.empty(mesh.num_facets)
     for axis in range(mesh.dim):
         offsets = np.insert(mesh.half_width * base.points, axis, 0.0, axis=1)
+        normal = derivative_alphas(mesh.dim, 1)[axis:axis + 1]
         first = axis * mesh.facets_per_axis
         for block in _blocks(first, first + mesh.facets_per_axis, base.num_points):
-            comp = f.gradient(midpoints[block, None, :] + offsets)[..., axis]
+            comp = f.derivatives(normal, midpoints[block, None, :] + offsets)[..., 0]
             facet_vals[block] = comp @ base.weights / 2.0 ** (mesh.dim - 1)
     return vertex_vals, facet_vals
 
@@ -346,27 +349,19 @@ def interpolate_global(f, mesh: CartesianMesh, dofmap: DofMap) -> GlobalInterpol
 
 def derivative_alphas(dim: int, order: int) -> list:
     """Multi-indices of all order-th partial derivatives (order 0, 1 or 2), in
-    the layout of value, gradient[a] and hessian[a, b] (a-major; mixed
-    derivatives appear twice, as in the full Hessian contraction)."""
+    the layout of the value, the gradient and the flattened Hessian (a-major;
+    mixed derivatives appear twice, as in the full Hessian contraction)."""
     if order not in (0, 1, 2):
         raise ValueError("seminorm orders must be in {0, 1, 2}")
     return [tuple(pair.count(x) for x in range(dim))
             for pair in itertools.product(range(dim), repeat=order)]
 
 
-def _analytic_derivatives(f, order: int, points) -> np.ndarray:
-    if order == 0:
-        return f.value(points)[..., None]
-    if order == 1:
-        return f.gradient(points)
-    return f.hessian(points).reshape(points.shape[:-1] + (-1,))
-
-
 def broken_integral(mesh: CartesianMesh, element: ReferenceElement, order: int,
                     integrand, *functions) -> float:
     """Sum over cells and order-th derivatives of integral integrand(d u, d v, ...).
 
-    Each function is an analytic object (value/gradient/hessian) or per-cell
+    Each function is an analytic input (answering derivatives(alphas, x)) or per-cell
     reference coefficients of shape (num_elements, ndof), as returned by
     cell_reference_coefficients.  integrand receives one array of
     shape (cells, points, derivatives) per function, the derivatives in
@@ -385,7 +380,7 @@ def broken_integral(mesh: CartesianMesh, element: ReferenceElement, order: int,
     for cells in _blocks(0, mesh.num_elements, rule.num_points):
         points = centers[cells, None, :] + h * rule.points
         samples = [(u[cells] @ table).reshape(-1, *sample_shape) if isinstance(u, np.ndarray)
-                   else _analytic_derivatives(u, order, points) for u in functions]
+                   else u.derivatives(alphas, points) for u in functions]
         total += float((rule.weights @ integrand(*samples)).sum())
     return total * h ** mesh.dim
 
@@ -393,7 +388,7 @@ def broken_integral(mesh: CartesianMesh, element: ReferenceElement, order: int,
 def broken_energy_inner(a, b, mesh: CartesianMesh, element: ReferenceElement) -> float:
     """Cellwise integral of the full Hessian contraction of a and b.
 
-    Both arguments may be FemField or analytic objects exposing .hessian.
+    Both arguments may be FemField or analytic inputs.
     A field's Hessian is linear inside each cell, so a field/field product
     is integrated exactly by the same Gauss rule as everything else.
     """
@@ -465,8 +460,6 @@ def eigen_error_identity_terms(lam_exact: float, u, lam_h: float, u_h: FemField,
     the residual reports what quadrature and solver precision leave behind.
     The input u must be admissible: its constrained DOFs have to vanish.
     """
-    from .functions import ScaledFunction
-
     if A is None or M is None:
         A, M = assemble(mesh, dofmap, element)
 

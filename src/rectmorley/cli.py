@@ -6,7 +6,8 @@ reference.STORED_REL_TOL), 3 bad arguments.  The only environment variable
 honored is RECTMORLEY_THREADS, which caps the BLAS/OpenMP thread pools
 before the numeric stack loads: this module and the package import no
 numpy until main() has set the caps.  Output is deterministic for fixed
-inputs.
+inputs.  A reader that closes stdout early (`| head`) gets no traceback: the
+rest of the output is dropped and the exit code is the command's own.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ EXIT_BAD_ARGS = 3
 THREADS_ENV = "RECTMORLEY_THREADS"
 
 DEFAULT_K = 6
+
+# The keys of operators.SUITES for `verify --help`, so that the parser does
+# not import the verification module; `verify` checks the name it is given.
+SUITE_NAMES = ("bubbles", "lemma2d", "lemma3d", "commuting", "identity37", "interpolation")
 
 
 class UsageError(Exception):
@@ -94,16 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
                        default="simply-supported")
     rates.add_argument("--k", type=int, default=DEFAULT_K)
     rates.add_argument("--richardson", action="store_true",
-                       help="allow problems without closed-form eigenvalues by "
-                            "extrapolating a reference from the two finest meshes "
-                            "(needs three or more)")
+                       help="clamped only: measure against a reference "
+                            "extrapolated from the two finest meshes (needs three "
+                            "or more)")
     rates.add_argument("--format", choices=("text", "csv", "json"), default="text")
     rates.add_argument("--out", metavar="PATH")
 
-    from .operators import SUITES
-
     verify = sub.add_parser("verify", help="run structural verification suites")
-    verify.add_argument("suite", choices=(*SUITES, "all"))
+    verify.add_argument("suite", help=f"one of {', '.join(SUITE_NAMES)}, or all")
     verify.add_argument("--seed", type=int, default=None,
                         help="seed for the randomized identity suites")
     verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -275,8 +278,14 @@ def _emit(text: str, out_path):
         except OSError as exc:
             raise UsageError(f"cannot write --out {out_path}: {exc.strerror}") from None
         print(f"wrote {out_path}")
-    else:
+        return
+    try:
         print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`| head`): send the rest, and the flush
+        # at exit, to the null device and keep the command's exit code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _json_dumps(payload) -> str:
@@ -442,12 +451,12 @@ def _cmd_rates(args) -> int:
         raise UsageError("rates need at least two distinct cell counts")
     _check_ladder(args.dim, n_values)
 
+    if args.richardson != (args.bc == "clamped"):
+        raise UsageError(
+            "--richardson is required for clamped rates, which have no closed-form "
+            "eigenvalues, and refused for simply supported ones, which use them"
+        )
     if args.bc == "clamped":
-        if not args.richardson:
-            raise UsageError(
-                "no closed-form eigenvalues for the clamped problem; pass "
-                "--richardson to measure rates against an extrapolated reference"
-            )
         if len(n_values) < 3:
             raise UsageError(
                 "--richardson needs at least three distinct cell counts: the "
@@ -539,6 +548,8 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     seed = DEFAULT_SEED if args.seed is None else args.seed
     wanted = args.suite
+    if wanted != "all" and wanted not in SUITES:
+        raise UsageError(f"unknown suite {wanted!r}; choose from {', '.join(SUITES)}, or all")
     names = SUITES if wanted == "all" else (wanted,)
     suites = [SUITES[name](seed) for name in names]
 

@@ -1,8 +1,8 @@
 """Smooth closed-form functions with analytic derivatives up to second order.
 
-These drive interpolation studies and eigenvalue error identities.  Every
-function object exposes value / gradient / hessian, vectorized over leading
-point axes.
+These drive interpolation studies and eigenvalue error identities.  Like
+Polynomial, each answers derivatives(alphas, x): the partial derivative for
+each multi-index in alphas at the points x (..., dim), on a new last axis.
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .polynomial import Polynomial
 
 
 @dataclass(frozen=True)
@@ -29,43 +27,15 @@ class SineProduct:
     def dim(self) -> int:
         return len(self.modes)
 
-    def _trig(self, x):
-        pts = np.asarray(x, dtype=float)
+    def derivatives(self, alphas, x):
         freq = np.pi * np.asarray(self.modes, dtype=float)
-        arg = pts * freq
-        return np.sin(arg), np.cos(arg), freq
-
-    def value(self, x):
-        s, _, _ = self._trig(x)
-        return self.amplitude * np.prod(s, axis=-1)
-
-    def gradient(self, x):
-        s, c, freq = self._trig(x)
-        # One sine factor swapped for its derivative per component; the
-        # product over the remaining axes is rebuilt to stay safe at zeros.
-        out = np.empty_like(s)
-        for a in range(self.dim):
-            rest = np.prod(np.delete(s, a, axis=-1), axis=-1)
-            out[..., a] = freq[a] * c[..., a] * rest
-        return self.amplitude * out
-
-    def hessian(self, x):
-        s, c, freq = self._trig(x)
-        shape = s.shape[:-1] + (self.dim, self.dim)
-        out = np.empty(shape)
-        for a in range(self.dim):
-            for b in range(self.dim):
-                factors = []
-                for axis in range(self.dim):
-                    order = (axis == a) + (axis == b)
-                    if order == 0:
-                        factors.append(s[..., axis])
-                    elif order == 1:
-                        factors.append(freq[axis] * c[..., axis])
-                    else:
-                        factors.append(-(freq[axis] ** 2) * s[..., axis])
-                out[..., a, b] = np.prod(np.stack(factors, axis=-1), axis=-1)
-        return self.amplitude * out
+        arg = np.asarray(x, dtype=float) * freq
+        s = np.sin(arg)
+        # d^k/dx^k of sin(freq x) for k = 0, 1, 2, one column per axis.
+        factors = (s, freq * np.cos(arg), -(freq ** 2) * s)
+        return np.stack([self.amplitude * np.prod(
+            [factors[k][..., axis] for axis, k in enumerate(alpha)], axis=0)
+            for alpha in alphas], axis=-1)
 
 
 def unit_box_eigenfunction(modes) -> SineProduct:
@@ -80,41 +50,6 @@ def sine_eigenvalue(modes) -> float:
 
 
 @dataclass(frozen=True)
-class PolynomialFunction:
-    """Polynomial in physical coordinates wrapped with analytic derivatives."""
-
-    poly: Polynomial
-
-    @property
-    def dim(self) -> int:
-        return self.poly.dim
-
-    def value(self, x):
-        pts = np.asarray(x, dtype=float)
-        vals = self.poly(pts.reshape(-1, self.dim))
-        return np.asarray(vals).reshape(pts.shape[:-1])
-
-    def gradient(self, x):
-        pts = np.asarray(x, dtype=float)
-        flat = pts.reshape(-1, self.dim)
-        out = np.empty(flat.shape)
-        for a in range(self.dim):
-            out[:, a] = self.poly.diff(a)(flat)
-        return out.reshape(pts.shape)
-
-    def hessian(self, x):
-        pts = np.asarray(x, dtype=float)
-        flat = pts.reshape(-1, self.dim)
-        out = np.empty((flat.shape[0], self.dim, self.dim))
-        for a in range(self.dim):
-            for b in range(a, self.dim):
-                vals = self.poly.diff(a).diff(b)(flat)
-                out[:, a, b] = vals
-                out[:, b, a] = vals
-        return out.reshape(pts.shape[:-1] + (self.dim, self.dim))
-
-
-@dataclass(frozen=True)
 class ScaledFunction:
     """base function times a constant factor."""
 
@@ -125,11 +60,5 @@ class ScaledFunction:
     def dim(self) -> int:
         return self.base.dim
 
-    def value(self, x):
-        return self.factor * self.base.value(x)
-
-    def gradient(self, x):
-        return self.factor * self.base.gradient(x)
-
-    def hessian(self, x):
-        return self.factor * self.base.hessian(x)
+    def derivatives(self, alphas, x):
+        return self.factor * self.base.derivatives(alphas, x)

@@ -581,10 +581,10 @@ def _interpolation_inputs(dim: int):
     quartic x0^4 has no mixed third derivatives and gains one order in
     every norm.
     """
-    from .functions import PolynomialFunction, unit_box_eigenfunction
+    from .functions import unit_box_eigenfunction
 
     def monomial(*exps):
-        return PolynomialFunction(Polynomial.monomial(dim, exps + (0,) * (dim - len(exps))))
+        return Polynomial.monomial(dim, exps + (0,) * (dim - len(exps)))
 
     return (("sine", unit_box_eigenfunction((1,) * dim), (3.0, 2.0, 1.0)),
             ("mixed-cubic", monomial(2, 1), (3.0, 2.0, 1.0)),

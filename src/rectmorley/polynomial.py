@@ -171,7 +171,7 @@ class Polynomial:
     # -- evaluation and integration -----------------------------------------
 
     def __call__(self, x):
-        """Evaluate at one point (shape (dim,)) or many (shape (npts, dim))."""
+        """Evaluate at one point (shape (dim,)) or many (shape (..., dim))."""
         pts = np.asarray(x, dtype=float)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points must have {self.dim} coordinates")
@@ -185,14 +185,21 @@ class Polynomial:
                         term = term * xa ** e
                 total += term
             return total
-        vals = np.zeros(pts.shape[0])
+        vals = np.zeros(pts.shape[:-1])
         for exps, coeff in self.terms.items():
-            term = np.full(pts.shape[0], coeff)
+            term = np.full(pts.shape[:-1], coeff)
             for axis, e in enumerate(exps):
                 if e:
-                    term = term * pts[:, axis] ** e
+                    term = term * pts[..., axis] ** e
             vals += term
         return vals
+
+    def derivatives(self, alphas, x):
+        """Mixed partial for each multi-index in alphas at the points x (..., dim),
+        on a new last axis; each distinct multi-index is differentiated once."""
+        alphas = [tuple(alpha) for alpha in alphas]
+        columns = {alpha: self.diff_multi(alpha)(x) for alpha in dict.fromkeys(alphas)}
+        return np.stack([columns[alpha] for alpha in alphas], axis=-1)
 
     def integrate_box(self) -> float:
         """Exact integral over [-1, 1]^dim."""

@@ -14,8 +14,7 @@ from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, PARITY_EVEN,
                                  reference_matrices)
 from rectmorley.eigensolve import smallest_k_dense
 from rectmorley.element import physical_dof_scaling
-from rectmorley.functions import (PolynomialFunction, sine_eigenvalue,
-                                  unit_box_eigenfunction)
+from rectmorley.functions import sine_eigenvalue, unit_box_eigenfunction
 from rectmorley.mesh import build_mesh
 from rectmorley.operators import canonical_interpolate
 from rectmorley.polynomial import Polynomial
@@ -276,8 +275,7 @@ def test_interpolated_quadratic_is_recovered_pointwise(ref2, entity_ids):
     mesh = build_mesh(2, 4)
     dofmap = build_dof_map(mesh, BC_SIMPLY_SUPPORTED)
     poly = Polynomial(2, {(2, 0): 1.0, (1, 1): 0.5, (0, 1): -1.0, (0, 0): 0.3})
-    f = PolynomialFunction(poly)
-    interp = interpolate_global(f, mesh, dofmap)
+    interp = interpolate_global(poly, mesh, dofmap)
     # Element (1, 1) touches only free entities, so the field restricted to it
     # is the exact local interpolant ... and quadratics interpolate exactly.
     e = 1 + 1 * 4
@@ -294,12 +292,12 @@ def test_interpolated_quadratic_is_recovered_pointwise(ref2, entity_ids):
 def cubic_with_boundary_values(dim):
     # Nonzero values and normal derivatives on the boundary, so constrained
     # DOFs carry data under both boundary conditions.
-    return PolynomialFunction(Polynomial(dim, {
+    return Polynomial(dim, {
         (3,) + (0,) * (dim - 1): 1.0,
         (1, 1) + (0,) * (dim - 2): 0.5,
         (0, 2) + (0,) * (dim - 2): -1.0,
         (0,) * dim: 0.25,
-    }))
+    })
 
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
@@ -314,7 +312,7 @@ def test_interpolate_global_matches_entity_definitions(dim, n, bc, entity_ids):
     h = mesh.half_width
     constrained = []
     for multi, vid in ids.vertex.items():
-        val = float(f.value(ids.point(multi)))
+        val = float(f(ids.point(multi)))
         gid = dofmap.vertex_dof[vid]
         if gid >= 0:
             assert interp.field.coeffs[gid] == pytest.approx(val, rel=1e-12, abs=1e-14)
@@ -324,7 +322,7 @@ def test_interpolate_global_matches_entity_definitions(dim, n, bc, entity_ids):
         center = ids.facet_midpoint(axis, multi)
         phys = np.repeat(center[None, :], base.num_points, axis=0)
         phys[:, [a for a in range(dim) if a != axis]] += h * base.points
-        val = f.gradient(phys)[:, axis] @ base.weights / 2.0 ** (dim - 1)
+        val = f.diff(axis)(phys) @ base.weights / 2.0 ** (dim - 1)
         gid = dofmap.facet_dof[fid]
         if gid >= 0:
             assert interp.field.coeffs[gid] == pytest.approx(val, rel=1e-12, abs=1e-14)
@@ -348,9 +346,7 @@ def test_clamped_compatible_bubble_function_is_admissible():
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
     bubble = (x * (1.0 - x) * y * (1.0 - y)) ** 2
-    interp = interpolate_global(
-        PolynomialFunction(bubble), mesh, build_dof_map(mesh, BC_CLAMPED)
-    )
+    interp = interpolate_global(bubble, mesh, build_dof_map(mesh, BC_CLAMPED))
     assert interp.max_constrained_residual < 1e-13
 
 
@@ -419,21 +415,17 @@ def cellwise_integral(ids, element, order, pointwise, u, v, quad_order=8):
     for e in range(mesh.num_elements):
         phys = ids.center(e) + h * rule.points
         for axes in itertools.product(range(mesh.dim), repeat=order):
+            alpha = [0] * mesh.dim
+            for a in axes:
+                alpha[a] += 1
             samples = []
             for w in (u, v):
                 if isinstance(w, FemField):
-                    alpha = [0] * mesh.dim
-                    for a in axes:
-                        alpha[a] += 1
                     local = w.local_reference_coefficients(element)[e]
                     samples.append(element.eval_basis(alpha, rule.points) @ local
                                    / h ** order)
-                elif order == 0:
-                    samples.append(w.value(phys))
-                elif order == 1:
-                    samples.append(w.gradient(phys)[:, axes[0]])
                 else:
-                    samples.append(w.hessian(phys)[:, axes[0], axes[1]])
+                    samples.append(w.derivatives([alpha], phys)[:, 0])
             total += pointwise(*samples) @ rule.weights * h ** mesh.dim
     return total
 

@@ -279,6 +279,17 @@ def test_rates_clamped_with_richardson(capsys):
     assert float(first) > 0.0
 
 
+def test_rates_simply_supported_rejects_richardson(capsys):
+    code, out, err = run_cli(
+        ["rates", "--bc", "simply-supported", "--richardson", "--n", "4", "--n", "8",
+         "--n", "12"], capsys
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("rectmorley: error:") and "--richardson" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_rates_need_two_meshes(capsys):
     code, _, err = run_cli(["rates", "--n", "4"], capsys)
     assert code == 3
@@ -315,6 +326,23 @@ def test_bad_sizes_and_orders_are_usage_errors(argv, capsys):
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
+
+def test_verify_help_names_every_suite(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["verify", "--help"])
+    assert excinfo.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert cli.SUITE_NAMES == tuple(SUITES)
+    assert f"one of {', '.join(SUITES)}, or all" in out
+
+
+def test_unknown_suite_is_a_usage_error(capsys):
+    code, out, err = run_cli(["verify", "lemma4d"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("rectmorley: error:") and "lemma4d" in err
+    assert len(err.strip().splitlines()) == 1
+
 
 def test_verify_bubbles_json(capsys):
     code, out, _ = run_cli(["verify", "bubbles", "--format", "json"], capsys)
@@ -369,7 +397,7 @@ def test_verify_commuting(capsys):
 
 
 def test_verify_interpolation_reports_every_probed_order(capsys):
-    from rectmorley.functions import PolynomialFunction, unit_box_eigenfunction
+    from rectmorley.functions import unit_box_eigenfunction
     from rectmorley.operators import interpolation_convergence_probe
     from rectmorley.polynomial import Polynomial
 
@@ -388,8 +416,7 @@ def test_verify_interpolation_reports_every_probed_order(capsys):
         cubic = (2, 1) + (0,) * (dim - 2)
         quartic = (4,) + (0,) * (dim - 1)
         for f in (unit_box_eigenfunction((1,) * dim),
-                  PolynomialFunction(Polynomial.monomial(dim, cubic)),
-                  PolynomialFunction(Polynomial.monomial(dim, quartic))):
+                  Polynomial.monomial(dim, cubic), Polynomial.monomial(dim, quartic)):
             orders = interpolation_convergence_probe(f, dim, ladder).orders
             expected += [orders[l] for l in (0, 1, 2)]
     assert [c["lhs"] for c in checks] == expected
@@ -513,6 +540,31 @@ def test_importing_assembly_does_not_load_the_verification_module():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_solve_does_not_load_the_verification_module():
+    script = ("import sys\n"
+              "from rectmorley.cli import main\n"
+              "code = main(['solve', '--n', '2', '--k', '1'])\n"
+              "print(code, 'rectmorley.operators' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_closed_pipe_ends_without_a_traceback():
+    # 200 small solves print more than a pipe buffer holds, so the writer is
+    # still writing when the reader closes the pipe after the first line.
+    args = [sys.executable, "-m", "rectmorley", "solve", "--k", "1",
+            "--format", "json", *(["--n", "2"] * 200)]
+    proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=child_env())
+    assert proc.stdout.readline().strip() == b"{"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert err == b""
 
 
 def test_repeated_runs_are_identical(capsys):

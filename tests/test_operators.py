@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rectmorley.assembly import entity_values
 from rectmorley.element import build_reference_element
-from rectmorley.functions import PolynomialFunction, unit_box_eigenfunction
+from rectmorley.functions import SineProduct, unit_box_eigenfunction
 from rectmorley.mesh import build_mesh
 from rectmorley.operators import (VerificationReport, build_bubbles,
                                   bubble_expansion, canonical_interpolate,
@@ -105,7 +105,7 @@ def test_analytic_and_exact_paths_agree(ref2, ref3):
         dim = element.dim
         mesh = build_mesh(dim, 1, domain=((-1.0,) * dim, (1.0,) * dim))
         assert mesh.half_width == 1.0
-        vertex_vals, facet_vals = entity_values(PolynomialFunction(poly), mesh)
+        vertex_vals, facet_vals = entity_values(poly, mesh)
         gathered = np.concatenate([vertex_vals[mesh.cell_vertices()[0]],
                                    facet_vals[mesh.cell_facets()[0]]])
         exact = canonical_interpolate(element, poly).coefficients
@@ -113,7 +113,7 @@ def test_analytic_and_exact_paths_agree(ref2, ref3):
 
 
 def test_interpolation_rejects_non_polynomial_input(ref2, ref3):
-    f = PolynomialFunction(Polynomial.monomial(2, (2, 0)))
+    f = SineProduct((1, 1))
     with pytest.raises(ValueError, match="interpolate_global"):
         canonical_interpolate(ref2, f)
     with pytest.raises(ValueError):
@@ -359,7 +359,7 @@ def test_probe_superconverges_on_pure_quartic():
     # x^4 has no mixed third derivatives, so the h^3 bubble terms drop out and
     # the per-cell error is exactly h^4 psi; each seminorm gains one extra
     # order over the generic bound 3 - l.
-    f = PolynomialFunction(Polynomial.monomial(2, (4, 0)))
+    f = Polynomial.monomial(2, (4, 0))
     probe = interpolation_convergence_probe(f, 2, (2, 4, 8))
     for l in (0, 1, 2):
         assert probe.orders[l] > 3.0 - l - 0.1  # generic bound
@@ -368,30 +368,28 @@ def test_probe_superconverges_on_pure_quartic():
 
 def test_probe_is_sharp_on_mixed_cubic():
     # x^2 y has a constant mixed third derivative, activating the h^3 term.
-    f = PolynomialFunction(Polynomial.monomial(2, (2, 1)))
+    f = Polynomial.monomial(2, (2, 1))
     probe = interpolation_convergence_probe(f, 2, (2, 4, 8))
     for l in (0, 1, 2):
         assert abs(probe.orders[l] - (3.0 - l)) < 0.1
 
 
 def test_probe_reproduces_shape_space_functions_to_rounding():
-    f = PolynomialFunction(
-        Polynomial(2, {(2, 0): 1.0, (1, 1): -0.5, (0, 1): 2.0, (0, 0): 0.25})
-    )
+    f = Polynomial(2, {(2, 0): 1.0, (1, 1): -0.5, (0, 1): 2.0, (0, 0): 0.25})
     probe = interpolation_convergence_probe(f, 2, (2, 4))
     for l in (0, 1, 2):
         assert np.all(probe.errors[l] < 1e-12)
 
 
 def test_probe_3d_machinery():
-    f = PolynomialFunction(Polynomial.monomial(3, (2, 1, 0)))
+    f = Polynomial.monomial(3, (2, 1, 0))
     probe = interpolation_convergence_probe(f, 3, (2, 4), orders=(0, 2))
     assert abs(probe.orders[0] - 3.0) < 0.2
     assert abs(probe.orders[2] - 1.0) < 0.2
 
 
 def test_probe_rejects_bad_orders():
-    f = PolynomialFunction(Polynomial.monomial(2, (4, 0)))
+    f = Polynomial.monomial(2, (4, 0))
     with pytest.raises(ValueError):
         interpolation_convergence_probe(f, 2, (2, 4), orders=(0, 3))
 
