@@ -422,6 +422,10 @@ def broken_error_norms(f, field, mesh: CartesianMesh,
 # eigenvalue error identity
 # ---------------------------------------------------------------------------
 
+# Largest constrained-DOF value of the interpolant of an admissible input.
+ADMISSIBILITY_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class IdentityTerms:
     """Exact decomposition of the eigenvalue gap into four computable terms.
@@ -451,14 +455,14 @@ class IdentityTerms:
 def eigen_error_identity_terms(lam_exact: float, u, lam_h: float, u_h: FemField,
                                mesh: CartesianMesh, dofmap: DofMap,
                                element: ReferenceElement, A=None, M=None,
-                               normalize: bool = True,
-                               admissibility_tol: float = 1e-8) -> IdentityTerms:
+                               normalize: bool = True) -> IdentityTerms:
     """Evaluate the four-term decomposition of lam_exact - lam_h.
 
     The identity is algebraically exact for a continuous eigenpair (lam, u)
     with ||u|| = 1 and a discrete eigenpair (lam_h, u_h) with unit mass norm;
     the residual reports what quadrature and solver precision leave behind.
-    The input u must be admissible: its constrained DOFs have to vanish.
+    The input u must be admissible: its constrained DOFs have to vanish, to
+    within ADMISSIBILITY_TOL.
     """
     if A is None or M is None:
         A, M = assemble(mesh, dofmap, element)
@@ -474,7 +478,7 @@ def eigen_error_identity_terms(lam_exact: float, u, lam_h: float, u_h: FemField,
         u_h = FemField(dofmap, u_h.coeffs / uh_norm)
 
     interp = interpolate_global(u, mesh, dofmap)
-    if interp.max_constrained_residual > admissibility_tol:
+    if interp.max_constrained_residual > ADMISSIBILITY_TOL:
         raise ValueError(
             "input function is not admissible for this boundary condition "
             f"(constrained-DOF residual {interp.max_constrained_residual:.3e})"

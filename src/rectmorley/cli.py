@@ -120,9 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 # Problems with fewer free DOFs than this are solved as one block: below it,
-# setting up the half-box blocks costs more than their smaller factors save
-# (CHANGES.md records the measured crossover).
-SPLIT_MIN_ORDER = 1600
+# setting up the half-box blocks costs more than their smaller factors save.
+# Measured split/one-block time (min of 7, 2 threads, clamped/simply
+# supported): 2D n=20 (1121/1201 DOFs) 1.04-1.06, n=22 (1365/1453)
+# 0.84-0.95, n=24..32 0.70-0.98; 3D n=4 (171/267) 1.01-1.14, n=6 (665/881)
+# 0.59-0.64.  One constant cannot serve both crossovers: 3D n=6 stays one
+# block because splitting 2D n=16 (705/769) costs 1.17-1.49.
+SPLIT_MIN_ORDER = 1300
 
 
 @dataclass
@@ -158,7 +162,8 @@ class Solution:
 
 def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
                   solver: str = "auto") -> Solution:
-    """Assemble and solve one configuration.
+    """Assemble and solve one configuration, with a certificate that no
+    eigenvalue below the k-th was skipped.
 
     Each mid-plane reflection x_a -> 1 - x_a commutes with the pencil, so for
     even n the problem splits into 2^dim parity blocks.  Each block is the
@@ -166,22 +171,34 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     the outer faces and an even (facets) or odd (vertices) condition on the
     mid-plane faces.  An axis permutation maps one block onto another with
     as many odd axes, so one representative per count j of odd axes is
-    solved, for min(k, its order) eigenpairs, and its eigenvalues count
-    C(dim, j) times.  Odd n, and problems with fewer than SPLIT_MIN_ORDER
-    free DOFs, are solved as one block on the full box.  The k smallest of
-    the merged eigenvalues are returned in ascending order (a stable sort);
-    no full-space eigenvectors are assembled.  metadata["order"] is the
-    free-DOF count of the full problem, converged holds only if every block
-    converged, and the work counters sum over the blocks solved, which
-    metadata["blocks"] lists.
+    solved, and its eigenvalues count C(dim, j) times.  Odd n, and problems
+    with fewer than SPLIT_MIN_ORDER free DOFs, are solved as one block on
+    the full box.
+
+    The blocks are sliced at tau = (k-th merged eigenvalue) (1 + REL_GAP).
+    The first block is solved for min(k, its order) eigenpairs.  Each later
+    block is counted at the running tau of the blocks before it (inf while
+    they hold fewer than k values) and solved for exactly every eigenpair
+    below it; a block that owes none is not factored.  Last, the first block
+    is counted at the final tau and completed if it falls short.  Every
+    block then holds every eigenvalue below the final tau, and
+    metadata["k_closed"] counts them with multiplicity: above k when k cuts
+    a cluster.
+
+    The k smallest of the merged eigenvalues are returned in ascending order
+    (a stable sort); no full-space eigenvectors are assembled.
+    metadata["order"] is the free-DOF count of the full problem, converged
+    holds only if every block converged and passed its count, and the work
+    counters sum over the blocks, which metadata["blocks"] lists.
     """
     import itertools
+    from collections import Counter
 
     import numpy as np
 
+    from . import eigensolve
     from .assembly import (PARITY_EVEN, PARITY_ODD, assemble, build_dof_map,
                            free_dof_count)
-    from .eigensolve import solve_smallest
     from .element import build_reference_element
     from .mesh import build_mesh
 
@@ -200,6 +217,20 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     # shift; simply supported runs shift below the spectrum instead.
     sigma = 0.0 if bc == "clamped" else -1.0
 
+    def block_of(parity):
+        """The solved representative of parity's class: its odd axes first."""
+        return None if parity is None else "".join(sorted(parity, reverse=True))
+
+    multiplicity = Counter(block_of(p) for p in parities)
+
+    def slice_tau():
+        """(1 + REL_GAP) times the k-th value merged so far, inf if fewer."""
+        values = np.sort(np.concatenate([np.repeat(r.eigenvalues, multiplicity[p])
+                                         for p, r in solved.items()]))
+        return values[k - 1] * (1 + eigensolve.REL_GAP) if len(values) >= k else np.inf
+
+    # solve_smallest is looked up at call time, so that a caller who swaps
+    # the module attribute (a tracer) sees every block solve and count.
     solved = {}
     for parity in representatives:
         faces = None if parity is None else [
@@ -207,12 +238,17 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
             for side in (bc, PARITY_ODD if p == "o" else PARITY_EVEN)]
         dofmap = build_dof_map(mesh, bc, faces)
         a_mat, m_mat = assemble(mesh, dofmap, element)
-        solved[parity] = solve_smallest(a_mat, m_mat, min(k, dofmap.num_free),
-                                        method=solver, sigma=sigma)
-
-    def block_of(parity):
-        """The solved representative of parity's class: its odd axes first."""
-        return None if parity is None else "".join(sorted(parity, reverse=True))
+        if not solved:
+            first = (parity, a_mat, m_mat)
+            solved[parity] = eigensolve.solve_smallest(
+                a_mat, m_mat, min(k, dofmap.num_free), method=solver, sigma=sigma)
+        else:
+            solved[parity] = eigensolve.solve_smallest(
+                a_mat, m_mat, method=solver, sigma=sigma, tau=slice_tau())
+    parity, a_mat, m_mat = first
+    solved[parity] = eigensolve.solve_smallest(a_mat, m_mat, method=solver, sigma=sigma,
+                                               tau=slice_tau(), known=solved[parity])
+    tau = slice_tau()
 
     merged = [(lam, res, parity) for parity in parities
               for lam, res in zip(solved[block_of(parity)].eigenvalues,
@@ -220,19 +256,23 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     keep = np.argsort([lam for lam, _, _ in merged], kind="stable")[:k]
     eigenvalues, residuals, labels = zip(*(merged[i] for i in keep))
 
-    counters = ("factor_nnz", "opinv_applications", "guard_rounds")
+    counters = ("factor_nnz", "opinv_applications")
     metadata = {}
     for result in solved.values():
         metadata.update(result.metadata)
+    del metadata["count_below_tau"]
     for key in counters:
-        if key in metadata:
-            metadata[key] = sum(r.metadata.get(key, 0) for r in solved.values())
-    metadata.update(order=order, k=k,
+        metadata[key] = sum(r.metadata.get(key, 0) for r in solved.values())
+    metadata.update(order=order, k=k, tau=float(tau),
+                    k_closed=sum(multiplicity[p] * int(np.count_nonzero(r.eigenvalues < tau))
+                                 for p, r in solved.items()),
                     converged=all(r.converged for r in solved.values()),
                     blocks=[{"parity": parity,
-                             "multiplicity": [block_of(p) for p in parities].count(parity),
+                             "multiplicity": multiplicity[parity],
                              "order": result.metadata["order"],
-                             **{key: result.metadata.get(key) for key in counters},
+                             **{key: result.metadata.get(key, 0) for key in counters},
+                             "tau": result.metadata["tau"],
+                             "count_below_tau": result.metadata["count_below_tau"],
                              "converged": result.converged}
                             for parity, result in solved.items()])
     method = "+".join(sorted({r.method for r in solved.values()}))

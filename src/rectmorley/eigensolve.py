@@ -2,8 +2,12 @@
 
 The production route is ARPACK shift-invert around one no-pivot factorization
 of A - sigma M in the order the pencil is given (finite element pencils come
-numbered in nested-dissection order), with a guard that no copy of a repeated
-eigenvalue was skipped.
+numbered in nested-dissection order).  No copy of a repeated eigenvalue can
+be skipped silently, because a solve is certified by spectrum slicing: the
+no-pivot factor of A - tau M counts the eigenvalues below tau (Sylvester's
+law of inertia, count_below), and solve_smallest with tau returns exactly
+that many, completing a short slice with deflated ARPACK passes (Ericsson
+and Ruhe, Math. Comp. 35, 1980; Grimes, Lewis and Simon, SIMAX 15, 1994).
 The dense LAPACK path is the test oracle, and the fallback for pencils too
 small for shift-invert.  Both return ascending eigenvalues with
 mass-orthonormal eigenvectors and per-pair relative residuals.  The
@@ -13,7 +17,7 @@ the index), so repeated runs agree bit for bit without any random state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as dla
@@ -23,9 +27,11 @@ import scipy.sparse.linalg as sla
 RESIDUAL_TOL = 1e-8
 # ARPACK convergence tolerance, reported as metadata["tol"].
 ARPACK_TOL = 1e-10
-# The skipped-copy guard merges an eigenvalue found outside the first k only
-# when it lies below lambda_k by more than this relative gap.
-GUARD_REL_GAP = 1e-8
+# Relative margin of the certificate threshold tau = lambda_k (1 + REL_GAP):
+# copies of lambda_k that differ from it by rounding count below tau.
+REL_GAP = 1e-6
+# Deflated ARPACK passes allowed to complete a slice short of its count.
+COMPLETION_PASSES = 2
 
 METHOD_DENSE = "dense"
 METHOD_SHIFT_INVERT = "shift-invert"
@@ -121,18 +127,48 @@ def smallest_k_dense(A, M, k: int) -> EigenResult:
     return result
 
 
-def deterministic_start_vector(order: int) -> np.ndarray:
-    """Fixed ARPACK start vector: sin(1), sin(2), ...
+def deterministic_start_vector(order: int, attempt: int = 0) -> np.ndarray:
+    """Fixed ARPACK start vector of one attempt: sin(i), then cos(i), then sin(2i).
 
     Dense in every mesh symmetry class, unlike a constant vector, which is
     orthogonal to all antisymmetric eigenfunctions and silently skips them.
+    A Krylov space sees one direction per distinct eigenvalue, so each
+    deflated completion pass of smallest_k_shift_invert starts from a vector
+    that is not a combination of the earlier ones.
     """
-    return np.sin(np.arange(1, order + 1, dtype=float))
+    index = np.arange(1, order + 1, dtype=float)
+    wave = np.cos if attempt % 2 else np.sin
+    return wave((attempt // 2 + 1) * index)
 
 
-def guard_start_vector(order: int) -> np.ndarray:
-    """Second fixed start vector, cos(1), cos(2), ..., for the skipped-copy guard."""
-    return np.cos(np.arange(1, order + 1, dtype=float))
+def _factor_no_pivot(mat):
+    """SuperLU factor of a symmetric matrix in its given order, asked not to pivot."""
+    return sla.splu(mat.tocsc(), permc_spec="NATURAL",
+                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+
+
+def count_below(A, M, tau: float) -> int:
+    """Number of eigenvalues of the pencil (A, M) below tau.
+
+    With M positive definite, the no-pivot factor of A - tau M is L D L^T
+    with D = diag(U), and by Sylvester's law of inertia the negative entries
+    of D count the eigenvalues below tau.  The count holds only for a factor
+    that kept its diagonal pivots (perm_r == perm_c) and has no zero pivot;
+    any other factor raises ValueError naming tau.  tau = inf counts every
+    eigenvalue without a factor.  The factor is freed before returning.
+    """
+    a_csr = _as_csr(A)
+    if tau == np.inf:
+        return a_csr.shape[0]
+    try:
+        lu = _factor_no_pivot(a_csr - tau * _as_csr(M))
+    except RuntimeError as exc:
+        raise ValueError(f"no inertia count at tau={tau}: {exc}") from exc
+    pivots = lu.U.diagonal()
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots != 0)):
+        raise ValueError(f"no inertia count at tau={tau}: the factor left its "
+                         "diagonal pivots or has a zero pivot")
+    return int(np.count_nonzero(pivots < 0))
 
 
 class _ShiftedFactor:
@@ -146,8 +182,7 @@ class _ShiftedFactor:
 
     def __init__(self, a_csr, m_csr, sigma: float):
         try:
-            lu = sla.splu((a_csr - sigma * m_csr).tocsc(), permc_spec="NATURAL",
-                          diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+            lu = _factor_no_pivot(a_csr - sigma * m_csr)
         except RuntimeError as exc:
             raise ValueError(f"shift-invert factorization failed at sigma={sigma}") from exc
         upper = lu.U
@@ -179,26 +214,48 @@ class _ShiftedFactor:
         return sla.LinearOperator((order, order), matvec=matvec, dtype=float)
 
 
-def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0) -> EigenResult:
+def _arpack(a_csr, m_csr, factor: _ShiftedFactor, k: int, sigma: float,
+            attempt: int = 0, deflate=None):
+    """k eigenpairs from one ARPACK run on the factor's operator, deflated
+    off the M-orthonormal columns of `deflate` when given.  Returns the
+    values, the vectors and whether ARPACK converged (partial pairs if not)."""
+    order = a_csr.shape[0]
+    ncv = None
+    if deflate is not None:
+        ncv = min(order - deflate.shape[1], max(2 * k + 1, 20))
+        deflate = (deflate, m_csr @ deflate)
+    try:
+        w, x = sla.eigsh(a_csr, k=k, M=m_csr, sigma=sigma, which="LM",
+                         v0=deterministic_start_vector(order, attempt), tol=ARPACK_TOL,
+                         ncv=ncv, OPinv=factor.operator(deflate))
+    except sla.ArpackNoConvergence as exc:
+        return exc.eigenvalues, exc.eigenvectors, False
+    return w, x, True
+
+
+def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0, tau: float | None = None,
+                            known: EigenResult | None = None) -> EigenResult:
     """ARPACK shift-invert solver for the k smallest generalized eigenvalues.
 
     A - sigma*M must be positive definite: sigma below the smallest
     eigenvalue (negative when the stiffness matrix is only semidefinite).
     A single factorization, in the given order, serves three steps:
 
-    1. ARPACK from deterministic_start_vector finds k eigenpairs.
-    2. The skipped-copy guard: a one-vector Krylov space sees one direction
-       per distinct eigenvalue, so ARPACK can return one copy of a repeated
-       eigenvalue and silently take the next one instead.  A k=1 ARPACK pass
-       from guard_start_vector, on the operator projected M-orthogonally off
-       the found vectors, finds the smallest eigenvalue mu left out.  While
-       mu < lambda_k (1 - GUARD_REL_GAP) it is merged in and the pass is
-       repeated; an equal mu (a cluster cut at k) ends the loop.
+    1. ARPACK from deterministic_start_vector finds k eigenpairs, unless
+       `known` (an earlier result of the same pencil) supplies pairs.
+    2. With tau, the pencil owes k eigenvalues below tau (count_below).  A
+       one-vector Krylov space sees one direction per distinct eigenvalue,
+       so ARPACK can return one copy of a repeated eigenvalue and take the
+       next one instead.  While fewer than k values lie below tau, a
+       deflated pass (ARPACK on the operator projected M-orthogonally off
+       the pairs found, from the next start vector) asks for exactly the
+       missing number, at most COMPLETION_PASSES times; a slice still short,
+       or over, is reported with converged=False.
     3. One block inverse-iteration step and a Rayleigh-Ritz step, which
        also leave the vectors M-orthonormal.
 
-    Partial results on non-convergence are returned with converged=False in
-    the metadata.
+    The factor is freed on return.  Partial results on non-convergence are
+    returned with converged=False in the metadata.
     """
     a_csr = _as_csr(A)
     m_csr = _as_csr(M)
@@ -210,34 +267,22 @@ def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0) -> EigenResult:
         raise ValueError("shift-invert needs k < order - 1; use the dense solver")
 
     factor = _ShiftedFactor(a_csr, m_csr, sigma)
-    arpack_converged = True
-    try:
-        w, x = sla.eigsh(a_csr, k=k, M=m_csr, sigma=sigma, which="LM",
-                         v0=deterministic_start_vector(order), tol=ARPACK_TOL,
-                         OPinv=factor.operator())
-    except sla.ArpackNoConvergence as exc:
-        w, x = exc.eigenvalues, exc.eigenvectors
-        arpack_converged = False
-    ascending = np.argsort(w, kind="stable")
-    w, x = w[ascending], x[:, ascending]
+    if known is None:
+        w, x, converged = _arpack(a_csr, m_csr, factor, k, sigma)
+        ascending = np.argsort(w, kind="stable")
+        w, x = w[ascending], x[:, ascending]
+    else:
+        w, x, converged = known.eigenvalues, known.eigenvectors, known.converged
 
-    guard_rounds = 0
-    while arpack_converged and len(w) == k:
-        guard_rounds += 1
-        # ARPACK's vectors are M-orthonormal to working precision.
-        deflated = factor.operator(deflate=(x, m_csr @ x))
-        try:
-            mu, y = sla.eigsh(a_csr, k=1, M=m_csr, sigma=sigma, which="LM",
-                              v0=guard_start_vector(order), tol=ARPACK_TOL,
-                              ncv=min(order - k, 20),
-                              OPinv=deflated)
-        except sla.ArpackNoConvergence:
-            arpack_converged = False
-            break
-        if not mu[0] < w[-1] - GUARD_REL_GAP * abs(w[-1]):
-            break
-        keep = np.argsort(np.append(w, mu), kind="stable")[:k]
-        w, x = np.append(w, mu)[keep], np.column_stack([x, y])[:, keep]
+    passes = 0
+    if tau is not None:
+        while converged and passes < COMPLETION_PASSES and np.count_nonzero(w < tau) < k:
+            passes += 1
+            mu, y, converged = _arpack(a_csr, m_csr, factor, k - np.count_nonzero(w < tau),
+                                       sigma, attempt=passes, deflate=x)
+            ascending = np.argsort(np.append(w, mu), kind="stable")
+            w, x = np.append(w, mu)[ascending], np.column_stack([x, y])[:, ascending]
+        converged = converged and np.count_nonzero(w < tau) == k
 
     if x.shape[1]:
         y = factor.solve(m_csr @ x)
@@ -256,27 +301,62 @@ def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0) -> EigenResult:
             "k": int(k),
             "sigma": float(sigma),
             "tol": ARPACK_TOL,
-            "converged": arpack_converged,
+            "converged": bool(converged),
             "factor_nnz": factor.nnz,
             "opinv_applications": factor.applications,
-            "guard_rounds": guard_rounds,
         },
     )
+    if known is not None:
+        result.metadata["opinv_applications"] += known.metadata.get("opinv_applications", 0)
     residual_report(A, M, result)
     return result
 
 
-def solve_smallest(A, M, k: int, method: str = "auto", sigma: float = 0.0) -> EigenResult:
-    """Route to the shift-invert or dense solver.
+def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: float = 0.0,
+                   tau: float | None = None, known: EigenResult | None = None) -> EigenResult:
+    """The k smallest eigenpairs, or every eigenpair below tau.
+
+    Give k or tau.  With tau, count_below sets k, the number of pairs the
+    pencil owes below tau, and the result certifies them: it records
+    metadata["tau"] and metadata["count_below_tau"], and converged holds
+    only if exactly k of its eigenvalues lie below tau.  `known`, an earlier
+    result of the same pencil, supplies pairs already found; no factor is
+    built when they are all the pencil owes, nor when it owes none.  A count
+    that cannot be trusted (count_below raises) gives the known pairs, or
+    none, with count_below_tau None and converged=False.
 
     method 'auto' uses shift-invert whenever k + 1 < order, and the dense
     path only for the tiny pencils where it cannot run.
     """
+    if method not in ("auto", METHOD_DENSE, METHOD_SHIFT_INVERT):
+        raise ValueError(f"unknown solver method {method!r}")
+    if (k is None) == (tau is None):
+        raise ValueError("give either the number of eigenpairs k or the threshold tau")
     order = _as_csr(A).shape[0]
+    if tau is not None:
+        if known is None:
+            have = _empty_result(order, METHOD_DENSE if method == METHOD_DENSE
+                                 else METHOD_SHIFT_INVERT)
+        else:
+            have = replace(known, metadata=dict(known.metadata))
+        try:
+            k = count_below(A, M, tau)
+        except ValueError:
+            return _certified(have, tau, None)
+        if np.count_nonzero(have.eigenvalues < tau) >= k:
+            return _certified(have, tau, k)
     if method == "auto":
         method = METHOD_SHIFT_INVERT if k + 1 < order else METHOD_DENSE
     if method == METHOD_DENSE:
-        return smallest_k_dense(A, M, k)
-    if method == METHOD_SHIFT_INVERT:
-        return smallest_k_shift_invert(A, M, k, sigma=sigma)
-    raise ValueError(f"unknown solver method {method!r}")
+        result = smallest_k_dense(A, M, k)
+    else:
+        result = smallest_k_shift_invert(A, M, k, sigma=sigma, tau=tau, known=known)
+    return result if tau is None else _certified(result, tau, k)
+
+
+def _certified(result: EigenResult, tau: float, count) -> EigenResult:
+    """Record the slice certificate on the result of a solve below tau."""
+    found = int(np.count_nonzero(result.eigenvalues < tau))
+    result.metadata.update(tau=float(tau), count_below_tau=count,
+                           converged=result.converged and found == count)
+    return result

@@ -291,8 +291,6 @@ def refined_identity_check(element: ReferenceElement, u: Polynomial, v: Polynomi
 class ConvergenceProbe:
     """Broken-seminorm interpolation errors across mesh refinements."""
 
-    n_values: tuple
-    h_values: np.ndarray
     errors: dict
     orders: dict
 
@@ -331,7 +329,7 @@ def interpolation_convergence_probe(f, dim: int, n_values,
             slopes[l] = float(np.polyfit(np.log(h_arr), np.log(vals), 1)[0])
         else:
             slopes[l] = float("nan")
-    return ConvergenceProbe(tuple(n_values), h_arr, err_arrays, slopes)
+    return ConvergenceProbe(err_arrays, slopes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import rectmorley
-from rectmorley import cli, reference
+from rectmorley import cli, eigensolve, reference
 from rectmorley.operators import SUITES
 
 
@@ -66,7 +68,11 @@ def test_solve_json_reports_solver_work(capsys):
     meta = run["metadata"]
     assert meta["factor_nnz"] > run["order"]
     assert meta["opinv_applications"] > 0
-    assert meta["guard_rounds"] >= 1
+    # One block: it is counted at tau = lambda_6 (1 + REL_GAP).
+    assert meta["tau"] == pytest.approx(run["eigenvalues"][5] * (1 + 1e-6), rel=1e-12)
+    (block,) = meta["blocks"]
+    assert block["tau"] == meta["tau"]
+    assert block["count_below_tau"] == meta["k_closed"] == 6
 
 
 def test_solve_json_reports_parity_blocks(capsys):
@@ -81,10 +87,27 @@ def test_solve_json_reports_parity_blocks(capsys):
     assert [b["multiplicity"] for b in blocks] == [1, 3, 3, 1]
     assert sum(b["order"] * b["multiplicity"] for b in blocks) == run["order"] == 1687
     assert all(b["converged"] for b in blocks)
-    for key in ("factor_nnz", "opinv_applications", "guard_rounds"):
+    for key in ("factor_nnz", "opinv_applications"):
         assert meta[key] == sum(b[key] for b in blocks)
+    # Each later block is counted at the running tau; the first block is
+    # counted last, at the final tau.  ooo owes no pair and is not factored.
+    assert [b["count_below_tau"] for b in blocks] == [1, 3, 1, 0]
+    assert blocks[0]["tau"] == blocks[3]["tau"] == meta["tau"]
+    assert blocks[3]["factor_nnz"] == blocks[3]["opinv_applications"] == 0
+    # The running tau of a later block is at or above the final tau, so every
+    # block holds each of its eigenvalues below the final tau: k=6 cuts the
+    # 11655.163 triple, and its third copy makes 7.
+    assert meta["k_closed"] == 7
     # The 6369.4367 triple: one copy in each block with one odd axis.
     assert run["parities"] == ["eee", "eeo", "eoe", "oee", "eoo", "oeo"]
+    # --solver applies to every block, also to the one that owes nothing.
+    code, out, _ = run_cli(
+        ["solve", "--dim", "3", "--n", "8", "--solver", "dense", "--format", "json"], capsys
+    )
+    assert code == 0
+    dense = json.loads(out)["runs"][0]
+    assert dense["method"] == "dense"
+    assert dense["eigenvalues"] == pytest.approx(run["eigenvalues"], rel=1e-9)
 
     for dim, n in ((2, 16), (3, 5)):
         code, out, _ = run_cli(
@@ -96,6 +119,67 @@ def test_solve_json_reports_parity_blocks(capsys):
         assert block["parity"] is None and block["multiplicity"] == 1
         assert block["order"] == run["order"]
         assert run["parities"] == [None] * 6
+
+
+class _PivotedFactor:
+    """A SuperLU factor whose row permutation is not its column permutation."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.perm_r = lu.perm_r[::-1].copy()
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 4), (3, 8)])
+def test_solve_exits_1_when_the_count_factor_pivots(dim, n, monkeypatch, capsys):
+    # Only the indefinite factors, those of A - tau M that count, are spoiled:
+    # the SPD shift-invert factors still pass.
+    splu = eigensolve.sla.splu
+
+    def spoiled_splu(*args, **kwargs):
+        lu = splu(*args, **kwargs)
+        return _PivotedFactor(lu) if np.any(lu.U.diagonal() < 0) else lu
+
+    monkeypatch.setattr(eigensolve.sla, "splu", spoiled_splu)
+    code, out, err = run_cli(["solve", "--dim", str(dim), "--n", str(n),
+                              "--format", "json"], capsys)
+    assert code == 1
+    assert "did not converge" in err
+    meta = json.loads(out)["runs"][0]["metadata"]
+    assert not meta["converged"]
+    assert all(b["count_below_tau"] is None and not b["converged"] for b in meta["blocks"])
+
+
+def test_traced_solve_smallest_sees_every_block_solve_and_count(monkeypatch):
+    # A traced benchmark run swaps eigensolve.solve_smallest for a wrapper
+    # that opens an eigensolve span.  solve_problem must look it up at call
+    # time, and every inertia count must run inside it.
+    solve_smallest, count_below = eigensolve.solve_smallest, eigensolve.count_below
+    open_spans, solves, counts = [], [], []
+
+    @functools.wraps(solve_smallest)
+    def traced(*args, **kwargs):
+        solves.append(kwargs.get("tau") is not None)
+        open_spans.append("eigensolve")
+        try:
+            return solve_smallest(*args, **kwargs)
+        finally:
+            open_spans.pop()
+
+    def counting(*args, **kwargs):
+        counts.append(list(open_spans))
+        return count_below(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "solve_smallest", traced)
+    monkeypatch.setattr(eigensolve, "count_below", counting)
+    result = cli.solve_problem(3, 8, "clamped")
+    assert result.converged
+    # eee for k pairs, oee, ooe and ooo below the running tau, then eee's
+    # certificate at the final tau.
+    assert solves == [False, True, True, True, True]
+    assert counts == [["eigensolve"]] * 4
 
 
 def test_solve_fine_2d_simply_supported_passes_residual_check(capsys):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as dla
 from scipy import sparse
 
 from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, assemble,
                                  build_dof_map, dof_coordinates)
-from rectmorley.eigensolve import (METHOD_DENSE, METHOD_SHIFT_INVERT,
-                                   compute_residuals,
+from rectmorley.eigensolve import (METHOD_DENSE, METHOD_SHIFT_INVERT, REL_GAP,
+                                   compute_residuals, count_below,
                                    deterministic_start_vector,
                                    residual_report, smallest_k_dense,
                                    smallest_k_shift_invert, solve_smallest)
@@ -16,6 +17,14 @@ def assembled(dim, n, bc, element):
     mesh = build_mesh(dim, n)
     dofmap = build_dof_map(mesh, bc)
     return assemble(mesh, dofmap, element)
+
+
+def certified_smallest(a_mat, m_mat, k, sigma):
+    """k eigenpairs, then every pair below lambda_k (1 + REL_GAP), as
+    cli.solve_problem certifies a one-block problem."""
+    first = solve_smallest(a_mat, m_mat, k, sigma=sigma)
+    return solve_smallest(a_mat, m_mat, sigma=sigma, known=first,
+                          tau=first.eigenvalues[k - 1] * (1 + REL_GAP))
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +88,10 @@ def test_start_vector_is_deterministic_and_dense():
 def test_shift_invert_agrees_with_dense(bc, sigma, ref2):
     a_mat, m_mat = assembled(2, 8, bc, ref2)
     dense = smallest_k_dense(a_mat, m_mat, 6)
-    si = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=sigma)
+    si = certified_smallest(a_mat, m_mat, 6, sigma)
     assert si.method == METHOD_SHIFT_INVERT
     assert si.converged
-    assert si.eigenvalues == pytest.approx(dense.eigenvalues, rel=1e-9)
+    assert si.eigenvalues[:6] == pytest.approx(dense.eigenvalues, rel=1e-9)
 
 
 def test_shift_invert_resolves_degenerate_pair(ref2):
@@ -119,7 +128,7 @@ def test_repeat_solves_are_bitwise_identical(ref2):
 
 
 # ---------------------------------------------------------------------------
-# nested-dissection ordering and the skipped-copy guard
+# nested-dissection ordering and the slice certificate
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("dim,n", [(2, 6), (3, 4)])
@@ -164,22 +173,59 @@ def test_nested_dissection_reduces_fill(ref2):
 def test_ordered_shift_invert_matches_dense(dim, n, bc, ref2, ref3):
     a_mat, m_mat = assembled(dim, n, bc, ref2 if dim == 2 else ref3)
     sigma = 0.0 if bc == BC_CLAMPED else -1.0
-    si = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=sigma)
-    dense = smallest_k_dense(a_mat, m_mat, 6)
+    si = certified_smallest(a_mat, m_mat, 6, sigma)
+    count = si.metadata["count_below_tau"]
+    dense = smallest_k_dense(a_mat, m_mat, count)
     assert si.converged
-    assert si.metadata["guard_rounds"] >= 1
-    assert si.eigenvalues == pytest.approx(dense.eigenvalues, rel=1e-9)
+    assert si.eigenvalues[:count] == pytest.approx(dense.eigenvalues, rel=1e-9)
     gram = si.eigenvectors.T @ (m_mat @ si.eigenvectors)
-    assert np.allclose(gram, np.eye(6), atol=1e-10)
+    assert np.allclose(gram, np.eye(gram.shape[0]), atol=1e-10)
 
 
-def test_guard_restores_skipped_copy(ref2):
+def test_count_restores_skipped_copy(ref2):
     # On this mesh ARPACK alone returns one copy of the double eigenvalue
-    # (1,3)/(3,1) and the next eigenvalue in place of the second copy.
+    # (1,3)/(3,1) and the next eigenvalue in place of the second copy; the
+    # count below that next eigenvalue says two pairs are missing.
     a_mat, m_mat = assembled(2, 4, BC_SIMPLY_SUPPORTED, ref2)
-    result = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=-1.0)
-    assert result.metadata["guard_rounds"] == 2
+    alone = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=-1.0)
+    assert alone.eigenvalues[5] > alone.eigenvalues[4] * (1 + REL_GAP)
+    result = certified_smallest(a_mat, m_mat, 6, sigma=-1.0)
+    assert result.converged
+    assert result.metadata["count_below_tau"] == 8
     assert result.eigenvalues[5] == pytest.approx(result.eigenvalues[4], rel=1e-8)
+
+
+@pytest.mark.parametrize("dim,n,bc", [
+    (2, 4, BC_SIMPLY_SUPPORTED), (2, 8, BC_SIMPLY_SUPPORTED),
+    (3, 4, BC_CLAMPED), (3, 4, BC_SIMPLY_SUPPORTED),
+])
+def test_count_below_matches_the_dense_spectrum(dim, n, bc, ref2, ref3):
+    a_mat, m_mat = assembled(dim, n, bc, ref2 if dim == 2 else ref3)
+    spectrum = dla.eigh(a_mat.toarray(), m_mat.toarray(), eigvals_only=True)
+    gap = np.argmax(np.diff(spectrum[5:12])) + 5
+    shifts = [spectrum[0] * (1 - REL_GAP), spectrum[0] * (1 + REL_GAP),
+              spectrum[5] * (1 - REL_GAP), spectrum[5] * (1 + REL_GAP),
+              0.5 * (spectrum[gap] + spectrum[gap + 1]), np.inf]
+    for tau in shifts:
+        assert count_below(a_mat, m_mat, tau) == np.count_nonzero(spectrum < tau)
+
+
+def test_count_below_refuses_a_pivoted_factor():
+    # A - tau M with a zero leading entry: SuperLU must leave the diagonal.
+    a = sparse.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    m = sparse.identity(2, format="csr")
+    with pytest.raises(ValueError, match="tau=1.0"):
+        count_below(a, m, 1.0)
+
+
+def test_solve_below_owes_nothing_without_a_factor(ref2, monkeypatch):
+    a_mat, m_mat = assembled(2, 6, BC_CLAMPED, ref2)
+    monkeypatch.setattr("rectmorley.eigensolve._ShiftedFactor", None)
+    result = solve_smallest(a_mat, m_mat, tau=1.0)
+    assert result.converged and result.eigenvalues.size == 0
+    assert result.metadata["count_below_tau"] == 0
+    with pytest.raises(ValueError, match="k or the threshold tau"):
+        solve_smallest(a_mat, m_mat, 2, tau=1.0)
 
 
 def test_shift_between_eigenvalues_is_rejected(ref2):
@@ -204,9 +250,8 @@ def test_solver_metadata_reports_factor_and_work(ref2):
     result = smallest_k_shift_invert(a_mat, m_mat, 3)
     meta = result.metadata
     assert meta["factor_nnz"] >= sparse.tril(a_mat).nnz
-    # ARPACK, at least one guard pass, then one block solve of k vectors.
+    # ARPACK, then one block solve of k vectors.
     assert meta["opinv_applications"] > 3
-    assert meta["guard_rounds"] >= 1
 
 
 # ---------------------------------------------------------------------------

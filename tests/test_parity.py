@@ -1,7 +1,7 @@
 """The reflection-parity blocks of cli.solve_problem against the full pencil.
 
 The full-pencil oracle assembles the whole unit box and calls the
-shift-invert solver once, as solve_problem does in its one-block case.
+shift-invert solver once, for k pairs and without the slice certificate.
 """
 
 import itertools
@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rectmorley import cli
+from rectmorley import cli, eigensolve
 from rectmorley.assembly import (PARITY_EVEN, PARITY_ODD, assemble,
                                  build_dof_map)
 from rectmorley.eigensolve import smallest_k_dense, smallest_k_shift_invert
@@ -76,3 +76,47 @@ def test_blocks_with_as_many_odd_axes_are_isospectral(dim, n, bc):
         odd = parity.count("o")
         representative = "o" * odd + "e" * (dim - odd)
         np.testing.assert_allclose(values, spectra[representative], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_certificate_closes_the_3d_clamped_triple(k):
+    # From the sin start vector ARPACK returns 8539.68 only twice at k=7 and
+    # at k=8; the count below tau finds the third copy.  At k=6 the triple
+    # is cut, and k_closed counts its third copy.
+    result = cli.solve_problem(3, 4, "clamped", k=k)
+    assert result.converged
+    dense = smallest_k_dense(*full_pencil(3, 4, "clamped"), 12).eigenvalues
+    assert np.count_nonzero(np.abs(dense / 8539.678 - 1) < 1e-6) == 3
+    np.testing.assert_allclose(result.eigenvalues, dense[:k], rtol=1e-9, atol=0)
+    assert result.metadata["k_closed"] == np.count_nonzero(dense < result.metadata["tau"])
+    assert result.metadata["k_closed"] == {6: 7, 7: 7, 8: 8}[k]
+
+
+@pytest.mark.parametrize("bc", sorted(SIGMA))
+def test_3d_n16_blocks_are_solved_for_what_they_owe(bc, monkeypatch):
+    arpack_runs, factored = [], []
+    eigsh = eigensolve.sla.eigsh
+
+    def counting_eigsh(*args, **kwargs):
+        arpack_runs.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    class RecordedFactor(eigensolve._ShiftedFactor):
+        def __init__(self, a_csr, m_csr, sigma):
+            factored.append(a_csr.shape[0])
+            super().__init__(a_csr, m_csr, sigma)
+
+    monkeypatch.setattr(eigensolve.sla, "eigsh", counting_eigsh)
+    monkeypatch.setattr(eigensolve, "_ShiftedFactor", RecordedFactor)
+    result = cli.solve_problem(3, 16, bc)
+    meta = result.metadata
+    assert result.converged
+    # k=6 cuts the 13468.312 (clamped) or 81 pi^4 (simply supported) triple.
+    assert meta["k_closed"] == 7
+    # eee for k=6, then oee and ooe for their counts, and no completion pass;
+    # ooo owes nothing and gets neither an SPD factor nor an ARPACK run.
+    counts = [b["count_below_tau"] for b in meta["blocks"]]
+    assert counts == [1, 4, 1, 0]
+    assert arpack_runs == [6, 4, 1]
+    assert factored == [b["order"] for b in meta["blocks"][:3]]
+    assert meta["opinv_applications"] <= 130
