@@ -16,13 +16,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sparse
 
-from .element import ReferenceElement, build_reference_element, physical_dof_scaling
+from .element import SHAPE_DEGREE, ReferenceElement, build_reference_element, physical_dof_scaling
 from .functions import ScaledFunction
 from .mesh import CartesianMesh
+from .polynomial import derivative_form, tabulate
 from .quadrature import tensor_rule
 
 BC_CLAMPED = "clamped"
@@ -169,36 +171,23 @@ def dof_coordinates(dofmap: DofMap) -> np.ndarray:
 # element matrices and assembly
 # ---------------------------------------------------------------------------
 
-_REFERENCE_MATRIX_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def reference_matrices(element: ReferenceElement):
     """Exact stiffness / mass matrices of the nodal basis on the reference cell.
 
-    Stiffness uses the full Frobenius contraction of Hessians (the ordered
-    double sum, so mixed derivatives are counted twice).
+    Each is B F B^T for the basis coefficient matrix B and the derivative_form
+    F of the monomials, made exactly symmetric.  Stiffness uses the full
+    Frobenius contraction of Hessians (the ordered double sum, so mixed
+    derivatives are counted twice).
     """
-    cached = _REFERENCE_MATRIX_CACHE.get(element.dim)
-    if cached is not None:
-        return cached
-    dim, nd = element.dim, element.ndof
-    khat = np.zeros((nd, nd))
-    mhat = np.zeros((nd, nd))
-    second = [
-        [[phi.diff(a).diff(b) for b in range(dim)] for a in range(dim)]
-        for phi in element.basis
-    ]
-    for i in range(nd):
-        for j in range(i, nd):
-            mval = (element.basis[i] * element.basis[j]).integrate_box()
-            kval = 0.0
-            for a in range(dim):
-                for b in range(dim):
-                    kval += (second[i][a][b] * second[j][a][b]).integrate_box()
-            khat[i, j] = khat[j, i] = kval
-            mhat[i, j] = mhat[j, i] = mval
-    _REFERENCE_MATRIX_CACHE[element.dim] = (khat, mhat)
-    return khat, mhat
+    dim, basis = element.dim, element.coeffs
+    out = []
+    for pairs in (tuple((alpha, alpha) for alpha in derivative_alphas(dim, 2)),
+                  (((0,) * dim, (0,) * dim),)):
+        local = basis @ derivative_form(dim, SHAPE_DEGREE, SHAPE_DEGREE, pairs) @ basis.T
+        out.append(0.5 * (local + local.T))
+        out[-1].flags.writeable = False
+    return tuple(out)
 
 
 def element_matrices(element: ReferenceElement, h: float):
@@ -368,21 +357,34 @@ def broken_integral(mesh: CartesianMesh, element: ReferenceElement, order: int,
     derivative_alphas order, and returns an array of the same shape.  Cells
     are processed in blocks of at most BLOCK_POINTS quadrature points.
     """
+    return _broken_integrals(mesh, element, (order,), integrand, *functions)[order]
+
+
+def _broken_integrals(mesh: CartesianMesh, element: ReferenceElement, orders,
+                      integrand, *functions) -> dict:
+    """broken_integral for each order in orders, in one pass over the cells:
+    an analytic input is evaluated once per block, for the derivatives of
+    every order."""
     rule = tensor_rule(mesh.dim, QUAD_ORDER)
     h = mesh.half_width
-    alphas = derivative_alphas(mesh.dim, order)
+    alphas = [derivative_alphas(mesh.dim, order) for order in orders]
+    every_alpha = [alpha for order_alphas in alphas for alpha in order_alphas]
+    bounds = np.cumsum([0] + [len(a) for a in alphas])
     # (ndof, points * derivatives): one matmul maps cell coefficients to samples.
-    table = np.stack([element.eval_basis(alpha, rule.points).T for alpha in alphas],
-                     axis=-1).reshape(element.ndof, -1) / h ** order
-    sample_shape = (rule.num_points, len(alphas))
+    tables = [tabulate(mesh.dim, element.coeffs, a, rule.points).reshape(element.ndof, -1)
+              / h ** order for order, a in zip(orders, alphas)]
     centers = mesh.cell_centers()
-    total = 0.0
+    totals = [0.0] * len(orders)
     for cells in _blocks(0, mesh.num_elements, rule.num_points):
         points = centers[cells, None, :] + h * rule.points
-        samples = [(u[cells] @ table).reshape(-1, *sample_shape) if isinstance(u, np.ndarray)
-                   else u.derivatives(alphas, points) for u in functions]
-        total += float((rule.weights @ integrand(*samples)).sum())
-    return total * h ** mesh.dim
+        analytic = [None if isinstance(u, np.ndarray) else u.derivatives(every_alpha, points)
+                    for u in functions]
+        for k, table in enumerate(tables):
+            samples = [(u[cells] @ table).reshape(-1, rule.num_points, len(alphas[k]))
+                       if values is None else values[..., bounds[k]:bounds[k + 1]]
+                       for u, values in zip(functions, analytic)]
+            totals[k] += float((rule.weights @ integrand(*samples)).sum())
+    return {order: total * h ** mesh.dim for order, total in zip(orders, totals)}
 
 
 def broken_energy_inner(a, b, mesh: CartesianMesh, element: ReferenceElement) -> float:
@@ -414,8 +416,8 @@ def broken_error_norms(f, field, mesh: CartesianMesh,
     def squared_error(exact, discrete):
         return (exact - discrete) ** 2
 
-    return {l: math.sqrt(broken_integral(mesh, element, l, squared_error, f, field))
-            for l in orders}
+    integrals = _broken_integrals(mesh, element, tuple(orders), squared_error, f, field)
+    return {l: math.sqrt(integrals[l]) for l in orders}
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ cube xi_1*xi_2*xi_3 in 3D), giving 8 functions in 2D and 14 in 3D.  Degrees
 of freedom are point values at the corners followed by mean outward normal
 derivatives over the facets.  The nodal basis comes from inverting the
 generalized Vandermonde matrix of the degrees of freedom applied to the
-monomial basis.
+monomial basis, and is kept as one coefficient matrix over the monomial list
+of polynomial.py.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polynomial import Polynomial
+from .polynomial import (Polynomial, differentiate, facet_moments, multi_indices_up_to,
+                         num_monomials, vandermonde)
 
 VERTEX_VALUE = "vertex-value"
 FACET_NORMAL_MEAN = "facet-mean-normal-derivative"
 
-# Cubic shape functions: derivatives of order > 3 vanish identically, so
-# requesting them is almost always a bug in the caller.
-MAX_DERIVATIVE_ORDER = 3
+# The shape functions are cubic: the basis coefficient matrix spans the
+# monomials of degree <= SHAPE_DEGREE.
+SHAPE_DEGREE = 3
 
 # Unisolvence guard; the actual condition numbers are < 5 in both dimensions.
 MAX_VANDERMONDE_COND = 1e8
@@ -67,12 +69,15 @@ class DofFunctional:
     side: int = None
     normal_sign: float = None
 
-    def apply(self, f: Polynomial) -> float:
-        """Evaluate the functional on a polynomial, exactly."""
+    def on_monomials(self, dim: int, degree: int) -> np.ndarray:
+        """The functional applied to each monomial of degree <= degree, exactly."""
         if self.kind == VERTEX_VALUE:
-            return float(f(np.array(self.point)))
+            return vandermonde(dim, degree, self.point)
         if self.kind == FACET_NORMAL_MEAN:
-            return self.normal_sign * f.diff(self.axis).facet_mean(self.axis, self.side)
+            alpha = tuple(int(a == self.axis) for a in range(dim))
+            normal = differentiate(dim, np.eye(num_monomials(dim, degree)), alpha)
+            return self.normal_sign * (normal @ facet_moments(dim, max(degree - 1, 0),
+                                                              self.axis, self.side))
         raise ValueError(f"unknown functional kind {self.kind!r}")
 
 
@@ -93,13 +98,15 @@ def _reference_dofs(dim: int):
     return tuple(dofs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceElement:
+    """One per dimension (build_reference_element); compares and hashes by
+    identity, so caches can key on it."""
+
     dim: int
     monomials: tuple
     dofs: tuple
-    coeffs: np.ndarray  # coeffs[i, j]: monomial j weight in nodal basis function i
-    basis: tuple
+    coeffs: np.ndarray  # [i, k]: weight in basis function i of monomial k (degree <= 3)
     cond: float
 
     @property
@@ -121,30 +128,22 @@ class ReferenceElement:
         along +axis), the same for every cell."""
         return np.array([1.0 if d.normal_sign is None else d.normal_sign for d in self.dofs])
 
+    @property
+    def basis(self) -> tuple:
+        """The nodal basis functions, one Polynomial per row of coeffs."""
+        return tuple(Polynomial.from_coefficients(self.dim, row) for row in self.coeffs)
+
     def apply_dof(self, i: int, f: Polynomial) -> float:
-        return self.dofs[i].apply(f)
+        return float(dof_matrix(self.dim, f.bound)[i] @ f.coeffs)
 
-    def eval_basis(self, alpha, points) -> np.ndarray:
-        """Tabulate d^alpha of every basis function at reference points.
 
-        Returns shape (npts, ndof), or (ndof,) for a single point.
-        """
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.dim or any(a < 0 for a in alpha):
-            raise ValueError(f"bad multi-index {alpha} for dim={self.dim}")
-        if sum(alpha) > MAX_DERIVATIVE_ORDER:
-            raise ValueError(
-                f"derivative order {sum(alpha)} exceeds {MAX_DERIVATIVE_ORDER}; "
-                "shape functions are cubic"
-            )
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts.reshape(1, -1)
-        out = np.empty((pts.shape[0], self.ndof))
-        for j, phi in enumerate(self.basis):
-            out[:, j] = phi.diff_multi(alpha)(pts)
-        return out[0] if single else out
+@lru_cache(maxsize=None)
+def dof_matrix(dim: int, degree: int) -> np.ndarray:
+    """Read-only (ndof, N) matrix of every reference DOF applied to every
+    monomial of degree <= degree: the DOFs of a polynomial are matrix @ coeffs."""
+    matrix = np.array([dof.on_monomials(dim, degree) for dof in _reference_dofs(dim)])
+    matrix.flags.writeable = False
+    return matrix
 
 
 @lru_cache(maxsize=None)
@@ -158,28 +157,24 @@ def build_reference_element(dim: int) -> ReferenceElement:
     if len(monomials) != ndof:
         raise AssertionError("shape space dimension must match the DOF count")
 
-    vand = np.empty((ndof, ndof))
-    for i, dof in enumerate(dofs):
-        for j, exps in enumerate(monomials):
-            vand[i, j] = dof.apply(Polynomial.monomial(dim, exps))
+    listed = multi_indices_up_to(dim, SHAPE_DEGREE)
+    shape_columns = [listed.index(exps) for exps in monomials]
+    vand = dof_matrix(dim, SHAPE_DEGREE)[:, shape_columns]
     cond = float(np.linalg.cond(vand))
     if not np.isfinite(cond) or cond > MAX_VANDERMONDE_COND:
         raise ArithmeticError(
             f"degrees of freedom are not unisolvent on the shape space (cond={cond:.3e})"
         )
-    coeffs = np.linalg.inv(vand).T
+    coeffs = np.zeros((ndof, len(listed)))
+    coeffs[:, shape_columns] = np.linalg.inv(vand).T
+    coeffs.flags.writeable = False
 
-    basis = tuple(
-        Polynomial(dim, {exps: coeffs[i, j] for j, exps in enumerate(monomials)})
-        for i in range(ndof)
-    )
     # Nodal property must hold to rounding; fail loudly otherwise.
-    delta = np.array([[dof.apply(phi) for phi in basis] for dof in dofs])
-    err = np.max(np.abs(delta - np.eye(ndof)))
+    err = np.max(np.abs(dof_matrix(dim, SHAPE_DEGREE) @ coeffs.T - np.eye(ndof)))
     if err > 1e-12:
         raise ArithmeticError(f"nodal basis verification failed (max deviation {err:.3e})")
 
-    return ReferenceElement(dim, monomials, dofs, coeffs, basis, cond)
+    return ReferenceElement(dim, monomials, dofs, coeffs, cond)
 
 
 def physical_dof_scaling(element: ReferenceElement, h: float) -> np.ndarray:

@@ -10,14 +10,15 @@ table) into structured pass/fail records.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .element import ReferenceElement, build_reference_element
-from .polynomial import Polynomial
+from .element import SHAPE_DEGREE, ReferenceElement, build_reference_element, dof_matrix
+from .polynomial import (Polynomial, derivative_form, derivative_integrals,
+                         multi_indices_up_to, num_monomials)
 
 DEFAULT_SEED = 1729
 
@@ -140,28 +141,14 @@ def canonical_interpolate(element: ReferenceElement, f: Polynomial) -> Interpola
         )
     if f.dim != element.dim:
         raise ValueError("dimension mismatch")
-    coeffs = np.array([dof.apply(f) for dof in element.dofs])
-    interpolant = Polynomial.zero(element.dim)
-    for c, phi in zip(coeffs, element.basis):
-        if c != 0.0:
-            interpolant = interpolant + c * phi
+    coeffs = dof_matrix(element.dim, f.bound) @ f.coeffs
+    interpolant = Polynomial.from_coefficients(element.dim, coeffs @ element.coeffs)
     return InterpolationResult(coeffs, interpolant, f - interpolant)
 
 
 # ---------------------------------------------------------------------------
 # moment projection onto quartics
 # ---------------------------------------------------------------------------
-
-def multi_indices_up_to(dim: int, degree: int):
-    """All exponent tuples with total degree <= degree, sorted by (degree, exps)."""
-    out = [
-        alpha
-        for alpha in itertools.product(range(degree + 1), repeat=dim)
-        if sum(alpha) <= degree
-    ]
-    out.sort(key=lambda a: (sum(a), a))
-    return out
-
 
 @lru_cache(maxsize=None)
 def moment_matrix(dim: int) -> np.ndarray:
@@ -170,13 +157,16 @@ def moment_matrix(dim: int) -> np.ndarray:
     Rows are the moments alpha and columns the quartic monomials beta, both
     in multi_indices_up_to(dim, 4) order: 15x15 in 2D, 35x35 in 3D.
     """
-    alphas = multi_indices_up_to(dim, 4)
-    system = np.empty((len(alphas), len(alphas)))
-    for r, alpha in enumerate(alphas):
-        for c, exps in enumerate(alphas):
-            system[r, c] = Polynomial.monomial(dim, exps).diff_multi(alpha).integrate_box()
-    system.flags.writeable = False
-    return system
+    return derivative_integrals(dim, 4, multi_indices_up_to(dim, 4))
+
+
+def _moments_and_projection(f: Polynomial):
+    """The derivative moments of f up to order 4 and the quartic coefficients
+    of its projection."""
+    moments = derivative_integrals(f.dim, f.bound, multi_indices_up_to(f.dim, 4)) @ f.coeffs
+    # The moment matrix is square and nonsingular for this pairing; a failure
+    # here means the index bookkeeping broke, not bad input.
+    return moments, np.linalg.solve(moment_matrix(f.dim), moments)
 
 
 def moment_project(f: Polynomial) -> Polynomial:
@@ -184,13 +174,7 @@ def moment_project(f: Polynomial) -> Polynomial:
 
     The projection P satisfies int_box d^alpha (P - f) = 0 for all |alpha| <= 4.
     """
-    dim = f.dim
-    alphas = multi_indices_up_to(dim, 4)  # the same set spans the quartic target space
-    rhs = np.array([f.diff_multi(alpha).integrate_box() for alpha in alphas])
-    # The moment matrix is square and nonsingular for this pairing; a failure
-    # here means the index bookkeeping broke, not bad input.
-    sol = np.linalg.solve(moment_matrix(dim), rhs)
-    return Polynomial(dim, {exps: sol[c] for c, exps in enumerate(alphas) if sol[c] != 0.0})
+    return Polynomial.from_coefficients(f.dim, _moments_and_projection(f)[1])
 
 
 def commuting_discrepancy(f: Polynomial) -> float:
@@ -199,15 +183,11 @@ def commuting_discrepancy(f: Polynomial) -> float:
     Fourth derivatives of the projection are constants, so projecting then
     differentiating should reproduce the mean of the derivative exactly.
     """
-    proj = moment_project(f)
-    worst = 0.0
-    for alpha in multi_indices_up_to(f.dim, 4):
-        if sum(alpha) != 4:
-            continue
-        lhs = proj.diff_multi(alpha).coefficient((0,) * f.dim)
-        rhs = f.diff_multi(alpha).box_mean()
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    moments, projection = _moments_and_projection(f)
+    # d^alpha x^alpha = alpha!, so d^alpha P(f) = alpha! times P's alpha coefficient.
+    return max(abs(math.prod(map(math.factorial, alpha)) * projection[r]
+                   - moments[r] / 2.0 ** f.dim)
+               for r, alpha in enumerate(multi_indices_up_to(f.dim, 4)) if sum(alpha) == 4)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +231,29 @@ def bubble_expansion(bubbles: BubbleSet, f: Polynomial) -> Polynomial:
     return out
 
 
+@lru_cache(maxsize=None)
+def _identity_forms(element: ReferenceElement, du: int, dv: int):
+    """Matrices (L, R) with lhs = u L v and rhs = u R v on the reference
+    element, for u of degree bound du and v of bound dv:
+    L = (I - Pi)^T sum_ab D_ab^T G D_ab and R = sum_{i != j} (D_j^2 D_i)^T G D_i^3 / 3,
+    where Pi is the canonical interpolation and G the box Gram matrix."""
+    from .assembly import derivative_alphas
+
+    dim = element.dim
+    de = max(du, SHAPE_DEGREE)  # degree bound of u - Pi u
+    residual = np.eye(num_monomials(dim, de), num_monomials(dim, du))
+    residual[:element.coeffs.shape[1]] -= element.coeffs.T @ dof_matrix(dim, du)
+    hessian = tuple((alpha, alpha) for alpha in derivative_alphas(dim, 2))
+    unit = np.eye(dim, dtype=int)
+    third = tuple((tuple(unit[i] + 2 * unit[j]), tuple(3 * unit[i]))
+                  for i in range(dim) for j in range(dim) if i != j)
+    lhs = residual.T @ derivative_form(dim, de, dv, hessian)
+    rhs = derivative_form(dim, du, dv, third) / 3.0
+    for form in (lhs, rhs):
+        form.flags.writeable = False
+    return lhs, rhs
+
+
 def refined_identity_check(element: ReferenceElement, u: Polynomial, v: Polynomial,
                            h: float = 1.0):
     """Both sides of the refined interpolation identity on one cell.
@@ -259,28 +262,18 @@ def refined_identity_check(element: ReferenceElement, u: Polynomial, v: Polynomi
     against v.  Right side: (h^2/3) sum_{i != j} int u_ijj v_iii in physical
     scaling.  For quartic u and shape-space v the two agree in 2D; in 3D the
     identity holds once the mixed quartics xi_i^2 xi_j xi_k are excluded.
-    Returns (lhs, rhs), both carrying the physical factor h^(dim-4).
+    Both sides are bilinear forms in the coefficients of u and v, built once
+    per degree bound.  Returns (lhs, rhs), both carrying the physical factor
+    h^(dim-4).
     """
     dim = element.dim
     if u.dim != dim or v.dim != dim:
         raise ValueError("dimension mismatch")
     if h <= 0:
         raise ValueError(f"half-width must be positive, got {h!r}")
-    err = canonical_interpolate(element, u).error
+    lhs, rhs = _identity_forms(element, u.bound, v.bound)
     scale = float(h) ** (dim - 4)
-    err_grad = [err.diff(a) for a in range(dim)]
-    v_grad = [v.diff(a) for a in range(dim)]
-    lhs = 0.0
-    for a in range(dim):
-        for b in range(dim):
-            lhs += (err_grad[a].diff(b) * v_grad[a].diff(b)).integrate_box()
-    rhs = 0.0
-    for i in range(dim):
-        for j in range(dim):
-            if i == j:
-                continue
-            rhs += (u.diff(i, 1).diff(j, 2) * v.diff(i, 3)).integrate_box()
-    return scale * lhs, scale * rhs / 3.0
+    return scale * float(u.coeffs @ lhs @ v.coeffs), scale * float(u.coeffs @ rhs @ v.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +402,7 @@ class VerificationReport:
 
 
 def _max_dof_value(element: ReferenceElement, poly: Polynomial) -> float:
-    return max(abs(element.apply_dof(i, poly)) for i in range(element.ndof))
+    return float(np.max(np.abs(dof_matrix(element.dim, poly.bound) @ poly.coeffs)))
 
 
 def run_bubble_suite(dims=(2, 3)) -> VerificationReport:
@@ -463,6 +456,14 @@ def _random_polynomial(dim, alphas, rng) -> Polynomial:
     return Polynomial(dim, dict(zip(alphas, coeffs)))
 
 
+def _random_pair(element: ReferenceElement, u_alphas, rng):
+    """One draw of the refined-identity suite, in this order: u's
+    coefficients on u_alphas, v's on the shape monomials, the half-width h."""
+    u = _random_polynomial(element.dim, u_alphas, rng)
+    v = _random_polynomial(element.dim, element.monomials, rng)
+    return u, v, rng.uniform(0.1, 1.0)
+
+
 def run_refined_identity_suite(dim: int, n_pairs: int = 200,
                                seed: int = DEFAULT_SEED) -> VerificationReport:
     """Randomized cellwise check of the refined interpolation identity.
@@ -479,13 +480,10 @@ def run_refined_identity_suite(dim: int, n_pairs: int = 200,
     if dim == 3:
         excluded = {a for a in u_alphas if sorted(a) == [1, 1, 2]}
         u_alphas = [a for a in u_alphas if a not in excluded]
-    v_alphas = list(element.monomials)
 
     worst = 0.0
     for _ in range(n_pairs):
-        u = _random_polynomial(dim, u_alphas, rng)
-        v = _random_polynomial(dim, v_alphas, rng)
-        h = rng.uniform(0.1, 1.0)
+        u, v, h = _random_pair(element, u_alphas, rng)
         lhs, rhs = refined_identity_check(element, u, v, h)
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     report.records.append(

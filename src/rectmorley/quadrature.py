@@ -75,16 +75,18 @@ def facet_rule(dim: int, axis: int, side: int, n_per_axis: int) -> QuadRule:
     return QuadRule(dim, pts, base.weights.copy())
 
 
-def integrate_monomial_box(exponents) -> float:
-    """Exact integral of prod_i xi_i**e_i over [-1, 1]^len(exponents).
+def integrate_monomial_box(exponents):
+    """Exact integral of prod_i xi_i**e_i over [-1, 1]^dim for the exponent
+    tuples e on the last axis of exponents; a float for one tuple.
 
-    Odd exponents integrate to zero; even ones contribute 2 / (e + 1).
+    Odd exponents integrate to zero; even ones contribute 2 / (e + 1),
+    multiplied up axis by axis.
     """
-    val = 1.0
-    for e in exponents:
-        if not isinstance(e, (int, np.integer)) or e < 0:
-            raise ValueError(f"exponents must be nonnegative integers, got {e!r}")
-        if e % 2 == 1:
-            return 0.0
-        val *= 2.0 / (e + 1)
-    return val
+    exps = np.asarray(exponents)
+    if exps.size and (exps.dtype.kind not in "iu" or (exps < 0).any()):
+        raise ValueError(f"exponents must be nonnegative integers, got {exponents!r}")
+    val = np.ones(exps.shape[:-1])
+    for axis in range(exps.shape[-1]):
+        e = exps[..., axis]
+        val = val * np.where(e % 2 == 0, 2.0 / (e + 1), 0.0)
+    return float(val) if exps.ndim == 1 else val

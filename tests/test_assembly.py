@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky
 
-from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, PARITY_EVEN,
-                                 PARITY_ODD, FemField, assemble,
-                                 broken_energy_inner, broken_error_norms,
+from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, BLOCK_POINTS,
+                                 PARITY_EVEN, PARITY_ODD, QUAD_ORDER, FemField, assemble,
+                                 broken_energy_inner, broken_error_norms, broken_integral,
                                  build_dof_map, eigen_error_identity_terms,
                                  element_matrices, free_dof_count,
                                  interpolate_global, l2_norm_analytic,
@@ -17,7 +17,7 @@ from rectmorley.element import physical_dof_scaling
 from rectmorley.functions import sine_eigenvalue, unit_box_eigenfunction
 from rectmorley.mesh import build_mesh
 from rectmorley.operators import canonical_interpolate
-from rectmorley.polynomial import Polynomial
+from rectmorley.polynomial import Polynomial, tabulate
 from rectmorley.quadrature import tensor_rule
 
 
@@ -176,8 +176,9 @@ def test_element_stiffness_matches_quadrature(ref2):
     rule = tensor_rule(2, 5)
     inv_scale = 1.0 / physical_dof_scaling(ref2, h)
     alphas = [(2, 0), (1, 1), (1, 1), (0, 2)]
-    tables = [ref2.eval_basis(alpha, rule.points) / h ** 2 for alpha in alphas]
-    vals = ref2.eval_basis((0, 0), rule.points)
+    tables = [table.T / h ** 2 for table in
+              np.moveaxis(tabulate(2, ref2.coeffs, alphas, rule.points), -1, 0)]
+    vals = tabulate(2, ref2.coeffs, [(0, 0)], rule.points)[..., 0].T
     ke_quad = np.zeros((8, 8))
     me_quad = np.zeros((8, 8))
     for table in tables:
@@ -283,9 +284,9 @@ def test_interpolated_quadratic_is_recovered_pointwise(ref2, entity_ids):
     h = mesh.half_width
     phys = entity_ids(mesh).center(e) + h * pts
     local = interp.field.local_reference_coefficients(ref2)[e]
-    got = ref2.eval_basis((0, 0), pts) @ local
+    got = local @ tabulate(2, ref2.coeffs, [(0, 0)], pts)[..., 0]
     assert got == pytest.approx(poly(phys), abs=1e-12)
-    grad0 = ref2.eval_basis((1, 0), pts) @ local / h
+    grad0 = local @ tabulate(2, ref2.coeffs, [(1, 0)], pts)[..., 0] / h
     assert grad0 == pytest.approx(poly.diff(0)(phys), abs=1e-11)
 
 
@@ -422,8 +423,8 @@ def cellwise_integral(ids, element, order, pointwise, u, v, quad_order=8):
             for w in (u, v):
                 if isinstance(w, FemField):
                     local = w.local_reference_coefficients(element)[e]
-                    samples.append(element.eval_basis(alpha, rule.points) @ local
-                                   / h ** order)
+                    samples.append(local @ tabulate(mesh.dim, element.coeffs, [alpha],
+                                                    rule.points)[..., 0] / h ** order)
                 else:
                     samples.append(w.derivatives([alpha], phys)[:, 0])
             total += pointwise(*samples) @ rule.weights * h ** mesh.dim
@@ -530,3 +531,35 @@ def test_identity_rejects_inadmissible_input(ref2):
             sine_eigenvalue((1, 1)), unit_box_eigenfunction((1, 1)), lam_h,
             u_h, mesh, dofmap, ref2, A=a_mat, M=m_mat,
         )
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 4)])
+def test_error_norms_of_all_orders_equal_one_integral_per_order(dim, n, ref2, ref3):
+    # broken_error_norms evaluates the analytic input once per block for all
+    # orders; the norms are bit for bit those of one broken_integral per order.
+    element = ref2 if dim == 2 else ref3
+    mesh = build_mesh(dim, n)
+    sine = unit_box_eigenfunction((1,) * dim)
+    field = interpolate_global(sine, mesh, build_dof_map(mesh, BC_SIMPLY_SUPPORTED)).field
+    coeffs = field.local_reference_coefficients(element)
+
+    def squared_error(exact, discrete):
+        return (exact - discrete) ** 2
+
+    norms = broken_error_norms(sine, field, mesh, element)
+    assert norms == {l: math.sqrt(broken_integral(mesh, element, l, squared_error,
+                                                  sine, coeffs)) for l in (0, 1, 2)}
+    assert broken_error_norms(sine, field, mesh, element, orders=(2, 0)) == {
+        2: norms[2], 0: norms[0]}
+
+    class Counted:
+        calls = 0
+        dim = sine.dim
+
+        def derivatives(self, alphas, x):
+            Counted.calls += 1
+            return sine.derivatives(alphas, x)
+
+    assert broken_error_norms(Counted(), field, mesh, element) == norms
+    points = mesh.num_elements * tensor_rule(dim, QUAD_ORDER).num_points
+    assert Counted.calls == math.ceil(points / BLOCK_POINTS)  # one call per block

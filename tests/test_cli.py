@@ -508,6 +508,54 @@ def test_verify_interpolation_reports_every_probed_order(capsys):
     assert {c["tol"] for c in checks} == {0.3}
 
 
+def _expected_verify_all_records():
+    """(suite, record name) of `verify all`, in order, as the dict-based
+    polynomials reported them."""
+    pairs2, pairs3 = ["0,1", "1,0"], ["0,1", "0,2", "1,0", "1,2", "2,0", "2,1"]
+    bubbles = []
+    for dim, ordered, unordered in ((2, pairs2, ["0,1"]), (3, pairs3, ["0,1", "0,2", "1,2"])):
+        bubbles += ([f"{dim}d/count"] + [f"{dim}d/phi({p})/max-dof" for p in ordered]
+                    + [f"{dim}d/psi({i})/max-dof" for i in range(dim)]
+                    + [f"{dim}d/p({p})/max-dof" for p in unordered]
+                    + [f"{dim}d/q({p})/max-dof" for p in ordered]
+                    + [f"{dim}d/p-published({p})/max-dof" for p in unordered])
+    names = {
+        "bubbles": bubbles,
+        "refined-identity-2d": ["2d/random-pairs/max-scaled-residual",
+                                "2d/worked-case/lhs-value", "2d/worked-case/identity"],
+        "refined-identity-3d": ["3d/random-pairs/max-scaled-residual",
+                                "3d/excluded-family/lhs-value",
+                                "3d/excluded-family/identity-gap"],
+        "commuting": [f"{dim}d/degree-{k}/max-monomial" for dim in (2, 3) for k in range(7)],
+        "eigenvalue-error-identity": [f"2d-ss/n={n}/{kind}" for n in (4, 8)
+                                      for kind in ("residual", "sign-flip-residual")],
+        "interpolation-convergence": [f"{dim}d/{f}/{norm}-order" for dim in (2, 3)
+                                      for f in ("sine", "mixed-cubic", "pure-quartic")
+                                      for norm in ("L2", "H1", "H2")],
+    }
+    return [(suite, name) for suite, listed in names.items() for name in listed]
+
+
+def test_verify_all_json_is_pinned_and_deterministic(capsys):
+    code, first, _ = run_cli(["verify", "all", "--format", "json"], capsys)
+    code_again, second, _ = run_cli(["verify", "all", "--format", "json"], capsys)
+    assert code == code_again == 0
+    assert first == second  # bit for bit
+    checks = [(report["suite"], check) for report in json.loads(first)["reports"]
+              for check in report["checks"]]
+    assert len(checks) == 73
+    assert [(suite, c["name"]) for suite, c in checks] == _expected_verify_all_records()
+    assert all(c["passed"] for _, c in checks)
+    assert {c["name"] for _, c in checks if c["deviation"]} == {
+        "2d/p-published(0,1)/max-dof", "3d/p-published(0,1)/max-dof",
+        "3d/p-published(0,2)/max-dof", "3d/p-published(1,2)/max-dof",
+        "3d/excluded-family/identity-gap"}
+    by_name = {c["name"]: c for _, c in checks}
+    assert by_name["2d/worked-case/lhs-value"]["lhs"] == pytest.approx(16.0, abs=1e-12)
+    assert by_name["3d/excluded-family/lhs-value"]["lhs"] == pytest.approx(-32.0 / 3.0,
+                                                                            abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------

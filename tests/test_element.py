@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from rectmorley.element import (FACET_NORMAL_MEAN, VERTEX_VALUE,
                                 build_reference_element, physical_dof_scaling,
                                 reference_corners)
-from rectmorley.polynomial import Polynomial
+from rectmorley.polynomial import Polynomial, tabulate
 from rectmorley.quadrature import facet_rule
 
 
@@ -96,32 +98,47 @@ def test_pure_second_derivative_is_affine_in_its_own_axis(ref2, ref3):
             moved = base.copy()
             other = (a + 1) % dim
             moved[other] = rng.uniform(-1.0, 1.0)
-            assert element.eval_basis(alpha, base) == pytest.approx(
-                element.eval_basis(alpha, moved), abs=1e-12
+            assert tabulate(dim, element.coeffs, [alpha], base) == pytest.approx(
+                tabulate(dim, element.coeffs, [alpha], moved), abs=1e-12
             )
 
 
 def test_third_derivatives_are_constant(ref2):
     alpha = (3, 0)
     pts = np.array([[0.1, -0.4], [-0.9, 0.8], [0.5, 0.5]])
-    table = ref2.eval_basis(alpha, pts)
-    assert np.max(np.abs(table - table[0])) < 1e-12
+    table = tabulate(2, ref2.coeffs, [alpha], pts)[..., 0]
+    assert np.max(np.abs(table - table[:, :1])) < 1e-12
 
 
-def test_eval_basis_rejects_high_derivatives(ref2):
+def test_basis_derivatives_reject_malformed_multi_indices(ref2):
+    # Orders past the cubic shape space are zero, not errors.
+    assert not tabulate(2, ref2.coeffs, [(4, 0), (2, 2)], np.zeros(2)).any()
     with pytest.raises(ValueError):
-        ref2.eval_basis((4, 0), np.zeros(2))
+        tabulate(2, ref2.coeffs, [(1,)], np.zeros(2))
     with pytest.raises(ValueError):
-        ref2.eval_basis((2, 2), np.zeros(2))
+        tabulate(2, ref2.coeffs, [(-1, 0)], np.zeros(2))
     with pytest.raises(ValueError):
-        ref2.eval_basis((1,), np.zeros(2))
+        tabulate(2, ref2.coeffs, [(1, 0)], np.zeros(3))
 
 
-def test_eval_basis_shapes(ref2):
-    single = ref2.eval_basis((0, 0), np.array([0.5, -0.5]))
-    assert single.shape == (8,)
-    batch = ref2.eval_basis((1, 0), np.zeros((5, 2)))
-    assert batch.shape == (5, 8)
+def test_basis_derivative_shapes(ref2):
+    single = tabulate(2, ref2.coeffs, [(0, 0)], np.array([0.5, -0.5]))
+    assert single.shape == (8, 1)
+    batch = tabulate(2, ref2.coeffs, [(1, 0), (0, 1), (1, 1)], np.zeros((5, 2)))
+    assert batch.shape == (8, 5, 3)
+
+
+def test_basis_derivatives_match_each_basis_polynomial(ref2, ref3):
+    rng = np.random.default_rng(3)
+    for element in (ref2, ref3):
+        dim = element.dim
+        alphas = [alpha for alpha in itertools.product(range(3), repeat=dim)
+                  if sum(alpha) <= 3]
+        pts = rng.uniform(-1.0, 1.0, size=(4, dim))
+        table = tabulate(dim, element.coeffs, alphas, pts)
+        for phi, rows in zip(element.basis, table):
+            for j, alpha in enumerate(alphas):
+                assert rows[:, j] == pytest.approx(phi.diff_multi(alpha)(pts), abs=1e-13)
 
 
 def test_physical_dof_scaling(ref2, ref3):

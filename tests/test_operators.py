@@ -470,3 +470,67 @@ def test_moment_matrix_is_cached_and_read_only(dim):
     assert moment_matrix.cache_info().hits == hits + 1
     with pytest.raises(ValueError):
         first[0, 0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# the interpolation matrix and the identity forms against independent routes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_interpolation_reproduces_basis_and_annihilates_bubbles(dim):
+    element = build_reference_element(dim)
+    for i, phi in enumerate(element.basis):
+        result = canonical_interpolate(element, phi)
+        assert result.coefficients == pytest.approx(np.eye(element.ndof)[i], abs=1e-13)
+        assert result.error.max_abs_coeff() < 1e-13
+    for name, bubble in build_bubbles(dim).corrected_items():
+        result = canonical_interpolate(element, bubble)
+        assert np.max(np.abs(result.coefficients)) < 1e-13, name
+        assert result.interpolant.max_abs_coeff() < 1e-13, name
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_identity_lhs_form_matches_quadrature_of_the_error_hessian(dim):
+    # u - Pi u from the quadrature solve of the DOF system, Hessians at Gauss
+    # points, the full contraction summed with weights.
+    element = build_reference_element(dim)
+    rule = tensor_rule(dim, 4)  # exact through degree 7
+    hessian = [tuple(int(c == a) + int(c == b) for c in range(dim))
+               for a in range(dim) for b in range(dim)]
+    rng = np.random.default_rng(17 + dim)
+    for _ in range(5):
+        u = random_quartic(dim, rng)
+        v = Polynomial(dim, dict(zip(element.monomials,
+                                     rng.uniform(-1.0, 1.0, size=element.ndof))))
+        h = rng.uniform(0.1, 1.0)
+        error = u - oracle_interpolate(element, u)
+        quad = np.einsum("pk,pk,p->", error.derivatives(hessian, rule.points),
+                         v.derivatives(hessian, rule.points), rule.weights)
+        lhs, _ = refined_identity_check(element, u, v, h)
+        assert lhs == pytest.approx(h ** (dim - 4) * quad, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim,u_first,v_first,h", [
+    (2, (-0.9385159407896639, -0.6630850404701072), (0.8939276245932366, -0.7284196091816064),
+     0.300359429377736),
+    (3, (-0.9385159407896639, -0.6630850404701072), (-0.03341986994391899, 0.20386884005888817),
+     0.739864286648261),
+])
+def test_first_random_pair_of_the_default_seed_is_pinned(dim, u_first, v_first, h):
+    # Each pair draws u's coefficients (the quartics in list order, less the
+    # mixed quartics in 3D), then v's (the shape monomials in element order),
+    # then h; --seed S selects the same pairs as before the coefficient-vector
+    # polynomials.
+    from rectmorley.operators import DEFAULT_SEED, _random_pair
+
+    element = build_reference_element(dim)
+    u_alphas = tuple(a for a in multi_indices_up_to(dim, 4) if sorted(a) != [1, 1, 2])
+    u, v, drawn_h = _random_pair(element, u_alphas, np.random.default_rng(DEFAULT_SEED))
+    replay = np.random.default_rng(DEFAULT_SEED)
+    u_coeffs = replay.uniform(-1.0, 1.0, size=len(u_alphas))
+    v_coeffs = replay.uniform(-1.0, 1.0, size=element.ndof)
+    assert drawn_h == replay.uniform(0.1, 1.0) == h
+    assert tuple(u_coeffs[:2]) == u_first and tuple(v_coeffs[:2]) == v_first
+    assert [u.coefficient(a) for a in u_alphas] == list(u_coeffs)
+    assert [v.coefficient(m) for m in element.monomials] == list(v_coeffs)
+    assert len(u.terms) == len(u_alphas) and len(v.terms) == element.ndof

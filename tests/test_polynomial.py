@@ -1,9 +1,13 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectmorley.polynomial import Polynomial
+from rectmorley.polynomial import Polynomial, multi_indices_up_to
+from rectmorley.quadrature import facet_rule, tensor_rule
 
 
 def poly_from_terms(dim, terms):
@@ -63,17 +67,6 @@ def test_diff_matches_hand_derivative():
     assert p.diff_multi((0, 3)).degree() == -1
 
 
-def test_substitute_pins_one_coordinate():
-    x = Polynomial.variable(2, 0)
-    y = Polynomial.variable(2, 1)
-    p = x ** 2 * y - y ** 3
-    edge = p.substitute(0, 1.0)
-    assert edge.dim == 2
-    assert edge.almost_equal(y - y ** 3)
-    assert p.substitute(1, 0.0).degree() == -1
-    assert p.substitute(0, 2.0).almost_equal(4.0 * y - y ** 3)
-
-
 def test_call_accepts_single_point_and_batches():
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
@@ -116,7 +109,7 @@ def test_bad_axis_rejected():
     with pytest.raises(ValueError):
         p.diff(2)
     with pytest.raises(ValueError):
-        p.substitute(-1, 0.0)
+        p.facet_mean(-1, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,26 +138,24 @@ def test_integrate_matches_quadrature(p):
     assert p.integrate_box() == pytest.approx(quad, abs=1e-9)
 
 
-def _arithmetic_results(p, q, scalar, axis, value):
+def _arithmetic_results(p, q, scalar, axis):
     """Every kind of result the class's own arithmetic builds from p and q."""
     return [
         p + q, p - q, -p, p + scalar, scalar - p,
         scalar * p, p * scalar, p * q, p ** 2,
         p.diff(axis), p.diff(axis, order=2), p.diff_multi((1,) * p.dim),
-        p.substitute(axis, value),
     ]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(),
-       scalar=st.sampled_from([0.0, -1.0, 0.5, 3.0]),
-       value=st.sampled_from([-1.0, 0.0, 0.25, 1.0]))
-def test_arithmetic_results_satisfy_the_public_invariant(dim, data, scalar, value):
+       scalar=st.sampled_from([0.0, -1.0, 0.5, 3.0]))
+def test_arithmetic_results_satisfy_the_public_invariant(dim, data, scalar):
     p = data.draw(small_polynomials(dim))
     q = data.draw(small_polynomials(dim))
     axis = data.draw(st.integers(min_value=0, max_value=dim - 1))
-    for r in _arithmetic_results(p, q, scalar, axis, value):
+    for r in _arithmetic_results(p, q, scalar, axis):
         assert r.dim == dim
         assert Polynomial(dim, r.terms).terms == r.terms
         for key, coeff in r.terms.items():
@@ -180,3 +171,77 @@ def test_single_point_evaluation_matches_batch(p, point):
     single = p(np.array(point))
     assert type(single) is float
     assert single == pytest.approx(p(np.array([point]))[0], rel=1e-14, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the coefficient-vector maps against an independent oracle: each term is
+# evaluated, differentiated and integrated by hand, and integrals come from
+# Gauss rules
+# ---------------------------------------------------------------------------
+
+def _random_terms(dim, rng, degree=4, count=6):
+    exps = multi_indices_up_to(dim, degree)
+    picks = rng.choice(len(exps), size=count, replace=False)
+    return {exps[k]: float(rng.uniform(-1.0, 1.0)) for k in picks}
+
+
+def _evaluate_terms(terms, x):
+    x = np.asarray(x, dtype=float)
+    return sum(c * np.prod(x ** np.array(e, dtype=float), axis=-1) for e, c in terms.items())
+
+
+def _diff_terms(terms, alpha):
+    out = {}
+    for exps, c in terms.items():
+        if all(e >= a for e, a in zip(exps, alpha)):
+            factor = np.prod([math.perm(e, a) for e, a in zip(exps, alpha)])
+            out[tuple(e - a for e, a in zip(exps, alpha))] = c * float(factor)
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_coefficient_maps_match_term_by_term_oracle(dim):
+    rng = np.random.default_rng(40 + dim)
+    rule = tensor_rule(dim, 5)  # exact through degree 9
+    pts = rng.uniform(-1.0, 1.0, size=(7, dim))
+    alphas = [alpha for alpha in itertools.product(range(3), repeat=dim) if sum(alpha) <= 3]
+    for _ in range(5):
+        p_terms, q_terms = _random_terms(dim, rng), _random_terms(dim, rng)
+        p, q = Polynomial(dim, p_terms), Polynomial(dim, q_terms)
+        assert p(pts) == pytest.approx(_evaluate_terms(p_terms, pts), abs=1e-13)
+        assert (p * q)(pts) == pytest.approx(
+            _evaluate_terms(p_terms, pts) * _evaluate_terms(q_terms, pts), abs=1e-13)
+        assert p.integrate_box() == pytest.approx(
+            _evaluate_terms(p_terms, rule.points) @ rule.weights, abs=1e-13)
+        assert (p * q).integrate_box() == pytest.approx(
+            (_evaluate_terms(p_terms, rule.points) * _evaluate_terms(q_terms, rule.points))
+            @ rule.weights, abs=1e-13)
+        for axis in range(dim):
+            unit = tuple(int(a == axis) for a in range(dim))
+            assert p.diff(axis)(pts) == pytest.approx(
+                _evaluate_terms(_diff_terms(p_terms, unit), pts), abs=1e-12)
+            for side in (-1, 1):
+                facet = facet_rule(dim, axis, side, 5)
+                assert p.facet_mean(axis, side) == pytest.approx(
+                    _evaluate_terms(p_terms, facet.points) @ facet.weights
+                    / facet.weights.sum(), abs=1e-13)
+        table = p.derivatives(alphas, pts)
+        assert table.shape == (len(pts), len(alphas))
+        for j, alpha in enumerate(alphas):
+            expected = _evaluate_terms(_diff_terms(p_terms, alpha), pts) + np.zeros(len(pts))
+            assert table[:, j] == pytest.approx(expected, abs=1e-12)
+            assert p.diff_multi(alpha).terms == pytest.approx(_diff_terms(p_terms, alpha))
+
+
+def test_degree_bound_grows_past_the_largest_production_degree():
+    # Products are not capped at degree 6: the monomial list is graded, so a
+    # vector of a lower bound is a prefix of one of any higher bound.
+    x = Polynomial.variable(2, 0)
+    y = Polynomial.variable(2, 1)
+    p = (x ** 4 * y ** 3) * (x ** 2 + y) ** 2
+    assert p.bound == 11 and p.degree() == 11
+    assert p.terms == {(8, 3): 1.0, (6, 4): 2.0, (4, 5): 1.0}
+    assert (p - p).degree() == -1
+    assert Polynomial.from_coefficients(2, p.coeffs).terms == p.terms
+    with pytest.raises(ValueError):
+        Polynomial.from_coefficients(2, np.ones(4))  # no degree bound has 4 monomials
