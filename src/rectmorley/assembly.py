@@ -297,6 +297,8 @@ def entity_values(f, mesh: CartesianMesh):
 
     Returns (vertex values, facet values) in entity id order; a facet value
     is the mean derivative of f along the global (positive-axis) normal.
+    Facet rule points reach f as facet midpoints plus the scaled facet-rule
+    offsets (f.derivatives(alphas, midpoints, offsets)).
     """
     lower, width = np.asarray(mesh.lower), mesh.cell_width
     vertex_vals = f.derivatives(derivative_alphas(mesh.dim, 0),
@@ -311,7 +313,7 @@ def entity_values(f, mesh: CartesianMesh):
         normal = derivative_alphas(mesh.dim, 1)[axis:axis + 1]
         first = axis * mesh.facets_per_axis
         for block in _blocks(first, first + mesh.facets_per_axis, base.num_points):
-            comp = f.derivatives(normal, midpoints[block, None, :] + offsets)[..., 0]
+            comp = f.derivatives(normal, midpoints[block], offsets)[..., 0]
             facet_vals[block] = comp @ base.weights / 2.0 ** (mesh.dim - 1)
     return vertex_vals, facet_vals
 
@@ -355,7 +357,9 @@ def broken_integral(mesh: CartesianMesh, element: ReferenceElement, order: int,
     cell_reference_coefficients.  integrand receives one array of
     shape (cells, points, derivatives) per function, the derivatives in
     derivative_alphas order, and returns an array of the same shape.  Cells
-    are processed in blocks of at most BLOCK_POINTS quadrature points.
+    are processed in blocks of at most BLOCK_POINTS quadrature points; an
+    analytic input gets them as cell centers plus the offsets h * rule points
+    (u.derivatives(alphas, centers, offsets)).
     """
     return _broken_integrals(mesh, element, (order,), integrand, *functions)[order]
 
@@ -373,11 +377,11 @@ def _broken_integrals(mesh: CartesianMesh, element: ReferenceElement, orders,
     # (ndof, points * derivatives): one matmul maps cell coefficients to samples.
     tables = [tabulate(mesh.dim, element.coeffs, a, rule.points).reshape(element.ndof, -1)
               / h ** order for order, a in zip(orders, alphas)]
-    centers = mesh.cell_centers()
+    centers, offsets = mesh.cell_centers(), h * rule.points
     totals = [0.0] * len(orders)
     for cells in _blocks(0, mesh.num_elements, rule.num_points):
-        points = centers[cells, None, :] + h * rule.points
-        analytic = [None if isinstance(u, np.ndarray) else u.derivatives(every_alpha, points)
+        analytic = [None if isinstance(u, np.ndarray)
+                    else u.derivatives(every_alpha, centers[cells], offsets)
                     for u in functions]
         for k, table in enumerate(tables):
             samples = [(u[cells] @ table).reshape(-1, rule.num_points, len(alphas[k]))

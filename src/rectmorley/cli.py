@@ -119,14 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
 # shared solving helpers
 # ---------------------------------------------------------------------------
 
-# Problems with fewer free DOFs than this are solved as one block: below it,
-# setting up the half-box blocks costs more than their smaller factors save.
-# Measured split/one-block time (min of 7, 2 threads, clamped/simply
-# supported): 2D n=20 (1121/1201 DOFs) 1.04-1.06, n=22 (1365/1453)
-# 0.84-0.95, n=24..32 0.70-0.98; 3D n=4 (171/267) 1.01-1.14, n=6 (665/881)
-# 0.59-0.64.  One constant cannot serve both crossovers: 3D n=6 stays one
-# block because splitting 2D n=16 (705/769) costs 1.17-1.49.
-SPLIT_MIN_ORDER = 1300
+# Problems with fewer free DOFs than this, per dimension, are solved as one
+# block: below it, setting up the half-box blocks costs more than their
+# smaller factors save.  Measured split/one-block time (min of 7, 2 threads,
+# clamped and simply supported, range of two sweeps): 2D n=16 (705/769 DOFs)
+# 0.99-1.45, n=18..22 (901..1453) 0.65-1.25, n=24 (1633/1729) 0.89-0.91;
+# 3D n=4 (171/267) 0.99-1.08, n=6 (665/881) 0.54-0.66.
+SPLIT_MIN_ORDER = {2: 1300, 3: 400}
 
 
 @dataclass
@@ -172,8 +171,8 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     mid-plane faces.  An axis permutation maps one block onto another with
     as many odd axes, so one representative per count j of odd axes is
     solved, and its eigenvalues count C(dim, j) times.  Odd n, and problems
-    with fewer than SPLIT_MIN_ORDER free DOFs, are solved as one block on
-    the full box.
+    with fewer than SPLIT_MIN_ORDER[dim] free DOFs, are solved as one block
+    on the full box.
 
     The blocks are sliced at tau = (k-th merged eigenvalue) (1 + REL_GAP).
     The first block is solved for min(k, its order) eigenpairs.  Each later
@@ -206,7 +205,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     order = free_dof_count(mesh, bc)
     if not 1 <= k <= order:
         raise UsageError(f"k={k} out of range for this mesh ({order} free DOFs)")
-    if n % 2 == 0 and order >= SPLIT_MIN_ORDER:
+    if n % 2 == 0 and order >= SPLIT_MIN_ORDER[dim]:
         mesh = build_mesh(dim, n // 2, domain=((0.0,) * dim, (0.5,) * dim))
         parities = ["".join(p) for p in itertools.product("eo", repeat=dim)]
         representatives = ["o" * j + "e" * (dim - j) for j in range(dim + 1)]

@@ -291,9 +291,12 @@ class Polynomial:
         vals = vandermonde(self.dim, self.bound, x) @ self.coeffs
         return float(vals) if np.ndim(x) == 1 else vals
 
-    def derivatives(self, alphas, x):
+    def derivatives(self, alphas, x, offsets=None):
         """Mixed partial for each multi-index in alphas at the points x (..., dim),
-        on a new last axis."""
+        on a new last axis; with offsets (q, dim), at the points
+        x[..., None, :] + offsets."""
+        if offsets is not None:
+            x = np.asarray(x, dtype=float)[..., None, :] + offsets
         return tabulate(self.dim, self.coeffs, alphas, x)
 
     def integrate_box(self) -> float:

@@ -556,10 +556,28 @@ def test_error_norms_of_all_orders_equal_one_integral_per_order(dim, n, ref2, re
         calls = 0
         dim = sine.dim
 
-        def derivatives(self, alphas, x):
+        def derivatives(self, alphas, x, offsets=None):
             Counted.calls += 1
-            return sine.derivatives(alphas, x)
+            return sine.derivatives(alphas, x, offsets)
 
     assert broken_error_norms(Counted(), field, mesh, element) == norms
     points = mesh.num_elements * tensor_rule(dim, QUAD_ORDER).num_points
     assert Counted.calls == math.ceil(points / BLOCK_POINTS)  # one call per block
+
+
+# broken_error_norms of the all-ones sine eigenfunction against its
+# interpolant on the simply supported DOF map, stored from the kernel that
+# took sin and cos at every quadrature point (no angle addition).
+FIELD_RUNG_NORMS = {
+    (2, 16): {0: 0.0003308233389236933, 1: 0.022070821085625004, 2: 1.5799971689980365},
+    (3, 4): {0: 0.04685093283826737, 1: 0.7054985987627705, 2: 11.733810101767915},
+}
+
+
+@pytest.mark.parametrize("dim,n", sorted(FIELD_RUNG_NORMS))
+def test_field_rung_norms_are_pinned(dim, n, ref2, ref3):
+    mesh = build_mesh(dim, n)
+    sine = unit_box_eigenfunction((1,) * dim)
+    field = interpolate_global(sine, mesh, build_dof_map(mesh, BC_SIMPLY_SUPPORTED)).field
+    norms = broken_error_norms(sine, field, mesh, ref2 if dim == 2 else ref3)
+    assert norms == pytest.approx(FIELD_RUNG_NORMS[dim, n], rel=1e-12, abs=0)

@@ -178,3 +178,61 @@ def test_sine_product_validates_modes():
         SineProduct(modes=(0, 1))
     with pytest.raises(ValueError):
         SineProduct(modes=(1, -2))
+
+
+def _random_inputs(dim, seed):
+    """A random polynomial of degree at most 2 in each variable, a sine
+    product with random modes in 1..4, and that sine scaled."""
+    rng = np.random.default_rng(seed)
+    poly = Polynomial(dim, {tuple(int(e) for e in rng.integers(0, 3, size=dim)):
+                            float(rng.uniform(-1.0, 1.0)) for _ in range(8)})
+    sine = SineProduct(tuple(int(m) for m in rng.integers(1, 5, size=dim)),
+                       amplitude=float(rng.uniform(0.5, 2.0)))
+    return poly, sine, ScaledFunction(sine, float(rng.uniform(-3.0, 3.0)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_offsets_form_samples_the_summed_points(dim, seed):
+    rng = np.random.default_rng(100 + seed)
+    x = rng.uniform(0.0, 1.0, size=(2, 5, dim))
+    offsets = rng.uniform(-0.1, 0.1, size=(7, dim))
+    poly, *others = _random_inputs(dim, seed)
+    for order in (0, 1, 2):
+        alphas = derivative_alphas(dim, order)
+        points = x[..., None, :] + offsets
+        got = poly.derivatives(alphas, x, offsets)
+        assert got.shape == (2, 5, 7, len(alphas))
+        assert np.array_equal(got, poly.derivatives(alphas, points))
+        for f in others:
+            got, want = f.derivatives(alphas, x, offsets), f.derivatives(alphas, points)
+            assert got.shape == want.shape == (2, 5, 7, len(alphas))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _sine_product_formula(f, alphas, x):
+    """amplitude * prod over axes of the alpha_axis-th derivative of
+    sin(m pi x_axis), sampled point by point."""
+    freq = np.pi * np.asarray(f.modes, dtype=float)
+    arg = x * freq
+    s = np.sin(arg)
+    factors = (s, freq * np.cos(arg), -(freq ** 2) * s)
+    return np.stack([f.amplitude * np.prod([factors[k][..., axis]
+                                            for axis, k in enumerate(alpha)], axis=0)
+                     for alpha in alphas], axis=-1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_sine_without_offsets_matches_the_product_formula(dim, seed):
+    _, sine, _ = _random_inputs(dim, seed)
+    x = np.random.default_rng(200 + seed).uniform(0.0, 1.0, size=(3, 4, dim))
+    alphas = [alpha for order in (0, 1, 2) for alpha in derivative_alphas(dim, order)]
+    got, want = sine.derivatives(alphas, x), _sine_product_formula(sine, alphas, x)
+    assert got.shape == want.shape == (3, 4, len(alphas))
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_sine_rejects_points_of_another_dimension():
+    with pytest.raises(ValueError):
+        SineProduct((1, 2)).derivatives([(0, 0)], np.zeros((4, 3)))

@@ -58,12 +58,19 @@ def test_blocks_match_the_full_pencil(dim, n, rtol, bc):
 def test_split_matches_the_dense_oracle(n, bc, monkeypatch):
     # Split every even n, however small, and compare with a solver that
     # uses no start vector.
-    monkeypatch.setattr(cli, "SPLIT_MIN_ORDER", 0)
+    monkeypatch.setitem(cli.SPLIT_MIN_ORDER, 3, 0)
     result = cli.solve_problem(3, n, bc)
     assert [b["multiplicity"] for b in result.metadata["blocks"]] == [1, 3, 3, 1]
     assert result.converged
     dense = smallest_k_dense(*full_pencil(3, n, bc), 6)
     np.testing.assert_allclose(result.eigenvalues, dense.eigenvalues, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("dim,n,blocks", [(2, 16, 1), (3, 4, 1), (3, 6, 4)])
+@pytest.mark.parametrize("bc", sorted(SIGMA))
+def test_split_threshold_is_per_dimension(dim, n, blocks, bc):
+    # 3D n=6 (665/881 free DOFs) is split, 2D n=16 (705/769) is not.
+    assert len(cli.solve_problem(dim, n, bc).metadata["blocks"]) == blocks
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 8)])
