@@ -6,9 +6,11 @@ positive axis direction).  Constrained DOFs are eliminated, not penalized.
 Each face of the box takes one condition from FACE_CONSTRAINTS: clamped
 faces constrain their vertices and facets, simply supported faces their
 vertices only, and the mid-plane faces of a reflection-parity block their
-facets (even parity) or their vertices (odd parity).  Free DOFs are
-numbered in nested-dissection order, so the assembled pencil is factored as
-it stands.
+facets (even parity) or their vertices (odd parity); a free face constrains
+nothing.  Free DOFs are numbered in nested-dissection order, so the
+assembled pencil is factored as it stands.  The parity blocks of one half
+box share one numbering and one assembly with free mid-plane faces: each
+block is the principal submatrix on its own free DOFs (restricted_dofs).
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ BOUNDARY_CONDITIONS = (BC_CLAMPED, BC_SIMPLY_SUPPORTED)
 # plane, an odd one vanishes there.
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
+# A face without a condition: the mid-plane faces of the numbering that the
+# parity blocks of one half box share.
+FACE_FREE = "free"
 
 # What each face condition constrains: (the vertices on the face, the facets
 # lying in it).
@@ -43,6 +48,7 @@ FACE_CONSTRAINTS = {
     BC_SIMPLY_SUPPORTED: (True, False),
     PARITY_EVEN: (False, True),
     PARITY_ODD: (True, False),
+    FACE_FREE: (False, False),
 }
 
 
@@ -155,6 +161,24 @@ def build_dof_map(mesh: CartesianMesh, bc: str, faces=None) -> DofMap:
     cell_dofs = np.concatenate([vertex_dof[mesh.cell_vertices()],
                                 facet_dof[mesh.cell_facets()]], axis=1)
     return DofMap(mesh, bc, vertex_dof, facet_dof, cell_dofs)
+
+
+def restricted_dofs(dofmap: DofMap, faces) -> np.ndarray:
+    """Ascending DOF numbers of dofmap that stay free under the conditions
+    `faces` (one per face, as for build_dof_map).
+
+    faces must constrain every DOF that dofmap's own conditions constrain.
+    Eliminating constrained DOFs deletes their rows and columns, so the
+    principal submatrix of the assembled pencil on these DOFs is the pencil
+    of build_dof_map(dofmap.mesh, dofmap.bc, faces), numbered in dofmap's
+    order.
+    """
+    dofs = np.concatenate([dofmap.vertex_dof, dofmap.facet_dof])
+    kept = dofs[~_constrained(dofmap.mesh, dofmap.bc, faces)]
+    if np.any(kept < 0):
+        raise ValueError(f"faces {tuple(faces)!r} leave DOFs free that the "
+                         "numbering constrains")
+    return np.sort(kept)
 
 
 def dof_coordinates(dofmap: DofMap) -> np.ndarray:

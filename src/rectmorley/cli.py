@@ -122,10 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
 # Problems with fewer free DOFs than this, per dimension, are solved as one
 # block: below it, setting up the half-box blocks costs more than their
 # smaller factors save.  Measured split/one-block time (min of 7, 2 threads,
-# clamped and simply supported, range of two sweeps): 2D n=16 (705/769 DOFs)
-# 0.99-1.45, n=18..22 (901..1453) 0.65-1.25, n=24 (1633/1729) 0.89-0.91;
-# 3D n=4 (171/267) 0.99-1.08, n=6 (665/881) 0.54-0.66.
-SPLIT_MIN_ORDER = {2: 1300, 3: 400}
+# range of two sweeps, clamped / simply supported with their free DOFs):
+# 2D n=14 (533/589) 1.27-1.31 / 1.03-1.05, n=16 (705/769) 1.12-1.15 /
+# 0.94-0.95, n=18 (901/973) 1.01-1.02 / 0.90-0.91, n=20 (1121/1201)
+# 0.93-0.94 / 0.82-0.83, n=22..24 0.82-0.84 / 0.73-0.78; 3D n=4 (171/267)
+# 1.01 / 0.88-0.89, n=6 (665/881) 0.56-0.58 / 0.43-0.44.  3D n=4 stays one
+# block in both BCs: splitting it saves about 1 ms, and the stored ladder's
+# rungs keep their routes and so their parity labels.
+SPLIT_MIN_ORDER = {2: 950, 3: 400}
 
 
 @dataclass
@@ -168,36 +172,42 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     even n the problem splits into 2^dim parity blocks.  Each block is the
     same Morley problem on the half box [0, 1/2]^dim, with the given bc on
     the outer faces and an even (facets) or odd (vertices) condition on the
-    mid-plane faces.  An axis permutation maps one block onto another with
-    as many odd axes, so one representative per count j of odd axes is
-    solved, and its eigenvalues count C(dim, j) times.  Odd n, and problems
-    with fewer than SPLIT_MIN_ORDER[dim] free DOFs, are solved as one block
-    on the full box.
+    mid-plane faces.  The half box is numbered and assembled once, with
+    free mid-plane faces, and each block is the principal submatrix on its
+    own free DOFs, in that shared nested-dissection order.  An axis
+    permutation maps one block onto another with as many odd axes, so one
+    representative per count j of odd axes is solved, and its eigenvalues
+    count C(dim, j) times.  Odd n, and problems with fewer than
+    SPLIT_MIN_ORDER[dim] free DOFs, are solved as one block on the full box.
 
-    The blocks are sliced at tau = (k-th merged eigenvalue) (1 + REL_GAP).
-    The first block is solved for min(k, its order) eigenpairs.  Each later
-    block is counted at the running tau of the blocks before it (inf while
-    they hold fewer than k values) and solved for exactly every eigenpair
-    below it; a block that owes none is not factored.  Last, the first block
-    is counted at the final tau and completed if it falls short.  Every
-    block then holds every eigenvalue below the final tau, and
-    metadata["k_closed"] counts them with multiplicity: above k when k cuts
-    a cluster.
+    The blocks are sliced at tau = (k-th merged eigenvalue) (1 + REL_GAP),
+    and solved in decreasing multiplicity (3D oee, ooe, eee, ooo; 2D oe, ee,
+    oo).  The first block is solved for ceil(k / multiplicity) eigenpairs
+    (fewer if it is smaller), which alone give k merged values.  Each later
+    block is counted at the running tau of the blocks before it and solved
+    for exactly every eigenpair below it; a block that owes none is not
+    factored.  Last, the first block is counted at the final tau and
+    completed if it falls short; the only block of a one-block problem
+    keeps its factor for that.  Every block then holds every eigenvalue
+    below the final tau, and metadata["k_closed"] counts them with
+    multiplicity: above k when k cuts a cluster.
 
     The k smallest of the merged eigenvalues are returned in ascending order
     (a stable sort); no full-space eigenvectors are assembled.
     metadata["order"] is the free-DOF count of the full problem, converged
     holds only if every block converged and passed its count, and the work
-    counters sum over the blocks, which metadata["blocks"] lists.
+    counters sum over the blocks, which metadata["blocks"] lists in solve
+    order.
     """
     import itertools
+    import math
     from collections import Counter
 
     import numpy as np
 
     from . import eigensolve
-    from .assembly import (PARITY_EVEN, PARITY_ODD, assemble, build_dof_map,
-                           free_dof_count)
+    from .assembly import (FACE_FREE, PARITY_EVEN, PARITY_ODD, assemble, build_dof_map,
+                           free_dof_count, restricted_dofs)
     from .element import build_reference_element
     from .mesh import build_mesh
 
@@ -208,9 +218,9 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     if n % 2 == 0 and order >= SPLIT_MIN_ORDER[dim]:
         mesh = build_mesh(dim, n // 2, domain=((0.0,) * dim, (0.5,) * dim))
         parities = ["".join(p) for p in itertools.product("eo", repeat=dim)]
-        representatives = ["o" * j + "e" * (dim - j) for j in range(dim + 1)]
+        shared_faces = [bc, FACE_FREE] * dim
     else:
-        parities = representatives = [None]
+        parities, shared_faces = [None], None
     element = build_reference_element(dim)
     # The clamped stiffness matrix is definite, so the origin is a safe
     # shift; simply supported runs shift below the spectrum instead.
@@ -221,6 +231,20 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
         return None if parity is None else "".join(sorted(parity, reverse=True))
 
     multiplicity = Counter(block_of(p) for p in parities)
+    # Largest classes first, so that the first block's copies alone give k
+    # values; the sort is stable, so ties keep their count of odd axes.
+    representatives = sorted(multiplicity, key=multiplicity.get, reverse=True)
+
+    dofmap = build_dof_map(mesh, bc, shared_faces)
+    shared = assemble(mesh, dofmap, element)
+
+    def pencil(parity):
+        """The block's (A, M): the shared pencil on the block's free DOFs."""
+        if parity is None:
+            return shared
+        keep = restricted_dofs(dofmap, [side for p in parity for side in
+                                        (bc, PARITY_ODD if p == "o" else PARITY_EVEN)])
+        return tuple(mat[keep][:, keep] for mat in shared)
 
     def slice_tau():
         """(1 + REL_GAP) times the k-th value merged so far, inf if fewer."""
@@ -230,23 +254,19 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
 
     # solve_smallest is looked up at call time, so that a caller who swaps
     # the module attribute (a tracer) sees every block solve and count.
+    first = representatives[0]
     solved = {}
     for parity in representatives:
-        faces = None if parity is None else [
-            side for p in parity
-            for side in (bc, PARITY_ODD if p == "o" else PARITY_EVEN)]
-        dofmap = build_dof_map(mesh, bc, faces)
-        a_mat, m_mat = assemble(mesh, dofmap, element)
-        if not solved:
-            first = (parity, a_mat, m_mat)
+        a_mat, m_mat = pencil(parity)
+        if parity == first:
             solved[parity] = eigensolve.solve_smallest(
-                a_mat, m_mat, min(k, dofmap.num_free), method=solver, sigma=sigma)
+                a_mat, m_mat, min(math.ceil(k / multiplicity[parity]), a_mat.shape[0]),
+                method=solver, sigma=sigma, keep_factor=parity is None)
         else:
             solved[parity] = eigensolve.solve_smallest(
                 a_mat, m_mat, method=solver, sigma=sigma, tau=slice_tau())
-    parity, a_mat, m_mat = first
-    solved[parity] = eigensolve.solve_smallest(a_mat, m_mat, method=solver, sigma=sigma,
-                                               tau=slice_tau(), known=solved[parity])
+    solved[first] = eigensolve.solve_smallest(*pencil(first), method=solver, sigma=sigma,
+                                              tau=slice_tau(), known=solved[first])
     tau = slice_tau()
 
     merged = [(lam, res, parity) for parity in parities

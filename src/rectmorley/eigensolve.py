@@ -39,13 +39,19 @@ METHOD_SHIFT_INVERT = "shift-invert"
 
 @dataclass
 class EigenResult:
-    """Eigenvalues (ascending), M-orthonormal eigenvectors, and residuals."""
+    """Eigenvalues (ascending), M-orthonormal eigenvectors, and residuals.
+
+    factor is the shift-invert factor that found them, kept only when the
+    solve was asked to keep it (keep_factor), so that a later solve of the
+    same pencil with this result as `known` needs no second SPD factor.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
     method: str
     metadata: dict = field(default_factory=dict)
+    factor: _ShiftedFactor | None = field(default=None, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -218,10 +224,17 @@ def _arpack(a_csr, m_csr, factor: _ShiftedFactor, k: int, sigma: float,
             attempt: int = 0, deflate=None):
     """k eigenpairs from one ARPACK run on the factor's operator, deflated
     off the M-orthonormal columns of `deflate` when given.  Returns the
-    values, the vectors and whether ARPACK converged (partial pairs if not)."""
+    values, the vectors and whether ARPACK converged (partial pairs if not).
+
+    An undeflated run keeps a Krylov basis of ncv = 2k + 1 vectors (at most
+    order - 1), sized to the request as the ARPACK Users' Guide advises
+    (ncv >= 2k; Lehoucq, Sorensen and Yang, 1998) instead of scipy's floor
+    of 20; a deflated run keeps max(2k + 1, 20), at most the order left.
+    """
     order = a_csr.shape[0]
-    ncv = None
-    if deflate is not None:
+    if deflate is None:
+        ncv = min(order - 1, 2 * k + 1)
+    else:
         ncv = min(order - deflate.shape[1], max(2 * k + 1, 20))
         deflate = (deflate, m_csr @ deflate)
     try:
@@ -234,7 +247,8 @@ def _arpack(a_csr, m_csr, factor: _ShiftedFactor, k: int, sigma: float,
 
 
 def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0, tau: float | None = None,
-                            known: EigenResult | None = None) -> EigenResult:
+                            known: EigenResult | None = None,
+                            keep_factor: bool = False) -> EigenResult:
     """ARPACK shift-invert solver for the k smallest generalized eigenvalues.
 
     A - sigma*M must be positive definite: sigma below the smallest
@@ -242,7 +256,8 @@ def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0, tau: float | None 
     A single factorization, in the given order, serves three steps:
 
     1. ARPACK from deterministic_start_vector finds k eigenpairs, unless
-       `known` (an earlier result of the same pencil) supplies pairs.
+       `known` (an earlier result of the same pencil) supplies pairs; its
+       kept factor, if any, is reused instead of factoring again.
     2. With tau, the pencil owes k eigenvalues below tau (count_below).  A
        one-vector Krylov space sees one direction per distinct eigenvalue,
        so ARPACK can return one copy of a repeated eigenvalue and take the
@@ -254,8 +269,10 @@ def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0, tau: float | None 
     3. One block inverse-iteration step and a Rayleigh-Ritz step, which
        also leave the vectors M-orthonormal.
 
-    The factor is freed on return.  Partial results on non-convergence are
-    returned with converged=False in the metadata.
+    The factor is freed on return, unless keep_factor keeps it on the
+    result.  Partial results on non-convergence are returned with
+    converged=False in the metadata.  opinv_applications counts the solves
+    of this call and of `known`.
     """
     a_csr = _as_csr(A)
     m_csr = _as_csr(M)
@@ -266,7 +283,8 @@ def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0, tau: float | None 
     if k + 1 >= order:
         raise ValueError("shift-invert needs k < order - 1; use the dense solver")
 
-    factor = _ShiftedFactor(a_csr, m_csr, sigma)
+    factor = getattr(known, "factor", None) or _ShiftedFactor(a_csr, m_csr, sigma)
+    reused_applications = factor.applications
     if known is None:
         w, x, converged = _arpack(a_csr, m_csr, factor, k, sigma)
         ascending = np.argsort(w, kind="stable")
@@ -303,8 +321,9 @@ def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0, tau: float | None 
             "tol": ARPACK_TOL,
             "converged": bool(converged),
             "factor_nnz": factor.nnz,
-            "opinv_applications": factor.applications,
+            "opinv_applications": factor.applications - reused_applications,
         },
+        factor=factor if keep_factor else None,
     )
     if known is not None:
         result.metadata["opinv_applications"] += known.metadata.get("opinv_applications", 0)
@@ -313,7 +332,8 @@ def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0, tau: float | None 
 
 
 def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: float = 0.0,
-                   tau: float | None = None, known: EigenResult | None = None) -> EigenResult:
+                   tau: float | None = None, known: EigenResult | None = None,
+                   keep_factor: bool = False) -> EigenResult:
     """The k smallest eigenpairs, or every eigenpair below tau.
 
     Give k or tau.  With tau, count_below sets k, the number of pairs the
@@ -323,7 +343,9 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: floa
     result of the same pencil, supplies pairs already found; no factor is
     built when they are all the pencil owes, nor when it owes none.  A count
     that cannot be trusted (count_below raises) gives the known pairs, or
-    none, with count_below_tau None and converged=False.
+    none, with count_below_tau None and converged=False.  keep_factor keeps
+    the shift-invert factor on the result, so that a later solve of the
+    same pencil with that result as `known` builds no second SPD factor.
 
     method 'auto' uses shift-invert whenever k + 1 < order, and the dense
     path only for the tiny pencils where it cannot run.
@@ -338,7 +360,7 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: floa
             have = _empty_result(order, METHOD_DENSE if method == METHOD_DENSE
                                  else METHOD_SHIFT_INVERT)
         else:
-            have = replace(known, metadata=dict(known.metadata))
+            have = replace(known, metadata=dict(known.metadata), factor=None)
         try:
             k = count_below(A, M, tau)
         except ValueError:
@@ -350,7 +372,8 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: floa
     if method == METHOD_DENSE:
         result = smallest_k_dense(A, M, k)
     else:
-        result = smallest_k_shift_invert(A, M, k, sigma=sigma, tau=tau, known=known)
+        result = smallest_k_shift_invert(A, M, k, sigma=sigma, tau=tau, known=known,
+                                         keep_factor=keep_factor)
     return result if tau is None else _certified(result, tau, k)
 
 

@@ -83,16 +83,18 @@ def test_solve_json_reports_parity_blocks(capsys):
     run = json.loads(out)["runs"][0]
     meta = run["metadata"]
     blocks = meta["blocks"]
-    assert [b["parity"] for b in blocks] == ["eee", "oee", "ooe", "ooo"]
-    assert [b["multiplicity"] for b in blocks] == [1, 3, 3, 1]
+    # Listed in solve order: largest multiplicity first.
+    assert [b["parity"] for b in blocks] == ["oee", "ooe", "eee", "ooo"]
+    assert [b["multiplicity"] for b in blocks] == [3, 3, 1, 1]
     assert sum(b["order"] * b["multiplicity"] for b in blocks) == run["order"] == 1687
     assert all(b["converged"] for b in blocks)
     for key in ("factor_nnz", "opinv_applications"):
         assert meta[key] == sum(b[key] for b in blocks)
-    # Each later block is counted at the running tau; the first block is
-    # counted last, at the final tau.  ooo owes no pair and is not factored.
-    assert [b["count_below_tau"] for b in blocks] == [1, 3, 1, 0]
-    assert blocks[0]["tau"] == blocks[3]["tau"] == meta["tau"]
+    # oee alone gives 3 x 2 values; each later block is counted at the
+    # running tau (ooe above the final one), and oee is counted last, at the
+    # final tau.  ooo owes no pair and is not factored.
+    assert [b["count_below_tau"] for b in blocks] == [1, 1, 1, 0]
+    assert blocks[0]["tau"] == blocks[3]["tau"] == meta["tau"] < blocks[1]["tau"]
     assert blocks[3]["factor_nnz"] == blocks[3]["opinv_applications"] == 0
     # The running tau of a later block is at or above the final tau, so every
     # block holds each of its eigenvalues below the final tau: k=6 cuts the
@@ -176,8 +178,8 @@ def test_traced_solve_smallest_sees_every_block_solve_and_count(monkeypatch):
     monkeypatch.setattr(eigensolve, "count_below", counting)
     result = cli.solve_problem(3, 8, "clamped")
     assert result.converged
-    # eee for k pairs, oee, ooe and ooo below the running tau, then eee's
-    # certificate at the final tau.
+    # oee for ceil(k / 3) pairs, ooe, eee and ooo below the running tau,
+    # then oee's certificate at the final tau.
     assert solves == [False, True, True, True, True]
     assert counts == [["eigensolve"]] * 4
 

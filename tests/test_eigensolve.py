@@ -22,7 +22,7 @@ def assembled(dim, n, bc, element):
 def certified_smallest(a_mat, m_mat, k, sigma):
     """k eigenpairs, then every pair below lambda_k (1 + REL_GAP), as
     cli.solve_problem certifies a one-block problem."""
-    first = solve_smallest(a_mat, m_mat, k, sigma=sigma)
+    first = solve_smallest(a_mat, m_mat, k, sigma=sigma, keep_factor=True)
     return solve_smallest(a_mat, m_mat, sigma=sigma, known=first,
                           tau=first.eigenvalues[k - 1] * (1 + REL_GAP))
 

@@ -2,6 +2,7 @@
 
 The full-pencil oracle assembles the whole unit box and calls the
 shift-invert solver once, for k pairs and without the slice certificate.
+The block oracle numbers and assembles one half-box block on its own.
 """
 
 import itertools
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 from rectmorley import cli, eigensolve
-from rectmorley.assembly import (PARITY_EVEN, PARITY_ODD, assemble,
-                                 build_dof_map)
+from rectmorley.assembly import (FACE_FREE, PARITY_EVEN, PARITY_ODD, assemble,
+                                 build_dof_map, restricted_dofs)
 from rectmorley.eigensolve import smallest_k_dense, smallest_k_shift_invert
 from rectmorley.element import build_reference_element
 from rectmorley.mesh import build_mesh
@@ -24,13 +25,20 @@ def full_pencil(dim, n, bc):
     return assemble(mesh, build_dof_map(mesh, bc), build_reference_element(dim))
 
 
+def half_box(dim, n):
+    return build_mesh(dim, n // 2, domain=((0.0,) * dim, (0.5,) * dim))
+
+
+def parity_faces(bc, parity):
+    return [face for p in parity
+            for face in (bc, PARITY_ODD if p == "o" else PARITY_EVEN)]
+
+
 def block_eigenvalues(dim, n, bc, parity, k=6):
     """The k smallest eigenvalues of the half-box block of one parity
     ('e' or 'o' per axis), solved directly."""
-    mesh = build_mesh(dim, n // 2, domain=((0.0,) * dim, (0.5,) * dim))
-    faces = [face for p in parity
-             for face in (bc, PARITY_ODD if p == "o" else PARITY_EVEN)]
-    a_mat, m_mat = assemble(mesh, build_dof_map(mesh, bc, faces),
+    mesh = half_box(dim, n)
+    a_mat, m_mat = assemble(mesh, build_dof_map(mesh, bc, parity_faces(bc, parity)),
                             build_reference_element(dim))
     return smallest_k_shift_invert(a_mat, m_mat, k, sigma=SIGMA[bc]).eigenvalues
 
@@ -60,16 +68,18 @@ def test_split_matches_the_dense_oracle(n, bc, monkeypatch):
     # uses no start vector.
     monkeypatch.setitem(cli.SPLIT_MIN_ORDER, 3, 0)
     result = cli.solve_problem(3, n, bc)
-    assert [b["multiplicity"] for b in result.metadata["blocks"]] == [1, 3, 3, 1]
+    # Largest classes first: oee, ooe, eee, ooo.
+    assert [b["multiplicity"] for b in result.metadata["blocks"]] == [3, 3, 1, 1]
     assert result.converged
     dense = smallest_k_dense(*full_pencil(3, n, bc), 6)
     np.testing.assert_allclose(result.eigenvalues, dense.eigenvalues, rtol=1e-9, atol=0)
 
 
-@pytest.mark.parametrize("dim,n,blocks", [(2, 16, 1), (3, 4, 1), (3, 6, 4)])
+@pytest.mark.parametrize("dim,n,blocks", [(2, 16, 1), (2, 20, 3), (3, 4, 1), (3, 6, 4)])
 @pytest.mark.parametrize("bc", sorted(SIGMA))
 def test_split_threshold_is_per_dimension(dim, n, blocks, bc):
-    # 3D n=6 (665/881 free DOFs) is split, 2D n=16 (705/769) is not.
+    # 3D n=6 (665/881 free DOFs) and 2D n=20 (1121/1201) are split, 2D n=16
+    # (705/769) and 3D n=4 (171/267) are not.
     assert len(cli.solve_problem(dim, n, bc).metadata["blocks"]) == blocks
 
 
@@ -101,8 +111,8 @@ def test_certificate_closes_the_3d_clamped_triple(k):
 
 @pytest.mark.parametrize("bc", sorted(SIGMA))
 def test_3d_n16_blocks_are_solved_for_what_they_owe(bc, monkeypatch):
-    arpack_runs, factored = [], []
-    eigsh = eigensolve.sla.eigsh
+    arpack_runs, factored, factors = [], [], []
+    eigsh, factor_no_pivot = eigensolve.sla.eigsh, eigensolve._factor_no_pivot
 
     def counting_eigsh(*args, **kwargs):
         arpack_runs.append(kwargs["k"])
@@ -113,17 +123,130 @@ def test_3d_n16_blocks_are_solved_for_what_they_owe(bc, monkeypatch):
             factored.append(a_csr.shape[0])
             super().__init__(a_csr, m_csr, sigma)
 
+    def counting_factor(mat):
+        factors.append(mat.shape[0])
+        return factor_no_pivot(mat)
+
     monkeypatch.setattr(eigensolve.sla, "eigsh", counting_eigsh)
     monkeypatch.setattr(eigensolve, "_ShiftedFactor", RecordedFactor)
+    monkeypatch.setattr(eigensolve, "_factor_no_pivot", counting_factor)
     result = cli.solve_problem(3, 16, bc)
     meta = result.metadata
     assert result.converged
     # k=6 cuts the 13468.312 (clamped) or 81 pi^4 (simply supported) triple.
     assert meta["k_closed"] == 7
-    # eee for k=6, then oee and ooe for their counts, and no completion pass;
-    # ooo owes nothing and gets neither an SPD factor nor an ARPACK run.
+    # oee for ceil(6 / 3) = 2 pairs, then ooe and eee for their counts, and
+    # no completion pass; ooo owes nothing and gets neither an SPD factor
+    # nor an ARPACK run.  Measured: 57 (clamped) and 43 applications.
+    assert [b["parity"] for b in meta["blocks"]] == ["oee", "ooe", "eee", "ooo"]
     counts = [b["count_below_tau"] for b in meta["blocks"]]
-    assert counts == [1, 4, 1, 0]
-    assert arpack_runs == [6, 4, 1]
+    assert counts == [1, 1, 1, 0]
+    assert arpack_runs == [2, 1, 1]
     assert factored == [b["order"] for b in meta["blocks"][:3]]
-    assert meta["opinv_applications"] <= 130
+    # 3 SPD factors and 4 count factors: oee's SPD factor, a count and an
+    # SPD factor each for ooe and eee, ooo's count, then oee's count.
+    oee, ooe, eee, ooo = (b["order"] for b in meta["blocks"])
+    assert factors == [oee, ooe, ooe, eee, eee, ooo, oee]
+    assert meta["opinv_applications"] <= 65
+
+
+@pytest.mark.parametrize("dim,n", [(2, 8), (3, 6)])
+@pytest.mark.parametrize("bc", sorted(SIGMA))
+def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypatch):
+    # One numbering and one assembly of the half box with free mid-plane
+    # faces; each parity block is the principal submatrix on its free DOFs.
+    mesh, element = half_box(dim, n), build_reference_element(dim)
+    shared_map = build_dof_map(mesh, bc, [bc, FACE_FREE] * dim)
+    shared = assemble(mesh, shared_map, element)
+    shared_dofs = np.concatenate([shared_map.vertex_dof, shared_map.facet_dof])
+    slices = {}
+    for parity in map("".join, itertools.product("eo", repeat=dim)):
+        faces = parity_faces(bc, parity)
+        keep = restricted_dofs(shared_map, faces)
+        slices[parity] = [mat[keep][:, keep] for mat in shared]
+        own_map = build_dof_map(mesh, bc, faces)
+        own_dofs = np.concatenate([own_map.vertex_dof, own_map.facet_dof])
+        # own[i]: the block's own DOF number of the i-th kept shared DOF,
+        # matched through the vertex and facet ids.
+        free = own_dofs >= 0
+        own = np.empty(len(keep), dtype=np.int64)
+        own[np.searchsorted(keep, shared_dofs[free])] = own_dofs[free]
+        assert np.array_equal(np.sort(own), np.arange(own_map.num_free))
+        for sliced, assembled in zip(slices[parity], assemble(mesh, own_map, element)):
+            assert sliced.has_canonical_format
+            assert (assembled[own][:, own] != sliced).nnz == 0
+        if dim == 2:
+            assert np.array_equal(own, np.arange(own_map.num_free))
+    # solve_problem solves exactly these slices, representatives first.
+    monkeypatch.setitem(cli.SPLIT_MIN_ORDER, dim, 0)
+    solved = []
+    solve_smallest = eigensolve.solve_smallest
+
+    def recording(a_mat, m_mat, *args, **kwargs):
+        solved.append((a_mat, m_mat))
+        return solve_smallest(a_mat, m_mat, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "solve_smallest", recording)
+    result = cli.solve_problem(dim, n, bc)
+    order = [b["parity"] for b in result.metadata["blocks"]]
+    assert order == {2: ["oe", "ee", "oo"], 3: ["oee", "ooe", "eee", "ooo"]}[dim]
+    for parity, pencil in zip(order + order[:1], solved):
+        for mat, expected in zip(pencil, slices[parity]):
+            assert (mat != expected).nnz == 0
+
+
+@pytest.mark.parametrize("dim,n,bc,k_closed", [(3, 4, "clamped", 7),
+                                               (2, 4, "simply-supported", 6)])
+def test_one_block_solve_builds_at_most_two_factors(dim, n, bc, k_closed, monkeypatch):
+    # 3D n=4 clamped: k=6 cuts the 8539.68 triple; 2D simply supported n=4:
+    # ARPACK skips a copy of the (1,3)/(3,1) pair.  Both need a completion
+    # pass after the count, which reuses the factor that found the pairs.
+    spd, factors, arpack_runs = [], [], []
+    factor_no_pivot, eigsh = eigensolve._factor_no_pivot, eigensolve.sla.eigsh
+
+    class RecordedFactor(eigensolve._ShiftedFactor):
+        def __init__(self, a_csr, m_csr, sigma):
+            spd.append(sigma)
+            super().__init__(a_csr, m_csr, sigma)
+
+    def recording_factor(mat):
+        factors.append(mat.shape[0])
+        return factor_no_pivot(mat)
+
+    def counting_eigsh(*args, **kwargs):
+        arpack_runs.append(kwargs["k"])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setitem(cli.SPLIT_MIN_ORDER, dim, 10 ** 9)
+    monkeypatch.setattr(eigensolve, "_ShiftedFactor", RecordedFactor)
+    monkeypatch.setattr(eigensolve, "_factor_no_pivot", recording_factor)
+    monkeypatch.setattr(eigensolve.sla, "eigsh", counting_eigsh)
+    result = cli.solve_problem(dim, n, bc)
+    assert result.converged
+    assert len(result.metadata["blocks"]) == 1
+    assert result.metadata["k_closed"] == k_closed
+    assert len(arpack_runs) == 2
+    assert spd == [SIGMA[bc]]
+    assert factors == [result.metadata["order"]] * 2
+
+
+@pytest.mark.parametrize("dim,n,bc", [(2, 4, "simply-supported"), (2, 32, "clamped"),
+                                      (3, 5, "clamped"), (3, 8, "simply-supported")])
+def test_krylov_basis_is_sized_to_the_request(dim, n, bc, monkeypatch):
+    # An undeflated run (from the attempt-0 start vector) keeps 2k + 1
+    # vectors, at most order - 1; a deflated completion pass keeps its own.
+    calls = []
+    eigsh = eigensolve.sla.eigsh
+
+    def recording_eigsh(*args, **kwargs):
+        calls.append((args[0].shape[0], kwargs))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve.sla, "eigsh", recording_eigsh)
+    assert cli.solve_problem(dim, n, bc).converged
+    undeflated = [(order, kwargs) for order, kwargs in calls if np.array_equal(
+        kwargs["v0"], eigensolve.deterministic_start_vector(order, 0))]
+    assert undeflated
+    for order, kwargs in undeflated:
+        assert kwargs["ncv"] == min(order - 1, 2 * kwargs["k"] + 1)
+    assert len(calls) - len(undeflated) == ((dim, n) in ((2, 4), (3, 5)))
