@@ -27,7 +27,7 @@ _EXPORTS = {
                   "canonical_interpolate", "commuting_discrepancy",
                   "interpolation_convergence_probe", "moment_project",
                   "refined_identity_check", "run_bubble_suite", "run_commuting_suite",
-                  "run_refined_identity_suite", "taylor_error_leading_term"),
+                  "run_refined_identity_suite"),
     "polynomial": ("Polynomial",),
     "quadrature": ("QuadRule", "facet_rule", "gauss_legendre_1d",
                    "integrate_monomial_box", "tensor_rule"),

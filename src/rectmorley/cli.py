@@ -79,8 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--bc", choices=("clamped", "simply-supported"),
                        default="clamped")
     solve.add_argument("--k", type=int, default=DEFAULT_K)
-    solve.add_argument("--solver", choices=("auto", "dense", "shift-invert"),
-                       default="auto")
+    solve.add_argument("--solver", choices=("auto", "dense"), default="auto")
     solve.add_argument("--format", choices=("text", "csv", "json"), default="text")
     solve.add_argument("--out", metavar="PATH")
 
@@ -316,11 +315,14 @@ def _check_ladder(dim: int, n_values):
 
 
 def _check_out(out_path):
-    """Fail before any work when the directory of --out cannot take the file."""
+    """Fail before any work when --out is a directory or its directory cannot
+    take the file."""
     if not out_path:
         return
     parent = os.path.dirname(os.path.abspath(out_path))
-    if not os.path.isdir(parent):
+    if os.path.isdir(out_path):
+        reason = errno.EISDIR
+    elif not os.path.isdir(parent):
         reason = errno.ENOENT
     elif not os.access(parent, os.W_OK | os.X_OK):
         reason = errno.EACCES

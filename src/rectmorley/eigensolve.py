@@ -348,9 +348,10 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: floa
     same pencil with that result as `known` builds no second SPD factor.
 
     method 'auto' uses shift-invert whenever k + 1 < order, and the dense
-    path only for the tiny pencils where it cannot run.
+    path only for the tiny pencils where it cannot run; method 'dense'
+    always uses the dense path.
     """
-    if method not in ("auto", METHOD_DENSE, METHOD_SHIFT_INVERT):
+    if method not in ("auto", METHOD_DENSE):
         raise ValueError(f"unknown solver method {method!r}")
     if (k is None) == (tau is None):
         raise ValueError("give either the number of eigenpairs k or the threshold tau")
@@ -367,9 +368,7 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: floa
             return _certified(have, tau, None)
         if np.count_nonzero(have.eigenvalues < tau) >= k:
             return _certified(have, tau, k)
-    if method == "auto":
-        method = METHOD_SHIFT_INVERT if k + 1 < order else METHOD_DENSE
-    if method == METHOD_DENSE:
+    if method == METHOD_DENSE or k + 1 >= order:
         result = smallest_k_dense(A, M, k)
     else:
         result = smallest_k_shift_invert(A, M, k, sigma=sigma, tau=tau, known=known,

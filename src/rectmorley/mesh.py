@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .element import reference_corners
+
 SUPPORTED_DIMS = (2, 3)
 
 
@@ -77,9 +79,9 @@ class CartesianMesh:
 
     def cell_vertices(self) -> np.ndarray:
         """Corner vertex ids of every element, shape (num_elements, 2^dim), in
-        reference corner order (axis 0 toggles fastest)."""
+        the corner order of element.reference_corners."""
         cells = _grid_multi_indices((self.n,) * self.dim)
-        corners = (np.arange(2 ** self.dim)[:, None] >> np.arange(self.dim)) & 1
+        corners = reference_corners(self.dim) > 0
         strides = (self.n + 1) ** np.arange(self.dim)
         return (cells[:, None, :] + corners[None, :, :]) @ strides
 

@@ -194,13 +194,6 @@ def commuting_discrepancy(f: Polynomial) -> float:
 # interpolation error structure on quartics
 # ---------------------------------------------------------------------------
 
-def taylor_error_leading_term(element: ReferenceElement, f: Polynomial) -> Polynomial:
-    """Exact interpolation error of a quartic, for comparison against bubbles."""
-    if f.degree() > 4:
-        raise ValueError("leading-term analysis requires degree <= 4")
-    return canonical_interpolate(element, f).error
-
-
 def bubble_expansion(bubbles: BubbleSet, f: Polynomial) -> Polynomial:
     """Interpolation error predicted by the bubble table for a quartic input.
 

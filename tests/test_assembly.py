@@ -153,7 +153,7 @@ def test_constant_mass_integrates_cell_volume(ref2, ref3):
     for element, h in ((ref2, 0.125), (ref3, 0.25)):
         _, me = element_matrices(element, h)
         ones = np.zeros(element.ndof)
-        ones[: element.num_vertex_dofs] = 1.0
+        ones[~element.facet_dof_mask] = 1.0
         assert ones @ me @ ones == pytest.approx(
             (2.0 * h) ** element.dim, rel=1e-12
         )

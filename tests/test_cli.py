@@ -398,6 +398,7 @@ def test_rates_k_beyond_closed_form_values_is_a_usage_error(capsys):
     ["verify", "lemma2d", "--quad-order", "8"],
     ["rates", "--bc", "clamped", "--richardson", "--n", "4", "--n", "8", "--n", "4"],
     ["solve", "--dim", "3", "--n", "17"],
+    ["solve", "--n", "2", "--bc", "simply-supported", "--k", "12", "--solver", "shift-invert"],
 ])
 def test_bad_sizes_and_orders_are_usage_errors(argv, capsys):
     # An unknown option fails in the parser, which exits instead of returning.
@@ -623,12 +624,14 @@ def test_unwritable_out_fails_before_any_work(argv, tmp_path, monkeypatch, capsy
     monkeypatch.setattr(cli, "solve_problem", must_not_run)
     monkeypatch.setattr("rectmorley.operators.SUITES",
                         {name: must_not_run for name in SUITES})
-    target = tmp_path / "missing" / "x.out"
-    code, out, err = run_cli(argv + ["--out", str(target)], capsys)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("rectmorley: error:") and str(target) in err
-    assert len(err.strip().splitlines()) == 1
+    for target, reason in ((tmp_path / "missing" / "x.out", "No such file or directory"),
+                           (tmp_path, "Is a directory")):
+        code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("rectmorley: error:") and str(target) in err
+        assert reason in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_threads_env_validation(monkeypatch, capsys):

@@ -338,11 +338,16 @@ def test_solve_smallest_routes_tiny_pencils_to_dense():
 
 
 def test_solve_smallest_honors_explicit_method(ref2):
+    # 'dense' forces the dense route where 'auto' takes shift-invert, which
+    # is the auto route and not a method of its own.
     a_mat, m_mat = assembled(2, 6, BC_CLAMPED, ref2)
-    result = solve_smallest(a_mat, m_mat, 3, method=METHOD_SHIFT_INVERT, sigma=0.0)
+    result = solve_smallest(a_mat, m_mat, 3, method="auto", sigma=0.0)
     assert result.method == METHOD_SHIFT_INVERT
     dense = solve_smallest(a_mat, m_mat, 3, method=METHOD_DENSE)
+    assert dense.method == METHOD_DENSE
     assert result.eigenvalues == pytest.approx(dense.eigenvalues, rel=1e-9)
+    with pytest.raises(ValueError, match="method"):
+        solve_smallest(a_mat, m_mat, 3, method=METHOD_SHIFT_INVERT)
 
 
 def test_solve_smallest_rejects_unknown_method(ref2):

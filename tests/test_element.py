@@ -5,32 +5,54 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectmorley.element import (FACET_NORMAL_MEAN, VERTEX_VALUE,
-                                build_reference_element, physical_dof_scaling,
-                                reference_corners)
+from rectmorley.element import (SHAPE_DEGREE, build_reference_element, dof_matrix,
+                                physical_dof_scaling, reference_corners)
 from rectmorley.polynomial import Polynomial, tabulate
 from rectmorley.quadrature import facet_rule
+
+
+def dofs_of(f):
+    """Every reference DOF of the polynomial f, in DOF order."""
+    return dof_matrix(f.dim, f.bound) @ f.coeffs
+
+
+def facet_dof(dim, axis, side):
+    return 2 ** dim + 2 * axis + (side > 0)
+
+
+def basis(element):
+    return [Polynomial.from_coefficients(element.dim, row) for row in element.coeffs]
 
 
 @pytest.mark.parametrize("dim,ndof", [(2, 8), (3, 14)])
 def test_dof_counts(dim, ndof, ref2, ref3):
     element = ref2 if dim == 2 else ref3
-    assert element.ndof == ndof
-    assert element.num_vertex_dofs == 2 ** dim
+    assert element.ndof == ndof == dof_matrix(dim, SHAPE_DEGREE).shape[0]
     assert element.facet_dof_mask.sum() == 2 * dim
-    kinds = [d.kind for d in element.dofs]
-    assert kinds[: 2 ** dim] == [VERTEX_VALUE] * 2 ** dim
-    assert kinds[2 ** dim:] == [FACET_NORMAL_MEAN] * 2 * dim
+    assert np.array_equal(np.flatnonzero(element.facet_dof_mask), np.arange(2 ** dim, ndof))
+    # Axis 0 toggles fastest through the corners.
+    corners = reference_corners(dim)
+    assert np.array_equal(corners, [c[::-1] for c in itertools.product((-1, 1), repeat=dim)])
+    # The kinds by index: corner values first (1 on the constant, the corner
+    # coordinate on xi_a), then facet mean outward normal derivatives (0 on
+    # the constant, side on the facet's own coordinate, 0 on the others).
+    assert dofs_of(Polynomial.constant(dim, 1.0)) == pytest.approx(
+        [1.0] * 2 ** dim + [0.0] * 2 * dim, abs=1e-15)
+    for a in range(dim):
+        values = dofs_of(Polynomial.variable(dim, a))
+        assert values[: 2 ** dim] == pytest.approx(corners[:, a], abs=1e-15)
+        expected = np.zeros(2 * dim)
+        for side in (-1, 1):
+            expected[facet_dof(dim, a, side) - 2 ** dim] = side
+        assert values[2 ** dim:] == pytest.approx(expected, abs=1e-15)
+    assert np.array_equal(element.orientation[element.facet_dof_mask],
+                          [side for _ in range(dim) for side in (-1.0, 1.0)])
+    assert np.array_equal(element.orientation[~element.facet_dof_mask], np.ones(2 ** dim))
 
 
 def test_nodal_delta_property(ref2, ref3):
     for element in (ref2, ref3):
-        table = np.array(
-            [
-                [element.apply_dof(i, phi) for phi in element.basis]
-                for i in range(element.ndof)
-            ]
-        )
+        table = np.array([dofs_of(phi) for phi in basis(element)]).T
         assert np.max(np.abs(table - np.eye(element.ndof))) < 1e-12
 
 
@@ -44,9 +66,10 @@ def test_vertex_functionals_evaluate_at_corners(ref2):
     y = Polynomial.variable(2, 1)
     f = x * y ** 2
     corners = reference_corners(2)
+    values = dofs_of(f)
     for i in range(4):
         expected = corners[i, 0] * corners[i, 1] ** 2
-        assert ref2.apply_dof(i, f) == pytest.approx(expected, abs=1e-14)
+        assert values[i] == pytest.approx(expected, abs=1e-14)
 
 
 def test_facet_functionals_average_the_normal_derivative(ref2):
@@ -55,12 +78,12 @@ def test_facet_functionals_average_the_normal_derivative(ref2):
     f = x * y ** 2
     # d f / d xi_0 = xi_1^2, so its mean over either vertical edge is 1/3;
     # the outward normal flips the sign on the minus side.
-    by_key = {(d.axis, d.side): i for i, d in enumerate(ref2.dofs) if d.axis is not None}
-    assert ref2.apply_dof(by_key[(0, 1)], f) == pytest.approx(1.0 / 3.0, abs=1e-14)
-    assert ref2.apply_dof(by_key[(0, -1)], f) == pytest.approx(-1.0 / 3.0, abs=1e-14)
+    values = dofs_of(f)
+    assert values[facet_dof(2, 0, 1)] == pytest.approx(1.0 / 3.0, abs=1e-14)
+    assert values[facet_dof(2, 0, -1)] == pytest.approx(-1.0 / 3.0, abs=1e-14)
     # d f / d xi_1 = 2 xi_0 xi_1 has zero mean along the horizontal edges.
-    assert ref2.apply_dof(by_key[(1, 1)], f) == pytest.approx(0.0, abs=1e-14)
-    assert ref2.apply_dof(by_key[(1, -1)], f) == pytest.approx(0.0, abs=1e-14)
+    assert values[facet_dof(2, 1, 1)] == pytest.approx(0.0, abs=1e-14)
+    assert values[facet_dof(2, 1, -1)] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_facet_functional_matches_quadrature(ref3):
@@ -68,13 +91,13 @@ def test_facet_functional_matches_quadrature(ref3):
     x1 = Polynomial.variable(3, 1)
     x2 = Polynomial.variable(3, 2)
     f = x0 ** 3 * x1 + x2 ** 2
-    for i, dof in enumerate(ref3.dofs):
-        if dof.kind != FACET_NORMAL_MEAN:
-            continue
-        rule = facet_rule(3, dof.axis, dof.side, 4)
-        df = f.diff(dof.axis)
-        quad_mean = float(df(rule.points) @ rule.weights) / rule.weights.sum()
-        assert ref3.apply_dof(i, f) == pytest.approx(dof.normal_sign * quad_mean, abs=1e-13)
+    values = dofs_of(f)
+    for axis in range(3):
+        for side in (-1, 1):
+            rule = facet_rule(3, axis, side, 4)
+            df = f.diff(axis)
+            quad_mean = float(df(rule.points) @ rule.weights) / rule.weights.sum()
+            assert values[facet_dof(3, axis, side)] == pytest.approx(side * quad_mean, abs=1e-13)
 
 
 def test_shape_space_contains_expected_monomials(ref2, ref3):
@@ -136,7 +159,7 @@ def test_basis_derivatives_match_each_basis_polynomial(ref2, ref3):
                   if sum(alpha) <= 3]
         pts = rng.uniform(-1.0, 1.0, size=(4, dim))
         table = tabulate(dim, element.coeffs, alphas, pts)
-        for phi, rows in zip(element.basis, table):
+        for phi, rows in zip(basis(element), table):
             for j, alpha in enumerate(alphas):
                 assert rows[:, j] == pytest.approx(phi.diff_multi(alpha)(pts), abs=1e-13)
 
@@ -171,7 +194,7 @@ def test_reference_element_is_cached():
 def test_interpolation_reproduces_shape_functions(coeffs, ref2):
     # Any combination of nodal basis functions must come back from its own DOFs.
     v = Polynomial.zero(2)
-    for c, phi in zip(coeffs, ref2.basis):
+    for c, phi in zip(coeffs, basis(ref2)):
         v = v + c * phi
-    recovered = np.array([ref2.apply_dof(i, v) for i in range(8)])
+    recovered = dofs_of(v)
     assert recovered == pytest.approx(np.asarray(coeffs), abs=1e-10)

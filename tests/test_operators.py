@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectmorley.assembly import entity_values
-from rectmorley.element import build_reference_element
+from rectmorley.element import build_reference_element, dof_matrix, reference_corners
 from rectmorley.functions import SineProduct, unit_box_eigenfunction
 from rectmorley.mesh import build_mesh
 from rectmorley.operators import (VerificationReport, build_bubbles,
@@ -18,8 +18,7 @@ from rectmorley.operators import (VerificationReport, build_bubbles,
                                   moment_project,
                                   multi_indices_up_to, refined_identity_check,
                                   run_bubble_suite, run_commuting_suite,
-                                  run_refined_identity_suite,
-                                  taylor_error_leading_term)
+                                  run_refined_identity_suite)
 from rectmorley.polynomial import Polynomial
 from rectmorley.quadrature import facet_rule, tensor_rule
 
@@ -56,31 +55,29 @@ def test_interpolant_of_mixed_quartic_3d(ref3):
     assert err.almost_equal(lhs, tol=1e-12)
 
 
+def dofs_of(f):
+    """Every reference DOF of the polynomial f, in DOF order."""
+    return dof_matrix(f.dim, f.bound) @ f.coeffs
+
+
 def oracle_interpolate(element, f):
     """Solve the DOF matching system directly from quadrature, bypassing the
-    precomputed nodal basis."""
-    ndof = element.ndof
-    vander = np.empty((ndof, ndof))
-    data = np.empty(ndof)
-    for i, dof in enumerate(element.dofs):
-        if dof.axis is None:
-            pt = np.array(dof.point)
-            data[i] = float(f(pt))
-            for j, exps in enumerate(element.monomials):
-                vander[i, j] = float(Polynomial.monomial(element.dim, exps)(pt))
-        else:
-            rule = facet_rule(element.dim, dof.axis, dof.side, 6)
-            area = rule.weights.sum()
+    precomputed nodal basis and dof_matrix: corner values in corner order,
+    then facet mean outward normal derivatives, axis by axis, side -1 first."""
+    dim = element.dim
 
-            def mean_normal(poly):
-                vals = poly.diff(dof.axis)(rule.points)
-                return dof.normal_sign * float(vals @ rule.weights) / area
+    def facet_functional(axis, side):
+        rule = facet_rule(dim, axis, side, 6)
+        return lambda poly: (side * float(poly.diff(axis)(rule.points) @ rule.weights)
+                             / rule.weights.sum())
 
-            data[i] = mean_normal(f)
-            for j, exps in enumerate(element.monomials):
-                vander[i, j] = mean_normal(Polynomial.monomial(element.dim, exps))
+    functionals = [lambda poly, pt=pt: float(poly(pt)) for pt in reference_corners(dim)]
+    functionals += [facet_functional(axis, side) for axis in range(dim) for side in (-1, 1)]
+    shape = [Polynomial.monomial(dim, exps) for exps in element.monomials]
+    vander = np.array([[ell(p) for p in shape] for ell in functionals])
+    data = np.array([ell(f) for ell in functionals])
     sol = np.linalg.solve(vander, data)
-    return Polynomial(element.dim, dict(zip(element.monomials, sol)))
+    return Polynomial(dim, dict(zip(element.monomials, sol)))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -132,8 +129,7 @@ def test_error_has_vanishing_dofs_and_projection_is_idempotent(data, ref2):
     alphas = multi_indices_up_to(2, 4)
     f = Polynomial(2, dict(zip(alphas, data)))
     result = canonical_interpolate(ref2, f)
-    for i in range(ref2.ndof):
-        assert abs(ref2.apply_dof(i, result.error)) < 1e-9
+    assert np.max(np.abs(dofs_of(result.error))) < 1e-9
     again = canonical_interpolate(ref2, result.interpolant)
     assert again.interpolant.almost_equal(result.interpolant, tol=1e-9)
     assert again.error.max_abs_coeff() < 1e-9
@@ -201,8 +197,7 @@ def test_all_corrected_bubbles_annihilate_every_dof(dim):
     element = build_reference_element(dim)
     bubbles = build_bubbles(dim)
     for name, poly in bubbles.corrected_items():
-        for i in range(element.ndof):
-            assert abs(element.apply_dof(i, poly)) < 1e-12, name
+        assert np.max(np.abs(dofs_of(poly))) < 1e-12, name
 
 
 def test_published_p_fails_at_corners():
@@ -235,7 +230,7 @@ def test_bubble_expansion_reproduces_error_for_all_2d_quartics(ref2):
     bubbles = build_bubbles(2)
     for alpha in multi_indices_up_to(2, 4):
         f = Polynomial.monomial(2, alpha)
-        exact = taylor_error_leading_term(ref2, f)
+        exact = canonical_interpolate(ref2, f).error
         predicted = bubble_expansion(bubbles, f)
         assert (exact - predicted).max_abs_coeff() < 1e-12, alpha
 
@@ -244,7 +239,7 @@ def test_bubble_expansion_covers_3d_except_mixed_family(ref3):
     bubbles = build_bubbles(3)
     for alpha in multi_indices_up_to(3, 4):
         f = Polynomial.monomial(3, alpha)
-        exact = taylor_error_leading_term(ref3, f)
+        exact = canonical_interpolate(ref3, f).error
         predicted = bubble_expansion(bubbles, f)
         gap = (exact - predicted).max_abs_coeff()
         if sorted(alpha) == [1, 1, 2]:
@@ -255,7 +250,7 @@ def test_bubble_expansion_covers_3d_except_mixed_family(ref3):
 
 def test_mixed_family_error_is_the_tensor_bubble(ref3):
     f = Polynomial.monomial(3, (2, 1, 1))
-    err = taylor_error_leading_term(ref3, f)
+    err = canonical_interpolate(ref3, f).error
     x = Polynomial.variable(3, 0)
     y = Polynomial.variable(3, 1)
     z = Polynomial.variable(3, 2)
@@ -263,10 +258,8 @@ def test_mixed_family_error_is_the_tensor_bubble(ref3):
     assert bubble_expansion(build_bubbles(3), f).max_abs_coeff() < 1e-12
 
 
-def test_expansion_rejects_high_degree(ref2):
+def test_expansion_rejects_high_degree():
     f = Polynomial.monomial(2, (5, 0))
-    with pytest.raises(ValueError):
-        taylor_error_leading_term(ref2, f)
     with pytest.raises(ValueError):
         bubble_expansion(build_bubbles(2), f)
 
@@ -479,7 +472,8 @@ def test_moment_matrix_is_cached_and_read_only(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_interpolation_reproduces_basis_and_annihilates_bubbles(dim):
     element = build_reference_element(dim)
-    for i, phi in enumerate(element.basis):
+    for i, row in enumerate(element.coeffs):
+        phi = Polynomial.from_coefficients(dim, row)
         result = canonical_interpolate(element, phi)
         assert result.coefficients == pytest.approx(np.eye(element.ndof)[i], abs=1e-13)
         assert result.error.max_abs_coeff() < 1e-13
