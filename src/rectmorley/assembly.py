@@ -1,16 +1,17 @@
 """Global assembly: DOF maps, element matrices, fields, and error identities.
 
-Degrees of freedom attach to mesh vertices (point values) and facets (mean
-normal derivatives along the global facet normal, which points in the
-positive axis direction).  Constrained DOFs are eliminated, not penalized.
-Each face of the box takes one condition from FACE_CONSTRAINTS: clamped
-faces constrain their vertices and facets, simply supported faces their
-vertices only, and the mid-plane faces of a reflection-parity block their
-facets (even parity) or their vertices (odd parity); a free face constrains
-nothing.  Free DOFs are numbered in nested-dissection order, so the
-assembled pencil is factored as it stands.  The parity blocks of one half
-box share one numbering and one assembly with free mid-plane faces: each
-block is the principal submatrix on its own free DOFs (restricted_dofs).
+One DOF attaches to each entity of the mesh.py numbering: a point value at
+a vertex, a mean derivative along the global (positive-axis) normal at a
+facet; DOF numbers, constraints and values are one array in that numbering.
+Constrained DOFs are eliminated, not penalized.  Each face of the box takes
+one condition from FACE_CONSTRAINTS: clamped faces constrain their vertices
+and facets, simply supported faces their vertices only, and the mid-plane
+faces of a reflection-parity block their facets (even parity) or their
+vertices (odd parity); a free face constrains nothing.  Free DOFs are
+numbered in nested-dissection order, so the assembled pencil is factored as
+it stands.  The parity blocks of one half box share one numbering and one
+assembly with free mid-plane faces: each block is the principal submatrix on
+its own free DOFs (restricted_dofs).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sparse
@@ -60,33 +61,21 @@ FACE_CONSTRAINTS = {
 class DofMap:
     """Free-DOF numbering for one mesh and boundary condition.
 
-    vertex_dof / facet_dof map entity ids to global free indices, -1 where
-    constrained; the free DOFs are numbered in nested-dissection order.
-    cell_dofs holds the gathered numbering per element in reference DOF
-    order.
+    entity_dof maps each entity id (vertices, then facets, as numbered by
+    the mesh) to its global free index, -1 where constrained; the free DOFs
+    are numbered in nested-dissection order.  cell_dofs holds the gathered
+    numbering per element in reference DOF order,
+    entity_dof[mesh.cell_entities()].
     """
 
     mesh: CartesianMesh
     bc: str
-    vertex_dof: np.ndarray
-    facet_dof: np.ndarray
+    entity_dof: np.ndarray
     cell_dofs: np.ndarray
 
     @property
     def num_free(self) -> int:
-        return int(np.count_nonzero(self.vertex_dof >= 0)
-                   + np.count_nonzero(self.facet_dof >= 0))
-
-
-def _entity_coordinates(mesh: CartesianMesh) -> np.ndarray:
-    """Doubled integer coordinates of all vertices, then all facets, in id order.
-
-    A vertex sits at 2 * its multi-index; a facet at 2 * its multi-index
-    along its normal axis and 2 * multi-index + 1 (its midpoint) across it.
-    """
-    axes, multis = mesh.facet_multi_indices()
-    facets = 2 * multis + (np.arange(mesh.dim) != axes[:, None])
-    return np.concatenate([2 * mesh.vertex_multi_indices(), facets])
+        return int(np.count_nonzero(self.entity_dof >= 0))
 
 
 # Boxes with at most this many DOFs are not split further.
@@ -121,10 +110,12 @@ def _nested_dissection(coords: np.ndarray) -> np.ndarray:
 
 
 def _constrained(mesh: CartesianMesh, bc: str, faces) -> np.ndarray:
-    """Constrained flags of all vertices, then all facets, in id order.
+    """Constrained flags of all entities, in id order.
 
-    faces gives one FACE_CONSTRAINTS key per face, in the order of
-    CartesianMesh.face_flags; None puts bc on every face.
+    faces gives one FACE_CONSTRAINTS key per face, in the order (axis0
+    lower, axis0 upper, axis1 lower, ...); None puts bc on every face.  An
+    entity lies in a face when its doubled coordinate on the face's axis is
+    0 or 2n, and is a facet when any doubled coordinate is odd.
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"bc must be one of {BOUNDARY_CONDITIONS}, got {bc!r}")
@@ -133,9 +124,10 @@ def _constrained(mesh: CartesianMesh, bc: str, faces) -> np.ndarray:
         raise ValueError(f"faces must hold {2 * mesh.dim} conditions out of "
                          f"{tuple(FACE_CONSTRAINTS)}, got {faces!r}")
     fixes = np.array([FACE_CONSTRAINTS[face] for face in faces])
-    vflags, fflags = mesh.face_flags()
-    return np.concatenate([(vflags & fixes[:, :1]).any(axis=0),
-                           (fflags & fixes[:, 1:]).any(axis=0)])
+    coords = mesh.entity_coordinates().T
+    on_face = (coords[:, None, :] == np.array([0, 2 * mesh.n])[:, None]).reshape(len(faces), -1)
+    facet = reduce(np.bitwise_or, coords) % 2 == 1
+    return (on_face & np.where(facet, fixes[:, 1:], fixes[:, :1])).any(axis=0)
 
 
 def free_dof_count(mesh: CartesianMesh, bc: str, faces=None) -> int:
@@ -154,13 +146,9 @@ def build_dof_map(mesh: CartesianMesh, bc: str, faces=None) -> DofMap:
     """
     free = np.flatnonzero(~_constrained(mesh, bc, faces))
 
-    dofs = np.full(mesh.num_vertices + mesh.num_facets, -1, dtype=np.int64)
-    dofs[free[_nested_dissection(_entity_coordinates(mesh)[free])]] = np.arange(len(free))
-    vertex_dof, facet_dof = np.split(dofs, [mesh.num_vertices])
-
-    cell_dofs = np.concatenate([vertex_dof[mesh.cell_vertices()],
-                                facet_dof[mesh.cell_facets()]], axis=1)
-    return DofMap(mesh, bc, vertex_dof, facet_dof, cell_dofs)
+    entity_dof = np.full(mesh.num_entities, -1, dtype=np.int64)
+    entity_dof[free[_nested_dissection(mesh.entity_coordinates()[free])]] = np.arange(len(free))
+    return DofMap(mesh, bc, entity_dof, entity_dof[mesh.cell_entities()])
 
 
 def restricted_dofs(dofmap: DofMap, faces) -> np.ndarray:
@@ -173,8 +161,7 @@ def restricted_dofs(dofmap: DofMap, faces) -> np.ndarray:
     of build_dof_map(dofmap.mesh, dofmap.bc, faces), numbered in dofmap's
     order.
     """
-    dofs = np.concatenate([dofmap.vertex_dof, dofmap.facet_dof])
-    kept = dofs[~_constrained(dofmap.mesh, dofmap.bc, faces)]
+    kept = dofmap.entity_dof[~_constrained(dofmap.mesh, dofmap.bc, faces)]
     if np.any(kept < 0):
         raise ValueError(f"faces {tuple(faces)!r} leave DOFs free that the "
                          "numbering constrains")
@@ -183,11 +170,10 @@ def restricted_dofs(dofmap: DofMap, faces) -> np.ndarray:
 
 def dof_coordinates(dofmap: DofMap) -> np.ndarray:
     """Doubled integer coordinates of the free DOFs by DOF number, shape
-    (num_free, dim); see _entity_coordinates."""
-    dofs = np.concatenate([dofmap.vertex_dof, dofmap.facet_dof])
-    free = dofs >= 0
+    (num_free, dim); see CartesianMesh.entity_coordinates."""
+    free = dofmap.entity_dof >= 0
     coords = np.empty((dofmap.num_free, dofmap.mesh.dim), dtype=np.int64)
-    coords[dofs[free]] = _entity_coordinates(dofmap.mesh)[free]
+    coords[dofmap.entity_dof[free]] = dofmap.mesh.entity_coordinates()[free]
     return coords
 
 
@@ -275,24 +261,21 @@ class FemField:
         see cell_reference_coefficients."""
         # The appended zero is what index -1, a constrained DOF, picks up.
         padded = np.append(self.coeffs, 0.0)
-        return cell_reference_coefficients(padded[self.dofmap.vertex_dof],
-                                           padded[self.dofmap.facet_dof],
+        return cell_reference_coefficients(padded[self.dofmap.entity_dof],
                                            self.dofmap.mesh, element)
 
 
-def cell_reference_coefficients(vertex_vals, facet_vals, mesh: CartesianMesh,
+def cell_reference_coefficients(values, mesh: CartesianMesh,
                                 element: ReferenceElement) -> np.ndarray:
     """Per-element reference basis coefficients, shape (num_elements, ndof),
-    of a function given by its DOF values on every vertex and facet.
+    of a function given by its DOF value on every entity, in id order.
 
     The layout is the element's DOF order: the vertex values, then the facet
     values times h (reference normal derivatives), all times the local
     orientation sign.
     """
-    coeffs = np.concatenate([vertex_vals[mesh.cell_vertices()],
-                             facet_vals[mesh.cell_facets()] * mesh.half_width], axis=1)
-    coeffs *= element.orientation
-    return coeffs
+    scale = np.where(element.facet_dof_mask, mesh.half_width, 1.0) * element.orientation
+    return values[mesh.cell_entities()] * scale
 
 
 @dataclass(frozen=True)
@@ -319,27 +302,25 @@ def _blocks(start: int, stop: int, points_each: int):
 def entity_values(f, mesh: CartesianMesh):
     """Every DOF functional of f on every mesh entity, constrained or not.
 
-    Returns (vertex values, facet values) in entity id order; a facet value
-    is the mean derivative of f along the global (positive-axis) normal.
-    Facet rule points reach f as facet midpoints plus the scaled facet-rule
-    offsets (f.derivatives(alphas, midpoints, offsets)).
+    Returns one value per entity in id order; a facet value is the mean
+    derivative of f along the global (positive-axis) normal.  The entities
+    sit at lower + half_width * entity_coordinates (exact); facet rule points
+    reach f as these midpoints plus the scaled facet-rule offsets.
     """
-    lower, width = np.asarray(mesh.lower), mesh.cell_width
-    vertex_vals = f.derivatives(derivative_alphas(mesh.dim, 0),
-                                lower + mesh.vertex_multi_indices() * width)[:, 0]
+    points = np.asarray(mesh.lower) + mesh.entity_coordinates() * mesh.half_width
+    nv = mesh.num_vertices
+    vals = np.empty(mesh.num_entities)
+    vals[:nv] = f.derivatives(derivative_alphas(mesh.dim, 0), points[:nv])[:, 0]
 
-    axes, multis = mesh.facet_multi_indices()
-    midpoints = lower + (multis + 0.5 * (np.arange(mesh.dim) != axes[:, None])) * width
     base = tensor_rule(mesh.dim - 1, QUAD_ORDER)
-    facet_vals = np.empty(mesh.num_facets)
     for axis in range(mesh.dim):
         offsets = np.insert(mesh.half_width * base.points, axis, 0.0, axis=1)
         normal = derivative_alphas(mesh.dim, 1)[axis:axis + 1]
-        first = axis * mesh.facets_per_axis
+        first = nv + axis * mesh.facets_per_axis
         for block in _blocks(first, first + mesh.facets_per_axis, base.num_points):
-            comp = f.derivatives(normal, midpoints[block], offsets)[..., 0]
-            facet_vals[block] = comp @ base.weights / 2.0 ** (mesh.dim - 1)
-    return vertex_vals, facet_vals
+            comp = f.derivatives(normal, points[block], offsets)[..., 0]
+            vals[block] = comp @ base.weights / 2.0 ** (mesh.dim - 1)
+    return vals
 
 
 def interpolate_global(f, mesh: CartesianMesh, dofmap: DofMap) -> GlobalInterpolation:
@@ -349,11 +330,10 @@ def interpolate_global(f, mesh: CartesianMesh, dofmap: DofMap) -> GlobalInterpol
     input carries on them is reported so callers can detect boundary
     incompatibility.
     """
-    vals = np.concatenate(entity_values(f, mesh))
-    dofs = np.concatenate([dofmap.vertex_dof, dofmap.facet_dof])
-    free = dofs >= 0
+    vals = entity_values(f, mesh)
+    free = dofmap.entity_dof >= 0
     coeffs = np.empty(dofmap.num_free)
-    coeffs[dofs[free]] = vals[free]
+    coeffs[dofmap.entity_dof[free]] = vals[free]
     worst = float(np.max(np.abs(vals[~free]), initial=0.0))
     return GlobalInterpolation(FemField(dofmap, coeffs), worst)
 

@@ -97,10 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--bc", choices=("clamped", "simply-supported"),
                        default="simply-supported")
     rates.add_argument("--k", type=int, default=DEFAULT_K)
-    rates.add_argument("--richardson", action="store_true",
-                       help="clamped only: measure against a reference "
-                            "extrapolated from the two finest meshes (needs three "
-                            "or more)")
     rates.add_argument("--format", choices=("text", "csv", "json"), default="text")
     rates.add_argument("--out", metavar="PATH")
 
@@ -512,17 +508,12 @@ def _cmd_rates(args) -> int:
         raise UsageError("rates need at least two distinct cell counts")
     _check_ladder(args.dim, n_values)
 
-    if args.richardson != (args.bc == "clamped"):
-        raise UsageError(
-            "--richardson is required for clamped rates, which have no closed-form "
-            "eigenvalues, and refused for simply supported ones, which use them"
-        )
     if args.bc == "clamped":
         if len(n_values) < 3:
             raise UsageError(
-                "--richardson needs at least three distinct cell counts: the "
-                "reference comes from the two finest, so their step has no "
-                "measured order"
+                "clamped rates need at least three distinct cell counts: they "
+                "have no closed-form eigenvalues, so the reference is "
+                "extrapolated from the two finest, whose step has no measured order"
             )
     else:
         exact = exact_eigenvalues(args.dim)

@@ -51,6 +51,15 @@ def reference_corners(dim: int) -> np.ndarray:
     return 2.0 * ((np.arange(2 ** dim)[:, None] >> np.arange(dim)) & 1) - 1.0
 
 
+def reference_dof_points(dim: int) -> np.ndarray:
+    """Integer points of the DOFs in DOF order, shape (ndof, dim): the corners
+    of reference_corners, then side * e_axis for each axis and side -1, +1,
+    the center of the facet xi_axis = side."""
+    facets = [side * np.eye(dim, dtype=np.int64)[axis]
+              for axis in range(dim) for side in (-1, 1)]
+    return np.concatenate([reference_corners(dim).astype(np.int64), facets])
+
+
 @dataclass(frozen=True, eq=False)
 class ReferenceElement:
     """The nodal basis of one dimension (build_reference_element), DOFs in
@@ -88,8 +97,6 @@ def dof_matrix(dim: int, degree: int) -> np.ndarray:
         normal = differentiate(dim, identity, tuple(int(a == axis) for a in range(dim)))
         rows += [side * (normal @ facet_moments(dim, max(degree - 1, 0), axis, side))
                  for side in (-1, 1)]
-    # Stacked row by row, so the matrix is C-ordered: the rounding of its
-    # products, printed by the verify report, depends on the layout.
     matrix = np.array(rows)
     matrix.flags.writeable = False
     return matrix

@@ -1,10 +1,13 @@
 """Uniform Cartesian meshes of square (2D) or cubic (3D) cells on a box domain.
 
-Entities are numbered lexicographically with axis 0 varying fastest.  Facets
-are grouped by normal axis: all facets normal to axis 0 first, then axis 1,
-and so on.  Global facet orientation is the positive coordinate direction of
-the normal axis; elements see each facet with a sign (+1 when the global
-normal is their outward normal, -1 otherwise).
+Vertices and facets share one entity numbering: all vertices, then all
+facets grouped by normal axis (all facets normal to axis 0 first, then axis
+1, and so on), each group lexicographic with axis 0 varying fastest.  Every
+entity is a point of the doubled grid (entity_coordinates): a vertex has
+even coordinates only, a facet is odd on every axis but its normal.  Global
+facet orientation is the positive coordinate direction of the normal axis;
+elements see each facet with a sign (+1 when the global normal is their
+outward normal, -1 otherwise).
 """
 
 from __future__ import annotations
@@ -13,15 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import reference_corners
+from .element import reference_dof_points
 
 SUPPORTED_DIMS = (2, 3)
 
 
 def _grid_multi_indices(shape) -> np.ndarray:
-    """(count, dim) multi-indices of a lexicographic grid, axis 0 fastest."""
-    count = int(np.prod(shape))
-    return np.stack(np.unravel_index(np.arange(count), shape, order="F"), axis=1)
+    """(dim, count) multi-indices of a lexicographic grid, axis 0 fastest."""
+    return np.indices(tuple(shape)[::-1]).reshape(len(shape), -1)[::-1]
 
 
 @dataclass(frozen=True)
@@ -62,61 +64,44 @@ class CartesianMesh:
     def num_facets(self) -> int:
         return self.dim * self.facets_per_axis
 
+    @property
+    def num_entities(self) -> int:
+        return self.num_vertices + self.num_facets
+
     # -- incidence ---------------------------------------------------------------
 
-    def vertex_multi_indices(self) -> np.ndarray:
-        """Multi-indices of all vertices in id order, shape (num_vertices, dim)."""
-        return _grid_multi_indices((self.n + 1,) * self.dim)
+    def entity_coordinates(self) -> np.ndarray:
+        """Doubled integer coordinates of all vertices, then all facets, in id
+        order, shape (num_entities, dim).
 
-    def facet_multi_indices(self):
-        """Normal axes and multi-indices of all facets in id order."""
-        axes, multis = [], []
+        A vertex sits at 2 * its multi-index; a facet at 2 * its multi-index
+        along its normal axis and 2 * multi-index + 1 (its midpoint) across it.
+        """
+        blocks = [2 * _grid_multi_indices((self.n + 1,) * self.dim)]
         for axis in range(self.dim):
-            shape = tuple(self.n + 1 if a == axis else self.n for a in range(self.dim))
-            multis.append(_grid_multi_indices(shape))
-            axes.append(np.full(self.facets_per_axis, axis))
-        return np.concatenate(axes), np.concatenate(multis)
+            across = np.arange(self.dim) != axis
+            blocks.append(2 * _grid_multi_indices(np.where(across, self.n, self.n + 1))
+                          + across[:, None])
+        return np.ascontiguousarray(np.concatenate(blocks, axis=1).T)
 
-    def cell_vertices(self) -> np.ndarray:
-        """Corner vertex ids of every element, shape (num_elements, 2^dim), in
-        the corner order of element.reference_corners."""
-        cells = _grid_multi_indices((self.n,) * self.dim)
-        corners = reference_corners(self.dim) > 0
-        strides = (self.n + 1) ** np.arange(self.dim)
-        return (cells[:, None, :] + corners[None, :, :]) @ strides
+    def cell_entities(self) -> np.ndarray:
+        """Entity ids of every element, shape (num_elements, ndof), in the DOF
+        order of element.reference_dof_points: the entity at doubled
+        coordinates 2 cell + 1 + point.  Every element sees its facets with
+        the reference orientation signs, +1 where the global normal is outward."""
+        strides = (2 * self.n + 1) ** np.arange(self.dim)
+        ids = np.full((2 * self.n + 1) ** self.dim, -1, dtype=np.int64)
+        ids[self.entity_coordinates() @ strides] = np.arange(self.num_entities)
+        cells = strides @ (2 * _grid_multi_indices((self.n,) * self.dim) + 1)
+        return ids[cells[:, None] + reference_dof_points(self.dim) @ strides]
 
     def cell_centers(self) -> np.ndarray:
         """Center of every element, shape (num_elements, dim); the affine cell
         map is x = center + half_width * xi on the reference cell [-1, 1]^dim."""
-        cells = _grid_multi_indices((self.n,) * self.dim)
-        return np.asarray(self.lower) + (cells + 0.5) * self.cell_width
-
-    def cell_facets(self) -> np.ndarray:
-        """Facet ids of every element, shape (num_elements, 2 dim), in local
-        order (axis0-, axis0+, axis1-, ...).  Every element sees them with the
-        same signs, -1, +1 per axis: +1 where the global normal is outward."""
-        cells = _grid_multi_indices((self.n,) * self.dim)
-        ids = []
-        for axis in range(self.dim):
-            radix = [self.n + 1 if a == axis else self.n for a in range(self.dim)]
-            strides = np.cumprod([1] + radix[:-1])
-            base = axis * self.facets_per_axis + cells @ strides
-            ids += [base, base + strides[axis]]
-        return np.stack(ids, axis=1)
-
-    def face_flags(self):
-        """Boolean masks (vertex_on_face, facet_on_face), each of shape
-        (2 dim, count), faces in the order (axis0 lower, axis0 upper, axis1
-        lower, ...).  The facets on a face are those lying in it, which are
-        the facets normal to its axis."""
-        sides = np.array([0, self.n])
-        vmulti = self.vertex_multi_indices()
-        vflags = vmulti.T[:, None, :] == sides[None, :, None]
-        axes, fmulti = self.facet_multi_indices()
-        normal = fmulti[np.arange(self.num_facets), axes]
-        fflags = ((axes == np.arange(self.dim)[:, None])[:, None, :]
-                  & (normal == sides[:, None])[None, :, :])
-        return vflags.reshape(2 * self.dim, -1), fflags.reshape(2 * self.dim, -1)
+        cells = _grid_multi_indices((self.n,) * self.dim).T
+        # C order: analytic inputs evaluate these points through BLAS, whose
+        # rounding can depend on the layout.
+        return np.ascontiguousarray(np.asarray(self.lower) + (cells + 0.5) * self.cell_width)
 
 
 def build_mesh(dim: int, n: int, domain=None) -> CartesianMesh:

@@ -302,7 +302,7 @@ def interpolation_convergence_probe(f, dim: int, n_values,
     for n in n_values:
         mesh = build_mesh(dim, n)
         h_values.append(mesh.half_width)
-        coeffs = cell_reference_coefficients(*entity_values(f, mesh), mesh, element)
+        coeffs = cell_reference_coefficients(entity_values(f, mesh), mesh, element)
         norms = broken_error_norms(f, coeffs, mesh, element, orders)
         for l in orders:
             errors[l].append(norms[l])
@@ -395,7 +395,11 @@ class VerificationReport:
 
 
 def _max_dof_value(element: ReferenceElement, poly: Polynomial) -> float:
-    return float(np.max(np.abs(dof_matrix(element.dim, poly.bound) @ poly.coeffs)))
+    """Largest DOF magnitude of poly, each DOF an exactly rounded sum
+    (math.fsum): the report bytes do not depend on the BLAS or the layout of
+    dof_matrix."""
+    return max(abs(math.fsum(row * poly.coeffs))
+               for row in dof_matrix(element.dim, poly.bound))
 
 
 def run_bubble_suite(dims=(2, 3)) -> VerificationReport:

@@ -38,12 +38,13 @@ def _in_id_order(shape):
 
 class EntityIds:
     """Per-entity oracle of a mesh's numbering, by enumeration of the rules in
-    the rectmorley.mesh docstring: entities are listed lexicographically with
-    axis 0 fastest, and facets are grouped by normal axis.
+    the rectmorley.mesh docstring: all vertices, then all facets grouped by
+    normal axis, each group listed lexicographically with axis 0 fastest.
 
-    cells[e] is the multi-index of element e; vertex[m] is the id of the vertex
-    with multi-index m; facet[axis, m] the id of the facet normal to axis whose
-    multi-index is m (m[axis] in 0..n, the others in 0..n-1).
+    cells[e] is the multi-index of element e; vertex[m] is the entity id of
+    the vertex with multi-index m; facet[axis, m] the entity id of the facet
+    normal to axis whose multi-index is m (m[axis] in 0..n, the others in
+    0..n-1).
     """
 
     def __init__(self, mesh):
@@ -55,7 +56,7 @@ class EntityIds:
         for axis in range(dim):
             shape = tuple(n + 1 if a == axis else n for a in range(dim))
             for m in _in_id_order(shape):
-                self.facet[axis, m] = len(self.facet)
+                self.facet[axis, m] = len(self.vertex) + len(self.facet)
 
     def vertices_of(self, e):
         """Corner vertex ids of element e, axis 0 toggling fastest."""
@@ -64,7 +65,7 @@ class EntityIds:
                 for offset in itertools.product((0, 1), repeat=len(cell))]
 
     def facets_of(self, e):
-        """(facet id, sign) of element e in local order (axis0-, axis0+, ...);
+        """(facet entity id, sign) of element e in local order (axis0-, axis0+, ...);
         the sign is +1 where the global normal is outward."""
         cell = self.cells[e]
         out = []
@@ -73,6 +74,16 @@ class EntityIds:
                 m = tuple(c + side * (a == axis) for a, c in enumerate(cell))
                 out.append((self.facet[axis, m], sign))
         return out
+
+    def coordinates(self):
+        """Doubled integer coordinates of every entity, in id order: 2 m for a
+        vertex, 2 m plus 1 across the normal axis for a facet."""
+        coords = [None] * (len(self.vertex) + len(self.facet))
+        for m, v in self.vertex.items():
+            coords[v] = [2 * c for c in m]
+        for (axis, m), f in self.facet.items():
+            coords[f] = [2 * c + (a != axis) for a, c in enumerate(m)]
+        return np.array(coords)
 
     def point(self, m, shift=0.0):
         """Physical point of grid coordinates m + shift (in cell widths)."""

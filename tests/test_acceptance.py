@@ -12,7 +12,7 @@ from rectmorley.eigensolve import METHOD_SHIFT_INVERT
 from rectmorley.operators import (run_bubble_suite, run_commuting_suite,
                                   run_interpolation_suite,
                                   run_refined_identity_suite)
-from rectmorley.reference import (BENCHMARK_N, BENCHMARK_RATES,
+from rectmorley.reference import (BENCHMARK_CONFIG, BENCHMARK_N, BENCHMARK_RATES,
                                   BENCHMARK_VALUES, exact_eigenvalues,
                                   observed_rates)
 
@@ -244,4 +244,26 @@ def test_criterion_12_interpolation_convergence():
         "L2/H1/H2 orders 3/2/1 (4/3/2 for x0^4) in 2D and 3D",
         ok,
         f"{len(rep.records)} orders, worst {worst.name}={worst.lhs:.3f}",
+    )
+
+
+def test_criterion_13_table_text_matches_stored(solve_cached):
+    # `rectmorley table` prints each eigenvalue to 4 decimals, as stored: the
+    # printed text is the stored text, which is stricter than the relative
+    # tolerance of criteria 1-4.
+    differ, total = [], 0
+    for table_id, (dim, bc) in sorted(BENCHMARK_CONFIG.items()):
+        for n in BENCHMARK_N[table_id]:
+            result = solve_cached(dim, n, bc)
+            stored = BENCHMARK_VALUES[table_id][n]
+            assert len(result.eigenvalues) == len(stored)
+            for i, (lam, ref) in enumerate(zip(result.eigenvalues, stored), 1):
+                total += 1
+                if f"{lam:.4f}" != f"{ref:.4f}":
+                    differ.append(f"table {table_id} n={n} #{i}: {lam:.4f} != {ref:.4f}")
+    report(
+        13,
+        "every stored table value prints to 4 decimals as stored",
+        total == 108 and not differ,
+        f"{len(differ)} of {total} differ" + (f"; first {differ[0]}" if differ else ""),
     )

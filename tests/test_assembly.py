@@ -27,13 +27,14 @@ from rectmorley.quadrature import tensor_rule
 
 def test_free_dof_counts_2d():
     mesh = build_mesh(2, 4)
+    nv = mesh.num_vertices
     clamped = build_dof_map(mesh, BC_CLAMPED)
-    assert (clamped.vertex_dof >= 0).sum() == 9
-    assert (clamped.facet_dof >= 0).sum() == 24
+    assert (clamped.entity_dof[:nv] >= 0).sum() == 9
+    assert (clamped.entity_dof[nv:] >= 0).sum() == 24
     assert clamped.num_free == 33
     ss = build_dof_map(mesh, BC_SIMPLY_SUPPORTED)
-    assert (ss.vertex_dof >= 0).sum() == 9
-    assert (ss.facet_dof >= 0).sum() == 40
+    assert (ss.entity_dof[:nv] >= 0).sum() == 9
+    assert (ss.entity_dof[nv:] >= 0).sum() == 40
     assert ss.num_free == 49
     assert free_dof_count(mesh, BC_CLAMPED) == 33
     assert free_dof_count(mesh, BC_SIMPLY_SUPPORTED) == 49
@@ -56,10 +57,7 @@ def test_cell_connectivity_matches_entity_incidence(dim, n, bc, ref2, ref3, enti
     ids = entity_ids(mesh)
     for e in range(mesh.num_elements):
         facets = ids.facets_of(e)
-        expected_dofs = np.concatenate([
-            dofmap.vertex_dof[ids.vertices_of(e)],
-            [dofmap.facet_dof[fid] for fid, _ in facets],
-        ])
+        expected_dofs = dofmap.entity_dof[ids.vertices_of(e) + [fid for fid, _ in facets]]
         expected_signs = np.concatenate([np.ones(2 ** dim), [sign for _, sign in facets]])
         assert np.array_equal(dofmap.cell_dofs[e], expected_dofs)
         # Every element sees its DOFs with the reference element's signs.
@@ -68,18 +66,16 @@ def test_cell_connectivity_matches_entity_incidence(dim, n, bc, ref2, ref3, enti
 
 @pytest.mark.parametrize("dim,n", [(2, 8), (3, 4)])
 @pytest.mark.parametrize("bc", [BC_CLAMPED, BC_SIMPLY_SUPPORTED])
-def test_free_dofs_are_numbered_with_the_mid_plane_last(dim, n, bc):
+def test_free_dofs_are_numbered_with_the_mid_plane_last(dim, n, bc, entity_ids):
     mesh = build_mesh(dim, n)
     dofmap = build_dof_map(mesh, bc)
-    numbers = np.concatenate([dofmap.vertex_dof, dofmap.facet_dof])
+    numbers = dofmap.entity_dof
     free = numbers >= 0
     assert np.array_equal(np.sort(numbers[free]), np.arange(dofmap.num_free))
     # The box is a cube, so the first split is the mid-plane x_0 = 1/2: its
     # vertices and the facets normal to axis 0 on it, numbered last; the
     # side x_0 < 1/2 comes before the side x_0 > 1/2.
-    axes, multis = mesh.facet_multi_indices()
-    across = np.where(axes[:, None] == np.arange(dim), 2 * multis, 2 * multis + 1)
-    x0 = np.concatenate([2 * mesh.vertex_multi_indices()[:, 0], across[:, 0]])[free]
+    x0 = entity_ids(mesh).coordinates()[free, 0]
     numbers = numbers[free]
     on_plane = numbers[x0 == n]
     assert np.array_equal(np.sort(on_plane),
@@ -127,12 +123,12 @@ def test_mid_plane_conditions_constrain_their_face(dim, bc, entity_ids):
             # Odd parity fixes the vertices of its plane; both bcs the outer ones.
             fixed = 0 in multi or any(m == n and p == PARITY_ODD
                                       for m, p in zip(multi, parity))
-            assert (dofmap.vertex_dof[v] < 0) == fixed
+            assert (dofmap.entity_dof[v] < 0) == fixed
         for (axis, multi), f in ids.facet.items():
             # Even parity fixes the facets in its plane; clamping the outer ones.
             fixed = ((multi[axis] == 0 and bc == BC_CLAMPED)
                      or (multi[axis] == n and parity[axis] == PARITY_EVEN))
-            assert (dofmap.facet_dof[f] < 0) == fixed
+            assert (dofmap.entity_dof[f] < 0) == fixed
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +313,7 @@ def test_interpolate_global_matches_entity_definitions(dim, n, bc, entity_ids):
     constrained = []
     for multi, vid in ids.vertex.items():
         val = float(f(ids.point(multi)))
-        gid = dofmap.vertex_dof[vid]
+        gid = dofmap.entity_dof[vid]
         if gid >= 0:
             assert interp.field.coeffs[gid] == pytest.approx(val, rel=1e-12, abs=1e-14)
         else:
@@ -327,7 +323,7 @@ def test_interpolate_global_matches_entity_definitions(dim, n, bc, entity_ids):
         phys = np.repeat(center[None, :], base.num_points, axis=0)
         phys[:, [a for a in range(dim) if a != axis]] += h * base.points
         val = f.diff(axis)(phys) @ base.weights / 2.0 ** (dim - 1)
-        gid = dofmap.facet_dof[fid]
+        gid = dofmap.entity_dof[fid]
         if gid >= 0:
             assert interp.field.coeffs[gid] == pytest.approx(val, rel=1e-12, abs=1e-14)
         else:

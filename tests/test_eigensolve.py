@@ -155,8 +155,7 @@ def test_nested_dissection_reduces_fill(ref2):
     dofmap = build_dof_map(mesh, BC_CLAMPED)
     a_mat, m_mat = assemble(mesh, dofmap, ref2)
     # The same pencil in entity order: free vertices, then free facets, by id.
-    entity = np.concatenate([dofmap.vertex_dof[dofmap.vertex_dof >= 0],
-                             dofmap.facet_dof[dofmap.facet_dof >= 0]])
+    entity = dofmap.entity_dof[dofmap.entity_dof >= 0]
     natural = smallest_k_shift_invert(a_mat[entity][:, entity], m_mat[entity][:, entity], 2)
     ordered = smallest_k_shift_invert(a_mat, m_mat, 2)
     assert ordered.metadata["factor_nnz"] < natural.metadata["factor_nnz"] / 2

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectmorley.element import (SHAPE_DEGREE, build_reference_element, dof_matrix,
-                                physical_dof_scaling, reference_corners)
+                                physical_dof_scaling, reference_corners,
+                                reference_dof_points)
 from rectmorley.polynomial import Polynomial, tabulate
 from rectmorley.quadrature import facet_rule
 
@@ -48,6 +49,20 @@ def test_dof_counts(dim, ndof, ref2, ref3):
     assert np.array_equal(element.orientation[element.facet_dof_mask],
                           [side for _ in range(dim) for side in (-1.0, 1.0)])
     assert np.array_equal(element.orientation[~element.facet_dof_mask], np.ones(2 ** dim))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_reference_dof_points_follow_the_dof_matrix_rows(dim):
+    # On xi_a every DOF reads coordinate a of its point: a corner's value is
+    # its coordinate, a facet's mean outward derivative is side on its own
+    # axis and 0 on the others.  The constant is 1 at corners, 0 on facets.
+    points = reference_dof_points(dim)
+    assert points.shape == (dof_matrix(dim, SHAPE_DEGREE).shape[0], dim)
+    assert np.array_equal(points[: 2 ** dim], reference_corners(dim))
+    for a in range(dim):
+        assert np.array_equal(dofs_of(Polynomial.variable(dim, a)), points[:, a])
+    assert np.array_equal(dofs_of(Polynomial.constant(dim, 1.0)),
+                          np.all(points != 0, axis=1))
 
 
 def test_nodal_delta_property(ref2, ref3):

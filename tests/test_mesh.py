@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectmorley.assembly import BC_CLAMPED, FACE_FREE, build_dof_map
 from rectmorley.mesh import build_mesh
 
 
@@ -25,20 +26,26 @@ def test_entity_counts_3d():
     assert mesh.num_facets == 36
 
 
+def on_boundary(mesh):
+    """Boundary flags of every entity: a doubled coordinate is 0 or 2n."""
+    coords = mesh.entity_coordinates()
+    return ((coords == 0) | (coords == 2 * mesh.n)).any(axis=1)
+
+
 def test_element_vertices_follow_corner_order():
     mesh = build_mesh(2, 2)
     # Vertex ids stride 1 along axis 0 and n+1 = 3 along axis 1.
-    assert list(mesh.cell_vertices()[0]) == [0, 1, 3, 4]
-    assert list(mesh.cell_vertices()[3]) == [4, 5, 7, 8]
+    assert list(mesh.cell_entities()[0, :4]) == [0, 1, 3, 4]
+    assert list(mesh.cell_entities()[3, :4]) == [4, 5, 7, 8]
     mesh3 = build_mesh(3, 2)
-    assert list(mesh3.cell_vertices()[0]) == [0, 1, 3, 4, 9, 10, 12, 13]
+    assert list(mesh3.cell_entities()[0, :8]) == [0, 1, 3, 4, 9, 10, 12, 13]
 
 
 def test_neighbours_share_a_facet_with_opposite_signs(ref2, entity_ids):
     mesh = build_mesh(2, 2)
     # Elements 0 and 1 are adjacent along axis 0: the axis0+ facet (local
-    # slot 1) of the one is the axis0- facet (slot 0) of the other.
-    right_of_0, left_of_1 = mesh.cell_facets()[[0, 1], [1, 0]]
+    # slot 4 + 1) of the one is the axis0- facet (slot 4 + 0) of the other.
+    right_of_0, left_of_1 = mesh.cell_entities()[[0, 1], [5, 4]]
     assert right_of_0 == left_of_1 == entity_ids(mesh).facet[0, (1, 0)]
     facet_signs = ref2.orientation[ref2.facet_dof_mask]
     assert (facet_signs[1], facet_signs[0]) == (1.0, -1.0)
@@ -47,11 +54,12 @@ def test_neighbours_share_a_facet_with_opposite_signs(ref2, entity_ids):
 def test_every_interior_facet_is_shared_exactly_twice(ref2, ref3):
     for element, n in ((ref2, 3), (ref3, 2)):
         mesh = build_mesh(element.dim, n)
-        facets = mesh.cell_facets().ravel()
-        counts = np.bincount(facets, minlength=mesh.num_facets)
+        facets = mesh.cell_entities()[:, element.facet_dof_mask].ravel()
+        counts = np.bincount(facets, minlength=mesh.num_entities)[mesh.num_vertices:]
         signs = np.tile(element.orientation[element.facet_dof_mask], mesh.num_elements)
-        signed = np.bincount(facets, weights=signs, minlength=mesh.num_facets)
-        fflags = mesh.face_flags()[1].any(axis=0)
+        signed = np.bincount(facets, weights=signs,
+                             minlength=mesh.num_entities)[mesh.num_vertices:]
+        fflags = on_boundary(mesh)[mesh.num_vertices:]
         assert np.all(counts[fflags] == 1)
         assert np.all(counts[~fflags] == 2)
         # Interior facets see one plus side and one minus side.
@@ -60,26 +68,43 @@ def test_every_interior_facet_is_shared_exactly_twice(ref2, ref3):
 
 def test_boundary_counts():
     mesh = build_mesh(2, 4)
-    vflags, fflags = (flags.any(axis=0) for flags in mesh.face_flags())
+    vflags, fflags = np.split(on_boundary(mesh), [mesh.num_vertices])
     assert vflags.sum() == 16
     assert fflags.sum() == 16
     mesh3 = build_mesh(3, 2)
-    vflags3, fflags3 = (flags.any(axis=0) for flags in mesh3.face_flags())
+    vflags3, fflags3 = np.split(on_boundary(mesh3), [mesh3.num_vertices])
     assert vflags3.sum() == 27 - 1
     assert fflags3.sum() == 6 * 4
 
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
 def test_boundary_flags_follow_multi_indices(dim, n, entity_ids):
+    # A condition on one face constrains exactly the entities in that face:
+    # clamping it fixes its vertices and the facets lying in it.
     mesh = build_mesh(dim, n)
     ids = entity_ids(mesh)
-    vflags, fflags = mesh.face_flags()
     # Faces in the order (axis0 lower, axis0 upper, axis1 lower, ...).
     for face, (axis, side) in enumerate(itertools.product(range(dim), (0, n))):
+        faces = [FACE_FREE] * (2 * dim)
+        faces[face] = BC_CLAMPED
+        fixed = build_dof_map(mesh, BC_CLAMPED, faces).entity_dof < 0
         for multi, v in ids.vertex.items():
-            assert vflags[face, v] == (multi[axis] == side)
+            assert fixed[v] == (multi[axis] == side)
         for (normal, multi), f in ids.facet.items():
-            assert fflags[face, f] == (normal == axis and multi[axis] == side)
+            assert fixed[f] == (normal == axis and multi[axis] == side)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cell_entities_match_the_oracle(dim, n, entity_ids):
+    # Every cell's entities, in reference DOF order: its corner vertices,
+    # then its facets (axis0-, axis0+, axis1-, ...).
+    mesh = build_mesh(dim, n)
+    ids = entity_ids(mesh)
+    expected = [ids.vertices_of(e) + [fid for fid, _ in ids.facets_of(e)]
+                for e in range(mesh.num_elements)]
+    assert np.array_equal(mesh.cell_entities(), expected)
+    assert np.array_equal(mesh.entity_coordinates(), ids.coordinates())
 
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
@@ -101,18 +126,16 @@ def test_geometry_maps_reference_corners_to_vertices(entity_ids):
     corners = reference_corners(2)
     for e in (0, 5, 15):
         center = mesh.cell_centers()[e]
-        for corner, vid in zip(corners, mesh.cell_vertices()[e]):
+        for corner, vid in zip(corners, mesh.cell_entities()[e]):
             mapped = center + mesh.half_width * np.asarray(corner)
             assert mapped == pytest.approx(ids.point(vertex_multi[vid]), abs=1e-14)
 
 
 def test_facet_geometry_midpoints():
-    from rectmorley.assembly import _entity_coordinates
-
     mesh = build_mesh(2, 2)
-    fid = mesh.cell_facets()[0, 1]  # right edge of cell (0, 0)
+    fid = mesh.cell_entities()[0, 5]  # right edge of cell (0, 0)
     # Doubled integer coordinates: the midpoint (0.5, 0.25) in half cell widths.
-    assert list(_entity_coordinates(mesh)[mesh.num_vertices + fid]) == [2, 1]
+    assert list(mesh.entity_coordinates()[fid]) == [2, 1]
 
 
 def test_build_mesh_validates_arguments():
@@ -138,5 +161,6 @@ def test_incidence_sizes_are_consistent(dim, n):
     assert mesh.num_elements == n ** dim
     assert mesh.num_vertices == (n + 1) ** dim
     assert mesh.num_facets == dim * (n + 1) * n ** (dim - 1)
-    assert mesh.cell_vertices().shape == (mesh.num_elements, 2 ** dim)
-    assert mesh.cell_facets().shape == (mesh.num_elements, 2 * dim)
+    assert mesh.num_entities == mesh.num_vertices + mesh.num_facets
+    assert mesh.entity_coordinates().shape == (mesh.num_entities, dim)
+    assert mesh.cell_entities().shape == (mesh.num_elements, 2 ** dim + 2 * dim)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rectmorley import operators
 from rectmorley.assembly import entity_values
 from rectmorley.element import build_reference_element, dof_matrix, reference_corners
 from rectmorley.functions import SineProduct, unit_box_eigenfunction
@@ -102,9 +103,7 @@ def test_analytic_and_exact_paths_agree(ref2, ref3):
         dim = element.dim
         mesh = build_mesh(dim, 1, domain=((-1.0,) * dim, (1.0,) * dim))
         assert mesh.half_width == 1.0
-        vertex_vals, facet_vals = entity_values(poly, mesh)
-        gathered = np.concatenate([vertex_vals[mesh.cell_vertices()[0]],
-                                   facet_vals[mesh.cell_facets()[0]]])
+        gathered = entity_values(poly, mesh)[mesh.cell_entities()[0]]
         exact = canonical_interpolate(element, poly).coefficients
         assert gathered * element.orientation == pytest.approx(exact, abs=1e-12)
 
@@ -198,6 +197,19 @@ def test_all_corrected_bubbles_annihilate_every_dof(dim):
     bubbles = build_bubbles(dim)
     for name, poly in bubbles.corrected_items():
         assert np.max(np.abs(dofs_of(poly))) < 1e-12, name
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_max_dof_value_does_not_depend_on_the_matrix_layout(dim, monkeypatch):
+    # Each DOF is an exactly rounded sum, so a Fortran-ordered copy of the
+    # DOF matrix prints the same verify report bytes.
+    element = build_reference_element(dim)
+    items = list(build_bubbles(dim).corrected_items())
+    c_order = [operators._max_dof_value(element, poly) for _, poly in items]
+    monkeypatch.setattr(operators, "dof_matrix",
+                        lambda d, degree: np.asfortranarray(dof_matrix(d, degree)))
+    assert operators.dof_matrix(dim, 4).flags.f_contiguous
+    assert [operators._max_dof_value(element, poly) for _, poly in items] == c_order
 
 
 def test_published_p_fails_at_corners():

@@ -158,19 +158,17 @@ def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypa
     mesh, element = half_box(dim, n), build_reference_element(dim)
     shared_map = build_dof_map(mesh, bc, [bc, FACE_FREE] * dim)
     shared = assemble(mesh, shared_map, element)
-    shared_dofs = np.concatenate([shared_map.vertex_dof, shared_map.facet_dof])
     slices = {}
     for parity in map("".join, itertools.product("eo", repeat=dim)):
         faces = parity_faces(bc, parity)
         keep = restricted_dofs(shared_map, faces)
         slices[parity] = [mat[keep][:, keep] for mat in shared]
         own_map = build_dof_map(mesh, bc, faces)
-        own_dofs = np.concatenate([own_map.vertex_dof, own_map.facet_dof])
         # own[i]: the block's own DOF number of the i-th kept shared DOF,
-        # matched through the vertex and facet ids.
-        free = own_dofs >= 0
+        # matched through the entity ids.
+        free = own_map.entity_dof >= 0
         own = np.empty(len(keep), dtype=np.int64)
-        own[np.searchsorted(keep, shared_dofs[free])] = own_dofs[free]
+        own[np.searchsorted(keep, shared_map.entity_dof[free])] = own_map.entity_dof[free]
         assert np.array_equal(np.sort(own), np.arange(own_map.num_free))
         for sliced, assembled in zip(slices[parity], assemble(mesh, own_map, element)):
             assert sliced.has_canonical_format
