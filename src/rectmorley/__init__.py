@@ -19,7 +19,7 @@ _EXPORTS = {
                  "interpolate_global"),
     "element": ("ReferenceElement", "build_reference_element", "physical_dof_scaling"),
     "eigensolve": ("EigenResult", "count_below", "residual_report", "smallest_k_dense",
-                   "smallest_k_shift_invert", "solve_smallest"),
+                   "solve_smallest"),
     "functions": ("ScaledFunction", "SineProduct", "sine_eigenvalue",
                   "unit_box_eigenfunction"),
     "mesh": ("CartesianMesh", "build_mesh"),

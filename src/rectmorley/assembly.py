@@ -65,7 +65,7 @@ class DofMap:
     the mesh) to its global free index, -1 where constrained; the free DOFs
     are numbered in nested-dissection order.  cell_dofs holds the gathered
     numbering per element in reference DOF order,
-    entity_dof[mesh.cell_entities()].
+    entity_dof[mesh.cell_entities].
     """
 
     mesh: CartesianMesh
@@ -124,7 +124,7 @@ def _constrained(mesh: CartesianMesh, bc: str, faces) -> np.ndarray:
         raise ValueError(f"faces must hold {2 * mesh.dim} conditions out of "
                          f"{tuple(FACE_CONSTRAINTS)}, got {faces!r}")
     fixes = np.array([FACE_CONSTRAINTS[face] for face in faces])
-    coords = mesh.entity_coordinates().T
+    coords = mesh.entity_coordinates.T
     on_face = (coords[:, None, :] == np.array([0, 2 * mesh.n])[:, None]).reshape(len(faces), -1)
     facet = reduce(np.bitwise_or, coords) % 2 == 1
     return (on_face & np.where(facet, fixes[:, 1:], fixes[:, :1])).any(axis=0)
@@ -147,8 +147,8 @@ def build_dof_map(mesh: CartesianMesh, bc: str, faces=None) -> DofMap:
     free = np.flatnonzero(~_constrained(mesh, bc, faces))
 
     entity_dof = np.full(mesh.num_entities, -1, dtype=np.int64)
-    entity_dof[free[_nested_dissection(mesh.entity_coordinates()[free])]] = np.arange(len(free))
-    return DofMap(mesh, bc, entity_dof, entity_dof[mesh.cell_entities()])
+    entity_dof[free[_nested_dissection(mesh.entity_coordinates[free])]] = np.arange(len(free))
+    return DofMap(mesh, bc, entity_dof, entity_dof[mesh.cell_entities])
 
 
 def restricted_dofs(dofmap: DofMap, faces) -> np.ndarray:
@@ -173,7 +173,7 @@ def dof_coordinates(dofmap: DofMap) -> np.ndarray:
     (num_free, dim); see CartesianMesh.entity_coordinates."""
     free = dofmap.entity_dof >= 0
     coords = np.empty((dofmap.num_free, dofmap.mesh.dim), dtype=np.int64)
-    coords[dofmap.entity_dof[free]] = dofmap.mesh.entity_coordinates()[free]
+    coords[dofmap.entity_dof[free]] = dofmap.mesh.entity_coordinates[free]
     return coords
 
 
@@ -275,7 +275,7 @@ def cell_reference_coefficients(values, mesh: CartesianMesh,
     orientation sign.
     """
     scale = np.where(element.facet_dof_mask, mesh.half_width, 1.0) * element.orientation
-    return values[mesh.cell_entities()] * scale
+    return values[mesh.cell_entities] * scale
 
 
 @dataclass(frozen=True)
@@ -307,7 +307,7 @@ def entity_values(f, mesh: CartesianMesh):
     sit at lower + half_width * entity_coordinates (exact); facet rule points
     reach f as these midpoints plus the scaled facet-rule offsets.
     """
-    points = np.asarray(mesh.lower) + mesh.entity_coordinates() * mesh.half_width
+    points = np.asarray(mesh.lower) + mesh.entity_coordinates * mesh.half_width
     nv = mesh.num_vertices
     vals = np.empty(mesh.num_entities)
     vals[:nv] = f.derivatives(derivative_alphas(mesh.dim, 0), points[:nv])[:, 0]

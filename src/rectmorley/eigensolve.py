@@ -1,18 +1,21 @@
 """Symmetric generalized eigensolvers for the smallest eigenvalues.
 
-The production route is ARPACK shift-invert around one no-pivot factorization
-of A - sigma M in the order the pencil is given (finite element pencils come
-numbered in nested-dissection order).  No copy of a repeated eigenvalue can
-be skipped silently, because a solve is certified by spectrum slicing: the
-no-pivot factor of A - tau M counts the eigenvalues below tau (Sylvester's
-law of inertia, count_below), and solve_smallest with tau returns exactly
-that many, completing a short slice with deflated ARPACK passes (Ericsson
-and Ruhe, Math. Comp. 35, 1980; Grimes, Lewis and Simon, SIMAX 15, 1994).
-The dense LAPACK path is the test oracle, and the fallback for pencils too
-small for shift-invert.  Both return ascending eigenvalues with
-mass-orthonormal eigenvectors and per-pair relative residuals.  The
-shift-invert start vectors are fixed deterministic vectors (sin and cos of
-the index), so repeated runs agree bit for bit without any random state.
+solve_smallest is the one entry point, for a pencil of two scipy sparse
+matrices.  Its route is ARPACK shift-invert around the no-pivot factor of
+A - sigma M in the order the pencil is given (finite element pencils come
+numbered in nested-dissection order).  One factor type, the no-pivot LDL^T
+of A - shift M (_ShiftedFactor), serves the solves and the certificate: by
+Sylvester's law of inertia its negative pivots count the eigenvalues below
+the shift (count_below), and a shift-invert factor must have none.  No copy
+of a repeated eigenvalue can be skipped silently, because a solve below tau
+returns exactly that count, completing a short slice with deflated ARPACK
+passes (Ericsson and Ruhe, Math. Comp. 35, 1980; Grimes, Lewis and Simon,
+SIMAX 15, 1994).  The dense LAPACK path (smallest_k_dense) is the test
+oracle, and the route for pencils too small for shift-invert.  Both return
+ascending eigenvalues with mass-orthonormal eigenvectors and per-pair
+relative residuals.  The shift-invert start vectors are fixed deterministic
+vectors (sin and cos of the index), so repeated runs agree bit for bit
+without any random state.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as dla
-import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
 RESIDUAL_TOL = 1e-8
@@ -58,22 +60,6 @@ class EigenResult:
         return bool(self.metadata.get("converged", True))
 
 
-def _as_csr(mat) -> sparse.csr_matrix:
-    if sparse.issparse(mat):
-        return mat.tocsr()
-    return sparse.csr_matrix(np.asarray(mat, dtype=float))
-
-
-def _empty_result(order: int, method: str) -> EigenResult:
-    return EigenResult(
-        eigenvalues=np.empty(0),
-        eigenvectors=np.empty((order, 0)),
-        residuals=np.empty(0),
-        method=method,
-        metadata={"order": order, "k": 0, "converged": True},
-    )
-
-
 def _check_k(k: int, order: int):
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"number of eigenvalues must be a nonnegative integer, got {k!r}")
@@ -83,14 +69,12 @@ def _check_k(k: int, order: int):
 
 def compute_residuals(A, M, eigenvalues, eigenvectors) -> np.ndarray:
     """Relative residuals ||A v - lam M v|| / ||A v|| per eigenpair."""
-    a_csr = _as_csr(A)
-    m_csr = _as_csr(M)
     out = np.empty(len(eigenvalues))
     for i, lam in enumerate(eigenvalues):
         v = eigenvectors[:, i]
-        av = a_csr @ v
+        av = A @ v
         denom = np.linalg.norm(av)
-        out[i] = np.linalg.norm(av - lam * (m_csr @ v)) / (denom if denom > 0 else 1.0)
+        out[i] = np.linalg.norm(av - lam * (M @ v)) / (denom if denom > 0 else 1.0)
     return out
 
 
@@ -103,6 +87,16 @@ def residual_report(A, M, result: EigenResult) -> np.ndarray:
     return res
 
 
+def _solved(A, M, method: str, k: int, eigenvalues, eigenvectors, factor=None,
+            **metadata) -> EigenResult:
+    """The result of a solve for k pairs, its residuals checked by
+    residual_report; metadata starts with the order and k."""
+    result = EigenResult(eigenvalues, eigenvectors, np.empty(0), method,
+                         {"order": A.shape[0], "k": int(k), **metadata}, factor)
+    residual_report(A, M, result)
+    return result
+
+
 def smallest_k_dense(A, M, k: int) -> EigenResult:
     """Reference dense solver for the k smallest generalized eigenvalues.
 
@@ -112,25 +106,15 @@ def smallest_k_dense(A, M, k: int) -> EigenResult:
     residuals reach ~4e-9), so comparisons against this oracle cannot be
     tighter than that there.
     """
-    a_csr = _as_csr(A)
-    order = a_csr.shape[0]
+    order = A.shape[0]
     _check_k(k, order)
-    if k == 0:
-        return _empty_result(order, METHOD_DENSE)
-    try:
-        w, x = dla.eigh(a_csr.toarray(), _as_csr(M).toarray(),
-                        subset_by_index=(0, k - 1))
-    except dla.LinAlgError as exc:
-        raise ValueError("mass matrix is not positive definite") from exc
-    result = EigenResult(
-        eigenvalues=w,
-        eigenvectors=x,
-        residuals=np.empty(0),
-        method=METHOD_DENSE,
-        metadata={"order": order, "k": int(k), "converged": True},
-    )
-    residual_report(A, M, result)
-    return result
+    w, x = np.empty(0), np.empty((order, 0))
+    if k:
+        try:
+            w, x = dla.eigh(A.toarray(), M.toarray(), subset_by_index=(0, k - 1))
+        except dla.LinAlgError as exc:
+            raise ValueError("mass matrix is not positive definite") from exc
+    return _solved(A, M, METHOD_DENSE, k, w, x)
 
 
 def deterministic_start_vector(order: int, attempt: int = 0) -> np.ndarray:
@@ -139,66 +123,36 @@ def deterministic_start_vector(order: int, attempt: int = 0) -> np.ndarray:
     Dense in every mesh symmetry class, unlike a constant vector, which is
     orthogonal to all antisymmetric eigenfunctions and silently skips them.
     A Krylov space sees one direction per distinct eigenvalue, so each
-    deflated completion pass of smallest_k_shift_invert starts from a vector
-    that is not a combination of the earlier ones.
+    deflated completion pass of solve_smallest starts from a vector that is
+    not a combination of the earlier ones.
     """
     index = np.arange(1, order + 1, dtype=float)
     wave = np.cos if attempt % 2 else np.sin
     return wave((attempt // 2 + 1) * index)
 
 
-def _factor_no_pivot(mat):
-    """SuperLU factor of a symmetric matrix in its given order, asked not to pivot."""
-    return sla.splu(mat.tocsc(), permc_spec="NATURAL",
-                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-
-
-def count_below(A, M, tau: float) -> int:
-    """Number of eigenvalues of the pencil (A, M) below tau.
-
-    With M positive definite, the no-pivot factor of A - tau M is L D L^T
-    with D = diag(U), and by Sylvester's law of inertia the negative entries
-    of D count the eigenvalues below tau.  The count holds only for a factor
-    that kept its diagonal pivots (perm_r == perm_c) and has no zero pivot;
-    any other factor raises ValueError naming tau.  tau = inf counts every
-    eigenvalue without a factor.  The factor is freed before returning.
-    """
-    a_csr = _as_csr(A)
-    if tau == np.inf:
-        return a_csr.shape[0]
-    try:
-        lu = _factor_no_pivot(a_csr - tau * _as_csr(M))
-    except RuntimeError as exc:
-        raise ValueError(f"no inertia count at tau={tau}: {exc}") from exc
-    pivots = lu.U.diagonal()
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots != 0)):
-        raise ValueError(f"no inertia count at tau={tau}: the factor left its "
-                         "diagonal pivots or has a zero pivot")
-    return int(np.count_nonzero(pivots < 0))
-
-
 class _ShiftedFactor:
-    """Solves with A - sigma M through one no-pivot factorization.
+    """The no-pivot L D L^T factor of A - shift M, in the given order.
 
-    The factor is of A - sigma M in the given order, without pivoting.  That
-    is stable only when A - sigma M is positive definite; by Sylvester's law
-    of inertia a pivot <= 0 shows it is not, and the constructor raises
-    ValueError naming sigma.  `applications` counts solved right-hand sides.
+    SuperLU factors A - shift M asked not to pivot, with D = diag(U).  With
+    M positive definite, by Sylvester's law of inertia the negative entries
+    of D count the eigenvalues below shift: `negatives`.  The count holds
+    only for a factor that kept its diagonal pivots (perm_r == perm_c) and
+    has no zero (or NaN) pivot; for any other factor negatives is None.  A
+    factor with no negative pivot is of a positive definite matrix, stable
+    without pivoting, and solves the shift-invert systems.  SuperLU's
+    RuntimeError on an exactly singular matrix propagates.  `applications`
+    counts solved right-hand sides.
     """
 
-    def __init__(self, a_csr, m_csr, sigma: float):
-        try:
-            lu = _factor_no_pivot(a_csr - sigma * m_csr)
-        except RuntimeError as exc:
-            raise ValueError(f"shift-invert factorization failed at sigma={sigma}") from exc
-        upper = lu.U
-        if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(upper.diagonal() > 0)):
-            raise ValueError(
-                f"A - sigma*M is not positive definite at sigma={sigma}; "
-                "shift below the smallest eigenvalue"
-            )
-        self.lu = lu
-        self.nnz = int(lu.L.nnz + upper.nnz)
+    def __init__(self, A, M, shift: float):
+        self.lu = sla.splu((A - shift * M).tocsc(), permc_spec="NATURAL",
+                           diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        upper = self.lu.U
+        pivots = upper.diagonal()
+        diagonal = np.array_equal(self.lu.perm_r, self.lu.perm_c) and np.all(np.abs(pivots) > 0)
+        self.negatives = int(np.count_nonzero(pivots < 0)) if diagonal else None
+        self.nnz = int(self.lu.L.nnz + upper.nnz)
         self.applications = 0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -206,7 +160,7 @@ class _ShiftedFactor:
         return self.lu.solve(rhs)
 
     def operator(self, deflate=None) -> sla.LinearOperator:
-        """(A - sigma M)^-1 as a LinearOperator, optionally followed by the
+        """(A - shift M)^-1 as a LinearOperator, optionally followed by the
         M-orthogonal projection off the M-orthonormal columns of `deflate`."""
         matvec = self.solve
         if deflate is not None:
@@ -220,7 +174,27 @@ class _ShiftedFactor:
         return sla.LinearOperator((order, order), matvec=matvec, dtype=float)
 
 
-def _arpack(a_csr, m_csr, factor: _ShiftedFactor, k: int, sigma: float,
+def count_below(A, M, tau: float) -> int:
+    """Number of eigenvalues of the pencil (A, M) below tau: the negative
+    pivots of the _ShiftedFactor at tau.
+
+    A factor that cannot count (SuperLU failed, left the diagonal pivots or
+    met a zero pivot) raises ValueError naming tau.  tau = inf counts every
+    eigenvalue without a factor.  The factor is freed before returning.
+    """
+    if tau == np.inf:
+        return A.shape[0]
+    try:
+        negatives = _ShiftedFactor(A, M, tau).negatives
+    except RuntimeError as exc:
+        raise ValueError(f"no inertia count at tau={tau}: {exc}") from exc
+    if negatives is None:
+        raise ValueError(f"no inertia count at tau={tau}: the factor left its "
+                         "diagonal pivots or has a zero pivot")
+    return negatives
+
+
+def _arpack(A, M, factor: _ShiftedFactor, k: int, sigma: float,
             attempt: int = 0, deflate=None):
     """k eigenpairs from one ARPACK run on the factor's operator, deflated
     off the M-orthonormal columns of `deflate` when given.  Returns the
@@ -231,14 +205,14 @@ def _arpack(a_csr, m_csr, factor: _ShiftedFactor, k: int, sigma: float,
     (ncv >= 2k; Lehoucq, Sorensen and Yang, 1998) instead of scipy's floor
     of 20; a deflated run keeps max(2k + 1, 20), at most the order left.
     """
-    order = a_csr.shape[0]
+    order = A.shape[0]
     if deflate is None:
         ncv = min(order - 1, 2 * k + 1)
     else:
         ncv = min(order - deflate.shape[1], max(2 * k + 1, 20))
-        deflate = (deflate, m_csr @ deflate)
+        deflate = (deflate, M @ deflate)
     try:
-        w, x = sla.eigsh(a_csr, k=k, M=m_csr, sigma=sigma, which="LM",
+        w, x = sla.eigsh(A, k=k, M=M, sigma=sigma, which="LM",
                          v0=deterministic_start_vector(order, attempt), tol=ARPACK_TOL,
                          ncv=ncv, OPinv=factor.operator(deflate))
     except sla.ArpackNoConvergence as exc:
@@ -246,95 +220,56 @@ def _arpack(a_csr, m_csr, factor: _ShiftedFactor, k: int, sigma: float,
     return w, x, True
 
 
-def smallest_k_shift_invert(A, M, k: int, sigma: float = 0.0, tau: float | None = None,
-                            known: EigenResult | None = None,
-                            keep_factor: bool = False) -> EigenResult:
-    """ARPACK shift-invert solver for the k smallest generalized eigenvalues.
-
-    A - sigma*M must be positive definite: sigma below the smallest
-    eigenvalue (negative when the stiffness matrix is only semidefinite).
-    A single factorization, in the given order, serves three steps:
-
-    1. ARPACK from deterministic_start_vector finds k eigenpairs, unless
-       `known` (an earlier result of the same pencil) supplies pairs; its
-       kept factor, if any, is reused instead of factoring again.
-    2. With tau, the pencil owes k eigenvalues below tau (count_below).  A
-       one-vector Krylov space sees one direction per distinct eigenvalue,
-       so ARPACK can return one copy of a repeated eigenvalue and take the
-       next one instead.  While fewer than k values lie below tau, a
-       deflated pass (ARPACK on the operator projected M-orthogonally off
-       the pairs found, from the next start vector) asks for exactly the
-       missing number, at most COMPLETION_PASSES times; a slice still short,
-       or over, is reported with converged=False.
-    3. One block inverse-iteration step and a Rayleigh-Ritz step, which
-       also leave the vectors M-orthonormal.
-
-    The factor is freed on return, unless keep_factor keeps it on the
-    result.  Partial results on non-convergence are returned with
-    converged=False in the metadata.  opinv_applications counts the solves
-    of this call and of `known`.
-    """
-    a_csr = _as_csr(A)
-    m_csr = _as_csr(M)
-    order = a_csr.shape[0]
-    _check_k(k, order)
-    if k == 0:
-        return _empty_result(order, METHOD_SHIFT_INVERT)
-    if k + 1 >= order:
-        raise ValueError("shift-invert needs k < order - 1; use the dense solver")
-
-    factor = getattr(known, "factor", None) or _ShiftedFactor(a_csr, m_csr, sigma)
-    reused_applications = factor.applications
+def _shift_invert(A, M, k: int, sigma: float, tau, known, keep_factor) -> EigenResult:
+    """The three shift-invert steps of solve_smallest, for 1 <= k < order - 1."""
+    factor = getattr(known, "factor", None)
+    if factor is None:
+        try:
+            factor = _ShiftedFactor(A, M, sigma)
+        except RuntimeError as exc:
+            raise ValueError(f"shift-invert factorization failed at sigma={sigma}") from exc
+        if factor.negatives != 0:
+            raise ValueError(
+                f"A - sigma*M is not positive definite at sigma={sigma}; "
+                "shift below the smallest eigenvalue"
+            )
+    # opinv_applications counts the solves of this call and of `known`.
+    uncounted = factor.applications
     if known is None:
-        w, x, converged = _arpack(a_csr, m_csr, factor, k, sigma)
+        w, x, converged = _arpack(A, M, factor, k, sigma)
         ascending = np.argsort(w, kind="stable")
         w, x = w[ascending], x[:, ascending]
     else:
         w, x, converged = known.eigenvalues, known.eigenvectors, known.converged
+        uncounted -= known.metadata.get("opinv_applications", 0)
 
     passes = 0
-    if tau is not None:
-        while converged and passes < COMPLETION_PASSES and np.count_nonzero(w < tau) < k:
-            passes += 1
-            mu, y, converged = _arpack(a_csr, m_csr, factor, k - np.count_nonzero(w < tau),
-                                       sigma, attempt=passes, deflate=x)
-            ascending = np.argsort(np.append(w, mu), kind="stable")
-            w, x = np.append(w, mu)[ascending], np.column_stack([x, y])[:, ascending]
-        converged = converged and np.count_nonzero(w < tau) == k
+    while (tau is not None and converged and passes < COMPLETION_PASSES
+           and np.count_nonzero(w < tau) < k):
+        passes += 1
+        mu, y, converged = _arpack(A, M, factor, k - np.count_nonzero(w < tau),
+                                   sigma, attempt=passes, deflate=x)
+        ascending = np.argsort(np.append(w, mu), kind="stable")
+        w, x = np.append(w, mu)[ascending], np.column_stack([x, y])[:, ascending]
 
     if x.shape[1]:
-        y = factor.solve(m_csr @ x)
-        a_small = y.T @ (a_csr @ y)
-        m_small = y.T @ (m_csr @ y)
+        y = factor.solve(M @ x)
+        a_small = y.T @ (A @ y)
+        m_small = y.T @ (M @ y)
         w, z = dla.eigh(0.5 * (a_small + a_small.T), 0.5 * (m_small + m_small.T))
         x = y @ z
 
-    result = EigenResult(
-        eigenvalues=w,
-        eigenvectors=x,
-        residuals=np.empty(0),
-        method=METHOD_SHIFT_INVERT,
-        metadata={
-            "order": order,
-            "k": int(k),
-            "sigma": float(sigma),
-            "tol": ARPACK_TOL,
-            "converged": bool(converged),
-            "factor_nnz": factor.nnz,
-            "opinv_applications": factor.applications - reused_applications,
-        },
-        factor=factor if keep_factor else None,
-    )
-    if known is not None:
-        result.metadata["opinv_applications"] += known.metadata.get("opinv_applications", 0)
-    residual_report(A, M, result)
-    return result
+    return _solved(A, M, METHOD_SHIFT_INVERT, k, w, x, factor if keep_factor else None,
+                   sigma=float(sigma), tol=ARPACK_TOL, converged=bool(converged),
+                   factor_nnz=factor.nnz,
+                   opinv_applications=factor.applications - uncounted)
 
 
 def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: float = 0.0,
                    tau: float | None = None, known: EigenResult | None = None,
                    keep_factor: bool = False) -> EigenResult:
-    """The k smallest eigenpairs, or every eigenpair below tau.
+    """The k smallest eigenpairs of the sparse pencil (A, M), or every
+    eigenpair below tau.
 
     Give k or tau.  With tau, count_below sets k, the number of pairs the
     pencil owes below tau, and the result certifies them: it records
@@ -343,25 +278,50 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: floa
     result of the same pencil, supplies pairs already found; no factor is
     built when they are all the pencil owes, nor when it owes none.  A count
     that cannot be trusted (count_below raises) gives the known pairs, or
-    none, with count_below_tau None and converged=False.  keep_factor keeps
-    the shift-invert factor on the result, so that a later solve of the
-    same pencil with that result as `known` builds no second SPD factor.
+    none, with count_below_tau None and converged=False.
 
     method 'auto' uses shift-invert whenever k + 1 < order, and the dense
-    path only for the tiny pencils where it cannot run; method 'dense'
-    always uses the dense path.
+    path (smallest_k_dense) only for the tiny pencils where shift-invert
+    cannot run; method 'dense' always uses the dense path.
+
+    Shift-invert needs A - sigma M positive definite: sigma below the
+    smallest eigenvalue (negative when the stiffness matrix is only
+    semidefinite).  One _ShiftedFactor at sigma serves three steps:
+
+    1. ARPACK from deterministic_start_vector finds k eigenpairs, unless
+       `known` supplies pairs; its kept factor, if any, is reused instead
+       of factoring again.
+    2. With tau: a one-vector Krylov space sees one direction per distinct
+       eigenvalue, so ARPACK can return one copy of a repeated eigenvalue
+       and take the next one instead.  While fewer than k values lie below
+       tau, a deflated pass (ARPACK on the operator projected M-orthogonally
+       off the pairs found, from the next start vector) asks for exactly the
+       missing number, at most COMPLETION_PASSES times; a slice still short,
+       or over, fails its certificate.
+    3. One block inverse-iteration step and a Rayleigh-Ritz step, which
+       also leave the vectors M-orthonormal.
+
+    The factor is freed on return, unless keep_factor keeps it on the
+    result, so that a later solve of the same pencil with that result as
+    `known` builds no second SPD factor.  Partial results on
+    non-convergence are returned with converged=False in the metadata.
+    metadata["opinv_applications"] counts the solves of this call and of
+    `known`.
     """
     if method not in ("auto", METHOD_DENSE):
         raise ValueError(f"unknown solver method {method!r}")
     if (k is None) == (tau is None):
         raise ValueError("give either the number of eigenpairs k or the threshold tau")
-    order = _as_csr(A).shape[0]
-    if tau is not None:
-        if known is None:
-            have = _empty_result(order, METHOD_DENSE if method == METHOD_DENSE
-                                 else METHOD_SHIFT_INVERT)
-        else:
-            have = replace(known, metadata=dict(known.metadata), factor=None)
+    order = A.shape[0]
+    none_found = _solved(A, M, METHOD_DENSE if method == METHOD_DENSE else METHOD_SHIFT_INVERT,
+                         0, np.empty(0), np.empty((order, 0)))
+    if tau is None:
+        _check_k(k, order)
+        if k == 0:
+            return none_found
+    else:
+        have = none_found if known is None else replace(known, metadata=dict(known.metadata),
+                                                        factor=None)
         try:
             k = count_below(A, M, tau)
         except ValueError:
@@ -371,13 +331,13 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: floa
     if method == METHOD_DENSE or k + 1 >= order:
         result = smallest_k_dense(A, M, k)
     else:
-        result = smallest_k_shift_invert(A, M, k, sigma=sigma, tau=tau, known=known,
-                                         keep_factor=keep_factor)
+        result = _shift_invert(A, M, k, sigma, tau, known, keep_factor)
     return result if tau is None else _certified(result, tau, k)
 
 
 def _certified(result: EigenResult, tau: float, count) -> EigenResult:
-    """Record the slice certificate on the result of a solve below tau."""
+    """Record the slice certificate on the result of a solve below tau: the
+    one place that sets its verdict."""
     found = int(np.count_nonzero(result.eigenvalues < tau))
     result.metadata.update(tau=float(tau), count_below_tau=count,
                            converged=result.converged and found == count)

@@ -13,6 +13,7 @@ outward normal, -1 otherwise).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,20 +71,25 @@ class CartesianMesh:
 
     # -- incidence ---------------------------------------------------------------
 
+    @cached_property
     def entity_coordinates(self) -> np.ndarray:
         """Doubled integer coordinates of all vertices, then all facets, in id
         order, shape (num_entities, dim).
 
         A vertex sits at 2 * its multi-index; a facet at 2 * its multi-index
         along its normal axis and 2 * multi-index + 1 (its midpoint) across it.
+        Built once per mesh, and read-only, as is cell_entities.
         """
         blocks = [2 * _grid_multi_indices((self.n + 1,) * self.dim)]
         for axis in range(self.dim):
             across = np.arange(self.dim) != axis
             blocks.append(2 * _grid_multi_indices(np.where(across, self.n, self.n + 1))
                           + across[:, None])
-        return np.ascontiguousarray(np.concatenate(blocks, axis=1).T)
+        coords = np.ascontiguousarray(np.concatenate(blocks, axis=1).T)
+        coords.flags.writeable = False
+        return coords
 
+    @cached_property
     def cell_entities(self) -> np.ndarray:
         """Entity ids of every element, shape (num_elements, ndof), in the DOF
         order of element.reference_dof_points: the entity at doubled
@@ -91,9 +97,11 @@ class CartesianMesh:
         the reference orientation signs, +1 where the global normal is outward."""
         strides = (2 * self.n + 1) ** np.arange(self.dim)
         ids = np.full((2 * self.n + 1) ** self.dim, -1, dtype=np.int64)
-        ids[self.entity_coordinates() @ strides] = np.arange(self.num_entities)
+        ids[self.entity_coordinates @ strides] = np.arange(self.num_entities)
         cells = strides @ (2 * _grid_multi_indices((self.n,) * self.dim) + 1)
-        return ids[cells[:, None] + reference_dof_points(self.dim) @ strides]
+        entities = ids[cells[:, None] + reference_dof_points(self.dim) @ strides]
+        entities.flags.writeable = False
+        return entities
 
     def cell_centers(self) -> np.ndarray:
         """Center of every element, shape (num_elements, dim); the affine cell

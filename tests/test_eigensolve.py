@@ -5,11 +5,11 @@ from scipy import sparse
 
 from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, assemble,
                                  build_dof_map, dof_coordinates)
+from rectmorley import eigensolve
 from rectmorley.eigensolve import (METHOD_DENSE, METHOD_SHIFT_INVERT, REL_GAP,
                                    compute_residuals, count_below,
                                    deterministic_start_vector,
-                                   residual_report, smallest_k_dense,
-                                   smallest_k_shift_invert, solve_smallest)
+                                   residual_report, smallest_k_dense, solve_smallest)
 from rectmorley.mesh import build_mesh
 
 
@@ -32,8 +32,8 @@ def certified_smallest(a_mat, m_mat, k, sigma):
 # ---------------------------------------------------------------------------
 
 def test_dense_solver_on_known_pencil():
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    m = np.eye(2)
+    a = sparse.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    m = sparse.identity(2, format="csr")
     result = smallest_k_dense(a, m, 2)
     assert result.eigenvalues == pytest.approx([1.0, 3.0])
     assert result.method == METHOD_DENSE
@@ -42,8 +42,8 @@ def test_dense_solver_on_known_pencil():
 
 
 def test_dense_solver_generalized_diagonal():
-    a = np.diag([2.0, 12.0, 5.0])
-    m = np.diag([1.0, 4.0, 1.0])
+    a = sparse.csr_matrix(np.diag([2.0, 12.0, 5.0]))
+    m = sparse.csr_matrix(np.diag([1.0, 4.0, 1.0]))
     result = smallest_k_dense(a, m, 3)
     assert result.eigenvalues == pytest.approx([2.0, 3.0, 5.0])
 
@@ -67,8 +67,8 @@ def test_k_validation(ref2):
 
 
 def test_dense_rejects_indefinite_mass():
-    a = np.eye(2)
-    m = np.array([[1.0, 0.0], [0.0, -1.0]])
+    a = sparse.identity(2, format="csr")
+    m = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(ValueError, match="mass matrix"):
         smallest_k_dense(a, m, 1)
 
@@ -98,17 +98,11 @@ def test_shift_invert_resolves_degenerate_pair(ref2):
     # The second and third eigenvalues coincide by symmetry; the cluster must
     # come back complete, not as a single copy.
     a_mat, m_mat = assembled(2, 8, BC_SIMPLY_SUPPORTED, ref2)
-    result = smallest_k_shift_invert(a_mat, m_mat, 3, sigma=-1.0)
+    result = solve_smallest(a_mat, m_mat, 3, sigma=-1.0)
     lam2, lam3 = result.eigenvalues[1], result.eigenvalues[2]
     assert abs(lam2 - lam3) < 1e-8 * lam2
     gram = result.eigenvectors.T @ (m_mat @ result.eigenvectors)
     assert np.allclose(gram, np.eye(3), atol=1e-8)
-
-
-def test_shift_invert_requires_k_below_order(ref2):
-    a_mat, m_mat = assembled(2, 2, BC_CLAMPED, ref2)
-    with pytest.raises(ValueError):
-        smallest_k_shift_invert(a_mat, m_mat, a_mat.shape[0])
 
 
 def test_shift_invert_reports_factorization_failure():
@@ -116,13 +110,13 @@ def test_shift_invert_reports_factorization_failure():
     a = sparse.csr_matrix(np.zeros((4, 4)))
     m = sparse.identity(4, format="csr")
     with pytest.raises(ValueError, match="sigma"):
-        smallest_k_shift_invert(a, m, 1, sigma=0.0)
+        solve_smallest(a, m, 1, sigma=0.0)
 
 
 def test_repeat_solves_are_bitwise_identical(ref2):
     a_mat, m_mat = assembled(2, 6, BC_SIMPLY_SUPPORTED, ref2)
-    first = smallest_k_shift_invert(a_mat, m_mat, 4, sigma=-1.0)
-    second = smallest_k_shift_invert(a_mat, m_mat, 4, sigma=-1.0)
+    first = solve_smallest(a_mat, m_mat, 4, sigma=-1.0)
+    second = solve_smallest(a_mat, m_mat, 4, sigma=-1.0)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
@@ -156,8 +150,8 @@ def test_nested_dissection_reduces_fill(ref2):
     a_mat, m_mat = assemble(mesh, dofmap, ref2)
     # The same pencil in entity order: free vertices, then free facets, by id.
     entity = dofmap.entity_dof[dofmap.entity_dof >= 0]
-    natural = smallest_k_shift_invert(a_mat[entity][:, entity], m_mat[entity][:, entity], 2)
-    ordered = smallest_k_shift_invert(a_mat, m_mat, 2)
+    natural = solve_smallest(a_mat[entity][:, entity], m_mat[entity][:, entity], 2)
+    ordered = solve_smallest(a_mat, m_mat, 2)
     assert ordered.metadata["factor_nnz"] < natural.metadata["factor_nnz"] / 2
     assert ordered.eigenvalues == pytest.approx(natural.eigenvalues, rel=1e-10)
 
@@ -186,7 +180,7 @@ def test_count_restores_skipped_copy(ref2):
     # (1,3)/(3,1) and the next eigenvalue in place of the second copy; the
     # count below that next eigenvalue says two pairs are missing.
     a_mat, m_mat = assembled(2, 4, BC_SIMPLY_SUPPORTED, ref2)
-    alone = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=-1.0)
+    alone = solve_smallest(a_mat, m_mat, 6, sigma=-1.0)
     assert alone.eigenvalues[5] > alone.eigenvalues[4] * (1 + REL_GAP)
     result = certified_smallest(a_mat, m_mat, 6, sigma=-1.0)
     assert result.converged
@@ -219,10 +213,19 @@ def test_count_below_refuses_a_pivoted_factor():
 
 def test_solve_below_owes_nothing_without_a_factor(ref2, monkeypatch):
     a_mat, m_mat = assembled(2, 6, BC_CLAMPED, ref2)
-    monkeypatch.setattr("rectmorley.eigensolve._ShiftedFactor", None)
+    shifts = []
+
+    class RecordedFactor(eigensolve._ShiftedFactor):
+        def __init__(self, a_mat, m_mat, shift):
+            shifts.append(shift)
+            super().__init__(a_mat, m_mat, shift)
+
+    monkeypatch.setattr(eigensolve, "_ShiftedFactor", RecordedFactor)
     result = solve_smallest(a_mat, m_mat, tau=1.0)
     assert result.converged and result.eigenvalues.size == 0
     assert result.metadata["count_below_tau"] == 0
+    # The count at tau is the only factor: no shift-invert factor at sigma.
+    assert shifts == [1.0]
     with pytest.raises(ValueError, match="k or the threshold tau"):
         solve_smallest(a_mat, m_mat, 2, tau=1.0)
 
@@ -231,14 +234,22 @@ def test_shift_between_eigenvalues_is_rejected(ref2):
     a_mat, m_mat = assembled(2, 6, BC_CLAMPED, ref2)
     lam = smallest_k_dense(a_mat, m_mat, 2).eigenvalues
     sigma = 0.5 * (lam[0] + lam[1])
+    # One factor type gives both verdicts: one negative pivot, so the count
+    # is 1 and the shift is refused; none below lambda_1, so it is taken.
+    assert count_below(a_mat, m_mat, sigma) == 1
     with pytest.raises(ValueError, match=f"sigma={sigma}"):
-        smallest_k_shift_invert(a_mat, m_mat, 2, sigma=sigma)
+        solve_smallest(a_mat, m_mat, 2, sigma=sigma)
+    below = 0.5 * lam[0]
+    assert count_below(a_mat, m_mat, below) == 0
+    result = solve_smallest(a_mat, m_mat, 2, sigma=below)
+    assert result.method == METHOD_SHIFT_INVERT and result.converged
+    assert result.eigenvalues == pytest.approx(lam, rel=1e-9)
 
 
 def test_ordered_repeat_solves_are_bitwise_identical(ref3):
     a_mat, m_mat = assembled(3, 4, BC_SIMPLY_SUPPORTED, ref3)
-    first = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=-1.0)
-    second = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=-1.0)
+    first = solve_smallest(a_mat, m_mat, 6, sigma=-1.0)
+    second = solve_smallest(a_mat, m_mat, 6, sigma=-1.0)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
     assert first.metadata == second.metadata
@@ -246,7 +257,7 @@ def test_ordered_repeat_solves_are_bitwise_identical(ref3):
 
 def test_solver_metadata_reports_factor_and_work(ref2):
     a_mat, m_mat = assembled(2, 8, BC_CLAMPED, ref2)
-    result = smallest_k_shift_invert(a_mat, m_mat, 3)
+    result = solve_smallest(a_mat, m_mat, 3)
     meta = result.metadata
     assert meta["factor_nnz"] >= sparse.tril(a_mat).nnz
     # ARPACK, then one block solve of k vectors.
@@ -326,14 +337,21 @@ def test_solve_smallest_routes_to_shift_invert(ref2):
     assert result.method == METHOD_SHIFT_INVERT
 
 
-def test_solve_smallest_routes_tiny_pencils_to_dense():
+def test_solve_smallest_routes_tiny_pencils_to_dense(ref2):
     # Shift-invert needs k + 1 < order; only then is dense the auto route.
-    a = np.diag([1.0, 2.0, 3.0])
-    m = np.eye(3)
+    a = sparse.csr_matrix(np.diag([1.0, 2.0, 3.0]))
+    m = sparse.identity(3, format="csr")
     assert solve_smallest(a, m, 1, method="auto").method == METHOD_SHIFT_INVERT
     result = solve_smallest(a, m, 2, method="auto")
     assert result.method == METHOD_DENSE
     assert result.eigenvalues == pytest.approx([1.0, 2.0])
+    # Up to every pair of an assembled pencil, which shift-invert cannot give.
+    a_mat, m_mat = assembled(2, 2, BC_CLAMPED, ref2)
+    order = a_mat.shape[0]
+    for k in (order - 1, order):
+        result = solve_smallest(a_mat, m_mat, k)
+        assert result.method == METHOD_DENSE and result.converged
+        assert len(result.eigenvalues) == k
 
 
 def test_solve_smallest_honors_explicit_method(ref2):

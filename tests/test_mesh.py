@@ -28,24 +28,24 @@ def test_entity_counts_3d():
 
 def on_boundary(mesh):
     """Boundary flags of every entity: a doubled coordinate is 0 or 2n."""
-    coords = mesh.entity_coordinates()
+    coords = mesh.entity_coordinates
     return ((coords == 0) | (coords == 2 * mesh.n)).any(axis=1)
 
 
 def test_element_vertices_follow_corner_order():
     mesh = build_mesh(2, 2)
     # Vertex ids stride 1 along axis 0 and n+1 = 3 along axis 1.
-    assert list(mesh.cell_entities()[0, :4]) == [0, 1, 3, 4]
-    assert list(mesh.cell_entities()[3, :4]) == [4, 5, 7, 8]
+    assert list(mesh.cell_entities[0, :4]) == [0, 1, 3, 4]
+    assert list(mesh.cell_entities[3, :4]) == [4, 5, 7, 8]
     mesh3 = build_mesh(3, 2)
-    assert list(mesh3.cell_entities()[0, :8]) == [0, 1, 3, 4, 9, 10, 12, 13]
+    assert list(mesh3.cell_entities[0, :8]) == [0, 1, 3, 4, 9, 10, 12, 13]
 
 
 def test_neighbours_share_a_facet_with_opposite_signs(ref2, entity_ids):
     mesh = build_mesh(2, 2)
     # Elements 0 and 1 are adjacent along axis 0: the axis0+ facet (local
     # slot 4 + 1) of the one is the axis0- facet (slot 4 + 0) of the other.
-    right_of_0, left_of_1 = mesh.cell_entities()[[0, 1], [5, 4]]
+    right_of_0, left_of_1 = mesh.cell_entities[[0, 1], [5, 4]]
     assert right_of_0 == left_of_1 == entity_ids(mesh).facet[0, (1, 0)]
     facet_signs = ref2.orientation[ref2.facet_dof_mask]
     assert (facet_signs[1], facet_signs[0]) == (1.0, -1.0)
@@ -54,7 +54,7 @@ def test_neighbours_share_a_facet_with_opposite_signs(ref2, entity_ids):
 def test_every_interior_facet_is_shared_exactly_twice(ref2, ref3):
     for element, n in ((ref2, 3), (ref3, 2)):
         mesh = build_mesh(element.dim, n)
-        facets = mesh.cell_entities()[:, element.facet_dof_mask].ravel()
+        facets = mesh.cell_entities[:, element.facet_dof_mask].ravel()
         counts = np.bincount(facets, minlength=mesh.num_entities)[mesh.num_vertices:]
         signs = np.tile(element.orientation[element.facet_dof_mask], mesh.num_elements)
         signed = np.bincount(facets, weights=signs,
@@ -103,8 +103,8 @@ def test_cell_entities_match_the_oracle(dim, n, entity_ids):
     ids = entity_ids(mesh)
     expected = [ids.vertices_of(e) + [fid for fid, _ in ids.facets_of(e)]
                 for e in range(mesh.num_elements)]
-    assert np.array_equal(mesh.cell_entities(), expected)
-    assert np.array_equal(mesh.entity_coordinates(), ids.coordinates())
+    assert np.array_equal(mesh.cell_entities, expected)
+    assert np.array_equal(mesh.entity_coordinates, ids.coordinates())
 
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
@@ -126,16 +126,16 @@ def test_geometry_maps_reference_corners_to_vertices(entity_ids):
     corners = reference_corners(2)
     for e in (0, 5, 15):
         center = mesh.cell_centers()[e]
-        for corner, vid in zip(corners, mesh.cell_entities()[e]):
+        for corner, vid in zip(corners, mesh.cell_entities[e]):
             mapped = center + mesh.half_width * np.asarray(corner)
             assert mapped == pytest.approx(ids.point(vertex_multi[vid]), abs=1e-14)
 
 
 def test_facet_geometry_midpoints():
     mesh = build_mesh(2, 2)
-    fid = mesh.cell_entities()[0, 5]  # right edge of cell (0, 0)
+    fid = mesh.cell_entities[0, 5]  # right edge of cell (0, 0)
     # Doubled integer coordinates: the midpoint (0.5, 0.25) in half cell widths.
-    assert list(mesh.entity_coordinates()[fid]) == [2, 1]
+    assert list(mesh.entity_coordinates[fid]) == [2, 1]
 
 
 def test_build_mesh_validates_arguments():
@@ -162,5 +162,9 @@ def test_incidence_sizes_are_consistent(dim, n):
     assert mesh.num_vertices == (n + 1) ** dim
     assert mesh.num_facets == dim * (n + 1) * n ** (dim - 1)
     assert mesh.num_entities == mesh.num_vertices + mesh.num_facets
-    assert mesh.entity_coordinates().shape == (mesh.num_entities, dim)
-    assert mesh.cell_entities().shape == (mesh.num_elements, 2 ** dim + 2 * dim)
+    assert mesh.entity_coordinates.shape == (mesh.num_entities, dim)
+    assert mesh.cell_entities.shape == (mesh.num_elements, 2 ** dim + 2 * dim)
+    # Built once per mesh and shared read-only by every caller.
+    for incidence in ("entity_coordinates", "cell_entities"):
+        assert getattr(mesh, incidence) is getattr(mesh, incidence)
+        assert not getattr(mesh, incidence).flags.writeable

@@ -103,7 +103,7 @@ def test_analytic_and_exact_paths_agree(ref2, ref3):
         dim = element.dim
         mesh = build_mesh(dim, 1, domain=((-1.0,) * dim, (1.0,) * dim))
         assert mesh.half_width == 1.0
-        gathered = entity_values(poly, mesh)[mesh.cell_entities()[0]]
+        gathered = entity_values(poly, mesh)[mesh.cell_entities[0]]
         exact = canonical_interpolate(element, poly).coefficients
         assert gathered * element.orientation == pytest.approx(exact, abs=1e-12)
 

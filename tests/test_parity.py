@@ -1,7 +1,8 @@
 """The reflection-parity blocks of cli.solve_problem against the full pencil.
 
-The full-pencil oracle assembles the whole unit box and calls the
-shift-invert solver once, for k pairs and without the slice certificate.
+The full-pencil oracle assembles the whole unit box and calls
+solve_smallest once, for k pairs (its shift-invert route) and without the
+slice certificate.
 The block oracle numbers and assembles one half-box block on its own.
 """
 
@@ -13,7 +14,7 @@ import pytest
 from rectmorley import cli, eigensolve
 from rectmorley.assembly import (FACE_FREE, PARITY_EVEN, PARITY_ODD, assemble,
                                  build_dof_map, restricted_dofs)
-from rectmorley.eigensolve import smallest_k_dense, smallest_k_shift_invert
+from rectmorley.eigensolve import smallest_k_dense, solve_smallest
 from rectmorley.element import build_reference_element
 from rectmorley.mesh import build_mesh
 
@@ -34,13 +35,23 @@ def parity_faces(bc, parity):
             for face in (bc, PARITY_ODD if p == "o" else PARITY_EVEN)]
 
 
+def recorded_factor(built):
+    """A _ShiftedFactor that appends (shift, order) to `built` per factor."""
+    class RecordedFactor(eigensolve._ShiftedFactor):
+        def __init__(self, a_mat, m_mat, shift):
+            built.append((shift, a_mat.shape[0]))
+            super().__init__(a_mat, m_mat, shift)
+
+    return RecordedFactor
+
+
 def block_eigenvalues(dim, n, bc, parity, k=6):
     """The k smallest eigenvalues of the half-box block of one parity
     ('e' or 'o' per axis), solved directly."""
     mesh = half_box(dim, n)
     a_mat, m_mat = assemble(mesh, build_dof_map(mesh, bc, parity_faces(bc, parity)),
                             build_reference_element(dim))
-    return smallest_k_shift_invert(a_mat, m_mat, k, sigma=SIGMA[bc]).eigenvalues
+    return solve_smallest(a_mat, m_mat, k, sigma=SIGMA[bc]).eigenvalues
 
 
 # The two routes round differently, so they can agree only to the float64
@@ -57,7 +68,7 @@ def test_blocks_match_the_full_pencil(dim, n, rtol, bc):
     assert result.converged
     a_mat, m_mat = full_pencil(dim, n, bc)
     assert result.metadata["order"] == a_mat.shape[0]
-    oracle = smallest_k_shift_invert(a_mat, m_mat, 6, sigma=SIGMA[bc])
+    oracle = solve_smallest(a_mat, m_mat, 6, sigma=SIGMA[bc])
     np.testing.assert_allclose(result.eigenvalues, oracle.eigenvalues, rtol=rtol, atol=0)
 
 
@@ -111,25 +122,15 @@ def test_certificate_closes_the_3d_clamped_triple(k):
 
 @pytest.mark.parametrize("bc", sorted(SIGMA))
 def test_3d_n16_blocks_are_solved_for_what_they_owe(bc, monkeypatch):
-    arpack_runs, factored, factors = [], [], []
-    eigsh, factor_no_pivot = eigensolve.sla.eigsh, eigensolve._factor_no_pivot
+    arpack_runs, factors = [], []
+    eigsh = eigensolve.sla.eigsh
 
     def counting_eigsh(*args, **kwargs):
         arpack_runs.append(kwargs["k"])
         return eigsh(*args, **kwargs)
 
-    class RecordedFactor(eigensolve._ShiftedFactor):
-        def __init__(self, a_csr, m_csr, sigma):
-            factored.append(a_csr.shape[0])
-            super().__init__(a_csr, m_csr, sigma)
-
-    def counting_factor(mat):
-        factors.append(mat.shape[0])
-        return factor_no_pivot(mat)
-
     monkeypatch.setattr(eigensolve.sla, "eigsh", counting_eigsh)
-    monkeypatch.setattr(eigensolve, "_ShiftedFactor", RecordedFactor)
-    monkeypatch.setattr(eigensolve, "_factor_no_pivot", counting_factor)
+    monkeypatch.setattr(eigensolve, "_ShiftedFactor", recorded_factor(factors))
     result = cli.solve_problem(3, 16, bc)
     meta = result.metadata
     assert result.converged
@@ -142,11 +143,13 @@ def test_3d_n16_blocks_are_solved_for_what_they_owe(bc, monkeypatch):
     counts = [b["count_below_tau"] for b in meta["blocks"]]
     assert counts == [1, 1, 1, 0]
     assert arpack_runs == [2, 1, 1]
-    assert factored == [b["order"] for b in meta["blocks"][:3]]
-    # 3 SPD factors and 4 count factors: oee's SPD factor, a count and an
-    # SPD factor each for ooe and eee, ooo's count, then oee's count.
+    # 3 SPD factors (at sigma) and 4 count factors (at a tau above it):
+    # oee's SPD factor, a count and an SPD factor each for ooe and eee,
+    # ooo's count, then oee's count.
     oee, ooe, eee, ooo = (b["order"] for b in meta["blocks"])
-    assert factors == [oee, ooe, ooe, eee, eee, ooo, oee]
+    assert [order for _, order in factors] == [oee, ooe, ooe, eee, eee, ooo, oee]
+    assert [shift == SIGMA[bc] for shift, _ in factors] == [True, False, True, False,
+                                                            True, False, False]
     assert meta["opinv_applications"] <= 65
 
 
@@ -199,33 +202,24 @@ def test_one_block_solve_builds_at_most_two_factors(dim, n, bc, k_closed, monkey
     # 3D n=4 clamped: k=6 cuts the 8539.68 triple; 2D simply supported n=4:
     # ARPACK skips a copy of the (1,3)/(3,1) pair.  Both need a completion
     # pass after the count, which reuses the factor that found the pairs.
-    spd, factors, arpack_runs = [], [], []
-    factor_no_pivot, eigsh = eigensolve._factor_no_pivot, eigensolve.sla.eigsh
-
-    class RecordedFactor(eigensolve._ShiftedFactor):
-        def __init__(self, a_csr, m_csr, sigma):
-            spd.append(sigma)
-            super().__init__(a_csr, m_csr, sigma)
-
-    def recording_factor(mat):
-        factors.append(mat.shape[0])
-        return factor_no_pivot(mat)
+    factors, arpack_runs = [], []
+    eigsh = eigensolve.sla.eigsh
 
     def counting_eigsh(*args, **kwargs):
         arpack_runs.append(kwargs["k"])
         return eigsh(*args, **kwargs)
 
     monkeypatch.setitem(cli.SPLIT_MIN_ORDER, dim, 10 ** 9)
-    monkeypatch.setattr(eigensolve, "_ShiftedFactor", RecordedFactor)
-    monkeypatch.setattr(eigensolve, "_factor_no_pivot", recording_factor)
+    monkeypatch.setattr(eigensolve, "_ShiftedFactor", recorded_factor(factors))
     monkeypatch.setattr(eigensolve.sla, "eigsh", counting_eigsh)
     result = cli.solve_problem(dim, n, bc)
     assert result.converged
     assert len(result.metadata["blocks"]) == 1
     assert result.metadata["k_closed"] == k_closed
     assert len(arpack_runs) == 2
-    assert spd == [SIGMA[bc]]
-    assert factors == [result.metadata["order"]] * 2
+    # One SPD factor at sigma, then one count factor at the block's tau.
+    (block,) = result.metadata["blocks"]
+    assert factors == [(SIGMA[bc], block["order"]), (block["tau"], block["order"])]
 
 
 @pytest.mark.parametrize("dim,n,bc", [(2, 4, "simply-supported"), (2, 32, "clamped"),
