@@ -105,6 +105,17 @@ def test_shift_invert_resolves_degenerate_pair(ref2):
     assert np.allclose(gram, np.eye(3), atol=1e-8)
 
 
+def test_shift_invert_requires_k_below_order(ref2):
+    # Shift-invert serves k + 1 < order only; past that the pencil goes to
+    # the dense solver, and more pairs than the order are refused outright.
+    a_mat, m_mat = assembled(2, 2, BC_CLAMPED, ref2)
+    order = a_mat.shape[0]
+    assert solve_smallest(a_mat, m_mat, order - 2).method == METHOD_SHIFT_INVERT
+    assert solve_smallest(a_mat, m_mat, order - 1).method == METHOD_DENSE
+    with pytest.raises(ValueError):
+        solve_smallest(a_mat, m_mat, order + 1)
+
+
 def test_shift_invert_reports_factorization_failure():
     # A singular pencil at sigma=0: A itself is singular.
     a = sparse.csr_matrix(np.zeros((4, 4)))
