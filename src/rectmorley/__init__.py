@@ -23,7 +23,7 @@ _EXPORTS = {
     "functions": ("ScaledFunction", "SineProduct", "sine_eigenvalue",
                   "unit_box_eigenfunction"),
     "mesh": ("CartesianMesh", "build_mesh"),
-    "operators": ("BubbleSet", "build_bubbles", "bubble_expansion",
+    "operators": ("build_bubbles", "bubble_expansion",
                   "canonical_interpolate", "commuting_discrepancy",
                   "interpolation_convergence_probe", "moment_project",
                   "refined_identity_check", "run_bubble_suite", "run_commuting_suite",

@@ -453,39 +453,28 @@ class IdentityTerms:
     t4: float
     lam_gap: float
     residual: float
-    u_norm: float
-    uh_norm: float
-    constrained_residual: float
-
-    @property
-    def identity_sum(self) -> float:
-        return self.t1 + self.t2 + self.t3 + self.t4
 
 
 def eigen_error_identity_terms(lam_exact: float, u, lam_h: float, u_h: FemField,
                                mesh: CartesianMesh, dofmap: DofMap,
-                               element: ReferenceElement, A=None, M=None,
-                               normalize: bool = True) -> IdentityTerms:
+                               element: ReferenceElement, A, M) -> IdentityTerms:
     """Evaluate the four-term decomposition of lam_exact - lam_h.
 
     The identity is algebraically exact for a continuous eigenpair (lam, u)
-    with ||u|| = 1 and a discrete eigenpair (lam_h, u_h) with unit mass norm;
-    the residual reports what quadrature and solver precision leave behind.
+    with ||u|| = 1 and a discrete eigenpair (lam_h, u_h) with unit mass norm
+    in the assembled mass matrix M; both inputs are normalized here.  The
+    residual reports what quadrature and solver precision leave behind.
     The input u must be admissible: its constrained DOFs have to vanish, to
     within ADMISSIBILITY_TOL.
     """
-    if A is None or M is None:
-        A, M = assemble(mesh, dofmap, element)
-
     u_norm = l2_norm_analytic(u, mesh)
     if u_norm <= 0:
         raise ValueError("cannot normalize a zero function")
     uh_norm = math.sqrt(float(u_h.coeffs @ (M @ u_h.coeffs)))
     if uh_norm <= 0:
         raise ValueError("cannot normalize a zero discrete field")
-    if normalize:
-        u = ScaledFunction(u, 1.0 / u_norm)
-        u_h = FemField(dofmap, u_h.coeffs / uh_norm)
+    u = ScaledFunction(u, 1.0 / u_norm)
+    u_h = FemField(dofmap, u_h.coeffs / uh_norm)
 
     interp = interpolate_global(u, mesh, dofmap)
     if interp.max_constrained_residual > ADMISSIBILITY_TOL:
@@ -511,5 +500,4 @@ def eigen_error_identity_terms(lam_exact: float, u, lam_h: float, u_h: FemField,
 
     gap = lam_exact - lam_h
     residual = gap - (t1 + t2 + t3 + t4)
-    return IdentityTerms(t1, t2, t3, t4, gap, residual, u_norm, uh_norm,
-                         interp.max_constrained_residual)
+    return IdentityTerms(t1, t2, t3, t4, gap, residual)

@@ -1,11 +1,12 @@
-"""Interpolation operators, bubble functions, and the verification suites.
+"""Interpolation operators, the error bubbles, and the verification suites.
 
 Everything here lives on the reference cell [-1, 1]^dim unless stated
 otherwise.  The canonical interpolation matches the element's degrees of
 freedom; the moment projection matches integral moments of derivatives up
-to fourth order.  Verification suites package the identities these
-operators satisfy (and the documented deviations from the published bubble
-table) into structured pass/fail records.
+to fourth order; the interpolation-error bubbles are one table of derivative
+multi-indices and polynomials.  Verification suites package the identities
+these operators satisfy (and the documented deviations from the published
+bubble table) into structured pass/fail records.
 """
 
 from __future__ import annotations
@@ -27,87 +28,44 @@ DEFAULT_SEED = 1729
 # bubble functions
 # ---------------------------------------------------------------------------
 
-def _phi_bubble(dim: int, i: int, j: int) -> Polynomial:
-    # xi_i^2 xi_j - (4/3) xi_j + (1/3) xi_j^3
-    xi = Polynomial.variable(dim, i)
-    xj = Polynomial.variable(dim, j)
-    return xi * xi * xj - (4.0 / 3.0) * xj + (1.0 / 3.0) * xj ** 3
+def _alpha(dim: int, *axes: int) -> tuple:
+    """The multi-index with one unit for each listed axis."""
+    return tuple(axes.count(a) for a in range(dim))
 
 
-def _psi_bubble(dim: int, i: int) -> Polynomial:
-    # (xi_i^2 - 1)^2
-    xi = Polynomial.variable(dim, i)
-    return (xi * xi - 1.0) ** 2
-
-
-def _p_bubble(dim: int, i: int, j: int) -> Polynomial:
-    # xi_i^2 xi_j^2 - (xi_i^2 + xi_j^2 + 1) / 3
-    xi2 = Polynomial.variable(dim, i) ** 2
-    xj2 = Polynomial.variable(dim, j) ** 2
-    return xi2 * xj2 - (1.0 / 3.0) * (xi2 + xj2 + 1.0)
-
-
-def _p_bubble_published(dim: int, i: int, j: int) -> Polynomial:
-    # xi_i^2 + xi_j^2 - xi_i^3/3 - xi_j^3/3 - 1/3; kept for deviation reports,
-    # this form does not vanish at the corners.
-    xi = Polynomial.variable(dim, i)
-    xj = Polynomial.variable(dim, j)
-    return xi ** 2 + xj ** 2 - (1.0 / 3.0) * xi ** 3 - (1.0 / 3.0) * xj ** 3 - 1.0 / 3.0
-
-
-def _q_bubble(dim: int, i: int, j: int) -> Polynomial:
-    # xi_i^3 xi_j - xi_i xi_j
-    xi = Polynomial.variable(dim, i)
-    xj = Polynomial.variable(dim, j)
-    return xi ** 3 * xj - xi * xj
-
-
-@dataclass(frozen=True)
-class BubbleSet:
-    """Error bubbles of the canonical interpolation, keyed by axis indices.
-
-    All of phi, psi, p, q annihilate every degree of freedom of the element.
-    p_published keeps the form from the printed bubble table, which fails the
-    corner conditions; it is retained only so verification reports can show
-    the deviation.
-    """
-
-    dim: int
-    phi: dict
-    psi: dict
-    p: dict
-    q: dict
-    p_published: dict
-
-    def corrected_items(self):
-        for (i, j), poly in sorted(self.phi.items()):
-            yield f"phi({i},{j})", poly
-        for i, poly in sorted(self.psi.items()):
-            yield f"psi({i})", poly
-        for (i, j), poly in sorted(self.p.items()):
-            yield f"p({i},{j})", poly
-        for (i, j), poly in sorted(self.q.items()):
-            yield f"q({i},{j})", poly
-
-    @property
-    def count(self) -> int:
-        return len(self.phi) + len(self.psi) + len(self.p) + len(self.q)
-
-
-def build_bubbles(dim: int) -> BubbleSet:
-    """The 7 (2D) or 18 (3D) interpolation-error bubbles."""
+def build_bubbles(dim: int) -> dict:
+    """The 7 (2D) or 18 (3D) interpolation-error bubbles b_alpha, in record
+    order: record name -> (alpha, b_alpha) for phi(i,j) (alpha = 2e_i + e_j),
+    psi(i) (4e_i), p(i,j) with i < j (2e_i + 2e_j) and q(i,j) (3e_i + e_j).
+    Each annihilates every degree of freedom of the element."""
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim!r}")
+    x = [Polynomial.variable(dim, i) for i in range(dim)]
     ordered = [(i, j) for i in range(dim) for j in range(dim) if i != j]
-    unordered = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    return BubbleSet(
-        dim=dim,
-        phi={(i, j): _phi_bubble(dim, i, j) for i, j in ordered},
-        psi={i: _psi_bubble(dim, i) for i in range(dim)},
-        p={(i, j): _p_bubble(dim, i, j) for i, j in unordered},
-        q={(i, j): _q_bubble(dim, i, j) for i, j in ordered},
-        p_published={(i, j): _p_bubble_published(dim, i, j) for i, j in unordered},
-    )
+    table = {}
+    for i, j in ordered:  # xi_i^2 xi_j - (4/3) xi_j + (1/3) xi_j^3
+        table[f"phi({i},{j})"] = (_alpha(dim, i, i, j), x[i] * x[i] * x[j]
+                                  - (4.0 / 3.0) * x[j] + (1.0 / 3.0) * x[j] ** 3)
+    for i in range(dim):  # (xi_i^2 - 1)^2
+        table[f"psi({i})"] = (_alpha(dim, i, i, i, i), (x[i] * x[i] - 1.0) ** 2)
+    for i, j in ordered:  # xi_i^2 xi_j^2 - (xi_i^2 + xi_j^2 + 1) / 3
+        if i < j:
+            xi2, xj2 = x[i] ** 2, x[j] ** 2
+            table[f"p({i},{j})"] = (_alpha(dim, i, i, j, j),
+                                    xi2 * xj2 - (1.0 / 3.0) * (xi2 + xj2 + 1.0))
+    for i, j in ordered:  # xi_i^3 xi_j - xi_i xi_j
+        table[f"q({i},{j})"] = (_alpha(dim, i, i, i, j), x[i] ** 3 * x[j] - x[i] * x[j])
+    return table
+
+
+def _published_p(dim: int) -> dict:
+    """The p forms of the printed bubble table by record name, kept for the
+    deviation records: xi_i^2 + xi_j^2 - xi_i^3/3 - xi_j^3/3 - 1/3 does not
+    vanish at the corners."""
+    x = [Polynomial.variable(dim, i) for i in range(dim)]
+    return {f"p-published({i},{j})": x[i] ** 2 + x[j] ** 2 - (1.0 / 3.0) * x[i] ** 3
+            - (1.0 / 3.0) * x[j] ** 3 - 1.0 / 3.0
+            for i in range(dim) for j in range(i + 1, dim)}
 
 
 # ---------------------------------------------------------------------------
@@ -194,33 +152,23 @@ def commuting_discrepancy(f: Polynomial) -> float:
 # interpolation error structure on quartics
 # ---------------------------------------------------------------------------
 
-def bubble_expansion(bubbles: BubbleSet, f: Polynomial) -> Polynomial:
+def bubble_expansion(f: Polynomial) -> Polynomial:
     """Interpolation error predicted by the bubble table for a quartic input.
 
-    In reference coordinates the error of a quartic f decomposes as
-        sum_{i != j} mean(f_iij)/2 * phi_ij  + sum_i f_iiii/24 * psi_i
-      + sum_{i < j} f_iijj/4 * p_ij          + sum_{i != j} f_iiij/6 * q_ij
+    In reference coordinates the error of a quartic f is
+        sum over the table of mean(d^alpha f) / alpha! * b_alpha,
     with constant fourth derivatives.  In 3D the decomposition does not cover
     the mixed quartics xi_i^2 xi_j xi_k; callers probing those monomials will
     see the residual.
     """
-    if f.dim != bubbles.dim:
-        raise ValueError("dimension mismatch")
     if f.degree() > 4:
         raise ValueError("bubble expansion requires degree <= 4")
+    bubbles = build_bubbles(f.dim).values()
+    alphas = tuple(alpha for alpha, _ in bubbles)
+    means = derivative_integrals(f.dim, f.bound, alphas) @ f.coeffs / 2.0 ** f.dim
     out = Polynomial.zero(f.dim)
-    for (i, j), poly in bubbles.phi.items():
-        coeff = f.diff(i, 2).diff(j, 1).box_mean() / 2.0
-        out = out + coeff * poly
-    for i, poly in bubbles.psi.items():
-        coeff = f.diff(i, 4).box_mean() / 24.0
-        out = out + coeff * poly
-    for (i, j), poly in bubbles.p.items():
-        coeff = f.diff(i, 2).diff(j, 2).box_mean() / 4.0
-        out = out + coeff * poly
-    for (i, j), poly in bubbles.q.items():
-        coeff = f.diff(i, 3).diff(j, 1).box_mean() / 6.0
-        out = out + coeff * poly
+    for mean, (alpha, poly) in zip(means.tolist(), bubbles):
+        out = out + mean / math.prod(map(math.factorial, alpha)) * poly
     return out
 
 
@@ -402,26 +350,26 @@ def _max_dof_value(element: ReferenceElement, poly: Polynomial) -> float:
                for row in dof_matrix(element.dim, poly.bound))
 
 
-def run_bubble_suite(dims=(2, 3)) -> VerificationReport:
+def run_bubble_suite() -> VerificationReport:
     """Every corrected bubble annihilates every DOF; the published p does not."""
     report = VerificationReport("bubbles")
-    for dim in dims:
+    for dim in (2, 3):
         element = build_reference_element(dim)
         bubbles = build_bubbles(dim)
         expected = 7 if dim == 2 else 18
         report.records.append(
-            equality_record(f"{dim}d/count", bubbles.count, expected, 0.0)
+            equality_record(f"{dim}d/count", len(bubbles), expected, 0.0)
         )
-        for name, poly in bubbles.corrected_items():
+        for name, (_, poly) in bubbles.items():
             report.records.append(
                 equality_record(
                     f"{dim}d/{name}/max-dof", _max_dof_value(element, poly), 0.0, 1e-12
                 )
             )
-        for (i, j), poly in sorted(bubbles.p_published.items()):
+        for name, poly in _published_p(dim).items():
             report.records.append(
                 deviation_record(
-                    f"{dim}d/p-published({i},{j})/max-dof",
+                    f"{dim}d/{name}/max-dof",
                     _max_dof_value(element, poly),
                     0.0,
                     1e-12,
@@ -432,16 +380,13 @@ def run_bubble_suite(dims=(2, 3)) -> VerificationReport:
     return report
 
 
-def run_commuting_suite(dims=(2, 3), max_degree: int = 6) -> VerificationReport:
+def run_commuting_suite() -> VerificationReport:
     """Projection then fourth derivative equals the averaged fourth derivative."""
     report = VerificationReport("commuting")
-    for dim in dims:
-        for degree in range(max_degree + 1):
-            worst = 0.0
-            for alpha in multi_indices_up_to(dim, max_degree):
-                if sum(alpha) != degree:
-                    continue
-                worst = max(worst, commuting_discrepancy(Polynomial.monomial(dim, alpha)))
+    for dim in (2, 3):
+        for degree in range(7):
+            worst = max(commuting_discrepancy(Polynomial.monomial(dim, alpha))
+                        for alpha in multi_indices_up_to(dim, degree) if sum(alpha) == degree)
             report.records.append(
                 equality_record(f"{dim}d/degree-{degree}/max-monomial", worst, 0.0, 1e-12)
             )
@@ -531,18 +476,19 @@ def run_refined_identity_suite(dim: int, n_pairs: int = 200,
     return report
 
 
-def run_eigen_identity_suite(n_values=(4, 8)):
+def run_eigen_identity_suite() -> VerificationReport:
     """Four-term eigenvalue error identity on the coarsest simply supported meshes.
 
-    Uses the first eigenpair (simple eigenvalue, no cluster ambiguity) and
-    checks the identity residual and its invariance under flipping the sign
-    of the discrete eigenvector.
+    Uses the first eigenpair (simple eigenvalue, no cluster ambiguity) on
+    2D n=4 and 8, signed so that (Pi_h u, u_h)_M > 0, and checks the
+    identity residual and its invariance under flipping the sign of the
+    discrete eigenvector.
     """
     # Imported at call time, so that a caller who swaps these module
     # attributes (a tracer, a test double) sees every call.
     from .assembly import (FemField, assemble, build_dof_map,
-                           eigen_error_identity_terms)
-    from .eigensolve import smallest_k_dense
+                           eigen_error_identity_terms, interpolate_global)
+    from .eigensolve import solve_smallest
     from .functions import sine_eigenvalue, unit_box_eigenfunction
     from .mesh import build_mesh
 
@@ -551,25 +497,27 @@ def run_eigen_identity_suite(n_values=(4, 8)):
     modes = (1, 1)
     u = unit_box_eigenfunction(modes)
     lam = sine_eigenvalue(modes)
-    for n in n_values:
+    for n in (4, 8):
         mesh = build_mesh(2, n)
         dofmap = build_dof_map(mesh, "simply-supported")
         a_mat, m_mat = assemble(mesh, dofmap, element)
-        result = smallest_k_dense(a_mat, m_mat, 1)
+        # Dense, as perfbench's smoke test expects (ROADMAP item 7).
+        result = solve_smallest(a_mat, m_mat, 1, method="dense")
         lam_h = float(result.eigenvalues[0])
-        u_h = FemField(dofmap, result.eigenvectors[:, 0])
+        vector = result.eigenvectors[:, 0]
+        if interpolate_global(u, mesh, dofmap).field.coeffs @ (m_mat @ vector) < 0:
+            vector = -vector
         tol = 1e-6 * lam
 
-        terms = eigen_error_identity_terms(lam, u, lam_h, u_h, mesh, dofmap,
-                                           element, A=a_mat, M=m_mat)
+        terms = eigen_error_identity_terms(lam, u, lam_h, FemField(dofmap, vector), mesh,
+                                           dofmap, element, A=a_mat, M=m_mat)
         report.records.append(equality_record(
             f"2d-ss/n={n}/residual", terms.residual, 0.0, tol,
             note=f"lam_gap={terms.lam_gap:.6f} t1={terms.t1:.6f} t2={terms.t2:.6f} "
                  f"t3={terms.t3:.6f} t4={terms.t4:.6f}",
         ))
-        flipped = FemField(dofmap, -result.eigenvectors[:, 0])
-        terms_flip = eigen_error_identity_terms(lam, u, lam_h, flipped, mesh,
-                                                dofmap, element, A=a_mat, M=m_mat)
+        terms_flip = eigen_error_identity_terms(lam, u, lam_h, FemField(dofmap, -vector),
+                                                mesh, dofmap, element, A=a_mat, M=m_mat)
         report.records.append(equality_record(
             f"2d-ss/n={n}/sign-flip-residual", terms_flip.residual, 0.0, tol,
             note="identity must not depend on the eigenvector sign",

@@ -222,7 +222,7 @@ def test_criterion_10_commuting_projection():
 def test_criterion_11_eigenvalue_error_identity():
     from rectmorley.operators import run_eigen_identity_suite
 
-    rep = run_eigen_identity_suite(n_values=(4, 8))
+    rep = run_eigen_identity_suite()
     names = [r.name for r in rep.records]
     worst = max(abs(r.lhs) for r in rep.records)
     ok = rep.passed and any("sign-flip" in name for name in names)

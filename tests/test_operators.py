@@ -42,8 +42,8 @@ def test_interpolant_of_mixed_cubic_has_closed_form(ref2):
     expected = (4.0 / 3.0) * x - (1.0 / 3.0) * x ** 3
     assert result.interpolant.almost_equal(expected, tol=1e-12)
     # The error is exactly the phi bubble with the squared axis first.
-    bubbles = build_bubbles(2)
-    assert result.error.almost_equal(bubbles.phi[(1, 0)], tol=1e-12)
+    _, phi = build_bubbles(2)["phi(1,0)"]
+    assert result.error.almost_equal(phi, tol=1e-12)
 
 
 def test_interpolant_of_mixed_quartic_3d(ref3):
@@ -185,8 +185,8 @@ def test_commuting_discrepancy_vanishes_through_degree_six(dim):
 # ---------------------------------------------------------------------------
 
 def test_bubble_counts():
-    assert build_bubbles(2).count == 7
-    assert build_bubbles(3).count == 18
+    assert len(build_bubbles(2)) == 7
+    assert len(build_bubbles(3)) == 18
     with pytest.raises(ValueError):
         build_bubbles(4)
 
@@ -194,8 +194,7 @@ def test_bubble_counts():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_all_corrected_bubbles_annihilate_every_dof(dim):
     element = build_reference_element(dim)
-    bubbles = build_bubbles(dim)
-    for name, poly in bubbles.corrected_items():
+    for name, (_, poly) in build_bubbles(dim).items():
         assert np.max(np.abs(dofs_of(poly))) < 1e-12, name
 
 
@@ -204,21 +203,20 @@ def test_max_dof_value_does_not_depend_on_the_matrix_layout(dim, monkeypatch):
     # Each DOF is an exactly rounded sum, so a Fortran-ordered copy of the
     # DOF matrix prints the same verify report bytes.
     element = build_reference_element(dim)
-    items = list(build_bubbles(dim).corrected_items())
-    c_order = [operators._max_dof_value(element, poly) for _, poly in items]
+    items = [poly for _, poly in build_bubbles(dim).values()]
+    c_order = [operators._max_dof_value(element, poly) for poly in items]
     monkeypatch.setattr(operators, "dof_matrix",
                         lambda d, degree: np.asfortranarray(dof_matrix(d, degree)))
     assert operators.dof_matrix(dim, 4).flags.f_contiguous
-    assert [operators._max_dof_value(element, poly) for _, poly in items] == c_order
+    assert [operators._max_dof_value(element, poly) for poly in items] == c_order
 
 
 def test_published_p_fails_at_corners():
-    bubbles = build_bubbles(2)
-    published = bubbles.p_published[(0, 1)]
+    published = operators._published_p(2)["p-published(0,1)"]
     corner = np.array([1.0, 1.0])
     assert published(corner) == pytest.approx(1.0)
     # The corrected form does vanish there and at every other corner.
-    corrected = bubbles.p[(0, 1)]
+    _, corrected = build_bubbles(2)["p(0,1)"]
     for sx in (-1.0, 1.0):
         for sy in (-1.0, 1.0):
             assert corrected(np.array([sx, sy])) == pytest.approx(0.0, abs=1e-14)
@@ -227,7 +225,7 @@ def test_published_p_fails_at_corners():
 def test_corrected_p_has_same_key_derivatives_as_its_role():
     # The role of p in the error expansion pins d^2/dxi_j^2 = 2 xi_i^2 - 2/3
     # and the mixed derivative 4 xi_i xi_j.
-    p = build_bubbles(2).p[(0, 1)]
+    _, p = build_bubbles(2)["p(0,1)"]
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
     assert p.diff(1, 2).almost_equal(2.0 * x ** 2 - Polynomial.constant(2, 2.0 / 3.0))
@@ -239,20 +237,18 @@ def test_corrected_p_has_same_key_derivatives_as_its_role():
 # ---------------------------------------------------------------------------
 
 def test_bubble_expansion_reproduces_error_for_all_2d_quartics(ref2):
-    bubbles = build_bubbles(2)
     for alpha in multi_indices_up_to(2, 4):
         f = Polynomial.monomial(2, alpha)
         exact = canonical_interpolate(ref2, f).error
-        predicted = bubble_expansion(bubbles, f)
+        predicted = bubble_expansion(f)
         assert (exact - predicted).max_abs_coeff() < 1e-12, alpha
 
 
 def test_bubble_expansion_covers_3d_except_mixed_family(ref3):
-    bubbles = build_bubbles(3)
     for alpha in multi_indices_up_to(3, 4):
         f = Polynomial.monomial(3, alpha)
         exact = canonical_interpolate(ref3, f).error
-        predicted = bubble_expansion(bubbles, f)
+        predicted = bubble_expansion(f)
         gap = (exact - predicted).max_abs_coeff()
         if sorted(alpha) == [1, 1, 2]:
             assert gap > 0.5, alpha
@@ -267,13 +263,13 @@ def test_mixed_family_error_is_the_tensor_bubble(ref3):
     y = Polynomial.variable(3, 1)
     z = Polynomial.variable(3, 2)
     assert err.almost_equal((x * x - 1.0) * y * z, tol=1e-12)
-    assert bubble_expansion(build_bubbles(3), f).max_abs_coeff() < 1e-12
+    assert bubble_expansion(f).max_abs_coeff() < 1e-12
 
 
 def test_expansion_rejects_high_degree():
     f = Polynomial.monomial(2, (5, 0))
     with pytest.raises(ValueError):
-        bubble_expansion(build_bubbles(2), f)
+        bubble_expansion(f)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +420,26 @@ def test_commuting_suite_passes():
     assert len(report.records) == 14
 
 
+def test_identity_suite_signs_the_eigenvector_along_the_interpolant(monkeypatch):
+    # The printed terms t1, t2 and t4 depend on the sign of u_h; the suite
+    # fixes it so that (Pi_h u, u_h)_M > 0 on both rungs.
+    from rectmorley import assembly
+
+    original = assembly.eigen_error_identity_terms
+    inner = []
+
+    def recording(lam, u, lam_h, u_h, mesh, dofmap, element, A, M):
+        p = assembly.interpolate_global(u, mesh, dofmap).field.coeffs
+        inner.append(float(p @ (M @ u_h.coeffs)))
+        return original(lam, u, lam_h, u_h, mesh, dofmap, element, A=A, M=M)
+
+    monkeypatch.setattr(assembly, "eigen_error_identity_terms", recording)
+    assert operators.run_eigen_identity_suite().passed
+    assert len(inner) == 4  # each rung, then its sign flip
+    assert inner[0] > 0 and inner[2] > 0
+    assert inner[1] < 0 and inner[3] < 0
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_refined_identity_suite_passes(dim):
     report = run_refined_identity_suite(dim, n_pairs=40, seed=99)
@@ -489,7 +505,7 @@ def test_interpolation_reproduces_basis_and_annihilates_bubbles(dim):
         result = canonical_interpolate(element, phi)
         assert result.coefficients == pytest.approx(np.eye(element.ndof)[i], abs=1e-13)
         assert result.error.max_abs_coeff() < 1e-13
-    for name, bubble in build_bubbles(dim).corrected_items():
+    for name, (_, bubble) in build_bubbles(dim).items():
         result = canonical_interpolate(element, bubble)
         assert np.max(np.abs(result.coefficients)) < 1e-13, name
         assert result.interpolant.max_abs_coeff() < 1e-13, name
