@@ -187,6 +187,14 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     below the final tau, and metadata["k_closed"] counts them with
     multiplicity: above k when k cuts a cluster.
 
+    A simply supported block is counted from the exact discrete spectrum of
+    its parity class (symbol.block_spectra, evaluated once per problem), so
+    its only factors are the SPD ones at sigma; a block whose order is not
+    its class's eigenvalue count gets no count (count_below_tau None) and
+    does not converge.  A clamped block is counted by count_below's factor
+    of A - tau M: its boundary facets break the sine invariance the
+    symbol rests on.
+
     The k smallest of the merged eigenvalues are returned in ascending order
     (a stable sort); no full-space eigenvectors are assembled.
     metadata["order"] is the free-DOF count of the full problem, converged
@@ -201,8 +209,8 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     import numpy as np
 
     from . import eigensolve
-    from .assembly import (FACE_FREE, PARITY_EVEN, PARITY_ODD, assemble, build_dof_map,
-                           free_dof_count, restricted_dofs)
+    from .assembly import (BC_SIMPLY_SUPPORTED, FACE_FREE, PARITY_EVEN, PARITY_ODD, assemble,
+                           build_dof_map, free_dof_count, restricted_dofs)
     from .element import build_reference_element
     from .mesh import build_mesh
 
@@ -229,6 +237,14 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     # Largest classes first, so that the first block's copies alone give k
     # values; the sort is stable, so ties keep their count of odd axes.
     representatives = sorted(multiplicity, key=multiplicity.get, reverse=True)
+    spectra = None
+    if bc == BC_SIMPLY_SUPPORTED:
+        from . import symbol
+        spectra = symbol.block_spectra(dim, n, representatives)
+
+    def counter(parity, a_mat):
+        """The block's count below tau: the symbol's, or count_below's (None)."""
+        return None if spectra is None else symbol.counter(spectra[parity], a_mat.shape[0])
 
     dofmap = build_dof_map(mesh, bc, shared_faces)
     shared = assemble(mesh, dofmap, element)
@@ -248,20 +264,23 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
         return values[k - 1] * (1 + eigensolve.REL_GAP) if len(values) >= k else np.inf
 
     # solve_smallest is looked up at call time, so that a caller who swaps
-    # the module attribute (a tracer) sees every block solve and count.
-    first = representatives[0]
-    solved = {}
-    for parity in representatives:
+    # the module attribute (a tracer) sees every block solve and count.  The
+    # first block's pencil is extracted again for its last count rather than
+    # kept: kept, it would be alive during the later blocks' factorizations.
+    first, *later = representatives
+    a_mat, m_mat = pencil(first)
+    solved = {first: eigensolve.solve_smallest(
+        a_mat, m_mat, min(math.ceil(k / multiplicity[first]), a_mat.shape[0]),
+        method=solver, sigma=sigma, keep_factor=first is None)}
+    for parity in later:
         a_mat, m_mat = pencil(parity)
-        if parity == first:
-            solved[parity] = eigensolve.solve_smallest(
-                a_mat, m_mat, min(math.ceil(k / multiplicity[parity]), a_mat.shape[0]),
-                method=solver, sigma=sigma, keep_factor=parity is None)
-        else:
-            solved[parity] = eigensolve.solve_smallest(
-                a_mat, m_mat, method=solver, sigma=sigma, tau=slice_tau())
-    solved[first] = eigensolve.solve_smallest(*pencil(first), method=solver, sigma=sigma,
-                                              tau=slice_tau(), known=solved[first])
+        solved[parity] = eigensolve.solve_smallest(
+            a_mat, m_mat, method=solver, sigma=sigma, tau=slice_tau(),
+            counter=counter(parity, a_mat))
+    a_mat, m_mat = pencil(first)
+    solved[first] = eigensolve.solve_smallest(
+        a_mat, m_mat, method=solver, sigma=sigma, tau=slice_tau(), known=solved[first],
+        counter=counter(first, a_mat))
     tau = slice_tau()
 
     merged = [(lam, res, parity) for parity in parities

@@ -6,7 +6,9 @@ A - sigma M in the order the pencil is given (finite element pencils come
 numbered in nested-dissection order).  One factor type, the no-pivot LDL^T
 of A - shift M (_ShiftedFactor), serves the solves and the certificate: by
 Sylvester's law of inertia its negative pivots count the eigenvalues below
-the shift (count_below), and a shift-invert factor must have none.  No copy
+the shift (count_below), and a shift-invert factor must have none.  A
+caller that knows the count without a factor (the simply supported blocks,
+from symbol.py) passes it instead, and no count factor is built.  No copy
 of a repeated eigenvalue can be skipped silently, because a solve below tau
 returns exactly that count, completing a short slice with deflated ARPACK
 passes (Ericsson and Ruhe, Math. Comp. 35, 1980; Grimes, Lewis and Simon,
@@ -267,18 +269,21 @@ def _shift_invert(A, M, k: int, sigma: float, tau, known, keep_factor) -> EigenR
 
 def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: float = 0.0,
                    tau: float | None = None, known: EigenResult | None = None,
-                   keep_factor: bool = False) -> EigenResult:
+                   keep_factor: bool = False, counter=None) -> EigenResult:
     """The k smallest eigenpairs of the sparse pencil (A, M), or every
     eigenpair below tau.
 
-    Give k or tau.  With tau, count_below sets k, the number of pairs the
-    pencil owes below tau, and the result certifies them: it records
-    metadata["tau"] and metadata["count_below_tau"], and converged holds
-    only if exactly k of its eigenvalues lie below tau.  `known`, an earlier
-    result of the same pencil, supplies pairs already found; no factor is
-    built when they are all the pencil owes, nor when it owes none.  A count
-    that cannot be trusted (count_below raises) gives the known pairs, or
-    none, with count_below_tau None and converged=False.
+    Give k or tau.  With tau, k is the number of pairs the pencil owes
+    below tau, and the result certifies them: it records metadata["tau"]
+    and metadata["count_below_tau"], and converged holds only if exactly k
+    of its eigenvalues lie below tau.  k is counter(tau) when a counter is
+    given (a count known without a factor, such as symbol.counter for a
+    simply supported block), and count_below's inertia count otherwise.
+    `known`, an earlier result of the same pencil, supplies pairs already
+    found; no factor is built when they are all the pencil owes, nor when
+    it owes none.  A count that cannot be trusted (the counter or
+    count_below raises ValueError) gives the known pairs, or none, with
+    count_below_tau None and converged=False.
 
     method 'auto' uses shift-invert whenever k + 1 < order, and the dense
     path (smallest_k_dense) only for the tiny pencils where shift-invert
@@ -323,7 +328,7 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: floa
         have = none_found if known is None else replace(known, metadata=dict(known.metadata),
                                                         factor=None)
         try:
-            k = count_below(A, M, tau)
+            k = count_below(A, M, tau) if counter is None else counter(tau)
         except ValueError:
             return _certified(have, tau, None)
         if np.count_nonzero(have.eigenvalues < tau) >= k:

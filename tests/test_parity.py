@@ -143,13 +143,17 @@ def test_3d_n16_blocks_are_solved_for_what_they_owe(bc, monkeypatch):
     counts = [b["count_below_tau"] for b in meta["blocks"]]
     assert counts == [1, 1, 1, 0]
     assert arpack_runs == [2, 1, 1]
-    # 3 SPD factors (at sigma) and 4 count factors (at a tau above it):
-    # oee's SPD factor, a count and an SPD factor each for ooe and eee,
-    # ooo's count, then oee's count.
+    # 3 SPD factors (at sigma): oee's, ooe's and eee's.  Clamped blocks add
+    # 4 count factors (at a tau above sigma): ooe's and eee's before their
+    # SPD factors, ooo's, then oee's; simply supported blocks take their
+    # counts from the symbol.
     oee, ooe, eee, ooo = (b["order"] for b in meta["blocks"])
-    assert [order for _, order in factors] == [oee, ooe, ooe, eee, eee, ooo, oee]
-    assert [shift == SIGMA[bc] for shift, _ in factors] == [True, False, True, False,
-                                                            True, False, False]
+    if bc == "clamped":
+        assert [order for _, order in factors] == [oee, ooe, ooe, eee, eee, ooo, oee]
+        assert [shift == SIGMA[bc] for shift, _ in factors] == [True, False, True, False,
+                                                                True, False, False]
+    else:
+        assert factors == [(SIGMA[bc], oee), (SIGMA[bc], ooe), (SIGMA[bc], eee)]
     assert meta["opinv_applications"] <= 65
 
 
@@ -217,9 +221,51 @@ def test_one_block_solve_builds_at_most_two_factors(dim, n, bc, k_closed, monkey
     assert len(result.metadata["blocks"]) == 1
     assert result.metadata["k_closed"] == k_closed
     assert len(arpack_runs) == 2
-    # One SPD factor at sigma, then one count factor at the block's tau.
+    # One SPD factor at sigma; then a clamped block builds one count factor
+    # at its tau, and a simply supported one takes its count from the symbol.
     (block,) = result.metadata["blocks"]
-    assert factors == [(SIGMA[bc], block["order"]), (block["tau"], block["order"])]
+    counts = [(block["tau"], block["order"])] if bc == "clamped" else []
+    assert factors == [(SIGMA[bc], block["order"])] + counts
+
+
+@pytest.mark.parametrize("dim,n", [(2, 4), (2, 32), (2, 64), (3, 4), (3, 8), (3, 16)])
+@pytest.mark.parametrize("bc", sorted(SIGMA))
+def test_only_clamped_blocks_build_count_factors(dim, n, bc, monkeypatch):
+    # Every block is counted once below a tau: a clamped block by a factor
+    # of A - tau M, a simply supported one by the symbol, so its only
+    # factors are SPD factors at sigma.
+    factors = []
+    monkeypatch.setattr(eigensolve, "_ShiftedFactor", recorded_factor(factors))
+    result = cli.solve_problem(dim, n, bc)
+    assert result.converged
+    counts = [shift for shift, _ in factors if shift != SIGMA[bc]]
+    if bc == "clamped":
+        assert len(counts) == len(result.metadata["blocks"])
+    else:
+        assert factors and not counts
+
+
+def test_a_block_the_symbol_cannot_number_gets_no_count(monkeypatch):
+    # A class whose eigenvalue count is not its block's order: the block's
+    # count is untrusted and no factor replaces it.
+    from rectmorley import symbol
+
+    spectra = symbol.block_spectra
+
+    def one_short(dim, n, parities):
+        out = spectra(dim, n, parities)
+        out["ee"] = out["ee"][1:]
+        return out
+
+    factors = []
+    monkeypatch.setattr(symbol, "block_spectra", one_short)
+    monkeypatch.setattr(eigensolve, "_ShiftedFactor", recorded_factor(factors))
+    result = cli.solve_problem(2, 32, "simply-supported")
+    blocks = {b["parity"]: b for b in result.metadata["blocks"]}
+    assert blocks["ee"]["count_below_tau"] is None and not blocks["ee"]["converged"]
+    assert blocks["oe"]["converged"] and blocks["oo"]["converged"]
+    assert not result.converged
+    assert all(shift == SIGMA["simply-supported"] for shift, _ in factors)
 
 
 @pytest.mark.parametrize("dim,n,bc", [(2, 4, "simply-supported"), (2, 32, "clamped"),
