@@ -175,25 +175,24 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     count C(dim, j) times.  Odd n, and problems with fewer than
     SPLIT_MIN_ORDER[dim] free DOFs, are solved as one block on the full box.
 
-    The blocks are sliced at tau = (k-th merged eigenvalue) (1 + REL_GAP),
-    and solved in decreasing multiplicity (3D oee, ooe, eee, ooo; 2D oe, ee,
-    oo).  The first block is solved for ceil(k / multiplicity) eigenpairs
-    (fewer if it is smaller), which alone give k merged values.  Each later
-    block is counted at the running tau of the blocks before it and solved
-    for exactly every eigenpair below it; a block that owes none is not
-    factored.  Last, the first block is counted at the final tau and
-    completed if it falls short; the only block of a one-block problem
-    keeps its factor for that.  Every block then holds every eigenvalue
-    below the final tau, and metadata["k_closed"] counts them with
-    multiplicity: above k when k cuts a cluster.
-
-    A simply supported block is counted from the exact discrete spectrum of
-    its parity class (symbol.block_spectra, evaluated once per problem), so
-    its only factors are the SPD ones at sigma; a block whose order is not
-    its class's eigenvalue count gets no count (count_below_tau None) and
-    does not converge.  A clamped block is counted by count_below's factor
-    of A - tau M: its boundary facets break the sine invariance the
-    symbol rests on.
+    The blocks are solved once each, in decreasing multiplicity (3D oee,
+    ooe, eee, ooo; 2D oe, ee, oo), each for every eigenpair below its slice
+    tau = (k-th merged eigenvalue) (1 + REL_GAP); a block that owes none is
+    not factored.  A simply supported problem merges the exact discrete
+    spectra of its parity classes (symbol.block_spectra, evaluated once per
+    problem), so every block is sliced at the final tau and counted by
+    symbol.counter: its only factors are the SPD ones at sigma.  A block
+    whose order is not its class's eigenvalue count gets no count
+    (count_below_tau None) and does not converge.  A clamped problem (its
+    boundary facets break the sine invariance the symbol rests on) merges
+    the blocks solved so far, and each block is counted by count_below's
+    factor of A - tau M.  Its first block has no slice yet: it is solved for
+    k1 = ceil(k / multiplicity) eigenpairs (fewer if it is smaller), which
+    alone give k merged values, and certified at its own lambda_k1
+    (1 + REL_GAP), at or above the final tau.  Each later block's running
+    tau is too.  So every block holds every eigenvalue below the final tau,
+    and metadata["k_closed"] counts them with multiplicity: above k when k
+    cuts a cluster.
 
     The k smallest of the merged eigenvalues are returned in ascending order
     (a stable sort); no full-space eigenvectors are assembled.
@@ -242,45 +241,34 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
         from . import symbol
         spectra = symbol.block_spectra(dim, n, representatives)
 
-    def counter(parity, a_mat):
-        """The block's count below tau: the symbol's, or count_below's (None)."""
-        return None if spectra is None else symbol.counter(spectra[parity], a_mat.shape[0])
-
     dofmap = build_dof_map(mesh, bc, shared_faces)
     shared = assemble(mesh, dofmap, element)
 
-    def pencil(parity):
-        """The block's (A, M): the shared pencil on the block's free DOFs."""
-        if parity is None:
-            return shared
-        keep = restricted_dofs(dofmap, [side for p in parity for side in
-                                        (bc, PARITY_ODD if p == "o" else PARITY_EVEN)])
-        return tuple(mat[keep][:, keep] for mat in shared)
-
     def slice_tau():
-        """(1 + REL_GAP) times the k-th value merged so far, inf if fewer."""
-        values = np.sort(np.concatenate([np.repeat(r.eigenvalues, multiplicity[p])
-                                         for p, r in solved.items()]))
-        return values[k - 1] * (1 + eigensolve.REL_GAP) if len(values) >= k else np.inf
+        """(1 + REL_GAP) times the k-th merged value, inf if fewer: of the
+        symbol's spectra when there are some, else of the blocks solved."""
+        blocks = spectra or {p: r.eigenvalues for p, r in solved.items()}
+        values = np.concatenate([np.empty(0)] + [np.repeat(v, multiplicity[p])
+                                                 for p, v in blocks.items()])
+        return np.partition(values, k - 1)[k - 1] * (1 + eigensolve.REL_GAP) \
+            if len(values) >= k else np.inf
 
     # solve_smallest is looked up at call time, so that a caller who swaps
-    # the module attribute (a tracer) sees every block solve and count.  The
-    # first block's pencil is extracted again for its last count rather than
-    # kept: kept, it would be alive during the later blocks' factorizations.
-    first, *later = representatives
-    a_mat, m_mat = pencil(first)
-    solved = {first: eigensolve.solve_smallest(
-        a_mat, m_mat, min(math.ceil(k / multiplicity[first]), a_mat.shape[0]),
-        method=solver, sigma=sigma, keep_factor=first is None)}
-    for parity in later:
-        a_mat, m_mat = pencil(parity)
+    # the module attribute (a tracer) sees every block solve and count.
+    solved = {}
+    for parity in representatives:
+        a_mat, m_mat = shared
+        if parity is not None:
+            keep = restricted_dofs(dofmap, [side for p in parity for side in
+                                            (bc, PARITY_ODD if p == "o" else PARITY_EVEN)])
+            a_mat, m_mat = (mat[keep][:, keep] for mat in shared)
+        tau = slice_tau()
+        owed = dict(tau=tau) if tau < np.inf else dict(
+            k=min(math.ceil(k / multiplicity[parity]), a_mat.shape[0]))
         solved[parity] = eigensolve.solve_smallest(
-            a_mat, m_mat, method=solver, sigma=sigma, tau=slice_tau(),
-            counter=counter(parity, a_mat))
-    a_mat, m_mat = pencil(first)
-    solved[first] = eigensolve.solve_smallest(
-        a_mat, m_mat, method=solver, sigma=sigma, tau=slice_tau(), known=solved[first],
-        counter=counter(first, a_mat))
+            a_mat, m_mat, method=solver, sigma=sigma, **owed,
+            counter=None if spectra is None else symbol.counter(spectra[parity],
+                                                                a_mat.shape[0]))
     tau = slice_tau()
 
     merged = [(lam, res, parity) for parity in parities
@@ -368,6 +356,24 @@ def _json_dumps(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _csv_cell(value) -> str:
+    """One CSV field: None is empty, a bool yes/no, an int its digits, a
+    float its shortest round-trip repr, and a str itself."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return repr(float(value))
+    return value
+
+
+def _csv(header, rows) -> str:
+    return "\n".join([",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows])
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -392,14 +398,10 @@ def _cmd_solve(args) -> int:
         }
         _emit(_json_dumps(payload), args.out)
     elif args.format == "csv":
-        lines = ["n,index,eigenvalue,residual,method"]
-        for n, _, result in runs:
-            for i, lam in enumerate(result.eigenvalues):
-                lines.append(
-                    f"{n},{i + 1},{float(lam)!r},{float(result.residuals[i])!r},"
-                    f"{result.method}"
-                )
-        _emit("\n".join(lines), args.out)
+        _emit(_csv(("n", "index", "eigenvalue", "residual", "method"),
+                   [(n, i + 1, lam, res, result.method) for n, _, result in runs
+                    for i, (lam, res) in enumerate(zip(result.eigenvalues, result.residuals))]),
+              args.out)
     else:
         lines = [f"# solve dim={args.dim} bc={args.bc} k={args.k}"]
         for n, order, result in runs:
@@ -475,16 +477,7 @@ def _cmd_table(args) -> int:
     elif args.format == "csv":
         cols = ("n", "index", "eigenvalue", "reference", "rel_diff", "exact",
                 "error", "rate", "monotone")
-        lines = [",".join(cols)]
-        for row in rows:
-            cells = []
-            for col in cols:
-                val = row[col]
-                cells.append("" if val is None else
-                             (str(int(val)) if col in ("n", "index") else
-                              ("yes" if val is True else "no" if val is False else repr(val))))
-            lines.append(",".join(cells))
-        _emit("\n".join(lines), args.out)
+        _emit(_csv(cols, [[row[col] for col in cols] for row in rows]), args.out)
     else:
         lines = [
             f"# benchmark table {args.table_id}: dim={dim} bc={bc}",
@@ -581,15 +574,11 @@ def _cmd_rates(args) -> int:
         }
         _emit(_json_dumps(payload), args.out)
     elif args.format == "csv":
-        lines = ["index,reference,reference_kind,step,rate"]
-        for entry in entries:
-            for step, rate in enumerate(entry["rates"]):
-                lines.append(
-                    f"{entry['index']},{entry['reference']!r},{entry['reference_kind']},"
-                    f"{n_values[step]}->{n_values[step + 1]},"
-                    f"{'' if rate is None else repr(rate)}"
-                )
-        _emit("\n".join(lines), args.out)
+        _emit(_csv(("index", "reference", "reference_kind", "step", "rate"),
+                   [(entry["index"], entry["reference"], entry["reference_kind"],
+                     f"{n_values[step]}->{n_values[step + 1]}", rate)
+                    for entry in entries for step, rate in enumerate(entry["rates"])]),
+              args.out)
     else:
         steps = " ".join(
             f"r({n_values[k]}->{n_values[k + 1]})" for k in range(len(n_values) - 1)

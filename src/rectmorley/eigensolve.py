@@ -6,13 +6,16 @@ A - sigma M in the order the pencil is given (finite element pencils come
 numbered in nested-dissection order).  One factor type, the no-pivot LDL^T
 of A - shift M (_ShiftedFactor), serves the solves and the certificate: by
 Sylvester's law of inertia its negative pivots count the eigenvalues below
-the shift (count_below), and a shift-invert factor must have none.  A
-caller that knows the count without a factor (the simply supported blocks,
-from symbol.py) passes it instead, and no count factor is built.  No copy
-of a repeated eigenvalue can be skipped silently, because a solve below tau
-returns exactly that count, completing a short slice with deflated ARPACK
-passes (Ericsson and Ruhe, Math. Comp. 35, 1980; Grimes, Lewis and Simon,
-SIMAX 15, 1994).  The dense LAPACK path (smallest_k_dense) is the test
+the shift (count_below), and a shift-invert factor must have none.  Every
+result is certified: a solve for the k smallest pairs is counted below its
+own tau = lambda_k (1 + REL_GAP), a solve below a given tau below that, and
+either returns exactly that count, completing a short slice with deflated
+ARPACK passes (Ericsson and Ruhe, Math. Comp. 35, 1980; Grimes, Lewis and
+Simon, SIMAX 15, 1994).  So no copy of a repeated eigenvalue is skipped
+silently, and a k that cuts a cluster gets all of it.  A caller that knows
+the count without a factor (the simply supported blocks, from symbol.py)
+passes it instead, and no count factor is built.  At most one factor is
+alive at a time.  The dense LAPACK path (smallest_k_dense) is the test
 oracle, and the route for pencils too small for shift-invert.  Both return
 ascending eigenvalues with mass-orthonormal eigenvectors and per-pair
 relative residuals.  The shift-invert start vectors are fixed deterministic
@@ -22,7 +25,7 @@ without any random state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as dla
@@ -43,19 +46,13 @@ METHOD_SHIFT_INVERT = "shift-invert"
 
 @dataclass
 class EigenResult:
-    """Eigenvalues (ascending), M-orthonormal eigenvectors, and residuals.
-
-    factor is the shift-invert factor that found them, kept only when the
-    solve was asked to keep it (keep_factor), so that a later solve of the
-    same pencil with this result as `known` needs no second SPD factor.
-    """
+    """Eigenvalues (ascending), M-orthonormal eigenvectors, and residuals."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     residuals: np.ndarray
     method: str
     metadata: dict = field(default_factory=dict)
-    factor: _ShiftedFactor | None = field(default=None, repr=False, compare=False)
 
     @property
     def converged(self) -> bool:
@@ -89,12 +86,11 @@ def residual_report(A, M, result: EigenResult) -> np.ndarray:
     return res
 
 
-def _solved(A, M, method: str, k: int, eigenvalues, eigenvectors, factor=None,
-            **metadata) -> EigenResult:
+def _solved(A, M, method: str, k: int, eigenvalues, eigenvectors, **metadata) -> EigenResult:
     """The result of a solve for k pairs, its residuals checked by
     residual_report; metadata starts with the order and k."""
     result = EigenResult(eigenvalues, eigenvectors, np.empty(0), method,
-                         {"order": A.shape[0], "k": int(k), **metadata}, factor)
+                         {"order": A.shape[0], "k": int(k), **metadata})
     residual_report(A, M, result)
     return result
 
@@ -222,35 +218,26 @@ def _arpack(A, M, factor: _ShiftedFactor, k: int, sigma: float,
     return w, x, True
 
 
-def _shift_invert(A, M, k: int, sigma: float, tau, known, keep_factor) -> EigenResult:
-    """The three shift-invert steps of solve_smallest, for 1 <= k < order - 1."""
-    factor = getattr(known, "factor", None)
-    if factor is None:
-        try:
-            factor = _ShiftedFactor(A, M, sigma)
-        except RuntimeError as exc:
-            raise ValueError(f"shift-invert factorization failed at sigma={sigma}") from exc
-        if factor.negatives != 0:
-            raise ValueError(
-                f"A - sigma*M is not positive definite at sigma={sigma}; "
-                "shift below the smallest eigenvalue"
-            )
-    # opinv_applications counts the solves of this call and of `known`.
-    uncounted = factor.applications
-    if known is None:
-        w, x, converged = _arpack(A, M, factor, k, sigma)
-        ascending = np.argsort(w, kind="stable")
-        w, x = w[ascending], x[:, ascending]
-    else:
-        w, x, converged = known.eigenvalues, known.eigenvectors, known.converged
-        uncounted -= known.metadata.get("opinv_applications", 0)
-
-    passes = 0
-    while (tau is not None and converged and passes < COMPLETION_PASSES
-           and np.count_nonzero(w < tau) < k):
-        passes += 1
-        mu, y, converged = _arpack(A, M, factor, k - np.count_nonzero(w < tau),
-                                   sigma, attempt=passes, deflate=x)
+def _shift_invert(A, M, k: int, sigma: float, tau: float, found: EigenResult) -> EigenResult:
+    """Steps 1 to 3 of solve_smallest on one new SPD factor at sigma: the
+    pairs `found` so far (none, for 1 <= k < order - 1, or those of a k
+    solve that its count found short) completed to k below tau."""
+    try:
+        factor = _ShiftedFactor(A, M, sigma)
+    except RuntimeError as exc:
+        raise ValueError(f"shift-invert factorization failed at sigma={sigma}") from exc
+    if factor.negatives != 0:
+        raise ValueError(
+            f"A - sigma*M is not positive definite at sigma={sigma}; "
+            "shift below the smallest eigenvalue"
+        )
+    w, x, converged = found.eigenvalues, found.eigenvectors, True
+    # Pairs already found came from the attempt-0 start vector.
+    attempt = int(len(w) > 0)
+    while converged and attempt <= COMPLETION_PASSES and np.count_nonzero(w < tau) < k:
+        mu, y, converged = _arpack(A, M, factor, k - np.count_nonzero(w < tau), sigma,
+                                   attempt, x if attempt else None)
+        attempt += 1
         ascending = np.argsort(np.append(w, mu), kind="stable")
         w, x = np.append(w, mu)[ascending], np.column_stack([x, y])[:, ascending]
 
@@ -261,83 +248,86 @@ def _shift_invert(A, M, k: int, sigma: float, tau, known, keep_factor) -> EigenR
         w, z = dla.eigh(0.5 * (a_small + a_small.T), 0.5 * (m_small + m_small.T))
         x = y @ z
 
-    return _solved(A, M, METHOD_SHIFT_INVERT, k, w, x, factor if keep_factor else None,
-                   sigma=float(sigma), tol=ARPACK_TOL, converged=bool(converged),
-                   factor_nnz=factor.nnz,
-                   opinv_applications=factor.applications - uncounted)
+    return _solved(A, M, METHOD_SHIFT_INVERT, k, w, x, sigma=float(sigma), tol=ARPACK_TOL,
+                   converged=bool(converged), factor_nnz=factor.nnz,
+                   opinv_applications=found.metadata.get("opinv_applications", 0)
+                   + factor.applications)
+
+
+def _solve(A, M, k: int, sigma: float, tau: float, found: EigenResult) -> EigenResult:
+    """k pairs below tau, on the route of the pairs found so far: dense
+    pairs are solved for afresh, shift-invert ones completed.  With none
+    found yet, pencils too small for shift-invert (k + 1 >= order) go dense."""
+    if found.method == METHOD_DENSE or (not len(found.eigenvalues) and k + 1 >= A.shape[0]):
+        return smallest_k_dense(A, M, k)
+    return _shift_invert(A, M, k, sigma, tau, found)
 
 
 def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: float = 0.0,
-                   tau: float | None = None, known: EigenResult | None = None,
-                   keep_factor: bool = False, counter=None) -> EigenResult:
+                   tau: float | None = None, counter=None) -> EigenResult:
     """The k smallest eigenpairs of the sparse pencil (A, M), or every
-    eigenpair below tau.
+    eigenpair below tau, certified: no eigenvalue below the last is skipped.
 
-    Give k or tau.  With tau, k is the number of pairs the pencil owes
-    below tau, and the result certifies them: it records metadata["tau"]
-    and metadata["count_below_tau"], and converged holds only if exactly k
-    of its eigenvalues lie below tau.  k is counter(tau) when a counter is
-    given (a count known without a factor, such as symbol.counter for a
-    simply supported block), and count_below's inertia count otherwise.
-    `known`, an earlier result of the same pencil, supplies pairs already
-    found; no factor is built when they are all the pencil owes, nor when
-    it owes none.  A count that cannot be trusted (the counter or
-    count_below raises ValueError) gives the known pairs, or none, with
-    count_below_tau None and converged=False.
+    Give k or tau.  With tau, the pencil owes count(tau) pairs below tau.
+    With k >= 1, k pairs are solved first, their factor is freed, and tau
+    is lambda_k (1 + REL_GAP): a k that cuts a cluster of copies of
+    lambda_k gets the whole cluster, more than k pairs.  count is
+    counter(tau) when a counter is given (a count known without a factor,
+    such as symbol.counter for a simply supported block), and count_below's
+    inertia count otherwise.  The result records metadata["tau"] and
+    metadata["count_below_tau"], and converged holds only if exactly that
+    many of its eigenvalues lie below tau.  A count that cannot be trusted
+    (the counter or count_below raises ValueError) leaves the pairs found,
+    if any, with count_below_tau None and converged=False.  k=0 returns no
+    pairs and no certificate.
 
-    method 'auto' uses shift-invert whenever k + 1 < order, and the dense
-    path (smallest_k_dense) only for the tiny pencils where shift-invert
-    cannot run; method 'dense' always uses the dense path.
+    method 'auto' uses shift-invert whenever the pairs first solved for
+    number fewer than order - 1, and the dense path (smallest_k_dense) only
+    for the tiny pencils where shift-invert cannot run; method 'dense'
+    always uses the dense path, which solves for every pair owed afresh.
 
     Shift-invert needs A - sigma M positive definite: sigma below the
     smallest eigenvalue (negative when the stiffness matrix is only
     semidefinite).  One _ShiftedFactor at sigma serves three steps:
 
-    1. ARPACK from deterministic_start_vector finds k eigenpairs, unless
-       `known` supplies pairs; its kept factor, if any, is reused instead
-       of factoring again.
-    2. With tau: a one-vector Krylov space sees one direction per distinct
+    1. ARPACK from deterministic_start_vector finds the pairs owed.
+    2. A one-vector Krylov space sees one direction per distinct
        eigenvalue, so ARPACK can return one copy of a repeated eigenvalue
-       and take the next one instead.  While fewer than k values lie below
-       tau, a deflated pass (ARPACK on the operator projected M-orthogonally
-       off the pairs found, from the next start vector) asks for exactly the
-       missing number, at most COMPLETION_PASSES times; a slice still short,
-       or over, fails its certificate.
+       and take the next one instead.  While fewer pairs than the count lie
+       below tau, a deflated pass (ARPACK on the operator projected
+       M-orthogonally off the pairs found, from the next start vector) asks
+       for exactly the missing number, at most COMPLETION_PASSES times; a
+       slice still short, or over, fails its certificate.
     3. One block inverse-iteration step and a Rayleigh-Ritz step, which
        also leave the vectors M-orthonormal.
 
-    The factor is freed on return, unless keep_factor keeps it on the
-    result, so that a later solve of the same pencil with that result as
-    `known` builds no second SPD factor.  Partial results on
-    non-convergence are returned with converged=False in the metadata.
-    metadata["opinv_applications"] counts the solves of this call and of
-    `known`.
+    A k solve runs these steps without tau, frees its factor, counts, and
+    when the count finds it short runs steps 2 and 3 again on a new SPD
+    factor, from the pairs it has: at most one factor is alive at a time.
+    Partial results on non-convergence are returned with converged=False in
+    the metadata.  metadata["opinv_applications"] counts the solves of the
+    whole call.
     """
     if method not in ("auto", METHOD_DENSE):
         raise ValueError(f"unknown solver method {method!r}")
     if (k is None) == (tau is None):
         raise ValueError("give either the number of eigenpairs k or the threshold tau")
     order = A.shape[0]
-    none_found = _solved(A, M, METHOD_DENSE if method == METHOD_DENSE else METHOD_SHIFT_INVERT,
-                         0, np.empty(0), np.empty((order, 0)))
+    found = _solved(A, M, METHOD_DENSE if method == METHOD_DENSE else METHOD_SHIFT_INVERT,
+                    0, np.empty(0), np.empty((order, 0)))
     if tau is None:
         _check_k(k, order)
         if k == 0:
-            return none_found
-    else:
-        have = none_found if known is None else replace(known, metadata=dict(known.metadata),
-                                                        factor=None)
-        try:
-            k = count_below(A, M, tau) if counter is None else counter(tau)
-        except ValueError:
-            return _certified(have, tau, None)
-        if np.count_nonzero(have.eigenvalues < tau) >= k:
-            return _certified(have, tau, k)
-    if method == METHOD_DENSE or k + 1 >= order:
-        result = smallest_k_dense(A, M, k)
-    else:
-        result = _shift_invert(A, M, k, sigma, tau, known, keep_factor)
-    return result if tau is None else _certified(result, tau, k)
+            return found
+        found = _solve(A, M, k, sigma, np.inf, found)
+        tau = found.eigenvalues[k - 1] * (1 + REL_GAP) if len(found.eigenvalues) >= k else np.inf
+    try:
+        count = count_below(A, M, tau) if counter is None else counter(tau)
+    except ValueError:
+        return _certified(found, tau, None)
+    if found.converged and np.count_nonzero(found.eigenvalues < tau) < count:
+        found = _solve(A, M, count, sigma, tau, found)
+    return _certified(found, tau, count)
 
 
 def _certified(result: EigenResult, tau: float, count) -> EigenResult:

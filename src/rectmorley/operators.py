@@ -488,7 +488,7 @@ def run_eigen_identity_suite() -> VerificationReport:
     # attributes (a tracer, a test double) sees every call.
     from .assembly import (FemField, assemble, build_dof_map,
                            eigen_error_identity_terms, interpolate_global)
-    from .eigensolve import solve_smallest
+    from .eigensolve import smallest_k_dense
     from .functions import sine_eigenvalue, unit_box_eigenfunction
     from .mesh import build_mesh
 
@@ -501,8 +501,7 @@ def run_eigen_identity_suite() -> VerificationReport:
         mesh = build_mesh(2, n)
         dofmap = build_dof_map(mesh, "simply-supported")
         a_mat, m_mat = assemble(mesh, dofmap, element)
-        # Dense, as perfbench's smoke test expects (ROADMAP item 7).
-        result = solve_smallest(a_mat, m_mat, 1, method="dense")
+        result = smallest_k_dense(a_mat, m_mat, 1)
         lam_h = float(result.eigenvalues[0])
         vector = result.eigenvectors[:, 0]
         if interpolate_global(u, mesh, dofmap).field.coeffs @ (m_mat @ vector) < 0:

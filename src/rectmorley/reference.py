@@ -39,6 +39,9 @@ MAX_CELLS_3D = 16
 # tolerance (the stored values carry 4 decimals).
 STORED_REL_TOL = 1e-3
 
+# Error order that richardson_reference assumes: lam - lam_h ~ C h^2.
+RICHARDSON_ORDER = 2.0
+
 # First six discrete eigenvalues per cell count, reported to 4 decimals.
 BENCHMARK_VALUES = {
     1: {
@@ -128,16 +131,16 @@ def observed_rates(values, exact: float, n_values) -> list:
     return out
 
 
-def richardson_reference(values, n_values, order: float = 2.0) -> float:
+def richardson_reference(values, n_values) -> float:
     """Extrapolated eigenvalue from the last two ladder entries.
 
-    Assumes the asymptotic error model lam - lam_h ~ C h^order; used to label
-    rates for problems without a closed form, and marked as extrapolated in
-    all outputs.  The rate of the last step against this reference is order
-    by construction, so it measures nothing.
+    Assumes the asymptotic error model lam - lam_h ~ C h^RICHARDSON_ORDER;
+    used to label rates for problems without a closed form, and marked as
+    extrapolated in all outputs.  The rate of the last step against this
+    reference is RICHARDSON_ORDER by construction, so it measures nothing.
     """
     if len(values) < 2:
         raise ValueError("need at least two values to extrapolate")
     lam_coarse, lam_fine = values[-2], values[-1]
-    ratio = (n_values[-1] / n_values[-2]) ** order
+    ratio = (n_values[-1] / n_values[-2]) ** RICHARDSON_ORDER
     return (ratio * lam_fine - lam_coarse) / (ratio - 1.0)

@@ -90,11 +90,12 @@ def test_solve_json_reports_parity_blocks(capsys):
     assert all(b["converged"] for b in blocks)
     for key in ("factor_nnz", "opinv_applications"):
         assert meta[key] == sum(b[key] for b in blocks)
-    # oee alone gives 3 x 2 values; each later block is counted at the
-    # running tau (ooe above the final one), and oee is counted last, at the
-    # final tau.  ooo owes no pair and is not factored.
-    assert [b["count_below_tau"] for b in blocks] == [1, 1, 1, 0]
-    assert blocks[0]["tau"] == blocks[3]["tau"] == meta["tau"] < blocks[1]["tau"]
+    # oee alone gives 3 x 2 values and is counted at its own second
+    # eigenvalue, which is also ooe's running tau; eee and ooo are counted
+    # at the final tau.  ooo owes no pair and is not factored.
+    assert [b["count_below_tau"] for b in blocks] == [2, 1, 1, 0]
+    assert blocks[2]["tau"] == blocks[3]["tau"] == meta["tau"] < blocks[1]["tau"]
+    assert blocks[1]["tau"] == blocks[0]["tau"]
     assert blocks[3]["factor_nnz"] == blocks[3]["opinv_applications"] == 0
     # The running tau of a later block is at or above the final tau, so every
     # block holds each of its eigenvalues below the final tau: k=6 cuts the
@@ -178,9 +179,9 @@ def test_traced_solve_smallest_sees_every_block_solve_and_count(monkeypatch):
     monkeypatch.setattr(eigensolve, "count_below", counting)
     result = cli.solve_problem(3, 8, "clamped")
     assert result.converged
-    # oee for ceil(k / 3) pairs, ooe, eee and ooo below the running tau,
-    # then oee's certificate at the final tau.
-    assert solves == [False, True, True, True, True]
+    # oee for ceil(k / 3) pairs, certified at its own tau; then ooe, eee
+    # and ooo below the running tau.  One solve and one count per block.
+    assert solves == [False, True, True, True]
     assert counts == [["eigensolve"]] * 4
 
 

@@ -19,14 +19,6 @@ def assembled(dim, n, bc, element):
     return assemble(mesh, dofmap, element)
 
 
-def certified_smallest(a_mat, m_mat, k, sigma):
-    """k eigenpairs, then every pair below lambda_k (1 + REL_GAP), as
-    cli.solve_problem certifies a one-block problem."""
-    first = solve_smallest(a_mat, m_mat, k, sigma=sigma, keep_factor=True)
-    return solve_smallest(a_mat, m_mat, sigma=sigma, known=first,
-                          tau=first.eigenvalues[k - 1] * (1 + REL_GAP))
-
-
 # ---------------------------------------------------------------------------
 # dense path
 # ---------------------------------------------------------------------------
@@ -88,7 +80,7 @@ def test_start_vector_is_deterministic_and_dense():
 def test_shift_invert_agrees_with_dense(bc, sigma, ref2):
     a_mat, m_mat = assembled(2, 8, bc, ref2)
     dense = smallest_k_dense(a_mat, m_mat, 6)
-    si = certified_smallest(a_mat, m_mat, 6, sigma)
+    si = solve_smallest(a_mat, m_mat, 6, sigma=sigma)
     assert si.method == METHOD_SHIFT_INVERT
     assert si.converged
     assert si.eigenvalues[:6] == pytest.approx(dense.eigenvalues, rel=1e-9)
@@ -177,7 +169,7 @@ def test_nested_dissection_reduces_fill(ref2):
 def test_ordered_shift_invert_matches_dense(dim, n, bc, ref2, ref3):
     a_mat, m_mat = assembled(dim, n, bc, ref2 if dim == 2 else ref3)
     sigma = 0.0 if bc == BC_CLAMPED else -1.0
-    si = certified_smallest(a_mat, m_mat, 6, sigma)
+    si = solve_smallest(a_mat, m_mat, 6, sigma=sigma)
     count = si.metadata["count_below_tau"]
     dense = smallest_k_dense(a_mat, m_mat, count)
     assert si.converged
@@ -186,17 +178,40 @@ def test_ordered_shift_invert_matches_dense(dim, n, bc, ref2, ref3):
     assert np.allclose(gram, np.eye(gram.shape[0]), atol=1e-10)
 
 
-def test_count_restores_skipped_copy(ref2):
+def test_count_restores_skipped_copy(ref2, monkeypatch):
     # On this mesh ARPACK alone returns one copy of the double eigenvalue
     # (1,3)/(3,1) and the next eigenvalue in place of the second copy; the
-    # count below that next eigenvalue says two pairs are missing.
+    # count below that next eigenvalue says two pairs are missing, and the
+    # k solve completes them.
     a_mat, m_mat = assembled(2, 4, BC_SIMPLY_SUPPORTED, ref2)
-    alone = solve_smallest(a_mat, m_mat, 6, sigma=-1.0)
-    assert alone.eigenvalues[5] > alone.eigenvalues[4] * (1 + REL_GAP)
-    result = certified_smallest(a_mat, m_mat, 6, sigma=-1.0)
+    runs = []
+    eigsh = eigensolve.sla.eigsh
+
+    def recording_eigsh(*args, **kwargs):
+        out = eigsh(*args, **kwargs)
+        runs.append(np.sort(out[0]))
+        return out
+
+    monkeypatch.setattr(eigensolve.sla, "eigsh", recording_eigsh)
+    result = solve_smallest(a_mat, m_mat, 6, sigma=-1.0)
+    alone = runs[0]
+    assert alone[5] > alone[4] * (1 + REL_GAP)
     assert result.converged
-    assert result.metadata["count_below_tau"] == 8
+    assert result.metadata["count_below_tau"] == 8 and len(result.eigenvalues) == 8
     assert result.eigenvalues[5] == pytest.approx(result.eigenvalues[4], rel=1e-8)
+
+
+def test_a_k_solve_returns_the_whole_cut_cluster(ref3):
+    # k=6 cuts the 8539.68 triple of the 3D n=4 clamped pencil: the k solve
+    # counts below its own lambda_6 (1 + REL_GAP) and returns all 7 values.
+    a_mat, m_mat = assembled(3, 4, BC_CLAMPED, ref3)
+    result = solve_smallest(a_mat, m_mat, 6)
+    dense = smallest_k_dense(a_mat, m_mat, 8).eigenvalues
+    assert result.converged
+    assert np.isfinite(result.metadata["tau"])
+    assert result.metadata["count_below_tau"] == 7 == len(result.eigenvalues)
+    assert result.eigenvalues == pytest.approx(dense[:7], rel=1e-9)
+    assert np.count_nonzero(np.abs(result.eigenvalues / 8539.678 - 1) < 1e-6) == 3
 
 
 @pytest.mark.parametrize("dim,n,bc", [
@@ -284,7 +299,9 @@ def test_shift_between_eigenvalues_is_rejected(ref2):
     assert count_below(a_mat, m_mat, below) == 0
     result = solve_smallest(a_mat, m_mat, 2, sigma=below)
     assert result.method == METHOD_SHIFT_INVERT and result.converged
-    assert result.eigenvalues == pytest.approx(lam, rel=1e-9)
+    # k=2 cuts the clamped square's double second eigenvalue: both copies.
+    assert len(result.eigenvalues) == 3
+    assert result.eigenvalues[:2] == pytest.approx(lam, rel=1e-9)
 
 
 def test_ordered_repeat_solves_are_bitwise_identical(ref3):

@@ -1,12 +1,13 @@
 """The reflection-parity blocks of cli.solve_problem against the full pencil.
 
 The full-pencil oracle assembles the whole unit box and calls
-solve_smallest once, for k pairs (its shift-invert route) and without the
-slice certificate.
+solve_smallest once, for k pairs (its shift-invert route, certified at its
+own lambda_k (1 + REL_GAP)), and compares its first k values.
 The block oracle numbers and assembles one half-box block on its own.
 """
 
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def block_eigenvalues(dim, n, bc, parity, k=6):
     mesh = half_box(dim, n)
     a_mat, m_mat = assemble(mesh, build_dof_map(mesh, bc, parity_faces(bc, parity)),
                             build_reference_element(dim))
-    return solve_smallest(a_mat, m_mat, k, sigma=SIGMA[bc]).eigenvalues
+    return solve_smallest(a_mat, m_mat, k, sigma=SIGMA[bc]).eigenvalues[:k]
 
 
 # The two routes round differently, so they can agree only to the float64
@@ -69,7 +70,7 @@ def test_blocks_match_the_full_pencil(dim, n, rtol, bc):
     a_mat, m_mat = full_pencil(dim, n, bc)
     assert result.metadata["order"] == a_mat.shape[0]
     oracle = solve_smallest(a_mat, m_mat, 6, sigma=SIGMA[bc])
-    np.testing.assert_allclose(result.eigenvalues, oracle.eigenvalues, rtol=rtol, atol=0)
+    np.testing.assert_allclose(result.eigenvalues, oracle.eigenvalues[:6], rtol=rtol, atol=0)
 
 
 @pytest.mark.parametrize("n", [4, 8])
@@ -136,22 +137,24 @@ def test_3d_n16_blocks_are_solved_for_what_they_owe(bc, monkeypatch):
     assert result.converged
     # k=6 cuts the 13468.312 (clamped) or 81 pi^4 (simply supported) triple.
     assert meta["k_closed"] == 7
-    # oee for ceil(6 / 3) = 2 pairs, then ooe and eee for their counts, and
-    # no completion pass; ooo owes nothing and gets neither an SPD factor
-    # nor an ARPACK run.  Measured: 57 (clamped) and 43 applications.
+    # Clamped: oee for ceil(6 / 3) = 2 pairs, certified at its own second
+    # eigenvalue; simply supported: every block for its count below the
+    # symbol's tau.  Then ooe and eee for their counts, and no completion
+    # pass; ooo owes nothing and gets neither an SPD factor nor an ARPACK
+    # run.  Measured: 57 (clamped) and 33 applications.
     assert [b["parity"] for b in meta["blocks"]] == ["oee", "ooe", "eee", "ooo"]
     counts = [b["count_below_tau"] for b in meta["blocks"]]
-    assert counts == [1, 1, 1, 0]
-    assert arpack_runs == [2, 1, 1]
+    assert counts == {"clamped": [2, 1, 1, 0], "simply-supported": [1, 1, 1, 0]}[bc]
+    assert arpack_runs == counts[:3]
     # 3 SPD factors (at sigma): oee's, ooe's and eee's.  Clamped blocks add
-    # 4 count factors (at a tau above sigma): ooe's and eee's before their
-    # SPD factors, ooo's, then oee's; simply supported blocks take their
-    # counts from the symbol.
+    # 4 count factors (at a tau above sigma): oee's after its SPD factor,
+    # ooe's and eee's before theirs, then ooo's; simply supported blocks
+    # take their counts from the symbol.
     oee, ooe, eee, ooo = (b["order"] for b in meta["blocks"])
     if bc == "clamped":
-        assert [order for _, order in factors] == [oee, ooe, ooe, eee, eee, ooo, oee]
-        assert [shift == SIGMA[bc] for shift, _ in factors] == [True, False, True, False,
-                                                                True, False, False]
+        assert [order for _, order in factors] == [oee, oee, ooe, ooe, eee, eee, ooo]
+        assert [shift == SIGMA[bc] for shift, _ in factors] == [True, False, False, True,
+                                                                False, True, False]
     else:
         assert factors == [(SIGMA[bc], oee), (SIGMA[bc], ooe), (SIGMA[bc], eee)]
     assert meta["opinv_applications"] <= 65
@@ -195,7 +198,9 @@ def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypa
     result = cli.solve_problem(dim, n, bc)
     order = [b["parity"] for b in result.metadata["blocks"]]
     assert order == {2: ["oe", "ee", "oo"], 3: ["oee", "ooe", "eee", "ooo"]}[dim]
-    for parity, pencil in zip(order + order[:1], solved):
+    # One solve per representative: no block is solved twice.
+    assert len(solved) == len(order)
+    for parity, pencil in zip(order, solved):
         for mat, expected in zip(pencil, slices[parity]):
             assert (mat != expected).nnz == 0
 
@@ -205,7 +210,7 @@ def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypa
 def test_one_block_solve_builds_at_most_two_factors(dim, n, bc, k_closed, monkeypatch):
     # 3D n=4 clamped: k=6 cuts the 8539.68 triple; 2D simply supported n=4:
     # ARPACK skips a copy of the (1,3)/(3,1) pair.  Both need a completion
-    # pass after the count, which reuses the factor that found the pairs.
+    # pass after the count.
     factors, arpack_runs = [], []
     eigsh = eigensolve.sla.eigsh
 
@@ -221,11 +226,14 @@ def test_one_block_solve_builds_at_most_two_factors(dim, n, bc, k_closed, monkey
     assert len(result.metadata["blocks"]) == 1
     assert result.metadata["k_closed"] == k_closed
     assert len(arpack_runs) == 2
-    # One SPD factor at sigma; then a clamped block builds one count factor
-    # at its tau, and a simply supported one takes its count from the symbol.
+    # A simply supported block takes its count from the symbol and is
+    # completed on its one SPD factor at sigma.  A clamped block is solved
+    # for k pairs on an SPD factor, which is freed before the count factor
+    # at its tau is built, and is completed on a second SPD factor.
     (block,) = result.metadata["blocks"]
-    counts = [(block["tau"], block["order"])] if bc == "clamped" else []
-    assert factors == [(SIGMA[bc], block["order"])] + counts
+    spd = (SIGMA[bc], block["order"])
+    counted = [(block["tau"], block["order"]), spd] if bc == "clamped" else []
+    assert factors == [spd] + counted
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (2, 32), (2, 64), (3, 4), (3, 8), (3, 16)])
@@ -243,6 +251,33 @@ def test_only_clamped_blocks_build_count_factors(dim, n, bc, monkeypatch):
         assert len(counts) == len(result.metadata["blocks"])
     else:
         assert factors and not counts
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (3, 8), (3, 16)])
+def test_simply_supported_blocks_are_sliced_at_the_final_tau(dim, n):
+    # The symbol's merged spectra give the final tau before any block is
+    # solved, so no block is solved for pairs above it.
+    meta = cli.solve_problem(dim, n, "simply-supported").metadata
+    assert len(meta["blocks"]) == dim + 1
+    assert all(b["tau"] == meta["tau"] for b in meta["blocks"])
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 4), (3, 16)])
+@pytest.mark.parametrize("bc", sorted(SIGMA))
+def test_at_most_one_factor_is_alive(dim, n, bc, monkeypatch):
+    # Each factor (SPD or count) is freed before the next one is built, so
+    # the peak memory holds one factor, not two.
+    alive, before = [], []
+
+    class TrackedFactor(eigensolve._ShiftedFactor):
+        def __init__(self, a_mat, m_mat, shift):
+            before.append(sum(ref() is not None for ref in alive))
+            super().__init__(a_mat, m_mat, shift)
+            alive.append(weakref.ref(self))
+
+    monkeypatch.setattr(eigensolve, "_ShiftedFactor", TrackedFactor)
+    assert cli.solve_problem(dim, n, bc).converged
+    assert before and not any(before)
 
 
 def test_a_block_the_symbol_cannot_number_gets_no_count(monkeypatch):
