@@ -79,7 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--bc", choices=("clamped", "simply-supported"),
                        default="clamped")
     solve.add_argument("--k", type=int, default=DEFAULT_K)
-    solve.add_argument("--solver", choices=("auto", "dense"), default="auto")
+    solve.add_argument("--solver", choices=("auto", "dense"), default="auto",
+                       help="eigensolver of clamped problems; simply supported ones "
+                            "take their eigenpairs from the Fourier symbol")
     solve.add_argument("--format", choices=("text", "csv", "json"), default="text")
     solve.add_argument("--out", metavar="PATH")
 
@@ -115,15 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 # Problems with fewer free DOFs than this, per dimension, are solved as one
-# block: below it, setting up the half-box blocks costs more than their
-# smaller factors save.  Measured split/one-block time (min of 7, 2 threads,
-# range of two sweeps, clamped / simply supported with their free DOFs):
-# 2D n=14 (533/589) 1.27-1.31 / 1.03-1.05, n=16 (705/769) 1.12-1.15 /
-# 0.94-0.95, n=18 (901/973) 1.01-1.02 / 0.90-0.91, n=20 (1121/1201)
-# 0.93-0.94 / 0.82-0.83, n=22..24 0.82-0.84 / 0.73-0.78; 3D n=4 (171/267)
-# 1.01 / 0.88-0.89, n=6 (665/881) 0.56-0.58 / 0.43-0.44.  3D n=4 stays one
-# block in both BCs: splitting it saves about 1 ms, and the stored ladder's
-# rungs keep their routes and so their parity labels.
+# block: below it, setting up the clamped half-box blocks costs more than
+# their smaller factors save.  Split/one-block time (min of 7, 2 threads, two
+# sweeps; free DOFs): 2D n=14 (533) 1.27-1.31, n=16 (705) 1.12-1.15, n=18
+# (901) 1.01-1.02, n=20 (1121) 0.93-0.94, n=22..24 0.82-0.84; 3D n=4 (171)
+# 1.01, n=6 (665) 0.56-0.58.  Simply supported problems factor nothing: the
+# split sets their parity labels, which the stored ladder's rungs keep.
 SPLIT_MIN_ORDER = {2: 950, 3: 400}
 
 
@@ -164,42 +163,38 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     eigenvalue below the k-th was skipped.
 
     Each mid-plane reflection x_a -> 1 - x_a commutes with the pencil, so for
-    even n the problem splits into 2^dim parity blocks.  Each block is the
-    same Morley problem on the half box [0, 1/2]^dim, with the given bc on
-    the outer faces and an even (facets) or odd (vertices) condition on the
-    mid-plane faces.  The half box is numbered and assembled once, with
-    free mid-plane faces, and each block is the principal submatrix on its
-    own free DOFs, in that shared nested-dissection order.  An axis
-    permutation maps one block onto another with as many odd axes, so one
-    representative per count j of odd axes is solved, and its eigenvalues
-    count C(dim, j) times.  Odd n, and problems with fewer than
-    SPLIT_MIN_ORDER[dim] free DOFs, are solved as one block on the full box.
+    even n the problem splits into 2^dim parity blocks: the Morley problem
+    on the half box [0, 1/2]^dim with the given bc on the outer faces and an
+    even (facets) or odd (vertices) condition on the mid-plane faces.  The
+    half box is numbered and assembled once, with free mid-plane faces, and
+    each block is the principal submatrix on its own free DOFs, in that
+    shared nested-dissection order.  An axis permutation maps one block onto
+    another with as many odd axes, so one representative per count j of odd
+    axes is taken, in decreasing multiplicity (3D oee, ooe, eee, ooo; 2D oe,
+    ee, oo), and its eigenvalues count C(dim, j) times.  Odd n, and problems
+    with fewer than SPLIT_MIN_ORDER[dim] free DOFs, are one block on the
+    full box.  Every block holds each of its eigenpairs below the final
+    tau = (k-th merged eigenvalue) (1 + REL_GAP); metadata["k_closed"]
+    counts them with multiplicity, above k when k cuts a cluster.
 
-    The blocks are solved once each, in decreasing multiplicity (3D oee,
-    ooe, eee, ooo; 2D oe, ee, oo), each for every eigenpair below its slice
-    tau = (k-th merged eigenvalue) (1 + REL_GAP); a block that owes none is
-    not factored.  A simply supported problem merges the exact discrete
-    spectra of its parity classes (symbol.block_spectra, evaluated once per
-    problem), so every block is sliced at the final tau and counted by
-    symbol.counter: its only factors are the SPD ones at sigma.  A block
-    whose order is not its class's eigenvalue count gets no count
-    (count_below_tau None) and does not converge.  A clamped problem (its
-    boundary facets break the sine invariance the symbol rests on) merges
-    the blocks solved so far, and each block is counted by count_below's
-    factor of A - tau M.  Its first block has no slice yet: it is solved for
-    k1 = ceil(k / multiplicity) eigenpairs (fewer if it is smaller), which
-    alone give k merged values, and certified at its own lambda_k1
-    (1 + REL_GAP), at or above the final tau.  Each later block's running
-    tau is too.  So every block holds every eigenvalue below the final tau,
-    and metadata["k_closed"] counts them with multiplicity: above k when k
-    cuts a cluster.
+    A simply supported problem needs no factor and no eigensolver: the
+    exact spectra of its parity classes (symbol.block_spectra) give the
+    final tau, and each block takes its class's pairs below it, with
+    eigenvectors from symbol.modes checked by their residuals in its own
+    pencil (method 'symbol'; `solver` is not used).  Its count is the number
+    of those pairs, None (not converged) when its order is not its class's
+    eigenvalue count.  A clamped problem solves each block once with
+    solve_smallest on the `solver` route, counted by count_below's factor,
+    below the tau of the blocks merged before it; the first, with no tau
+    yet, for k1 = ceil(k / multiplicity) pairs (fewer if it is smaller),
+    whose copies give k merged values, certified at its own lambda_k1
+    (1 + REL_GAP).  Both are at or above the final tau.
 
-    The k smallest of the merged eigenvalues are returned in ascending order
-    (a stable sort); no full-space eigenvectors are assembled.
-    metadata["order"] is the free-DOF count of the full problem, converged
-    holds only if every block converged and passed its count, and the work
-    counters sum over the blocks, which metadata["blocks"] lists in solve
-    order.
+    The k smallest merged eigenvalues are returned in ascending order (a
+    stable sort), with no full-space eigenvectors.  metadata["order"] is the
+    free-DOF count of the full problem, converged holds only if every block
+    converged and passed its count, and the work counters sum over the
+    blocks, which metadata["blocks"] lists in order.
     """
     import itertools
     import math
@@ -207,9 +202,9 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
 
     import numpy as np
 
-    from . import eigensolve
+    from . import eigensolve, symbol
     from .assembly import (BC_SIMPLY_SUPPORTED, FACE_FREE, PARITY_EVEN, PARITY_ODD, assemble,
-                           build_dof_map, free_dof_count, restricted_dofs)
+                           build_dof_map, dof_coordinates, free_dof_count, restricted_dofs)
     from .element import build_reference_element
     from .mesh import build_mesh
 
@@ -224,22 +219,17 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     else:
         parities, shared_faces = [None], None
     element = build_reference_element(dim)
-    # The clamped stiffness matrix is definite, so the origin is a safe
-    # shift; simply supported runs shift below the spectrum instead.
-    sigma = 0.0 if bc == "clamped" else -1.0
 
     def block_of(parity):
-        """The solved representative of parity's class: its odd axes first."""
+        """The visited representative of parity's class: its odd axes first."""
         return None if parity is None else "".join(sorted(parity, reverse=True))
 
     multiplicity = Counter(block_of(p) for p in parities)
     # Largest classes first, so that the first block's copies alone give k
     # values; the sort is stable, so ties keep their count of odd axes.
     representatives = sorted(multiplicity, key=multiplicity.get, reverse=True)
-    spectra = None
-    if bc == BC_SIMPLY_SUPPORTED:
-        from . import symbol
-        spectra = symbol.block_spectra(dim, n, representatives)
+    spectra = symbol.block_spectra(dim, n, representatives) \
+        if bc == BC_SIMPLY_SUPPORTED else None
 
     dofmap = build_dof_map(mesh, bc, shared_faces)
     shared = assemble(mesh, dofmap, element)
@@ -247,7 +237,8 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     def slice_tau():
         """(1 + REL_GAP) times the k-th merged value, inf if fewer: of the
         symbol's spectra when there are some, else of the blocks solved."""
-        blocks = spectra or {p: r.eigenvalues for p, r in solved.items()}
+        blocks = {p: v for p, (v, *_) in spectra.items()} if spectra else \
+            {p: r.eigenvalues for p, r in solved.items()}
         values = np.concatenate([np.empty(0)] + [np.repeat(v, multiplicity[p])
                                                  for p, v in blocks.items()])
         return np.partition(values, k - 1)[k - 1] * (1 + eigensolve.REL_GAP) \
@@ -258,17 +249,26 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     solved = {}
     for parity in representatives:
         a_mat, m_mat = shared
+        keep = slice(None)
         if parity is not None:
             keep = restricted_dofs(dofmap, [side for p in parity for side in
                                             (bc, PARITY_ODD if p == "o" else PARITY_EVEN)])
             a_mat, m_mat = (mat[keep][:, keep] for mat in shared)
         tau = slice_tau()
-        owed = dict(tau=tau) if tau < np.inf else dict(
-            k=min(math.ceil(k / multiplicity[parity]), a_mat.shape[0]))
-        solved[parity] = eigensolve.solve_smallest(
-            a_mat, m_mat, method=solver, sigma=sigma, **owed,
-            counter=None if spectra is None else symbol.counter(spectra[parity],
-                                                                a_mat.shape[0]))
+        if spectra is not None:
+            values, waves, vectors = spectra[parity]
+            below = int(np.searchsorted(values, tau))
+            modes = symbol.modes(dof_coordinates(dofmap)[keep], n, waves[:below],
+                                 vectors[:below])
+            modes /= np.sqrt(np.einsum("ij,ij->j", modes, m_mat @ modes))
+            result = eigensolve.solved(a_mat, m_mat, symbol.METHOD_SYMBOL, below,
+                                       values[:below], modes)
+            solved[parity] = eigensolve.certified(
+                result, tau, below if len(values) == a_mat.shape[0] else None)
+        else:
+            owed = dict(tau=tau) if tau < np.inf else dict(
+                k=min(math.ceil(k / multiplicity[parity]), a_mat.shape[0]))
+            solved[parity] = eigensolve.solve_smallest(a_mat, m_mat, method=solver, **owed)
     tau = slice_tau()
 
     merged = [(lam, res, parity) for parity in parities

@@ -1,10 +1,11 @@
 """Symmetric generalized eigensolvers for the smallest eigenvalues.
 
 solve_smallest is the one entry point, for a pencil of two scipy sparse
-matrices.  Its route is ARPACK shift-invert around the no-pivot factor of
-A - sigma M in the order the pencil is given (finite element pencils come
-numbered in nested-dissection order).  One factor type, the no-pivot LDL^T
-of A - shift M (_ShiftedFactor), serves the solves and the certificate: by
+matrices (the clamped blocks of cli.solve_problem, and library callers).
+Its route is ARPACK shift-invert around the no-pivot factor of A - sigma M
+in the order the pencil is given (finite element pencils come numbered in
+nested-dissection order).  One factor type, the no-pivot LDL^T of
+A - shift M (_ShiftedFactor), serves the solves and the certificate: by
 Sylvester's law of inertia its negative pivots count the eigenvalues below
 the shift (count_below), and a shift-invert factor must have none.  Every
 result is certified: a solve for the k smallest pairs is counted below its
@@ -12,15 +13,14 @@ own tau = lambda_k (1 + REL_GAP), a solve below a given tau below that, and
 either returns exactly that count, completing a short slice with deflated
 ARPACK passes (Ericsson and Ruhe, Math. Comp. 35, 1980; Grimes, Lewis and
 Simon, SIMAX 15, 1994).  So no copy of a repeated eigenvalue is skipped
-silently, and a k that cuts a cluster gets all of it.  A caller that knows
-the count without a factor (the simply supported blocks, from symbol.py)
-passes it instead, and no count factor is built.  At most one factor is
-alive at a time.  The dense LAPACK path (smallest_k_dense) is the test
+silently, and a k that cuts a cluster gets all of it.  At most one factor
+is alive at a time.  The dense LAPACK path (smallest_k_dense) is the test
 oracle, and the route for pencils too small for shift-invert.  Both return
 ascending eigenvalues with mass-orthonormal eigenvectors and per-pair
-relative residuals.  The shift-invert start vectors are fixed deterministic
-vectors (sin and cos of the index), so repeated runs agree bit for bit
-without any random state.
+relative residuals, and deterministic start vectors (sin and cos of the
+index) make repeated runs agree bit for bit.  Pairs known without a solve
+(the simply supported blocks, from symbol.py) get the same residual check
+and certificate from solved and certified.
 """
 
 from __future__ import annotations
@@ -86,9 +86,9 @@ def residual_report(A, M, result: EigenResult) -> np.ndarray:
     return res
 
 
-def _solved(A, M, method: str, k: int, eigenvalues, eigenvectors, **metadata) -> EigenResult:
-    """The result of a solve for k pairs, its residuals checked by
-    residual_report; metadata starts with the order and k."""
+def solved(A, M, method: str, k: int, eigenvalues, eigenvectors, **metadata) -> EigenResult:
+    """The result of a solve for k pairs of the pencil (A, M), its residuals
+    checked by residual_report; metadata starts with the order and k."""
     result = EigenResult(eigenvalues, eigenvectors, np.empty(0), method,
                          {"order": A.shape[0], "k": int(k), **metadata})
     residual_report(A, M, result)
@@ -112,7 +112,7 @@ def smallest_k_dense(A, M, k: int) -> EigenResult:
             w, x = dla.eigh(A.toarray(), M.toarray(), subset_by_index=(0, k - 1))
         except dla.LinAlgError as exc:
             raise ValueError("mass matrix is not positive definite") from exc
-    return _solved(A, M, METHOD_DENSE, k, w, x)
+    return solved(A, M, METHOD_DENSE, k, w, x)
 
 
 def deterministic_start_vector(order: int, attempt: int = 0) -> np.ndarray:
@@ -248,10 +248,10 @@ def _shift_invert(A, M, k: int, sigma: float, tau: float, found: EigenResult) ->
         w, z = dla.eigh(0.5 * (a_small + a_small.T), 0.5 * (m_small + m_small.T))
         x = y @ z
 
-    return _solved(A, M, METHOD_SHIFT_INVERT, k, w, x, sigma=float(sigma), tol=ARPACK_TOL,
-                   converged=bool(converged), factor_nnz=factor.nnz,
-                   opinv_applications=found.metadata.get("opinv_applications", 0)
-                   + factor.applications)
+    return solved(A, M, METHOD_SHIFT_INVERT, k, w, x, sigma=float(sigma), tol=ARPACK_TOL,
+                  converged=bool(converged), factor_nnz=factor.nnz,
+                  opinv_applications=found.metadata.get("opinv_applications", 0)
+                  + factor.applications)
 
 
 def _solve(A, M, k: int, sigma: float, tau: float, found: EigenResult) -> EigenResult:
@@ -264,22 +264,20 @@ def _solve(A, M, k: int, sigma: float, tau: float, found: EigenResult) -> EigenR
 
 
 def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: float = 0.0,
-                   tau: float | None = None, counter=None) -> EigenResult:
+                   tau: float | None = None) -> EigenResult:
     """The k smallest eigenpairs of the sparse pencil (A, M), or every
     eigenpair below tau, certified: no eigenvalue below the last is skipped.
 
-    Give k or tau.  With tau, the pencil owes count(tau) pairs below tau.
-    With k >= 1, k pairs are solved first, their factor is freed, and tau
-    is lambda_k (1 + REL_GAP): a k that cuts a cluster of copies of
-    lambda_k gets the whole cluster, more than k pairs.  count is
-    counter(tau) when a counter is given (a count known without a factor,
-    such as symbol.counter for a simply supported block), and count_below's
-    inertia count otherwise.  The result records metadata["tau"] and
+    Give k or tau.  With tau, the pencil owes count_below(A, M, tau) pairs
+    below tau, the inertia count.  With k >= 1, k pairs are solved first,
+    their factor is freed, and tau is lambda_k (1 + REL_GAP): a k that cuts
+    a cluster of copies of lambda_k gets the whole cluster, more than k
+    pairs.  The result records metadata["tau"] and
     metadata["count_below_tau"], and converged holds only if exactly that
     many of its eigenvalues lie below tau.  A count that cannot be trusted
-    (the counter or count_below raises ValueError) leaves the pairs found,
-    if any, with count_below_tau None and converged=False.  k=0 returns no
-    pairs and no certificate.
+    (count_below raises ValueError) leaves the pairs found, if any, with
+    count_below_tau None and converged=False.  k=0 returns no pairs and no
+    certificate.
 
     method 'auto' uses shift-invert whenever the pairs first solved for
     number fewer than order - 1, and the dense path (smallest_k_dense) only
@@ -313,8 +311,8 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: floa
     if (k is None) == (tau is None):
         raise ValueError("give either the number of eigenpairs k or the threshold tau")
     order = A.shape[0]
-    found = _solved(A, M, METHOD_DENSE if method == METHOD_DENSE else METHOD_SHIFT_INVERT,
-                    0, np.empty(0), np.empty((order, 0)))
+    found = solved(A, M, METHOD_DENSE if method == METHOD_DENSE else METHOD_SHIFT_INVERT,
+                   0, np.empty(0), np.empty((order, 0)))
     if tau is None:
         _check_k(k, order)
         if k == 0:
@@ -322,17 +320,17 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: floa
         found = _solve(A, M, k, sigma, np.inf, found)
         tau = found.eigenvalues[k - 1] * (1 + REL_GAP) if len(found.eigenvalues) >= k else np.inf
     try:
-        count = count_below(A, M, tau) if counter is None else counter(tau)
+        count = count_below(A, M, tau)
     except ValueError:
-        return _certified(found, tau, None)
+        return certified(found, tau, None)
     if found.converged and np.count_nonzero(found.eigenvalues < tau) < count:
         found = _solve(A, M, count, sigma, tau, found)
-    return _certified(found, tau, count)
+    return certified(found, tau, count)
 
 
-def _certified(result: EigenResult, tau: float, count) -> EigenResult:
-    """Record the slice certificate on the result of a solve below tau: the
-    one place that sets its verdict."""
+def certified(result: EigenResult, tau: float, count) -> EigenResult:
+    """Record the slice certificate on the result of a solve below tau that
+    owes count pairs (None: untrusted): the one place that sets its verdict."""
     found = int(np.count_nonzero(result.eigenvalues < tau))
     result.metadata.update(tau=float(tau), count_below_tau=count,
                            converged=result.converged and found == count)

@@ -9,9 +9,10 @@ normal axis and sin on the others.  The vertex family exists when every p_b
 is in 1..n-1, the facets normal to a when every other p_b is in 1..n; these
 (p, family) pairs number the free DOFs.  The span of one p's families is
 invariant under the pencil, so its Galerkin pencil, of order at most dim+1,
-holds that p's share of the spectrum.  Each mid-plane reflection maps a
-sine of odd p_a onto itself, so p lies in the parity block whose letter on
-axis a is 'e' exactly when p_a is odd.
+holds that p's share of the spectrum, and its eigenvectors weight the
+families of the global ones (modes).  Each mid-plane reflection maps a sine
+of odd p_a onto itself, so p lies in the parity block whose letter on axis
+a is 'e' exactly when p_a is odd.
 
 The Galerkin pencil is a sum over the cells, and each cell's share is the
 element matrices applied to the family amplitudes at the cell's DOFs.
@@ -49,6 +50,9 @@ import numpy as np
 
 from .assembly import element_matrices
 from .element import build_reference_element, reference_corners
+
+# The method of a result whose pairs come from the symbol, with no solve.
+METHOD_SYMBOL = "symbol"
 
 
 def _single(dim: int, axis: int) -> int:
@@ -171,9 +175,10 @@ def _lower_inverse(lower: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _eigenvalues(pencils, exists):
+def _eigenpairs(pencils, exists):
     """Ascending eigenvalues of each pencil, shape (N, dim+1), with a
-    negative value in the slot of each absent family."""
+    negative value in the slot of each absent family, and their eigenvectors
+    in the columns, orthonormal in the pencil's mass, shape (N, dim+1, dim+1)."""
     # An absent family's row and column become -1 on the diagonal of the
     # stiffness and 1 on that of the mass: a spurious eigenvalue -1.
     pencils *= exists[:, :, None] & exists[:, None, :]
@@ -182,63 +187,60 @@ def _eigenvalues(pencils, exists):
     a_mat, m_mat = pencils
     inv_chol = _lower_inverse(np.linalg.cholesky(m_mat))
     values, vectors = np.linalg.eigh(inv_chol @ a_mat @ np.swapaxes(inv_chol, -1, -2))
+    vectors = np.einsum("pji,pjk->pik", inv_chol, vectors)
     # The smallest from the Rayleigh quotient of its eigenvector: the reduced
     # matrix holds it only to the size of its largest entries.
-    x = np.einsum("pji,pj->pi", inv_chol, vectors[:, :, 0])
+    x = vectors[:, :, 0]
     values[:, 0] = np.divide(*np.einsum("pi,xpij,pj->xp", x, pencils, x))
-    return values
+    return values, vectors
 
 
-def wave_spectra(dim: int, n: int, waves) -> np.ndarray:
-    """The discrete simply supported eigenvalues of the unit box with n cells
-    per axis that belong to the wave vectors `waves` (a sequence of dim-tuples
-    of p in 0..n).
-
-    Shape (len(waves), dim+1): each wave vector's eigenvalues in ascending
-    order, with a negative value in the slot of each absent family.  Needs
-    no assembly and no factorization.
+def wave_spectra(dim: int, n: int, waves) -> tuple:
+    """The discrete simply supported eigenpairs of the unit box with n cells
+    per axis that belong to the wave vectors `waves` (dim-tuples of p in
+    0..n), with no assembly: the ascending eigenvalues, shape (m,), each
+    one's wave vector p, shape (m, dim), and its eigenvector of p's pencil
+    in the basis (wave direction, facet families), shape (m, dim+1).
     """
-    values = _eigenvalues(*_pencils(dim, n, np.asarray(waves).reshape(-1, dim)))
+    waves = np.asarray(waves).reshape(-1, dim)
+    values, vectors = _eigenpairs(*_pencils(dim, n, waves))
     # Reference units: eigenvalues scale with the cell half-width ** -4.
     values *= (2.0 * n) ** 4
-    return values
+    # Ascending, past the negative values of the absent families.
+    ascending = np.argsort(values, axis=None, kind="stable")[np.count_nonzero(values < 0):]
+    wave, slot = np.unravel_index(ascending, values.shape)
+    return values[wave, slot], waves[wave], vectors[wave, :, slot]
 
 
 def block_spectra(dim: int, n: int, parities) -> dict:
-    """Ascending eigenvalues of each parity block in `parities` (one letter
-    per axis, 'e' or 'o'; None for the full box) of the simply supported
-    unit box with n cells per axis: the block's letter on axis a is 'e'
-    exactly when p_a is odd.
-
-    Axes with the same letter may be permuted within a block, and a
-    permutation of p permutes the pencil's facet families: each wave vector
-    is solved once, in its order sorted within those axes.
-    """
+    """wave_spectra of each parity block in `parities` (one letter per axis,
+    'e' exactly when p_a is odd, else 'o'; None for the full box)."""
     p = np.arange(n + 1)
-    shape = (n + 1,) * dim
     out = {}
     for parity in parities:
         letters = parity or "*" * dim
         numbers = [p if letter == "*" else p[(letter == "e")::2] for letter in letters]
-        grid = np.indices([len(values) for values in numbers]).reshape(dim, -1)
-        waves = np.array([values[index] for values, index in zip(numbers, grid)]).T
-        for letter in set(letters):
-            same = [a for a in range(dim) if letters[a] == letter]
-            waves[:, same] = np.sort(waves[:, same], axis=1)
-        unique, copies = np.unique(np.ravel_multi_index(waves.T, shape), return_inverse=True)
-        values = wave_spectra(dim, n, np.transpose(np.unravel_index(unique, shape)))[copies]
-        out[parity] = np.sort(values[values > 0])
+        waves = np.stack(np.meshgrid(*numbers, indexing="ij"), axis=-1).reshape(-1, dim)
+        out[parity] = wave_spectra(dim, n, waves)
     return out
 
 
-def counter(values: np.ndarray, order: int):
-    """tau -> the number of `values` (ascending) below tau, as the count of a
-    block pencil of the given order; it raises ValueError when the order is
-    not the number of values."""
-    def count(tau: float) -> int:
-        if len(values) != order:
-            raise ValueError(f"the symbol holds {len(values)} eigenvalues of a "
-                             f"block of order {order}")
-        return int(np.searchsorted(values, tau))
-
-    return count
+def modes(coords: np.ndarray, n: int, waves: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The eigenvectors of the pairs (waves, vectors) of block_spectra at the
+    DOFs of doubled coordinates `coords` (assembly.dof_coordinates), shape
+    (len(coords), len(waves)), M-orthonormal on the full box: the family
+    amplitudes weighted by z_0 (vertices) and 2n (z_0 sin(theta_a) + z_{1+a})
+    (facets normal to a, in physical units), times 2^dim, as the pencil's
+    mass is 4^dim times the box's (cell sums over n / 2, half-width 1).
+    """
+    even = coords % 2 == 0
+    vertex = even.all(axis=1)
+    cos_axes = even & ~vertex[:, None]
+    # cos(x) = sin(x + pi / 2) on a facet's one even axis; the angles are
+    # reduced in integers, to [0, 2 pi).
+    angles = (coords[:, None, :] * waves + n * cos_axes[:, None, :]) % (4 * n)
+    amplitudes = np.sin(angles * (np.pi / (2 * n))).prod(axis=2)
+    sines = np.sin(waves * (np.pi / (2 * n)))
+    weights = np.column_stack([vectors[:, 0], 2 * n * (vectors[:, :1] * sines + vectors[:, 1:])])
+    family = np.where(vertex, 0, 1 + np.argmax(cos_axes, axis=1))
+    return 2 ** coords.shape[1] * amplitudes * weights[:, family].T

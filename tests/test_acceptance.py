@@ -8,13 +8,13 @@ are shared through the session-scoped solve_cached fixture.
 import numpy as np
 import pytest
 
-from rectmorley.eigensolve import METHOD_SHIFT_INVERT
 from rectmorley.operators import (run_bubble_suite, run_commuting_suite,
                                   run_interpolation_suite,
                                   run_refined_identity_suite)
 from rectmorley.reference import (BENCHMARK_CONFIG, BENCHMARK_N, BENCHMARK_RATES,
                                   BENCHMARK_VALUES, exact_eigenvalues,
                                   observed_rates)
+from rectmorley.symbol import METHOD_SYMBOL
 
 RELATIVE_TABLE_TOL = 1e-3
 RATE_TOL = 1e-3
@@ -83,8 +83,7 @@ def test_criterion_3_table_4_simply_supported_3d(solve_cached):
             abs(lam[1] - lam[2]) / lam[1],
             abs(lam[1] - lam[3]) / lam[1],
         )
-        if n >= 12:
-            methods_ok = methods_ok and result.method == METHOD_SHIFT_INVERT
+        methods_ok = methods_ok and result.method == METHOD_SYMBOL
     ok = worst < RELATIVE_TABLE_TOL and cluster < 1e-8 and methods_ok
     report(
         3,

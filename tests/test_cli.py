@@ -197,6 +197,29 @@ def test_solve_fine_2d_simply_supported_passes_residual_check(capsys):
     assert run["eigenvalues"][0] == pytest.approx(4 * math.pi ** 4, rel=1e-3)
 
 
+def test_solver_choice_reaches_only_clamped_problems(capsys):
+    # --solver dense changes the route of clamped blocks; simply supported
+    # ones take their pairs from the symbol whatever it says.
+    outputs = {}
+    for solver in ("auto", "dense"):
+        code, out, _ = run_cli(["solve", "--n", "8", "--bc", "simply-supported", "--solver",
+                                solver, "--format", "json"], capsys)
+        assert code == 0
+        outputs[solver] = out
+    assert outputs["auto"] == outputs["dense"]
+    run = json.loads(outputs["dense"])["runs"][0]
+    assert run["method"] == "symbol" and run["metadata"]["converged"]
+    assert "sigma" not in run["metadata"] and "tol" not in run["metadata"]
+    assert run["metadata"]["factor_nnz"] == run["metadata"]["opinv_applications"] == 0
+    code, out, _ = run_cli(["solve", "--n", "8", "--solver", "dense", "--format", "json"],
+                           capsys)
+    assert code == 0 and json.loads(out)["runs"][0]["method"] == "dense"
+    with pytest.raises(SystemExit):
+        cli.main(["solve", "--help"])
+    assert "simply supported ones take their eigenpairs" in " ".join(
+        capsys.readouterr().out.split())
+
+
 def test_solve_csv_layout(capsys):
     code, out, _ = run_cli(
         ["solve", "--n", "2", "--k", "2", "--format", "csv"], capsys
@@ -207,10 +230,11 @@ def test_solve_csv_layout(capsys):
     assert len(lines) == 3
     assert lines[1].startswith("2,1,")
     # Every number field is a plain float literal equal to the JSON value,
-    # on the dense route (k + 1 >= order) and the shift-invert route.
+    # on the dense route (k + 1 >= order), the shift-invert route and the
+    # symbol's.
     for argv, method in ((["solve", "--n", "2", "--k", "4"], "dense"),
-                         (["solve", "--n", "4", "--bc", "simply-supported"],
-                          "shift-invert")):
+                         (["solve", "--n", "4"], "shift-invert"),
+                         (["solve", "--n", "4", "--bc", "simply-supported"], "symbol")):
         code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
         assert code == 0
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
@@ -711,10 +735,16 @@ def test_closed_pipe_ends_without_a_traceback():
 
 
 def test_repeated_runs_are_identical(capsys):
-    args = ["solve", "--n", "4", "--bc", "simply-supported", "--format", "json"]
-    _, first, _ = run_cli(args, capsys)
+    # The symbol's route: n=4 and 5 as one block, n=32 and 64 as parity blocks.
+    args = ["solve", "--n", "4", "--n", "5", "--n", "32", "--n", "64",
+            "--bc", "simply-supported", "--format", "json"]
+    code, first, _ = run_cli(args, capsys)
+    assert code == 0
     _, second, _ = run_cli(args, capsys)
     assert first == second
+    runs = json.loads(first)["runs"]
+    assert [run["method"] for run in runs] == ["symbol"] * 4
+    assert [len(run["metadata"]["blocks"]) for run in runs] == [1, 1, 3, 3]
 
 
 def test_repeated_processes_print_identical_output():

@@ -256,36 +256,6 @@ def test_solve_below_owes_nothing_without_a_factor(ref2, monkeypatch):
         solve_smallest(a_mat, m_mat, 2, tau=1.0)
 
 
-def test_a_counter_replaces_the_count_factor(ref2, monkeypatch):
-    # A count known without a factor (the symbol's, for simply supported
-    # blocks): the solve builds its SPD factor only.  A counter that cannot
-    # count leaves the slice uncertified, with no factor in its place.
-    a_mat, m_mat = assembled(2, 4, BC_SIMPLY_SUPPORTED, ref2)
-    spectrum = dla.eigh(a_mat.toarray(), m_mat.toarray(), eigvals_only=True)
-    tau = spectrum[5] * (1 + REL_GAP)
-    shifts = []
-
-    class RecordedFactor(eigensolve._ShiftedFactor):
-        def __init__(self, a_mat, m_mat, shift):
-            shifts.append(shift)
-            super().__init__(a_mat, m_mat, shift)
-
-    def refuses(tau):
-        raise ValueError("cannot count")
-
-    monkeypatch.setattr(eigensolve, "_ShiftedFactor", RecordedFactor)
-    result = solve_smallest(a_mat, m_mat, sigma=-1.0, tau=tau,
-                            counter=lambda t: int(np.count_nonzero(spectrum < t)))
-    assert result.converged and result.metadata["count_below_tau"] == 6
-    below = result.eigenvalues[result.eigenvalues < tau]
-    assert below == pytest.approx(spectrum[:6], rel=1e-10)
-    assert shifts == [-1.0]
-    shifts.clear()
-    untrusted = solve_smallest(a_mat, m_mat, sigma=-1.0, tau=tau, counter=refuses)
-    assert untrusted.metadata["count_below_tau"] is None and not untrusted.converged
-    assert untrusted.eigenvalues.size == 0 and shifts == []
-
-
 def test_shift_between_eigenvalues_is_rejected(ref2):
     a_mat, m_mat = assembled(2, 6, BC_CLAMPED, ref2)
     lam = smallest_k_dense(a_mat, m_mat, 2).eigenvalues

@@ -138,26 +138,27 @@ def test_3d_n16_blocks_are_solved_for_what_they_owe(bc, monkeypatch):
     # k=6 cuts the 13468.312 (clamped) or 81 pi^4 (simply supported) triple.
     assert meta["k_closed"] == 7
     # Clamped: oee for ceil(6 / 3) = 2 pairs, certified at its own second
-    # eigenvalue; simply supported: every block for its count below the
-    # symbol's tau.  Then ooe and eee for their counts, and no completion
-    # pass; ooo owes nothing and gets neither an SPD factor nor an ARPACK
-    # run.  Measured: 57 (clamped) and 33 applications.
+    # eigenvalue, then ooe and eee for their counts, and no completion pass;
+    # ooo owes nothing and gets neither an SPD factor nor an ARPACK run.
+    # Measured: 57 applications.  Simply supported: every block takes its
+    # pairs below the symbol's tau from the symbol, with no factor and no
+    # ARPACK run.
     assert [b["parity"] for b in meta["blocks"]] == ["oee", "ooe", "eee", "ooo"]
     counts = [b["count_below_tau"] for b in meta["blocks"]]
     assert counts == {"clamped": [2, 1, 1, 0], "simply-supported": [1, 1, 1, 0]}[bc]
-    assert arpack_runs == counts[:3]
-    # 3 SPD factors (at sigma): oee's, ooe's and eee's.  Clamped blocks add
-    # 4 count factors (at a tau above sigma): oee's after its SPD factor,
-    # ooe's and eee's before theirs, then ooo's; simply supported blocks
-    # take their counts from the symbol.
+    # 3 SPD factors (at sigma): oee's, ooe's and eee's, and 4 count factors
+    # (at a tau above sigma): oee's after its SPD factor, ooe's and eee's
+    # before theirs, then ooo's.
     oee, ooe, eee, ooo = (b["order"] for b in meta["blocks"])
     if bc == "clamped":
+        assert arpack_runs == counts[:3]
         assert [order for _, order in factors] == [oee, oee, ooe, ooe, eee, eee, ooo]
         assert [shift == SIGMA[bc] for shift, _ in factors] == [True, False, False, True,
                                                                 False, True, False]
+        assert meta["opinv_applications"] <= 65
     else:
-        assert factors == [(SIGMA[bc], oee), (SIGMA[bc], ooe), (SIGMA[bc], eee)]
-    assert meta["opinv_applications"] <= 65
+        assert arpack_runs == factors == []
+        assert meta["opinv_applications"] == meta["factor_nnz"] == 0
 
 
 @pytest.mark.parametrize("dim,n", [(2, 8), (3, 6)])
@@ -185,16 +186,19 @@ def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypa
             assert (assembled[own][:, own] != sliced).nnz == 0
         if dim == 2:
             assert np.array_equal(own, np.arange(own_map.num_free))
-    # solve_problem solves exactly these slices, representatives first.
+    # solve_problem solves exactly these slices, representatives first: a
+    # clamped block with solve_smallest, a simply supported one by checking
+    # the symbol's pairs in it (eigensolve.solved).
     monkeypatch.setitem(cli.SPLIT_MIN_ORDER, dim, 0)
     solved = []
-    solve_smallest = eigensolve.solve_smallest
+    name = "solve_smallest" if bc == "clamped" else "solved"
+    solve = getattr(eigensolve, name)
 
     def recording(a_mat, m_mat, *args, **kwargs):
         solved.append((a_mat, m_mat))
-        return solve_smallest(a_mat, m_mat, *args, **kwargs)
+        return solve(a_mat, m_mat, *args, **kwargs)
 
-    monkeypatch.setattr(eigensolve, "solve_smallest", recording)
+    monkeypatch.setattr(eigensolve, name, recording)
     result = cli.solve_problem(dim, n, bc)
     order = [b["parity"] for b in result.metadata["blocks"]]
     assert order == {2: ["oe", "ee", "oo"], 3: ["oee", "ooe", "eee", "ooo"]}[dim]
@@ -208,9 +212,9 @@ def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypa
 @pytest.mark.parametrize("dim,n,bc,k_closed", [(3, 4, "clamped", 7),
                                                (2, 4, "simply-supported", 6)])
 def test_one_block_solve_builds_at_most_two_factors(dim, n, bc, k_closed, monkeypatch):
-    # 3D n=4 clamped: k=6 cuts the 8539.68 triple; 2D simply supported n=4:
-    # ARPACK skips a copy of the (1,3)/(3,1) pair.  Both need a completion
-    # pass after the count.
+    # 3D n=4 clamped: k=6 cuts the 8539.68 triple, which needs a completion
+    # pass after the count.  2D simply supported n=4, where ARPACK would
+    # skip a copy of the (1,3)/(3,1) pair, takes both from the symbol.
     factors, arpack_runs = [], []
     eigsh = eigensolve.sla.eigsh
 
@@ -225,23 +229,24 @@ def test_one_block_solve_builds_at_most_two_factors(dim, n, bc, k_closed, monkey
     assert result.converged
     assert len(result.metadata["blocks"]) == 1
     assert result.metadata["k_closed"] == k_closed
-    assert len(arpack_runs) == 2
-    # A simply supported block takes its count from the symbol and is
-    # completed on its one SPD factor at sigma.  A clamped block is solved
-    # for k pairs on an SPD factor, which is freed before the count factor
-    # at its tau is built, and is completed on a second SPD factor.
+    # A clamped block is solved for k pairs on an SPD factor, which is freed
+    # before the count factor at its tau is built, and is completed on a
+    # second SPD factor.  A simply supported block builds no factor.
     (block,) = result.metadata["blocks"]
-    spd = (SIGMA[bc], block["order"])
-    counted = [(block["tau"], block["order"]), spd] if bc == "clamped" else []
-    assert factors == [spd] + counted
+    if bc == "clamped":
+        assert len(arpack_runs) == 2
+        spd = (SIGMA[bc], block["order"])
+        assert factors == [spd, (block["tau"], block["order"]), spd]
+    else:
+        assert arpack_runs == factors == []
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (2, 32), (2, 64), (3, 4), (3, 8), (3, 16)])
 @pytest.mark.parametrize("bc", sorted(SIGMA))
 def test_only_clamped_blocks_build_count_factors(dim, n, bc, monkeypatch):
     # Every block is counted once below a tau: a clamped block by a factor
-    # of A - tau M, a simply supported one by the symbol, so its only
-    # factors are SPD factors at sigma.
+    # of A - tau M, a simply supported one by the symbol, which builds no
+    # factor at all.
     factors = []
     monkeypatch.setattr(eigensolve, "_ShiftedFactor", recorded_factor(factors))
     result = cli.solve_problem(dim, n, bc)
@@ -250,7 +255,31 @@ def test_only_clamped_blocks_build_count_factors(dim, n, bc, monkeypatch):
     if bc == "clamped":
         assert len(counts) == len(result.metadata["blocks"])
     else:
-        assert factors and not counts
+        assert not factors
+
+
+@pytest.mark.parametrize("dim,n", [(2, 4), (2, 5), (2, 32), (2, 64), (3, 3), (3, 4), (3, 16)])
+def test_simply_supported_solves_build_no_factor_and_run_no_eigensolver(dim, n, monkeypatch):
+    # Every pair comes from the symbol: no factor, no solve_smallest call
+    # and no ARPACK run, in one block (2D n=4, 5, 3D n=3, 4) or split.
+    calls = []
+
+    def refused(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return call
+
+    for module, name in ((eigensolve, "_ShiftedFactor"), (eigensolve, "solve_smallest"),
+                         (eigensolve, "smallest_k_dense"), (eigensolve, "count_below"),
+                         (eigensolve.sla, "eigsh")):
+        monkeypatch.setattr(module, name, refused(name))
+    result = cli.solve_problem(dim, n, "simply-supported")
+    assert calls == []
+    assert result.converged and result.method == "symbol"
+    assert len(result.metadata["blocks"]) == (1 if n in (3, 4, 5) else dim + 1)
+    assert result.metadata["factor_nnz"] == result.metadata["opinv_applications"] == 0
+    assert max(result.residuals) <= eigensolve.RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (3, 8), (3, 16)])
@@ -266,7 +295,8 @@ def test_simply_supported_blocks_are_sliced_at_the_final_tau(dim, n):
 @pytest.mark.parametrize("bc", sorted(SIGMA))
 def test_at_most_one_factor_is_alive(dim, n, bc, monkeypatch):
     # Each factor (SPD or count) is freed before the next one is built, so
-    # the peak memory holds one factor, not two.
+    # the peak memory holds one factor, not two; simply supported solves
+    # build none.
     alive, before = [], []
 
     class TrackedFactor(eigensolve._ShiftedFactor):
@@ -277,19 +307,19 @@ def test_at_most_one_factor_is_alive(dim, n, bc, monkeypatch):
 
     monkeypatch.setattr(eigensolve, "_ShiftedFactor", TrackedFactor)
     assert cli.solve_problem(dim, n, bc).converged
-    assert before and not any(before)
+    assert bool(before) == (bc == "clamped") and not any(before)
 
 
 def test_a_block_the_symbol_cannot_number_gets_no_count(monkeypatch):
     # A class whose eigenvalue count is not its block's order: the block's
-    # count is untrusted and no factor replaces it.
+    # count is untrusted, and no factor or eigensolver replaces it.
     from rectmorley import symbol
 
     spectra = symbol.block_spectra
 
     def one_short(dim, n, parities):
         out = spectra(dim, n, parities)
-        out["ee"] = out["ee"][1:]
+        out["ee"] = tuple(part[1:] for part in out["ee"])
         return out
 
     factors = []
@@ -300,11 +330,11 @@ def test_a_block_the_symbol_cannot_number_gets_no_count(monkeypatch):
     assert blocks["ee"]["count_below_tau"] is None and not blocks["ee"]["converged"]
     assert blocks["oe"]["converged"] and blocks["oo"]["converged"]
     assert not result.converged
-    assert all(shift == SIGMA["simply-supported"] for shift, _ in factors)
+    assert not factors
 
 
-@pytest.mark.parametrize("dim,n,bc", [(2, 4, "simply-supported"), (2, 32, "clamped"),
-                                      (3, 5, "clamped"), (3, 8, "simply-supported")])
+@pytest.mark.parametrize("dim,n,bc", [(3, 4, "clamped"), (2, 32, "clamped"),
+                                      (3, 5, "clamped"), (3, 8, "clamped")])
 def test_krylov_basis_is_sized_to_the_request(dim, n, bc, monkeypatch):
     # An undeflated run (from the attempt-0 start vector) keeps 2k + 1
     # vectors, at most order - 1; a deflated completion pass keeps its own.
@@ -322,4 +352,4 @@ def test_krylov_basis_is_sized_to_the_request(dim, n, bc, monkeypatch):
     assert undeflated
     for order, kwargs in undeflated:
         assert kwargs["ncv"] == min(order - 1, 2 * kwargs["k"] + 1)
-    assert len(calls) - len(undeflated) == ((dim, n) in ((2, 4), (3, 5)))
+    assert len(calls) - len(undeflated) == ((dim, n) in ((3, 4), (3, 5)))

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from rectmorley import cli, symbol
 from rectmorley.assembly import (BC_SIMPLY_SUPPORTED, PARITY_EVEN, PARITY_ODD, assemble,
-                                 build_dof_map, free_dof_count)
-from rectmorley.eigensolve import REL_GAP, count_below
+                                 build_dof_map, dof_coordinates, free_dof_count)
+from rectmorley.eigensolve import REL_GAP, compute_residuals, count_below
 from rectmorley.element import build_reference_element
 from rectmorley.mesh import build_mesh
 
@@ -30,18 +30,19 @@ def block_mesh_and_faces(dim, n, parity):
                   (BC_SIMPLY_SUPPORTED, PARITY_ODD if letter == "o" else PARITY_EVEN)]
 
 
-def block_pencil(dim, n, parity):
+def block_pencil(dim, n, parity, with_coordinates=False):
     mesh, faces = block_mesh_and_faces(dim, n, parity)
-    return assemble(mesh, build_dof_map(mesh, BC_SIMPLY_SUPPORTED, faces),
-                    build_reference_element(dim))
+    dofmap = build_dof_map(mesh, BC_SIMPLY_SUPPORTED, faces)
+    pencil = assemble(mesh, dofmap, build_reference_element(dim))
+    return (*pencil, dof_coordinates(dofmap)) if with_coordinates else pencil
 
 
 @pytest.mark.parametrize("dim,n", [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)])
 def test_spectrum_is_the_dense_spectrum_of_the_full_pencil(dim, n):
     a_mat, m_mat = block_pencil(dim, n, None)
     dense = dla.eigh(a_mat.toarray(), m_mat.toarray(), eigvals_only=True)
-    values = symbol.block_spectra(dim, n, [None])[None]
-    assert len(values) == len(dense)
+    values, waves, vectors = symbol.block_spectra(dim, n, [None])[None]
+    assert len(values) == len(waves) == len(vectors) == len(dense)
     assert np.max(np.abs(values - dense) / dense) <= 1e-12
 
 
@@ -50,7 +51,8 @@ def test_each_parity_class_numbers_its_block(dim, top):
     # One eigenvalue per existing (wave vector, family) pair: as many as the
     # block has free DOFs, and the full box's for the union of the classes.
     for n in range(1, top + 1):
-        spectra = symbol.block_spectra(dim, n, parities(dim) + [None])
+        spectra = {parity: values for parity, (values, _, _) in
+                   symbol.block_spectra(dim, n, parities(dim) + [None]).items()}
         assert len(spectra[None]) == free_dof_count(build_mesh(dim, n), BC_SIMPLY_SUPPORTED)
         assert sum(len(spectra[parity]) for parity in parities(dim)) == len(spectra[None])
         if n % 2 == 0:
@@ -63,12 +65,12 @@ def test_each_parity_class_numbers_its_block(dim, top):
 def test_block_counts_equal_the_inertia_counts(dim, n):
     # At tau = lambda_i (1 + REL_GAP), as the solver slices the blocks.
     spectra = symbol.block_spectra(dim, n, parities(dim))
-    for parity, values in spectra.items():
+    for parity, (values, _, _) in spectra.items():
         a_mat, m_mat = block_pencil(dim, n, parity)
-        count = symbol.counter(values, a_mat.shape[0])
+        assert len(values) == a_mat.shape[0]
         for index in (0, 1, 5, 12):
             tau = values[index] * (1 + REL_GAP)
-            assert count(tau) == count_below(a_mat, m_mat, tau)
+            assert np.searchsorted(values, tau) == count_below(a_mat, m_mat, tau)
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,29 +79,44 @@ def test_counts_between_spectrum_points(data, dim, fraction):
     n = data.draw(st.integers(1, 8 if dim == 2 else 4), label="n")
     parity = data.draw(st.sampled_from([None] + (parities(dim) if n % 2 == 0 else [])),
                        label="parity")
-    values = symbol.block_spectra(dim, n, [parity])[parity]
+    values, _, _ = symbol.block_spectra(dim, n, [parity])[parity]
     a_mat, m_mat = block_pencil(dim, n, parity)
+    assert len(values) == a_mat.shape[0]
     index = data.draw(st.integers(-1, len(values) - 1), label="index")
     below = 0.0 if index < 0 else values[index]
     above = values[index + 1] if index + 1 < len(values) else 2.0 * values[-1]
     assume(above > below * (1 + 1e-6))
     tau = below + fraction * (above - below)
-    assert symbol.counter(values, a_mat.shape[0])(tau) == count_below(a_mat, m_mat, tau) \
-        == index + 1
+    assert np.searchsorted(values, tau) == count_below(a_mat, m_mat, tau) == index + 1
 
 
-def test_counter_refuses_a_block_of_another_order():
-    values = symbol.block_spectra(2, 4, [None])[None]
-    assert symbol.counter(values, len(values))(np.inf) == len(values)
-    with pytest.raises(ValueError, match="order 48"):
-        symbol.counter(values, len(values) - 1)(1e4)
+# Every pair of the full box at 2D n=2, 3 and 3D n=2 (the higher branches
+# of each wave vector's pencil included); the first 12 of every block at 2D
+# n=4, 8 and 3D n=4.
+@pytest.mark.parametrize("dim,n,parity,k", [(2, 2, None, 12), (2, 3, None, None),
+                                            (3, 2, None, None)]
+                         + [(2, n, parity, 12) for n in (4, 8) for parity in parities(2)]
+                         + [(3, 4, parity, 12) for parity in parities(3)])
+def test_modes_are_the_eigenvectors(dim, n, parity, k):
+    # M-orthonormal on the full box; on the half box of a parity block each
+    # mode keeps 2^-dim of its mass.
+    a_mat, m_mat, coords = block_pencil(dim, n, parity, with_coordinates=True)
+    values, waves, vectors = (part[:k] for part in symbol.block_spectra(dim, n, [parity])[parity])
+    assert k is None or len(values) == k
+    modes = symbol.modes(coords, n, waves, vectors)
+    assert modes.shape == (a_mat.shape[0], len(values))
+    mass = 1.0 if parity is None else 2.0 ** -dim
+    np.testing.assert_allclose(modes.T @ (m_mat @ modes), mass * np.eye(len(values)),
+                               rtol=0, atol=1e-12)
+    assert np.max(compute_residuals(a_mat, m_mat, values, modes)) <= 1e-12
 
 
 def test_copies_agree_from_the_symbol_alone_at_2d_n1024():
     # p = (1, 2) and (2, 1) are mirror images; their pencils are computed
     # apart, in the opposite order of the facet families.
-    first, second = symbol.wave_spectra(2, 1024, [(1, 2), (2, 1)])
-    assert np.all(first > 0)
+    values, waves, _ = symbol.wave_spectra(2, 1024, [(1, 2), (2, 1)])
+    first, second = (values[np.all(waves == p, axis=1)] for p in ((1, 2), (2, 1)))
+    assert len(first) == len(second) == 3
     assert np.max(np.abs(first - second) / first) <= 1e-10
 
 
@@ -108,19 +125,24 @@ def test_first_eigenvalue_converges_from_below_at_second_order():
     # 2.056: the stable symbol keeps it at sizes where the plain sum's
     # cancellation (about eps (n / pi)^4 relative) would swamp the error.
     exact = 4.0 * np.pi ** 4
-    scaled = [(exact - symbol.wave_spectra(2, n, [(1, 1)])[0, 0]) / exact * n ** 2
+    scaled = [(exact - symbol.wave_spectra(2, n, [(1, 1)])[0][0]) / exact * n ** 2
               for n in (256, 4096, 65536)]
     assert all(2.05 < value < 2.06 for value in scaled)
     assert abs(scaled[2] - scaled[1]) < 1e-4
 
 
-# The sparse route's own rounding, about eps times the pencil's condition
-# number, sets these bounds: measured 9.5e-12 (2D n=64), 7.6e-11 (2D
-# n=128) and 9.3e-14 (3D n=16), where the dense oracle is good to only
-# about 1e-9 (smallest_k_dense).
-@pytest.mark.parametrize("dim,n,rtol", [(2, 64, 2e-11), (2, 128, 1.5e-10), (3, 16, 2e-13)])
-def test_solve_matches_the_symbol_past_the_dense_oracle(dim, n, rtol):
+# The solve takes its eigenvalues from the symbol, with no eigensolver: they
+# are its blocks' symbol values, bit for bit, at every size.  Mirror-image
+# wave vectors are evaluated apart, so the full box's copies of a value may
+# differ from the block's in the last bits.
+@pytest.mark.parametrize("dim,n", [(2, 64), (2, 128), (3, 16)])
+def test_solve_matches_the_symbol_past_the_dense_oracle(dim, n):
     result = cli.solve_problem(dim, n, BC_SIMPLY_SUPPORTED)
     assert result.converged
-    exact = symbol.block_spectra(dim, n, [None])[None][:len(result.eigenvalues)]
-    assert np.max(np.abs(result.eigenvalues - exact) / exact) <= rtol
+    blocks = result.metadata["blocks"]
+    spectra = symbol.block_spectra(dim, n, [block["parity"] for block in blocks])
+    merged = np.sort(np.concatenate([np.repeat(spectra[block["parity"]][0],
+                                               block["multiplicity"]) for block in blocks]))
+    assert np.array_equal(result.eigenvalues, merged[:len(result.eigenvalues)])
+    full = symbol.block_spectra(dim, n, [None])[None][0][:len(result.eigenvalues)]
+    np.testing.assert_allclose(result.eigenvalues, full, rtol=1e-13, atol=0)
