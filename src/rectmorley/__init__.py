@@ -18,8 +18,7 @@ _EXPORTS = {
                  "build_dof_map", "eigen_error_identity_terms", "element_matrices",
                  "interpolate_global"),
     "element": ("ReferenceElement", "build_reference_element", "physical_dof_scaling"),
-    "eigensolve": ("EigenResult", "count_below", "residual_report", "smallest_k_dense",
-                   "solve_smallest"),
+    "eigensolve": ("EigenResult", "count_below", "smallest_k_dense", "solve_smallest"),
     "functions": ("ScaledFunction", "SineProduct", "sine_eigenvalue",
                   "unit_box_eigenfunction"),
     "mesh": ("CartesianMesh", "build_mesh"),

@@ -121,8 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
 # their smaller factors save.  Split/one-block time (min of 7, 2 threads, two
 # sweeps; free DOFs): 2D n=14 (533) 1.27-1.31, n=16 (705) 1.12-1.15, n=18
 # (901) 1.01-1.02, n=20 (1121) 0.93-0.94, n=22..24 0.82-0.84; 3D n=4 (171)
-# 1.01, n=6 (665) 0.56-0.58.  Simply supported problems factor nothing: the
-# split sets their parity labels, which the stored ladder's rungs keep.
+# 1.01, n=6 (665) 0.56-0.58.  Simply supported problems factor nothing, but
+# the split still pays: checking the symbol's modes on the full box instead
+# took 2D n=32 7.3 -> 12.8 ms, n=64 22.5 -> 53 ms, 3D n=8 8.2 -> 13.4 ms,
+# n=16 26 -> 119 ms (min of 7, one thread); it also sets their parity labels.
 SPLIT_MIN_ORDER = {2: 950, 3: 400}
 
 
@@ -181,20 +183,21 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     exact spectra of its parity classes (symbol.block_spectra) give the
     final tau, and each block takes its class's pairs below it, with
     eigenvectors from symbol.modes checked by their residuals in its own
-    pencil (method 'symbol'; `solver` is not used).  Its count is the number
-    of those pairs, None (not converged) when its order is not its class's
-    eigenvalue count.  A clamped problem solves each block once with
-    solve_smallest on the `solver` route, counted by count_below's factor,
-    below the tau of the blocks merged before it; the first, with no tau
-    yet, for k1 = ceil(k / multiplicity) pairs (fewer if it is smaller),
-    whose copies give k merged values, certified at its own lambda_k1
-    (1 + REL_GAP).  Both are at or above the final tau.
+    pencil (method 'symbol'; `solver` must still be 'auto' or 'dense', but
+    is not used).  Its count is the number of those pairs, None (not
+    converged) when its order is not its class's eigenvalue count.  A
+    clamped problem solves each block once with solve_smallest on the
+    `solver` route, counted by count_below's factor, below the tau of the
+    blocks merged before it; the first, with no tau yet, for k1 = ceil(k /
+    multiplicity) pairs (fewer if it is smaller), whose copies give k merged
+    values, certified at its own lambda_k1 (1 + REL_GAP).  Both are at or
+    above the final tau.
 
     The k smallest merged eigenvalues are returned in ascending order (a
-    stable sort), with no full-space eigenvectors.  metadata["order"] is the
-    free-DOF count of the full problem, converged holds only if every block
-    converged and passed its count, and the work counters sum over the
-    blocks, which metadata["blocks"] lists in order.
+    stable sort), with no full-space eigenvectors.  Every route reports the
+    same metadata keys: order (free DOFs of the full problem), k, the final
+    tau, k_closed, converged (every block converged and passed its count),
+    the work counters summed over the blocks, and blocks, in solve order.
     """
     import itertools
     import math
@@ -208,6 +211,8 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     from .element import build_reference_element
     from .mesh import build_mesh
 
+    if solver not in ("auto", eigensolve.METHOD_DENSE):
+        raise ValueError(f"unknown solver method {solver!r}")
     mesh = build_mesh(dim, n)
     order = free_dof_count(mesh, bc)
     if not 1 <= k <= order:
@@ -261,8 +266,8 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
             modes = symbol.modes(dof_coordinates(dofmap)[keep], n, waves[:below],
                                  vectors[:below])
             modes /= np.sqrt(np.einsum("ij,ij->j", modes, m_mat @ modes))
-            result = eigensolve.solved(a_mat, m_mat, symbol.METHOD_SYMBOL, below,
-                                       values[:below], modes)
+            result = eigensolve.solved(a_mat, m_mat, symbol.METHOD_SYMBOL, values[:below],
+                                       modes)
             solved[parity] = eigensolve.certified(
                 result, tau, below if len(values) == a_mat.shape[0] else None)
         else:
@@ -278,24 +283,20 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     eigenvalues, residuals, labels = zip(*(merged[i] for i in keep))
 
     counters = ("factor_nnz", "opinv_applications")
-    metadata = {}
-    for result in solved.values():
-        metadata.update(result.metadata)
-    del metadata["count_below_tau"]
-    for key in counters:
-        metadata[key] = sum(r.metadata.get(key, 0) for r in solved.values())
-    metadata.update(order=order, k=k, tau=float(tau),
-                    k_closed=sum(multiplicity[p] * int(np.count_nonzero(r.eigenvalues < tau))
-                                 for p, r in solved.items()),
-                    converged=all(r.converged for r in solved.values()),
-                    blocks=[{"parity": parity,
-                             "multiplicity": multiplicity[parity],
-                             "order": result.metadata["order"],
-                             **{key: result.metadata.get(key, 0) for key in counters},
-                             "tau": result.metadata["tau"],
-                             "count_below_tau": result.metadata["count_below_tau"],
-                             "converged": result.converged}
-                            for parity, result in solved.items()])
+    blocks = [{"parity": parity,
+               "multiplicity": multiplicity[parity],
+               "order": result.metadata["order"],
+               **{key: result.metadata.get(key, 0) for key in counters},
+               "tau": result.metadata["tau"],
+               "count_below_tau": result.metadata["count_below_tau"],
+               "converged": result.converged}
+              for parity, result in solved.items()]
+    metadata = {"order": order, "k": k, "tau": float(tau),
+                "k_closed": sum(multiplicity[p] * int(np.count_nonzero(r.eigenvalues < tau))
+                                for p, r in solved.items()),
+                "converged": all(b["converged"] for b in blocks),
+                **{key: sum(b[key] for b in blocks) for key in counters},
+                "blocks": blocks}
     method = "+".join(sorted({r.method for r in solved.values()}))
     return Solution(np.array(eigenvalues), np.array(residuals), list(labels),
                     method, metadata)
@@ -520,20 +521,12 @@ def _cmd_rates(args) -> int:
         raise UsageError("rates need at least two distinct cell counts")
     _check_ladder(args.dim, n_values)
 
-    if args.bc == "clamped":
-        if len(n_values) < 3:
-            raise UsageError(
-                "clamped rates need at least three distinct cell counts: they "
-                "have no closed-form eigenvalues, so the reference is "
-                "extrapolated from the two finest, whose step has no measured order"
-            )
-    else:
-        exact = exact_eigenvalues(args.dim)
-        if args.k > len(exact):
-            raise UsageError(
-                f"only the first {len(exact)} closed-form simply supported "
-                f"eigenvalues are stored; --k must be at most {len(exact)}"
-            )
+    if args.bc == "clamped" and len(n_values) < 3:
+        raise UsageError(
+            "clamped rates need at least three distinct cell counts: they "
+            "have no closed-form eigenvalues, so the reference is "
+            "extrapolated from the two finest, whose step has no measured order"
+        )
 
     values = []
     converged = True
@@ -544,7 +537,7 @@ def _cmd_rates(args) -> int:
 
     per_index = list(zip(*values))
     if args.bc == "simply-supported":
-        refs = [float(v) for v in exact[: args.k]]
+        refs = [float(v) for v in exact_eigenvalues(args.dim, args.k)]
         ref_kind = "exact"
     else:
         refs = [richardson_reference(list(seq), n_values) for seq in per_index]

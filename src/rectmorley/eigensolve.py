@@ -2,25 +2,25 @@
 
 solve_smallest is the one entry point, for a pencil of two scipy sparse
 matrices (the clamped blocks of cli.solve_problem, and library callers).
-Its route is ARPACK shift-invert around the no-pivot factor of A - sigma M
-in the order the pencil is given (finite element pencils come numbered in
-nested-dissection order).  One factor type, the no-pivot LDL^T of
-A - shift M (_ShiftedFactor), serves the solves and the certificate: by
-Sylvester's law of inertia its negative pivots count the eigenvalues below
-the shift (count_below), and a shift-invert factor must have none.  Every
-result is certified: a solve for the k smallest pairs is counted below its
-own tau = lambda_k (1 + REL_GAP), a solve below a given tau below that, and
-either returns exactly that count, completing a short slice with deflated
-ARPACK passes (Ericsson and Ruhe, Math. Comp. 35, 1980; Grimes, Lewis and
-Simon, SIMAX 15, 1994).  So no copy of a repeated eigenvalue is skipped
-silently, and a k that cuts a cluster gets all of it.  At most one factor
-is alive at a time.  The dense LAPACK path (smallest_k_dense) is the test
-oracle, and the route for pencils too small for shift-invert.  Both return
-ascending eigenvalues with mass-orthonormal eigenvectors and per-pair
-relative residuals, and deterministic start vectors (sin and cos of the
-index) make repeated runs agree bit for bit.  Pairs known without a solve
-(the simply supported blocks, from symbol.py) get the same residual check
-and certificate from solved and certified.
+Its route is ARPACK shift-invert at shift 0, around the no-pivot factor of
+the stiffness matrix A in the order the pencil is given (finite element
+pencils come numbered in nested-dissection order).  One factor type, the
+no-pivot LDL^T of A - shift M (_ShiftedFactor), serves the solves at shift
+0 and the certificate: by Sylvester's law of inertia its negative pivots
+count the eigenvalues below the shift (count_below), and the factor of A
+must have none.  Every result is certified: a solve for the k smallest
+pairs is counted below its own tau = lambda_k (1 + REL_GAP), a solve below
+a given tau below that, and either returns exactly that count, completing
+a short slice with deflated ARPACK passes (Ericsson and Ruhe, Math. Comp.
+35, 1980; Grimes, Lewis and Simon, SIMAX 15, 1994).  So no copy of a
+repeated eigenvalue is skipped silently, and a k that cuts a cluster gets
+all of it.  At most one factor is alive at a time.  The dense LAPACK path
+(smallest_k_dense) is the test oracle, and the route for pencils too small
+for shift-invert.  Both return ascending eigenvalues with mass-orthonormal
+eigenvectors and per-pair relative residuals, and deterministic start
+vectors (sin and cos of the index) make repeated runs agree bit for bit.
+Pairs known without a solve (the simply supported blocks, from symbol.py)
+get the same residual check and certificate from solved and certified.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import scipy.linalg as dla
 import scipy.sparse.linalg as sla
 
 RESIDUAL_TOL = 1e-8
-# ARPACK convergence tolerance, reported as metadata["tol"].
+# ARPACK convergence tolerance of every shift-invert run.
 ARPACK_TOL = 1e-10
 # Relative margin of the certificate threshold tau = lambda_k (1 + REL_GAP):
 # copies of lambda_k that differ from it by rounding count below tau.
@@ -77,22 +77,15 @@ def compute_residuals(A, M, eigenvalues, eigenvectors) -> np.ndarray:
     return out
 
 
-def residual_report(A, M, result: EigenResult) -> np.ndarray:
-    """Recompute residuals, store them on the result, and flag convergence."""
-    res = compute_residuals(A, M, result.eigenvalues, result.eigenvectors)
-    result.residuals = res
-    result.metadata["converged"] = bool(np.all(res <= RESIDUAL_TOL)) and \
-        result.metadata.get("converged", True)
-    return res
-
-
-def solved(A, M, method: str, k: int, eigenvalues, eigenvectors, **metadata) -> EigenResult:
-    """The result of a solve for k pairs of the pencil (A, M), its residuals
-    checked by residual_report; metadata starts with the order and k."""
-    result = EigenResult(eigenvalues, eigenvectors, np.empty(0), method,
-                         {"order": A.shape[0], "k": int(k), **metadata})
-    residual_report(A, M, result)
-    return result
+def solved(A, M, method: str, eigenvalues, eigenvectors, converged: bool = True,
+           **metadata) -> EigenResult:
+    """The result of a solve of the pencil (A, M): its relative residuals,
+    and metadata of the order, then converged (the solver's verdict and
+    every residual within RESIDUAL_TOL), then the rest."""
+    residuals = compute_residuals(A, M, eigenvalues, eigenvectors)
+    converged = bool(converged) and bool(np.all(residuals <= RESIDUAL_TOL))
+    return EigenResult(eigenvalues, eigenvectors, residuals, method,
+                       {"order": A.shape[0], "converged": converged, **metadata})
 
 
 def smallest_k_dense(A, M, k: int) -> EigenResult:
@@ -112,7 +105,7 @@ def smallest_k_dense(A, M, k: int) -> EigenResult:
             w, x = dla.eigh(A.toarray(), M.toarray(), subset_by_index=(0, k - 1))
         except dla.LinAlgError as exc:
             raise ValueError("mass matrix is not positive definite") from exc
-    return solved(A, M, METHOD_DENSE, k, w, x)
+    return solved(A, M, METHOD_DENSE, w, x)
 
 
 def deterministic_start_vector(order: int, attempt: int = 0) -> np.ndarray:
@@ -192,8 +185,7 @@ def count_below(A, M, tau: float) -> int:
     return negatives
 
 
-def _arpack(A, M, factor: _ShiftedFactor, k: int, sigma: float,
-            attempt: int = 0, deflate=None):
+def _arpack(A, M, factor: _ShiftedFactor, k: int, attempt: int = 0, deflate=None):
     """k eigenpairs from one ARPACK run on the factor's operator, deflated
     off the M-orthonormal columns of `deflate` when given.  Returns the
     values, the vectors and whether ARPACK converged (partial pairs if not).
@@ -210,7 +202,7 @@ def _arpack(A, M, factor: _ShiftedFactor, k: int, sigma: float,
         ncv = min(order - deflate.shape[1], max(2 * k + 1, 20))
         deflate = (deflate, M @ deflate)
     try:
-        w, x = sla.eigsh(A, k=k, M=M, sigma=sigma, which="LM",
+        w, x = sla.eigsh(A, k=k, M=M, sigma=0.0, which="LM",
                          v0=deterministic_start_vector(order, attempt), tol=ARPACK_TOL,
                          ncv=ncv, OPinv=factor.operator(deflate))
     except sla.ArpackNoConvergence as exc:
@@ -218,25 +210,22 @@ def _arpack(A, M, factor: _ShiftedFactor, k: int, sigma: float,
     return w, x, True
 
 
-def _shift_invert(A, M, k: int, sigma: float, tau: float, found: EigenResult) -> EigenResult:
-    """Steps 1 to 3 of solve_smallest on one new SPD factor at sigma: the
-    pairs `found` so far (none, for 1 <= k < order - 1, or those of a k
-    solve that its count found short) completed to k below tau."""
+def _shift_invert(A, M, k: int, tau: float, found: EigenResult) -> EigenResult:
+    """Steps 1 to 3 of solve_smallest on one new SPD factor of A: the pairs
+    `found` so far (none, for 1 <= k < order - 1, or those of a k solve
+    that its count found short) completed to k below tau."""
     try:
-        factor = _ShiftedFactor(A, M, sigma)
+        factor = _ShiftedFactor(A, M, 0.0)
     except RuntimeError as exc:
-        raise ValueError(f"shift-invert factorization failed at sigma={sigma}") from exc
+        raise ValueError("shift-invert factorization of the stiffness matrix failed") from exc
     if factor.negatives != 0:
-        raise ValueError(
-            f"A - sigma*M is not positive definite at sigma={sigma}; "
-            "shift below the smallest eigenvalue"
-        )
+        raise ValueError("the stiffness matrix is not positive definite")
     w, x, converged = found.eigenvalues, found.eigenvectors, True
     # Pairs already found came from the attempt-0 start vector.
     attempt = int(len(w) > 0)
     while converged and attempt <= COMPLETION_PASSES and np.count_nonzero(w < tau) < k:
-        mu, y, converged = _arpack(A, M, factor, k - np.count_nonzero(w < tau), sigma,
-                                   attempt, x if attempt else None)
+        mu, y, converged = _arpack(A, M, factor, k - np.count_nonzero(w < tau), attempt,
+                                   x if attempt else None)
         attempt += 1
         ascending = np.argsort(np.append(w, mu), kind="stable")
         w, x = np.append(w, mu)[ascending], np.column_stack([x, y])[:, ascending]
@@ -248,22 +237,21 @@ def _shift_invert(A, M, k: int, sigma: float, tau: float, found: EigenResult) ->
         w, z = dla.eigh(0.5 * (a_small + a_small.T), 0.5 * (m_small + m_small.T))
         x = y @ z
 
-    return solved(A, M, METHOD_SHIFT_INVERT, k, w, x, sigma=float(sigma), tol=ARPACK_TOL,
-                  converged=bool(converged), factor_nnz=factor.nnz,
+    return solved(A, M, METHOD_SHIFT_INVERT, w, x, converged, factor_nnz=factor.nnz,
                   opinv_applications=found.metadata.get("opinv_applications", 0)
                   + factor.applications)
 
 
-def _solve(A, M, k: int, sigma: float, tau: float, found: EigenResult) -> EigenResult:
+def _solve(A, M, k: int, tau: float, found: EigenResult) -> EigenResult:
     """k pairs below tau, on the route of the pairs found so far: dense
     pairs are solved for afresh, shift-invert ones completed.  With none
     found yet, pencils too small for shift-invert (k + 1 >= order) go dense."""
     if found.method == METHOD_DENSE or (not len(found.eigenvalues) and k + 1 >= A.shape[0]):
         return smallest_k_dense(A, M, k)
-    return _shift_invert(A, M, k, sigma, tau, found)
+    return _shift_invert(A, M, k, tau, found)
 
 
-def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: float = 0.0,
+def solve_smallest(A, M, k: int | None = None, method: str = "auto",
                    tau: float | None = None) -> EigenResult:
     """The k smallest eigenpairs of the sparse pencil (A, M), or every
     eigenpair below tau, certified: no eigenvalue below the last is skipped.
@@ -284,9 +272,9 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: floa
     for the tiny pencils where shift-invert cannot run; method 'dense'
     always uses the dense path, which solves for every pair owed afresh.
 
-    Shift-invert needs A - sigma M positive definite: sigma below the
-    smallest eigenvalue (negative when the stiffness matrix is only
-    semidefinite).  One _ShiftedFactor at sigma serves three steps:
+    Shift-invert runs at shift 0 and needs the stiffness matrix A positive
+    definite; a pencil whose A is not is refused with ValueError.  One
+    _ShiftedFactor of A serves three steps:
 
     1. ARPACK from deterministic_start_vector finds the pairs owed.
     2. A one-vector Krylov space sees one direction per distinct
@@ -312,19 +300,19 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto", sigma: floa
         raise ValueError("give either the number of eigenpairs k or the threshold tau")
     order = A.shape[0]
     found = solved(A, M, METHOD_DENSE if method == METHOD_DENSE else METHOD_SHIFT_INVERT,
-                   0, np.empty(0), np.empty((order, 0)))
+                   np.empty(0), np.empty((order, 0)))
     if tau is None:
         _check_k(k, order)
         if k == 0:
             return found
-        found = _solve(A, M, k, sigma, np.inf, found)
+        found = _solve(A, M, k, np.inf, found)
         tau = found.eigenvalues[k - 1] * (1 + REL_GAP) if len(found.eigenvalues) >= k else np.inf
     try:
         count = count_below(A, M, tau)
     except ValueError:
         return certified(found, tau, None)
     if found.converged and np.count_nonzero(found.eigenvalues < tau) < count:
-        found = _solve(A, M, count, sigma, tau, found)
+        found = _solve(A, M, count, tau, found)
     return certified(found, tau, count)
 
 

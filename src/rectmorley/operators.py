@@ -393,20 +393,9 @@ def run_commuting_suite() -> VerificationReport:
     return report
 
 
-@lru_cache(maxsize=None)
-def _coefficient_positions(dim: int, alphas: tuple):
-    """Length of the coefficient vector over the monomial list that holds
-    every exponent tuple of alphas, and the position of each in it."""
-    listed = multi_indices_up_to(dim, max(sum(alpha) for alpha in alphas))
-    return len(listed), np.array([listed.index(alpha) for alpha in alphas])
-
-
 def _random_polynomial(dim, alphas, rng) -> Polynomial:
     """Uniform(-1, 1) coefficients on the distinct monomials alphas, drawn in their order."""
-    width, positions = _coefficient_positions(dim, tuple(alphas))
-    coeffs = np.zeros(width)
-    coeffs[positions] = rng.uniform(-1.0, 1.0, size=len(positions))
-    return Polynomial.from_coefficients(dim, coeffs)
+    return Polynomial(dim, dict(zip(alphas, rng.uniform(-1.0, 1.0, size=len(alphas)))))
 
 
 def _random_pair(element: ReferenceElement, u_alphas, rng):

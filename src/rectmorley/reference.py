@@ -10,9 +10,12 @@ tracked through monotone refinement instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
+
+from .functions import sine_eigenvalue
 
 BENCHMARK_IDS = (1, 2, 3, 4)
 
@@ -93,19 +96,20 @@ BENCHMARK_RATES = {
     },
 }
 
-# Exact eigenvalues of the simply supported problem on the unit box are
-# (sum_i m_i^2)^2 pi^4 over sine modes m; these are the first six multipliers.
-EXACT_MULTIPLIERS = {
-    2: (4, 25, 25, 64, 100, 100),
-    3: (9, 36, 36, 36, 81, 81),
-}
+def exact_eigenvalues(dim: int, k: int = 6) -> np.ndarray:
+    """The k smallest simply supported eigenvalues on the unit box, ascending.
 
-
-def exact_eigenvalues(dim: int) -> np.ndarray:
-    """First six simply supported eigenvalues on the unit box."""
-    if dim not in EXACT_MULTIPLIERS:
-        raise ValueError(f"no exact values for dim={dim!r}")
-    return np.array(EXACT_MULTIPLIERS[dim], dtype=float) * math.pi ** 4
+    They are sine_eigenvalue(m) = (sum_i m_i^2)^2 pi^4 over the sine modes m
+    in {1, 2, ...}^dim.  The cube {1..q}^dim, q the least integer with
+    q^dim >= k, holds k modes with sum_i m_i^2 <= dim q^2, so no mode with
+    an entry above sqrt(dim q^2) is among the k smallest.
+    """
+    if dim < 1 or k < 0:
+        raise ValueError(f"no exact values for dim={dim!r}, k={k!r}")
+    q = next(q for q in itertools.count(1) if q ** dim >= k)
+    top = math.isqrt(dim * q * q)
+    values = [sine_eigenvalue(m) for m in itertools.product(range(1, top + 1), repeat=dim)]
+    return np.sort(values)[:k]
 
 
 def observed_rate(err_prev: float, err_cur: float, n_prev: int, n_cur: int) -> float:

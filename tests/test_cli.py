@@ -220,6 +220,31 @@ def test_solver_choice_reaches_only_clamped_problems(capsys):
         capsys.readouterr().out.split())
 
 
+def test_every_route_reports_the_same_metadata_keys(capsys):
+    # Clamped shift-invert, clamped dense and simply supported runs, one
+    # block and split, share one metadata schema and one block schema.
+    keys = set()
+    for argv in (["--n", "8"], ["--n", "8", "--solver", "dense"],
+                 ["--n", "8", "--bc", "simply-supported"], ["--dim", "3", "--n", "8"],
+                 ["--dim", "3", "--n", "8", "--solver", "dense"],
+                 ["--dim", "3", "--n", "8", "--bc", "simply-supported"]):
+        code, out, _ = run_cli(["solve", *argv, "--format", "json"], capsys)
+        assert code == 0
+        meta = json.loads(out)["runs"][0]["metadata"]
+        keys.add((frozenset(meta), frozenset(frozenset(b) for b in meta["blocks"])))
+    assert keys == {(frozenset({"order", "k", "tau", "k_closed", "converged", "factor_nnz",
+                                "opinv_applications", "blocks"}),
+                     frozenset({frozenset({"parity", "multiplicity", "order", "factor_nnz",
+                                           "opinv_applications", "tau", "count_below_tau",
+                                           "converged"})}))}
+
+
+@pytest.mark.parametrize("bc", ["clamped", "simply-supported"])
+def test_solve_problem_refuses_an_unknown_solver_for_either_bc(bc):
+    with pytest.raises(ValueError, match="unknown solver method 'bogus'"):
+        cli.solve_problem(2, 8, bc, solver="bogus")
+
+
 def test_solve_csv_layout(capsys):
     code, out, _ = run_cli(
         ["solve", "--n", "2", "--k", "2", "--format", "csv"], capsys
@@ -412,12 +437,19 @@ def test_rates_need_two_meshes(capsys):
     assert "two" in err
 
 
-def test_rates_k_beyond_closed_form_values_is_a_usage_error(capsys):
-    code, _, err = run_cli(
-        ["rates", "--bc", "simply-supported", "--n", "4", "--n", "8", "--k", "7"], capsys
+@pytest.mark.parametrize("dim,multiplier", [(2, 169), (3, 81)])
+def test_rates_k_beyond_six_takes_the_closed_form(dim, multiplier, capsys):
+    # The seventh sine mode: (2, 3) and (3, 2) share 13^2 pi^4 with no other
+    # in 2D; in 3D it is the third copy of 81 pi^4, after the two of table 4.
+    code, out, err = run_cli(
+        ["rates", "--dim", str(dim), "--bc", "simply-supported", "--n", "4", "--n", "8",
+         "--k", "7", "--format", "json"], capsys
     )
-    assert code == 3
-    assert "at most 6" in err
+    assert (code, err) == (0, "")
+    entry = json.loads(out)["entries"][6]
+    assert entry["reference"] == multiplier * math.pi ** 4
+    assert entry["reference_kind"] == "exact"
+    assert all(value < entry["reference"] for value in entry["eigenvalues"])
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,8 +8,8 @@ from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, assemble,
 from rectmorley import eigensolve
 from rectmorley.eigensolve import (METHOD_DENSE, METHOD_SHIFT_INVERT, REL_GAP,
                                    compute_residuals, count_below,
-                                   deterministic_start_vector,
-                                   residual_report, smallest_k_dense, solve_smallest)
+                                   deterministic_start_vector, smallest_k_dense,
+                                   solve_smallest, solved)
 from rectmorley.mesh import build_mesh
 
 
@@ -76,11 +76,11 @@ def test_start_vector_is_deterministic_and_dense():
     assert np.all(np.abs(v) > 1e-3)
 
 
-@pytest.mark.parametrize("bc,sigma", [(BC_CLAMPED, 0.0), (BC_SIMPLY_SUPPORTED, -1.0)])
-def test_shift_invert_agrees_with_dense(bc, sigma, ref2):
+@pytest.mark.parametrize("bc", [BC_CLAMPED, BC_SIMPLY_SUPPORTED])
+def test_shift_invert_agrees_with_dense(bc, ref2):
     a_mat, m_mat = assembled(2, 8, bc, ref2)
     dense = smallest_k_dense(a_mat, m_mat, 6)
-    si = solve_smallest(a_mat, m_mat, 6, sigma=sigma)
+    si = solve_smallest(a_mat, m_mat, 6)
     assert si.method == METHOD_SHIFT_INVERT
     assert si.converged
     assert si.eigenvalues[:6] == pytest.approx(dense.eigenvalues, rel=1e-9)
@@ -90,7 +90,7 @@ def test_shift_invert_resolves_degenerate_pair(ref2):
     # The second and third eigenvalues coincide by symmetry; the cluster must
     # come back complete, not as a single copy.
     a_mat, m_mat = assembled(2, 8, BC_SIMPLY_SUPPORTED, ref2)
-    result = solve_smallest(a_mat, m_mat, 3, sigma=-1.0)
+    result = solve_smallest(a_mat, m_mat, 3)
     lam2, lam3 = result.eigenvalues[1], result.eigenvalues[2]
     assert abs(lam2 - lam3) < 1e-8 * lam2
     gram = result.eigenvectors.T @ (m_mat @ result.eigenvectors)
@@ -109,17 +109,17 @@ def test_shift_invert_requires_k_below_order(ref2):
 
 
 def test_shift_invert_reports_factorization_failure():
-    # A singular pencil at sigma=0: A itself is singular.
+    # A singular stiffness matrix: SuperLU cannot factor it.
     a = sparse.csr_matrix(np.zeros((4, 4)))
     m = sparse.identity(4, format="csr")
-    with pytest.raises(ValueError, match="sigma"):
-        solve_smallest(a, m, 1, sigma=0.0)
+    with pytest.raises(ValueError, match="factorization of the stiffness matrix failed"):
+        solve_smallest(a, m, 1)
 
 
 def test_repeat_solves_are_bitwise_identical(ref2):
     a_mat, m_mat = assembled(2, 6, BC_SIMPLY_SUPPORTED, ref2)
-    first = solve_smallest(a_mat, m_mat, 4, sigma=-1.0)
-    second = solve_smallest(a_mat, m_mat, 4, sigma=-1.0)
+    first = solve_smallest(a_mat, m_mat, 4)
+    second = solve_smallest(a_mat, m_mat, 4)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
@@ -168,8 +168,7 @@ def test_nested_dissection_reduces_fill(ref2):
 ])
 def test_ordered_shift_invert_matches_dense(dim, n, bc, ref2, ref3):
     a_mat, m_mat = assembled(dim, n, bc, ref2 if dim == 2 else ref3)
-    sigma = 0.0 if bc == BC_CLAMPED else -1.0
-    si = solve_smallest(a_mat, m_mat, 6, sigma=sigma)
+    si = solve_smallest(a_mat, m_mat, 6)
     count = si.metadata["count_below_tau"]
     dense = smallest_k_dense(a_mat, m_mat, count)
     assert si.converged
@@ -193,7 +192,7 @@ def test_count_restores_skipped_copy(ref2, monkeypatch):
         return out
 
     monkeypatch.setattr(eigensolve.sla, "eigsh", recording_eigsh)
-    result = solve_smallest(a_mat, m_mat, 6, sigma=-1.0)
+    result = solve_smallest(a_mat, m_mat, 6)
     alone = runs[0]
     assert alone[5] > alone[4] * (1 + REL_GAP)
     assert result.converged
@@ -250,7 +249,7 @@ def test_solve_below_owes_nothing_without_a_factor(ref2, monkeypatch):
     result = solve_smallest(a_mat, m_mat, tau=1.0)
     assert result.converged and result.eigenvalues.size == 0
     assert result.metadata["count_below_tau"] == 0
-    # The count at tau is the only factor: no shift-invert factor at sigma.
+    # The count at tau is the only factor: no shift-invert factor of A.
     assert shifts == [1.0]
     with pytest.raises(ValueError, match="k or the threshold tau"):
         solve_smallest(a_mat, m_mat, 2, tau=1.0)
@@ -259,25 +258,26 @@ def test_solve_below_owes_nothing_without_a_factor(ref2, monkeypatch):
 def test_shift_between_eigenvalues_is_rejected(ref2):
     a_mat, m_mat = assembled(2, 6, BC_CLAMPED, ref2)
     lam = smallest_k_dense(a_mat, m_mat, 2).eigenvalues
-    sigma = 0.5 * (lam[0] + lam[1])
-    # One factor type gives both verdicts: one negative pivot, so the count
-    # is 1 and the shift is refused; none below lambda_1, so it is taken.
-    assert count_below(a_mat, m_mat, sigma) == 1
-    with pytest.raises(ValueError, match=f"sigma={sigma}"):
-        solve_smallest(a_mat, m_mat, 2, sigma=sigma)
-    below = 0.5 * lam[0]
-    assert count_below(a_mat, m_mat, below) == 0
-    result = solve_smallest(a_mat, m_mat, 2, sigma=below)
+    # One factor type gives both verdicts: one negative pivot between
+    # lambda_1 and lambda_2, so the count there is 1; none at the shift 0
+    # below lambda_1, so the shift-invert factor is taken.
+    assert count_below(a_mat, m_mat, 0.5 * (lam[0] + lam[1])) == 1
+    assert count_below(a_mat, m_mat, 0.0) == 0
+    result = solve_smallest(a_mat, m_mat, 2)
     assert result.method == METHOD_SHIFT_INVERT and result.converged
     # k=2 cuts the clamped square's double second eigenvalue: both copies.
     assert len(result.eigenvalues) == 3
     assert result.eigenvalues[:2] == pytest.approx(lam, rel=1e-9)
+    # A stiffness matrix with an eigenvalue below the shift 0 is refused.
+    indefinite = sparse.csr_matrix(np.diag([-1.0, 1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="not positive definite"):
+        solve_smallest(indefinite, sparse.identity(4, format="csr"), 1)
 
 
 def test_ordered_repeat_solves_are_bitwise_identical(ref3):
     a_mat, m_mat = assembled(3, 4, BC_SIMPLY_SUPPORTED, ref3)
-    first = solve_smallest(a_mat, m_mat, 6, sigma=-1.0)
-    second = solve_smallest(a_mat, m_mat, 6, sigma=-1.0)
+    first = solve_smallest(a_mat, m_mat, 6)
+    second = solve_smallest(a_mat, m_mat, 6)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
     assert first.metadata == second.metadata
@@ -297,16 +297,18 @@ def test_solver_metadata_reports_factor_and_work(ref2):
 # ---------------------------------------------------------------------------
 
 def test_residual_report_flags_perturbed_vectors(ref2):
+    # solved reports the residuals of the pairs it is given, and a pair off
+    # by more than RESIDUAL_TOL is not converged, whatever the solver said.
     a_mat, m_mat = assembled(2, 3, BC_CLAMPED, ref2)
     result = smallest_k_dense(a_mat, m_mat, 2)
     assert result.converged
     rng = np.random.default_rng(0)
-    result.eigenvectors = result.eigenvectors + 0.05 * rng.standard_normal(
-        result.eigenvectors.shape
-    )
-    res = residual_report(a_mat, m_mat, result)
-    assert np.any(res > 1e-8)
-    assert not result.converged
+    vectors = result.eigenvectors + 0.05 * rng.standard_normal(result.eigenvectors.shape)
+    perturbed = solved(a_mat, m_mat, METHOD_DENSE, result.eigenvalues, vectors)
+    assert np.any(perturbed.residuals > 1e-8)
+    assert not perturbed.converged
+    assert not solved(a_mat, m_mat, METHOD_DENSE, result.eigenvalues,
+                      result.eigenvectors, converged=False).converged
 
 
 def test_compute_residuals_exact_pair():
@@ -386,7 +388,7 @@ def test_solve_smallest_honors_explicit_method(ref2):
     # 'dense' forces the dense route where 'auto' takes shift-invert, which
     # is the auto route and not a method of its own.
     a_mat, m_mat = assembled(2, 6, BC_CLAMPED, ref2)
-    result = solve_smallest(a_mat, m_mat, 3, method="auto", sigma=0.0)
+    result = solve_smallest(a_mat, m_mat, 3, method="auto")
     assert result.method == METHOD_SHIFT_INVERT
     dense = solve_smallest(a_mat, m_mat, 3, method=METHOD_DENSE)
     assert dense.method == METHOD_DENSE

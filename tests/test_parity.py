@@ -19,7 +19,7 @@ from rectmorley.eigensolve import smallest_k_dense, solve_smallest
 from rectmorley.element import build_reference_element
 from rectmorley.mesh import build_mesh
 
-SIGMA = {"clamped": 0.0, "simply-supported": -1.0}
+BCS = ("clamped", "simply-supported")
 
 
 def full_pencil(dim, n, bc):
@@ -52,7 +52,7 @@ def block_eigenvalues(dim, n, bc, parity, k=6):
     mesh = half_box(dim, n)
     a_mat, m_mat = assemble(mesh, build_dof_map(mesh, bc, parity_faces(bc, parity)),
                             build_reference_element(dim))
-    return solve_smallest(a_mat, m_mat, k, sigma=SIGMA[bc]).eigenvalues[:k]
+    return solve_smallest(a_mat, m_mat, k).eigenvalues[:k]
 
 
 # The two routes round differently, so they can agree only to the float64
@@ -62,19 +62,19 @@ def block_eigenvalues(dim, n, bc, parity, k=6):
 # the routes' lambda_1 by 1.0e-11.
 @pytest.mark.parametrize("dim,n,rtol", [(2, 32, 1e-11), (2, 64, 5e-11),
                                         (3, 8, 1e-11), (3, 12, 1e-11)])
-@pytest.mark.parametrize("bc", sorted(SIGMA))
+@pytest.mark.parametrize("bc", BCS)
 def test_blocks_match_the_full_pencil(dim, n, rtol, bc):
     result = cli.solve_problem(dim, n, bc)
     assert len(result.metadata["blocks"]) == dim + 1
     assert result.converged
     a_mat, m_mat = full_pencil(dim, n, bc)
     assert result.metadata["order"] == a_mat.shape[0]
-    oracle = solve_smallest(a_mat, m_mat, 6, sigma=SIGMA[bc])
+    oracle = solve_smallest(a_mat, m_mat, 6)
     np.testing.assert_allclose(result.eigenvalues, oracle.eigenvalues[:6], rtol=rtol, atol=0)
 
 
 @pytest.mark.parametrize("n", [4, 8])
-@pytest.mark.parametrize("bc", sorted(SIGMA))
+@pytest.mark.parametrize("bc", BCS)
 def test_split_matches_the_dense_oracle(n, bc, monkeypatch):
     # Split every even n, however small, and compare with a solver that
     # uses no start vector.
@@ -88,7 +88,7 @@ def test_split_matches_the_dense_oracle(n, bc, monkeypatch):
 
 
 @pytest.mark.parametrize("dim,n,blocks", [(2, 16, 1), (2, 20, 3), (3, 4, 1), (3, 6, 4)])
-@pytest.mark.parametrize("bc", sorted(SIGMA))
+@pytest.mark.parametrize("bc", BCS)
 def test_split_threshold_is_per_dimension(dim, n, blocks, bc):
     # 3D n=6 (665/881 free DOFs) and 2D n=20 (1121/1201) are split, 2D n=16
     # (705/769) and 3D n=4 (171/267) are not.
@@ -96,7 +96,7 @@ def test_split_threshold_is_per_dimension(dim, n, blocks, bc):
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 8)])
-@pytest.mark.parametrize("bc", sorted(SIGMA))
+@pytest.mark.parametrize("bc", BCS)
 def test_blocks_with_as_many_odd_axes_are_isospectral(dim, n, bc):
     # Why solve_problem solves one block per number of odd axes.
     spectra = {"".join(p): block_eigenvalues(dim, n, bc, p)
@@ -121,7 +121,7 @@ def test_certificate_closes_the_3d_clamped_triple(k):
     assert result.metadata["k_closed"] == {6: 7, 7: 7, 8: 8}[k]
 
 
-@pytest.mark.parametrize("bc", sorted(SIGMA))
+@pytest.mark.parametrize("bc", BCS)
 def test_3d_n16_blocks_are_solved_for_what_they_owe(bc, monkeypatch):
     arpack_runs, factors = [], []
     eigsh = eigensolve.sla.eigsh
@@ -146,14 +146,14 @@ def test_3d_n16_blocks_are_solved_for_what_they_owe(bc, monkeypatch):
     assert [b["parity"] for b in meta["blocks"]] == ["oee", "ooe", "eee", "ooo"]
     counts = [b["count_below_tau"] for b in meta["blocks"]]
     assert counts == {"clamped": [2, 1, 1, 0], "simply-supported": [1, 1, 1, 0]}[bc]
-    # 3 SPD factors (at sigma): oee's, ooe's and eee's, and 4 count factors
-    # (at a tau above sigma): oee's after its SPD factor, ooe's and eee's
+    # 3 SPD factors (at shift 0): oee's, ooe's and eee's, and 4 count factors
+    # (at a tau above 0): oee's after its SPD factor, ooe's and eee's
     # before theirs, then ooo's.
     oee, ooe, eee, ooo = (b["order"] for b in meta["blocks"])
     if bc == "clamped":
         assert arpack_runs == counts[:3]
         assert [order for _, order in factors] == [oee, oee, ooe, ooe, eee, eee, ooo]
-        assert [shift == SIGMA[bc] for shift, _ in factors] == [True, False, False, True,
+        assert [shift == 0.0 for shift, _ in factors] == [True, False, False, True,
                                                                 False, True, False]
         assert meta["opinv_applications"] <= 65
     else:
@@ -162,7 +162,7 @@ def test_3d_n16_blocks_are_solved_for_what_they_owe(bc, monkeypatch):
 
 
 @pytest.mark.parametrize("dim,n", [(2, 8), (3, 6)])
-@pytest.mark.parametrize("bc", sorted(SIGMA))
+@pytest.mark.parametrize("bc", BCS)
 def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypatch):
     # One numbering and one assembly of the half box with free mid-plane
     # faces; each parity block is the principal submatrix on its free DOFs.
@@ -235,14 +235,14 @@ def test_one_block_solve_builds_at_most_two_factors(dim, n, bc, k_closed, monkey
     (block,) = result.metadata["blocks"]
     if bc == "clamped":
         assert len(arpack_runs) == 2
-        spd = (SIGMA[bc], block["order"])
+        spd = (0.0, block["order"])
         assert factors == [spd, (block["tau"], block["order"]), spd]
     else:
         assert arpack_runs == factors == []
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (2, 32), (2, 64), (3, 4), (3, 8), (3, 16)])
-@pytest.mark.parametrize("bc", sorted(SIGMA))
+@pytest.mark.parametrize("bc", BCS)
 def test_only_clamped_blocks_build_count_factors(dim, n, bc, monkeypatch):
     # Every block is counted once below a tau: a clamped block by a factor
     # of A - tau M, a simply supported one by the symbol, which builds no
@@ -251,7 +251,7 @@ def test_only_clamped_blocks_build_count_factors(dim, n, bc, monkeypatch):
     monkeypatch.setattr(eigensolve, "_ShiftedFactor", recorded_factor(factors))
     result = cli.solve_problem(dim, n, bc)
     assert result.converged
-    counts = [shift for shift, _ in factors if shift != SIGMA[bc]]
+    counts = [shift for shift, _ in factors if shift != 0.0]
     if bc == "clamped":
         assert len(counts) == len(result.metadata["blocks"])
     else:
@@ -292,7 +292,7 @@ def test_simply_supported_blocks_are_sliced_at_the_final_tau(dim, n):
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 4), (3, 16)])
-@pytest.mark.parametrize("bc", sorted(SIGMA))
+@pytest.mark.parametrize("bc", BCS)
 def test_at_most_one_factor_is_alive(dim, n, bc, monkeypatch):
     # Each factor (SPD or count) is freed before the next one is built, so
     # the peak memory holds one factor, not two; simply supported solves

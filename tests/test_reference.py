@@ -1,11 +1,12 @@
+import itertools
 import math
 
 import pytest
 
+from rectmorley.functions import sine_eigenvalue
 from rectmorley.reference import (BENCHMARK_CONFIG, BENCHMARK_IDS,
                                   BENCHMARK_N, BENCHMARK_RATES,
-                                  BENCHMARK_VALUES, EXACT_MULTIPLIERS,
-                                  exact_eigenvalues, observed_rate,
+                                  BENCHMARK_VALUES, exact_eigenvalues, observed_rate,
                                   observed_rates, richardson_reference)
 
 
@@ -44,7 +45,14 @@ def test_exact_eigenvalues_closed_form():
     assert exact_eigenvalues(3) == pytest.approx(
         [9 * pi4, 36 * pi4, 36 * pi4, 36 * pi4, 81 * pi4, 81 * pi4]
     )
-    assert EXACT_MULTIPLIERS[2] == (4, 25, 25, 64, 100, 100)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("k", [0, 1, 7, 10, 50])
+def test_exact_eigenvalues_match_every_sine_mode_of_a_larger_box(dim, k):
+    values = sorted(sine_eigenvalue(m)
+                    for m in itertools.product(range(1, 13), repeat=dim))
+    assert list(exact_eigenvalues(dim, k)) == values[:k]
 
 
 def test_observed_rate_halving_example():
