@@ -17,7 +17,7 @@ _EXPORTS = {
                  "assemble", "broken_energy_inner", "broken_error_norms",
                  "build_dof_map", "eigen_error_identity_terms", "element_matrices",
                  "interpolate_global"),
-    "element": ("ReferenceElement", "build_reference_element", "physical_dof_scaling"),
+    "element": ("ReferenceElement", "build_reference_element", "reference_dof_scale"),
     "eigensolve": ("EigenResult", "count_below", "smallest_k_dense", "solve_smallest"),
     "functions": ("ScaledFunction", "SineProduct", "sine_eigenvalue",
                   "unit_box_eigenfunction"),

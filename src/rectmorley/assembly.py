@@ -24,7 +24,7 @@ from functools import lru_cache, reduce
 import numpy as np
 import scipy.sparse as sparse
 
-from .element import SHAPE_DEGREE, ReferenceElement, build_reference_element, physical_dof_scaling
+from .element import SHAPE_DEGREE, ReferenceElement, build_reference_element, reference_dof_scale
 from .functions import ScaledFunction
 from .mesh import CartesianMesh
 from .polynomial import derivative_form, tabulate
@@ -203,13 +203,13 @@ def reference_matrices(element: ReferenceElement):
 def element_matrices(element: ReferenceElement, h: float):
     """Physical stiffness and mass matrices for a cell of half-width h.
 
-    Physical basis functions are the reference ones divided by the DOF scale
+    Physical basis functions are the reference ones times the DOF scale
     factors, so both matrices are sandwiched by diag(1, ..., h, ...).
     """
     khat, mhat = reference_matrices(element)
-    inv_scale = 1.0 / physical_dof_scaling(element, h)
-    ke = (h ** (element.dim - 4)) * (inv_scale[:, None] * khat * inv_scale[None, :])
-    me = (h ** element.dim) * (inv_scale[:, None] * mhat * inv_scale[None, :])
+    scale = reference_dof_scale(element, h)
+    ke = (h ** (element.dim - 4)) * (scale[:, None] * khat * scale[None, :])
+    me = (h ** element.dim) * (scale[:, None] * mhat * scale[None, :])
     return ke, me
 
 
@@ -220,7 +220,6 @@ def assemble(mesh: CartesianMesh, dofmap: DofMap, element: ReferenceElement):
     exactly symmetric, and no stored zeros (entries that cancel are dropped).
     """
     ke, me = element_matrices(element, mesh.half_width)
-    sgn = element.orientation
     idx = dofmap.cell_dofs
     keep = (idx[:, :, None] >= 0) & (idx[:, None, :] >= 0)
 
@@ -229,8 +228,7 @@ def assemble(mesh: CartesianMesh, dofmap: DofMap, element: ReferenceElement):
     n = dofmap.num_free
 
     def gather(local):
-        signed = sgn[:, None] * local * sgn[None, :]
-        mat = sparse.coo_matrix((np.broadcast_to(signed, keep.shape)[keep], (rows, cols)),
+        mat = sparse.coo_matrix((np.broadcast_to(local, keep.shape)[keep], (rows, cols)),
                                 shape=(n, n)).tocsr()
         mat.eliminate_zeros()
         return mat
@@ -271,11 +269,10 @@ def cell_reference_coefficients(values, mesh: CartesianMesh,
     of a function given by its DOF value on every entity, in id order.
 
     The layout is the element's DOF order: the vertex values, then the facet
-    values times h (reference normal derivatives), all times the local
-    orientation sign.
+    values times h (reference derivatives along +axis), as reference_dof_scale
+    gives them.
     """
-    scale = np.where(element.facet_dof_mask, mesh.half_width, 1.0) * element.orientation
-    return values[mesh.cell_entities] * scale
+    return values[mesh.cell_entities] * reference_dof_scale(element, mesh.half_width)
 
 
 @dataclass(frozen=True)
@@ -352,27 +349,20 @@ def derivative_alphas(dim: int, order: int) -> list:
             for pair in itertools.product(range(dim), repeat=order)]
 
 
-def broken_integral(mesh: CartesianMesh, element: ReferenceElement, order: int,
-                    integrand, *functions) -> float:
-    """Sum over cells and order-th derivatives of integral integrand(d u, d v, ...).
+def broken_integrals(mesh: CartesianMesh, element: ReferenceElement, orders,
+                     integrand, *functions) -> dict:
+    """For each order in orders, the sum over cells and order-th derivatives
+    of integral integrand(d u, d v, ...), as {order: value}.
 
-    Each function is an analytic input (answering derivatives(alphas, x)) or per-cell
-    reference coefficients of shape (num_elements, ndof), as returned by
-    cell_reference_coefficients.  integrand receives one array of
-    shape (cells, points, derivatives) per function, the derivatives in
-    derivative_alphas order, and returns an array of the same shape.  Cells
-    are processed in blocks of at most BLOCK_POINTS quadrature points; an
-    analytic input gets them as cell centers plus the offsets h * rule points
-    (u.derivatives(alphas, centers, offsets)).
-    """
-    return _broken_integrals(mesh, element, (order,), integrand, *functions)[order]
-
-
-def _broken_integrals(mesh: CartesianMesh, element: ReferenceElement, orders,
-                      integrand, *functions) -> dict:
-    """broken_integral for each order in orders, in one pass over the cells:
-    an analytic input is evaluated once per block, for the derivatives of
-    every order."""
+    Each function is an analytic input (answering derivatives(alphas, x)) or
+    per-cell reference coefficients of shape (num_elements, ndof), as returned
+    by cell_reference_coefficients.  integrand receives one array of shape
+    (cells, points, derivatives) per function, the derivatives in
+    derivative_alphas order, and returns an array of the same shape.  All orders
+    share one pass over the cells, in blocks of at most BLOCK_POINTS quadrature
+    points; an analytic input is evaluated once per block, for the derivatives
+    of every order, at the cell centers plus the offsets h * rule points
+    (u.derivatives(alphas, centers, offsets))."""
     rule = tensor_rule(mesh.dim, QUAD_ORDER)
     h = mesh.half_width
     alphas = [derivative_alphas(mesh.dim, order) for order in orders]
@@ -404,12 +394,12 @@ def broken_energy_inner(a, b, mesh: CartesianMesh, element: ReferenceElement) ->
     """
     a, b = (u.local_reference_coefficients(element) if isinstance(u, FemField) else u
             for u in (a, b))
-    return broken_integral(mesh, element, 2, np.multiply, a, b)
+    return broken_integrals(mesh, element, (2,), np.multiply, a, b)[2]
 
 
 def l2_norm_analytic(f, mesh: CartesianMesh) -> float:
     element = build_reference_element(mesh.dim)
-    return math.sqrt(broken_integral(mesh, element, 0, np.square, f))
+    return math.sqrt(broken_integrals(mesh, element, (0,), np.square, f)[0])
 
 
 def broken_error_norms(f, field, mesh: CartesianMesh,
@@ -424,7 +414,7 @@ def broken_error_norms(f, field, mesh: CartesianMesh,
     def squared_error(exact, discrete):
         return (exact - discrete) ** 2
 
-    integrals = _broken_integrals(mesh, element, tuple(orders), squared_error, f, field)
+    integrals = broken_integrals(mesh, element, tuple(orders), squared_error, f, field)
     return {l: math.sqrt(integrals[l]) for l in orders}
 
 

@@ -170,11 +170,14 @@ def count_below(A, M, tau: float) -> int:
     pivots of the _ShiftedFactor at tau.
 
     A factor that cannot count (SuperLU failed, left the diagonal pivots or
-    met a zero pivot) raises ValueError naming tau.  tau = inf counts every
-    eigenvalue without a factor.  The factor is freed before returning.
+    met a zero pivot) raises ValueError naming tau, as does a NaN tau.
+    tau = inf counts every eigenvalue and tau = -inf none, without a
+    factor.  The factor is freed before returning.
     """
-    if tau == np.inf:
-        return A.shape[0]
+    if np.isnan(tau):
+        raise ValueError(f"threshold tau must be a number or +-inf, got {tau}")
+    if np.isinf(tau):
+        return A.shape[0] if tau > 0 else 0
     try:
         negatives = _ShiftedFactor(A, M, tau).negatives
     except RuntimeError as exc:
@@ -265,7 +268,7 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto",
     many of its eigenvalues lie below tau.  A count that cannot be trusted
     (count_below raises ValueError) leaves the pairs found, if any, with
     count_below_tau None and converged=False.  k=0 returns no pairs and no
-    certificate.
+    certificate; a NaN tau is refused with ValueError.
 
     method 'auto' uses shift-invert whenever the pairs first solved for
     number fewer than order - 1, and the dense path (smallest_k_dense) only
@@ -298,6 +301,8 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto",
         raise ValueError(f"unknown solver method {method!r}")
     if (k is None) == (tau is None):
         raise ValueError("give either the number of eigenpairs k or the threshold tau")
+    if tau is not None and np.isnan(tau):
+        raise ValueError(f"threshold tau must be a number or +-inf, got {tau}")
     order = A.shape[0]
     found = solved(A, M, METHOD_DENSE if method == METHOD_DENSE else METHOD_SHIFT_INVERT,
                    np.empty(0), np.empty((order, 0)))

@@ -4,8 +4,10 @@ The shape space is P2 enriched with the pure cubes xi_i**3 (plus the mixed
 cube xi_1*xi_2*xi_3 in 3D), giving 8 functions in 2D and 14 in 3D.  The
 degrees of freedom have one fixed order: the values at the 2^dim corners,
 corner c at reference_corners(dim)[c], then for each axis and each side
--1, +1 the mean outward normal derivative over the facet xi_axis = side,
-which is DOF 2^dim + 2 axis + (side > 0).  dof_matrix applies them to the
+-1, +1 the mean derivative along +xi_axis over the facet xi_axis = side
+(side times its outward normal derivative), which is DOF 2^dim + 2 axis +
+(side > 0).  The global facet DOFs of a mesh point along +axis too, so only
+reference_dof_scale tells them apart.  dof_matrix applies the DOFs to the
 monomials; the nodal basis comes from inverting that generalized
 Vandermonde matrix on the shape monomials, and is kept as one coefficient
 matrix over the monomial list of polynomial.py.
@@ -79,13 +81,6 @@ class ReferenceElement:
     def facet_dof_mask(self) -> np.ndarray:
         return np.arange(self.ndof) >= 2 ** self.dim
 
-    @property
-    def orientation(self) -> np.ndarray:
-        """Sign of each DOF against the global DOF of a uniform mesh: 1 on
-        vertices, the outward normal sign on facets (global normals point
-        along +axis), the same for every cell."""
-        return np.concatenate([np.ones(2 ** self.dim), np.tile([-1.0, 1.0], self.dim)])
-
 
 @lru_cache(maxsize=None)
 def dof_matrix(dim: int, degree: int) -> np.ndarray:
@@ -95,7 +90,7 @@ def dof_matrix(dim: int, degree: int) -> np.ndarray:
     identity = np.eye(num_monomials(dim, degree))
     for axis in range(dim):
         normal = differentiate(dim, identity, tuple(int(a == axis) for a in range(dim)))
-        rows += [side * (normal @ facet_moments(dim, max(degree - 1, 0), axis, side))
+        rows += [normal @ facet_moments(dim, max(degree - 1, 0), axis, side)
                  for side in (-1, 1)]
     matrix = np.array(rows)
     matrix.flags.writeable = False
@@ -131,14 +126,10 @@ def build_reference_element(dim: int) -> ReferenceElement:
     return ReferenceElement(dim, monomials, coeffs, cond)
 
 
-def physical_dof_scaling(element: ReferenceElement, h: float) -> np.ndarray:
-    """Scale factors turning reference DOFs into physical ones on a cell of half-width h.
-
-    Vertex values are invariant under the affine map; facet mean normal
-    derivatives pick up a factor 1/h.
-    """
+def reference_dof_scale(element: ReferenceElement, h: float) -> np.ndarray:
+    """Per-DOF factors taking the global DOFs of a cell of half-width h to
+    its reference DOFs: 1 on vertices, which the affine map leaves alone, and
+    h on facets, as d/dxi = h d/dx."""
     if h <= 0:
         raise ValueError(f"half-width must be positive, got {h!r}")
-    scale = np.ones(element.ndof)
-    scale[element.facet_dof_mask] = 1.0 / h
-    return scale
+    return np.where(element.facet_dof_mask, h, 1.0)

@@ -4,10 +4,10 @@ Vertices and facets share one entity numbering: all vertices, then all
 facets grouped by normal axis (all facets normal to axis 0 first, then axis
 1, and so on), each group lexicographic with axis 0 varying fastest.  Every
 entity is a point of the doubled grid (entity_coordinates): a vertex has
-even coordinates only, a facet is odd on every axis but its normal.  Global
-facet orientation is the positive coordinate direction of the normal axis;
-elements see each facet with a sign (+1 when the global normal is their
-outward normal, -1 otherwise).
+even coordinates only, a facet is odd on every axis but its normal.  A
+facet's DOF differentiates along +axis of its normal, in every element that
+holds it as in the global numbering; on an axis-aligned cell the outward
+normal derivative is side times this DOF.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ class CartesianMesh:
     def cell_entities(self) -> np.ndarray:
         """Entity ids of every element, shape (num_elements, ndof), in the DOF
         order of element.reference_dof_points: the entity at doubled
-        coordinates 2 cell + 1 + point.  Every element sees its facets with
-        the reference orientation signs, +1 where the global normal is outward."""
+        coordinates 2 cell + 1 + point.  Reference and global facets share
+        the +axis direction, so the map carries no sign."""
         strides = (2 * self.n + 1) ** np.arange(self.dim)
         ids = np.full((2 * self.n + 1) ** self.dim, -1, dtype=np.int64)
         ids[self.entity_coordinates @ strides] = np.arange(self.num_entities)

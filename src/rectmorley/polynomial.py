@@ -188,14 +188,16 @@ class Polynomial:
         if dim < 1:
             raise ValueError(f"dimension must be positive, got {dim}")
         terms = terms or {}
-        keys = np.array(list(terms), dtype=float)
+        keys = np.array(list(terms))
         if terms and keys.shape != (len(terms), dim):
             raise ValueError(f"exponent tuples {list(terms)} do not match dim={dim}")
-        keys = keys.reshape(len(terms), dim).astype(np.int64)
-        if (keys < 0).any():
-            raise ValueError(f"negative exponent in {list(terms)}")
-        self.dim, self.bound = int(dim), int(keys.sum(axis=1).max(initial=0))
-        self.coeffs = np.bincount(_positions(dim, self.bound)[tuple(keys.T)],
+        keys = keys.reshape(len(terms), dim)
+        exps = keys.astype(np.int64, copy=False)
+        # A negative or fractional entry differs from its truncation's magnitude.
+        if (exps != np.abs(keys)).any():
+            raise ValueError(f"negative or non-integral exponent in {list(terms)}")
+        self.dim, self.bound = int(dim), int(exps.sum(axis=1).max(initial=0))
+        self.coeffs = np.bincount(_positions(dim, self.bound)[tuple(exps.T)],
                                   weights=np.fromiter(terms.values(), float, len(terms)),
                                   minlength=num_monomials(dim, self.bound)).astype(float)
 

@@ -64,8 +64,8 @@ def _single(dim: int, axis: int) -> int:
 def _phase_matrices(dim: int) -> np.ndarray:
     """Per phase pattern omega, the stiffness and the mass matrix on the
     local patterns of that part, shape (2, 2^dim, dim+1, dim+1), in
-    reference DOF units (a cell of half-width 1) and global facet
-    orientation.
+    reference DOF units (a cell of half-width 1), whose facet DOFs point
+    along +axis as the global ones do.
 
     The patterns omega are the 2^dim bit tuples in C order; bit a set takes
     the cos(phi_a) part of axis a.  Pattern 0 is the vertex values, the
@@ -82,10 +82,7 @@ def _phase_matrices(dim: int) -> np.ndarray:
         facets = slice(2 ** dim + 2 * a, 2 ** dim + 2 * a + 2)
         patterns[0, facets, 1 + a] = (1.0, -1.0)
         patterns[_single(dim, a), facets, 1 + a] = 1.0
-    sign = element.orientation
-    local = np.array([sign[:, None] * mat * sign[None, :]
-                      for mat in element_matrices(element, 1.0)])
-    out = np.einsum("wia,xij,wjb->xwab", patterns, local, patterns)
+    out = np.einsum("wia,xij,wjb->xwab", patterns, element_matrices(element, 1.0), patterns)
     out.flags.writeable = False
     return out
 

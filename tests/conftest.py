@@ -65,14 +65,15 @@ class EntityIds:
                 for offset in itertools.product((0, 1), repeat=len(cell))]
 
     def facets_of(self, e):
-        """(facet entity id, sign) of element e in local order (axis0-, axis0+, ...);
-        the sign is +1 where the global normal is outward."""
+        """(facet entity id, side) of element e in local order (axis0-, axis0+, ...);
+        the facet lies at xi_axis = side, so its outward normal derivative is
+        side times its DOF, which points along +axis."""
         cell = self.cells[e]
         out = []
         for axis in range(len(cell)):
-            for side, sign in ((0, -1.0), (1, 1.0)):
-                m = tuple(c + side * (a == axis) for a, c in enumerate(cell))
-                out.append((self.facet[axis, m], sign))
+            for upper, side in ((0, -1), (1, 1)):
+                m = tuple(c + upper * (a == axis) for a, c in enumerate(cell))
+                out.append((self.facet[axis, m], side))
         return out
 
     def coordinates(self):

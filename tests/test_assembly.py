@@ -7,13 +7,13 @@ from scipy.linalg import cholesky
 
 from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, BLOCK_POINTS,
                                  PARITY_EVEN, PARITY_ODD, QUAD_ORDER, FemField, assemble,
-                                 broken_energy_inner, broken_error_norms, broken_integral,
+                                 broken_energy_inner, broken_error_norms, broken_integrals,
                                  build_dof_map, eigen_error_identity_terms,
                                  element_matrices, free_dof_count,
                                  interpolate_global, l2_norm_analytic,
                                  reference_matrices, restricted_dofs)
 from rectmorley.eigensolve import smallest_k_dense
-from rectmorley.element import physical_dof_scaling
+from rectmorley.element import reference_dof_points, reference_dof_scale
 from rectmorley.functions import sine_eigenvalue, unit_box_eigenfunction
 from rectmorley.mesh import build_mesh
 from rectmorley.operators import canonical_interpolate
@@ -50,18 +50,17 @@ def test_free_dof_counts_3d():
 
 @pytest.mark.parametrize("dim,n", [(2, 1), (2, 3), (3, 2), (3, 3)])
 @pytest.mark.parametrize("bc", [BC_CLAMPED, BC_SIMPLY_SUPPORTED])
-def test_cell_connectivity_matches_entity_incidence(dim, n, bc, ref2, ref3, entity_ids):
+def test_cell_connectivity_matches_entity_incidence(dim, n, bc, entity_ids):
     mesh = build_mesh(dim, n)
     dofmap = build_dof_map(mesh, bc)
-    orientation = (ref2 if dim == 2 else ref3).orientation
+    sides = reference_dof_points(dim)[2 ** dim:].sum(axis=1)
     ids = entity_ids(mesh)
     for e in range(mesh.num_elements):
         facets = ids.facets_of(e)
         expected_dofs = dofmap.entity_dof[ids.vertices_of(e) + [fid for fid, _ in facets]]
-        expected_signs = np.concatenate([np.ones(2 ** dim), [sign for _, sign in facets]])
         assert np.array_equal(dofmap.cell_dofs[e], expected_dofs)
-        # Every element sees its DOFs with the reference element's signs.
-        assert np.array_equal(orientation, expected_signs)
+        # Every element's facet slots lie on the reference element's sides.
+        assert np.array_equal(sides, [side for _, side in facets])
 
 
 @pytest.mark.parametrize("dim,n", [(2, 8), (3, 4)])
@@ -83,7 +82,7 @@ def test_free_dofs_are_numbered_with_the_mid_plane_last(dim, n, bc, entity_ids):
     assert numbers[x0 < n].max() < numbers[x0 > n].min()
 
 
-def test_shared_facet_signs_are_opposite(ref2):
+def test_shared_facet_signs_are_opposite():
     mesh = build_mesh(2, 2)
     dofmap = build_dof_map(mesh, BC_SIMPLY_SUPPORTED)
     # Local facet slots start after the four vertex slots; slot 5 is the
@@ -91,8 +90,10 @@ def test_shared_facet_signs_are_opposite(ref2):
     right_of_0 = dofmap.cell_dofs[0, 5]
     left_of_1 = dofmap.cell_dofs[1, 4]
     assert right_of_0 == left_of_1
-    assert ref2.orientation[5] == 1.0
-    assert ref2.orientation[4] == -1.0
+    # The one DOF points along +x_0 in both; the outward normal derivatives,
+    # side times it, have opposite signs.
+    assert reference_dof_points(2)[5, 0] == 1
+    assert reference_dof_points(2)[4, 0] == -1
 
 
 def test_bad_bc_rejected():
@@ -161,7 +162,7 @@ def test_element_matrices_obey_scaling_law(ref2, ref3):
         k1, m1 = element_matrices(element, 1.0)
         h = 0.35
         kh, mh = element_matrices(element, h)
-        d = 1.0 / physical_dof_scaling(element, h)  # (1, ..., h, ...)
+        d = reference_dof_scale(element, h)  # (1, ..., h, ...)
         sandwich = d[:, None] * d[None, :]
         assert np.allclose(kh, h ** (dim - 4) * sandwich * k1, rtol=1e-12)
         assert np.allclose(mh, h ** dim * sandwich * m1, rtol=1e-12)
@@ -173,7 +174,7 @@ def test_element_stiffness_matches_quadrature(ref2):
     h = 0.25
     ke, me = element_matrices(ref2, h)
     rule = tensor_rule(2, 5)
-    inv_scale = 1.0 / physical_dof_scaling(ref2, h)
+    scale = reference_dof_scale(ref2, h)
     alphas = [(2, 0), (1, 1), (1, 1), (0, 2)]
     tables = [table.T / h ** 2 for table in
               np.moveaxis(tabulate(2, ref2.coeffs, alphas, rule.points), -1, 0)]
@@ -184,8 +185,8 @@ def test_element_stiffness_matches_quadrature(ref2):
         ke_quad += np.einsum("qi,qj,q->ij", table, table, rule.weights)
     me_quad = np.einsum("qi,qj,q->ij", vals, vals, rule.weights)
     jac = h ** 2  # dx = h^dim dxi
-    ke_quad = jac * inv_scale[:, None] * ke_quad * inv_scale[None, :]
-    me_quad = jac * inv_scale[:, None] * me_quad * inv_scale[None, :]
+    ke_quad = jac * scale[:, None] * ke_quad * scale[None, :]
+    me_quad = jac * scale[:, None] * me_quad * scale[None, :]
     assert np.allclose(ke, ke_quad, atol=1e-10)
     assert np.allclose(me, me_quad, atol=1e-12)
 
@@ -224,11 +225,25 @@ def test_assembly_matches_manual_gather_on_single_cell(ref2):
     assert dofmap.num_free == 4
     a_mat, m_mat = assemble(mesh, dofmap, ref2)
     ke, me = element_matrices(ref2, mesh.half_width)
-    signs = ref2.orientation[4:]
-    expected_a = signs[:, None] * ke[4:, 4:] * signs[None, :]
-    expected_m = signs[:, None] * me[4:, 4:] * signs[None, :]
-    assert np.allclose(a_mat.toarray(), expected_a, atol=1e-12)
-    assert np.allclose(m_mat.toarray(), expected_m, atol=1e-12)
+    assert np.allclose(a_mat.toarray(), ke[4:, 4:], atol=1e-12)
+    assert np.allclose(m_mat.toarray(), me[4:, 4:], atol=1e-12)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("bc", [BC_CLAMPED, BC_SIMPLY_SUPPORTED])
+def test_assembly_is_the_unsigned_scatter_add_of_element_matrices(dim, n, bc, ref2, ref3):
+    # Reference and global DOFs share their direction, so each cell adds its
+    # element matrices at its cell_dofs as they stand, cell by cell.
+    element = ref2 if dim == 2 else ref3
+    mesh = build_mesh(dim, n)
+    dofmap = build_dof_map(mesh, bc)
+    for mat, local in zip(assemble(mesh, dofmap, element),
+                          element_matrices(element, mesh.half_width)):
+        expected = np.zeros((dofmap.num_free, dofmap.num_free))
+        for dofs in dofmap.cell_dofs:
+            free = dofs >= 0
+            expected[np.ix_(dofs[free], dofs[free])] += local[np.ix_(free, free)]
+        assert np.array_equal(mat.toarray(), expected)
 
 
 def test_rayleigh_quotient_of_solved_pair_reproduces_eigenvalue(ref2):
@@ -255,7 +270,7 @@ def test_field_rejects_wrong_length():
         FemField(dofmap, np.zeros(dofmap.num_free + 1))
 
 
-def test_local_coefficients_carry_sign_and_h():
+def test_local_coefficients_carry_h_and_no_sign():
     mesh = build_mesh(2, 2)
     dofmap = build_dof_map(mesh, BC_SIMPLY_SUPPORTED)
     from rectmorley.element import build_reference_element
@@ -268,7 +283,7 @@ def test_local_coefficients_carry_sign_and_h():
     local = field.local_reference_coefficients(element)
     h = mesh.half_width
     assert local[0, 5] == pytest.approx(h)
-    assert local[1, 4] == pytest.approx(-h)
+    assert local[1, 4] == pytest.approx(h)
 
 
 def test_interpolated_quadratic_is_recovered_pointwise(ref2, entity_ids):
@@ -519,7 +534,8 @@ def test_identity_rejects_inadmissible_input(ref2):
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 4)])
 def test_error_norms_of_all_orders_equal_one_integral_per_order(dim, n, ref2, ref3):
     # broken_error_norms evaluates the analytic input once per block for all
-    # orders; the norms are bit for bit those of one broken_integral per order.
+    # orders; the norms are bit for bit those of one broken_integrals call per
+    # order.
     element = ref2 if dim == 2 else ref3
     mesh = build_mesh(dim, n)
     sine = unit_box_eigenfunction((1,) * dim)
@@ -530,8 +546,8 @@ def test_error_norms_of_all_orders_equal_one_integral_per_order(dim, n, ref2, re
         return (exact - discrete) ** 2
 
     norms = broken_error_norms(sine, field, mesh, element)
-    assert norms == {l: math.sqrt(broken_integral(mesh, element, l, squared_error,
-                                                  sine, coeffs)) for l in (0, 1, 2)}
+    assert norms == {l: math.sqrt(broken_integrals(mesh, element, (l,), squared_error,
+                                                   sine, coeffs)[l]) for l in (0, 1, 2)}
     assert broken_error_norms(sine, field, mesh, element, orders=(2, 0)) == {
         2: norms[2], 0: norms[0]}
 

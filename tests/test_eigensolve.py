@@ -236,6 +236,24 @@ def test_count_below_refuses_a_pivoted_factor():
         count_below(a, m, 1.0)
 
 
+def test_infinite_thresholds_count_without_a_factor_and_nan_is_refused(ref2, monkeypatch):
+    a_mat, m_mat = assembled(2, 4, BC_CLAMPED, ref2)
+
+    def no_factor(*args):
+        raise AssertionError("an infinite threshold needs no factor")
+
+    monkeypatch.setattr(eigensolve, "_ShiftedFactor", no_factor)
+    assert count_below(a_mat, m_mat, -np.inf) == 0
+    assert count_below(a_mat, m_mat, np.inf) == a_mat.shape[0]
+    below = solve_smallest(a_mat, m_mat, tau=-np.inf)
+    assert below.converged and below.eigenvalues.size == 0
+    assert below.metadata["count_below_tau"] == 0
+    for call in (lambda: count_below(a_mat, m_mat, np.nan),
+                 lambda: solve_smallest(a_mat, m_mat, tau=np.nan)):
+        with pytest.raises(ValueError, match="tau must be a number.*nan"):
+            call()
+
+
 def test_solve_below_owes_nothing_without_a_factor(ref2, monkeypatch):
     a_mat, m_mat = assembled(2, 6, BC_CLAMPED, ref2)
     shifts = []

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectmorley.element import (SHAPE_DEGREE, build_reference_element, dof_matrix,
-                                physical_dof_scaling, reference_corners,
-                                reference_dof_points)
+                                reference_corners, reference_dof_points,
+                                reference_dof_scale)
 from rectmorley.polynomial import Polynomial, tabulate
 from rectmorley.quadrature import facet_rule
 
@@ -35,8 +35,8 @@ def test_dof_counts(dim, ndof, ref2, ref3):
     corners = reference_corners(dim)
     assert np.array_equal(corners, [c[::-1] for c in itertools.product((-1, 1), repeat=dim)])
     # The kinds by index: corner values first (1 on the constant, the corner
-    # coordinate on xi_a), then facet mean outward normal derivatives (0 on
-    # the constant, side on the facet's own coordinate, 0 on the others).
+    # coordinate on xi_a), then facet mean derivatives along +axis (0 on the
+    # constant, 1 on the facet's own coordinate, 0 on the others).
     assert dofs_of(Polynomial.constant(dim, 1.0)) == pytest.approx(
         [1.0] * 2 ** dim + [0.0] * 2 * dim, abs=1e-15)
     for a in range(dim):
@@ -44,23 +44,22 @@ def test_dof_counts(dim, ndof, ref2, ref3):
         assert values[: 2 ** dim] == pytest.approx(corners[:, a], abs=1e-15)
         expected = np.zeros(2 * dim)
         for side in (-1, 1):
-            expected[facet_dof(dim, a, side) - 2 ** dim] = side
+            expected[facet_dof(dim, a, side) - 2 ** dim] = 1.0
         assert values[2 ** dim:] == pytest.approx(expected, abs=1e-15)
-    assert np.array_equal(element.orientation[element.facet_dof_mask],
-                          [side for _ in range(dim) for side in (-1.0, 1.0)])
-    assert np.array_equal(element.orientation[~element.facet_dof_mask], np.ones(2 ** dim))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_reference_dof_points_follow_the_dof_matrix_rows(dim):
-    # On xi_a every DOF reads coordinate a of its point: a corner's value is
-    # its coordinate, a facet's mean outward derivative is side on its own
-    # axis and 0 on the others.  The constant is 1 at corners, 0 on facets.
+    # On xi_a a corner's value is coordinate a of its point, and a facet's
+    # mean derivative along +axis is 1 on its own axis, where its point is
+    # side, and 0 on the others.  The constant is 1 at corners, 0 on facets.
     points = reference_dof_points(dim)
     assert points.shape == (dof_matrix(dim, SHAPE_DEGREE).shape[0], dim)
     assert np.array_equal(points[: 2 ** dim], reference_corners(dim))
     for a in range(dim):
-        assert np.array_equal(dofs_of(Polynomial.variable(dim, a)), points[:, a])
+        values = dofs_of(Polynomial.variable(dim, a))
+        assert np.array_equal(values[: 2 ** dim], points[: 2 ** dim, a])
+        assert np.array_equal(values[2 ** dim:], np.abs(points[2 ** dim:, a]))
     assert np.array_equal(dofs_of(Polynomial.constant(dim, 1.0)),
                           np.all(points != 0, axis=1))
 
@@ -91,11 +90,11 @@ def test_facet_functionals_average_the_normal_derivative(ref2):
     x = Polynomial.variable(2, 0)
     y = Polynomial.variable(2, 1)
     f = x * y ** 2
-    # d f / d xi_0 = xi_1^2, so its mean over either vertical edge is 1/3;
-    # the outward normal flips the sign on the minus side.
+    # d f / d xi_0 = xi_1^2, so its mean over either vertical edge is 1/3:
+    # both sides differentiate along +xi_0, whichever way the edge faces.
     values = dofs_of(f)
     assert values[facet_dof(2, 0, 1)] == pytest.approx(1.0 / 3.0, abs=1e-14)
-    assert values[facet_dof(2, 0, -1)] == pytest.approx(-1.0 / 3.0, abs=1e-14)
+    assert values[facet_dof(2, 0, -1)] == pytest.approx(1.0 / 3.0, abs=1e-14)
     # d f / d xi_1 = 2 xi_0 xi_1 has zero mean along the horizontal edges.
     assert values[facet_dof(2, 1, 1)] == pytest.approx(0.0, abs=1e-14)
     assert values[facet_dof(2, 1, -1)] == pytest.approx(0.0, abs=1e-14)
@@ -112,7 +111,7 @@ def test_facet_functional_matches_quadrature(ref3):
             rule = facet_rule(3, axis, side, 4)
             df = f.diff(axis)
             quad_mean = float(df(rule.points) @ rule.weights) / rule.weights.sum()
-            assert values[facet_dof(3, axis, side)] == pytest.approx(side * quad_mean, abs=1e-13)
+            assert values[facet_dof(3, axis, side)] == pytest.approx(quad_mean, abs=1e-13)
 
 
 def test_shape_space_contains_expected_monomials(ref2, ref3):
@@ -179,12 +178,23 @@ def test_basis_derivatives_match_each_basis_polynomial(ref2, ref3):
                 assert rows[:, j] == pytest.approx(phi.diff_multi(alpha)(pts), abs=1e-13)
 
 
-def test_physical_dof_scaling(ref2, ref3):
-    s = physical_dof_scaling(ref2, 0.25)
-    assert s == pytest.approx([1, 1, 1, 1, 4, 4, 4, 4])
-    s3 = physical_dof_scaling(ref3, 0.5)
-    assert s3[:8] == pytest.approx(np.ones(8))
-    assert s3[8:] == pytest.approx(2.0 * np.ones(6))
+def test_reference_dof_scale(ref2, ref3):
+    # Vertex values keep their scale; a facet DOF of a cell of half-width h
+    # is 1/h times the reference one.
+    assert np.array_equal(reference_dof_scale(ref2, 0.25), [1.0] * 4 + [0.25] * 4)
+    assert np.array_equal(reference_dof_scale(ref3, 0.5), [1.0] * 8 + [0.5] * 6)
+    for h in (0.0, -0.5):
+        with pytest.raises(ValueError, match="half-width"):
+            reference_dof_scale(ref2, h)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_both_facet_rows_of_an_axis_read_one_on_its_coordinate(dim):
+    # The outward normals of the facets xi_a = -1 and xi_a = +1 are opposite,
+    # but both DOFs differentiate along +xi_a, as the global facet DOFs do.
+    for a in range(dim):
+        values = dofs_of(Polynomial.variable(dim, a))
+        assert values[facet_dof(dim, a, -1)] == values[facet_dof(dim, a, 1)] == 1.0
 
 
 def test_build_rejects_unsupported_dim():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rectmorley.assembly import BC_CLAMPED, FACE_FREE, build_dof_map
+from rectmorley.element import reference_dof_points
 from rectmorley.mesh import build_mesh
 
 
@@ -41,14 +42,16 @@ def test_element_vertices_follow_corner_order():
     assert list(mesh3.cell_entities[0, :8]) == [0, 1, 3, 4, 9, 10, 12, 13]
 
 
-def test_neighbours_share_a_facet_with_opposite_signs(ref2, entity_ids):
+def test_neighbours_share_a_facet_with_opposite_signs(entity_ids):
     mesh = build_mesh(2, 2)
     # Elements 0 and 1 are adjacent along axis 0: the axis0+ facet (local
     # slot 4 + 1) of the one is the axis0- facet (slot 4 + 0) of the other.
     right_of_0, left_of_1 = mesh.cell_entities[[0, 1], [5, 4]]
     assert right_of_0 == left_of_1 == entity_ids(mesh).facet[0, (1, 0)]
-    facet_signs = ref2.orientation[ref2.facet_dof_mask]
-    assert (facet_signs[1], facet_signs[0]) == (1.0, -1.0)
+    # Both see the one DOF along +x_0; their outward normal derivatives,
+    # side times it, have opposite signs.
+    sides = reference_dof_points(2)[[5, 4], 0]
+    assert tuple(sides) == (1, -1)
 
 
 def test_every_interior_facet_is_shared_exactly_twice(ref2, ref3):
@@ -56,8 +59,8 @@ def test_every_interior_facet_is_shared_exactly_twice(ref2, ref3):
         mesh = build_mesh(element.dim, n)
         facets = mesh.cell_entities[:, element.facet_dof_mask].ravel()
         counts = np.bincount(facets, minlength=mesh.num_entities)[mesh.num_vertices:]
-        signs = np.tile(element.orientation[element.facet_dof_mask], mesh.num_elements)
-        signed = np.bincount(facets, weights=signs,
+        sides = reference_dof_points(element.dim)[element.facet_dof_mask].sum(axis=1)
+        signed = np.bincount(facets, weights=np.tile(sides, mesh.num_elements),
                              minlength=mesh.num_entities)[mesh.num_vertices:]
         fflags = on_boundary(mesh)[mesh.num_vertices:]
         assert np.all(counts[fflags] == 1)

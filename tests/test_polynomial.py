@@ -95,6 +95,16 @@ def test_degree_and_zero_conventions():
     assert p.degree() == 3
 
 
+def test_exponents_must_be_non_negative_integers():
+    # Integral entries of any numeric type are accepted as their integers.
+    assert Polynomial(2, {(2.0, np.int32(1)): 3.0}).terms == {(2, 1): 3.0}
+    for exps in ((1.5, 0), (0, 2.25), (-1, 0), (-0.5, 1)):
+        with pytest.raises(ValueError, match="negative or non-integral exponent"):
+            Polynomial(2, {exps: 1.0})
+    with pytest.raises(ValueError, match="non-integral"):
+        Polynomial(3, {(1, 0, 0): 1.0, (0, 0.5, 1): 2.0})
+
+
 def test_dimension_mismatch_rejected():
     p = Polynomial.variable(2, 0)
     q = Polynomial.variable(3, 0)
