@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -64,7 +65,10 @@ def _configure_threads():
         os.environ[var] = str(count)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and each parse makes its own namespace and lists."""
     parser = _Parser(
         prog="rectmorley",
         description="Biharmonic eigenvalue computations with rectangular "
@@ -187,11 +191,14 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     is not used).  Its count is the number of those pairs, None (not
     converged) when its order is not its class's eigenvalue count.  A
     clamped problem solves each block once with solve_smallest on the
-    `solver` route, counted by count_below's factor, below the tau of the
-    blocks merged before it; the first, with no tau yet, for k1 = ceil(k /
-    multiplicity) pairs (fewer if it is smaller), whose copies give k merged
-    values, certified at its own lambda_k1 (1 + REL_GAP).  Both are at or
-    above the final tau.
+    `solver` route, below the tau of the blocks merged before it; the first,
+    with no tau yet, for k1 = ceil(k / multiplicity) pairs (fewer if it is
+    smaller), whose copies give k merged values, certified at its own
+    lambda_k1 (1 + REL_GAP).  Both are at or above the final tau.  Each
+    block is counted from the spectrum of its simply supported class
+    (symbol.clamped_count, from the same block_spectra call), with no factor
+    of A - tau M: every factor a clamped solve builds is of A, at shift 0.
+    A block the symbol cannot count gets count None (not converged).
 
     The k smallest merged eigenvalues are returned in ascending order (a
     stable sort), with no full-space eigenvectors.  Every route reports the
@@ -199,6 +206,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     tau, k_closed, converged (every block converged and passed its count),
     the work counters summed over the blocks, and blocks, in solve order.
     """
+    import functools
     import itertools
     import math
     from collections import Counter
@@ -233,17 +241,19 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     # Largest classes first, so that the first block's copies alone give k
     # values; the sort is stable, so ties keep their count of odd axes.
     representatives = sorted(multiplicity, key=multiplicity.get, reverse=True)
-    spectra = symbol.block_spectra(dim, n, representatives) \
-        if bc == BC_SIMPLY_SUPPORTED else None
+    # The simply supported classes: a simply supported problem's pairs, and a
+    # clamped one's counts.
+    spectra = symbol.block_spectra(dim, n, representatives)
 
     dofmap = build_dof_map(mesh, bc, shared_faces)
     shared = assemble(mesh, dofmap, element)
 
     def slice_tau():
         """(1 + REL_GAP) times the k-th merged value, inf if fewer: of the
-        symbol's spectra when there are some, else of the blocks solved."""
-        blocks = {p: v for p, (v, *_) in spectra.items()} if spectra else \
-            {p: r.eigenvalues for p, r in solved.items()}
+        symbol's spectra of a simply supported problem, else of the blocks
+        solved."""
+        blocks = {p: v for p, (v, *_) in spectra.items()} if bc == BC_SIMPLY_SUPPORTED \
+            else {p: r.eigenvalues for p, r in solved.items()}
         values = np.concatenate([np.empty(0)] + [np.repeat(v, multiplicity[p])
                                                  for p, v in blocks.items()])
         return np.partition(values, k - 1)[k - 1] * (1 + eigensolve.REL_GAP) \
@@ -260,7 +270,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
                                             (bc, PARITY_ODD if p == "o" else PARITY_EVEN)])
             a_mat, m_mat = (mat[keep][:, keep] for mat in shared)
         tau = slice_tau()
-        if spectra is not None:
+        if bc == BC_SIMPLY_SUPPORTED:
             values, waves, vectors = spectra[parity]
             below = int(np.searchsorted(values, tau))
             modes = symbol.modes(dof_coordinates(dofmap)[keep], n, waves[:below],
@@ -273,7 +283,10 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
         else:
             owed = dict(tau=tau) if tau < np.inf else dict(
                 k=min(math.ceil(k / multiplicity[parity]), a_mat.shape[0]))
-            solved[parity] = eigensolve.solve_smallest(a_mat, m_mat, method=solver, **owed)
+            count = functools.partial(symbol.clamped_count, dim, n, parity, spectra[parity],
+                                      a_mat.shape[0])
+            solved[parity] = eigensolve.solve_smallest(a_mat, m_mat, method=solver,
+                                                       count=count, **owed)
     tau = slice_tau()
 
     merged = [(lam, res, parity) for parity in parities

@@ -6,15 +6,20 @@ Its route is ARPACK shift-invert at shift 0, around the no-pivot factor of
 the stiffness matrix A in the order the pencil is given (finite element
 pencils come numbered in nested-dissection order).  One factor type, the
 no-pivot LDL^T of A - shift M (_ShiftedFactor), serves the solves at shift
-0 and the certificate: by Sylvester's law of inertia its negative pivots
-count the eigenvalues below the shift (count_below), and the factor of A
-must have none.  Every result is certified: a solve for the k smallest
-pairs is counted below its own tau = lambda_k (1 + REL_GAP), a solve below
-a given tau below that, and either returns exactly that count, completing
-a short slice with deflated ARPACK passes (Ericsson and Ruhe, Math. Comp.
-35, 1980; Grimes, Lewis and Simon, SIMAX 15, 1994).  So no copy of a
-repeated eigenvalue is skipped silently, and a k that cuts a cluster gets
-all of it.  At most one factor is alive at a time.  The dense LAPACK path
+0 and the default certificate: by Sylvester's law of inertia its negative
+pivots count the eigenvalues below the shift (count_below), and the factor
+of A must have none.  Every result is certified: a solve for the k
+smallest pairs is counted below its own tau = lambda_k (1 + REL_GAP), a
+solve below a given tau below that, and either returns exactly that count,
+completing a short slice with deflated ARPACK passes (Ericsson and Ruhe,
+Math. Comp. 35, 1980; Grimes, Lewis and Simon, SIMAX 15, 1994).  So no copy
+of a repeated eigenvalue is skipped silently, and a k that cuts a cluster
+gets all of it.  The count is a seam: a caller who can count without a
+factor passes its own (the clamped blocks of cli.solve_problem count from
+the symbol, symbol.clamped_count), so that no solve of theirs factors
+A - tau M; count_below, a factor of A - tau M, is the default for library
+pencils and the tests' oracle.  At most one factor is alive at a time.  The
+dense LAPACK path
 (smallest_k_dense) is the test oracle, and the route for pencils too small
 for shift-invert.  Both return ascending eigenvalues with mass-orthonormal
 eigenvectors and per-pair relative residuals, and deterministic start
@@ -25,6 +30,7 @@ get the same residual check and certificate from solved and certified.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,20 +261,22 @@ def _solve(A, M, k: int, tau: float, found: EigenResult) -> EigenResult:
 
 
 def solve_smallest(A, M, k: int | None = None, method: str = "auto",
-                   tau: float | None = None) -> EigenResult:
+                   tau: float | None = None, count=None) -> EigenResult:
     """The k smallest eigenpairs of the sparse pencil (A, M), or every
     eigenpair below tau, certified: no eigenvalue below the last is skipped.
 
-    Give k or tau.  With tau, the pencil owes count_below(A, M, tau) pairs
-    below tau, the inertia count.  With k >= 1, k pairs are solved first,
-    their factor is freed, and tau is lambda_k (1 + REL_GAP): a k that cuts
-    a cluster of copies of lambda_k gets the whole cluster, more than k
-    pairs.  The result records metadata["tau"] and
-    metadata["count_below_tau"], and converged holds only if exactly that
-    many of its eigenvalues lie below tau.  A count that cannot be trusted
-    (count_below raises ValueError) leaves the pairs found, if any, with
-    count_below_tau None and converged=False.  k=0 returns no pairs and no
-    certificate; a NaN tau is refused with ValueError.
+    Give k or tau.  With tau, the pencil owes count(tau) pairs below tau:
+    count is a callable from a finite tau to the number of eigenvalues
+    below it, count_below(A, M, tau) by default (the inertia count of a
+    factor of A - tau M); tau = +-inf owes every pair or none, uncounted.
+    With k >= 1, k pairs are solved first, their factor is freed, and tau
+    is lambda_k (1 + REL_GAP): a k that cuts a cluster of copies of
+    lambda_k gets the whole cluster, more than k pairs.  The result records
+    metadata["tau"] and metadata["count_below_tau"], and converged holds
+    only if exactly that many of its eigenvalues lie below tau.  A count
+    that cannot be trusted (count raises ValueError) leaves the pairs found,
+    if any, with count_below_tau None and converged=False.  k=0 returns no
+    pairs and no certificate; a NaN tau is refused with ValueError.
 
     method 'auto' uses shift-invert whenever the pairs first solved for
     number fewer than order - 1, and the dense path (smallest_k_dense) only
@@ -312,13 +320,14 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto",
             return found
         found = _solve(A, M, k, np.inf, found)
         tau = found.eigenvalues[k - 1] * (1 + REL_GAP) if len(found.eigenvalues) >= k else np.inf
+    count = functools.partial(count_below, A, M) if count is None else count
     try:
-        count = count_below(A, M, tau)
+        owed = count(tau) if np.isfinite(tau) else (order if tau > 0 else 0)
     except ValueError:
         return certified(found, tau, None)
-    if found.converged and np.count_nonzero(found.eigenvalues < tau) < count:
-        found = _solve(A, M, count, tau, found)
-    return certified(found, tau, count)
+    if found.converged and np.count_nonzero(found.eigenvalues < tau) < owed:
+        found = _solve(A, M, owed, tau, found)
+    return certified(found, tau, owed)
 
 
 def certified(result: EigenResult, tau: float, count) -> EigenResult:

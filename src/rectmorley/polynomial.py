@@ -192,6 +192,9 @@ class Polynomial:
         if terms and keys.shape != (len(terms), dim):
             raise ValueError(f"exponent tuples {list(terms)} do not match dim={dim}")
         keys = keys.reshape(len(terms), dim)
+        # NaN, an infinity or a float past int64 has no integer to cast to.
+        if keys.dtype.kind == "f" and not (np.abs(keys) < 2.0 ** 63).all():
+            raise ValueError(f"negative or non-integral exponent in {list(terms)}")
         exps = keys.astype(np.int64, copy=False)
         # A negative or fractional entry differs from its truncation's magnitude.
         if (exps != np.abs(keys)).any():

@@ -1,6 +1,11 @@
-"""Gauss-Legendre quadrature on the reference box [-1, 1]^dim and its facets."""
+"""Gauss-Legendre quadrature on the reference box [-1, 1]^dim and its facets.
+
+The 1D and tensor rules are built once per argument and shared: their arrays
+are read-only.  Facet rules are built afresh, with arrays of their own.
+"""
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,14 +37,21 @@ class QuadRule:
         return self.points.shape[0]
 
 
+def _read_only(dim: int, points: np.ndarray, weights: np.ndarray) -> QuadRule:
+    points.flags.writeable = weights.flags.writeable = False
+    return QuadRule(dim, points, weights)
+
+
+@lru_cache(maxsize=None)
 def gauss_legendre_1d(n: int) -> QuadRule:
     """Classical n-point Gauss-Legendre rule on [-1, 1], exact to degree 2n - 1."""
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_POINTS_1D:
         raise ValueError(f"point count must be an integer in [1, {MAX_POINTS_1D}], got {n!r}")
     x, w = np.polynomial.legendre.leggauss(int(n))
-    return QuadRule(1, x.reshape(-1, 1), w.copy())
+    return _read_only(1, x.reshape(-1, 1), w)
 
 
+@lru_cache(maxsize=None)
 def tensor_rule(dim: int, n_per_axis: int) -> QuadRule:
     """Tensor product of 1D Gauss rules over [-1, 1]^dim."""
     if dim < 1:
@@ -53,7 +65,7 @@ def tensor_rule(dim: int, n_per_axis: int) -> QuadRule:
     w = np.ones(pts.shape[0])
     for g in wgrids:
         w = w * g.reshape(-1)
-    return QuadRule(dim, pts, w)
+    return _read_only(dim, pts, w)
 
 
 def facet_rule(dim: int, axis: int, side: int, n_per_axis: int) -> QuadRule:

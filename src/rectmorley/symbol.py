@@ -38,6 +38,32 @@ quotient of its computed eigenvector, as the reduced standard problem holds
 it only to the size of its largest entries.  Nothing depends on extended
 precision: at 2D n=1024 the eigenvalues agree with a 60-digit evaluation of
 the same sums to 3e-15 relative.
+
+Clamped counts (clamped_count): a clamped block is its simply supported
+sibling (the same parity, or the full box) with the m facets of its outer
+faces constrained, so its pencil is the principal submatrix of the simply
+supported one on the other DOFs.  For tau off both spectra, with
+F = A_ss - tau M_ss and E the columns of the identity on those facets,
+Haynsworth's inertia additivity (the inverse of a Schur complement is a
+block of F^-1) gives
+
+    count_clamped(tau) = count_ss(tau) - neg(E^T F^-1 E),
+
+the capacitance matrix of Buzbee, Dorr, George and Golub (SINUM 8, 1971).
+The symbol gives count_ss, and F^-1 = sum_j v_j v_j^T / (lambda_j - tau)
+over the M-orthonormal modes v_j.  On the facets of one face, a mode is its
+facet weight z_0 sin(theta_a) + z_{1+a} times (-1)^{p_a} on an upper face,
+times the product of the sines of its other wave numbers at the facets' odd
+coordinates.  Per face, that sine matrix is square and invertible (one
+transverse wave-number tuple per facet: a sine transform), so E^T F^-1 E is
+congruent to the m x m matrix
+
+    C(tau) = sum_j g_j g_j^T / (lambda_j - tau),
+
+whose vector g_j holds mode j's facet weights at the rows of its own
+transverse wave numbers, at most one per face, and the two have one
+inertia.  On the full box the rows are the sum and the difference of the
+lower and upper face's, which modes of even and odd p_a reach.
 """
 
 from __future__ import annotations
@@ -53,6 +79,9 @@ from .element import build_reference_element, reference_corners
 
 # The method of a result whose pairs come from the symbol, with no solve.
 METHOD_SYMBOL = "symbol"
+# The relative rounding allowed in each term of a clamped count's
+# capacitance matrix: the symbol's eigenvalues and weights hold about 3e-15.
+ROUNDING = 64 * np.finfo(float).eps
 
 
 def _single(dim: int, axis: int) -> int:
@@ -192,6 +221,16 @@ def _eigenpairs(pencils, exists):
     return values, vectors
 
 
+def _ascending(n: int, waves, values, vectors) -> tuple:
+    """The eigenpairs of _eigenpairs of the pencils of `waves`, scaled to the
+    unit box and ascending, past the negative values of the absent families."""
+    # Reference units: eigenvalues scale with the cell half-width ** -4.
+    values = values * (2.0 * n) ** 4
+    ascending = np.argsort(values, axis=None, kind="stable")[np.count_nonzero(values < 0):]
+    wave, slot = np.unravel_index(ascending, values.shape)
+    return values[wave, slot], waves[wave], vectors[wave, :, slot]
+
+
 def wave_spectra(dim: int, n: int, waves) -> tuple:
     """The discrete simply supported eigenpairs of the unit box with n cells
     per axis that belong to the wave vectors `waves` (dim-tuples of p in
@@ -200,26 +239,23 @@ def wave_spectra(dim: int, n: int, waves) -> tuple:
     in the basis (wave direction, facet families), shape (m, dim+1).
     """
     waves = np.asarray(waves).reshape(-1, dim)
-    values, vectors = _eigenpairs(*_pencils(dim, n, waves))
-    # Reference units: eigenvalues scale with the cell half-width ** -4.
-    values *= (2.0 * n) ** 4
-    # Ascending, past the negative values of the absent families.
-    ascending = np.argsort(values, axis=None, kind="stable")[np.count_nonzero(values < 0):]
-    wave, slot = np.unravel_index(ascending, values.shape)
-    return values[wave, slot], waves[wave], vectors[wave, :, slot]
+    return _ascending(n, waves, *_eigenpairs(*_pencils(dim, n, waves)))
 
 
 def block_spectra(dim: int, n: int, parities) -> dict:
     """wave_spectra of each parity block in `parities` (one letter per axis,
-    'e' exactly when p_a is odd, else 'o'; None for the full box)."""
+    'e' exactly when p_a is odd, else 'o'; None for the full box), from one
+    batch of pencils."""
     p = np.arange(n + 1)
-    out = {}
+    blocks = []
     for parity in parities:
         letters = parity or "*" * dim
         numbers = [p if letter == "*" else p[(letter == "e")::2] for letter in letters]
-        waves = np.stack(np.meshgrid(*numbers, indexing="ij"), axis=-1).reshape(-1, dim)
-        out[parity] = wave_spectra(dim, n, waves)
-    return out
+        blocks.append(np.stack(np.meshgrid(*numbers, indexing="ij"), axis=-1).reshape(-1, dim))
+    values, vectors = _eigenpairs(*_pencils(dim, n, np.concatenate(blocks)))
+    bounds = np.cumsum([0] + [len(waves) for waves in blocks])
+    return {parity: _ascending(n, waves, values[start:stop], vectors[start:stop])
+            for parity, waves, start, stop in zip(parities, blocks, bounds, bounds[1:])}
 
 
 def modes(coords: np.ndarray, n: int, waves: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -241,3 +277,67 @@ def modes(coords: np.ndarray, n: int, waves: np.ndarray, vectors: np.ndarray) ->
     weights = np.column_stack([vectors[:, 0], 2 * n * (vectors[:, :1] * sines + vectors[:, 1:])])
     family = np.where(vertex, 0, 1 + np.argmax(cos_axes, axis=1))
     return 2 ** coords.shape[1] * amplitudes * weights[:, family].T
+
+
+def clamped_count(dim: int, n: int, parity, spectrum, order: int, tau: float) -> int:
+    """The number of eigenvalues below the finite tau of the clamped block
+    `parity` (None for the full box), of order `order`, from the spectrum
+    of its simply supported sibling (block_spectra(dim, n, [parity])[parity])
+    by the capacitance identity of the module docstring, with no factor.
+
+    Raises ValueError when it cannot count: when order plus the number of
+    outer-face facets is not the spectrum's length, when tau lies within
+    rounding of a simply supported eigenvalue, or when an eigenvalue of the
+    capacitance matrix lies within its rounding bound of 0.
+    """
+    values, waves, vectors = spectrum
+    # The wave numbers whose sine does not vanish on the odd doubled
+    # coordinates of the facets, numbered by slot: 1..n on the full box, the
+    # odd ones ('e') or 2, 4, .., n ('o') in a parity block.  A face has one
+    # row per tuple of them on its other axes; the full box has the sum and
+    # the difference of the lower and the upper face's rows instead, which
+    # even and odd p_a reach.
+    first, step = (np.array([2 if letter == "o" else 1 for letter in parity]), 2) \
+        if parity else (1, 1)
+    slots = (waves - first) // step
+    width = n // step
+    face = width ** (dim - 1)
+    size = (1 if parity else 2) * dim * face
+    if order + size != len(values):
+        raise ValueError(f"no symbol count for a block of order {order}: its simply "
+                         f"supported class has {len(values)} modes, not {order + size}")
+    gap = values - tau
+    if np.any(np.abs(gap) <= ROUNDING * np.abs(values)):
+        raise ValueError(f"no symbol count at tau={tau}: it is within rounding of a "
+                         "simply supported eigenvalue")
+
+    # Per mode and face, its row and its facet weight there (the sum of the
+    # parts' magnitudes bounds the weight's rounding).  A mode reaches the
+    # facets normal to a unless the sine of another axis vanishes there.
+    place = np.zeros((dim, dim), dtype=np.int64)
+    for a in range(dim):
+        place[np.arange(dim) != a, a] = width ** np.arange(dim - 2, -1, -1)
+    rows = slots @ place + face * np.arange(dim)
+    if not parity:
+        rows += dim * face * (waves % 2)
+    vanishing = slots < 0
+    on_face = vanishing.sum(axis=1, keepdims=True) == vanishing
+    rows[~on_face] = 0
+    sines = np.sin(waves * (np.pi / (2 * n)))
+    weights = np.where(on_face, vectors[:, :1] * sines + vectors[:, 1:], 0.0)
+    sizes = np.where(on_face, np.abs(vectors[:, :1]) * sines + np.abs(vectors[:, 1:]), 0.0)
+
+    inverse = 1.0 / gap
+    pairs = (rows[:, :, None] * size + rows[:, None, :]).ravel()
+    terms = weights[:, :, None] * (inverse[:, None, None] * weights[:, None, :])
+    capacitance = np.bincount(pairs, terms.ravel(), size * size).reshape(size, size)
+    eigenvalues = np.linalg.eigvalsh(capacitance)
+    # Each term's relative rounding, from its inputs and from the sums and
+    # eigvalsh (a few eps times the order): the row sums of the terms'
+    # magnitudes times it bound the 2-norm of the capacitance's error.
+    spread = ROUNDING * (size + np.abs(values * inverse)) * np.abs(inverse) * sizes.sum(axis=1)
+    bound = np.bincount(rows.ravel(), (sizes * spread[:, None]).ravel(), size).max()
+    if np.abs(eigenvalues).min() <= bound:
+        raise ValueError(f"no symbol count at tau={tau}: the capacitance matrix is "
+                         "singular to rounding")
+    return int(np.searchsorted(values, tau)) - int(np.count_nonzero(eigenvalues < 0))

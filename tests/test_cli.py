@@ -124,42 +124,59 @@ def test_solve_json_reports_parity_blocks(capsys):
         assert run["parities"] == [None] * 6
 
 
-class _PivotedFactor:
-    """A SuperLU factor whose row permutation is not its column permutation."""
-
-    def __init__(self, lu):
-        self.lu = lu
-        self.perm_r = lu.perm_r[::-1].copy()
-
-    def __getattr__(self, name):
-        return getattr(self.lu, name)
-
-
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 8)])
 def test_solve_exits_1_when_the_count_factor_pivots(dim, n, monkeypatch, capsys):
-    # Only the indefinite factors, those of A - tau M that count, are spoiled:
-    # the SPD shift-invert factors still pass.
-    splu = eigensolve.sla.splu
+    # The symbol count took the place of the count factor.  Each of its three
+    # refusals leaves every clamped block uncounted, and the solve exits 1:
+    # a class that does not number its block, tau on a simply supported
+    # eigenvalue, and a singular capacitance matrix (no mode reaches the
+    # facets).  No factor of A - tau M stands in for it.
+    from rectmorley import symbol
 
-    def spoiled_splu(*args, **kwargs):
-        lu = splu(*args, **kwargs)
-        return _PivotedFactor(lu) if np.any(lu.U.diagonal() < 0) else lu
+    spectra, clamped_count = symbol.block_spectra, symbol.clamped_count
 
-    monkeypatch.setattr(eigensolve.sla, "splu", spoiled_splu)
-    code, out, err = run_cli(["solve", "--dim", str(dim), "--n", str(n),
-                              "--format", "json"], capsys)
-    assert code == 1
-    assert "did not converge" in err
-    meta = json.loads(out)["runs"][0]["metadata"]
-    assert not meta["converged"]
-    assert all(b["count_below_tau"] is None and not b["converged"] for b in meta["blocks"])
+    def one_short(*args):
+        return {p: tuple(part[1:] for part in spectrum)
+                for p, spectrum in spectra(*args).items()}
+
+    def tau_on_a_value(dim, n, parity, spectrum, order, tau):
+        values = spectrum[0].copy()
+        values[np.argmin(np.abs(values - tau))] = tau
+        return clamped_count(dim, n, parity, (values, *spectrum[1:]), order, tau)
+
+    def no_facets(dim, n, parity, spectrum, order, tau):
+        values, waves, vectors = spectrum
+        return clamped_count(dim, n, parity, (values, waves, 0.0 * vectors), order, tau)
+
+    class RecordedFactor(eigensolve._ShiftedFactor):
+        def __init__(self, a_mat, m_mat, shift):
+            shifts.append(shift)
+            super().__init__(a_mat, m_mat, shift)
+
+    for name, spoiled in (("block_spectra", one_short), ("clamped_count", tau_on_a_value),
+                          ("clamped_count", no_facets)):
+        shifts = []
+        with monkeypatch.context() as patch:
+            patch.setattr(symbol, name, spoiled)
+            patch.setattr(eigensolve, "_ShiftedFactor", RecordedFactor)
+            code, out, err = run_cli(["solve", "--dim", str(dim), "--n", str(n),
+                                      "--format", "json"], capsys)
+        assert code == 1, name
+        assert "did not converge" in err
+        meta = json.loads(out)["runs"][0]["metadata"]
+        assert not meta["converged"]
+        assert all(b["count_below_tau"] is None and not b["converged"]
+                   for b in meta["blocks"])
+        assert shifts and set(shifts) == {0.0}
 
 
 def test_traced_solve_smallest_sees_every_block_solve_and_count(monkeypatch):
     # A traced benchmark run swaps eigensolve.solve_smallest for a wrapper
     # that opens an eigensolve span.  solve_problem must look it up at call
-    # time, and every inertia count must run inside it.
-    solve_smallest, count_below = eigensolve.solve_smallest, eigensolve.count_below
+    # time, and every count, from the symbol, must run inside it.
+    from rectmorley import symbol
+
+    solve_smallest, clamped_count = eigensolve.solve_smallest, symbol.clamped_count
     open_spans, solves, counts = [], [], []
 
     @functools.wraps(solve_smallest)
@@ -173,10 +190,14 @@ def test_traced_solve_smallest_sees_every_block_solve_and_count(monkeypatch):
 
     def counting(*args, **kwargs):
         counts.append(list(open_spans))
-        return count_below(*args, **kwargs)
+        return clamped_count(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("count_below called")
 
     monkeypatch.setattr(eigensolve, "solve_smallest", traced)
-    monkeypatch.setattr(eigensolve, "count_below", counting)
+    monkeypatch.setattr(symbol, "clamped_count", counting)
+    monkeypatch.setattr(eigensolve, "count_below", refused)
     result = cli.solve_problem(3, 8, "clamped")
     assert result.converged
     # oee for ceil(k / 3) pairs, certified at its own tau; then ooe, eee
@@ -629,6 +650,23 @@ def test_missing_required_argument_exits_3():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["solve"])
     assert excinfo.value.code == 3
+
+
+def test_one_parser_serves_every_call_without_sharing_lists(monkeypatch, capsys):
+    # main builds its parser once per process; each parse still makes its
+    # own --n list, and a usage error after a good call still exits 3.
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "solve", lambda args: seen.append(args.n) or 0)
+    assert cli.main(["solve", "--n", "4", "--n", "8"]) == 0
+    assert cli.main(["solve", "--n", "16"]) == 0
+    assert seen == [[4, 8], [16]] and seen[0] is not seen[1]
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["solve", "--n", "four"])
+    assert excinfo.value.code == 3
+    assert "invalid int value" in capsys.readouterr().err
+    assert cli.main(["solve", "--n", "32"]) == 0
+    assert seen[-1] == [32]
 
 
 def test_unknown_command_exits_3():

@@ -273,6 +273,39 @@ def test_solve_below_owes_nothing_without_a_factor(ref2, monkeypatch):
         solve_smallest(a_mat, m_mat, 2, tau=1.0)
 
 
+def test_a_given_count_replaces_the_count_factor(ref2, monkeypatch):
+    # solve_smallest(count=) counts with the callable, at finite thresholds
+    # only, and builds no factor at a nonzero shift; a count that raises
+    # ValueError leaves the pairs found uncertified.
+    a_mat, m_mat = assembled(2, 6, BC_CLAMPED, ref2)
+    shifts, asked = [], []
+
+    class RecordedFactor(eigensolve._ShiftedFactor):
+        def __init__(self, a_mat, m_mat, shift):
+            shifts.append(shift)
+            super().__init__(a_mat, m_mat, shift)
+
+    def oracle(tau):
+        asked.append(tau)
+        return int(np.count_nonzero(smallest_k_dense(a_mat, m_mat, 8).eigenvalues < tau))
+
+    def refused(tau):
+        raise ValueError("cannot count")
+
+    monkeypatch.setattr(eigensolve, "_ShiftedFactor", RecordedFactor)
+    counted = solve_smallest(a_mat, m_mat, 2, count=oracle)
+    assert set(shifts) == {0.0} and asked == [counted.metadata["tau"]]
+    assert counted.converged and counted.metadata["count_below_tau"] == 3
+    default = solve_smallest(a_mat, m_mat, 2)
+    assert np.array_equal(default.eigenvalues, counted.eigenvalues)
+    assert default.metadata["tau"] in shifts
+    assert solve_smallest(a_mat, m_mat, tau=np.inf, count=refused).metadata[
+        "count_below_tau"] == a_mat.shape[0]
+    uncounted = solve_smallest(a_mat, m_mat, 2, count=refused)
+    assert uncounted.metadata["count_below_tau"] is None and not uncounted.converged
+    assert uncounted.eigenvalues == pytest.approx(counted.eigenvalues[:2], rel=1e-12)
+
+
 def test_shift_between_eigenvalues_is_rejected(ref2):
     a_mat, m_mat = assembled(2, 6, BC_CLAMPED, ref2)
     lam = smallest_k_dense(a_mat, m_mat, 2).eigenvalues

@@ -146,15 +146,12 @@ def test_3d_n16_blocks_are_solved_for_what_they_owe(bc, monkeypatch):
     assert [b["parity"] for b in meta["blocks"]] == ["oee", "ooe", "eee", "ooo"]
     counts = [b["count_below_tau"] for b in meta["blocks"]]
     assert counts == {"clamped": [2, 1, 1, 0], "simply-supported": [1, 1, 1, 0]}[bc]
-    # 3 SPD factors (at shift 0): oee's, ooe's and eee's, and 4 count factors
-    # (at a tau above 0): oee's after its SPD factor, ooe's and eee's
-    # before theirs, then ooo's.
-    oee, ooe, eee, ooo = (b["order"] for b in meta["blocks"])
+    # 3 SPD factors (at shift 0): oee's, ooe's and eee's.  Every block is
+    # counted from the symbol, with no factor of A - tau M.
+    oee, ooe, eee, _ = (b["order"] for b in meta["blocks"])
     if bc == "clamped":
         assert arpack_runs == counts[:3]
-        assert [order for _, order in factors] == [oee, oee, ooe, ooe, eee, eee, ooo]
-        assert [shift == 0.0 for shift, _ in factors] == [True, False, False, True,
-                                                                False, True, False]
+        assert factors == [(0.0, oee), (0.0, ooe), (0.0, eee)]
         assert meta["opinv_applications"] <= 65
     else:
         assert arpack_runs == factors == []
@@ -230,13 +227,14 @@ def test_one_block_solve_builds_at_most_two_factors(dim, n, bc, k_closed, monkey
     assert len(result.metadata["blocks"]) == 1
     assert result.metadata["k_closed"] == k_closed
     # A clamped block is solved for k pairs on an SPD factor, which is freed
-    # before the count factor at its tau is built, and is completed on a
-    # second SPD factor.  A simply supported block builds no factor.
+    # before it is counted (from the symbol, with no factor), and is
+    # completed on a second SPD factor.  A simply supported block builds no
+    # factor.
     (block,) = result.metadata["blocks"]
     if bc == "clamped":
         assert len(arpack_runs) == 2
         spd = (0.0, block["order"])
-        assert factors == [spd, (block["tau"], block["order"]), spd]
+        assert factors == [spd, spd]
     else:
         assert arpack_runs == factors == []
 
@@ -244,18 +242,33 @@ def test_one_block_solve_builds_at_most_two_factors(dim, n, bc, k_closed, monkey
 @pytest.mark.parametrize("dim,n", [(2, 4), (2, 32), (2, 64), (3, 4), (3, 8), (3, 16)])
 @pytest.mark.parametrize("bc", BCS)
 def test_only_clamped_blocks_build_count_factors(dim, n, bc, monkeypatch):
-    # Every block is counted once below a tau: a clamped block by a factor
-    # of A - tau M, a simply supported one by the symbol, which builds no
-    # factor at all.
-    factors = []
+    # Every block is counted once below a tau, from the symbol: a clamped
+    # block by its capacitance matrix, a simply supported one by its modes.
+    # No block builds a count factor: every factor solve_problem builds is
+    # a clamped block's SPD factor, at shift 0.
+    from rectmorley import symbol
+
+    factors, counted = [], []
+    clamped_count = symbol.clamped_count
+
+    def recorded_count(*args):
+        counted.append(args[2])
+        return clamped_count(*args)
+
     monkeypatch.setattr(eigensolve, "_ShiftedFactor", recorded_factor(factors))
+    monkeypatch.setattr(symbol, "clamped_count", recorded_count)
     result = cli.solve_problem(dim, n, bc)
     assert result.converged
-    counts = [shift for shift, _ in factors if shift != 0.0]
+    assert all(shift == 0.0 for shift, _ in factors)
+    blocks = result.metadata["blocks"]
     if bc == "clamped":
-        assert len(counts) == len(result.metadata["blocks"])
+        assert counted == [b["parity"] for b in blocks]
+        # The SPD factors are those of the blocks that owe pairs (3D ooo
+        # owes none).
+        owing = {b["order"] for b in blocks if b["count_below_tau"]}
+        assert {order for _, order in factors} == owing
     else:
-        assert not factors
+        assert counted == factors == []
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (2, 5), (2, 32), (2, 64), (3, 3), (3, 4), (3, 16)])
@@ -294,9 +307,9 @@ def test_simply_supported_blocks_are_sliced_at_the_final_tau(dim, n):
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 4), (3, 16)])
 @pytest.mark.parametrize("bc", BCS)
 def test_at_most_one_factor_is_alive(dim, n, bc, monkeypatch):
-    # Each factor (SPD or count) is freed before the next one is built, so
-    # the peak memory holds one factor, not two; simply supported solves
-    # build none.
+    # Each SPD factor is freed before the next one is built, so the peak
+    # memory holds one factor, not two; clamped blocks are counted with no
+    # factor, and simply supported solves build none.
     alive, before = [], []
 
     class TrackedFactor(eigensolve._ShiftedFactor):

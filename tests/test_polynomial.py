@@ -105,6 +105,14 @@ def test_exponents_must_be_non_negative_integers():
         Polynomial(3, {(1, 0, 0): 1.0, (0, 0.5, 1): 2.0})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e30])
+def test_exponents_without_an_integer_are_refused_before_the_cast(bad):
+    # The test suite turns warnings into errors, so numpy's cast warning
+    # would surface here instead of the refusal.
+    with pytest.raises(ValueError, match="non-integral exponent"):
+        Polynomial(2, {(bad, 0): 1.0})
+
+
 def test_dimension_mismatch_rejected():
     p = Polynomial.variable(2, 0)
     q = Polynomial.variable(3, 0)

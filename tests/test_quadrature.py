@@ -127,3 +127,17 @@ def test_tensor_rule_exact_on_monomials(exps):
     assert quad_apply(rule, mono) == pytest.approx(
         integrate_monomial_box(tuple(exps)), abs=1e-12
     )
+
+
+def test_shared_rules_are_read_only_and_facet_rules_are_copies():
+    # The 1D and tensor rules are built once and shared, so no caller may
+    # write them; each facet rule has arrays of its own.
+    for rule in (gauss_legendre_1d(3), tensor_rule(2, 3), tensor_rule(3, 4)):
+        for array in (rule.points, rule.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    assert tensor_rule(2, 3) is tensor_rule(2, 3)
+    first, second = facet_rule(3, 1, -1, 4), facet_rule(3, 1, -1, 4)
+    first.points[0, 0] = first.weights[0] = 7.0
+    assert second.points[0, 0] != 7.0 and second.weights[0] != 7.0
+    assert not np.shares_memory(first.weights, tensor_rule(2, 4).weights)

@@ -9,8 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rectmorley import cli, symbol
-from rectmorley.assembly import (BC_SIMPLY_SUPPORTED, PARITY_EVEN, PARITY_ODD, assemble,
-                                 build_dof_map, dof_coordinates, free_dof_count)
+from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, FACE_FREE, PARITY_EVEN,
+                                 PARITY_ODD, assemble, build_dof_map, dof_coordinates,
+                                 free_dof_count, restricted_dofs)
 from rectmorley.eigensolve import REL_GAP, compute_residuals, count_below
 from rectmorley.element import build_reference_element
 from rectmorley.mesh import build_mesh
@@ -146,3 +147,72 @@ def test_solve_matches_the_symbol_past_the_dense_oracle(dim, n):
     assert np.array_equal(result.eigenvalues, merged[:len(result.eigenvalues)])
     full = symbol.block_spectra(dim, n, [None])[None][0][:len(result.eigenvalues)]
     np.testing.assert_allclose(result.eigenvalues, full, rtol=1e-13, atol=0)
+
+
+def clamped_blocks(dim, n):
+    """The clamped blocks solve_problem counts, {parity: (A, M)}: its
+    representatives of the half box (even n, split), or the full box."""
+    mesh = build_mesh(dim, n)
+    faces = None
+    if n % 2 == 0 and free_dof_count(mesh, BC_CLAMPED) >= cli.SPLIT_MIN_ORDER[dim]:
+        mesh = build_mesh(dim, n // 2, domain=((0.0,) * dim, (0.5,) * dim))
+        faces = [BC_CLAMPED, FACE_FREE] * dim
+    dofmap = build_dof_map(mesh, BC_CLAMPED, faces)
+    shared = assemble(mesh, dofmap, build_reference_element(dim))
+    if faces is None:
+        return {None: shared}
+    blocks = {}
+    for parity in {"".join(sorted(p, reverse=True)) for p in parities(dim)}:
+        keep = restricted_dofs(dofmap, [face for letter in parity for face in
+                                        (BC_CLAMPED, PARITY_ODD if letter == "o" else PARITY_EVEN)])
+        blocks[parity] = tuple(mat[keep][:, keep] for mat in shared)
+    return blocks
+
+
+def midpoint_after(values, index):
+    """A threshold between two distinct simply supported eigenvalues, the
+    first gap at or past `index`."""
+    gaps = np.flatnonzero(values[index + 1:] > values[index:-1] * (1 + 1e-9))
+    j = index + gaps[0]
+    return 0.5 * (values[j] + values[j + 1])
+
+
+# The sizes solve_problem splits and those it solves as one block, up to the
+# largest library sizes (2D n=256, 3D n=32), where two thresholds are
+# checked per block instead of four.  Those three take about 8 s, spent
+# mostly in the oracle's factors, so they run with -m slow.
+@pytest.mark.parametrize("dim,n", [(2, n) for n in (4, 7, 8, 12, 16, 32, 64, 128)]
+                         + [(3, n) for n in (3, 4, 5, 8, 12, 16)]
+                         + [pytest.param(*size, marks=pytest.mark.slow)
+                            for size in ((2, 256), (3, 24), (3, 32))])
+def test_clamped_count_is_the_inertia_count_of_every_block(dim, n):
+    blocks = clamped_blocks(dim, n)
+    spectra = symbol.block_spectra(dim, n, list(blocks))
+    for parity, (a_mat, m_mat) in blocks.items():
+        values = spectra[parity][0]
+        taus = [0.5 * values[0], midpoint_after(values, 5)]
+        if a_mat.shape[0] < 20_000:
+            taus += [midpoint_after(values, 40), midpoint_after(values, len(values) // 2)]
+        for tau in taus:
+            assert symbol.clamped_count(dim, n, parity, spectra[parity], a_mat.shape[0],
+                                        tau) == count_below(a_mat, m_mat, tau)
+
+
+def test_clamped_count_refuses_what_it_cannot_count():
+    dim, n = 2, 8
+    (a_mat, m_mat), = clamped_blocks(dim, n).values()
+    values, waves, vectors = spectrum = symbol.block_spectra(dim, n, [None])[None]
+    order, tau = a_mat.shape[0], midpoint_after(values, 5)
+    assert symbol.clamped_count(dim, n, None, spectrum, order, tau) == \
+        count_below(a_mat, m_mat, tau)
+    # The block's order plus its outer-face facets is not the class's
+    # number of modes.
+    with pytest.raises(ValueError, match="modes"):
+        symbol.clamped_count(dim, n, None, spectrum, order + 1, tau)
+    # tau on a simply supported eigenvalue, or within its rounding.
+    for at in (values[7], values[7] * (1 + symbol.ROUNDING / 2)):
+        with pytest.raises(ValueError, match="within rounding"):
+            symbol.clamped_count(dim, n, None, spectrum, order, at)
+    # No mode reaches the facets: the capacitance matrix is 0.
+    with pytest.raises(ValueError, match="singular"):
+        symbol.clamped_count(dim, n, None, (values, waves, 0.0 * vectors), order, tau)
