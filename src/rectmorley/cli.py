@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -65,7 +65,7 @@ def _configure_threads():
         os.environ[var] = str(count)
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it
     was, and each parse makes its own namespace and lists."""
@@ -206,7 +206,6 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     tau, k_closed, converged (every block converged and passed its count),
     the work counters summed over the blocks, and blocks, in solve order.
     """
-    import functools
     import itertools
     import math
     from collections import Counter

@@ -30,7 +30,6 @@ get the same residual check and certificate from solved and certified.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,7 +319,7 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto",
             return found
         found = _solve(A, M, k, np.inf, found)
         tau = found.eigenvalues[k - 1] * (1 + REL_GAP) if len(found.eigenvalues) >= k else np.inf
-    count = functools.partial(count_below, A, M) if count is None else count
+    count = count or (lambda t: count_below(A, M, t))
     try:
         owed = count(tau) if np.isfinite(tau) else (order if tau > 0 else 0)
     except ValueError:

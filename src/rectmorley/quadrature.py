@@ -42,21 +42,32 @@ def _read_only(dim: int, points: np.ndarray, weights: np.ndarray) -> QuadRule:
     return QuadRule(dim, points, weights)
 
 
-@lru_cache(maxsize=None)
 def gauss_legendre_1d(n: int) -> QuadRule:
     """Classical n-point Gauss-Legendre rule on [-1, 1], exact to degree 2n - 1."""
     if not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_POINTS_1D:
         raise ValueError(f"point count must be an integer in [1, {MAX_POINTS_1D}], got {n!r}")
-    x, w = np.polynomial.legendre.leggauss(int(n))
-    return _read_only(1, x.reshape(-1, 1), w)
+    return _gauss_legendre_1d(int(n))
 
 
 @lru_cache(maxsize=None)
+def _gauss_legendre_1d(n: int) -> QuadRule:
+    x, w = np.polynomial.legendre.leggauss(n)
+    return _read_only(1, x.reshape(-1, 1), w)
+
+
 def tensor_rule(dim: int, n_per_axis: int) -> QuadRule:
     """Tensor product of 1D Gauss rules over [-1, 1]^dim."""
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
     line = gauss_legendre_1d(n_per_axis)
+    return _tensor_rule(dim, len(line.weights))
+
+
+# Typed, so that a dimension the builder refuses (a float) is never served
+# an equal integer's rule.
+@lru_cache(maxsize=None, typed=True)
+def _tensor_rule(dim: int, n_per_axis: int) -> QuadRule:
+    line = _gauss_legendre_1d(n_per_axis)
     x1 = line.points[:, 0]
     grids = np.meshgrid(*([x1] * dim), indexing="ij")
     # Reverse the stacking order so axis 0 varies fastest in the flat listing.

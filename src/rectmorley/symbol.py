@@ -63,7 +63,11 @@ congruent to the m x m matrix
 whose vector g_j holds mode j's facet weights at the rows of its own
 transverse wave numbers, at most one per face, and the two have one
 inertia.  On the full box the rows are the sum and the difference of the
-lower and upper face's, which modes of even and odd p_a reach.
+lower and upper face's, which modes of even and odd p_a reach.  A row thus
+fixes the parity of every wave number of the modes that reach it: C is
+block diagonal, one block per parity class, 2^dim blocks of about m / 2^dim
+rows on the full box and one on a parity block, and eigvalsh takes the
+inertia of each block alone.
 """
 
 from __future__ import annotations
@@ -279,6 +283,51 @@ def modes(coords: np.ndarray, n: int, waves: np.ndarray, vectors: np.ndarray) ->
     return 2 ** coords.shape[1] * amplitudes * weights[:, family].T
 
 
+@lru_cache(maxsize=None)
+def _facet_rows(dim: int, n: int, parity) -> tuple:
+    """The numbering of the capacitance rows of the block `parity` (None for
+    the full box), class by class.  A class is keyed by its parity bits
+    (bit dim-1-b set when p_b is odd); on axis b it has (n + 1) // 2
+    transverse wave numbers if p_b is odd, n // 2 if even, and face a has a
+    row per tuple of them on the other axes, in C order.
+
+    Returns, per class key: the first row of each face within the class,
+    shape (2^dim, dim); the strides of the transverse slots on each face,
+    shape (2^dim, dim, dim); the class's first row and its number of rows;
+    and the first entry of its block in the blocks laid end to end.  Then
+    the total number of rows, the total number of block entries, and the
+    (first entry, number of blocks, order) of each run of nonempty blocks
+    of one order.  The block's classes (the full box has them all) come in
+    increasing order, so runs are contiguous, and an empty class (n = 1)
+    starts at row and entry 0, where its modes, which reach no facet, add 0.
+    """
+    bits = (np.arange(2 ** dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1
+    widths = np.where(bits, (n + 1) // 2, n // 2)
+    faces = np.zeros((2 ** dim, dim), dtype=np.int64)
+    strides = np.zeros((2 ** dim, dim, dim), dtype=np.int64)
+    for a in range(dim):
+        others = [b for b in range(dim) if b != a]
+        faces[:, a] = widths[:, others].prod(axis=1)
+        for i, b in enumerate(others):
+            strides[:, a, b] = widths[:, others[i + 1:]].prod(axis=1)
+    sizes = faces.sum(axis=1)
+    keys = range(2 ** dim) if parity is None else \
+        [int("".join("1" if letter == "e" else "0" for letter in parity), 2)]
+    keys = sorted(keys, key=lambda key: sizes[key])
+    starts, cells = np.zeros((2, 2 ** dim), dtype=np.int64)
+    starts[keys] = np.cumsum(sizes[keys]) - sizes[keys]
+    cells[keys] = np.cumsum(sizes[keys] ** 2) - sizes[keys] ** 2
+    runs = []
+    for size, group in itertools.groupby(keys, key=lambda key: sizes[key]):
+        group = list(group)
+        if size:
+            runs.append((int(cells[group[0]]), len(group), int(size)))
+    shared = (np.cumsum(faces, axis=1) - faces, strides, starts, sizes, cells)
+    for array in shared:
+        array.flags.writeable = False
+    return (*shared, int(sizes[keys].sum()), int((sizes[keys] ** 2).sum()), tuple(runs))
+
+
 def clamped_count(dim: int, n: int, parity, spectrum, order: int, tau: float) -> int:
     """The number of eigenvalues below the finite tau of the clamped block
     `parity` (None for the full box), of order `order`, from the spectrum
@@ -291,18 +340,7 @@ def clamped_count(dim: int, n: int, parity, spectrum, order: int, tau: float) ->
     capacitance matrix lies within its rounding bound of 0.
     """
     values, waves, vectors = spectrum
-    # The wave numbers whose sine does not vanish on the odd doubled
-    # coordinates of the facets, numbered by slot: 1..n on the full box, the
-    # odd ones ('e') or 2, 4, .., n ('o') in a parity block.  A face has one
-    # row per tuple of them on its other axes; the full box has the sum and
-    # the difference of the lower and the upper face's rows instead, which
-    # even and odd p_a reach.
-    first, step = (np.array([2 if letter == "o" else 1 for letter in parity]), 2) \
-        if parity else (1, 1)
-    slots = (waves - first) // step
-    width = n // step
-    face = width ** (dim - 1)
-    size = (1 if parity else 2) * dim * face
+    firsts, strides, starts, sizes, cells, size, entries, runs = _facet_rows(dim, n, parity)
     if order + size != len(values):
         raise ValueError(f"no symbol count for a block of order {order}: its simply "
                          f"supported class has {len(values)} modes, not {order + size}")
@@ -311,32 +349,38 @@ def clamped_count(dim: int, n: int, parity, spectrum, order: int, tau: float) ->
         raise ValueError(f"no symbol count at tau={tau}: it is within rounding of a "
                          "simply supported eigenvalue")
 
-    # Per mode and face, its row and its facet weight there (the sum of the
-    # parts' magnitudes bounds the weight's rounding).  A mode reaches the
-    # facets normal to a unless the sine of another axis vanishes there.
-    place = np.zeros((dim, dim), dtype=np.int64)
-    for a in range(dim):
-        place[np.arange(dim) != a, a] = width ** np.arange(dim - 2, -1, -1)
-    rows = slots @ place + face * np.arange(dim)
-    if not parity:
-        rows += dim * face * (waves % 2)
+    # Per mode and face, its row within its class and its facet weight there
+    # (the sum of the parts' magnitudes bounds the weight's rounding).  The
+    # slot of p_b is its place among the wave numbers of its parity whose
+    # sine does not vanish on the facets' odd coordinates (1, 3, .. or
+    # 2, 4, .. up to n), -1 for p_b = 0; a mode reaches the facets normal
+    # to a unless the sine of another axis vanishes there.
+    odd = waves % 2
+    key = odd @ (1 << np.arange(dim - 1, -1, -1))
+    slots = (waves + odd) // 2 - 1
+    rows = firsts[key] + np.einsum("jb,jab->ja", slots, strides[key])
     vanishing = slots < 0
     on_face = vanishing.sum(axis=1, keepdims=True) == vanishing
     rows[~on_face] = 0
     sines = np.sin(waves * (np.pi / (2 * n)))
     weights = np.where(on_face, vectors[:, :1] * sines + vectors[:, 1:], 0.0)
-    sizes = np.where(on_face, np.abs(vectors[:, :1]) * sines + np.abs(vectors[:, 1:]), 0.0)
+    magnitudes = np.where(on_face, np.abs(vectors[:, :1]) * sines + np.abs(vectors[:, 1:]), 0.0)
 
+    # One diagonal block per class: no mode reaches the rows of another.
     inverse = 1.0 / gap
-    pairs = (rows[:, :, None] * size + rows[:, None, :]).ravel()
+    pairs = cells[key, None, None] + rows[:, :, None] * sizes[key, None, None] + rows[:, None, :]
     terms = weights[:, :, None] * (inverse[:, None, None] * weights[:, None, :])
-    capacitance = np.bincount(pairs, terms.ravel(), size * size).reshape(size, size)
-    eigenvalues = np.linalg.eigvalsh(capacitance)
+    blocks = np.bincount(pairs.ravel(), terms.ravel(), entries)
+    eigenvalues = np.concatenate(
+        [np.empty(0)] + [np.linalg.eigvalsh(blocks[first:first + number * width ** 2]
+                                            .reshape(number, width, width)).ravel()
+                         for first, number, width in runs])
     # Each term's relative rounding, from its inputs and from the sums and
     # eigvalsh (a few eps times the order): the row sums of the terms'
     # magnitudes times it bound the 2-norm of the capacitance's error.
-    spread = ROUNDING * (size + np.abs(values * inverse)) * np.abs(inverse) * sizes.sum(axis=1)
-    bound = np.bincount(rows.ravel(), (sizes * spread[:, None]).ravel(), size).max()
+    spread = ROUNDING * (size + np.abs(values * inverse)) * np.abs(inverse) * magnitudes.sum(axis=1)
+    bound = np.bincount((starts[key, None] + rows).ravel(),
+                        (magnitudes * spread[:, None]).ravel(), size).max()
     if np.abs(eigenvalues).min() <= bound:
         raise ValueError(f"no symbol count at tau={tau}: the capacitance matrix is "
                          "singular to rounding")

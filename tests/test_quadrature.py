@@ -45,10 +45,15 @@ def test_exact_to_degree_2n_minus_1(n):
         assert quad == pytest.approx(integrate_monomial_box((degree,)), abs=1e-13)
 
 
-@pytest.mark.parametrize("bad", [0, -1, MAX_POINTS_1D + 1, 2.5])
+@pytest.mark.parametrize("bad", [0, -1, MAX_POINTS_1D + 1, 2.5, 3.0, [3]])
 def test_rejects_unsupported_point_counts(bad):
-    with pytest.raises(ValueError):
+    # Also after the shared 3-point rules are built: an equal float or an
+    # unhashable count is refused as on a first call.
+    gauss_legendre_1d(3), tensor_rule(2, 3)
+    with pytest.raises(ValueError, match="point count"):
         gauss_legendre_1d(bad)
+    with pytest.raises(ValueError, match="point count"):
+        tensor_rule(2, bad)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -137,6 +142,9 @@ def test_shared_rules_are_read_only_and_facet_rules_are_copies():
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
     assert tensor_rule(2, 3) is tensor_rule(2, 3)
+    # A float dimension is not served the equal integer's rule.
+    with pytest.raises(TypeError):
+        tensor_rule(2.0, 3)
     first, second = facet_rule(3, 1, -1, 4), facet_rule(3, 1, -1, 4)
     first.points[0, 0] = first.weights[0] = 7.0
     assert second.points[0, 0] != 7.0 and second.weights[0] != 7.0

@@ -177,22 +177,21 @@ def midpoint_after(values, index):
     return 0.5 * (values[j] + values[j + 1])
 
 
-# The sizes solve_problem splits and those it solves as one block, up to the
-# largest library sizes (2D n=256, 3D n=32), where two thresholds are
-# checked per block instead of four.  Those three take about 8 s, spent
-# mostly in the oracle's factors, so they run with -m slow.
-@pytest.mark.parametrize("dim,n", [(2, n) for n in (4, 7, 8, 12, 16, 32, 64, 128)]
-                         + [(3, n) for n in (3, 4, 5, 8, 12, 16)]
-                         + [pytest.param(*size, marks=pytest.mark.slow)
-                            for size in ((2, 256), (3, 24), (3, 32))])
+# The sizes solve_problem splits and those it solves as one block (odd n,
+# and even n too small to split), up to the library sizes 2D n=256 and 3D
+# n=24, where the oracle's factors take most of the time and one threshold
+# per block is checked instead of four.
+@pytest.mark.parametrize("dim,n", [(2, n) for n in (4, 7, 8, 12, 15, 16, 32, 63, 64, 128, 256)]
+                         + [(3, n) for n in (3, 4, 5, 7, 8, 9, 11, 12, 16, 24)])
 def test_clamped_count_is_the_inertia_count_of_every_block(dim, n):
     blocks = clamped_blocks(dim, n)
     spectra = symbol.block_spectra(dim, n, list(blocks))
     for parity, (a_mat, m_mat) in blocks.items():
         values = spectra[parity][0]
-        taus = [0.5 * values[0], midpoint_after(values, 5)]
-        if a_mat.shape[0] < 20_000:
-            taus += [midpoint_after(values, 40), midpoint_after(values, len(values) // 2)]
+        taus = [midpoint_after(values, 5)]
+        if n not in (256, 24):
+            taus += [0.5 * values[0], midpoint_after(values, 40),
+                     midpoint_after(values, len(values) // 2)]
         for tau in taus:
             assert symbol.clamped_count(dim, n, parity, spectra[parity], a_mat.shape[0],
                                         tau) == count_below(a_mat, m_mat, tau)
