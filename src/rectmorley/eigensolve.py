@@ -18,8 +18,9 @@ gets all of it.  The count is a seam: a caller who can count without a
 factor passes its own (the clamped blocks of cli.solve_problem count from
 the symbol, symbol.clamped_count), so that no solve of theirs factors
 A - tau M; count_below, a factor of A - tau M, is the default for library
-pencils and the tests' oracle.  At most one factor is alive at a time.  The
-dense LAPACK path
+pencils and the tests' oracle.  A call builds at most one SPD factor, and
+a k solve is completed on the factor that solved it, so the default count
+of a k solve overlaps that factor.  The dense LAPACK path
 (smallest_k_dense) is the test oracle, and the route for pencils too small
 for shift-invert.  Both return ascending eigenvalues with mass-orthonormal
 eigenvectors and per-pair relative residuals, and deterministic start
@@ -218,16 +219,22 @@ def _arpack(A, M, factor: _ShiftedFactor, k: int, attempt: int = 0, deflate=None
     return w, x, True
 
 
-def _shift_invert(A, M, k: int, tau: float, found: EigenResult) -> EigenResult:
-    """Steps 1 to 3 of solve_smallest on one new SPD factor of A: the pairs
-    `found` so far (none, for 1 <= k < order - 1, or those of a k solve
-    that its count found short) completed to k below tau."""
-    try:
-        factor = _ShiftedFactor(A, M, 0.0)
-    except RuntimeError as exc:
-        raise ValueError("shift-invert factorization of the stiffness matrix failed") from exc
-    if factor.negatives != 0:
-        raise ValueError("the stiffness matrix is not positive definite")
+def _solve(A, M, k: int, tau: float, found: EigenResult, factor=None):
+    """k pairs below tau, on the route of the pairs found so far (none, or
+    those of a k solve that its count found short), and the SPD factor of A
+    that solved for them (None if dense).  Dense pairs are solved for
+    afresh; with none found yet, so are pencils too small for shift-invert
+    (k + 1 >= order).  Shift-invert pairs are completed by steps 1 to 3 of
+    solve_smallest on `factor`, built when None."""
+    if found.method == METHOD_DENSE or (not len(found.eigenvalues) and k + 1 >= A.shape[0]):
+        return smallest_k_dense(A, M, k), None
+    if factor is None:
+        try:
+            factor = _ShiftedFactor(A, M, 0.0)
+        except RuntimeError as exc:
+            raise ValueError("shift-invert factorization of the stiffness matrix failed") from exc
+        if factor.negatives != 0:
+            raise ValueError("the stiffness matrix is not positive definite")
     w, x, converged = found.eigenvalues, found.eigenvectors, True
     # Pairs already found came from the attempt-0 start vector.
     attempt = int(len(w) > 0)
@@ -246,17 +253,7 @@ def _shift_invert(A, M, k: int, tau: float, found: EigenResult) -> EigenResult:
         x = y @ z
 
     return solved(A, M, METHOD_SHIFT_INVERT, w, x, converged, factor_nnz=factor.nnz,
-                  opinv_applications=found.metadata.get("opinv_applications", 0)
-                  + factor.applications)
-
-
-def _solve(A, M, k: int, tau: float, found: EigenResult) -> EigenResult:
-    """k pairs below tau, on the route of the pairs found so far: dense
-    pairs are solved for afresh, shift-invert ones completed.  With none
-    found yet, pencils too small for shift-invert (k + 1 >= order) go dense."""
-    if found.method == METHOD_DENSE or (not len(found.eigenvalues) and k + 1 >= A.shape[0]):
-        return smallest_k_dense(A, M, k)
-    return _shift_invert(A, M, k, tau, found)
+                  opinv_applications=factor.applications), factor
 
 
 def solve_smallest(A, M, k: int | None = None, method: str = "auto",
@@ -268,11 +265,11 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto",
     count is a callable from a finite tau to the number of eigenvalues
     below it, count_below(A, M, tau) by default (the inertia count of a
     factor of A - tau M); tau = +-inf owes every pair or none, uncounted.
-    With k >= 1, k pairs are solved first, their factor is freed, and tau
-    is lambda_k (1 + REL_GAP): a k that cuts a cluster of copies of
-    lambda_k gets the whole cluster, more than k pairs.  The result records
-    metadata["tau"] and metadata["count_below_tau"], and converged holds
-    only if exactly that many of its eigenvalues lie below tau.  A count
+    With k >= 1, k pairs are solved first, and tau is lambda_k (1 +
+    REL_GAP): a k that cuts a cluster of copies of lambda_k gets the whole
+    cluster, more than k pairs.  The result records metadata["tau"] and
+    metadata["count_below_tau"], and converged holds only if exactly that
+    many of its eigenvalues lie below tau.  A count
     that cannot be trusted (count raises ValueError) leaves the pairs found,
     if any, with count_below_tau None and converged=False.  k=0 returns no
     pairs and no certificate; a NaN tau is refused with ValueError.
@@ -297,12 +294,14 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto",
     3. One block inverse-iteration step and a Rayleigh-Ritz step, which
        also leave the vectors M-orthonormal.
 
-    A k solve runs these steps without tau, frees its factor, counts, and
-    when the count finds it short runs steps 2 and 3 again on a new SPD
-    factor, from the pairs it has: at most one factor is alive at a time.
-    Partial results on non-convergence are returned with converged=False in
-    the metadata.  metadata["opinv_applications"] counts the solves of the
-    whole call.
+    A k solve runs these steps without tau, counts, and when the count
+    finds it short runs steps 2 and 3 again on the same factor, from the
+    pairs it has: a call builds at most one SPD factor.  It is alive while
+    the k solve counts, so the default count_below builds its factor of
+    A - tau M beside it (a count from the symbol builds none).  Partial
+    results on non-convergence are returned with converged=False in the
+    metadata.  metadata["opinv_applications"] counts the solves of the one
+    factor.
     """
     if method not in ("auto", METHOD_DENSE):
         raise ValueError(f"unknown solver method {method!r}")
@@ -313,11 +312,12 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto",
     order = A.shape[0]
     found = solved(A, M, METHOD_DENSE if method == METHOD_DENSE else METHOD_SHIFT_INVERT,
                    np.empty(0), np.empty((order, 0)))
+    factor = None
     if tau is None:
         _check_k(k, order)
         if k == 0:
             return found
-        found = _solve(A, M, k, np.inf, found)
+        found, factor = _solve(A, M, k, np.inf, found)
         tau = found.eigenvalues[k - 1] * (1 + REL_GAP) if len(found.eigenvalues) >= k else np.inf
     count = count or (lambda t: count_below(A, M, t))
     try:
@@ -325,7 +325,7 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto",
     except ValueError:
         return certified(found, tau, None)
     if found.converged and np.count_nonzero(found.eigenvalues < tau) < owed:
-        found = _solve(A, M, owed, tau, found)
+        found, _ = _solve(A, M, owed, tau, found, factor)
     return certified(found, tau, owed)
 
 

@@ -25,7 +25,8 @@ class SineProduct:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if any(not isinstance(m, (int, np.integer)) or m < 1 for m in self.modes):
+        if any(not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1
+               for m in self.modes):
             raise ValueError(f"modes must be positive integers, got {self.modes!r}")
 
     @property
@@ -75,7 +76,7 @@ class SineProduct:
 
 def unit_box_eigenfunction(modes) -> SineProduct:
     """L2-normalized sine product on the unit box."""
-    modes = tuple(int(m) for m in modes)
+    modes = tuple(modes)
     return SineProduct(modes, amplitude=2.0 ** (len(modes) / 2.0))
 
 

@@ -385,25 +385,14 @@ def run_commuting_suite() -> VerificationReport:
     report = VerificationReport("commuting")
     for dim in (2, 3):
         for degree in range(7):
-            worst = max(commuting_discrepancy(Polynomial.monomial(dim, alpha))
-                        for alpha in multi_indices_up_to(dim, degree) if sum(alpha) == degree)
+            units = np.eye(num_monomials(dim, degree))
+            worst = max(commuting_discrepancy(Polynomial.from_coefficients(dim, unit))
+                        for unit, alpha in zip(units, multi_indices_up_to(dim, degree))
+                        if sum(alpha) == degree)
             report.records.append(
                 equality_record(f"{dim}d/degree-{degree}/max-monomial", worst, 0.0, 1e-12)
             )
     return report
-
-
-def _random_polynomial(dim, alphas, rng) -> Polynomial:
-    """Uniform(-1, 1) coefficients on the distinct monomials alphas, drawn in their order."""
-    return Polynomial(dim, dict(zip(alphas, rng.uniform(-1.0, 1.0, size=len(alphas)))))
-
-
-def _random_pair(element: ReferenceElement, u_alphas, rng):
-    """One draw of the refined-identity suite, in this order: u's
-    coefficients on u_alphas, v's on the shape monomials, the half-width h."""
-    u = _random_polynomial(element.dim, u_alphas, rng)
-    v = _random_polynomial(element.dim, element.monomials, rng)
-    return u, v, rng.uniform(0.1, 1.0)
 
 
 def run_refined_identity_suite(dim: int, n_pairs: int = 200,
@@ -413,20 +402,27 @@ def run_refined_identity_suite(dim: int, n_pairs: int = 200,
     Quartic u against shape-space v on cells of random half-width.  In 3D the
     u samples exclude the mixed quartics xi_i^2 xi_j xi_k, where the identity
     genuinely fails; the documented counterexample is reported as a deviation.
+    All pairs come from one uniform draw, a row per pair: u's coefficients
+    (quartics in list order), v's (shape monomials in element order), then h,
+    the generator's order of one draw per pair.
     """
     element = build_reference_element(dim)
     report = VerificationReport(f"refined-identity-{dim}d", seed=seed)
-    rng = np.random.default_rng(seed)
 
-    u_alphas = multi_indices_up_to(dim, 4)
-    if dim == 3:
-        excluded = {a for a in u_alphas if sorted(a) == [1, 1, 2]}
-        u_alphas = [a for a in u_alphas if a not in excluded]
+    quartics, cubics = multi_indices_up_to(dim, 4), multi_indices_up_to(dim, 3)
+    u_cols = [r for r, alpha in enumerate(quartics) if sorted(alpha) != [1, 1, 2]]
+    v_cols = [cubics.index(alpha) for alpha in element.monomials]
+    low = [-1.0] * (len(u_cols) + len(v_cols)) + [0.1]
+    draws = np.random.default_rng(seed).uniform(low, 1.0, size=(n_pairs, len(low)))
+    u_rows = np.zeros((n_pairs, len(quartics)))
+    u_rows[:, u_cols] = draws[:, :len(u_cols)]
+    v_rows = np.zeros((n_pairs, len(cubics)))
+    v_rows[:, v_cols] = draws[:, len(u_cols):-1]
 
     worst = 0.0
-    for _ in range(n_pairs):
-        u, v, h = _random_pair(element, u_alphas, rng)
-        lhs, rhs = refined_identity_check(element, u, v, h)
+    for u, v, h in zip(u_rows, v_rows, draws[:, -1]):
+        lhs, rhs = refined_identity_check(element, Polynomial.from_coefficients(dim, u),
+                                          Polynomial.from_coefficients(dim, v), h)
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     report.records.append(
         equality_record(

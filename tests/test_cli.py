@@ -830,6 +830,23 @@ def test_repeated_processes_print_identical_output():
     assert first == second
 
 
+def test_repeated_processes_print_identical_clamped_completions():
+    # 3D clamped n=5 is one block, and k=6 cuts its triple: the k solve
+    # returns 6 pairs, the count finds 7, and the completion pass runs on
+    # the factor that solved for the 6.
+    args = [sys.executable, "-m", "rectmorley", "solve", "--dim", "3", "--n", "5",
+            "--format", "json"]
+    first, second = (subprocess.run(args, capture_output=True, check=True,
+                                    env=child_env()).stdout
+                     for _ in range(2))
+    report = json.loads(first)
+    (run,) = report["runs"]
+    (block,) = run["metadata"]["blocks"]
+    assert report["bc"] == "clamped" and run["metadata"]["converged"]
+    assert block["count_below_tau"] == 7
+    assert first == second
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "rectmorley", "solve", "--n", "2", "--k", "1"],

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,16 @@ def test_sine_product_validates_modes():
         SineProduct(modes=(0, 1))
     with pytest.raises(ValueError):
         SineProduct(modes=(1, -2))
+
+
+@pytest.mark.parametrize("modes", [(1.5, 2.7), (0.5, 1), (2, True), (True, 1)])
+def test_non_integral_and_bool_modes_are_refused_as_given(modes):
+    # No mode is truncated to an integer, and the message names the input.
+    with pytest.raises(ValueError, match=re.escape(repr(modes))):
+        unit_box_eigenfunction(modes)
+    with pytest.raises(ValueError, match=re.escape(repr(modes))):
+        SineProduct(modes)
+    assert unit_box_eigenfunction(np.array([2, 1])).modes == (2, 1)
 
 
 def _random_inputs(dim, seed):

@@ -534,26 +534,75 @@ def test_identity_lhs_form_matches_quadrature_of_the_error_hessian(dim):
         assert lhs == pytest.approx(h ** (dim - 4) * quad, abs=1e-12)
 
 
+def replayed_pairs(dim, n_pairs, seed):
+    """The refined-identity pairs drawn one pair at a time, as exponent maps:
+    u's coefficients (the quartics in list order, less the mixed quartics in
+    3D), then v's (the shape monomials in element order), then h."""
+    element = build_reference_element(dim)
+    u_alphas = [a for a in multi_indices_up_to(dim, 4) if sorted(a) != [1, 1, 2]]
+    rng = np.random.default_rng(seed)
+    for _ in range(n_pairs):
+        u = Polynomial(dim, dict(zip(u_alphas, rng.uniform(-1.0, 1.0, size=len(u_alphas)))))
+        v = Polynomial(dim, dict(zip(element.monomials,
+                                     rng.uniform(-1.0, 1.0, size=element.ndof))))
+        yield u, v, rng.uniform(0.1, 1.0)
+
+
+def checked_pairs(monkeypatch, dim, n_pairs, seed):
+    """The refined-identity suite's report, and (u, v, h, lhs, rhs) of each
+    random pair it checked, in order."""
+    seen, check = [], operators.refined_identity_check
+
+    def recording(element, u, v, h=1.0):
+        out = check(element, u, v, h)
+        seen.append((u, v, h) + out)
+        return out
+
+    monkeypatch.setattr(operators, "refined_identity_check", recording)
+    return run_refined_identity_suite(dim, n_pairs, seed), seen[:n_pairs]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", [0, 5, 1729])
+@pytest.mark.parametrize("n_pairs", [1, 7, 200])
+def test_refined_identity_suite_replays_one_draw_per_pair(dim, seed, n_pairs, monkeypatch):
+    # The suite draws all pairs at once; each pair, and so the record, is
+    # bit for bit the one of a draw per pair through the exponent-map
+    # constructor.
+    element = build_reference_element(dim)
+    report, seen = checked_pairs(monkeypatch, dim, n_pairs, seed)
+    worst = 0.0
+    for (u, v, h), drawn in zip(replayed_pairs(dim, n_pairs, seed), seen, strict=True):
+        lhs, rhs = refined_identity_check(element, u, v, h)
+        assert np.array_equal(drawn[0].coeffs, u.coeffs)
+        assert np.array_equal(drawn[1].coeffs, v.coeffs)
+        assert drawn[2:] == (h, lhs, rhs)
+        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+    assert report.records[0] == equality_record(
+        f"{dim}d/random-pairs/max-scaled-residual", worst, 0.0, 1e-10,
+        note=f"{n_pairs} pairs, residual scaled by 1 + |lhs|")
+
+
 @pytest.mark.parametrize("dim,u_first,v_first,h", [
     (2, (-0.9385159407896639, -0.6630850404701072), (0.8939276245932366, -0.7284196091816064),
      0.300359429377736),
     (3, (-0.9385159407896639, -0.6630850404701072), (-0.03341986994391899, 0.20386884005888817),
      0.739864286648261),
 ])
-def test_first_random_pair_of_the_default_seed_is_pinned(dim, u_first, v_first, h):
+def test_first_random_pair_of_the_default_seed_is_pinned(dim, u_first, v_first, h, monkeypatch):
     # Each pair draws u's coefficients (the quartics in list order, less the
     # mixed quartics in 3D), then v's (the shape monomials in element order),
-    # then h; --seed S selects the same pairs as before the coefficient-vector
-    # polynomials.
-    from rectmorley.operators import DEFAULT_SEED, _random_pair
+    # then h, one row of one uniform draw per pair; --seed S selects the same
+    # pairs as before the coefficient-vector polynomials.
+    from rectmorley.operators import DEFAULT_SEED
 
     element = build_reference_element(dim)
     u_alphas = tuple(a for a in multi_indices_up_to(dim, 4) if sorted(a) != [1, 1, 2])
-    u, v, drawn_h = _random_pair(element, u_alphas, np.random.default_rng(DEFAULT_SEED))
-    replay = np.random.default_rng(DEFAULT_SEED)
-    u_coeffs = replay.uniform(-1.0, 1.0, size=len(u_alphas))
-    v_coeffs = replay.uniform(-1.0, 1.0, size=element.ndof)
-    assert drawn_h == replay.uniform(0.1, 1.0) == h
+    _, [(u, v, drawn_h, _, _)] = checked_pairs(monkeypatch, dim, 1, DEFAULT_SEED)
+    row = np.random.default_rng(DEFAULT_SEED).uniform(
+        [-1.0] * (len(u_alphas) + element.ndof) + [0.1], 1.0)
+    u_coeffs, v_coeffs = row[:len(u_alphas)], row[len(u_alphas):-1]
+    assert drawn_h == row[-1] == h
     assert tuple(u_coeffs[:2]) == u_first and tuple(v_coeffs[:2]) == v_first
     assert [u.coefficient(a) for a in u_alphas] == list(u_coeffs)
     assert [v.coefficient(m) for m in element.monomials] == list(v_coeffs)

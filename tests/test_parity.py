@@ -212,29 +212,34 @@ def test_one_block_solve_builds_at_most_two_factors(dim, n, bc, k_closed, monkey
     # 3D n=4 clamped: k=6 cuts the 8539.68 triple, which needs a completion
     # pass after the count.  2D simply supported n=4, where ARPACK would
     # skip a copy of the (1,3)/(3,1) pair, takes both from the symbol.
-    factors, arpack_runs = [], []
+    factors, kept, arpack_runs = [], [], []
     eigsh = eigensolve.sla.eigsh
 
     def counting_eigsh(*args, **kwargs):
         arpack_runs.append(kwargs["k"])
         return eigsh(*args, **kwargs)
 
+    class KeptFactor(recorded_factor(factors)):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kept.append(self)
+
     monkeypatch.setitem(cli.SPLIT_MIN_ORDER, dim, 10 ** 9)
-    monkeypatch.setattr(eigensolve, "_ShiftedFactor", recorded_factor(factors))
+    monkeypatch.setattr(eigensolve, "_ShiftedFactor", KeptFactor)
     monkeypatch.setattr(eigensolve.sla, "eigsh", counting_eigsh)
     result = cli.solve_problem(dim, n, bc)
     assert result.converged
     assert len(result.metadata["blocks"]) == 1
     assert result.metadata["k_closed"] == k_closed
-    # A clamped block is solved for k pairs on an SPD factor, which is freed
-    # before it is counted (from the symbol, with no factor), and is
-    # completed on a second SPD factor.  A simply supported block builds no
-    # factor.
+    # A clamped block is solved for k pairs on an SPD factor, counted (from
+    # the symbol, with no factor), and completed on the same SPD factor, so
+    # its operator applications are that one factor's.  A simply supported
+    # block builds no factor.
     (block,) = result.metadata["blocks"]
     if bc == "clamped":
         assert len(arpack_runs) == 2
-        spd = (0.0, block["order"])
-        assert factors == [spd, spd]
+        assert factors == [(0.0, block["order"])]
+        assert block["opinv_applications"] == kept[0].applications
     else:
         assert arpack_runs == factors == []
 
