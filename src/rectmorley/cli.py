@@ -1,5 +1,9 @@
 """Command line driver: solve, reproduce benchmark tables, rates, verify.
 
+Each command returns one Output: its JSON payload, text lines, CSV rows,
+exit code and stderr line.  main renders it once, in the requested format,
+to stdout or --out, and then prints the stderr line, if any.
+
 Exit codes: 0 success, 1 solver failure, 2 verification failure (a failed
 suite, or a table eigenvalue off its stored value by more than
 reference.STORED_REL_TOL), 3 bad arguments.  The only environment variable
@@ -121,14 +125,17 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 # Problems with fewer free DOFs than this, per dimension, are solved as one
-# block: below it, setting up the clamped half-box blocks costs more than
-# their smaller factors save.  Split/one-block time (min of 7, 2 threads, two
-# sweeps; free DOFs): 2D n=14 (533) 1.27-1.31, n=16 (705) 1.12-1.15, n=18
-# (901) 1.01-1.02, n=20 (1121) 0.93-0.94, n=22..24 0.82-0.84; 3D n=4 (171)
-# 1.01, n=6 (665) 0.56-0.58.  Simply supported problems factor nothing, but
-# the split still pays: checking the symbol's modes on the full box instead
-# took 2D n=32 7.3 -> 12.8 ms, n=64 22.5 -> 53 ms, 3D n=8 8.2 -> 13.4 ms,
-# n=16 26 -> 119 ms (min of 7, one thread); it also sets their parity labels.
+# block: below it, setting up the half-box blocks costs more than their
+# smaller solves save.  Split/one-block time (min of 7 alternating runs, one
+# BLAS thread, 2 vCPUs, range over four sweeps; free DOFs clamped/simply
+# supported, ratio clamped/simply supported): 2D n=12 (385/433) 1.37-1.50/
+# 1.14-1.19, n=14 (533/589) 1.23-1.41/0.98-1.11, n=16 (705/769) 0.90-1.19/
+# 0.90-1.01, n=18 (901/973) 1.05-1.10/0.82-0.94, n=20 (1121/1201) 0.89-0.99/
+# 0.88-0.91, n=22..24 0.74-1.00/0.71-0.82; 3D n=4 (171/267) 0.83-0.96/
+# 1.20-1.38, n=6 (665/881) 0.54-0.61/0.70-0.75.  A 3D value below 171 would
+# also split simply supported n=4, and split clamped n=4 won only 2 and 3 of
+# 7 pairs in the two sweeps that counted them.  The split also sets the
+# parity labels.
 SPLIT_MIN_ORDER = {2: 950, 3: 400}
 
 
@@ -339,7 +346,7 @@ def _check_out(out_path):
     if os.path.isdir(out_path):
         reason = errno.EISDIR
     elif not os.path.isdir(parent):
-        reason = errno.ENOENT
+        reason = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
     elif not os.access(parent, os.W_OK | os.X_OK):
         reason = errno.EACCES
     else:
@@ -365,10 +372,6 @@ def _emit(text: str, out_path):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def _csv_cell(value) -> str:
     """One CSV field: None is empty, a bool yes/no, an int its digits, a
     float its shortest round-trip repr, and a str itself."""
@@ -383,62 +386,74 @@ def _csv_cell(value) -> str:
     return value
 
 
-def _csv(header, rows) -> str:
-    return "\n".join([",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows])
+def _text_cell(value, spec: str) -> str:
+    """value formatted by spec, or '---' for None."""
+    return "---" if value is None else format(value, spec)
+
+
+@dataclass
+class Output:
+    """What one command produced, before main renders it in the requested
+    format: the JSON payload, the text lines, the CSV header and rows (None
+    for a command without CSV), the exit code, and a line for stderr."""
+
+    payload: dict
+    text: list
+    csv: tuple = None
+    code: int = EXIT_OK
+    stderr: str = None
+
+    def render(self, fmt: str) -> str:
+        if fmt == "json":
+            return json.dumps(self.payload, indent=2, sort_keys=True)
+        if fmt == "csv":
+            header, rows = self.csv
+            return "\n".join([",".join(header)] + [",".join(map(_csv_cell, row))
+                                                   for row in rows])
+        return "\n".join(self.text)
+
+
+def _solve_rungs(dim: int, ladder, bc: str, k: int, solver: str = "auto"):
+    """solve_problem on each rung of a checked ladder: the solutions, their
+    eigenvalues as one (rungs, k) array, and whether every rung converged."""
+    import numpy as np
+
+    runs = [solve_problem(dim, n, bc, k, solver) for n in ladder]
+    return runs, np.array([run.eigenvalues for run in runs]), all(run.converged for run in runs)
 
 
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> Output:
     _check_ladder(args.dim, args.n)
-    runs = []
-    for n in args.n:
-        result = solve_problem(args.dim, n, args.bc, args.k, args.solver)
-        runs.append((n, result.metadata["order"], result))
-
-    if args.format == "json":
-        payload = {
-            "command": "solve",
-            "dim": args.dim,
-            "bc": args.bc,
-            "k": args.k,
-            "runs": [
-                {"n": n, "order": order, **result.to_json_dict()}
-                for n, order, result in runs
-            ],
-        }
-        _emit(_json_dumps(payload), args.out)
-    elif args.format == "csv":
-        _emit(_csv(("n", "index", "eigenvalue", "residual", "method"),
-                   [(n, i + 1, lam, res, result.method) for n, _, result in runs
-                    for i, (lam, res) in enumerate(zip(result.eigenvalues, result.residuals))]),
-              args.out)
-    else:
-        lines = [f"# solve dim={args.dim} bc={args.bc} k={args.k}"]
-        for n, order, result in runs:
-            status = "yes" if result.converged else "NO"
-            lines.append(
-                f"# n={n} order={order} method={result.method} converged={status}"
-            )
-            for i, lam in enumerate(result.eigenvalues):
-                lines.append(
-                    f"{n:>6} {i + 1:>4} {lam:>16.4f} {result.residuals[i]:>12.2e}"
-                )
-        _emit("\n".join(lines), args.out)
-
-    if any(not result.converged for _, _, result in runs):
-        print("solver did not converge on at least one run", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
-    return EXIT_OK
+    solutions, _, converged = _solve_rungs(args.dim, args.n, args.bc, args.k, args.solver)
+    runs = list(zip(args.n, solutions))
+    text = [f"# solve dim={args.dim} bc={args.bc} k={args.k}"]
+    for n, result in runs:
+        status = "yes" if result.converged else "NO"
+        text.append(f"# n={n} order={result.metadata['order']} method={result.method} "
+                    f"converged={status}")
+        text += [f"{n:>6} {i + 1:>4} {lam:>16.4f} {res:>12.2e}"
+                 for i, (lam, res) in enumerate(zip(result.eigenvalues, result.residuals))]
+    return Output(
+        {"command": "solve", "dim": args.dim, "bc": args.bc, "k": args.k,
+         "runs": [{"n": n, "order": result.metadata["order"], **result.to_json_dict()}
+                  for n, result in runs]},
+        text,
+        (("n", "index", "eigenvalue", "residual", "method"),
+         [(n, i + 1, lam, res, result.method) for n, result in runs
+          for i, (lam, res) in enumerate(zip(result.eigenvalues, result.residuals))]),
+        EXIT_OK if converged else EXIT_SOLVER_FAILURE,
+        None if converged else "solver did not converge on at least one run")
 
 
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> Output:
     from .reference import (BENCHMARK_CONFIG, BENCHMARK_N, BENCHMARK_VALUES,
                             STORED_REL_TOL, exact_eigenvalues, observed_rates)
 
@@ -447,20 +462,18 @@ def _cmd_table(args) -> int:
     if len(set(ladder)) != len(ladder) or list(ladder) != sorted(ladder):
         raise UsageError(f"cell counts must be strictly increasing, got {list(ladder)}")
     _check_ladder(dim, ladder)
+    _, values, converged = _solve_rungs(dim, ladder, bc, DEFAULT_K)
 
     exact = exact_eigenvalues(dim) if bc == "simply-supported" else None
+    # rates[i][r - 1]: the order of eigenvalue i from rung r - 1 to rung r.
+    rates = None if exact is None else [observed_rates(values[:, i], lam, ladder)
+                                        for i, lam in enumerate(exact)]
     stored = BENCHMARK_VALUES[args.table_id]
-
     rows = []
-    converged = True
-    prev_vals = None
-    prev_n = None
-    for n in ladder:
-        result = solve_problem(dim, n, bc, DEFAULT_K)
-        converged = converged and result.converged
-        for i, lam in enumerate(result.eigenvalues):
+    for r, n in enumerate(ladder):
+        for i, lam in enumerate(values[r]):
             ref = stored[n][i] if n in stored else None
-            row = {
+            rows.append({
                 "n": n,
                 "index": i + 1,
                 "eigenvalue": float(lam),
@@ -468,64 +481,43 @@ def _cmd_table(args) -> int:
                 "rel_diff": float(abs(lam - ref) / abs(ref)) if ref is not None else None,
                 "exact": float(exact[i]) if exact is not None else None,
                 "error": float(exact[i] - lam) if exact is not None else None,
-                "rate": None,
-                "monotone": None if prev_vals is None else bool(lam >= prev_vals[i]),
-            }
-            if exact is not None and prev_vals is not None:
-                row["rate"] = observed_rates((prev_vals[i], lam), exact[i], (prev_n, n))[0]
-            rows.append(row)
-        prev_vals = result.eigenvalues
-        prev_n = n
+                "rate": rates[i][r - 1] if rates is not None and r else None,
+                "monotone": bool(lam >= values[r - 1, i]) if r else None,
+            })
 
-    if args.format == "json":
-        payload = {
-            "command": "table",
-            "table": args.table_id,
-            "dim": dim,
-            "bc": bc,
-            "n_values": list(ladder),
-            "rows": rows,
-        }
-        _emit(_json_dumps(payload), args.out)
-    elif args.format == "csv":
-        cols = ("n", "index", "eigenvalue", "reference", "rel_diff", "exact",
-                "error", "rate", "monotone")
-        _emit(_csv(cols, [[row[col] for col in cols] for row in rows]), args.out)
-    else:
-        lines = [
-            f"# benchmark table {args.table_id}: dim={dim} bc={bc}",
+    text = [f"# benchmark table {args.table_id}: dim={dim} bc={bc}",
             f"{'n':>6} {'idx':>4} {'eigenvalue':>14} {'reference':>14} "
-            f"{'exact':>14} {'rate':>10} {'mono':>5}",
-        ]
-        for row in rows:
-            ref = f"{row['reference']:.4f}" if row["reference"] is not None else "---"
-            exa = f"{row['exact']:.4f}" if row["exact"] is not None else "---"
-            rate = f"{row['rate']:.6f}" if row["rate"] is not None else "---"
-            mono = "---" if row["monotone"] is None else ("yes" if row["monotone"] else "NO")
-            lines.append(
-                f"{row['n']:>6} {row['index']:>4} {row['eigenvalue']:>14.4f} "
-                f"{ref:>14} {exa:>14} {rate:>10} {mono:>5}"
-            )
-        _emit("\n".join(lines), args.out)
+            f"{'exact':>14} {'rate':>10} {'mono':>5}"]
+    for row in rows:
+        mono = "---" if row["monotone"] is None else ("yes" if row["monotone"] else "NO")
+        text.append(f"{row['n']:>6} {row['index']:>4} {row['eigenvalue']:>14.4f} "
+                    f"{_text_cell(row['reference'], '.4f'):>14} "
+                    f"{_text_cell(row['exact'], '.4f'):>14} "
+                    f"{_text_cell(row['rate'], '.6f'):>10} {mono:>5}")
+    output = Output({"command": "table", "table": args.table_id, "dim": dim, "bc": bc,
+                     "n_values": list(ladder), "rows": rows},
+                    text,
+                    # The CSV columns are the row keys, in order.
+                    (tuple(rows[0]), [tuple(row.values()) for row in rows]))
 
-    if not converged:
-        return EXIT_SOLVER_FAILURE
     drifted = [row for row in rows
                if row["rel_diff"] is not None and row["rel_diff"] > STORED_REL_TOL]
-    if drifted:
+    if not converged:
+        output.code = EXIT_SOLVER_FAILURE
+    elif drifted:
         worst = max(drifted, key=lambda row: row["rel_diff"])
-        print(f"{len(drifted)} eigenvalue(s) differ from the stored table by more "
-              f"than {STORED_REL_TOL:g} relative; worst n={worst['n']} "
-              f"index={worst['index']}: {worst['rel_diff']:.3e}", file=sys.stderr)
-        return EXIT_VERIFICATION_FAILURE
-    return EXIT_OK
+        output.code = EXIT_VERIFICATION_FAILURE
+        output.stderr = (f"{len(drifted)} eigenvalue(s) differ from the stored table by more "
+                         f"than {STORED_REL_TOL:g} relative; worst n={worst['n']} "
+                         f"index={worst['index']}: {worst['rel_diff']:.3e}")
+    return output
 
 
 # ---------------------------------------------------------------------------
 # rates
 # ---------------------------------------------------------------------------
 
-def _cmd_rates(args) -> int:
+def _cmd_rates(args) -> Output:
     from .reference import exact_eigenvalues, observed_rates, richardson_reference
 
     n_values = sorted(set(args.n))
@@ -539,74 +531,47 @@ def _cmd_rates(args) -> int:
             "have no closed-form eigenvalues, so the reference is "
             "extrapolated from the two finest, whose step has no measured order"
         )
+    _, values, converged = _solve_rungs(args.dim, n_values, args.bc, args.k)
 
-    values = []
-    converged = True
-    for n in n_values:
-        result = solve_problem(args.dim, n, args.bc, args.k)
-        converged = converged and result.converged
-        values.append([float(v) for v in result.eigenvalues])
-
-    per_index = list(zip(*values))
+    per_index = values.T.tolist()
     if args.bc == "simply-supported":
-        refs = [float(v) for v in exact_eigenvalues(args.dim, args.k)]
+        refs = exact_eigenvalues(args.dim, args.k).tolist()
         ref_kind = "exact"
     else:
-        refs = [richardson_reference(list(seq), n_values) for seq in per_index]
+        refs = [richardson_reference(seq, n_values) for seq in per_index]
         ref_kind = "extrapolated"
 
     entries = []
-    for i, seq in enumerate(per_index):
-        rates = observed_rates(list(seq), refs[i], n_values)
+    for i, (seq, ref) in enumerate(zip(per_index, refs)):
+        rates = observed_rates(seq, ref, n_values)
         if ref_kind == "extrapolated":
             # The extrapolation assumes the last step's order; it is not measured.
             rates[-1] = None
-        entries.append({
-            "index": i + 1,
-            "reference": refs[i],
-            "reference_kind": ref_kind,
-            "eigenvalues": list(seq),
-            "rates": rates,
-        })
+        entries.append({"index": i + 1, "reference": ref, "reference_kind": ref_kind,
+                        "eigenvalues": seq, "rates": rates})
 
-    if args.format == "json":
-        payload = {
-            "command": "rates",
-            "dim": args.dim,
-            "bc": args.bc,
-            "n_values": list(n_values),
-            "entries": entries,
-        }
-        _emit(_json_dumps(payload), args.out)
-    elif args.format == "csv":
-        _emit(_csv(("index", "reference", "reference_kind", "step", "rate"),
-                   [(entry["index"], entry["reference"], entry["reference_kind"],
-                     f"{n_values[step]}->{n_values[step + 1]}", rate)
-                    for entry in entries for step, rate in enumerate(entry["rates"])]),
-              args.out)
-    else:
-        steps = " ".join(
-            f"r({n_values[k]}->{n_values[k + 1]})" for k in range(len(n_values) - 1)
-        )
-        lines = [
-            f"# observed orders dim={args.dim} bc={args.bc} "
+    steps = [f"{coarse}->{fine}" for coarse, fine in zip(n_values, n_values[1:])]
+    text = [f"# observed orders dim={args.dim} bc={args.bc} "
             f"reference={ref_kind} n={','.join(map(str, n_values))}",
-            f"{'idx':>4} {'reference':>14}  {steps}",
-        ]
-        for entry in entries:
-            rates_txt = " ".join("---".rjust(10) if r is None else f"{r:>10.6f}"
-                                 for r in entry["rates"])
-            lines.append(f"{entry['index']:>4} {entry['reference']:>14.4f}  {rates_txt}")
-        _emit("\n".join(lines), args.out)
-
-    return EXIT_OK if converged else EXIT_SOLVER_FAILURE
+            f"{'idx':>4} {'reference':>14}  " + " ".join(f"r({step})" for step in steps)]
+    text += [f"{entry['index']:>4} {entry['reference']:>14.4f}  "
+             + " ".join(f"{_text_cell(rate, '.6f'):>10}" for rate in entry["rates"])
+             for entry in entries]
+    return Output(
+        {"command": "rates", "dim": args.dim, "bc": args.bc, "n_values": list(n_values),
+         "entries": entries},
+        text,
+        (("index", "reference", "reference_kind", "step", "rate"),
+         [(entry["index"], entry["reference"], ref_kind, step, rate)
+          for entry in entries for step, rate in zip(steps, entry["rates"])]),
+        EXIT_OK if converged else EXIT_SOLVER_FAILURE)
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Output:
     from .operators import DEFAULT_SEED, SUITES
 
     if args.seed is not None and args.seed < 0:
@@ -617,21 +582,13 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"unknown suite {wanted!r}; choose from {', '.join(SUITES)}, or all")
     names = SUITES if wanted == "all" else (wanted,)
     suites = [SUITES[name](seed) for name in names]
-
-    if args.format == "json":
-        payload = {
-            "command": "verify",
-            "suite": wanted,
-            "passed": all(rep.passed for rep in suites),
-            "reports": [rep.to_json_dict() for rep in suites],
-        }
-        _emit(_json_dumps(payload), args.out)
-    else:
-        blocks = [rep.to_text() for rep in suites]
-        overall = "PASS" if all(rep.passed for rep in suites) else "FAIL"
-        _emit("\n\n".join(blocks) + f"\n\noverall: {overall}", args.out)
-
-    return EXIT_OK if all(rep.passed for rep in suites) else EXIT_VERIFICATION_FAILURE
+    passed = all(rep.passed for rep in suites)
+    return Output(
+        {"command": "verify", "suite": wanted, "passed": passed,
+         "reports": [rep.to_json_dict() for rep in suites]},
+        ["\n\n".join([rep.to_text() for rep in suites]
+                      + [f"overall: {'PASS' if passed else 'FAIL'}"])],
+        code=EXIT_OK if passed else EXIT_VERIFICATION_FAILURE)
 
 
 # ---------------------------------------------------------------------------
@@ -656,13 +613,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_out(args.out)
-        return _COMMANDS[args.command](args)
+        output = _COMMANDS[args.command](args)
+        _emit(output.render(args.format), args.out)
     except UsageError as exc:
         print(f"rectmorley: error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
     except (ValueError, ArithmeticError) as exc:
         print(f"rectmorley: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
+    if output.stderr:
+        print(output.stderr, file=sys.stderr)
+    return output.code
 
 
 if __name__ == "__main__":

@@ -17,6 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _check_modes(modes):
+    """Refuse sine modes that are not positive integers; a bool is not one."""
+    if any(not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1
+           for m in modes):
+        raise ValueError(f"modes must be positive integers, got {modes!r}")
+
+
 @dataclass(frozen=True)
 class SineProduct:
     """amplitude * prod_i sin(m_i pi x_i) on the unit box."""
@@ -25,9 +32,7 @@ class SineProduct:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if any(not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1
-               for m in self.modes):
-            raise ValueError(f"modes must be positive integers, got {self.modes!r}")
+        _check_modes(self.modes)
 
     @property
     def dim(self) -> int:
@@ -81,7 +86,11 @@ def unit_box_eigenfunction(modes) -> SineProduct:
 
 
 def sine_eigenvalue(modes) -> float:
-    """Biharmonic eigenvalue of the matching sine product: (sum m_i^2)^2 pi^4."""
+    """Biharmonic eigenvalue of the matching sine product: (sum m_i^2)^2 pi^4.
+
+    It refuses the modes that SineProduct refuses.
+    """
+    _check_modes(modes)
     return float(sum(m * m for m in modes)) ** 2 * np.pi ** 4
 
 

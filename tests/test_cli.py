@@ -292,6 +292,52 @@ def test_solve_csv_layout(capsys):
         assert {row[4] for row in rows} == {run["method"]} == {method}
 
 
+def csv_holds(field, value):
+    """A CSV field holds its JSON value: empty for None, yes/no for a bool,
+    and otherwise a plain float literal equal to it."""
+    if value is None or isinstance(value, bool):
+        return field == {None: "", True: "yes", False: "no"}[value]
+    return float(field) == value
+
+
+@pytest.mark.parametrize("argv", [["table", "1", "--n", "4", "--n", "8"],
+                                  ["table", "2", "--n", "2", "--n", "4"]])
+def test_table_csv_fields_equal_the_json_values(argv, capsys):
+    # Table 1 has no exact values and so no errors or rates; table 2 at n=2
+    # has no stored values, and its n=2 -> 4 step has a missing rate.
+    code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    expected = json.loads(out)["rows"]
+    assert len(rows) == len(expected) == 12
+    for row, want in zip(rows, expected):
+        for key in ("eigenvalue", "rel_diff", "error", "rate", "monotone"):
+            assert csv_holds(row[key], want[key]), (key, row[key], want[key])
+
+
+@pytest.mark.parametrize("argv", [["rates", "--n", "2", "--n", "4"],
+                                  ["rates", "--n", "4", "--n", "8", "--n", "12",
+                                   "--bc", "clamped"]])
+def test_rates_csv_fields_equal_the_json_values(argv, capsys):
+    # Both carry a missing rate: the sixth simply supported value at n=2
+    # lies above its exact value, and the extrapolated last step has none.
+    code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    expected = [(entry["reference"], rate) for entry in json.loads(out)["entries"]
+                for rate in entry["rates"]]
+    assert None in [rate for _, rate in expected]
+    assert len(rows) == len(expected)
+    for (_, reference, _, _, rate), (want_reference, want_rate) in zip(rows, expected):
+        assert csv_holds(reference, want_reference)
+        assert csv_holds(rate, want_rate)
+
+
 def test_solve_accepts_repeated_n(capsys):
     code, out, _ = run_cli(
         ["solve", "--n", "2", "--n", "4", "--k", "1", "--format", "csv"], capsys
@@ -656,7 +702,8 @@ def test_one_parser_serves_every_call_without_sharing_lists(monkeypatch, capsys)
     # main builds its parser once per process; each parse still makes its
     # own --n list, and a usage error after a good call still exits 3.
     seen = []
-    monkeypatch.setitem(cli._COMMANDS, "solve", lambda args: seen.append(args.n) or 0)
+    monkeypatch.setitem(cli._COMMANDS, "solve",
+                        lambda args: seen.append(args.n) or cli.Output({}, []))
     assert cli.main(["solve", "--n", "4", "--n", "8"]) == 0
     assert cli.main(["solve", "--n", "16"]) == 0
     assert seen == [[4, 8], [16]] and seen[0] is not seen[1]
@@ -687,28 +734,39 @@ def test_every_export_resolves_through_the_lazy_loader():
         assert rectmorley.__getattr__(name) is not None
 
 
-def test_out_flag_writes_file(tmp_path, capsys):
-    target = tmp_path / "result.json"
-    code, out, _ = run_cli(
-        ["solve", "--n", "2", "--k", "1", "--format", "json",
-         "--out", str(target)], capsys
-    )
+@pytest.mark.parametrize("argv,fmt", [
+    (argv, fmt)
+    for argv, formats in ((["solve", "--n", "2", "--k", "1"], ("text", "csv", "json")),
+                          (["table", "2", "--n", "2", "--n", "4"], ("text", "csv", "json")),
+                          (["rates", "--n", "2", "--n", "4"], ("text", "csv", "json")),
+                          (["verify", "lemma2d"], ("text", "json")))
+    for fmt in formats], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_out_flag_writes_file(argv, fmt, tmp_path, capsys):
+    # The file holds what stdout prints without --out, which ends in one
+    # newline; stdout then holds only the wrote line.
+    argv = argv + ["--format", fmt]
+    code, printed, _ = run_cli(argv, capsys)
     assert code == 0
-    assert f"wrote {target}" in out
-    payload = json.loads(target.read_text())
-    assert payload["command"] == "solve"
+    assert printed.endswith("\n") and not printed.endswith("\n\n")
+    target = tmp_path / f"result.{fmt}"
+    code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+    assert (code, out, err) == (0, f"wrote {target}\n", "")
+    assert target.read_bytes() == printed.encode("utf-8")
 
 
 def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
-    target = tmp_path / "missing" / "x.json"
-    code, out, err = run_cli(
-        ["solve", "--n", "2", "--k", "1", "--format", "json",
-         "--out", str(target)], capsys
-    )
-    assert code == 3
-    assert out == ""
-    assert err.startswith("rectmorley: error:") and str(target) in err
-    assert len(err.strip().splitlines()) == 1
+    (tmp_path / "file").write_text("")
+    for target, reason in ((tmp_path / "missing" / "x.json", "No such file or directory"),
+                           (tmp_path / "file" / "x.json", "Not a directory")):
+        code, out, err = run_cli(
+            ["solve", "--n", "2", "--k", "1", "--format", "json",
+             "--out", str(target)], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("rectmorley: error:") and str(target) in err
+        assert reason in err
+        assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [

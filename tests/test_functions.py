@@ -191,6 +191,15 @@ def test_non_integral_and_bool_modes_are_refused_as_given(modes):
     assert unit_box_eigenfunction(np.array([2, 1])).modes == (2, 1)
 
 
+@pytest.mark.parametrize("modes", [(1.5, 1), (0, 1), (True, 1), (-1, 1)])
+def test_sine_eigenvalue_refuses_what_the_sine_product_refuses(modes):
+    # identity37 pairs the two, so an eigenvalue exists only for a sine product.
+    with pytest.raises(ValueError, match=re.escape(repr(modes))):
+        sine_eigenvalue(modes)
+    with pytest.raises(ValueError, match=re.escape(repr(modes))):
+        SineProduct(modes)
+
+
 def _random_inputs(dim, seed):
     """A random polynomial of degree at most 2 in each variable, a sine
     product with random modes in 1..4, and that sine scaled."""
