@@ -8,16 +8,17 @@ one condition from FACE_CONSTRAINTS: clamped faces constrain their vertices
 and facets, simply supported faces their vertices only, and the mid-plane
 faces of a reflection-parity block their facets (even parity) or their
 vertices (odd parity); a free face constrains nothing.  Free DOFs are
-numbered in nested-dissection order, so the assembled pencil is factored as
-it stands.  The parity blocks of one half box share one numbering and one
-assembly with free mid-plane faces: each block is the principal submatrix on
-its own free DOFs (restricted_dofs).
+numbered in entity-id order, and nested_dissection renumbers them for a
+pencil that is to be factored.  The parity blocks of one half box share one
+numbering and one assembly with free mid-plane faces: each block is the
+principal submatrix on its own free DOFs (restricted_dofs).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -62,10 +63,10 @@ class DofMap:
     """Free-DOF numbering for one mesh and boundary condition.
 
     entity_dof maps each entity id (vertices, then facets, as numbered by
-    the mesh) to its global free index, -1 where constrained; the free DOFs
-    are numbered in nested-dissection order.  cell_dofs holds the gathered
-    numbering per element in reference DOF order,
-    entity_dof[mesh.cell_entities].
+    the mesh) to its global free index, -1 where constrained; build_dof_map
+    numbers the free DOFs in id order, nested_dissection in a fill-reducing
+    order.  cell_dofs holds the gathered numbering per element in reference
+    DOF order, entity_dof[mesh.cell_entities].
     """
 
     mesh: CartesianMesh
@@ -76,37 +77,6 @@ class DofMap:
     @property
     def num_free(self) -> int:
         return int(np.count_nonzero(self.entity_dof >= 0))
-
-
-# Boxes with at most this many DOFs are not split further.
-ND_LEAF_SIZE = 32
-
-
-def _nested_dissection(coords: np.ndarray) -> np.ndarray:
-    """Fill-reducing order of points by coordinate-plane bisection.
-
-    Each step splits the longest axis of the current box at an even doubled
-    coordinate, i.e. a plane through mesh vertices.  The DOFs on that plane
-    (its vertices and the facets normal to it) separate the two sides exactly:
-    no element touches both, so the stiffness and mass matrices do not couple
-    them.  Both sides are ordered recursively and the separator goes last.
-    Returns order with order[i] the row of coords placed at position i.
-    (George, "Nested dissection of a regular finite element mesh", 1973.)
-    """
-    def order(ids):
-        if len(ids) <= ND_LEAF_SIZE:
-            return [ids]
-        sub = coords[ids]
-        lo, hi = sub.min(axis=0), sub.max(axis=0)
-        axis = int(np.argmax(hi - lo))
-        plane = 2 * ((lo[axis] + hi[axis]) // 4)
-        if not lo[axis] < plane < hi[axis]:
-            return [ids]
-        side = sub[:, axis]
-        return (order(ids[side < plane]) + order(ids[side > plane])
-                + [ids[side == plane]])
-
-    return np.concatenate(order(np.arange(len(coords))))
 
 
 def _constrained(mesh: CartesianMesh, bc: str, faces) -> np.ndarray:
@@ -136,18 +106,17 @@ def free_dof_count(mesh: CartesianMesh, bc: str, faces=None) -> int:
 
 
 def build_dof_map(mesh: CartesianMesh, bc: str, faces=None) -> DofMap:
-    """Number the free DOFs in nested-dissection order and gather the element
-    connectivity.
+    """Number the free DOFs in entity-id order (the free vertices, then the
+    free facets) and gather the element connectivity.
 
     Every face gets the boundary condition bc unless faces gives one
-    condition per face (see _constrained).  The bisection starts from the
-    free vertices, then the free facets, each in id order; a box too small
-    to split keeps that order.
+    condition per face (see _constrained).  A pencil that is to be factored
+    is assembled on nested_dissection of this map.
     """
-    free = np.flatnonzero(~_constrained(mesh, bc, faces))
+    free = ~_constrained(mesh, bc, faces)
 
     entity_dof = np.full(mesh.num_entities, -1, dtype=np.int64)
-    entity_dof[free[_nested_dissection(mesh.entity_coordinates[free])]] = np.arange(len(free))
+    entity_dof[free] = np.arange(np.count_nonzero(free))
     return DofMap(mesh, bc, entity_dof, entity_dof[mesh.cell_entities])
 
 
@@ -175,6 +144,44 @@ def dof_coordinates(dofmap: DofMap) -> np.ndarray:
     coords = np.empty((dofmap.num_free, dofmap.mesh.dim), dtype=np.int64)
     coords[dofmap.entity_dof[free]] = dofmap.mesh.entity_coordinates[free]
     return coords
+
+
+# Boxes with at most this many DOFs are not split further.
+ND_LEAF_SIZE = 32
+
+
+def nested_dissection(dofmap: DofMap) -> DofMap:
+    """The same map, its free DOFs renumbered in a fill-reducing order by
+    coordinate-plane bisection.
+
+    Each step splits the longest axis of the current box at an even doubled
+    coordinate, i.e. a plane through mesh vertices.  The DOFs on that plane
+    (its vertices and the facets normal to it) separate the two sides exactly:
+    no element touches both, so the stiffness and mass matrices do not couple
+    them.  Both sides are ordered recursively and the separator goes last; a
+    box too small to split keeps dofmap's order.  (George, "Nested
+    dissection of a regular finite element mesh", 1973.)
+    """
+    coords = dof_coordinates(dofmap)
+
+    def order(ids):
+        if len(ids) <= ND_LEAF_SIZE:
+            return [ids]
+        sub = coords[ids]
+        lo, hi = sub.min(axis=0), sub.max(axis=0)
+        axis = int(np.argmax(hi - lo))
+        plane = 2 * ((lo[axis] + hi[axis]) // 4)
+        if not lo[axis] < plane < hi[axis]:
+            return [ids]
+        side = sub[:, axis]
+        return (order(ids[side < plane]) + order(ids[side > plane])
+                + [ids[side == plane]])
+
+    # The new number of each DOF; the last slot keeps constrained entities at -1.
+    renumber = np.full(dofmap.num_free + 1, -1, dtype=np.int64)
+    renumber[np.concatenate(order(np.arange(dofmap.num_free)))] = np.arange(dofmap.num_free)
+    entity_dof = renumber[dofmap.entity_dof]
+    return DofMap(dofmap.mesh, dofmap.bc, entity_dof, entity_dof[dofmap.mesh.cell_entities])
 
 
 # ---------------------------------------------------------------------------
@@ -356,16 +363,21 @@ def broken_integrals(mesh: CartesianMesh, element: ReferenceElement, orders,
 
     Each function is an analytic input (answering derivatives(alphas, x)) or
     per-cell reference coefficients of shape (num_elements, ndof), as returned
-    by cell_reference_coefficients.  integrand receives one array of shape
-    (cells, points, derivatives) per function, the derivatives in
-    derivative_alphas order, and returns an array of the same shape.  All orders
+    by cell_reference_coefficients.  integrand is applied elementwise: it
+    receives one array of shape (cells, points, derivatives) per function,
+    each distinct multi-index of derivative_alphas once (in order of first
+    appearance), and returns an array of the same shape, whose integral over
+    a derivative is counted as often as derivative_alphas lists it (a mixed
+    second derivative twice, as in the full Hessian contraction).  All orders
     share one pass over the cells, in blocks of at most BLOCK_POINTS quadrature
     points; an analytic input is evaluated once per block, for the derivatives
     of every order, at the cell centers plus the offsets h * rule points
     (u.derivatives(alphas, centers, offsets))."""
     rule = tensor_rule(mesh.dim, QUAD_ORDER)
     h = mesh.half_width
-    alphas = [derivative_alphas(mesh.dim, order) for order in orders]
+    counted = [Counter(derivative_alphas(mesh.dim, order)) for order in orders]
+    alphas = [list(count) for count in counted]
+    weights = [np.fromiter(count.values(), float) for count in counted]
     every_alpha = [alpha for order_alphas in alphas for alpha in order_alphas]
     bounds = np.cumsum([0] + [len(a) for a in alphas])
     # (ndof, points * derivatives): one matmul maps cell coefficients to samples.
@@ -381,7 +393,7 @@ def broken_integrals(mesh: CartesianMesh, element: ReferenceElement, orders,
             samples = [(u[cells] @ table).reshape(-1, rule.num_points, len(alphas[k]))
                        if values is None else values[..., bounds[k]:bounds[k + 1]]
                        for u, values in zip(functions, analytic)]
-            totals[k] += float((rule.weights @ integrand(*samples)).sum())
+            totals[k] += float((rule.weights @ integrand(*samples)).sum(axis=0) @ weights[k])
     return {order: total * h ** mesh.dim for order, total in zip(orders, totals)}
 
 

@@ -181,12 +181,12 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     even (facets) or odd (vertices) condition on the mid-plane faces.  The
     half box is numbered and assembled once, with free mid-plane faces, and
     each block is the principal submatrix on its own free DOFs, in that
-    shared nested-dissection order.  An axis permutation maps one block onto
-    another with as many odd axes, so one representative per count j of odd
-    axes is taken, in decreasing multiplicity (3D oee, ooe, eee, ooo; 2D oe,
-    ee, oo), and its eigenvalues count C(dim, j) times.  Odd n, and problems
-    with fewer than SPLIT_MIN_ORDER[dim] free DOFs, are one block on the
-    full box.  Every block holds each of its eigenpairs below the final
+    shared order (nested dissection when clamped, for the factors).  An axis
+    permutation maps one block onto another with as many odd axes, so one
+    representative per count j of odd axes is taken, in decreasing
+    multiplicity (3D oee, ooe, eee, ooo; 2D oe, ee, oo), and its eigenvalues
+    count C(dim, j) times.  Odd n, and problems with fewer than
+    SPLIT_MIN_ORDER[dim] free DOFs, are one block on the full box.  Every block holds each of its eigenpairs below the final
     tau = (k-th merged eigenvalue) (1 + REL_GAP); metadata["k_closed"]
     counts them with multiplicity, above k when k cuts a cluster.
 
@@ -221,7 +221,8 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
 
     from . import eigensolve, symbol
     from .assembly import (BC_SIMPLY_SUPPORTED, FACE_FREE, PARITY_EVEN, PARITY_ODD, assemble,
-                           build_dof_map, dof_coordinates, free_dof_count, restricted_dofs)
+                           build_dof_map, dof_coordinates, free_dof_count, nested_dissection,
+                           restricted_dofs)
     from .element import build_reference_element
     from .mesh import build_mesh
 
@@ -252,6 +253,8 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     spectra = symbol.block_spectra(dim, n, representatives)
 
     dofmap = build_dof_map(mesh, bc, shared_faces)
+    if bc != BC_SIMPLY_SUPPORTED:
+        dofmap = nested_dissection(dofmap)
     shared = assemble(mesh, dofmap, element)
 
     def slice_tau():
@@ -346,7 +349,12 @@ def _check_out(out_path):
     if os.path.isdir(out_path):
         reason = errno.EISDIR
     elif not os.path.isdir(parent):
-        reason = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        # The OS's errno: ENOENT if it is missing, ENOTDIR through a file.
+        try:
+            os.stat(parent)
+            reason = errno.ENOTDIR
+        except OSError as error:
+            reason = error.errno
     elif not os.access(parent, os.W_OK | os.X_OK):
         reason = errno.EACCES
     else:

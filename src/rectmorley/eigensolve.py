@@ -3,8 +3,8 @@
 solve_smallest is the one entry point, for a pencil of two scipy sparse
 matrices (the clamped blocks of cli.solve_problem, and library callers).
 Its route is ARPACK shift-invert at shift 0, around the no-pivot factor of
-the stiffness matrix A in the order the pencil is given (finite element
-pencils come numbered in nested-dissection order).  One factor type, the
+the stiffness matrix A in the order the pencil is given (a finite element
+pencil is assembled on assembly.nested_dissection).  One factor type, the
 no-pivot LDL^T of A - shift M (_ShiftedFactor), serves the solves at shift
 0 and the default certificate: by Sylvester's law of inertia its negative
 pivots count the eigenvalues below the shift (count_below), and the factor

@@ -756,8 +756,10 @@ def test_out_flag_writes_file(argv, fmt, tmp_path, capsys):
 
 def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
     (tmp_path / "file").write_text("")
+    # A path two levels under a file fails at its parent, as open() does.
     for target, reason in ((tmp_path / "missing" / "x.json", "No such file or directory"),
-                           (tmp_path / "file" / "x.json", "Not a directory")):
+                           (tmp_path / "file" / "x.json", "Not a directory"),
+                           (tmp_path / "file" / "sub" / "x.json", "Not a directory")):
         code, out, err = run_cli(
             ["solve", "--n", "2", "--k", "1", "--format", "json",
              "--out", str(target)], capsys

@@ -14,7 +14,7 @@ import pytest
 
 from rectmorley import cli, eigensolve
 from rectmorley.assembly import (FACE_FREE, PARITY_EVEN, PARITY_ODD, assemble,
-                                 build_dof_map, restricted_dofs)
+                                 build_dof_map, nested_dissection, restricted_dofs)
 from rectmorley.eigensolve import smallest_k_dense, solve_smallest
 from rectmorley.element import build_reference_element
 from rectmorley.mesh import build_mesh
@@ -23,8 +23,10 @@ BCS = ("clamped", "simply-supported")
 
 
 def full_pencil(dim, n, bc):
+    """The pencil of the full box, numbered for a factor."""
     mesh = build_mesh(dim, n)
-    return assemble(mesh, build_dof_map(mesh, bc), build_reference_element(dim))
+    return assemble(mesh, nested_dissection(build_dof_map(mesh, bc)),
+                    build_reference_element(dim))
 
 
 def half_box(dim, n):
@@ -50,8 +52,8 @@ def block_eigenvalues(dim, n, bc, parity, k=6):
     """The k smallest eigenvalues of the half-box block of one parity
     ('e' or 'o' per axis), solved directly."""
     mesh = half_box(dim, n)
-    a_mat, m_mat = assemble(mesh, build_dof_map(mesh, bc, parity_faces(bc, parity)),
-                            build_reference_element(dim))
+    dofmap = nested_dissection(build_dof_map(mesh, bc, parity_faces(bc, parity)))
+    a_mat, m_mat = assemble(mesh, dofmap, build_reference_element(dim))
     return solve_smallest(a_mat, m_mat, k).eigenvalues[:k]
 
 
@@ -164,14 +166,20 @@ def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypa
     # One numbering and one assembly of the half box with free mid-plane
     # faces; each parity block is the principal submatrix on its free DOFs.
     mesh, element = half_box(dim, n), build_reference_element(dim)
-    shared_map = build_dof_map(mesh, bc, [bc, FACE_FREE] * dim)
+
+    def numbered(faces):
+        """The numbering solve_problem gives: bisected for the clamped factors."""
+        dofmap = build_dof_map(mesh, bc, faces)
+        return nested_dissection(dofmap) if bc == "clamped" else dofmap
+
+    shared_map = numbered([bc, FACE_FREE] * dim)
     shared = assemble(mesh, shared_map, element)
     slices = {}
     for parity in map("".join, itertools.product("eo", repeat=dim)):
         faces = parity_faces(bc, parity)
         keep = restricted_dofs(shared_map, faces)
         slices[parity] = [mat[keep][:, keep] for mat in shared]
-        own_map = build_dof_map(mesh, bc, faces)
+        own_map = numbered(faces)
         # own[i]: the block's own DOF number of the i-th kept shared DOF,
         # matched through the entity ids.
         free = own_map.entity_dof >= 0
@@ -181,7 +189,8 @@ def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypa
         for sliced, assembled in zip(slices[parity], assemble(mesh, own_map, element)):
             assert sliced.has_canonical_format
             assert (assembled[own][:, own] != sliced).nnz == 0
-        if dim == 2:
+        # A slice keeps id order; in 2D it keeps the bisection order too.
+        if dim == 2 or bc == "simply-supported":
             assert np.array_equal(own, np.arange(own_map.num_free))
     # solve_problem solves exactly these slices, representatives first: a
     # clamped block with solve_smallest, a simply supported one by checking

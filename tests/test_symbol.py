@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rectmorley import cli, symbol
 from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, FACE_FREE, PARITY_EVEN,
                                  PARITY_ODD, assemble, build_dof_map, dof_coordinates,
-                                 free_dof_count, restricted_dofs)
+                                 free_dof_count, nested_dissection, restricted_dofs)
 from rectmorley.eigensolve import REL_GAP, compute_residuals, count_below
 from rectmorley.element import build_reference_element
 from rectmorley.mesh import build_mesh
@@ -32,8 +32,10 @@ def block_mesh_and_faces(dim, n, parity):
 
 
 def block_pencil(dim, n, parity, with_coordinates=False):
+    """A simply supported block's pencil, numbered for the count_below oracle's
+    factor."""
     mesh, faces = block_mesh_and_faces(dim, n, parity)
-    dofmap = build_dof_map(mesh, BC_SIMPLY_SUPPORTED, faces)
+    dofmap = nested_dissection(build_dof_map(mesh, BC_SIMPLY_SUPPORTED, faces))
     pencil = assemble(mesh, dofmap, build_reference_element(dim))
     return (*pencil, dof_coordinates(dofmap)) if with_coordinates else pencil
 
@@ -151,13 +153,14 @@ def test_solve_matches_the_symbol_past_the_dense_oracle(dim, n):
 
 def clamped_blocks(dim, n):
     """The clamped blocks solve_problem counts, {parity: (A, M)}: its
-    representatives of the half box (even n, split), or the full box."""
+    representatives of the half box (even n, split), or the full box, in its
+    nested-dissection order."""
     mesh = build_mesh(dim, n)
     faces = None
     if n % 2 == 0 and free_dof_count(mesh, BC_CLAMPED) >= cli.SPLIT_MIN_ORDER[dim]:
         mesh = build_mesh(dim, n // 2, domain=((0.0,) * dim, (0.5,) * dim))
         faces = [BC_CLAMPED, FACE_FREE] * dim
-    dofmap = build_dof_map(mesh, BC_CLAMPED, faces)
+    dofmap = nested_dissection(build_dof_map(mesh, BC_CLAMPED, faces))
     shared = assemble(mesh, dofmap, build_reference_element(dim))
     if faces is None:
         return {None: shared}
