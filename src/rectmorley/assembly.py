@@ -9,9 +9,10 @@ and facets, simply supported faces their vertices only, and the mid-plane
 faces of a reflection-parity block their facets (even parity) or their
 vertices (odd parity); a free face constrains nothing.  Free DOFs are
 numbered in entity-id order, and nested_dissection renumbers them for a
-pencil that is to be factored.  The parity blocks of one half box share one
-numbering and one assembly with free mid-plane faces: each block is the
-principal submatrix on its own free DOFs (restricted_dofs).
+pencil that is to be factored.  The clamped parity blocks of one half box
+share one numbering and one assembly with free mid-plane faces: each block
+is the principal submatrix on its own free DOFs (restricted_dofs).
+cell_operator applies an assembled matrix cell by cell, without building it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sparse
+import scipy.sparse.linalg as sla
 
 from .element import SHAPE_DEGREE, ReferenceElement, build_reference_element, reference_dof_scale
 from .functions import ScaledFunction
@@ -241,6 +243,27 @@ def assemble(mesh: CartesianMesh, dofmap: DofMap, element: ReferenceElement):
         return mat
 
     return gather(ke), gather(me)
+
+
+def cell_operator(dofmap: DofMap, local) -> sla.LinearOperator:
+    """The matrix that assemble builds from the element matrix `local` on
+    dofmap, applied cell by cell without being built: gather each cell's
+    DOF values, multiply by `local`, and scatter-add the products (the sums
+    are taken in another order than the assembled matrix's)."""
+    order = dofmap.num_free
+    # A constrained DOF (-1) reads and writes the padding slot `order`.
+    cells = np.where(dofmap.cell_dofs >= 0, dofmap.cell_dofs, order)
+
+    def matmat(x):
+        padded = np.zeros((order + 1, x.shape[1]))
+        padded[:order] = x
+        products = np.einsum("ij,cjk->cik", local, padded[cells])
+        slots = cells[:, :, None] * x.shape[1] + np.arange(x.shape[1])
+        return np.bincount(slots.ravel(), products.ravel(),
+                           (order + 1) * x.shape[1]).reshape(order + 1, -1)[:order]
+
+    return sla.LinearOperator((order, order), matvec=lambda x: matmat(x.reshape(order, 1)),
+                              matmat=matmat, dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -172,36 +172,40 @@ class Solution:
 
 def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
                   solver: str = "auto") -> Solution:
-    """Assemble and solve one configuration, with a certificate that no
-    eigenvalue below the k-th was skipped.
+    """Solve one configuration, with a certificate that no eigenvalue below
+    the k-th was skipped.
 
     Each mid-plane reflection x_a -> 1 - x_a commutes with the pencil, so for
     even n the problem splits into 2^dim parity blocks: the Morley problem
     on the half box [0, 1/2]^dim with the given bc on the outer faces and an
-    even (facets) or odd (vertices) condition on the mid-plane faces.  The
-    half box is numbered and assembled once, with free mid-plane faces, and
-    each block is the principal submatrix on its own free DOFs, in that
-    shared order (nested dissection when clamped, for the factors).  An axis
-    permutation maps one block onto another with as many odd axes, so one
-    representative per count j of odd axes is taken, in decreasing
+    even (facets) or odd (vertices) condition on the mid-plane faces.  An
+    axis permutation maps one block onto another with as many odd axes, so
+    one representative per count j of odd axes is taken, in decreasing
     multiplicity (3D oee, ooe, eee, ooo; 2D oe, ee, oo), and its eigenvalues
     count C(dim, j) times.  Odd n, and problems with fewer than
-    SPLIT_MIN_ORDER[dim] free DOFs, are one block on the full box.  Every block holds each of its eigenpairs below the final
+    SPLIT_MIN_ORDER[dim] free DOFs, are one block on the full box.
+
+    Every block holds each of its eigenpairs below the final
     tau = (k-th merged eigenvalue) (1 + REL_GAP); metadata["k_closed"]
     counts them with multiplicity, above k when k cuts a cluster.
 
-    A simply supported problem needs no factor and no eigensolver: the
-    exact spectra of its parity classes (symbol.block_spectra) give the
-    final tau, and each block takes its class's pairs below it, with
-    eigenvectors from symbol.modes checked by their residuals in its own
-    pencil (method 'symbol'; `solver` must still be 'auto' or 'dense', but
-    is not used).  Its count is the number of those pairs, None (not
-    converged) when its order is not its class's eigenvalue count.  A
-    clamped problem solves each block once with solve_smallest on the
-    `solver` route, below the tau of the blocks merged before it; the first,
-    with no tau yet, for k1 = ceil(k / multiplicity) pairs (fewer if it is
-    smaller), whose copies give k merged values, certified at its own
-    lambda_k1 (1 + REL_GAP).  Both are at or above the final tau.  Each
+    A simply supported problem assembles nothing, and needs no factor and
+    no eigensolver: the exact spectra of its parity classes
+    (symbol.block_spectra) give the final tau, and each block numbers its
+    own DOFs in id order (build_dof_map with its parity's faces) and takes
+    its class's pairs below tau, with eigenvectors from symbol.modes
+    checked by their residuals in its own pencil, applied cell by cell
+    (assembly.cell_operator; method 'symbol'; `solver` must still be 'auto'
+    or 'dense', but is not used).  Its count is the number of those pairs,
+    None (not converged) when its order is not its class's eigenvalue
+    count.  A clamped problem numbers and assembles the half box once, with
+    free mid-plane faces, in nested-dissection order for the factors, and
+    each block is the principal submatrix on its own free DOFs.  It solves
+    each block once with solve_smallest on the `solver` route, below the
+    tau of the blocks merged before it; the first, with no tau yet, for
+    k1 = ceil(k / multiplicity) pairs (fewer if it is smaller), whose
+    copies give k merged values, certified at its own lambda_k1
+    (1 + REL_GAP).  Both are at or above the final tau.  Each
     block is counted from the spectrum of its simply supported class
     (symbol.clamped_count, from the same block_spectra call), with no factor
     of A - tau M: every factor a clamped solve builds is of A, at shift 0.
@@ -221,8 +225,8 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
 
     from . import eigensolve, symbol
     from .assembly import (BC_SIMPLY_SUPPORTED, FACE_FREE, PARITY_EVEN, PARITY_ODD, assemble,
-                           build_dof_map, dof_coordinates, free_dof_count, nested_dissection,
-                           restricted_dofs)
+                           build_dof_map, cell_operator, dof_coordinates, element_matrices,
+                           free_dof_count, nested_dissection, restricted_dofs)
     from .element import build_reference_element
     from .mesh import build_mesh
 
@@ -252,10 +256,11 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     # clamped one's counts.
     spectra = symbol.block_spectra(dim, n, representatives)
 
-    dofmap = build_dof_map(mesh, bc, shared_faces)
-    if bc != BC_SIMPLY_SUPPORTED:
-        dofmap = nested_dissection(dofmap)
-    shared = assemble(mesh, dofmap, element)
+    if bc == BC_SIMPLY_SUPPORTED:
+        local_matrices = element_matrices(element, mesh.half_width)
+    else:
+        dofmap = nested_dissection(build_dof_map(mesh, bc, shared_faces))
+        shared = assemble(mesh, dofmap, element)
 
     def slice_tau():
         """(1 + REL_GAP) times the k-th merged value, inf if fewer: of the
@@ -272,24 +277,24 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     # the module attribute (a tracer) sees every block solve and count.
     solved = {}
     for parity in representatives:
-        a_mat, m_mat = shared
-        keep = slice(None)
-        if parity is not None:
-            keep = restricted_dofs(dofmap, [side for p in parity for side in
-                                            (bc, PARITY_ODD if p == "o" else PARITY_EVEN)])
-            a_mat, m_mat = (mat[keep][:, keep] for mat in shared)
+        faces = None if parity is None else [
+            side for p in parity for side in (bc, PARITY_ODD if p == "o" else PARITY_EVEN)]
         tau = slice_tau()
         if bc == BC_SIMPLY_SUPPORTED:
+            own = build_dof_map(mesh, bc, faces)
+            a_op, m_op = (cell_operator(own, local) for local in local_matrices)
             values, waves, vectors = spectra[parity]
             below = int(np.searchsorted(values, tau))
-            modes = symbol.modes(dof_coordinates(dofmap)[keep], n, waves[:below],
-                                 vectors[:below])
-            modes /= np.sqrt(np.einsum("ij,ij->j", modes, m_mat @ modes))
-            result = eigensolve.solved(a_mat, m_mat, symbol.METHOD_SYMBOL, values[:below],
-                                       modes)
+            modes = symbol.modes(dof_coordinates(own), n, waves[:below], vectors[:below])
+            modes /= np.sqrt(np.einsum("ij,ij->j", modes, m_op @ modes))
+            result = eigensolve.solved(a_op, m_op, symbol.METHOD_SYMBOL, values[:below], modes)
             solved[parity] = eigensolve.certified(
-                result, tau, below if len(values) == a_mat.shape[0] else None)
+                result, tau, below if len(values) == own.num_free else None)
         else:
+            a_mat, m_mat = shared
+            if parity is not None:
+                keep = restricted_dofs(dofmap, faces)
+                a_mat, m_mat = (mat[keep][:, keep] for mat in shared)
             owed = dict(tau=tau) if tau < np.inf else dict(
                 k=min(math.ceil(k / multiplicity[parity]), a_mat.shape[0]))
             count = functools.partial(symbol.clamped_count, dim, n, parity, spectra[parity],

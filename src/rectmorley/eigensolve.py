@@ -87,7 +87,9 @@ def solved(A, M, method: str, eigenvalues, eigenvectors, converged: bool = True,
            **metadata) -> EigenResult:
     """The result of a solve of the pencil (A, M): its relative residuals,
     and metadata of the order, then converged (the solver's verdict and
-    every residual within RESIDUAL_TOL), then the rest."""
+    every residual within RESIDUAL_TOL), then the rest.  A and M are
+    matrices or scipy LinearOperators (assembly.cell_operator): only their
+    shape and their products with vectors are used."""
     residuals = compute_residuals(A, M, eigenvalues, eigenvectors)
     converged = bool(converged) and bool(np.all(residuals <= RESIDUAL_TOL))
     return EigenResult(eigenvalues, eigenvectors, residuals, method,
@@ -269,7 +271,10 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto",
     REL_GAP): a k that cuts a cluster of copies of lambda_k gets the whole
     cluster, more than k pairs.  The result records metadata["tau"] and
     metadata["count_below_tau"], and converged holds only if exactly that
-    many of its eigenvalues lie below tau.  A count
+    many of its eigenvalues lie below tau.  A k solve that found every pair
+    of the pencil, all below its tau, owes them all, and count is not
+    called: a tau above the top eigenvalue may lie where count cannot
+    count (on a pole of the symbol's capacitance matrix).  A count
     that cannot be trusted (count raises ValueError) leaves the pairs found,
     if any, with count_below_tau None and converged=False.  k=0 returns no
     pairs and no certificate; a NaN tau is refused with ValueError.
@@ -320,8 +325,10 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto",
         found, factor = _solve(A, M, k, np.inf, found)
         tau = found.eigenvalues[k - 1] * (1 + REL_GAP) if len(found.eigenvalues) >= k else np.inf
     count = count or (lambda t: count_below(A, M, t))
+    # Every pair of the pencil found, all below tau: it owes them all.
+    complete = len(found.eigenvalues) == order and np.all(found.eigenvalues < tau)
     try:
-        owed = count(tau) if np.isfinite(tau) else (order if tau > 0 else 0)
+        owed = count(tau) if np.isfinite(tau) and not complete else (order if tau > 0 else 0)
     except ValueError:
         return certified(found, tau, None)
     if found.converged and np.count_nonzero(found.eigenvalues < tau) < owed:

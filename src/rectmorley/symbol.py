@@ -12,7 +12,10 @@ invariant under the pencil, so its Galerkin pencil, of order at most dim+1,
 holds that p's share of the spectrum, and its eigenvectors weight the
 families of the global ones (modes).  Each mid-plane reflection maps a sine
 of odd p_a onto itself, so p lies in the parity block whose letter on axis
-a is 'e' exactly when p_a is odd.
+a is 'e' exactly when p_a is odd.  An axis permutation maps the pencil of p
+onto that of p sorted, its facet families permuted alike, so block_spectra
+solves one pencil per orbit of the permutations, and the mirror copies of
+an eigenvalue are bit-identical.
 
 The Galerkin pencil is a sum over the cells, and each cell's share is the
 element matrices applied to the family amplitudes at the cell's DOFs.
@@ -249,17 +252,29 @@ def wave_spectra(dim: int, n: int, waves) -> tuple:
 def block_spectra(dim: int, n: int, parities) -> dict:
     """wave_spectra of each parity block in `parities` (one letter per axis,
     'e' exactly when p_a is odd, else 'o'; None for the full box), from one
-    batch of pencils."""
+    batch of pencils, one per orbit of the axis permutations: only the
+    sorted wave vectors are solved.  Each wave takes its orbit's eigenvalues,
+    bit for bit, and its orbit's eigenvectors with the row of the facets
+    normal to axis a taken from row 1 + the rank of p_a in p (ties in
+    stable order)."""
     p = np.arange(n + 1)
     blocks = []
     for parity in parities:
         letters = parity or "*" * dim
         numbers = [p if letter == "*" else p[(letter == "e")::2] for letter in letters]
         blocks.append(np.stack(np.meshgrid(*numbers, indexing="ij"), axis=-1).reshape(-1, dim))
-    values, vectors = _eigenpairs(*_pencils(dim, n, np.concatenate(blocks)))
-    bounds = np.cumsum([0] + [len(waves) for waves in blocks])
-    return {parity: _ascending(n, waves, values[start:stop], vectors[start:stop])
-            for parity, waves, start, stop in zip(parities, blocks, bounds, bounds[1:])}
+    waves = np.concatenate(blocks)
+    order = np.argsort(waves, axis=1, kind="stable")
+    rows = np.zeros((len(waves), dim + 1), dtype=np.intp)
+    np.put_along_axis(rows[:, 1:], order, np.arange(1, dim + 1), axis=1)
+    ordered = np.take_along_axis(waves, order, axis=1)
+    _, first, orbit = np.unique(ordered @ (n + 1) ** np.arange(dim), return_index=True,
+                                return_inverse=True)
+    values, vectors = _eigenpairs(*_pencils(dim, n, ordered[first]))
+    values, vectors = values[orbit], vectors[orbit[:, None], rows]
+    bounds = np.cumsum([0] + [len(block) for block in blocks])
+    return {parity: _ascending(n, block, values[start:stop], vectors[start:stop])
+            for parity, block, start, stop in zip(parities, blocks, bounds, bounds[1:])}
 
 
 def modes(coords: np.ndarray, n: int, waves: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -435,6 +435,27 @@ def test_solve_smallest_routes_tiny_pencils_to_dense(ref2):
         assert len(result.eigenvalues) == k
 
 
+@pytest.mark.parametrize("dim,n", [(2, 2), (2, 3), (3, 3)])
+def test_a_clamped_solve_of_every_pair_is_certified_without_a_count(dim, n, ref2, ref3,
+                                                                    monkeypatch):
+    # k = order: every pair found lies below tau, so the slice owes them all.
+    # The symbol could not count there: at 2D n=2 the top clamped eigenvalue
+    # sits 1e-6 below the simply supported pole of p = (1, 1), inside tau.
+    from rectmorley import cli, symbol
+
+    def refused(*args):
+        raise AssertionError("counted")
+
+    a_mat, m_mat = assembled(dim, n, BC_CLAMPED, ref2 if dim == 2 else ref3)
+    order = a_mat.shape[0]
+    monkeypatch.setattr(symbol, "clamped_count", refused)
+    result = cli.solve_problem(dim, n, BC_CLAMPED, k=order)
+    assert result.converged
+    assert result.metadata["blocks"][0]["count_below_tau"] == order == result.metadata["k_closed"]
+    dense = smallest_k_dense(a_mat, m_mat, order).eigenvalues
+    assert np.max(np.abs(result.eigenvalues - dense) / dense) <= 1e-10
+
+
 def test_solve_smallest_honors_explicit_method(ref2):
     # 'dense' forces the dense route where 'auto' takes shift-invert, which
     # is the auto route and not a method of its own.

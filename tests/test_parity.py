@@ -194,7 +194,8 @@ def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypa
             assert np.array_equal(own, np.arange(own_map.num_free))
     # solve_problem solves exactly these slices, representatives first: a
     # clamped block with solve_smallest, a simply supported one by checking
-    # the symbol's pairs in it (eigensolve.solved).
+    # the symbol's pairs in it (eigensolve.solved) with operators that apply
+    # the slice cell by cell, summed in another order.
     monkeypatch.setitem(cli.SPLIT_MIN_ORDER, dim, 0)
     solved = []
     name = "solve_smallest" if bc == "clamped" else "solved"
@@ -212,7 +213,41 @@ def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypa
     assert len(solved) == len(order)
     for parity, pencil in zip(order, solved):
         for mat, expected in zip(pencil, slices[parity]):
-            assert (mat != expected).nnz == 0
+            if bc == "clamped":
+                assert (mat != expected).nnz == 0
+            else:
+                applied, expected = mat @ np.eye(mat.shape[0]), expected.toarray()
+                assert np.abs(applied - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("dim,n,bc", [(2, 64, "simply-supported"), (2, 15, "simply-supported"),
+                                      (3, 8, "simply-supported"), (3, 16, "simply-supported"),
+                                      (2, 64, "clamped"), (3, 8, "clamped")])
+def test_only_clamped_solves_assemble(dim, n, bc, monkeypatch):
+    # A simply supported block numbers its own DOFs and applies the element
+    # matrices cell by cell: no shared map, no assembly and no slices.  A
+    # clamped problem numbers, bisects and assembles its shared map once.
+    from rectmorley import assembly
+
+    calls = []
+
+    def recorded(name):
+        function = getattr(assembly, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return call
+
+    for name in ("assemble", "build_dof_map", "nested_dissection", "restricted_dofs"):
+        monkeypatch.setattr(assembly, name, recorded(name))
+    blocks = cli.solve_problem(dim, n, bc).metadata["blocks"]
+    if bc == "clamped":
+        assert calls[:3] == ["build_dof_map", "nested_dissection", "assemble"]
+        assert calls.count("assemble") == 1
+    else:
+        assert calls == ["build_dof_map"] * len(blocks)
+        assert len(blocks) == (1 if n == 15 else dim + 1)
 
 
 @pytest.mark.parametrize("dim,n,bc,k_closed", [(3, 4, "clamped", 7),

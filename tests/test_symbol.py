@@ -1,6 +1,7 @@
 """The exact simply supported spectrum of symbol.py against the assembled pencils."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -121,6 +122,39 @@ def test_copies_agree_from_the_symbol_alone_at_2d_n1024():
     first, second = (values[np.all(waves == p, axis=1)] for p in ((1, 2), (2, 1)))
     assert len(first) == len(second) == 3
     assert np.max(np.abs(first - second) / first) <= 1e-10
+
+
+@pytest.mark.parametrize("dim,n,blocks,orbits,waves", [
+    (3, 16, ["oee", "ooe", "eee", "ooo"], 969, 2465),
+    (2, 64, ["oe", "ee", "oo"], 2145, 3169),
+    (3, 5, [None], 56, 216)])
+def test_block_spectra_solve_one_pencil_per_orbit(dim, n, blocks, orbits, waves, monkeypatch):
+    # The solve_problem representatives at 3D n=16 and 2D n=64, and the
+    # full box at 3D n=5: one pencil per sorted wave vector.
+    solved = []
+    pencils = symbol._pencils
+
+    def recorded(dim, n, batch):
+        solved.append(np.array(batch))
+        return pencils(dim, n, batch)
+
+    monkeypatch.setattr(symbol, "_pencils", recorded)
+    spectra = symbol.block_spectra(dim, n, blocks)
+    (batch,) = solved
+    sizes = {"e": (n + 1) // 2, "o": n // 2 + 1, "*": n + 1}
+    assert sum(math.prod(sizes[letter] for letter in parity or "*" * dim)
+               for parity in blocks) == waves
+    assert len(batch) == len(np.unique(batch, axis=0)) == orbits
+    assert np.array_equal(batch, np.sort(batch, axis=1))
+    # Within a block, the pairs of mirror waves are bit-identical once the
+    # facet rows are taken in the sorted order of the wave numbers.
+    for values, wave_of, vectors in spectra.values():
+        by_orbit = {}
+        for p in np.unique(wave_of, axis=0):
+            mine = np.all(wave_of == p, axis=1)
+            rows = np.concatenate([[0], 1 + np.argsort(p, kind="stable")])
+            pairs = (values[mine].tobytes(), vectors[mine][:, rows].tobytes())
+            assert by_orbit.setdefault(tuple(np.sort(p)), pairs) == pairs
 
 
 def test_first_eigenvalue_converges_from_below_at_second_order():
