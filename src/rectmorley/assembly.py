@@ -257,7 +257,7 @@ def cell_operator(dofmap: DofMap, local) -> sla.LinearOperator:
     def matmat(x):
         padded = np.zeros((order + 1, x.shape[1]))
         padded[:order] = x
-        products = np.einsum("ij,cjk->cik", local, padded[cells])
+        products = local @ padded[cells]
         slots = cells[:, :, None] * x.shape[1] + np.arange(x.shape[1])
         return np.bincount(slots.ravel(), products.ravel(),
                            (order + 1) * x.shape[1]).reshape(order + 1, -1)[:order]

@@ -189,27 +189,35 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     tau = (k-th merged eigenvalue) (1 + REL_GAP); metadata["k_closed"]
     counts them with multiplicity, above k when k cuts a cluster.
 
-    A simply supported problem assembles nothing, and needs no factor and
-    no eigensolver: the exact spectra of its parity classes
-    (symbol.block_spectra) give the final tau, and each block numbers its
-    own DOFs in id order (build_dof_map with its parity's faces) and takes
-    its class's pairs below tau, with eigenvectors from symbol.modes
-    checked by their residuals in its own pencil, applied cell by cell
-    (assembly.cell_operator; method 'symbol'; `solver` must still be 'auto'
-    or 'dense', but is not used).  Its count is the number of those pairs,
+    A simply supported problem, and a 2D clamped one on the auto route,
+    assemble nothing, and need no factor and no eigensolver; each block
+    numbers its own DOFs in id order (build_dof_map with its parity's
+    faces), takes its eigenvectors from symbol.modes, checks them by their
+    residuals in its own pencil, applied cell by cell (assembly.
+    cell_operator; eigensolve.solved), and reports method 'symbol'.  A
+    simply supported problem's exact spectra of its parity classes
+    (symbol.block_spectra) give the final tau; each block takes its
+    class's pairs below it, and its count is the number of those pairs,
     None (not converged) when its order is not its class's eigenvalue
-    count.  A clamped problem numbers and assembles the half box once, with
-    free mid-plane faces, in nested-dissection order for the factors, and
-    each block is the principal submatrix on its own free DOFs.  It solves
-    each block once with solve_smallest on the `solver` route, below the
-    tau of the blocks merged before it; the first, with no tau yet, for
-    k1 = ceil(k / multiplicity) pairs (fewer if it is smaller), whose
-    copies give k merged values, certified at its own lambda_k1
-    (1 + REL_GAP).  Both are at or above the final tau.  Each
-    block is counted from the spectrum of its simply supported class
-    (symbol.clamped_count, from the same block_spectra call), with no factor
-    of A - tau M: every factor a clamped solve builds is of A, at shift 0.
-    A block the symbol cannot count gets count None (not converged).
+    count.  A 2D clamped block takes its pairs from the capacitance matrix
+    of its class (symbol.Capacitance.pairs) and their Rayleigh-Ritz values
+    in its pencil, M-normalized (eigensolve.rayleigh_ritz), and is counted
+    below its tau by the same matrix (Capacitance.count); a block the
+    symbol cannot number gets no pairs and count None.
+
+    Other clamped problems (3D, or `solver` 'dense') number and assemble
+    the half box once, with free mid-plane faces, in nested-dissection
+    order for the factors, and each block is the principal submatrix on
+    its own free DOFs.  It is solved once with solve_smallest on the
+    `solver` route, and counted from the spectrum of its simply supported
+    class (symbol.clamped_count), with no factor of A - tau M: every factor
+    a clamped solve builds is of A, at shift 0.  A block the symbol cannot
+    count gets count None (not converged).
+
+    Every clamped block is solved below the tau of the blocks merged before
+    it; the first, with no tau yet, for k1 = ceil(k / multiplicity) pairs
+    (fewer if it is smaller), whose copies give k merged values, certified
+    at its own lambda_k1 (1 + REL_GAP).  Both are at or above the final tau.
 
     The k smallest merged eigenvalues are returned in ascending order (a
     stable sort), with no full-space eigenvectors.  Every route reports the
@@ -252,11 +260,14 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     # Largest classes first, so that the first block's copies alone give k
     # values; the sort is stable, so ties keep their count of odd axes.
     representatives = sorted(multiplicity, key=multiplicity.get, reverse=True)
-    # The simply supported classes: a simply supported problem's pairs, and a
-    # clamped one's counts.
+    # The simply supported classes: a simply supported or 2D clamped
+    # problem's pairs, and every clamped one's counts.
     spectra = symbol.block_spectra(dim, n, representatives)
 
-    if bc == BC_SIMPLY_SUPPORTED:
+    # Simply supported problems, and 2D clamped ones on the auto route, take
+    # their pairs from the symbol; the others solve an assembled pencil.
+    from_symbol = bc == BC_SIMPLY_SUPPORTED or (dim == 2 and solver == "auto")
+    if from_symbol:
         local_matrices = element_matrices(element, mesh.half_width)
     else:
         dofmap = nested_dissection(build_dof_map(mesh, bc, shared_faces))
@@ -280,25 +291,45 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
         faces = None if parity is None else [
             side for p in parity for side in (bc, PARITY_ODD if p == "o" else PARITY_EVEN)]
         tau = slice_tau()
-        if bc == BC_SIMPLY_SUPPORTED:
+        if from_symbol:
             own = build_dof_map(mesh, bc, faces)
             a_op, m_op = (cell_operator(own, local) for local in local_matrices)
             values, waves, vectors = spectra[parity]
-            below = int(np.searchsorted(values, tau))
-            modes = symbol.modes(dof_coordinates(own), n, waves[:below], vectors[:below])
-            modes /= np.sqrt(np.einsum("ij,ij->j", modes, m_op @ modes))
-            result = eigensolve.solved(a_op, m_op, symbol.METHOD_SYMBOL, values[:below], modes)
-            solved[parity] = eigensolve.certified(
-                result, tau, below if len(values) == own.num_free else None)
+            block_order = own.num_free
         else:
             a_mat, m_mat = shared
             if parity is not None:
                 keep = restricted_dofs(dofmap, faces)
                 a_mat, m_mat = (mat[keep][:, keep] for mat in shared)
-            owed = dict(tau=tau) if tau < np.inf else dict(
-                k=min(math.ceil(k / multiplicity[parity]), a_mat.shape[0]))
+            block_order = a_mat.shape[0]
+        owed = dict(tau=tau) if tau < np.inf else dict(
+            k=min(math.ceil(k / multiplicity[parity]), block_order))
+        if bc == BC_SIMPLY_SUPPORTED:
+            below = int(np.searchsorted(values, tau))
+            modes = symbol.modes(dof_coordinates(own), n, waves[:below], vectors[:below],
+                                 np.eye(below))
+            modes /= np.sqrt(np.einsum("ij,ij->j", modes, m_op @ modes))
+            result = eigensolve.solved(a_op, m_op, symbol.METHOD_SYMBOL, values[:below], modes)
+            solved[parity] = eigensolve.certified(
+                result, tau, below if len(values) == block_order else None)
+        elif from_symbol:
+            try:
+                capacitance = symbol.Capacitance(dim, n, parity, spectra[parity], block_order)
+                coefficients = capacitance.pairs(**owed)[1]
+            except ValueError:
+                # The class does not number the block: no pairs and no count.
+                capacitance, coefficients = None, np.empty((len(values), 0))
+            basis = symbol.modes(dof_coordinates(own), n, waves, vectors, coefficients)
+            result = eigensolve.solved(a_op, m_op, symbol.METHOD_SYMBOL,
+                                       *eigensolve.rayleigh_ritz(a_op, m_op, basis))
+            if "k" in owed and len(result.eigenvalues) >= owed["k"]:
+                tau = result.eigenvalues[owed["k"] - 1] * (1 + eigensolve.REL_GAP)
+            solved[parity] = eigensolve.certified(result, tau, None if capacitance is None else
+                                                  eigensolve.count_owed(result, tau,
+                                                                        capacitance.count))
+        else:
             count = functools.partial(symbol.clamped_count, dim, n, parity, spectra[parity],
-                                      a_mat.shape[0])
+                                      block_order)
             solved[parity] = eigensolve.solve_smallest(a_mat, m_mat, method=solver,
                                                        count=count, **owed)
     tau = slice_tau()
@@ -307,7 +338,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
               for lam, res in zip(solved[block_of(parity)].eigenvalues,
                                   solved[block_of(parity)].residuals)]
     keep = np.argsort([lam for lam, _, _ in merged], kind="stable")[:k]
-    eigenvalues, residuals, labels = zip(*(merged[i] for i in keep))
+    eigenvalues, residuals, labels = (np.array([merged[i][j] for i in keep]) for j in range(3))
 
     counters = ("factor_nnz", "opinv_applications")
     blocks = [{"parity": parity,
@@ -325,8 +356,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
                 **{key: sum(b[key] for b in blocks) for key in counters},
                 "blocks": blocks}
     method = "+".join(sorted({r.method for r in solved.values()}))
-    return Solution(np.array(eigenvalues), np.array(residuals), list(labels),
-                    method, metadata)
+    return Solution(eigenvalues, residuals, labels.tolist(), method, metadata)
 
 
 def _check_ladder(dim: int, n_values):

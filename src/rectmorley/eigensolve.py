@@ -1,7 +1,8 @@
 """Symmetric generalized eigensolvers for the smallest eigenvalues.
 
 solve_smallest is the one entry point, for a pencil of two scipy sparse
-matrices (the clamped blocks of cli.solve_problem, and library callers).
+matrices (the 3D clamped blocks of cli.solve_problem, every clamped block
+on its dense route, and library pencils).
 Its route is ARPACK shift-invert at shift 0, around the no-pivot factor of
 the stiffness matrix A in the order the pencil is given (a finite element
 pencil is assembled on assembly.nested_dissection).  One factor type, the
@@ -15,8 +16,8 @@ completing a short slice with deflated ARPACK passes (Ericsson and Ruhe,
 Math. Comp. 35, 1980; Grimes, Lewis and Simon, SIMAX 15, 1994).  So no copy
 of a repeated eigenvalue is skipped silently, and a k that cuts a cluster
 gets all of it.  The count is a seam: a caller who can count without a
-factor passes its own (the clamped blocks of cli.solve_problem count from
-the symbol, symbol.clamped_count), so that no solve of theirs factors
+factor passes its own (the 3D clamped blocks of cli.solve_problem count
+from the symbol, symbol.clamped_count), so that no solve of theirs factors
 A - tau M; count_below, a factor of A - tau M, is the default for library
 pencils and the tests' oracle.  A call builds at most one SPD factor, and
 a k solve is completed on the factor that solved it, so the default count
@@ -25,8 +26,12 @@ of a k solve overlaps that factor.  The dense LAPACK path
 for shift-invert.  Both return ascending eigenvalues with mass-orthonormal
 eigenvectors and per-pair relative residuals, and deterministic start
 vectors (sin and cos of the index) make repeated runs agree bit for bit.
-Pairs known without a solve (the simply supported blocks, from symbol.py)
-get the same residual check and certificate from solved and certified.
+Pairs known without a solve (the simply supported and the 2D clamped
+blocks, from symbol.py; the clamped ones after a Rayleigh-Ritz step,
+rayleigh_ritz, as ARPACK's) get the same residual check and certificate
+from solved, count_owed and certified.  An ARPACK run that stops short
+(ArpackNoConvergence) leaves the pairs it found, and one that fails
+otherwise (ArpackError) none; neither result converges.
 """
 
 from __future__ import annotations
@@ -94,6 +99,16 @@ def solved(A, M, method: str, eigenvalues, eigenvectors, converged: bool = True,
     converged = bool(converged) and bool(np.all(residuals <= RESIDUAL_TOL))
     return EigenResult(eigenvalues, eigenvectors, residuals, method,
                        {"order": A.shape[0], "converged": converged, **metadata})
+
+
+def rayleigh_ritz(A, M, basis: np.ndarray) -> tuple:
+    """The Ritz pairs of the pencil (A, M) on the span of the columns of
+    `basis`: ascending values and M-orthonormal vectors.  A and M may be
+    scipy LinearOperators."""
+    a_small = basis.T @ (A @ basis)
+    m_small = basis.T @ (M @ basis)
+    w, z = dla.eigh(0.5 * (a_small + a_small.T), 0.5 * (m_small + m_small.T))
+    return w, basis @ z
 
 
 def smallest_k_dense(A, M, k: int) -> EigenResult:
@@ -199,7 +214,8 @@ def count_below(A, M, tau: float) -> int:
 def _arpack(A, M, factor: _ShiftedFactor, k: int, attempt: int = 0, deflate=None):
     """k eigenpairs from one ARPACK run on the factor's operator, deflated
     off the M-orthonormal columns of `deflate` when given.  Returns the
-    values, the vectors and whether ARPACK converged (partial pairs if not).
+    values, the vectors and whether ARPACK converged (partial pairs if not,
+    none if ARPACK failed otherwise).
 
     An undeflated run keeps a Krylov basis of ncv = 2k + 1 vectors (at most
     order - 1), sized to the request as the ARPACK Users' Guide advises
@@ -218,6 +234,10 @@ def _arpack(A, M, factor: _ShiftedFactor, k: int, attempt: int = 0, deflate=None
                          ncv=ncv, OPinv=factor.operator(deflate))
     except sla.ArpackNoConvergence as exc:
         return exc.eigenvalues, exc.eigenvectors, False
+    except sla.ArpackError:
+        # Any other ARPACK failure (error 3, "no shifts could be applied",
+        # at ncv = order - 1) leaves no pairs.
+        return np.empty(0), np.empty((order, 0)), False
     return w, x, True
 
 
@@ -225,10 +245,14 @@ def _solve(A, M, k: int, tau: float, found: EigenResult, factor=None):
     """k pairs below tau, on the route of the pairs found so far (none, or
     those of a k solve that its count found short), and the SPD factor of A
     that solved for them (None if dense).  Dense pairs are solved for
-    afresh; with none found yet, so are pencils too small for shift-invert
-    (k + 1 >= order).  Shift-invert pairs are completed by steps 1 to 3 of
-    solve_smallest on `factor`, built when None."""
-    if found.method == METHOD_DENSE or (not len(found.eigenvalues) and k + 1 >= A.shape[0]):
+    afresh, and so are pencils too small for the ARPACK run they need: one
+    asks for fewer pairs than its basis, at most the order left after
+    deflating the pairs found, less one with none found (k + 1 >= order).
+    Shift-invert pairs are completed by steps 1 to 3 of solve_smallest on
+    `factor`, built when None."""
+    known = len(found.eigenvalues)
+    missing = k - np.count_nonzero(found.eigenvalues < tau)
+    if found.method == METHOD_DENSE or missing >= A.shape[0] - known - (known == 0):
         return smallest_k_dense(A, M, k), None
     if factor is None:
         try:
@@ -248,11 +272,7 @@ def _solve(A, M, k: int, tau: float, found: EigenResult, factor=None):
         w, x = np.append(w, mu)[ascending], np.column_stack([x, y])[:, ascending]
 
     if x.shape[1]:
-        y = factor.solve(M @ x)
-        a_small = y.T @ (A @ y)
-        m_small = y.T @ (M @ y)
-        w, z = dla.eigh(0.5 * (a_small + a_small.T), 0.5 * (m_small + m_small.T))
-        x = y @ z
+        w, x = rayleigh_ritz(A, M, factor.solve(M @ x))
 
     return solved(A, M, METHOD_SHIFT_INVERT, w, x, converged, factor_nnz=factor.nnz,
                   opinv_applications=factor.applications), factor
@@ -324,16 +344,29 @@ def solve_smallest(A, M, k: int | None = None, method: str = "auto",
             return found
         found, factor = _solve(A, M, k, np.inf, found)
         tau = found.eigenvalues[k - 1] * (1 + REL_GAP) if len(found.eigenvalues) >= k else np.inf
-    count = count or (lambda t: count_below(A, M, t))
-    # Every pair of the pencil found, all below tau: it owes them all.
-    complete = len(found.eigenvalues) == order and np.all(found.eigenvalues < tau)
-    try:
-        owed = count(tau) if np.isfinite(tau) and not complete else (order if tau > 0 else 0)
-    except ValueError:
+    owed = count_owed(found, tau, count or (lambda t: count_below(A, M, t)))
+    if owed is None:
         return certified(found, tau, None)
     if found.converged and np.count_nonzero(found.eigenvalues < tau) < owed:
         found, _ = _solve(A, M, owed, tau, found, factor)
     return certified(found, tau, owed)
+
+
+def count_owed(result: EigenResult, tau: float, count):
+    """The number of pairs that a result below tau owes: count(tau), or None
+    when count raises ValueError (it cannot count there).  tau = +-inf owes
+    every pair of the pencil or none, and a result that holds every pair of
+    its pencil, all below tau, owes them all: count is not called, as such
+    a tau may lie where it cannot count (on a pole of the symbol's
+    capacitance matrix)."""
+    order = result.metadata["order"]
+    if not np.isfinite(tau) or (len(result.eigenvalues) == order
+                                and np.all(result.eigenvalues < tau)):
+        return order if tau > 0 else 0
+    try:
+        return count(tau)
+    except ValueError:
+        return None
 
 
 def certified(result: EigenResult, tau: float, count) -> EigenResult:

@@ -1,4 +1,5 @@
-"""The exact simply supported spectrum on the uniform mesh, from its Fourier symbol.
+"""The exact simply supported spectrum on the uniform mesh, from its Fourier
+symbol, and the clamped counts and eigenpairs it gives.
 
 On n cells per axis of the unit box, the simply supported Morley pencil
 splits into one small pencil per sine wave vector p in {0..n}^dim (local
@@ -42,13 +43,13 @@ it only to the size of its largest entries.  Nothing depends on extended
 precision: at 2D n=1024 the eigenvalues agree with a 60-digit evaluation of
 the same sums to 3e-15 relative.
 
-Clamped counts (clamped_count): a clamped block is its simply supported
-sibling (the same parity, or the full box) with the m facets of its outer
-faces constrained, so its pencil is the principal submatrix of the simply
-supported one on the other DOFs.  For tau off both spectra, with
-F = A_ss - tau M_ss and E the columns of the identity on those facets,
-Haynsworth's inertia additivity (the inverse of a Schur complement is a
-block of F^-1) gives
+Clamped counts (Capacitance.count, clamped_count): a clamped block is its
+simply supported sibling (the same parity, or the full box) with the m
+facets of its outer faces constrained, so its pencil is the principal
+submatrix of the simply supported one on the other DOFs.  For tau off both
+spectra, with F = A_ss - tau M_ss and E the columns of the identity on
+those facets, Haynsworth's inertia additivity (the inverse of a Schur
+complement is a block of F^-1) gives
 
     count_clamped(tau) = count_ss(tau) - neg(E^T F^-1 E),
 
@@ -69,19 +70,38 @@ inertia.  On the full box the rows are the sum and the difference of the
 lower and upper face's, which modes of even and odd p_a reach.  A row thus
 fixes the parity of every wave number of the modes that reach it: C is
 block diagonal, one block per parity class, 2^dim blocks of about m / 2^dim
-rows on the full box and one on a parity block, and eigvalsh takes the
-inertia of each block alone.
+rows on the full box and one on a parity block, and the inertia of each
+block, and its rounding bound, are taken alone.
+
+Clamped pairs (Capacitance.pairs): off the simply supported spectrum, tau
+is a clamped eigenvalue exactly when C(tau) is singular, the Weinstein-
+Aronszajn determinant of intermediate problems (Weinstein and Stenger,
+Methods of Intermediate Problems for Eigenvalues, 1972; Golub, SIAM Rev.
+15, 1973).  Its eigenvectors are x = sum_j v_j (g_j^T c) / (lambda_j - tau)
+for c in the null space of C(tau): this x has no trace on the outer
+facets, and the pencil maps it into the span of their constraints.  Each
+class block is walked alone, in ascending order: through the zeros of its
+block of C, between consecutive poles (the class's distinct eigenvalues,
+its mirror copies bit-identical), or, for a class of at most DENSE_MODES
+modes, through the dense eigenproblem of the modal pencil (diag(lambda), I)
+on the null space of its facet weights, which gives the same pairs sooner.
+A mode whose facet weights vanish to rounding is a clamped pair on its own
+pole.  The pairs come as coefficients in the modes, which modes() sums at
+the DOFs, one separable sum per DOF family.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .assembly import element_matrices
+from .eigensolve import REL_GAP
 from .element import build_reference_element, reference_corners
 
 # The method of a result whose pairs come from the symbol, with no solve.
@@ -89,6 +109,18 @@ METHOD_SYMBOL = "symbol"
 # The relative rounding allowed in each term of a clamped count's
 # capacitance matrix: the symbol's eigenvalues and weights hold about 3e-15.
 ROUNDING = 64 * np.finfo(float).eps
+# The relative distance from a pole at which its intervals are searched: a
+# root closer to a pole than this is not bracketed.
+POLE_MARGIN = 1e-10
+# Roots of one class block closer than this, relative, are one root of
+# higher multiplicity.
+COINCIDENT = 1e-10
+# Classes with at most this many modes take their clamped pairs from the
+# dense modal pencil, not from the zeros of C.  Time of Capacitance.pairs
+# for k=6 on the 2D full box (2-vCPU host, in process, per solve): n=8
+# (classes of 48 modes) 1.0 ms dense against 2.5-3.5 ms of zeros; n=15 and
+# 16 (161-193 modes) 14 and 23 ms dense against 6.3 and 6.4 ms.
+DENSE_MODES = 96
 
 
 def _single(dim: int, axis: int) -> int:
@@ -277,25 +309,62 @@ def block_spectra(dim: int, n: int, parities) -> dict:
             for parity, block, start, stop in zip(parities, blocks, bounds, bounds[1:])}
 
 
-def modes(coords: np.ndarray, n: int, waves: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """The eigenvectors of the pairs (waves, vectors) of block_spectra at the
-    DOFs of doubled coordinates `coords` (assembly.dof_coordinates), shape
-    (len(coords), len(waves)), M-orthonormal on the full box: the family
-    amplitudes weighted by z_0 (vertices) and 2n (z_0 sin(theta_a) + z_{1+a})
-    (facets normal to a, in physical units), times 2^dim, as the pencil's
-    mass is 4^dim times the box's (cell sums over n / 2, half-width 1).
+
+
+def modes(coords: np.ndarray, n: int, waves: np.ndarray, vectors: np.ndarray,
+          coefficients: np.ndarray) -> np.ndarray:
+    """The sums over j of coefficients[j, i] times the eigenvector of the
+    pair (waves[j], vectors[j]) of block_spectra, at the DOFs of doubled
+    coordinates `coords` (assembly.dof_coordinates): shape (len(coords),
+    coefficients.shape[1]).  With identity coefficients these are the
+    eigenvectors themselves, M-orthonormal on the full box.
+
+    On each DOF family an eigenvector is the family amplitude times a
+    weight: z_0 (vertices) and 2n (z_0 sin(theta_a) + z_{1+a}) (facets
+    normal to a, in physical units), times 2^dim, as the pencil's mass is
+    4^dim times the box's (cell sums over n / 2, half-width 1).  The
+    amplitude is a product of one trig factor per axis, so each family's
+    sum is separable: the weighted coefficients are summed per wave vector
+    on the grid {0..n}^dim, and one table of the factor (wave numbers by
+    doubled coordinates) is contracted per axis.  When the modes in use
+    times the DOFs are fewer than the grid's points, their amplitudes are
+    evaluated at the DOFs instead, mode by mode.
     """
+    dim = coords.shape[1]
     even = coords % 2 == 0
-    vertex = even.all(axis=1)
-    cos_axes = even & ~vertex[:, None]
-    # cos(x) = sin(x + pi / 2) on a facet's one even axis; the angles are
-    # reduced in integers, to [0, 2 pi).
-    angles = (coords[:, None, :] * waves + n * cos_axes[:, None, :]) % (4 * n)
-    amplitudes = np.sin(angles * (np.pi / (2 * n))).prod(axis=2)
+    family = np.where(even.all(axis=1), 0, 1 + np.argmax(even, axis=1))
+    used = np.flatnonzero(np.any(coefficients, axis=1))
+    waves, vectors, coefficients = waves[used], vectors[used], coefficients[used]
     sines = np.sin(waves * (np.pi / (2 * n)))
     weights = np.column_stack([vectors[:, 0], 2 * n * (vectors[:, :1] * sines + vectors[:, 1:])])
-    family = np.where(vertex, 0, 1 + np.argmax(cos_axes, axis=1))
-    return 2 ** coords.shape[1] * amplitudes * weights[:, family].T
+    # cos(x) = sin(x + pi / 2) on a facet's normal axis; the angles are
+    # reduced in integers, to [0, 2 pi).
+    if len(used) * len(coords) <= (n + 1) ** dim:
+        normal = even & (family > 0)[:, None]
+        angles = (coords[:, None, :] * waves + n * normal[:, None, :]) % (4 * n)
+        amplitudes = np.sin(angles * (np.pi / (2 * n))).prod(axis=2)
+        return 2 ** dim * (amplitudes * weights[:, family].T) @ coefficients
+    grid = waves @ (n + 1) ** np.arange(dim - 1, -1, -1)
+    angles = np.arange(n + 1)[:, None] * np.arange(coords.max(initial=0) + 1)
+    tables = [np.sin((angles + n * cos) % (4 * n) * (np.pi / (2 * n))) for cos in (0, 1)]
+    shape = (n + 1,) * dim + (coefficients.shape[1],)
+    out = np.empty((len(coords), coefficients.shape[1]))
+    for f in np.unique(family):
+        mine = family == f
+        total = np.zeros(((n + 1) ** dim, coefficients.shape[1]))
+        np.add.at(total, grid, weights[:, f, None] * coefficients)
+        total = total.reshape(shape)
+        for b in range(dim):
+            total = np.tensordot(total, tables[int(b == f - 1)], axes=(0, 0))
+        out[mine] = total[(slice(None), *coords[mine].T)].T
+    return 2 ** dim * out
+
+
+def _eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of a symmetric matrix, from LAPACK's dsyevr:
+    on two OpenBLAS threads, numpy's eigvalsh takes up to 18 times as long
+    at order 128."""
+    return lapack.dsyevr(matrix, compute_v=0)[0]
 
 
 @lru_cache(maxsize=None)
@@ -308,13 +377,9 @@ def _facet_rows(dim: int, n: int, parity) -> tuple:
 
     Returns, per class key: the first row of each face within the class,
     shape (2^dim, dim); the strides of the transverse slots on each face,
-    shape (2^dim, dim, dim); the class's first row and its number of rows;
-    and the first entry of its block in the blocks laid end to end.  Then
-    the total number of rows, the total number of block entries, and the
-    (first entry, number of blocks, order) of each run of nonempty blocks
-    of one order.  The block's classes (the full box has them all) come in
-    increasing order, so runs are contiguous, and an empty class (n = 1)
-    starts at row and entry 0, where its modes, which reach no facet, add 0.
+    shape (2^dim, dim, dim); and the class's number of rows, shape
+    (2^dim,).  Then the block's class keys, ascending (the full box has
+    them all).
     """
     bits = (np.arange(2 ** dim)[:, None] >> np.arange(dim - 1, -1, -1)) & 1
     widths = np.where(bits, (n + 1) // 2, n // 2)
@@ -326,77 +391,288 @@ def _facet_rows(dim: int, n: int, parity) -> tuple:
         for i, b in enumerate(others):
             strides[:, a, b] = widths[:, others[i + 1:]].prod(axis=1)
     sizes = faces.sum(axis=1)
-    keys = range(2 ** dim) if parity is None else \
-        [int("".join("1" if letter == "e" else "0" for letter in parity), 2)]
-    keys = sorted(keys, key=lambda key: sizes[key])
-    starts, cells = np.zeros((2, 2 ** dim), dtype=np.int64)
-    starts[keys] = np.cumsum(sizes[keys]) - sizes[keys]
-    cells[keys] = np.cumsum(sizes[keys] ** 2) - sizes[keys] ** 2
-    runs = []
-    for size, group in itertools.groupby(keys, key=lambda key: sizes[key]):
-        group = list(group)
-        if size:
-            runs.append((int(cells[group[0]]), len(group), int(size)))
-    shared = (np.cumsum(faces, axis=1) - faces, strides, starts, sizes, cells)
+    keys = tuple(range(2 ** dim)) if parity is None else \
+        (int("".join("1" if letter == "e" else "0" for letter in parity), 2),)
+    shared = (np.cumsum(faces, axis=1) - faces, strides, sizes)
     for array in shared:
         array.flags.writeable = False
-    return (*shared, int(sizes[keys].sum()), int((sizes[keys] ** 2).sum()), tuple(runs))
+    return (*shared, keys)
+
+
+class Capacitance:
+    """The capacitance matrix C(tau) of the clamped block `parity` (None for
+    the full box), of order `order`, from the spectrum of its simply
+    supported sibling (block_spectra(dim, n, [parity])[parity]): see the
+    module docstring.  Its rows, weights and pair indices are built once,
+    so each evaluation at a tau is one division and one bincount per class
+    block (classes: per class with rows, their number and the class's
+    slice of the modes).  count gives the block's eigenvalue count below a
+    tau, pairs its eigenpairs.
+
+    Raises ValueError when order plus the number of outer-face facets is
+    not the spectrum's length.
+    """
+
+    def __init__(self, dim: int, n: int, parity, spectrum, order: int):
+        values, waves, vectors = spectrum
+        firsts, strides, sizes, keys = _facet_rows(dim, n, parity)
+        facets = int(sizes[list(keys)].sum())
+        if order + facets != len(values):
+            raise ValueError(f"no symbol count for a block of order {order}: its simply "
+                             f"supported class has {len(values)} modes, not "
+                             f"{order + facets}")
+
+        # Per mode and face, its row within its class and its facet weight
+        # there (the sum of the parts' magnitudes bounds the weight's
+        # rounding).  The slot of p_b is its place among the wave numbers of
+        # its parity whose sine does not vanish on the facets' odd
+        # coordinates (1, 3, .. or 2, 4, .. up to n), -1 for p_b = 0; a mode
+        # reaches the facets normal to a unless the sine of another axis
+        # vanishes there.
+        odd = waves % 2
+        key = odd @ (1 << np.arange(dim - 1, -1, -1))
+        slots = (waves + odd) // 2 - 1
+        rows = firsts[key] + np.einsum("jb,jab->ja", slots, strides[key])
+        vanishing = slots < 0
+        on_face = vanishing.sum(axis=1, keepdims=True) == vanishing
+        rows[~on_face] = 0
+        sines = np.sin(waves * (np.pi / (2 * n)))
+        weights = np.where(on_face, vectors[:, :1] * sines + vectors[:, 1:], 0.0)
+        magnitudes = np.where(on_face, np.abs(vectors[:, :1]) * sines + np.abs(vectors[:, 1:]),
+                              0.0)
+        # A mode whose facet weights vanish to rounding is a clamped eigenpair
+        # on its own pole: its exact term is zero, and it is left out.
+        isolated = np.all(np.abs(weights) <= ROUNDING * magnitudes, axis=1)
+        self.values, self.isolated = values, np.flatnonzero(isolated)
+        # The other modes class by class, each class's in ascending order.
+        reach = np.flatnonzero(~isolated)
+        self.modes = reach[np.argsort(key[reach], kind="stable")]
+        key, rows, self.weights, self.magnitudes = (
+            part[self.modes] for part in (key, rows, weights, magnitudes))
+        self.rows, self.poles = rows, values[self.modes]
+        self.products = (self.weights[:, :, None] * self.weights[:, None, :]).reshape(
+            len(key), dim * dim)
+        self.entries = (rows[:, :, None] * sizes[key, None, None] + rows[:, None, :]).reshape(
+            len(key), dim * dim)
+        bounds = np.searchsorted(key, keys + (2 ** dim,))
+        # Per class with rows: its order and its slice of the modes.
+        self.classes = [(int(sizes[c]), lo, hi) for c, lo, hi in zip(keys, bounds, bounds[1:])
+                        if sizes[c]]
+
+    def matrix(self, size: int, lo: int, hi: int, tau: float) -> np.ndarray:
+        """The block of C(tau) of the class of modes lo:hi, of order `size`
+        (an entry of classes)."""
+        terms = self.products[lo:hi] * (1.0 / (self.poles[lo:hi] - tau))[:, None]
+        return np.bincount(self.entries[lo:hi].ravel(), terms.ravel(), size * size).reshape(
+            size, size)
+
+    def count(self, tau: float) -> int:
+        """The number of eigenvalues below the finite tau of the clamped
+        block, count_ss(tau) - neg(C(tau)).
+
+        Raises ValueError when tau lies within rounding of a simply supported
+        eigenvalue, or when an eigenvalue of C(tau) lies within its rounding
+        bound of 0.
+        """
+        values = self.values
+        if np.any(np.abs(values - tau) <= ROUNDING * np.abs(values)):
+            raise ValueError(f"no symbol count at tau={tau}: it is within rounding of a "
+                             "simply supported eigenvalue")
+        negatives = 0
+        for size, lo, hi in self.classes:
+            eigenvalues = _eigenvalues(self.matrix(size, lo, hi, tau))
+            # Each term's relative rounding, from its inputs and from the sums
+            # and eigvalsh (a few eps times the order): the row sums of the
+            # terms' magnitudes times it bound the 2-norm of the class
+            # block's error.
+            poles, magnitudes = self.poles[lo:hi], self.magnitudes[lo:hi]
+            inverse = 1.0 / (poles - tau)
+            spread = ROUNDING * (size + np.abs(poles * inverse)) * np.abs(inverse) \
+                * magnitudes.sum(axis=1)
+            bound = np.bincount(self.rows[lo:hi].ravel(), (magnitudes * spread[:, None]).ravel(),
+                                size).max()
+            if np.abs(eigenvalues).min() <= bound:
+                raise ValueError(f"no symbol count at tau={tau}: the capacitance matrix is "
+                                 "singular to rounding")
+            negatives += int(np.count_nonzero(eigenvalues < 0))
+        return int(np.searchsorted(values, tau)) - negatives
+
+    def pairs(self, k: int = None, tau: float = None) -> tuple:
+        """The block's k smallest eigenvalues, with every eigenvalue below
+        lambda_k (1 + REL_GAP), or all of them below tau; and the
+        coefficients of their eigenvectors in the spectrum's modes, shape
+        (len(spectrum), count), for modes(..., coefficients).
+
+        They are the isolated modes' and each class block's, merged in
+        ascending order from one walk per class (_dense for a class of at
+        most DENSE_MODES modes, else _roots): a walk is sent the current
+        limit and answers with its next pair below it; it is asked again
+        only when that pair is taken.
+        """
+        limit = np.inf if tau is None else tau
+        walks = [self._dense(*block) if block[2] - block[1] <= DENSE_MODES
+                 else self._roots(*block) for block in self.classes] + [self._isolated()]
+        for walk in walks:
+            next(walk)
+        heads = [_answer(walk, limit) for walk in walks]
+        found = []
+        while any(head is not None for head in heads):
+            first = min((index for index, head in enumerate(heads) if head is not None),
+                        key=lambda index: heads[index][0])
+            found.append(heads[first])
+            if tau is None and len(found) == k:
+                limit = found[-1][0] * (1 + REL_GAP)
+                heads = [None if head is None or head[0] >= limit else head for head in heads]
+            heads[first] = _answer(walks[first], limit)
+        coefficients = np.zeros((len(self.values), len(found)))
+        for i, (_, modes, coefficient) in enumerate(found):
+            coefficients[modes, i] = coefficient
+        return np.array([value for value, _, _ in found]), coefficients
+
+    def _isolated(self):
+        """The walk of the isolated modes: each is a pair on its own pole."""
+        limit = yield
+        for j in self.isolated:
+            if self.values[j] >= limit:
+                return
+            limit = yield self.values[j], [j], 1.0
+
+    def _dense(self, size: int, lo: int, hi: int):
+        """The walk of the class of modes lo:hi, from the dense eigenproblem
+        of its modal pencil (diag(lambda), I) on the null space of its facet
+        weights (the rows of C it reaches, of which it has `size`)."""
+        facets = np.zeros((size, hi - lo))
+        np.add.at(facets, (self.rows[lo:hi], np.arange(hi - lo)[:, None]), self.weights[lo:hi])
+        basis = np.linalg.qr(facets.T, mode="complete")[0][:, size:]
+        values, vectors = lapack.dsyevr(basis.T @ (self.poles[lo:hi, None] * basis))[:2]
+        limit = yield
+        for value, coefficient in zip(values, (basis @ vectors).T):
+            if value >= limit:
+                return
+            limit = yield value, self.modes[lo:hi], coefficient
+
+    def _roots(self, size: int, lo: int, hi: int):
+        """The walk of the class of modes lo:hi, from the zeros of its block
+        of C (of order `size`).
+
+        Between two poles every eigenvalue branch of C is nondecreasing in
+        tau, as C'(tau) is semidefinite, and each of the pole's modes turns
+        one branch from +inf to -inf.  So the number of negative eigenvalues
+        just above a pole is the number just below it plus its modes, and
+        it falls by one at each root of the interval above: the next root
+        is the zero of the eigenvalue of C whose index is that count minus
+        one (_brent, bracketed by the counts just inside the lower end, or
+        just past the last root, and at the upper end or the limit).  Roots
+        closer than COINCIDENT are one root of higher multiplicity, whose
+        eigenvectors take the null space of C there from the eigenvalues
+        nearest 0.  An eigenvector is x = sum_j v_j (g_j^T c) / (lambda_j -
+        lambda), for c in that null space.
+        """
+        poles, ranks = np.unique(self.poles[lo:hi], return_counts=True)
+        modes, weights, rows, gaps = (self.modes[lo:hi], self.weights[lo:hi], self.rows[lo:hi],
+                                      self.poles[lo:hi])
+        matrix = functools.partial(self.matrix, size, lo, hi)
+
+        @functools.lru_cache(maxsize=None)
+        def spectrum(tau):
+            return _eigenvalues(matrix(tau))
+
+        def negatives(tau):
+            return int(np.count_nonzero(spectrum(tau) < 0))
+
+        def branch(tau):
+            return lapack.dsyevr(matrix(tau), compute_v=0, range="I", il=after, iu=after)[0][0]
+
+        limit = yield
+        below = 0
+        for lower, upper, rank in zip(poles, poles[1:], ranks):
+            after = below + rank
+            start, stop = lower * (1 + POLE_MARGIN), upper * (1 - POLE_MARGIN)
+            top = min(stop, limit)
+            if start >= top:
+                if start >= limit:
+                    return
+                below = after
+                continue
+            spectrum.cache_clear()
+            if negatives(top) < after:
+                after = negatives(start)
+            while after > negatives(top):
+                root = _brent(branch, start, top, spectrum(start)[after - 1],
+                              spectrum(top)[after - 1])
+                start = root * (1 + COINCIDENT)
+                cluster = min(max(after - negatives(start), 1), after - negatives(top))
+                after -= cluster
+                # The eigenvectors of the branches that cross 0 at the root.
+                null = lapack.dsyevr(matrix(root), range="I", il=after + 1,
+                                     iu=after + cluster)[1]
+                coefficients = np.einsum("ja,jac->jc", weights, null[rows]) / (gaps - root)[:, None]
+                for coefficient in (coefficients / np.linalg.norm(coefficients, axis=0)).T:
+                    limit = yield root, modes, coefficient
+                top = min(stop, limit)
+            if stop > limit:
+                return
+            below = negatives(stop)
+
+
+def _brent(f, a, b, fa, fb):
+    """The zero of f between a and b, given fa = f(a) and fb = f(b) of
+    opposite signs, to 4 eps relative: Brent's method (Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), inverse quadratic or
+    secant steps safeguarded by bisection.  (scipy.optimize.brentq is the
+    same method, but importing scipy.optimize takes 0.14 s.)"""
+    c, fc = b, fb
+    for _ in range(200):
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2 * np.finfo(float).eps * abs(b)
+        half = 0.5 * (c - b)
+        if abs(half) <= tol or fb == 0:
+            break
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2 * half * s, 1 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2 * half * q * (q - r) - (b - a) * (r - 1))
+                q = (q - 1) * (r - 1) * (s - 1)
+            q = -q if p > 0 else q
+            p = abs(p)
+            if 2 * p < min(3 * half * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
+        else:
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, half)
+        fb = f(b)
+    return b
+
+
+def _answer(walk, limit):
+    """The next pair of a walk (Capacitance.pairs) below limit, or None."""
+    try:
+        return walk.send(limit)
+    except StopIteration:
+        return None
 
 
 def clamped_count(dim: int, n: int, parity, spectrum, order: int, tau: float) -> int:
     """The number of eigenvalues below the finite tau of the clamped block
     `parity` (None for the full box), of order `order`, from the spectrum
     of its simply supported sibling (block_spectra(dim, n, [parity])[parity])
-    by the capacitance identity of the module docstring, with no factor.
+    by the capacitance identity of the module docstring, with no factor:
+    one evaluation of Capacitance(dim, n, parity, spectrum, order).count.
 
     Raises ValueError when it cannot count: when order plus the number of
     outer-face facets is not the spectrum's length, when tau lies within
     rounding of a simply supported eigenvalue, or when an eigenvalue of the
     capacitance matrix lies within its rounding bound of 0.
     """
-    values, waves, vectors = spectrum
-    firsts, strides, starts, sizes, cells, size, entries, runs = _facet_rows(dim, n, parity)
-    if order + size != len(values):
-        raise ValueError(f"no symbol count for a block of order {order}: its simply "
-                         f"supported class has {len(values)} modes, not {order + size}")
-    gap = values - tau
-    if np.any(np.abs(gap) <= ROUNDING * np.abs(values)):
-        raise ValueError(f"no symbol count at tau={tau}: it is within rounding of a "
-                         "simply supported eigenvalue")
-
-    # Per mode and face, its row within its class and its facet weight there
-    # (the sum of the parts' magnitudes bounds the weight's rounding).  The
-    # slot of p_b is its place among the wave numbers of its parity whose
-    # sine does not vanish on the facets' odd coordinates (1, 3, .. or
-    # 2, 4, .. up to n), -1 for p_b = 0; a mode reaches the facets normal
-    # to a unless the sine of another axis vanishes there.
-    odd = waves % 2
-    key = odd @ (1 << np.arange(dim - 1, -1, -1))
-    slots = (waves + odd) // 2 - 1
-    rows = firsts[key] + np.einsum("jb,jab->ja", slots, strides[key])
-    vanishing = slots < 0
-    on_face = vanishing.sum(axis=1, keepdims=True) == vanishing
-    rows[~on_face] = 0
-    sines = np.sin(waves * (np.pi / (2 * n)))
-    weights = np.where(on_face, vectors[:, :1] * sines + vectors[:, 1:], 0.0)
-    magnitudes = np.where(on_face, np.abs(vectors[:, :1]) * sines + np.abs(vectors[:, 1:]), 0.0)
-
-    # One diagonal block per class: no mode reaches the rows of another.
-    inverse = 1.0 / gap
-    pairs = cells[key, None, None] + rows[:, :, None] * sizes[key, None, None] + rows[:, None, :]
-    terms = weights[:, :, None] * (inverse[:, None, None] * weights[:, None, :])
-    blocks = np.bincount(pairs.ravel(), terms.ravel(), entries)
-    eigenvalues = np.concatenate(
-        [np.empty(0)] + [np.linalg.eigvalsh(blocks[first:first + number * width ** 2]
-                                            .reshape(number, width, width)).ravel()
-                         for first, number, width in runs])
-    # Each term's relative rounding, from its inputs and from the sums and
-    # eigvalsh (a few eps times the order): the row sums of the terms'
-    # magnitudes times it bound the 2-norm of the capacitance's error.
-    spread = ROUNDING * (size + np.abs(values * inverse)) * np.abs(inverse) * magnitudes.sum(axis=1)
-    bound = np.bincount((starts[key, None] + rows).ravel(),
-                        (magnitudes * spread[:, None]).ravel(), size).max()
-    if np.abs(eigenvalues).min() <= bound:
-        raise ValueError(f"no symbol count at tau={tau}: the capacitance matrix is "
-                         "singular to rounding")
-    return int(np.searchsorted(values, tau)) - int(np.count_nonzero(eigenvalues < 0))
+    return Capacitance(dim, n, parity, spectrum, order).count(tau)

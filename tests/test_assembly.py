@@ -105,10 +105,13 @@ def test_only_the_factored_pencils_are_bisected(monkeypatch, capsys):
         return nested_dissection(dofmap)
 
     monkeypatch.setattr(assembly, "nested_dissection", counted)
-    # Simply supported solves (split, one block, 3D), a field rung and the
-    # identity suite build no factor.
+    # Simply supported solves (split, one block, 3D), 2D clamped solves,
+    # which take their pairs from the symbol, a field rung and the identity
+    # suite build no factor.
     for dim, n in ((2, 64), (2, 15), (3, 8)):
         assert cli.solve_problem(dim, n, BC_SIMPLY_SUPPORTED).converged
+    for n in (64, 15):
+        assert cli.solve_problem(2, n, BC_CLAMPED).converged
     mesh = build_mesh(2, 64)
     sine = unit_box_eigenfunction((1, 1))
     field = interpolate_global(sine, mesh, build_dof_map(mesh, BC_SIMPLY_SUPPORTED)).field
@@ -116,9 +119,10 @@ def test_only_the_factored_pencils_are_bisected(monkeypatch, capsys):
     assert cli.main(["verify", "identity37"]) == 0
     capsys.readouterr()
     assert calls == []
-    # A clamped solve renumbers its one shared map, split or not.
-    for dim, n in ((2, 64), (3, 9)):
-        assert cli.solve_problem(dim, n, BC_CLAMPED).converged
+    # A 3D clamped solve renumbers its one shared map, split or not, as
+    # does a 2D clamped solve on the dense route.
+    for dim, n, solver in ((3, 8, "auto"), (3, 9, "auto"), (2, 8, "dense")):
+        assert cli.solve_problem(dim, n, BC_CLAMPED, solver=solver).converged
         assert len(calls) == 1
         calls.clear()
 

@@ -59,8 +59,10 @@ def test_solve_json_payload(capsys):
 
 
 def test_solve_json_reports_solver_work(capsys):
+    # A 3D clamped solve factors and runs ARPACK; a 2D one takes its pairs
+    # from the symbol, with no factor.
     code, out, _ = run_cli(
-        ["solve", "--dim", "2", "--n", "8", "--format", "json"], capsys
+        ["solve", "--dim", "3", "--n", "3", "--format", "json"], capsys
     )
     assert code == 0
     run = json.loads(out)["runs"][0]
@@ -68,6 +70,12 @@ def test_solve_json_reports_solver_work(capsys):
     meta = run["metadata"]
     assert meta["factor_nnz"] > run["order"]
     assert meta["opinv_applications"] > 0
+    code, out, _ = run_cli(["solve", "--n", "8", "--format", "json"], capsys)
+    assert code == 0
+    run = json.loads(out)["runs"][0]
+    assert run["method"] == "symbol"
+    meta = run["metadata"]
+    assert meta["factor_nnz"] == meta["opinv_applications"] == 0
     # One block: it is counted at tau = lambda_6 (1 + REL_GAP).
     assert meta["tau"] == pytest.approx(run["eigenvalues"][5] * (1 + 1e-6), rel=1e-12)
     (block,) = meta["blocks"]
@@ -130,34 +138,36 @@ def test_solve_exits_1_when_the_count_factor_pivots(dim, n, monkeypatch, capsys)
     # refusals leaves every clamped block uncounted, and the solve exits 1:
     # a class that does not number its block, tau on a simply supported
     # eigenvalue, and a singular capacitance matrix (no mode reaches the
-    # facets).  No factor of A - tau M stands in for it.
+    # facets).  No factor of A - tau M stands in for it; a 2D block, which
+    # takes its pairs from the symbol, builds none at all.
     from rectmorley import symbol
 
-    spectra, clamped_count = symbol.block_spectra, symbol.clamped_count
+    spectra, count = symbol.block_spectra, symbol.Capacitance.count
 
     def one_short(*args):
         return {p: tuple(part[1:] for part in spectrum)
                 for p, spectrum in spectra(*args).items()}
 
-    def tau_on_a_value(dim, n, parity, spectrum, order, tau):
-        values = spectrum[0].copy()
-        values[np.argmin(np.abs(values - tau))] = tau
-        return clamped_count(dim, n, parity, (values, *spectrum[1:]), order, tau)
+    def tau_on_a_value(self, tau):
+        self.values = self.values.copy()
+        self.values[np.argmin(np.abs(self.values - tau))] = tau
+        return count(self, tau)
 
-    def no_facets(dim, n, parity, spectrum, order, tau):
-        values, waves, vectors = spectrum
-        return clamped_count(dim, n, parity, (values, waves, 0.0 * vectors), order, tau)
+    def no_facets(self, tau):
+        self.products, self.magnitudes = 0.0 * self.products, 0.0 * self.magnitudes
+        return count(self, tau)
 
     class RecordedFactor(eigensolve._ShiftedFactor):
         def __init__(self, a_mat, m_mat, shift):
             shifts.append(shift)
             super().__init__(a_mat, m_mat, shift)
 
-    for name, spoiled in (("block_spectra", one_short), ("clamped_count", tau_on_a_value),
-                          ("clamped_count", no_facets)):
+    for owner, name, spoiled in ((symbol, "block_spectra", one_short),
+                                 (symbol.Capacitance, "count", tau_on_a_value),
+                                 (symbol.Capacitance, "count", no_facets)):
         shifts = []
         with monkeypatch.context() as patch:
-            patch.setattr(symbol, name, spoiled)
+            patch.setattr(owner, name, spoiled)
             patch.setattr(eigensolve, "_ShiftedFactor", RecordedFactor)
             code, out, err = run_cli(["solve", "--dim", str(dim), "--n", str(n),
                                       "--format", "json"], capsys)
@@ -167,7 +177,44 @@ def test_solve_exits_1_when_the_count_factor_pivots(dim, n, monkeypatch, capsys)
         assert not meta["converged"]
         assert all(b["count_below_tau"] is None and not b["converged"]
                    for b in meta["blocks"])
-        assert shifts and set(shifts) == {0.0}
+        assert set(shifts) == ({0.0} if dim == 3 else set())
+
+
+@pytest.mark.parametrize("dim,n,k,method", [(2, 3, 13, "symbol"), (2, 4, 22, "symbol"),
+                                             (2, 4, 28, "symbol"), (2, 5, 37, "symbol"),
+                                             (2, 5, 41, "symbol"), (2, 5, 49, "symbol"),
+                                             (3, 2, 9, "dense"), (3, 2, 11, "dense"),
+                                             (3, 3, 55, "dense"), (3, 3, 58, "dense")])
+def test_clamped_k_next_to_a_pole_is_certified(dim, n, k, method, capsys):
+    # tau = lambda_k (1 + REL_GAP) lies 1e-6 above a simply supported
+    # eigenvalue of another parity class, a pole of the capacitance matrix:
+    # each class block's rounding bound is its own, so the count holds.  In
+    # 3D the count then finds a cluster that fills the pencil, or all but
+    # one pair of it, which no deflated ARPACK pass has room for: the block
+    # is solved dense.
+    from rectmorley.assembly import BC_CLAMPED, assemble, build_dof_map
+    from rectmorley.element import build_reference_element
+    from rectmorley.mesh import build_mesh
+
+    code, out, err = run_cli(["solve", "--dim", str(dim), "--n", str(n), "--k", str(k),
+                              "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    run = json.loads(out)["runs"][0]
+    assert run["method"] == method
+    mesh = build_mesh(dim, n)
+    dense = eigensolve.smallest_k_dense(
+        *assemble(mesh, build_dof_map(mesh, BC_CLAMPED), build_reference_element(dim)), k)
+    np.testing.assert_allclose(run["eigenvalues"], dense.eigenvalues, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("k", [59, 60])
+def test_an_arpack_error_is_a_solver_that_did_not_converge(k, capsys):
+    # 59 or 60 pairs of the order-62 pencil of 3D n=3: ARPACK's basis of
+    # order - 1 = 61 vectors cannot apply its shifts (error 3).
+    code, out, err = run_cli(["solve", "--dim", "3", "--n", "3", "--k", str(k)], capsys)
+    assert code == 1
+    assert err == "solver did not converge on at least one run\n"
+    assert "converged=NO" in out
 
 
 def test_traced_solve_smallest_sees_every_block_solve_and_count(monkeypatch):
@@ -277,9 +324,10 @@ def test_solve_csv_layout(capsys):
     assert lines[1].startswith("2,1,")
     # Every number field is a plain float literal equal to the JSON value,
     # on the dense route (k + 1 >= order), the shift-invert route and the
-    # symbol's.
-    for argv, method in ((["solve", "--n", "2", "--k", "4"], "dense"),
-                         (["solve", "--n", "4"], "shift-invert"),
+    # symbol's, for either bc.
+    for argv, method in ((["solve", "--dim", "3", "--n", "2", "--k", "12"], "dense"),
+                         (["solve", "--dim", "3", "--n", "3"], "shift-invert"),
+                         (["solve", "--n", "4"], "symbol"),
                          (["solve", "--n", "4", "--bc", "simply-supported"], "symbol")):
         code, out, _ = run_cli(argv + ["--format", "csv"], capsys)
         assert code == 0

@@ -193,12 +193,15 @@ def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypa
         if dim == 2 or bc == "simply-supported":
             assert np.array_equal(own, np.arange(own_map.num_free))
     # solve_problem solves exactly these slices, representatives first: a
-    # clamped block with solve_smallest, a simply supported one by checking
-    # the symbol's pairs in it (eigensolve.solved) with operators that apply
-    # the slice cell by cell, summed in another order.
+    # 3D clamped block with solve_smallest, a simply supported or 2D clamped
+    # one by checking the symbol's pairs in it (eigensolve.solved) with
+    # operators that apply the block's pencil cell by cell, summed in
+    # another order, in the id order of its own numbering (for a simply
+    # supported block, its slice).
     monkeypatch.setitem(cli.SPLIT_MIN_ORDER, dim, 0)
     solved = []
-    name = "solve_smallest" if bc == "clamped" else "solved"
+    assembled = bc == "clamped" and dim == 3
+    name = "solve_smallest" if assembled else "solved"
     solve = getattr(eigensolve, name)
 
     def recording(a_mat, m_mat, *args, **kwargs):
@@ -212,8 +215,10 @@ def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypa
     # One solve per representative: no block is solved twice.
     assert len(solved) == len(order)
     for parity, pencil in zip(order, solved):
-        for mat, expected in zip(pencil, slices[parity]):
-            if bc == "clamped":
+        own = slices[parity] if assembled or bc == "simply-supported" else assemble(
+            mesh, build_dof_map(mesh, bc, parity_faces(bc, parity)), element)
+        for mat, expected in zip(pencil, own):
+            if assembled:
                 assert (mat != expected).nnz == 0
             else:
                 applied, expected = mat @ np.eye(mat.shape[0]), expected.toarray()
@@ -224,9 +229,10 @@ def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypa
                                       (3, 8, "simply-supported"), (3, 16, "simply-supported"),
                                       (2, 64, "clamped"), (3, 8, "clamped")])
 def test_only_clamped_solves_assemble(dim, n, bc, monkeypatch):
-    # A simply supported block numbers its own DOFs and applies the element
-    # matrices cell by cell: no shared map, no assembly and no slices.  A
-    # clamped problem numbers, bisects and assembles its shared map once.
+    # A simply supported or 2D clamped block numbers its own DOFs and
+    # applies the element matrices cell by cell: no shared map, no assembly
+    # and no slices.  A 3D clamped problem numbers, bisects and assembles
+    # its shared map once.
     from rectmorley import assembly
 
     calls = []
@@ -242,7 +248,7 @@ def test_only_clamped_solves_assemble(dim, n, bc, monkeypatch):
     for name in ("assemble", "build_dof_map", "nested_dissection", "restricted_dofs"):
         monkeypatch.setattr(assembly, name, recorded(name))
     blocks = cli.solve_problem(dim, n, bc).metadata["blocks"]
-    if bc == "clamped":
+    if bc == "clamped" and dim == 3:
         assert calls[:3] == ["build_dof_map", "nested_dissection", "assemble"]
         assert calls.count("assemble") == 1
     else:
@@ -294,27 +300,28 @@ def test_only_clamped_blocks_build_count_factors(dim, n, bc, monkeypatch):
     # Every block is counted once below a tau, from the symbol: a clamped
     # block by its capacitance matrix, a simply supported one by its modes.
     # No block builds a count factor: every factor solve_problem builds is
-    # a clamped block's SPD factor, at shift 0.
+    # a 3D clamped block's SPD factor, at shift 0; 2D clamped blocks take
+    # their pairs from the symbol and build none.
     from rectmorley import symbol
 
     factors, counted = [], []
-    clamped_count = symbol.clamped_count
+    count = symbol.Capacitance.count
 
-    def recorded_count(*args):
-        counted.append(args[2])
-        return clamped_count(*args)
+    def recorded_count(self, tau):
+        counted.append(tau)
+        return count(self, tau)
 
     monkeypatch.setattr(eigensolve, "_ShiftedFactor", recorded_factor(factors))
-    monkeypatch.setattr(symbol, "clamped_count", recorded_count)
+    monkeypatch.setattr(symbol.Capacitance, "count", recorded_count)
     result = cli.solve_problem(dim, n, bc)
     assert result.converged
     assert all(shift == 0.0 for shift, _ in factors)
     blocks = result.metadata["blocks"]
     if bc == "clamped":
-        assert counted == [b["parity"] for b in blocks]
-        # The SPD factors are those of the blocks that owe pairs (3D ooo
+        assert counted == [b["tau"] for b in blocks]
+        # The SPD factors are those of the 3D blocks that owe pairs (ooo
         # owes none).
-        owing = {b["order"] for b in blocks if b["count_below_tau"]}
+        owing = {b["order"] for b in blocks if b["count_below_tau"] and dim == 3}
         assert {order for _, order in factors} == owing
     else:
         assert counted == factors == []
@@ -369,7 +376,7 @@ def test_at_most_one_factor_is_alive(dim, n, bc, monkeypatch):
 
     monkeypatch.setattr(eigensolve, "_ShiftedFactor", TrackedFactor)
     assert cli.solve_problem(dim, n, bc).converged
-    assert bool(before) == (bc == "clamped") and not any(before)
+    assert bool(before) == (bc == "clamped" and dim == 3) and not any(before)
 
 
 def test_a_block_the_symbol_cannot_number_gets_no_count(monkeypatch):
@@ -400,6 +407,8 @@ def test_a_block_the_symbol_cannot_number_gets_no_count(monkeypatch):
 def test_krylov_basis_is_sized_to_the_request(dim, n, bc, monkeypatch):
     # An undeflated run (from the attempt-0 start vector) keeps 2k + 1
     # vectors, at most order - 1; a deflated completion pass keeps its own.
+    # A 2D clamped solve runs no ARPACK, so the 2D pencil is solved as a
+    # library pencil.
     calls = []
     eigsh = eigensolve.sla.eigsh
 
@@ -408,10 +417,59 @@ def test_krylov_basis_is_sized_to_the_request(dim, n, bc, monkeypatch):
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(eigensolve.sla, "eigsh", recording_eigsh)
-    assert cli.solve_problem(dim, n, bc).converged
+    if dim == 2:
+        assert solve_smallest(*full_pencil(dim, n, bc), 6).converged
+    else:
+        assert cli.solve_problem(dim, n, bc).converged
     undeflated = [(order, kwargs) for order, kwargs in calls if np.array_equal(
         kwargs["v0"], eigensolve.deterministic_start_vector(order, 0))]
     assert undeflated
     for order, kwargs in undeflated:
         assert kwargs["ncv"] == min(order - 1, 2 * kwargs["k"] + 1)
     assert len(calls) - len(undeflated) == ((dim, n) in ((3, 4), (3, 5)))
+
+
+@pytest.mark.parametrize("n", [4, 15, 16, 32, 64])
+def test_2d_clamped_solves_assemble_factor_and_run_no_eigensolver(n, monkeypatch):
+    # Every 2D clamped pair comes from the symbol: no nested dissection, no
+    # assembly or slice, no factor, no eigsh and no solve_smallest call, in
+    # one block (n=4, 15, 16) or split (n=32, 64).
+    from rectmorley import assembly
+
+    calls = []
+
+    def refused(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return call
+
+    for module, name in ((assembly, "assemble"), (assembly, "nested_dissection"),
+                         (assembly, "restricted_dofs"), (eigensolve, "_ShiftedFactor"),
+                         (eigensolve, "solve_smallest"), (eigensolve, "smallest_k_dense"),
+                         (eigensolve.sla, "eigsh")):
+        monkeypatch.setattr(module, name, refused(name))
+    result = cli.solve_problem(2, n, "clamped")
+    assert calls == []
+    assert result.converged and result.method == "symbol"
+    assert len(result.metadata["blocks"]) == (3 if n in (32, 64) else 1)
+    assert result.metadata["factor_nnz"] == result.metadata["opinv_applications"] == 0
+
+
+@pytest.mark.parametrize("dim,n,solver,route", [(2, 8, "dense", "smallest_k_dense"),
+                                                 (2, 32, "dense", "smallest_k_dense"),
+                                                 (3, 8, "auto", "_ShiftedFactor")])
+def test_dense_and_3d_clamped_solves_still_assemble(dim, n, solver, route, monkeypatch):
+    # --solver dense solves every 2D clamped block with smallest_k_dense,
+    # and 3D clamped blocks are factored: both on the assembled pencil.
+    calls = []
+    original = getattr(eigensolve, route)
+
+    def recorded(*args, **kwargs):
+        calls.append(route)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, route, recorded)
+    result = cli.solve_problem(dim, n, "clamped", solver=solver)
+    assert result.converged
+    assert len(calls) >= len(result.metadata["blocks"]) - (dim == 3)

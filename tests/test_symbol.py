@@ -13,7 +13,7 @@ from rectmorley import cli, symbol
 from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, FACE_FREE, PARITY_EVEN,
                                  PARITY_ODD, assemble, build_dof_map, dof_coordinates,
                                  free_dof_count, nested_dissection, restricted_dofs)
-from rectmorley.eigensolve import REL_GAP, compute_residuals, count_below
+from rectmorley.eigensolve import REL_GAP, compute_residuals, count_below, rayleigh_ritz
 from rectmorley.element import build_reference_element
 from rectmorley.mesh import build_mesh
 
@@ -107,7 +107,7 @@ def test_modes_are_the_eigenvectors(dim, n, parity, k):
     a_mat, m_mat, coords = block_pencil(dim, n, parity, with_coordinates=True)
     values, waves, vectors = (part[:k] for part in symbol.block_spectra(dim, n, [parity])[parity])
     assert k is None or len(values) == k
-    modes = symbol.modes(coords, n, waves, vectors)
+    modes = symbol.modes(coords, n, waves, vectors, np.eye(len(values)))
     assert modes.shape == (a_mat.shape[0], len(values))
     mass = 1.0 if parity is None else 2.0 ** -dim
     np.testing.assert_allclose(modes.T @ (m_mat @ modes), mass * np.eye(len(values)),
@@ -252,3 +252,153 @@ def test_clamped_count_refuses_what_it_cannot_count():
     # No mode reaches the facets: the capacitance matrix is 0.
     with pytest.raises(ValueError, match="singular"):
         symbol.clamped_count(dim, n, None, (values, waves, 0.0 * vectors), order, tau)
+
+
+def dense_modes(coords, n, waves, vectors):
+    """The eigenvectors of the pairs (waves, vectors) at the DOFs of doubled
+    coordinates `coords`, one column per mode: each mode's family amplitudes
+    times its weights, evaluated mode by mode (the oracle of symbol.modes)."""
+    even = coords % 2 == 0
+    vertex = even.all(axis=1)
+    cos_axes = even & ~vertex[:, None]
+    angles = (coords[:, None, :] * waves + n * cos_axes[:, None, :]) % (4 * n)
+    amplitudes = np.sin(angles * (np.pi / (2 * n))).prod(axis=2)
+    sines = np.sin(waves * (np.pi / (2 * n)))
+    weights = np.column_stack([vectors[:, 0], 2 * n * (vectors[:, :1] * sines + vectors[:, 1:])])
+    family = np.where(vertex, 0, 1 + np.argmax(cos_axes, axis=1))
+    return 2 ** coords.shape[1] * amplitudes * weights[:, family].T
+
+
+@pytest.mark.parametrize("dim,n,parity,used", [(2, 32, None, None), (2, 32, "oe", None),
+                                               (3, 8, None, None), (3, 16, "ooe", None),
+                                               (2, 64, "ee", 2), (3, 16, "eee", 1)])
+def test_separable_mode_sum_matches_the_dense_one(dim, n, parity, used):
+    # Six vectors over all of a class's waves, from random coefficients; or
+    # over its first `used` modes only, which are summed mode by mode.
+    mesh, faces = block_mesh_and_faces(dim, n, parity)
+    coords = dof_coordinates(build_dof_map(mesh, BC_CLAMPED, faces))
+    _, waves, vectors = symbol.block_spectra(dim, n, [parity])[parity]
+    coefficients = np.random.default_rng(7).standard_normal((len(waves), 6))
+    if used:
+        coefficients[used:] = 0.0
+    separable = symbol.modes(coords, n, waves, vectors, coefficients)
+    dense = dense_modes(coords, n, waves, vectors) @ coefficients
+    assert np.abs(separable - dense).max() <= 1e-14 * np.abs(dense).max()
+
+
+def clamped_pencil(dim, n, parity=None):
+    """A clamped block's pencil in id order and its DOFs' coordinates."""
+    mesh, faces = block_mesh_and_faces(dim, n, parity)
+    if faces is not None:
+        faces = [BC_CLAMPED if face == BC_SIMPLY_SUPPORTED else face for face in faces]
+    dofmap = build_dof_map(mesh, BC_CLAMPED, faces)
+    return (*assemble(mesh, dofmap, build_reference_element(dim)), dof_coordinates(dofmap))
+
+
+# Both engines of Capacitance.pairs: the dense modal pencil of a class with
+# few modes, and the zeros of its capacitance block (DENSE_MODES = 0).
+@pytest.mark.parametrize("dense_modes_limit", [symbol.DENSE_MODES, 0])
+@pytest.mark.parametrize("dim,n", [(2, n) for n in range(2, 7)] + [(3, 2), (3, 3)])
+def test_clamped_pairs_are_every_eigenpair_of_the_block(dim, n, dense_modes_limit,
+                                                        monkeypatch):
+    monkeypatch.setattr(symbol, "DENSE_MODES", dense_modes_limit)
+    a_mat, m_mat, coords = clamped_pencil(dim, n)
+    dense = dla.eigh(a_mat.toarray(), m_mat.toarray(), eigvals_only=True)
+    spectrum = symbol.block_spectra(dim, n, [None])[None]
+    capacitance = symbol.Capacitance(dim, n, None, spectrum, a_mat.shape[0])
+    values, coefficients = capacitance.pairs(k=a_mat.shape[0])
+    assert len(values) == a_mat.shape[0]
+    np.testing.assert_allclose(values, dense, rtol=1e-12, atol=0)
+    # Their vectors span the eigenvectors: after Rayleigh-Ritz, as the solve
+    # takes them, every residual is at rounding.
+    ritz, vectors = rayleigh_ritz(a_mat, m_mat,
+                                  symbol.modes(coords, n, *spectrum[1:], coefficients))
+    np.testing.assert_allclose(ritz, dense, rtol=1e-12, atol=0)
+    assert np.max(compute_residuals(a_mat, m_mat, ritz, vectors)) <= 1e-12
+
+
+@pytest.mark.parametrize("dense_modes_limit", [symbol.DENSE_MODES, 0])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_every_2d_clamped_k_matches_the_dense_oracle(n, dense_modes_limit, monkeypatch):
+    # solve_problem for every k, with each k's certificate: k that land on a
+    # simply supported eigenvalue (2D n=3 k=13, n=4 k=22 and 28, n=5 k=37,
+    # 41 and 49) included.
+    monkeypatch.setattr(symbol, "DENSE_MODES", dense_modes_limit)
+    a_mat, m_mat, _ = clamped_pencil(2, n)
+    dense = dla.eigh(a_mat.toarray(), m_mat.toarray(), eigvals_only=True)
+    for k in range(1, len(dense) + 1):
+        result = cli.solve_problem(2, n, BC_CLAMPED, k)
+        assert result.converged and result.method == symbol.METHOD_SYMBOL, k
+        np.testing.assert_allclose(result.eigenvalues, dense[:k], rtol=1e-10, atol=0)
+        assert result.metadata["k_closed"] == np.count_nonzero(dense < result.metadata["tau"])
+
+
+@pytest.mark.parametrize("n", [8, 12, 15])
+def test_2d_clamped_solve_matches_the_dense_oracle(n):
+    a_mat, m_mat, _ = clamped_pencil(2, n)
+    dense = dla.eigh(a_mat.toarray(), m_mat.toarray(), eigvals_only=True, subset_by_index=(0, 5))
+    result = cli.solve_problem(2, n, BC_CLAMPED)
+    assert result.converged
+    np.testing.assert_allclose(result.eigenvalues, dense, rtol=1e-10, atol=0)
+    assert max(result.residuals) <= 1e-12
+
+
+# The pairs of the shift-invert route at the parent of the symbol route
+# (ARPACK, certified by the symbol's counts), per n: the eigenvalues, and
+# each block's (parity, multiplicity, order, count below tau); k_closed was
+# 6 at every size.
+ARPACK_PAIRS = {
+    4: ([1075.8562526972962, 4481.4553639957885, 4481.455363995789, 7697.55902315125,
+         15704.319905515416, 16296.520205368159], [(None, 1, 33, 6)]),
+    8: ([1223.1075652085424, 5017.690402513283, 5017.690402513284, 9953.59109957029,
+         16244.114226339192, 16520.50225207924], [(None, 1, 161, 6)]),
+    15: ([1272.9688704207015, 5266.83830191493, 5266.83830191497, 11116.542619542017,
+          16929.0301295666, 17123.43354559081], [(None, 1, 616, 6)]),
+    32: ([1289.9935293670774, 5359.164790692752, 5359.164790692752, 11572.246713465574,
+          17222.423857256166, 17393.384649415435],
+         [("oe", 2, 736, 3), ("ee", 1, 736, 3), ("oo", 1, 737, 1)]),
+    64: ([1293.6926677922338, 5379.719346041998, 5379.719346041998, 11675.717767256638,
+          17290.361190028725, 17456.544170366466],
+         [("oe", 2, 3008, 3), ("ee", 1, 3008, 3), ("oo", 1, 3009, 1)]),
+}
+
+
+@pytest.mark.parametrize("n", sorted(ARPACK_PAIRS))
+def test_2d_clamped_solve_keeps_the_shift_invert_pairs_and_counts(n):
+    values, blocks = ARPACK_PAIRS[n]
+    result = cli.solve_problem(2, n, BC_CLAMPED)
+    assert result.converged and result.method == symbol.METHOD_SYMBOL
+    np.testing.assert_allclose(result.eigenvalues, values, rtol=1e-10, atol=0)
+    assert [(b["parity"], b["multiplicity"], b["order"], b["count_below_tau"])
+            for b in result.metadata["blocks"]] == blocks
+    assert result.metadata["k_closed"] == 6
+    # The floor of the relative residual grows like n^4: at n=64 the
+    # shift-invert route read 8.3e-11.
+    assert max(result.residuals) <= {32: 2e-11, 64: 5e-10}.get(n, 1e-12)
+
+
+def test_one_block_mirror_pair_agrees():
+    # 2D n=16 is one block: lambda_2 and lambda_3 are the roots of the
+    # capacitance blocks of two mirror classes, Rayleigh-Ritz values of
+    # vectors found apart.
+    result = cli.solve_problem(2, 16, BC_CLAMPED)
+    assert result.metadata["blocks"][0]["parity"] is None
+    assert result.eigenvalues[1] == pytest.approx(result.eigenvalues[2], rel=1e-12, abs=0)
+
+
+def test_a_mode_whose_facet_weights_vanish_is_a_pair_on_its_pole():
+    # Zero one mode's facet weights: it becomes a clamped eigenpair of the
+    # modified problem at its own eigenvalue, found with a one-hot
+    # coefficient, and the count at a tau just above it holds it.
+    dim, n = 2, 8
+    values, waves, vectors = symbol.block_spectra(dim, n, [None])[None]
+    j = 3
+    vectors = vectors.copy()
+    vectors[j, 1:] = -vectors[j, 0] * np.sin(waves[j] * (np.pi / (2 * n)))
+    capacitance = symbol.Capacitance(dim, n, None, (values, waves, vectors), 161)
+    assert list(capacitance.isolated) == [j]
+    found, coefficients = capacitance.pairs(tau=values[j] * (1 + 1e-9))
+    assert values[j] in found
+    column = coefficients[:, list(found).index(values[j])]
+    assert column[j] == 1.0 and np.count_nonzero(column) == 1
+    assert capacitance.count(values[j] * (1 + 1e-9)) == len(found)
