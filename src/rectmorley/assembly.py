@@ -266,6 +266,14 @@ def cell_operator(dofmap: DofMap, local) -> sla.LinearOperator:
                               matmat=matmat, dtype=float)
 
 
+def cell_diagonal(dofmap: DofMap, local) -> np.ndarray:
+    """The diagonal of the matrix that assemble builds from the element
+    matrix `local` on dofmap, summed cell by cell."""
+    order = dofmap.num_free
+    cells = np.where(dofmap.cell_dofs >= 0, dofmap.cell_dofs, order)
+    return np.bincount(cells.ravel(), np.tile(np.diag(local), len(cells)), order + 1)[:order]
+
+
 # ---------------------------------------------------------------------------
 # discrete fields
 # ---------------------------------------------------------------------------

@@ -200,18 +200,20 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     class's pairs below it, and its count is the number of those pairs,
     None (not converged) when its order is not its class's eigenvalue
     count.  A 2D clamped block takes its pairs from the capacitance matrix
-    of its class (symbol.Capacitance.pairs) and their Rayleigh-Ritz values
-    in its pencil, M-normalized (eigensolve.rayleigh_ritz), and is counted
-    below its tau by the same matrix (Capacitance.count); a block the
-    symbol cannot number gets no pairs and count None.
+    of its class (symbol.Capacitance.pairs), smooths their vectors with one
+    damped Jacobi step (eigensolve.smoothed: it damps the rounding noise of
+    the mode sum) and reports their Rayleigh-Ritz values in its pencil,
+    M-normalized (eigensolve.rayleigh_ritz); it is counted below its tau
+    by the same matrix (Capacitance.count).  A block the symbol cannot
+    number gets no pairs and count None.
 
     Other clamped problems (3D, or `solver` 'dense') number and assemble
     the half box once, with free mid-plane faces, in nested-dissection
     order for the factors, and each block is the principal submatrix on
     its own free DOFs.  It is solved once with solve_smallest on the
     `solver` route, and counted from the spectrum of its simply supported
-    class (symbol.clamped_count), with no factor of A - tau M: every factor
-    a clamped solve builds is of A, at shift 0.  A block the symbol cannot
+    class (symbol.Capacitance.count), with no factor of A - tau M: every
+    factor a clamped solve builds is of A, at shift 0.  A block the symbol cannot
     count gets count None (not converged).
 
     Every clamped block is solved below the tau of the blocks merged before
@@ -233,8 +235,9 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
 
     from . import eigensolve, symbol
     from .assembly import (BC_SIMPLY_SUPPORTED, FACE_FREE, PARITY_EVEN, PARITY_ODD, assemble,
-                           build_dof_map, cell_operator, dof_coordinates, element_matrices,
-                           free_dof_count, nested_dissection, restricted_dofs)
+                           build_dof_map, cell_diagonal, cell_operator, dof_coordinates,
+                           element_matrices, free_dof_count, nested_dissection,
+                           restricted_dofs)
     from .element import build_reference_element
     from .mesh import build_mesh
 
@@ -281,8 +284,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
             else {p: r.eigenvalues for p, r in solved.items()}
         values = np.concatenate([np.empty(0)] + [np.repeat(v, multiplicity[p])
                                                  for p, v in blocks.items()])
-        return np.partition(values, k - 1)[k - 1] * (1 + eigensolve.REL_GAP) \
-            if len(values) >= k else np.inf
+        return eigensolve.tau_after(values, k)
 
     # solve_smallest is looked up at call time, so that a caller who swaps
     # the module attribute (a tracer) sees every block solve and count.
@@ -315,21 +317,26 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
         elif from_symbol:
             try:
                 capacitance = symbol.Capacitance(dim, n, parity, spectra[parity], block_order)
-                coefficients = capacitance.pairs(**owed)[1]
+                roots, coefficients = capacitance.pairs(**owed)
             except ValueError:
                 # The class does not number the block: no pairs and no count.
-                capacitance, coefficients = None, np.empty((len(values), 0))
-            basis = symbol.modes(dof_coordinates(own), n, waves, vectors, coefficients)
+                capacitance, roots, coefficients = None, np.empty(0), np.empty((len(values), 0))
+            basis = eigensolve.smoothed(
+                a_op, m_op, cell_diagonal(own, local_matrices[0]), roots,
+                symbol.modes(dof_coordinates(own), n, waves, vectors, coefficients))
             result = eigensolve.solved(a_op, m_op, symbol.METHOD_SYMBOL,
                                        *eigensolve.rayleigh_ritz(a_op, m_op, basis))
-            if "k" in owed and len(result.eigenvalues) >= owed["k"]:
-                tau = result.eigenvalues[owed["k"] - 1] * (1 + eigensolve.REL_GAP)
+            if "k" in owed:
+                tau = eigensolve.tau_after(result.eigenvalues, owed["k"])
             solved[parity] = eigensolve.certified(result, tau, None if capacitance is None else
                                                   eigensolve.count_owed(result, tau,
                                                                         capacitance.count))
         else:
-            count = functools.partial(symbol.clamped_count, dim, n, parity, spectra[parity],
-                                      block_order)
+            # The capacitance matrix is built when the solve counts, so that
+            # it is not alive through the solve's ARPACK peak.
+            def count(tau):
+                return symbol.Capacitance(dim, n, parity, spectra[parity], block_order).count(tau)
+
             solved[parity] = eigensolve.solve_smallest(a_mat, m_mat, method=solver,
                                                        count=count, **owed)
     tau = slice_tau()

@@ -43,11 +43,11 @@ it only to the size of its largest entries.  Nothing depends on extended
 precision: at 2D n=1024 the eigenvalues agree with a 60-digit evaluation of
 the same sums to 3e-15 relative.
 
-Clamped counts (Capacitance.count, clamped_count): a clamped block is its
-simply supported sibling (the same parity, or the full box) with the m
-facets of its outer faces constrained, so its pencil is the principal
-submatrix of the simply supported one on the other DOFs.  For tau off both
-spectra, with F = A_ss - tau M_ss and E the columns of the identity on
+Clamped counts (Capacitance.count): a clamped block is its simply
+supported sibling (the same parity, or the full box) with the m facets of
+its outer faces constrained, so its pencil is the principal submatrix
+of the simply supported one on the other DOFs.  For tau off both spectra,
+with F = A_ss - tau M_ss and E the columns of the identity on
 those facets, Haynsworth's inertia additivity (the inverse of a Schur
 complement is a block of F^-1) gives
 
@@ -101,7 +101,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .assembly import element_matrices
-from .eigensolve import REL_GAP
+from .eigensolve import tau_after
 from .element import build_reference_element, reference_corners
 
 # The method of a result whose pairs come from the symbol, with no solve.
@@ -116,11 +116,12 @@ POLE_MARGIN = 1e-10
 # higher multiplicity.
 COINCIDENT = 1e-10
 # Classes with at most this many modes take their clamped pairs from the
-# dense modal pencil, not from the zeros of C.  Time of Capacitance.pairs
-# for k=6 on the 2D full box (2-vCPU host, in process, per solve): n=8
-# (classes of 48 modes) 1.0 ms dense against 2.5-3.5 ms of zeros; n=15 and
-# 16 (161-193 modes) 14 and 23 ms dense against 6.3 and 6.4 ms.
-DENSE_MODES = 96
+# dense modal pencil, not from the zeros of C.  2D full-box solve_problem,
+# k=6, min of 15 in process, 2-vCPU host, dense against zeros: n=4 (12-13
+# modes a class) 3.4 against 5.9 ms, n=8 (48-49) 5.3 against 7.5, n=10
+# (75-76) 7.8 against 8.2; n=11 (85-97) 7.0 against 5.8, n=12 (108-109)
+# 34 against 6.0.
+DENSE_MODES = 80
 
 
 def _single(dim: int, axis: int) -> int:
@@ -521,7 +522,7 @@ class Capacitance:
                         key=lambda index: heads[index][0])
             found.append(heads[first])
             if tau is None and len(found) == k:
-                limit = found[-1][0] * (1 + REL_GAP)
+                limit = tau_after(np.array([value for value, _, _ in found]), k)
                 heads = [None if head is None or head[0] >= limit else head for head in heads]
             heads[first] = _answer(walks[first], limit)
         coefficients = np.zeros((len(self.values), len(found)))
@@ -661,18 +662,3 @@ def _answer(walk, limit):
         return walk.send(limit)
     except StopIteration:
         return None
-
-
-def clamped_count(dim: int, n: int, parity, spectrum, order: int, tau: float) -> int:
-    """The number of eigenvalues below the finite tau of the clamped block
-    `parity` (None for the full box), of order `order`, from the spectrum
-    of its simply supported sibling (block_spectra(dim, n, [parity])[parity])
-    by the capacitance identity of the module docstring, with no factor:
-    one evaluation of Capacitance(dim, n, parity, spectrum, order).count.
-
-    Raises ValueError when it cannot count: when order plus the number of
-    outer-face facets is not the spectrum's length, when tau lies within
-    rounding of a simply supported eigenvalue, or when an eigenvalue of the
-    capacitance matrix lies within its rounding bound of 0.
-    """
-    return Capacitance(dim, n, parity, spectrum, order).count(tau)

@@ -262,6 +262,18 @@ def test_assembled_matrices_are_exactly_symmetric_without_stored_zeros(dim, n, b
         assert np.all(mat.data != 0.0)
 
 
+@pytest.mark.parametrize("dim,n", [(2, 5), (3, 3)])
+@pytest.mark.parametrize("bc", [BC_CLAMPED, BC_SIMPLY_SUPPORTED])
+def test_cell_diagonal_is_the_assembled_diagonal(dim, n, bc, ref2, ref3):
+    mesh = build_mesh(dim, n)
+    dofmap = build_dof_map(mesh, bc)
+    element = ref2 if dim == 2 else ref3
+    for mat, local in zip(assemble(mesh, dofmap, element),
+                          element_matrices(element, mesh.half_width)):
+        diagonal = assembly.cell_diagonal(dofmap, local)
+        np.testing.assert_allclose(diagonal, mat.diagonal(), rtol=1e-14, atol=0)
+
+
 def test_assembly_matches_manual_gather_on_single_cell(ref2):
     # One cell, simply supported: only the four facet DOFs stay free, so the
     # global matrices are submatrices of the element ones.

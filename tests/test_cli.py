@@ -223,7 +223,7 @@ def test_traced_solve_smallest_sees_every_block_solve_and_count(monkeypatch):
     # time, and every count, from the symbol, must run inside it.
     from rectmorley import symbol
 
-    solve_smallest, clamped_count = eigensolve.solve_smallest, symbol.clamped_count
+    solve_smallest, count = eigensolve.solve_smallest, symbol.Capacitance.count
     open_spans, solves, counts = [], [], []
 
     @functools.wraps(solve_smallest)
@@ -237,13 +237,13 @@ def test_traced_solve_smallest_sees_every_block_solve_and_count(monkeypatch):
 
     def counting(*args, **kwargs):
         counts.append(list(open_spans))
-        return clamped_count(*args, **kwargs)
+        return count(*args, **kwargs)
 
     def refused(*args, **kwargs):
         raise AssertionError("count_below called")
 
     monkeypatch.setattr(eigensolve, "solve_smallest", traced)
-    monkeypatch.setattr(symbol, "clamped_count", counting)
+    monkeypatch.setattr(symbol.Capacitance, "count", counting)
     monkeypatch.setattr(eigensolve, "count_below", refused)
     result = cli.solve_problem(3, 8, "clamped")
     assert result.converged

@@ -448,7 +448,7 @@ def test_a_clamped_solve_of_every_pair_is_certified_without_a_count(dim, n, ref2
 
     a_mat, m_mat = assembled(dim, n, BC_CLAMPED, ref2 if dim == 2 else ref3)
     order = a_mat.shape[0]
-    monkeypatch.setattr(symbol, "clamped_count", refused)
+    monkeypatch.setattr(symbol.Capacitance, "count", refused)
     result = cli.solve_problem(dim, n, BC_CLAMPED, k=order)
     assert result.converged
     assert result.metadata["blocks"][0]["count_below_tau"] == order == result.metadata["k_closed"]
@@ -474,3 +474,27 @@ def test_solve_smallest_rejects_unknown_method(ref2):
     with pytest.raises(ValueError, match="method"):
         solve_smallest(a_mat, m_mat, 1, method="subspace")
 
+
+
+def test_tau_after_is_the_kth_smallest_value_with_its_margin():
+    values = np.array([3.0, 1.0, 2.0, 2.0])
+    assert eigensolve.tau_after(values, 1) == 1.0 * (1 + REL_GAP)
+    assert eigensolve.tau_after(values, 3) == 2.0 * (1 + REL_GAP)
+    assert eigensolve.tau_after(values, 5) == np.inf
+
+
+def test_smoothing_keeps_eigenvectors_and_damps_their_noise(ref2):
+    # On the 2D n=12 clamped pencil: exact eigenvectors move by rounding
+    # alone, and relative noise at every DOF, as a sum of many modes
+    # carries, leaves residuals at least three times smaller after one step.
+    a_mat, m_mat = assembled(2, 12, BC_CLAMPED, ref2)
+    exact = smallest_k_dense(a_mat, m_mat, 3)
+    values, vectors, diagonal = exact.eigenvalues, exact.eigenvectors, a_mat.diagonal()
+    kept = eigensolve.smoothed(a_mat, m_mat, diagonal, values, vectors)
+    assert np.abs(kept - vectors).max() <= 1e-12 * np.abs(vectors).max()
+    noise = 1e-9 * np.random.default_rng(5).standard_normal(vectors.shape)
+    noisy = vectors * (1 + noise)
+    before = compute_residuals(a_mat, m_mat, values, noisy)
+    after = compute_residuals(a_mat, m_mat, values,
+                              eigensolve.smoothed(a_mat, m_mat, diagonal, values, noisy))
+    assert np.all(after <= before / 3)
