@@ -128,14 +128,15 @@ def build_parser() -> argparse.ArgumentParser:
 # block: below it, setting up the half-box blocks costs more than their
 # smaller solves save.  Split/one-block time (min of 7 alternating runs, one
 # BLAS thread, 2 vCPUs, range over four sweeps; free DOFs clamped/simply
-# supported, ratio clamped/simply supported): 2D n=12 (385/433) 1.37-1.50/
-# 1.14-1.19, n=14 (533/589) 1.23-1.41/0.98-1.11, n=16 (705/769) 0.90-1.19/
-# 0.90-1.01, n=18 (901/973) 1.05-1.10/0.82-0.94, n=20 (1121/1201) 0.89-0.99/
-# 0.88-0.91, n=22..24 0.74-1.00/0.71-0.82; 3D n=4 (171/267) 0.83-0.96/
-# 1.20-1.38, n=6 (665/881) 0.54-0.61/0.70-0.75.  A 3D value below 171 would
-# also split simply supported n=4, and split clamped n=4 won only 2 and 3 of
-# 7 pairs in the two sweeps that counted them.  The split also sets the
-# parity labels.
+# supported, ratio clamped/simply supported), measured when 2D clamped
+# blocks ran ARPACK: 2D n=12 (385/433) 1.37-1.50/1.14-1.19, n=14 (533/589)
+# 1.23-1.41/0.98-1.11, n=16 (705/769) 0.90-1.19/0.90-1.01, n=18 (901/973)
+# 1.05-1.10/0.82-0.94, n=20 (1121/1201) 0.89-0.99/0.88-0.91, n=22..24
+# 0.74-1.00/0.71-0.82.  3D, every block from the symbol (min of 7
+# alternating runs in process, two BLAS threads, range over three sweeps):
+# n=4 (171/267) 1.17-1.22/1.13-1.15, n=6 (665/881) 0.60-0.62/0.87-0.88, so
+# any value from 268 to 665 splits the same rungs.  The split also sets
+# the parity labels.
 SPLIT_MIN_ORDER = {2: 950, 3: 400}
 
 
@@ -189,7 +190,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     tau = (k-th merged eigenvalue) (1 + REL_GAP); metadata["k_closed"]
     counts them with multiplicity, above k when k cuts a cluster.
 
-    A simply supported problem, and a 2D clamped one on the auto route,
+    A simply supported problem, and a clamped one on the auto route,
     assemble nothing, and need no factor and no eigensolver; each block
     numbers its own DOFs in id order (build_dof_map with its parity's
     faces), takes its eigenvectors from symbol.modes, checks them by their
@@ -199,22 +200,21 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     (symbol.block_spectra) give the final tau; each block takes its
     class's pairs below it, and its count is the number of those pairs,
     None (not converged) when its order is not its class's eigenvalue
-    count.  A 2D clamped block takes its pairs from the capacitance matrix
-    of its class (symbol.Capacitance.pairs), smooths their vectors with one
-    damped Jacobi step (eigensolve.smoothed: it damps the rounding noise of
-    the mode sum) and reports their Rayleigh-Ritz values in its pencil,
-    M-normalized (eigensolve.rayleigh_ritz); it is counted below its tau
-    by the same matrix (Capacitance.count).  A block the symbol cannot
-    number gets no pairs and count None.
+    count.  Every clamped block on the auto route takes its pairs from the
+    capacitance matrix of its class (capacitance.Capacitance.pairs), smooths
+    their vectors with one damped Jacobi step (eigensolve.smoothed: it
+    damps the rounding noise of the mode sum) and reports their
+    Rayleigh-Ritz values in its pencil, M-normalized (eigensolve.
+    rayleigh_ritz); it is counted below its tau by the same matrix
+    (Capacitance.count).  A block the symbol cannot number gets no pairs
+    and count None.
 
-    Other clamped problems (3D, or `solver` 'dense') number and assemble
-    the half box once, with free mid-plane faces, in nested-dissection
-    order for the factors, and each block is the principal submatrix on
-    its own free DOFs.  It is solved once with solve_smallest on the
-    `solver` route, and counted from the spectrum of its simply supported
-    class (symbol.Capacitance.count), with no factor of A - tau M: every
-    factor a clamped solve builds is of A, at shift 0.  A block the symbol cannot
-    count gets count None (not converged).
+    Only `solver` 'dense' assembles: it numbers and assembles the half box
+    once, with free mid-plane faces, in nested-dissection order, and each
+    block is the principal submatrix on its own free DOFs, solved with
+    solve_smallest on the dense route and counted from the spectrum of its
+    simply supported class (capacitance.Capacitance.count).  A block the
+    symbol cannot count gets count None (not converged).
 
     Every clamped block is solved below the tau of the blocks merged before
     it; the first, with no tau yet, for k1 = ceil(k / multiplicity) pairs
@@ -233,7 +233,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
 
     import numpy as np
 
-    from . import eigensolve, symbol
+    from . import capacitance, eigensolve, symbol
     from .assembly import (BC_SIMPLY_SUPPORTED, FACE_FREE, PARITY_EVEN, PARITY_ODD, assemble,
                            build_dof_map, cell_diagonal, cell_operator, dof_coordinates,
                            element_matrices, free_dof_count, nested_dissection,
@@ -263,13 +263,13 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     # Largest classes first, so that the first block's copies alone give k
     # values; the sort is stable, so ties keep their count of odd axes.
     representatives = sorted(multiplicity, key=multiplicity.get, reverse=True)
-    # The simply supported classes: a simply supported or 2D clamped
-    # problem's pairs, and every clamped one's counts.
+    # The simply supported classes: every auto problem's pairs, and every
+    # clamped one's counts.
     spectra = symbol.block_spectra(dim, n, representatives)
 
-    # Simply supported problems, and 2D clamped ones on the auto route, take
-    # their pairs from the symbol; the others solve an assembled pencil.
-    from_symbol = bc == BC_SIMPLY_SUPPORTED or (dim == 2 and solver == "auto")
+    # Every problem on the auto route takes its pairs from the symbol; the
+    # dense route solves an assembled pencil.
+    from_symbol = bc == BC_SIMPLY_SUPPORTED or solver == "auto"
     if from_symbol:
         local_matrices = element_matrices(element, mesh.half_width)
     else:
@@ -288,8 +288,11 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
 
     # solve_smallest is looked up at call time, so that a caller who swaps
     # the module attribute (a tracer) sees every block solve and count.
-    solved = {}
-    for parity in representatives:
+    def solve_block(parity):
+        """The certified result of one representative, solved below the tau
+        of the blocks solved before it.  Its operators, vectors and
+        capacitance matrix are freed when it returns, before the next block
+        builds its own."""
         faces = None if parity is None else [
             side for p in parity for side in (bc, PARITY_ODD if p == "o" else PARITY_EVEN)]
         tau = slice_tau()
@@ -312,15 +315,15 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
                                  np.eye(below))
             modes /= np.sqrt(np.einsum("ij,ij->j", modes, m_op @ modes))
             result = eigensolve.solved(a_op, m_op, symbol.METHOD_SYMBOL, values[:below], modes)
-            solved[parity] = eigensolve.certified(
-                result, tau, below if len(values) == block_order else None)
+            return eigensolve.certified(result, tau,
+                                        below if len(values) == block_order else None)
         elif from_symbol:
             try:
-                capacitance = symbol.Capacitance(dim, n, parity, spectra[parity], block_order)
-                roots, coefficients = capacitance.pairs(**owed)
+                matrix = capacitance.Capacitance(dim, n, parity, spectra[parity], block_order)
+                roots, coefficients = matrix.pairs(**owed)
             except ValueError:
                 # The class does not number the block: no pairs and no count.
-                capacitance, roots, coefficients = None, np.empty(0), np.empty((len(values), 0))
+                matrix, roots, coefficients = None, np.empty(0), np.empty((len(values), 0))
             basis = eigensolve.smoothed(
                 a_op, m_op, cell_diagonal(own, local_matrices[0]), roots,
                 symbol.modes(dof_coordinates(own), n, waves, vectors, coefficients))
@@ -328,17 +331,19 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
                                        *eigensolve.rayleigh_ritz(a_op, m_op, basis))
             if "k" in owed:
                 tau = eigensolve.tau_after(result.eigenvalues, owed["k"])
-            solved[parity] = eigensolve.certified(result, tau, None if capacitance is None else
-                                                  eigensolve.count_owed(result, tau,
-                                                                        capacitance.count))
+            return eigensolve.certified(result, tau, None if matrix is None else
+                                        eigensolve.count_owed(result, tau, matrix.count))
         else:
-            # The capacitance matrix is built when the solve counts, so that
-            # it is not alive through the solve's ARPACK peak.
             def count(tau):
-                return symbol.Capacitance(dim, n, parity, spectra[parity], block_order).count(tau)
+                return capacitance.Capacitance(dim, n, parity, spectra[parity],
+                                               block_order).count(tau)
 
-            solved[parity] = eigensolve.solve_smallest(a_mat, m_mat, method=solver,
-                                                       count=count, **owed)
+            return eigensolve.solve_smallest(a_mat, m_mat, method=solver, count=count,
+                                             **owed)
+
+    solved = {}
+    for parity in representatives:
+        solved[parity] = solve_block(parity)
     tau = slice_tau()
 
     merged = [(lam, res, parity) for parity in parities

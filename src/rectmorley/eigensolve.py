@@ -1,11 +1,13 @@
 """Symmetric generalized eigensolvers for the smallest eigenvalues.
 
 solve_smallest is the one entry point, for a pencil of two scipy sparse
-matrices (the 3D clamped blocks of cli.solve_problem, every clamped block
-on its dense route, and library pencils).
-Its route is ARPACK shift-invert at shift 0, around the no-pivot factor of
-the stiffness matrix A in the order the pencil is given (a finite element
-pencil is assembled on assembly.nested_dissection).  One factor type, the
+matrices (every clamped block of cli.solve_problem on its dense route, and
+library pencils).  No solve of cli.solve_problem on the auto route calls
+it: those take their pairs from the symbol (symbol.py), so ARPACK now
+serves only library callers.  Its route is ARPACK shift-invert at shift
+0, around the no-pivot factor of the stiffness matrix A in the order the
+pencil is given (a finite element pencil is assembled on
+assembly.nested_dissection).  One factor type, the
 no-pivot LDL^T of A - shift M (_ShiftedFactor), serves the solves at shift
 0 and the default certificate: by Sylvester's law of inertia its negative
 pivots count the eigenvalues below the shift (count_below), and the factor
@@ -16,18 +18,18 @@ completing a short slice with deflated ARPACK passes (Ericsson and Ruhe,
 Math. Comp. 35, 1980; Grimes, Lewis and Simon, SIMAX 15, 1994).  So no copy
 of a repeated eigenvalue is skipped silently, and a k that cuts a cluster
 gets all of it.  The count is a seam: a caller who can count without a
-factor passes its own (the 3D clamped blocks of cli.solve_problem count
-from the symbol, symbol.Capacitance.count), so that no solve of theirs
-factors A - tau M; count_below, a factor of A - tau M, is the default for
-library pencils and the tests' oracle.  A call builds at most one SPD factor, and
-a k solve is completed on the factor that solved it, so the default count
-of a k solve overlaps that factor.  The dense LAPACK path
+factor passes its own (the clamped blocks of cli.solve_problem's dense
+route count from the symbol, capacitance.Capacitance.count), so that no
+solve of theirs factors A - tau M; count_below, a factor of A - tau M, is the
+default for library pencils and the tests' oracle.  A call builds at
+most one SPD factor, and a k solve is completed on the factor that solved
+it, so the default count of a k solve overlaps that factor.  The dense LAPACK path
 (smallest_k_dense) is the test oracle, and the route for pencils too small
 for shift-invert.  Both return ascending eigenvalues with mass-orthonormal
 eigenvectors and per-pair relative residuals, and deterministic start
 vectors (sin and cos of the index) make repeated runs agree bit for bit.
-Pairs known without a solve (the simply supported and the 2D clamped
-blocks, from symbol.py; the clamped ones after a smoothing step, smoothed,
+Pairs known without a solve (every block of cli.solve_problem on the auto
+route, from symbol.py; the clamped ones after a smoothing step, smoothed,
 and a Rayleigh-Ritz step, rayleigh_ritz, as ARPACK's) get the same
 residual check and certificate from solved, count_owed and certified.  An
 ARPACK run that stops short (ArpackNoConvergence) leaves the pairs it

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rectmorley
-from rectmorley import cli, eigensolve, reference
+from rectmorley import capacitance, cli, eigensolve, reference
 from rectmorley.operators import SUITES
 
 
@@ -59,28 +59,23 @@ def test_solve_json_payload(capsys):
 
 
 def test_solve_json_reports_solver_work(capsys):
-    # A 3D clamped solve factors and runs ARPACK; a 2D one takes its pairs
-    # from the symbol, with no factor.
-    code, out, _ = run_cli(
-        ["solve", "--dim", "3", "--n", "3", "--format", "json"], capsys
-    )
-    assert code == 0
-    run = json.loads(out)["runs"][0]
-    assert run["method"] == "shift-invert"
-    meta = run["metadata"]
-    assert meta["factor_nnz"] > run["order"]
-    assert meta["opinv_applications"] > 0
-    code, out, _ = run_cli(["solve", "--n", "8", "--format", "json"], capsys)
-    assert code == 0
-    run = json.loads(out)["runs"][0]
-    assert run["method"] == "symbol"
-    meta = run["metadata"]
-    assert meta["factor_nnz"] == meta["opinv_applications"] == 0
-    # One block: it is counted at tau = lambda_6 (1 + REL_GAP).
-    assert meta["tau"] == pytest.approx(run["eigenvalues"][5] * (1 + 1e-6), rel=1e-12)
-    (block,) = meta["blocks"]
-    assert block["tau"] == meta["tau"]
-    assert block["count_below_tau"] == meta["k_closed"] == 6
+    # A clamped solve takes its pairs from the symbol, with no factor and no
+    # ARPACK run, in 3D as in 2D.  One block: it is counted at tau =
+    # lambda_6 (1 + REL_GAP).  At 3D n=3, k=6 cuts the triple lambda_6..8,
+    # and the count closes it there.
+    for dim, n, k_closed in ((3, 3, 8), (2, 8, 6)):
+        code, out, _ = run_cli(
+            ["solve", "--dim", str(dim), "--n", str(n), "--format", "json"], capsys
+        )
+        assert code == 0
+        run = json.loads(out)["runs"][0]
+        assert run["method"] == "symbol"
+        meta = run["metadata"]
+        assert meta["factor_nnz"] == meta["opinv_applications"] == 0
+        assert meta["tau"] == pytest.approx(run["eigenvalues"][5] * (1 + 1e-6), rel=1e-12)
+        (block,) = meta["blocks"]
+        assert block["tau"] == meta["tau"]
+        assert block["count_below_tau"] == meta["k_closed"] == k_closed
 
 
 def test_solve_json_reports_parity_blocks(capsys):
@@ -133,16 +128,16 @@ def test_solve_json_reports_parity_blocks(capsys):
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 8)])
-def test_solve_exits_1_when_the_count_factor_pivots(dim, n, monkeypatch, capsys):
-    # The symbol count took the place of the count factor.  Each of its three
-    # refusals leaves every clamped block uncounted, and the solve exits 1:
-    # a class that does not number its block, tau on a simply supported
-    # eigenvalue, and a singular capacitance matrix (no mode reaches the
-    # facets).  No factor of A - tau M stands in for it; a 2D block, which
-    # takes its pairs from the symbol, builds none at all.
+def test_solve_exits_1_when_the_symbol_cannot_count(dim, n, monkeypatch, capsys):
+    # Each of the symbol count's three refusals leaves every clamped block
+    # uncounted, and the solve exits 1: a class that does not number its
+    # block, tau on a simply supported eigenvalue, and a singular
+    # capacitance matrix (no mode reaches the facets).  No factor stands in
+    # for it: a clamped block takes its pairs from the symbol and builds
+    # none at all.
     from rectmorley import symbol
 
-    spectra, count = symbol.block_spectra, symbol.Capacitance.count
+    spectra, count = symbol.block_spectra, capacitance.Capacitance.count
 
     def one_short(*args):
         return {p: tuple(part[1:] for part in spectrum)
@@ -154,7 +149,9 @@ def test_solve_exits_1_when_the_count_factor_pivots(dim, n, monkeypatch, capsys)
         return count(self, tau)
 
     def no_facets(self, tau):
-        self.products, self.magnitudes = 0.0 * self.products, 0.0 * self.magnitudes
+        for *_, blocks in self.classes:
+            for block in blocks:
+                block.products, block.magnitudes = 0.0 * block.products, 0.0 * block.magnitudes
         return count(self, tau)
 
     class RecordedFactor(eigensolve._ShiftedFactor):
@@ -163,8 +160,8 @@ def test_solve_exits_1_when_the_count_factor_pivots(dim, n, monkeypatch, capsys)
             super().__init__(a_mat, m_mat, shift)
 
     for owner, name, spoiled in ((symbol, "block_spectra", one_short),
-                                 (symbol.Capacitance, "count", tau_on_a_value),
-                                 (symbol.Capacitance, "count", no_facets)):
+                                 (capacitance.Capacitance, "count", tau_on_a_value),
+                                 (capacitance.Capacitance, "count", no_facets)):
         shifts = []
         with monkeypatch.context() as patch:
             patch.setattr(owner, name, spoiled)
@@ -177,27 +174,30 @@ def test_solve_exits_1_when_the_count_factor_pivots(dim, n, monkeypatch, capsys)
         assert not meta["converged"]
         assert all(b["count_below_tau"] is None and not b["converged"]
                    for b in meta["blocks"])
-        assert set(shifts) == ({0.0} if dim == 3 else set())
+        assert shifts == []
 
 
 @pytest.mark.parametrize("dim,n,k,method", [(2, 3, 13, "symbol"), (2, 4, 22, "symbol"),
                                              (2, 4, 28, "symbol"), (2, 5, 37, "symbol"),
                                              (2, 5, 41, "symbol"), (2, 5, 49, "symbol"),
+                                             (3, 2, 9, "symbol"), (3, 2, 11, "symbol"),
+                                             (3, 3, 55, "symbol"), (3, 3, 58, "symbol"),
                                              (3, 2, 9, "dense"), (3, 2, 11, "dense"),
                                              (3, 3, 55, "dense"), (3, 3, 58, "dense")])
 def test_clamped_k_next_to_a_pole_is_certified(dim, n, k, method, capsys):
     # tau = lambda_k (1 + REL_GAP) lies 1e-6 above a simply supported
     # eigenvalue of another parity class, a pole of the capacitance matrix:
-    # each class block's rounding bound is its own, so the count holds.  In
-    # 3D the count then finds a cluster that fills the pencil, or all but
-    # one pair of it, which no deflated ARPACK pass has room for: the block
-    # is solved dense.
+    # each class block's rounding bound is its own, so the count holds, on
+    # the symbol's route and on --solver dense, which counts the same way.
+    # In 3D the count then finds a cluster that fills the pencil, or all
+    # but one pair of it.
     from rectmorley.assembly import BC_CLAMPED, assemble, build_dof_map
     from rectmorley.element import build_reference_element
     from rectmorley.mesh import build_mesh
 
+    solver = ["--solver", "dense"] if method == "dense" else []
     code, out, err = run_cli(["solve", "--dim", str(dim), "--n", str(n), "--k", str(k),
-                              "--format", "json"], capsys)
+                              "--format", "json"] + solver, capsys)
     assert code == 0 and err == ""
     run = json.loads(out)["runs"][0]
     assert run["method"] == method
@@ -207,23 +207,48 @@ def test_clamped_k_next_to_a_pole_is_certified(dim, n, k, method, capsys):
     np.testing.assert_allclose(run["eigenvalues"], dense.eigenvalues, rtol=1e-10, atol=0)
 
 
+def clamped_3d_n3_pencil():
+    """The assembled pencil of 3D clamped n=3 (order 62), numbered for a
+    factor."""
+    from rectmorley.assembly import BC_CLAMPED, assemble, build_dof_map, nested_dissection
+    from rectmorley.element import build_reference_element
+    from rectmorley.mesh import build_mesh
+
+    mesh = build_mesh(3, 3)
+    return assemble(mesh, nested_dissection(build_dof_map(mesh, BC_CLAMPED)),
+                    build_reference_element(3))
+
+
 @pytest.mark.parametrize("k", [59, 60])
-def test_an_arpack_error_is_a_solver_that_did_not_converge(k, capsys):
-    # 59 or 60 pairs of the order-62 pencil of 3D n=3: ARPACK's basis of
-    # order - 1 = 61 vectors cannot apply its shifts (error 3).
-    code, out, err = run_cli(["solve", "--dim", "3", "--n", "3", "--k", str(k)], capsys)
-    assert code == 1
-    assert err == "solver did not converge on at least one run\n"
-    assert "converged=NO" in out
+def test_3d_n3_k59_and_k60_converge(k, capsys):
+    # 59 or 60 pairs of the order-62 pencil, where ARPACK cannot run (next
+    # test): the symbol's pairs need no Krylov basis.
+    code, out, err = run_cli(["solve", "--dim", "3", "--n", "3", "--k", str(k),
+                              "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    run = json.loads(out)["runs"][0]
+    assert run["method"] == "symbol"
+    dense = eigensolve.smallest_k_dense(*clamped_3d_n3_pencil(), k)
+    np.testing.assert_allclose(run["eigenvalues"], dense.eigenvalues, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("k", [59, 60])
+def test_an_arpack_error_is_a_solver_that_did_not_converge(k):
+    # solve_smallest on the same pencil: ARPACK's basis of order - 1 = 61
+    # vectors cannot apply its shifts (error 3), and the result, with no
+    # pairs, does not converge.
+    result = eigensolve.solve_smallest(*clamped_3d_n3_pencil(), k)
+    assert not result.converged
+    assert len(result.eigenvalues) == 0
 
 
 def test_traced_solve_smallest_sees_every_block_solve_and_count(monkeypatch):
     # A traced benchmark run swaps eigensolve.solve_smallest for a wrapper
     # that opens an eigensolve span.  solve_problem must look it up at call
-    # time, and every count, from the symbol, must run inside it.
-    from rectmorley import symbol
-
-    solve_smallest, count = eigensolve.solve_smallest, symbol.Capacitance.count
+    # time, and every count, from the symbol, must run inside it.  Only
+    # the dense route calls it: the auto route takes its pairs from the
+    # symbol (test_parity.py).
+    solve_smallest, count = eigensolve.solve_smallest, capacitance.Capacitance.count
     open_spans, solves, counts = [], [], []
 
     @functools.wraps(solve_smallest)
@@ -243,9 +268,9 @@ def test_traced_solve_smallest_sees_every_block_solve_and_count(monkeypatch):
         raise AssertionError("count_below called")
 
     monkeypatch.setattr(eigensolve, "solve_smallest", traced)
-    monkeypatch.setattr(symbol.Capacitance, "count", counting)
+    monkeypatch.setattr(capacitance.Capacitance, "count", counting)
     monkeypatch.setattr(eigensolve, "count_below", refused)
-    result = cli.solve_problem(3, 8, "clamped")
+    result = cli.solve_problem(3, 6, "clamped", solver="dense")
     assert result.converged
     # oee for ceil(k / 3) pairs, certified at its own tau; then ooe, eee
     # and ooo below the running tau.  One solve and one count per block.
@@ -323,10 +348,10 @@ def test_solve_csv_layout(capsys):
     assert len(lines) == 3
     assert lines[1].startswith("2,1,")
     # Every number field is a plain float literal equal to the JSON value,
-    # on the dense route (k + 1 >= order), the shift-invert route and the
-    # symbol's, for either bc.
-    for argv, method in ((["solve", "--dim", "3", "--n", "2", "--k", "12"], "dense"),
-                         (["solve", "--dim", "3", "--n", "3"], "shift-invert"),
+    # on the dense route and the symbol's, for either bc and dimension.
+    for argv, method in ((["solve", "--dim", "3", "--n", "2", "--k", "12", "--solver", "dense"],
+                          "dense"),
+                         (["solve", "--dim", "3", "--n", "3"], "symbol"),
                          (["solve", "--n", "4"], "symbol"),
                          (["solve", "--n", "4", "--bc", "simply-supported"], "symbol")):
         code, out, _ = run_cli(argv + ["--format", "csv"], capsys)

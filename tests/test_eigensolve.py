@@ -441,14 +441,14 @@ def test_a_clamped_solve_of_every_pair_is_certified_without_a_count(dim, n, ref2
     # k = order: every pair found lies below tau, so the slice owes them all.
     # The symbol could not count there: at 2D n=2 the top clamped eigenvalue
     # sits 1e-6 below the simply supported pole of p = (1, 1), inside tau.
-    from rectmorley import cli, symbol
+    from rectmorley import capacitance, cli
 
     def refused(*args):
         raise AssertionError("counted")
 
     a_mat, m_mat = assembled(dim, n, BC_CLAMPED, ref2 if dim == 2 else ref3)
     order = a_mat.shape[0]
-    monkeypatch.setattr(symbol.Capacitance, "count", refused)
+    monkeypatch.setattr(capacitance.Capacitance, "count", refused)
     result = cli.solve_problem(dim, n, BC_CLAMPED, k=order)
     assert result.converged
     assert result.metadata["blocks"][0]["count_below_tau"] == order == result.metadata["k_closed"]

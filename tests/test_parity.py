@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from rectmorley import cli, eigensolve
+from rectmorley import capacitance, cli, eigensolve
 from rectmorley.assembly import (FACE_FREE, PARITY_EVEN, PARITY_ODD, assemble,
                                  build_dof_map, nested_dissection, restricted_dofs)
 from rectmorley.eigensolve import smallest_k_dense, solve_smallest
@@ -46,6 +46,15 @@ def recorded_factor(built):
             super().__init__(a_mat, m_mat, shift)
 
     return RecordedFactor
+
+
+def symbol_count(dim, n, a_mat):
+    """The full box's clamped count from the symbol (Capacitance.count),
+    which builds no factor."""
+    from rectmorley import symbol
+
+    spectrum = symbol.block_spectra(dim, n, [None])[None]
+    return capacitance.Capacitance(dim, n, None, spectrum, a_mat.shape[0]).count
 
 
 def block_eigenvalues(dim, n, bc, parity, k=6):
@@ -125,39 +134,37 @@ def test_certificate_closes_the_3d_clamped_triple(k):
 
 @pytest.mark.parametrize("bc", BCS)
 def test_3d_n16_blocks_are_solved_for_what_they_owe(bc, monkeypatch):
-    arpack_runs, factors = [], []
-    eigsh = eigensolve.sla.eigsh
+    arpack_runs, factors, walked = [], [], []
+    eigsh, pairs = eigensolve.sla.eigsh, capacitance.Capacitance.pairs
 
     def counting_eigsh(*args, **kwargs):
         arpack_runs.append(kwargs["k"])
         return eigsh(*args, **kwargs)
 
+    def counting_pairs(*args, **kwargs):
+        values, coefficients = pairs(*args, **kwargs)
+        walked.append(len(values))
+        return values, coefficients
+
     monkeypatch.setattr(eigensolve.sla, "eigsh", counting_eigsh)
     monkeypatch.setattr(eigensolve, "_ShiftedFactor", recorded_factor(factors))
+    monkeypatch.setattr(capacitance.Capacitance, "pairs", counting_pairs)
     result = cli.solve_problem(3, 16, bc)
     meta = result.metadata
     assert result.converged
     # k=6 cuts the 13468.312 (clamped) or 81 pi^4 (simply supported) triple.
     assert meta["k_closed"] == 7
-    # Clamped: oee for ceil(6 / 3) = 2 pairs, certified at its own second
-    # eigenvalue, then ooe and eee for their counts, and no completion pass;
-    # ooo owes nothing and gets neither an SPD factor nor an ARPACK run.
-    # Measured: 57 applications.  Simply supported: every block takes its
-    # pairs below the symbol's tau from the symbol, with no factor and no
-    # ARPACK run.
+    # Clamped: oee walks to ceil(6 / 3) = 2 pairs, certified at its own
+    # second eigenvalue, then ooe and eee to their counts below the running
+    # tau; ooo owes nothing and its walk finds no pair.  Simply supported:
+    # every block takes its pairs below the symbol's tau.  Neither builds a
+    # factor or runs ARPACK.
     assert [b["parity"] for b in meta["blocks"]] == ["oee", "ooe", "eee", "ooo"]
     counts = [b["count_below_tau"] for b in meta["blocks"]]
     assert counts == {"clamped": [2, 1, 1, 0], "simply-supported": [1, 1, 1, 0]}[bc]
-    # 3 SPD factors (at shift 0): oee's, ooe's and eee's.  Every block is
-    # counted from the symbol, with no factor of A - tau M.
-    oee, ooe, eee, _ = (b["order"] for b in meta["blocks"])
-    if bc == "clamped":
-        assert arpack_runs == counts[:3]
-        assert factors == [(0.0, oee), (0.0, ooe), (0.0, eee)]
-        assert meta["opinv_applications"] <= 65
-    else:
-        assert arpack_runs == factors == []
-        assert meta["opinv_applications"] == meta["factor_nnz"] == 0
+    assert walked == (counts if bc == "clamped" else [])
+    assert arpack_runs == factors == []
+    assert meta["opinv_applications"] == meta["factor_nnz"] == 0
 
 
 @pytest.mark.parametrize("dim,n", [(2, 8), (3, 6)])
@@ -192,47 +199,49 @@ def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypa
         # A slice keeps id order; in 2D it keeps the bisection order too.
         if dim == 2 or bc == "simply-supported":
             assert np.array_equal(own, np.arange(own_map.num_free))
-    # solve_problem solves exactly these slices, representatives first: a
-    # 3D clamped block with solve_smallest, a simply supported or 2D clamped
-    # one by checking the symbol's pairs in it (eigensolve.solved) with
-    # operators that apply the block's pencil cell by cell, summed in
-    # another order, in the id order of its own numbering (for a simply
-    # supported block, its slice).
+    # solve_problem solves exactly these slices, representatives first: on
+    # the dense route with solve_smallest, on the auto route by checking the
+    # symbol's pairs in each block (eigensolve.solved) with operators that
+    # apply the block's pencil cell by cell, summed in another order, in the
+    # id order of its own numbering (for a simply supported block, its
+    # slice).
     monkeypatch.setitem(cli.SPLIT_MIN_ORDER, dim, 0)
-    solved = []
-    assembled = bc == "clamped" and dim == 3
-    name = "solve_smallest" if assembled else "solved"
-    solve = getattr(eigensolve, name)
+    for solver in ("auto", "dense") if bc == "clamped" else ("auto",):
+        solved = []
+        assembled = solver == "dense"
+        name = "solve_smallest" if assembled else "solved"
+        solve = getattr(eigensolve, name)
 
-    def recording(a_mat, m_mat, *args, **kwargs):
-        solved.append((a_mat, m_mat))
-        return solve(a_mat, m_mat, *args, **kwargs)
+        def recording(a_mat, m_mat, *args, **kwargs):
+            solved.append((a_mat, m_mat))
+            return solve(a_mat, m_mat, *args, **kwargs)
 
-    monkeypatch.setattr(eigensolve, name, recording)
-    result = cli.solve_problem(dim, n, bc)
-    order = [b["parity"] for b in result.metadata["blocks"]]
-    assert order == {2: ["oe", "ee", "oo"], 3: ["oee", "ooe", "eee", "ooo"]}[dim]
-    # One solve per representative: no block is solved twice.
-    assert len(solved) == len(order)
-    for parity, pencil in zip(order, solved):
-        own = slices[parity] if assembled or bc == "simply-supported" else assemble(
-            mesh, build_dof_map(mesh, bc, parity_faces(bc, parity)), element)
-        for mat, expected in zip(pencil, own):
-            if assembled:
-                assert (mat != expected).nnz == 0
-            else:
-                applied, expected = mat @ np.eye(mat.shape[0]), expected.toarray()
-                assert np.abs(applied - expected).max() <= 1e-13 * np.abs(expected).max()
+        with monkeypatch.context() as patch:
+            patch.setattr(eigensolve, name, recording)
+            result = cli.solve_problem(dim, n, bc, solver=solver)
+        order = [b["parity"] for b in result.metadata["blocks"]]
+        assert order == {2: ["oe", "ee", "oo"], 3: ["oee", "ooe", "eee", "ooo"]}[dim]
+        # One solve per representative: no block is solved twice.
+        assert len(solved) == len(order)
+        for parity, pencil in zip(order, solved):
+            own = slices[parity] if assembled or bc == "simply-supported" else assemble(
+                mesh, build_dof_map(mesh, bc, parity_faces(bc, parity)), element)
+            for mat, expected in zip(pencil, own):
+                if assembled:
+                    assert (mat != expected).nnz == 0
+                else:
+                    applied, expected = mat @ np.eye(mat.shape[0]), expected.toarray()
+                    assert np.abs(applied - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("dim,n,bc", [(2, 64, "simply-supported"), (2, 15, "simply-supported"),
                                       (3, 8, "simply-supported"), (3, 16, "simply-supported"),
                                       (2, 64, "clamped"), (3, 8, "clamped")])
 def test_only_clamped_solves_assemble(dim, n, bc, monkeypatch):
-    # A simply supported or 2D clamped block numbers its own DOFs and
-    # applies the element matrices cell by cell: no shared map, no assembly
-    # and no slices.  A 3D clamped problem numbers, bisects and assembles
-    # its shared map once.
+    # A block on the auto route numbers its own DOFs and applies the element
+    # matrices cell by cell: no shared map, no assembly and no slices.  Only
+    # a clamped problem on the dense route numbers, bisects and assembles
+    # its shared map, once.
     from rectmorley import assembly
 
     calls = []
@@ -248,20 +257,23 @@ def test_only_clamped_solves_assemble(dim, n, bc, monkeypatch):
     for name in ("assemble", "build_dof_map", "nested_dissection", "restricted_dofs"):
         monkeypatch.setattr(assembly, name, recorded(name))
     blocks = cli.solve_problem(dim, n, bc).metadata["blocks"]
-    if bc == "clamped" and dim == 3:
+    assert calls == ["build_dof_map"] * len(blocks)
+    assert len(blocks) == (1 if n == 15 else dim + 1)
+    if bc == "clamped":
+        calls.clear()
+        assert cli.solve_problem(dim, 8, bc, solver="dense").converged
         assert calls[:3] == ["build_dof_map", "nested_dissection", "assemble"]
         assert calls.count("assemble") == 1
-    else:
-        assert calls == ["build_dof_map"] * len(blocks)
-        assert len(blocks) == (1 if n == 15 else dim + 1)
 
 
 @pytest.mark.parametrize("dim,n,bc,k_closed", [(3, 4, "clamped", 7),
                                                (2, 4, "simply-supported", 6)])
 def test_one_block_solve_builds_at_most_two_factors(dim, n, bc, k_closed, monkeypatch):
-    # 3D n=4 clamped: k=6 cuts the 8539.68 triple, which needs a completion
-    # pass after the count.  2D simply supported n=4, where ARPACK would
-    # skip a copy of the (1,3)/(3,1) pair, takes both from the symbol.
+    # 3D n=4 clamped: k=6 cuts the 8539.68 triple.  2D simply supported
+    # n=4, where ARPACK would skip a copy of the (1,3)/(3,1) pair, takes
+    # both from the symbol.  solve_problem takes every pair from the symbol
+    # and builds no factor; solve_smallest on the clamped pencil needs a
+    # completion pass after its count.
     factors, kept, arpack_runs = [], [], []
     eigsh = eigensolve.sla.eigsh
 
@@ -278,20 +290,22 @@ def test_one_block_solve_builds_at_most_two_factors(dim, n, bc, k_closed, monkey
     monkeypatch.setattr(eigensolve, "_ShiftedFactor", KeptFactor)
     monkeypatch.setattr(eigensolve.sla, "eigsh", counting_eigsh)
     result = cli.solve_problem(dim, n, bc)
-    assert result.converged
+    assert result.converged and result.method == "symbol"
     assert len(result.metadata["blocks"]) == 1
     assert result.metadata["k_closed"] == k_closed
-    # A clamped block is solved for k pairs on an SPD factor, counted (from
-    # the symbol, with no factor), and completed on the same SPD factor, so
-    # its operator applications are that one factor's.  A simply supported
-    # block builds no factor.
-    (block,) = result.metadata["blocks"]
+    assert arpack_runs == factors == []
     if bc == "clamped":
+        # A library pencil is solved for k pairs on an SPD factor, counted
+        # by a factor of A - tau M, and completed on the same SPD factor, so
+        # its operator applications are that one factor's.
+        a_mat, m_mat = full_pencil(dim, n, bc)
+        library = solve_smallest(a_mat, m_mat, 6)
+        assert library.converged
+        assert library.metadata["count_below_tau"] == k_closed
         assert len(arpack_runs) == 2
-        assert factors == [(0.0, block["order"])]
-        assert block["opinv_applications"] == kept[0].applications
-    else:
-        assert arpack_runs == factors == []
+        tau = library.metadata["tau"]
+        assert factors == [(0.0, a_mat.shape[0]), (tau, a_mat.shape[0])]
+        assert library.metadata["opinv_applications"] == kept[0].applications
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (2, 32), (2, 64), (3, 4), (3, 8), (3, 16)])
@@ -299,32 +313,22 @@ def test_one_block_solve_builds_at_most_two_factors(dim, n, bc, k_closed, monkey
 def test_only_clamped_blocks_build_count_factors(dim, n, bc, monkeypatch):
     # Every block is counted once below a tau, from the symbol: a clamped
     # block by its capacitance matrix, a simply supported one by its modes.
-    # No block builds a count factor: every factor solve_problem builds is
-    # a 3D clamped block's SPD factor, at shift 0; 2D clamped blocks take
-    # their pairs from the symbol and build none.
-    from rectmorley import symbol
-
+    # No block builds a count factor, nor any other: every block takes its
+    # pairs from the symbol.
     factors, counted = [], []
-    count = symbol.Capacitance.count
+    count = capacitance.Capacitance.count
 
     def recorded_count(self, tau):
         counted.append(tau)
         return count(self, tau)
 
     monkeypatch.setattr(eigensolve, "_ShiftedFactor", recorded_factor(factors))
-    monkeypatch.setattr(symbol.Capacitance, "count", recorded_count)
+    monkeypatch.setattr(capacitance.Capacitance, "count", recorded_count)
     result = cli.solve_problem(dim, n, bc)
     assert result.converged
-    assert all(shift == 0.0 for shift, _ in factors)
+    assert factors == []
     blocks = result.metadata["blocks"]
-    if bc == "clamped":
-        assert counted == [b["tau"] for b in blocks]
-        # The SPD factors are those of the 3D blocks that owe pairs (ooo
-        # owes none).
-        owing = {b["order"] for b in blocks if b["count_below_tau"] and dim == 3}
-        assert {order for _, order in factors} == owing
-    else:
-        assert counted == factors == []
+    assert counted == ([b["tau"] for b in blocks] if bc == "clamped" else [])
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (2, 5), (2, 32), (2, 64), (3, 3), (3, 4), (3, 16)])
@@ -363,9 +367,9 @@ def test_simply_supported_blocks_are_sliced_at_the_final_tau(dim, n):
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 4), (3, 16)])
 @pytest.mark.parametrize("bc", BCS)
 def test_at_most_one_factor_is_alive(dim, n, bc, monkeypatch):
-    # Each SPD factor is freed before the next one is built, so the peak
-    # memory holds one factor, not two; clamped blocks are counted with no
-    # factor, and simply supported solves build none.
+    # solve_problem builds no factor.  solve_smallest, counted from the
+    # symbol, builds one SPD factor and completes a short slice on it, so
+    # the peak memory holds one factor, not two.
     alive, before = [], []
 
     class TrackedFactor(eigensolve._ShiftedFactor):
@@ -376,7 +380,13 @@ def test_at_most_one_factor_is_alive(dim, n, bc, monkeypatch):
 
     monkeypatch.setattr(eigensolve, "_ShiftedFactor", TrackedFactor)
     assert cli.solve_problem(dim, n, bc).converged
-    assert bool(before) == (bc == "clamped" and dim == 3) and not any(before)
+    assert before == []
+    if bc == "clamped":
+        a_mat, m_mat = full_pencil(dim, min(n, 8), bc)
+        for k in (6, 8):
+            assert solve_smallest(a_mat, m_mat, k,
+                                  count=symbol_count(dim, min(n, 8), a_mat)).converged
+        assert before == [0, 0]
 
 
 def test_a_block_the_symbol_cannot_number_gets_no_count(monkeypatch):
@@ -407,8 +417,8 @@ def test_a_block_the_symbol_cannot_number_gets_no_count(monkeypatch):
 def test_krylov_basis_is_sized_to_the_request(dim, n, bc, monkeypatch):
     # An undeflated run (from the attempt-0 start vector) keeps 2k + 1
     # vectors, at most order - 1; a deflated completion pass keeps its own.
-    # A 2D clamped solve runs no ARPACK, so the 2D pencil is solved as a
-    # library pencil.
+    # A clamped solve runs no ARPACK, so the full pencil is solved as a
+    # library pencil, counted from the symbol.
     calls = []
     eigsh = eigensolve.sla.eigsh
 
@@ -417,16 +427,15 @@ def test_krylov_basis_is_sized_to_the_request(dim, n, bc, monkeypatch):
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(eigensolve.sla, "eigsh", recording_eigsh)
-    if dim == 2:
-        assert solve_smallest(*full_pencil(dim, n, bc), 6).converged
-    else:
-        assert cli.solve_problem(dim, n, bc).converged
+    a_mat, m_mat = full_pencil(dim, n, bc)
+    assert solve_smallest(a_mat, m_mat, 6, count=symbol_count(dim, n, a_mat)).converged
     undeflated = [(order, kwargs) for order, kwargs in calls if np.array_equal(
         kwargs["v0"], eigensolve.deterministic_start_vector(order, 0))]
     assert undeflated
     for order, kwargs in undeflated:
         assert kwargs["ncv"] == min(order - 1, 2 * kwargs["k"] + 1)
-    assert len(calls) - len(undeflated) == ((dim, n) in ((3, 4), (3, 5)))
+    # In 3D k=6 cuts a triple, and one deflated pass completes it.
+    assert len(calls) - len(undeflated) == (dim == 3)
 
 
 @pytest.mark.parametrize("n", [4, 15, 16, 32, 64])
@@ -460,16 +469,29 @@ def test_2d_clamped_solves_assemble_factor_and_run_no_eigensolver(n, monkeypatch
                                                  (2, 32, "dense", "smallest_k_dense"),
                                                  (3, 8, "auto", "_ShiftedFactor")])
 def test_dense_and_3d_clamped_solves_still_assemble(dim, n, solver, route, monkeypatch):
-    # --solver dense solves every 2D clamped block with smallest_k_dense,
-    # and 3D clamped blocks are factored: both on the assembled pencil.
-    calls = []
-    original = getattr(eigensolve, route)
+    # Only --solver dense assembles: it solves every clamped block with
+    # smallest_k_dense on the assembled pencil.  A 3D clamped solve on the
+    # auto route takes its pairs from the symbol: no assembly, no factor.
+    from rectmorley import assembly
+
+    calls, assembled = [], []
+    original, assemble_pencil = getattr(eigensolve, route), assembly.assemble
 
     def recorded(*args, **kwargs):
         calls.append(route)
         return original(*args, **kwargs)
 
+    def recorded_assemble(*args, **kwargs):
+        assembled.append(1)
+        return assemble_pencil(*args, **kwargs)
+
     monkeypatch.setattr(eigensolve, route, recorded)
+    monkeypatch.setattr(assembly, "assemble", recorded_assemble)
     result = cli.solve_problem(dim, n, "clamped", solver=solver)
     assert result.converged
-    assert len(calls) >= len(result.metadata["blocks"]) - (dim == 3)
+    if solver == "dense":
+        assert len(calls) >= len(result.metadata["blocks"])
+        assert assembled == [1]
+    else:
+        assert calls == assembled == []
+        assert result.method == "symbol"

@@ -9,7 +9,7 @@ import scipy.linalg as dla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rectmorley import cli, symbol
+from rectmorley import capacitance, cli, symbol
 from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, FACE_FREE, PARITY_EVEN,
                                  PARITY_ODD, assemble, build_dof_map, dof_coordinates,
                                  free_dof_count, nested_dissection, restricted_dofs)
@@ -229,9 +229,9 @@ def test_clamped_count_is_the_inertia_count_of_every_block(dim, n):
         if n not in (256, 24):
             taus += [0.5 * values[0], midpoint_after(values, 40),
                      midpoint_after(values, len(values) // 2)]
-        capacitance = symbol.Capacitance(dim, n, parity, spectra[parity], a_mat.shape[0])
+        matrix = capacitance.Capacitance(dim, n, parity, spectra[parity], a_mat.shape[0])
         for tau in taus:
-            assert capacitance.count(tau) == count_below(a_mat, m_mat, tau)
+            assert matrix.count(tau) == count_below(a_mat, m_mat, tau)
 
 
 def test_clamped_count_refuses_what_it_cannot_count():
@@ -239,19 +239,19 @@ def test_clamped_count_refuses_what_it_cannot_count():
     (a_mat, m_mat), = clamped_blocks(dim, n).values()
     values, waves, vectors = spectrum = symbol.block_spectra(dim, n, [None])[None]
     order, tau = a_mat.shape[0], midpoint_after(values, 5)
-    capacitance = symbol.Capacitance(dim, n, None, spectrum, order)
-    assert capacitance.count(tau) == count_below(a_mat, m_mat, tau)
+    matrix = capacitance.Capacitance(dim, n, None, spectrum, order)
+    assert matrix.count(tau) == count_below(a_mat, m_mat, tau)
     # The block's order plus its outer-face facets is not the class's
     # number of modes.
     with pytest.raises(ValueError, match="modes"):
-        symbol.Capacitance(dim, n, None, spectrum, order + 1)
+        capacitance.Capacitance(dim, n, None, spectrum, order + 1)
     # tau on a simply supported eigenvalue, or within its rounding.
-    for at in (values[7], values[7] * (1 + symbol.ROUNDING / 2)):
+    for at in (values[7], values[7] * (1 + capacitance.ROUNDING / 2)):
         with pytest.raises(ValueError, match="within rounding"):
-            capacitance.count(at)
+            matrix.count(at)
     # No mode reaches the facets: the capacitance matrix is 0.
     with pytest.raises(ValueError, match="singular"):
-        symbol.Capacitance(dim, n, None, (values, waves, 0.0 * vectors), order).count(tau)
+        capacitance.Capacitance(dim, n, None, (values, waves, 0.0 * vectors), order).count(tau)
 
 
 def dense_modes(coords, n, waves, vectors):
@@ -296,17 +296,19 @@ def clamped_pencil(dim, n, parity=None):
 
 
 # Both engines of Capacitance.pairs: the dense modal pencil of a class with
-# few modes, and the zeros of its capacitance block (DENSE_MODES = 0).
-@pytest.mark.parametrize("dense_modes_limit", [symbol.DENSE_MODES, 0])
+# few modes, and the zeros of its capacitance blocks (DENSE_MODES = 0),
+# split by an axis swap wherever the class has one (SWAP_MIN_ROWS = 0).
+@pytest.mark.parametrize("dense_modes_limit", [capacitance.DENSE_MODES, 0])
 @pytest.mark.parametrize("dim,n", [(2, n) for n in range(2, 7)] + [(3, 2), (3, 3)])
 def test_clamped_pairs_are_every_eigenpair_of_the_block(dim, n, dense_modes_limit,
                                                         monkeypatch):
-    monkeypatch.setattr(symbol, "DENSE_MODES", dense_modes_limit)
+    monkeypatch.setattr(capacitance, "DENSE_MODES", dense_modes_limit)
+    monkeypatch.setattr(capacitance, "SWAP_MIN_ROWS", dense_modes_limit)
     a_mat, m_mat, coords = clamped_pencil(dim, n)
     dense = dla.eigh(a_mat.toarray(), m_mat.toarray(), eigvals_only=True)
     spectrum = symbol.block_spectra(dim, n, [None])[None]
-    capacitance = symbol.Capacitance(dim, n, None, spectrum, a_mat.shape[0])
-    values, coefficients = capacitance.pairs(k=a_mat.shape[0])
+    matrix = capacitance.Capacitance(dim, n, None, spectrum, a_mat.shape[0])
+    values, coefficients = matrix.pairs(k=a_mat.shape[0])
     assert len(values) == a_mat.shape[0]
     np.testing.assert_allclose(values, dense, rtol=1e-12, atol=0)
     # Their vectors span the eigenvectors: after Rayleigh-Ritz, as the solve
@@ -317,13 +319,14 @@ def test_clamped_pairs_are_every_eigenpair_of_the_block(dim, n, dense_modes_limi
     assert np.max(compute_residuals(a_mat, m_mat, ritz, vectors)) <= 1e-12
 
 
-@pytest.mark.parametrize("dense_modes_limit", [symbol.DENSE_MODES, 0])
+@pytest.mark.parametrize("dense_modes_limit", [capacitance.DENSE_MODES, 0])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_every_2d_clamped_k_matches_the_dense_oracle(n, dense_modes_limit, monkeypatch):
     # solve_problem for every k, with each k's certificate: k that land on a
     # simply supported eigenvalue (2D n=3 k=13, n=4 k=22 and 28, n=5 k=37,
     # 41 and 49) included.
-    monkeypatch.setattr(symbol, "DENSE_MODES", dense_modes_limit)
+    monkeypatch.setattr(capacitance, "DENSE_MODES", dense_modes_limit)
+    monkeypatch.setattr(capacitance, "SWAP_MIN_ROWS", dense_modes_limit)
     a_mat, m_mat, _ = clamped_pencil(2, n)
     dense = dla.eigh(a_mat.toarray(), m_mat.toarray(), eigvals_only=True)
     for k in range(1, len(dense) + 1):
@@ -395,10 +398,131 @@ def test_a_mode_whose_facet_weights_vanish_is_a_pair_on_its_pole():
     j = 3
     vectors = vectors.copy()
     vectors[j, 1:] = -vectors[j, 0] * np.sin(waves[j] * (np.pi / (2 * n)))
-    capacitance = symbol.Capacitance(dim, n, None, (values, waves, vectors), 161)
-    assert list(capacitance.isolated) == [j]
-    found, coefficients = capacitance.pairs(tau=values[j] * (1 + 1e-9))
+    matrix = capacitance.Capacitance(dim, n, None, (values, waves, vectors), 161)
+    assert list(matrix.isolated) == [j]
+    found, coefficients = matrix.pairs(tau=values[j] * (1 + 1e-9))
     assert values[j] in found
     column = coefficients[:, list(found).index(values[j])]
     assert column[j] == 1.0 and np.count_nonzero(column) == 1
-    assert capacitance.count(values[j] * (1 + 1e-9)) == len(found)
+    assert matrix.count(values[j] * (1 + 1e-9)) == len(found)
+
+
+def class_blocks(matrix):
+    """Per class with rows of a Capacitance: its slice of the modes and its
+    blocks."""
+    return [(lo, hi, blocks) for _, lo, hi, blocks in matrix.classes]
+
+
+def lifts(block):
+    """The block's columns in its class's rows: U+ or U-, or the identity."""
+    out = np.zeros((len(block.index), block.size))
+    out[np.arange(len(block.index)), block.index] = block.scale
+    return out
+
+
+@pytest.mark.parametrize("dim,n,parity", [(3, 8, p) for p in ("oee", "ooe", "eee", "ooo")]
+                         + [(3, 12, p) for p in ("oee", "ooe", "eee", "ooo")]
+                         + [(3, 9, None), (3, 16, None), (2, 32, "ee"), (2, 32, "oo")])
+def test_the_axis_swap_splits_each_class_block(dim, n, parity, monkeypatch):
+    spectrum = symbol.block_spectra(dim, n, [parity])[parity]
+    values, waves, _ = spectrum
+    _, _, sizes, keys = capacitance._facet_rows(dim, n, parity)
+    order = len(values) - int(sizes[list(keys)].sum())
+    split = capacitance.Capacitance(dim, n, parity, spectrum, order)
+    monkeypatch.setattr(capacitance, "SWAP_MIN_ROWS", 10 ** 9)
+    whole = capacitance.Capacitance(dim, n, parity, spectrum, order)
+    gaps = np.flatnonzero(values[1:] > values[:-1] * (1 + 1e-9))
+    taus = 0.5 * (values[gaps] + values[gaps + 1])[np.linspace(0, len(gaps) - 1, 5).astype(int)]
+    halved = 0
+    for (lo, hi, blocks), (_, _, (block,)) in zip(class_blocks(split), class_blocks(whole)):
+        if len(blocks) == 1:
+            continue
+        halved += 1
+        plus, minus = blocks
+        u_plus, u_minus = lifts(plus), lifts(minus)
+        # U = [U+ U-] is orthogonal, and Q = U+ U+^T - U- U-^T is a
+        # permutation of the class's rows and an involution.
+        basis = np.hstack([u_plus, u_minus])
+        np.testing.assert_allclose(basis.T @ basis, np.eye(block.size), atol=1e-15)
+        swap = u_plus @ u_plus.T - u_minus @ u_minus.T
+        np.testing.assert_allclose(np.sort(np.abs(swap), axis=1)[:, -1], 1.0, atol=1e-15)
+        image = np.argmax(np.abs(swap), axis=1)
+        assert np.array_equal(np.sort(image), np.arange(block.size))
+        assert np.array_equal(image[image], np.arange(block.size))
+        assert np.all(swap[np.arange(block.size), image] > 0)
+        # Mirror modes, the k-th of wave p and of sigma p: g_{sigma p} = Q g_p
+        # bit for bit.
+        modes = split.modes[lo:hi]
+        key = int((waves[modes[0]] % 2) @ (1 << np.arange(dim - 1, -1, -1)))
+        perm = capacitance._swap_halves(dim, n, key)[0]
+        rows, weights = split.rows[lo:hi], split.weights[lo:hi]
+        by_wave = {}
+        for j, p in enumerate(waves[modes]):
+            by_wave.setdefault(tuple(p), []).append(j)
+        mirrored = 0
+        for p, mine in by_wave.items():
+            theirs = by_wave[tuple(np.array(p)[perm])]
+            if theirs is mine:
+                continue
+            mirrored += len(mine)
+            assert np.array_equal(values[modes[theirs]], values[modes[mine]])
+            for i, j in zip(theirs, mine):
+                assert np.array_equal(weights[i][perm], weights[j])
+                on_face = weights[j] != 0
+                assert np.array_equal(rows[i][perm][on_face], image[rows[j]][on_face])
+        assert mirrored > (hi - lo) // 2
+        # Every mode lands in one half: an orbit of two modes gives a term to
+        # each, a mode of a fixed wave to one.
+        assert len(plus.poles) + len(minus.poles) == hi - lo
+        np.testing.assert_array_equal(np.sort(np.concatenate([plus.poles, minus.poles])),
+                                      np.sort(split.poles[lo:hi]))
+        for tau in taus:
+            whole_values = np.linalg.eigvalsh(block.matrix(tau))
+            halves = np.sort(np.concatenate([np.linalg.eigvalsh(plus.matrix(tau)),
+                                             np.linalg.eigvalsh(minus.matrix(tau))]))
+            scale = np.abs(whole_values).max()
+            assert np.abs(halves - whole_values).max() <= 1e-12 * scale
+    # Every 3D class has two axes of one parity letter.
+    assert halved == (2 ** dim if parity is None else 1)
+    for tau in taus:
+        assert split.count(tau) == whole.count(tau)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 9, 16])
+def test_3d_clamped_solves_assemble_factor_and_run_no_eigensolver(n, monkeypatch):
+    # Every 3D clamped pair comes from the symbol, as in 2D: no nested
+    # dissection, no assembly, no factor and no solve_smallest call.
+    from rectmorley import assembly, eigensolve
+
+    calls = []
+
+    def refused(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return call
+
+    for module, name in ((assembly, "assemble"), (assembly, "nested_dissection"),
+                         (eigensolve, "_ShiftedFactor"), (eigensolve, "solve_smallest")):
+        monkeypatch.setattr(module, name, refused(name))
+    result = cli.solve_problem(3, n, BC_CLAMPED)
+    assert calls == []
+    assert result.converged and result.method == symbol.METHOD_SYMBOL
+    assert result.metadata["factor_nnz"] == result.metadata["opinv_applications"] == 0
+
+
+MULTIPLICITY = {None: 1, "oee": 3, "ooe": 3, "eee": 1, "ooo": 1}
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_3d_clamped_solve_matches_the_shift_invert_oracle(n):
+    # Each block solve_problem solves, assembled in nested-dissection order
+    # and solved by shift-invert, merged with its multiplicity.
+    from rectmorley.eigensolve import solve_smallest
+
+    result = cli.solve_problem(3, n, BC_CLAMPED)
+    assert result.converged
+    merged = np.sort(np.concatenate([
+        np.repeat(solve_smallest(a_mat, m_mat, 6).eigenvalues[:6], MULTIPLICITY[parity])
+        for parity, (a_mat, m_mat) in clamped_blocks(3, n).items()]))
+    np.testing.assert_allclose(result.eigenvalues, merged[:6], rtol=1e-10, atol=0)
