@@ -16,9 +16,9 @@ _EXPORTS = {
     "assembly": ("BC_CLAMPED", "BC_SIMPLY_SUPPORTED", "DofMap", "FemField",
                  "assemble", "broken_energy_inner", "broken_error_norms",
                  "build_dof_map", "eigen_error_identity_terms", "element_matrices",
-                 "interpolate_global", "nested_dissection"),
+                 "interpolate_global"),
     "element": ("ReferenceElement", "build_reference_element", "reference_dof_scale"),
-    "eigensolve": ("EigenResult", "count_below", "smallest_k_dense", "solve_smallest"),
+    "eigensolve": ("EigenResult", "smallest_k_dense", "solve_smallest"),
     "functions": ("ScaledFunction", "SineProduct", "sine_eigenvalue",
                   "unit_box_eigenfunction"),
     "mesh": ("CartesianMesh", "build_mesh"),

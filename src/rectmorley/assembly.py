@@ -8,8 +8,7 @@ one condition from FACE_CONSTRAINTS: clamped faces constrain their vertices
 and facets, simply supported faces their vertices only, and the mid-plane
 faces of a reflection-parity block their facets (even parity) or their
 vertices (odd parity); a free face constrains nothing.  Free DOFs are
-numbered in entity-id order, and nested_dissection renumbers them for a
-pencil that is to be factored.  The clamped parity blocks of one half box
+numbered in entity-id order.  The clamped parity blocks of one half box
 share one numbering and one assembly with free mid-plane faces: each block
 is the principal submatrix on its own free DOFs (restricted_dofs).
 cell_operator applies an assembled matrix cell by cell, without building it.
@@ -66,9 +65,9 @@ class DofMap:
 
     entity_dof maps each entity id (vertices, then facets, as numbered by
     the mesh) to its global free index, -1 where constrained; build_dof_map
-    numbers the free DOFs in id order, nested_dissection in a fill-reducing
-    order.  cell_dofs holds the gathered numbering per element in reference
-    DOF order, entity_dof[mesh.cell_entities].
+    numbers the free DOFs in id order.  cell_dofs holds the gathered
+    numbering per element in reference DOF order,
+    entity_dof[mesh.cell_entities].
     """
 
     mesh: CartesianMesh
@@ -112,8 +111,7 @@ def build_dof_map(mesh: CartesianMesh, bc: str, faces=None) -> DofMap:
     free facets) and gather the element connectivity.
 
     Every face gets the boundary condition bc unless faces gives one
-    condition per face (see _constrained).  A pencil that is to be factored
-    is assembled on nested_dissection of this map.
+    condition per face (see _constrained).
     """
     free = ~_constrained(mesh, bc, faces)
 
@@ -146,44 +144,6 @@ def dof_coordinates(dofmap: DofMap) -> np.ndarray:
     coords = np.empty((dofmap.num_free, dofmap.mesh.dim), dtype=np.int64)
     coords[dofmap.entity_dof[free]] = dofmap.mesh.entity_coordinates[free]
     return coords
-
-
-# Boxes with at most this many DOFs are not split further.
-ND_LEAF_SIZE = 32
-
-
-def nested_dissection(dofmap: DofMap) -> DofMap:
-    """The same map, its free DOFs renumbered in a fill-reducing order by
-    coordinate-plane bisection.
-
-    Each step splits the longest axis of the current box at an even doubled
-    coordinate, i.e. a plane through mesh vertices.  The DOFs on that plane
-    (its vertices and the facets normal to it) separate the two sides exactly:
-    no element touches both, so the stiffness and mass matrices do not couple
-    them.  Both sides are ordered recursively and the separator goes last; a
-    box too small to split keeps dofmap's order.  (George, "Nested
-    dissection of a regular finite element mesh", 1973.)
-    """
-    coords = dof_coordinates(dofmap)
-
-    def order(ids):
-        if len(ids) <= ND_LEAF_SIZE:
-            return [ids]
-        sub = coords[ids]
-        lo, hi = sub.min(axis=0), sub.max(axis=0)
-        axis = int(np.argmax(hi - lo))
-        plane = 2 * ((lo[axis] + hi[axis]) // 4)
-        if not lo[axis] < plane < hi[axis]:
-            return [ids]
-        side = sub[:, axis]
-        return (order(ids[side < plane]) + order(ids[side > plane])
-                + [ids[side == plane]])
-
-    # The new number of each DOF; the last slot keeps constrained entities at -1.
-    renumber = np.full(dofmap.num_free + 1, -1, dtype=np.int64)
-    renumber[np.concatenate(order(np.arange(dofmap.num_free)))] = np.arange(dofmap.num_free)
-    entity_dof = renumber[dofmap.entity_dof]
-    return DofMap(dofmap.mesh, dofmap.bc, entity_dof, entity_dof[dofmap.mesh.cell_entities])
 
 
 # ---------------------------------------------------------------------------

@@ -209,12 +209,12 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     (Capacitance.count).  A block the symbol cannot number gets no pairs
     and count None.
 
-    Only `solver` 'dense' assembles: it numbers and assembles the half box
-    once, with free mid-plane faces, in nested-dissection order, and each
-    block is the principal submatrix on its own free DOFs, solved with
-    solve_smallest on the dense route and counted from the spectrum of its
-    simply supported class (capacitance.Capacitance.count).  A block the
-    symbol cannot count gets count None (not converged).
+    Only `solver` 'dense' assembles: it numbers the half box once, with
+    free mid-plane faces, in id order, and assembles it; each block is the
+    principal submatrix on its own free DOFs, solved with solve_smallest
+    (LAPACK's dense solver) and counted from the spectrum of its simply
+    supported class (capacitance.Capacitance.count).  A block the symbol
+    cannot count gets count None (not converged).
 
     Every clamped block is solved below the tau of the blocks merged before
     it; the first, with no tau yet, for k1 = ceil(k / multiplicity) pairs
@@ -225,7 +225,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     stable sort), with no full-space eigenvectors.  Every route reports the
     same metadata keys: order (free DOFs of the full problem), k, the final
     tau, k_closed, converged (every block converged and passed its count),
-    the work counters summed over the blocks, and blocks, in solve order.
+    and blocks, in solve order.
     """
     import itertools
     import math
@@ -236,8 +236,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     from . import capacitance, eigensolve, symbol
     from .assembly import (BC_SIMPLY_SUPPORTED, FACE_FREE, PARITY_EVEN, PARITY_ODD, assemble,
                            build_dof_map, cell_diagonal, cell_operator, dof_coordinates,
-                           element_matrices, free_dof_count, nested_dissection,
-                           restricted_dofs)
+                           element_matrices, free_dof_count, restricted_dofs)
     from .element import build_reference_element
     from .mesh import build_mesh
 
@@ -273,7 +272,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     if from_symbol:
         local_matrices = element_matrices(element, mesh.half_width)
     else:
-        dofmap = nested_dissection(build_dof_map(mesh, bc, shared_faces))
+        dofmap = build_dof_map(mesh, bc, shared_faces)
         shared = assemble(mesh, dofmap, element)
 
     def slice_tau():
@@ -338,8 +337,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
                 return capacitance.Capacitance(dim, n, parity, spectra[parity],
                                                block_order).count(tau)
 
-            return eigensolve.solve_smallest(a_mat, m_mat, method=solver, count=count,
-                                             **owed)
+            return eigensolve.solve_smallest(a_mat, m_mat, count=count, **owed)
 
     solved = {}
     for parity in representatives:
@@ -352,11 +350,9 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     keep = np.argsort([lam for lam, _, _ in merged], kind="stable")[:k]
     eigenvalues, residuals, labels = (np.array([merged[i][j] for i in keep]) for j in range(3))
 
-    counters = ("factor_nnz", "opinv_applications")
     blocks = [{"parity": parity,
                "multiplicity": multiplicity[parity],
                "order": result.metadata["order"],
-               **{key: result.metadata.get(key, 0) for key in counters},
                "tau": result.metadata["tau"],
                "count_below_tau": result.metadata["count_below_tau"],
                "converged": result.converged}
@@ -365,7 +361,6 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
                 "k_closed": sum(multiplicity[p] * int(np.count_nonzero(r.eigenvalues < tau))
                                 for p, r in solved.items()),
                 "converged": all(b["converged"] for b in blocks),
-                **{key: sum(b[key] for b in blocks) for key in counters},
                 "blocks": blocks}
     method = "+".join(sorted({r.method for r in solved.values()}))
     return Solution(eigenvalues, residuals, labels.tolist(), method, metadata)

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg as dla
+import scipy.sparse.linalg as sla
+from scipy import sparse
 
 from rectmorley.cli import solve_problem
 from rectmorley.element import build_reference_element
@@ -29,6 +32,78 @@ def solve_cached():
         return cache[key]
 
     return get
+
+
+def no_pivot_factor(matrix):
+    """SuperLU's L U factor of the symmetric `matrix`, in a minimum-degree
+    order of its pattern and asked to pivot on the diagonal only, so that
+    the diagonal of U is the D of an L D L^T factor.  A factor that left
+    the diagonal pivots (perm_r != perm_c) or met a zero or NaN pivot is
+    refused with ValueError."""
+    lu = sla.splu(sparse.csc_matrix(matrix), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    pivots = lu.U.diagonal()
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(np.abs(pivots) > 0)):
+        raise ValueError("the factor left its diagonal pivots or has a zero pivot")
+    return lu
+
+
+def inertia_count(a_mat, m_mat, tau):
+    """The number of eigenvalues of the pencil (A, M) below a finite tau: by
+    Sylvester's law of inertia, the negative pivots of the no-pivot factor
+    of A - tau M, with M positive definite."""
+    return int(np.count_nonzero(no_pivot_factor(a_mat - tau * m_mat).U.diagonal() < 0))
+
+
+# Pencils of at most this order are solved densely by smallest_six: ARPACK
+# keeps a basis of 20 vectors (scipy's default for 8 pairs).
+SMALLEST_SIX_DENSE_ORDER = 20
+
+
+def smallest_six(a_mat, m_mat):
+    """The 6 smallest eigenvalues of a sparse SPD pencil (A, M), ascending.
+
+    ARPACK finds 8 pairs from the start vector sin(1..order) in
+    shift-invert mode at -1, around the no-pivot factor of A + M: the
+    pattern of A alone lacks entries of M's, and its minimum-degree order
+    fills 8 times more at 2D n=64.  The values are the Rayleigh quotients
+    of its vectors: at 2D n=64 simply supported they agree with the
+    symbol's eigenvalues to 2.4e-12 relative, ARPACK's own values to only
+    4.3e-10.
+    """
+    order = a_mat.shape[0]
+    if order <= SMALLEST_SIX_DENSE_ORDER:
+        return dla.eigh(a_mat.toarray(), m_mat.toarray(), eigvals_only=True)[:6]
+    factor = no_pivot_factor(a_mat + m_mat)
+    _, vectors = sla.eigsh(a_mat, 8, m_mat, sigma=-1.0, v0=np.sin(np.arange(1.0, order + 1)),
+                           OPinv=sla.LinearOperator(a_mat.shape, matvec=factor.solve))
+    quotients = (np.einsum("ij,ij->j", vectors, a_mat @ vectors)
+                 / np.einsum("ij,ij->j", vectors, m_mat @ vectors))
+    return np.sort(quotients)[:6]
+
+
+@pytest.fixture
+def refuse_factors(monkeypatch):
+    """Fail the test on any SuperLU factor or ARPACK run, the tests' oracles
+    included."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a SuperLU factor or an ARPACK run")
+
+    monkeypatch.setattr(sla, "splu", refused)
+    monkeypatch.setattr(sla, "eigsh", refused)
+
+
+@pytest.fixture(scope="session")
+def count_below():
+    """The inertia-count oracle: count_below(A, M, tau)."""
+    return inertia_count
+
+
+@pytest.fixture(scope="session")
+def sparse_oracle():
+    """The sparse eigenvalue oracle of large pencils: sparse_oracle(A, M), the
+    6 smallest eigenvalues."""
+    return smallest_six
 
 
 def _in_id_order(shape):

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky
 
-from rectmorley import assembly, cli
+from rectmorley import assembly
 from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, BLOCK_POINTS,
                                  PARITY_EVEN, PARITY_ODD, QUAD_ORDER, FemField, assemble,
                                  broken_energy_inner, broken_error_norms, broken_integrals,
                                  build_dof_map, eigen_error_identity_terms,
                                  element_matrices, free_dof_count,
-                                 interpolate_global, l2_norm_analytic, nested_dissection,
+                                 interpolate_global, l2_norm_analytic,
                                  reference_matrices, restricted_dofs)
 from rectmorley.eigensolve import smallest_k_dense
 from rectmorley.element import (build_reference_element, reference_dof_points,
@@ -71,60 +71,6 @@ def test_free_dofs_are_numbered_in_id_order(dim, n, bc):
     dofmap = build_dof_map(build_mesh(dim, n), bc)
     numbers = dofmap.entity_dof
     assert np.array_equal(numbers[numbers >= 0], np.arange(dofmap.num_free))
-
-
-@pytest.mark.parametrize("dim,n", [(2, 8), (3, 4)])
-@pytest.mark.parametrize("bc", [BC_CLAMPED, BC_SIMPLY_SUPPORTED])
-def test_nested_dissection_numbers_the_mid_plane_last(dim, n, bc, entity_ids):
-    mesh = build_mesh(dim, n)
-    natural = build_dof_map(mesh, bc)
-    dofmap = nested_dissection(natural)
-    numbers = dofmap.entity_dof
-    free = numbers >= 0
-    # The same map, renumbered: the same free entities, each number once.
-    assert (dofmap.mesh, dofmap.bc) == (mesh, bc)
-    assert np.array_equal(free, natural.entity_dof >= 0)
-    assert np.array_equal(np.sort(numbers[free]), np.arange(dofmap.num_free))
-    assert np.array_equal(dofmap.cell_dofs, numbers[mesh.cell_entities])
-    # The box is a cube, so the first split is the mid-plane x_0 = 1/2: its
-    # vertices and the facets normal to axis 0 on it, numbered last; the
-    # side x_0 < 1/2 comes before the side x_0 > 1/2.
-    x0 = entity_ids(mesh).coordinates()[free, 0]
-    numbers = numbers[free]
-    on_plane = numbers[x0 == n]
-    assert np.array_equal(np.sort(on_plane),
-                          np.arange(dofmap.num_free - len(on_plane), dofmap.num_free))
-    assert numbers[x0 < n].max() < numbers[x0 > n].min()
-
-
-def test_only_the_factored_pencils_are_bisected(monkeypatch, capsys):
-    calls = []
-
-    def counted(dofmap):
-        calls.append(dofmap.num_free)
-        return nested_dissection(dofmap)
-
-    monkeypatch.setattr(assembly, "nested_dissection", counted)
-    # Simply supported and clamped solves on the auto route (split, one
-    # block, 2D and 3D), which take their pairs from the symbol, a field
-    # rung and the identity suite build no factor.
-    for dim, n in ((2, 64), (2, 15), (3, 8)):
-        assert cli.solve_problem(dim, n, BC_SIMPLY_SUPPORTED).converged
-    for dim, n in ((2, 64), (2, 15), (3, 8), (3, 9)):
-        assert cli.solve_problem(dim, n, BC_CLAMPED).converged
-    mesh = build_mesh(2, 64)
-    sine = unit_box_eigenfunction((1, 1))
-    field = interpolate_global(sine, mesh, build_dof_map(mesh, BC_SIMPLY_SUPPORTED)).field
-    broken_error_norms(sine, field, mesh, build_reference_element(2))
-    assert cli.main(["verify", "identity37"]) == 0
-    capsys.readouterr()
-    assert calls == []
-    # A clamped solve on the dense route renumbers its one shared map,
-    # split or not.
-    for dim, n in ((3, 6), (3, 5), (2, 8)):
-        assert cli.solve_problem(dim, n, BC_CLAMPED, solver="dense").converged
-        assert len(calls) == 1
-        calls.clear()
 
 
 def test_shared_facet_signs_are_opposite():

@@ -58,7 +58,7 @@ def test_solve_json_payload(capsys):
     assert all(r < 1e-8 for r in run["residuals"])
 
 
-def test_solve_json_reports_solver_work(capsys):
+def test_solve_json_reports_solver_work(capsys, refuse_factors):
     # A clamped solve takes its pairs from the symbol, with no factor and no
     # ARPACK run, in 3D as in 2D.  One block: it is counted at tau =
     # lambda_6 (1 + REL_GAP).  At 3D n=3, k=6 cuts the triple lambda_6..8,
@@ -71,7 +71,6 @@ def test_solve_json_reports_solver_work(capsys):
         run = json.loads(out)["runs"][0]
         assert run["method"] == "symbol"
         meta = run["metadata"]
-        assert meta["factor_nnz"] == meta["opinv_applications"] == 0
         assert meta["tau"] == pytest.approx(run["eigenvalues"][5] * (1 + 1e-6), rel=1e-12)
         (block,) = meta["blocks"]
         assert block["tau"] == meta["tau"]
@@ -91,29 +90,18 @@ def test_solve_json_reports_parity_blocks(capsys):
     assert [b["multiplicity"] for b in blocks] == [3, 3, 1, 1]
     assert sum(b["order"] * b["multiplicity"] for b in blocks) == run["order"] == 1687
     assert all(b["converged"] for b in blocks)
-    for key in ("factor_nnz", "opinv_applications"):
-        assert meta[key] == sum(b[key] for b in blocks)
     # oee alone gives 3 x 2 values and is counted at its own second
     # eigenvalue, which is also ooe's running tau; eee and ooo are counted
-    # at the final tau.  ooo owes no pair and is not factored.
+    # at the final tau.  ooo owes no pair.
     assert [b["count_below_tau"] for b in blocks] == [2, 1, 1, 0]
     assert blocks[2]["tau"] == blocks[3]["tau"] == meta["tau"] < blocks[1]["tau"]
     assert blocks[1]["tau"] == blocks[0]["tau"]
-    assert blocks[3]["factor_nnz"] == blocks[3]["opinv_applications"] == 0
     # The running tau of a later block is at or above the final tau, so every
     # block holds each of its eigenvalues below the final tau: k=6 cuts the
     # 11655.163 triple, and its third copy makes 7.
     assert meta["k_closed"] == 7
     # The 6369.4367 triple: one copy in each block with one odd axis.
     assert run["parities"] == ["eee", "eeo", "eoe", "oee", "eoo", "oeo"]
-    # --solver applies to every block, also to the one that owes nothing.
-    code, out, _ = run_cli(
-        ["solve", "--dim", "3", "--n", "8", "--solver", "dense", "--format", "json"], capsys
-    )
-    assert code == 0
-    dense = json.loads(out)["runs"][0]
-    assert dense["method"] == "dense"
-    assert dense["eigenvalues"] == pytest.approx(run["eigenvalues"], rel=1e-9)
 
     for dim, n in ((2, 16), (3, 5)):
         code, out, _ = run_cli(
@@ -127,8 +115,29 @@ def test_solve_json_reports_parity_blocks(capsys):
         assert run["parities"] == [None] * 6
 
 
+# The dense route solves the assembled blocks in id order, the auto route
+# takes its pairs from the symbol: they agree to the float64 accuracy of
+# the dense solve, 9.4e-11 at 2D n=32.  3D n=3 is one block, where k=20
+# cuts a cluster; 2D n=32 and 3D n=8 are split, and --solver applies to
+# every block, also to the one that owes nothing.
+@pytest.mark.parametrize("dim,n,k", [(2, 8, 6), (2, 12, 6), (2, 24, 6), (2, 32, 6),
+                                     (3, 3, 20), (3, 4, 6), (3, 8, 6)])
+def test_dense_route_matches_the_auto_route(dim, n, k, capsys):
+    runs = {}
+    for solver in ("auto", "dense"):
+        code, out, err = run_cli(["solve", "--dim", str(dim), "--n", str(n), "--k", str(k),
+                                  "--solver", solver, "--format", "json"], capsys)
+        assert code == 0 and err == ""
+        runs[solver] = json.loads(out)["runs"][0]
+    assert runs["dense"]["method"] == "dense"
+    assert runs["dense"]["metadata"]["k_closed"] == runs["auto"]["metadata"]["k_closed"]
+    np.testing.assert_allclose(runs["dense"]["eigenvalues"], runs["auto"]["eigenvalues"],
+                               rtol=2e-10, atol=0)
+
+
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 8)])
-def test_solve_exits_1_when_the_symbol_cannot_count(dim, n, monkeypatch, capsys):
+def test_solve_exits_1_when_the_symbol_cannot_count(dim, n, monkeypatch, capsys,
+                                                     refuse_factors):
     # Each of the symbol count's three refusals leaves every clamped block
     # uncounted, and the solve exits 1: a class that does not number its
     # block, tau on a simply supported eigenvalue, and a singular
@@ -154,18 +163,11 @@ def test_solve_exits_1_when_the_symbol_cannot_count(dim, n, monkeypatch, capsys)
                 block.products, block.magnitudes = 0.0 * block.products, 0.0 * block.magnitudes
         return count(self, tau)
 
-    class RecordedFactor(eigensolve._ShiftedFactor):
-        def __init__(self, a_mat, m_mat, shift):
-            shifts.append(shift)
-            super().__init__(a_mat, m_mat, shift)
-
     for owner, name, spoiled in ((symbol, "block_spectra", one_short),
                                  (capacitance.Capacitance, "count", tau_on_a_value),
                                  (capacitance.Capacitance, "count", no_facets)):
-        shifts = []
         with monkeypatch.context() as patch:
             patch.setattr(owner, name, spoiled)
-            patch.setattr(eigensolve, "_ShiftedFactor", RecordedFactor)
             code, out, err = run_cli(["solve", "--dim", str(dim), "--n", str(n),
                                       "--format", "json"], capsys)
         assert code == 1, name
@@ -174,7 +176,6 @@ def test_solve_exits_1_when_the_symbol_cannot_count(dim, n, monkeypatch, capsys)
         assert not meta["converged"]
         assert all(b["count_below_tau"] is None and not b["converged"]
                    for b in meta["blocks"])
-        assert shifts == []
 
 
 @pytest.mark.parametrize("dim,n,k,method", [(2, 3, 13, "symbol"), (2, 4, 22, "symbol"),
@@ -208,21 +209,20 @@ def test_clamped_k_next_to_a_pole_is_certified(dim, n, k, method, capsys):
 
 
 def clamped_3d_n3_pencil():
-    """The assembled pencil of 3D clamped n=3 (order 62), numbered for a
-    factor."""
-    from rectmorley.assembly import BC_CLAMPED, assemble, build_dof_map, nested_dissection
+    """The assembled pencil of 3D clamped n=3 (order 62)."""
+    from rectmorley.assembly import BC_CLAMPED, assemble, build_dof_map
     from rectmorley.element import build_reference_element
     from rectmorley.mesh import build_mesh
 
     mesh = build_mesh(3, 3)
-    return assemble(mesh, nested_dissection(build_dof_map(mesh, BC_CLAMPED)),
-                    build_reference_element(3))
+    return assemble(mesh, build_dof_map(mesh, BC_CLAMPED), build_reference_element(3))
 
 
 @pytest.mark.parametrize("k", [59, 60])
 def test_3d_n3_k59_and_k60_converge(k, capsys):
-    # 59 or 60 pairs of the order-62 pencil, where ARPACK cannot run (next
-    # test): the symbol's pairs need no Krylov basis.
+    # 59 or 60 pairs of the order-62 pencil, where an ARPACK basis of
+    # order - 1 vectors cannot apply its shifts: the symbol's pairs need no
+    # Krylov basis.
     code, out, err = run_cli(["solve", "--dim", "3", "--n", "3", "--k", str(k),
                               "--format", "json"], capsys)
     assert code == 0 and err == ""
@@ -230,16 +230,6 @@ def test_3d_n3_k59_and_k60_converge(k, capsys):
     assert run["method"] == "symbol"
     dense = eigensolve.smallest_k_dense(*clamped_3d_n3_pencil(), k)
     np.testing.assert_allclose(run["eigenvalues"], dense.eigenvalues, rtol=1e-10, atol=0)
-
-
-@pytest.mark.parametrize("k", [59, 60])
-def test_an_arpack_error_is_a_solver_that_did_not_converge(k):
-    # solve_smallest on the same pencil: ARPACK's basis of order - 1 = 61
-    # vectors cannot apply its shifts (error 3), and the result, with no
-    # pairs, does not converge.
-    result = eigensolve.solve_smallest(*clamped_3d_n3_pencil(), k)
-    assert not result.converged
-    assert len(result.eigenvalues) == 0
 
 
 def test_traced_solve_smallest_sees_every_block_solve_and_count(monkeypatch):
@@ -264,12 +254,8 @@ def test_traced_solve_smallest_sees_every_block_solve_and_count(monkeypatch):
         counts.append(list(open_spans))
         return count(*args, **kwargs)
 
-    def refused(*args, **kwargs):
-        raise AssertionError("count_below called")
-
     monkeypatch.setattr(eigensolve, "solve_smallest", traced)
     monkeypatch.setattr(capacitance.Capacitance, "count", counting)
-    monkeypatch.setattr(eigensolve, "count_below", refused)
     result = cli.solve_problem(3, 6, "clamped", solver="dense")
     assert result.converged
     # oee for ceil(k / 3) pairs, certified at its own tau; then ooe, eee
@@ -303,7 +289,6 @@ def test_solver_choice_reaches_only_clamped_problems(capsys):
     run = json.loads(outputs["dense"])["runs"][0]
     assert run["method"] == "symbol" and run["metadata"]["converged"]
     assert "sigma" not in run["metadata"] and "tol" not in run["metadata"]
-    assert run["metadata"]["factor_nnz"] == run["metadata"]["opinv_applications"] == 0
     code, out, _ = run_cli(["solve", "--n", "8", "--solver", "dense", "--format", "json"],
                            capsys)
     assert code == 0 and json.loads(out)["runs"][0]["method"] == "dense"
@@ -314,8 +299,8 @@ def test_solver_choice_reaches_only_clamped_problems(capsys):
 
 
 def test_every_route_reports_the_same_metadata_keys(capsys):
-    # Clamped shift-invert, clamped dense and simply supported runs, one
-    # block and split, share one metadata schema and one block schema.
+    # Clamped auto, clamped dense and simply supported runs, one block and
+    # split, share one metadata schema and one block schema.
     keys = set()
     for argv in (["--n", "8"], ["--n", "8", "--solver", "dense"],
                  ["--n", "8", "--bc", "simply-supported"], ["--dim", "3", "--n", "8"],
@@ -325,11 +310,9 @@ def test_every_route_reports_the_same_metadata_keys(capsys):
         assert code == 0
         meta = json.loads(out)["runs"][0]["metadata"]
         keys.add((frozenset(meta), frozenset(frozenset(b) for b in meta["blocks"])))
-    assert keys == {(frozenset({"order", "k", "tau", "k_closed", "converged", "factor_nnz",
-                                "opinv_applications", "blocks"}),
-                     frozenset({frozenset({"parity", "multiplicity", "order", "factor_nnz",
-                                           "opinv_applications", "tau", "count_below_tau",
-                                           "converged"})}))}
+    assert keys == {(frozenset({"order", "k", "tau", "k_closed", "converged", "blocks"}),
+                     frozenset({frozenset({"parity", "multiplicity", "order", "tau",
+                                           "count_below_tau", "converged"})}))}
 
 
 @pytest.mark.parametrize("bc", ["clamped", "simply-supported"])
@@ -964,9 +947,8 @@ def test_repeated_processes_print_identical_output():
 
 
 def test_repeated_processes_print_identical_clamped_completions():
-    # 3D clamped n=5 is one block, and k=6 cuts its triple: the k solve
-    # returns 6 pairs, the count finds 7, and the completion pass runs on
-    # the factor that solved for the 6.
+    # 3D clamped n=5 is one block, and k=6 cuts its triple: the count
+    # closes it at 7.
     args = [sys.executable, "-m", "rectmorley", "solve", "--dim", "3", "--n", "5",
             "--format", "json"]
     first, second = (subprocess.run(args, capture_output=True, check=True,

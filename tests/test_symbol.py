@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from rectmorley import capacitance, cli, symbol
 from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, FACE_FREE, PARITY_EVEN,
                                  PARITY_ODD, assemble, build_dof_map, dof_coordinates,
-                                 free_dof_count, nested_dissection, restricted_dofs)
-from rectmorley.eigensolve import REL_GAP, compute_residuals, count_below, rayleigh_ritz
+                                 free_dof_count, restricted_dofs)
+from rectmorley.eigensolve import REL_GAP, compute_residuals, rayleigh_ritz
 from rectmorley.element import build_reference_element
 from rectmorley.mesh import build_mesh
 
@@ -33,10 +33,9 @@ def block_mesh_and_faces(dim, n, parity):
 
 
 def block_pencil(dim, n, parity, with_coordinates=False):
-    """A simply supported block's pencil, numbered for the count_below oracle's
-    factor."""
+    """A simply supported block's pencil, in id order."""
     mesh, faces = block_mesh_and_faces(dim, n, parity)
-    dofmap = nested_dissection(build_dof_map(mesh, BC_SIMPLY_SUPPORTED, faces))
+    dofmap = build_dof_map(mesh, BC_SIMPLY_SUPPORTED, faces)
     pencil = assemble(mesh, dofmap, build_reference_element(dim))
     return (*pencil, dof_coordinates(dofmap)) if with_coordinates else pencil
 
@@ -66,7 +65,7 @@ def test_each_parity_class_numbers_its_block(dim, top):
 
 
 @pytest.mark.parametrize("dim,n", [(2, 16), (2, 32), (2, 64), (3, 8), (3, 12), (3, 16)])
-def test_block_counts_equal_the_inertia_counts(dim, n):
+def test_block_counts_equal_the_inertia_counts(dim, n, count_below):
     # At tau = lambda_i (1 + REL_GAP), as the solver slices the blocks.
     spectra = symbol.block_spectra(dim, n, parities(dim))
     for parity, (values, _, _) in spectra.items():
@@ -79,7 +78,7 @@ def test_block_counts_equal_the_inertia_counts(dim, n):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), dim=st.sampled_from([2, 3]), fraction=st.floats(0.05, 0.95))
-def test_counts_between_spectrum_points(data, dim, fraction):
+def test_counts_between_spectrum_points(data, dim, fraction, count_below):
     n = data.draw(st.integers(1, 8 if dim == 2 else 4), label="n")
     parity = data.draw(st.sampled_from([None] + (parities(dim) if n % 2 == 0 else [])),
                        label="parity")
@@ -187,14 +186,14 @@ def test_solve_matches_the_symbol_past_the_dense_oracle(dim, n):
 
 def clamped_blocks(dim, n):
     """The clamped blocks solve_problem counts, {parity: (A, M)}: its
-    representatives of the half box (even n, split), or the full box, in its
-    nested-dissection order."""
+    representatives of the half box (even n, split), or the full box, in id
+    order."""
     mesh = build_mesh(dim, n)
     faces = None
     if n % 2 == 0 and free_dof_count(mesh, BC_CLAMPED) >= cli.SPLIT_MIN_ORDER[dim]:
         mesh = build_mesh(dim, n // 2, domain=((0.0,) * dim, (0.5,) * dim))
         faces = [BC_CLAMPED, FACE_FREE] * dim
-    dofmap = nested_dissection(build_dof_map(mesh, BC_CLAMPED, faces))
+    dofmap = build_dof_map(mesh, BC_CLAMPED, faces)
     shared = assemble(mesh, dofmap, build_reference_element(dim))
     if faces is None:
         return {None: shared}
@@ -220,7 +219,7 @@ def midpoint_after(values, index):
 # per block is checked instead of four.
 @pytest.mark.parametrize("dim,n", [(2, n) for n in (4, 7, 8, 12, 15, 16, 32, 63, 64, 128, 256)]
                          + [(3, n) for n in (3, 4, 5, 7, 8, 9, 11, 12, 16, 24)])
-def test_clamped_count_is_the_inertia_count_of_every_block(dim, n):
+def test_clamped_count_is_the_inertia_count_of_every_block(dim, n, count_below):
     blocks = clamped_blocks(dim, n)
     spectra = symbol.block_spectra(dim, n, list(blocks))
     for parity, (a_mat, m_mat) in blocks.items():
@@ -234,7 +233,7 @@ def test_clamped_count_is_the_inertia_count_of_every_block(dim, n):
             assert matrix.count(tau) == count_below(a_mat, m_mat, tau)
 
 
-def test_clamped_count_refuses_what_it_cannot_count():
+def test_clamped_count_refuses_what_it_cannot_count(count_below):
     dim, n = 2, 8
     (a_mat, m_mat), = clamped_blocks(dim, n).values()
     values, waves, vectors = spectrum = symbol.block_spectra(dim, n, [None])[None]
@@ -490,8 +489,10 @@ def test_the_axis_swap_splits_each_class_block(dim, n, parity, monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 4, 8, 9, 16])
 def test_3d_clamped_solves_assemble_factor_and_run_no_eigensolver(n, monkeypatch):
-    # Every 3D clamped pair comes from the symbol, as in 2D: no nested
-    # dissection, no assembly, no factor and no solve_smallest call.
+    # Every 3D clamped pair comes from the symbol, as in 2D: no assembly, no
+    # factor, no ARPACK run and no solve_smallest call.
+    import scipy.sparse.linalg as sla
+
     from rectmorley import assembly, eigensolve
 
     calls = []
@@ -502,27 +503,24 @@ def test_3d_clamped_solves_assemble_factor_and_run_no_eigensolver(n, monkeypatch
             raise AssertionError(f"{name} called")
         return call
 
-    for module, name in ((assembly, "assemble"), (assembly, "nested_dissection"),
-                         (eigensolve, "_ShiftedFactor"), (eigensolve, "solve_smallest")):
+    for module, name in ((assembly, "assemble"), (sla, "splu"), (sla, "eigsh"),
+                         (eigensolve, "solve_smallest")):
         monkeypatch.setattr(module, name, refused(name))
     result = cli.solve_problem(3, n, BC_CLAMPED)
     assert calls == []
     assert result.converged and result.method == symbol.METHOD_SYMBOL
-    assert result.metadata["factor_nnz"] == result.metadata["opinv_applications"] == 0
 
 
 MULTIPLICITY = {None: 1, "oee": 3, "ooe": 3, "eee": 1, "ooo": 1}
 
 
 @pytest.mark.parametrize("n", range(2, 17))
-def test_3d_clamped_solve_matches_the_shift_invert_oracle(n):
-    # Each block solve_problem solves, assembled in nested-dissection order
-    # and solved by shift-invert, merged with its multiplicity.
-    from rectmorley.eigensolve import solve_smallest
-
+def test_3d_clamped_solve_matches_the_shift_invert_oracle(n, sparse_oracle):
+    # Each block solve_problem solves, assembled in id order and solved by
+    # the tests' shift-invert oracle, merged with its multiplicity.
     result = cli.solve_problem(3, n, BC_CLAMPED)
     assert result.converged
     merged = np.sort(np.concatenate([
-        np.repeat(solve_smallest(a_mat, m_mat, 6).eigenvalues[:6], MULTIPLICITY[parity])
+        np.repeat(sparse_oracle(a_mat, m_mat), MULTIPLICITY[parity])
         for parity, (a_mat, m_mat) in clamped_blocks(3, n).items()]))
     np.testing.assert_allclose(result.eigenvalues, merged[:6], rtol=1e-10, atol=0)
