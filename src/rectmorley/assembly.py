@@ -7,11 +7,9 @@ Constrained DOFs are eliminated, not penalized.  Each face of the box takes
 one condition from FACE_CONSTRAINTS: clamped faces constrain their vertices
 and facets, simply supported faces their vertices only, and the mid-plane
 faces of a reflection-parity block their facets (even parity) or their
-vertices (odd parity); a free face constrains nothing.  Free DOFs are
-numbered in entity-id order.  The clamped parity blocks of one half box
-share one numbering and one assembly with free mid-plane faces: each block
-is the principal submatrix on its own free DOFs (restricted_dofs).
-cell_operator applies an assembled matrix cell by cell, without building it.
+vertices (odd parity).  Free DOFs are numbered in entity-id order, once
+per problem or parity block.  cell_operator applies an assembled matrix
+cell by cell, without building it.
 """
 
 from __future__ import annotations
@@ -40,9 +38,6 @@ BOUNDARY_CONDITIONS = (BC_CLAMPED, BC_SIMPLY_SUPPORTED)
 # plane, an odd one vanishes there.
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
-# A face without a condition: the mid-plane faces of the numbering that the
-# parity blocks of one half box share.
-FACE_FREE = "free"
 
 # What each face condition constrains: (the vertices on the face, the facets
 # lying in it).
@@ -51,7 +46,6 @@ FACE_CONSTRAINTS = {
     BC_SIMPLY_SUPPORTED: (True, False),
     PARITY_EVEN: (False, True),
     PARITY_ODD: (True, False),
-    FACE_FREE: (False, False),
 }
 
 
@@ -118,23 +112,6 @@ def build_dof_map(mesh: CartesianMesh, bc: str, faces=None) -> DofMap:
     entity_dof = np.full(mesh.num_entities, -1, dtype=np.int64)
     entity_dof[free] = np.arange(np.count_nonzero(free))
     return DofMap(mesh, bc, entity_dof, entity_dof[mesh.cell_entities])
-
-
-def restricted_dofs(dofmap: DofMap, faces) -> np.ndarray:
-    """Ascending DOF numbers of dofmap that stay free under the conditions
-    `faces` (one per face, as for build_dof_map).
-
-    faces must constrain every DOF that dofmap's own conditions constrain.
-    Eliminating constrained DOFs deletes their rows and columns, so the
-    principal submatrix of the assembled pencil on these DOFs is the pencil
-    of build_dof_map(dofmap.mesh, dofmap.bc, faces), numbered in dofmap's
-    order.
-    """
-    kept = dofmap.entity_dof[~_constrained(dofmap.mesh, dofmap.bc, faces)]
-    if np.any(kept < 0):
-        raise ValueError(f"faces {tuple(faces)!r} leave DOFs free that the "
-                         "numbering constrains")
-    return np.sort(kept)
 
 
 def dof_coordinates(dofmap: DofMap) -> np.ndarray:

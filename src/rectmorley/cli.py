@@ -126,17 +126,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Problems with fewer free DOFs than this, per dimension, are solved as one
 # block: below it, setting up the half-box blocks costs more than their
-# smaller solves save.  Split/one-block time (min of 7 alternating runs, one
-# BLAS thread, 2 vCPUs, range over four sweeps; free DOFs clamped/simply
-# supported, ratio clamped/simply supported), measured when 2D clamped
-# blocks ran ARPACK: 2D n=12 (385/433) 1.37-1.50/1.14-1.19, n=14 (533/589)
-# 1.23-1.41/0.98-1.11, n=16 (705/769) 0.90-1.19/0.90-1.01, n=18 (901/973)
-# 1.05-1.10/0.82-0.94, n=20 (1121/1201) 0.89-0.99/0.88-0.91, n=22..24
-# 0.74-1.00/0.71-0.82.  3D, every block from the symbol (min of 7
-# alternating runs in process, two BLAS threads, range over three sweeps):
-# n=4 (171/267) 1.17-1.22/1.13-1.15, n=6 (665/881) 0.60-0.62/0.87-0.88, so
-# any value from 268 to 665 splits the same rungs.  The split also sets
-# the parity labels.
+# smaller solves save.  Split/one-block time on the auto route (min of 9
+# alternating runs in process, one BLAS thread, 2 vCPUs, range over two
+# sweeps; free DOFs clamped/simply supported, ratio clamped/simply
+# supported): 2D n=4 (33/49) 1.59-1.62/1.42, n=8 (161/193) 1.27-1.31/
+# 1.26-1.29, n=12 (385/433) 1.13-1.14/1.17-1.20, n=16 (705/769)
+# 1.01-1.03/1.06-1.08, n=18 (901/973) 0.95-0.96/1.01, n=20 (1121/1201)
+# 0.93-0.96/1.00-1.01, n=24 (1633/1729) 0.87-0.90/0.91; so 950 runs
+# clamped n=18 as one block and simply supported n=18 split, each about
+# 5% off its faster choice.  3D: n=4 (171/267) 1.20-1.21/1.14-1.20, n=6
+# (665/881) 0.61-0.62/0.88-1.01, so any value from 268 to 665 splits the
+# same rungs.  The split also sets the parity labels.
 SPLIT_MIN_ORDER = {2: 950, 3: 400}
 
 
@@ -147,8 +147,9 @@ class Solution:
     parities[i] labels eigenvalue i with the reflection parity of its block,
     one letter per axis ('e' even, 'o' odd under x_a -> 1 - x_a), or None
     when the problem was solved as one block.  residuals[i] is the relative
-    residual of eigenvalue i in its own block's pencil.  No eigenvectors are
-    kept: a block's live on the half box, and no caller reads them.
+    residual of eigenvalue i in the pencil of its block's own DOF map.  No
+    eigenvectors are kept: a block's live on the half box, in that block's
+    numbering, and no caller reads them.
     """
 
     eigenvalues: np.ndarray
@@ -190,28 +191,27 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     tau = (k-th merged eigenvalue) (1 + REL_GAP); metadata["k_closed"]
     counts them with multiplicity, above k when k cuts a cluster.
 
-    A simply supported problem, and a clamped one on the auto route,
-    assemble nothing, and need no factor and no eigensolver; each block
-    numbers its own DOFs in id order (build_dof_map with its parity's
-    faces), takes its eigenvectors from symbol.modes, checks them by their
-    residuals in its own pencil, applied cell by cell (assembly.
-    cell_operator; eigensolve.solved), and reports method 'symbol'.  A
-    simply supported problem's exact spectra of its parity classes
-    (symbol.block_spectra) give the final tau; each block takes its
-    class's pairs below it, and its count is the number of those pairs,
-    None (not converged) when its order is not its class's eigenvalue
-    count.  Every clamped block on the auto route takes its pairs from the
-    capacitance matrix of its class (capacitance.Capacitance.pairs), smooths
-    their vectors with one damped Jacobi step (eigensolve.smoothed: it
-    damps the rounding noise of the mode sum) and reports their
+    On every route each block numbers its own DOFs once, in id order
+    (build_dof_map with its parity's faces).  A simply supported problem,
+    and a clamped one on the auto route, assemble nothing, and need no
+    factor and no eigensolver; each block takes its eigenvectors from
+    symbol.modes, checks them by their residuals in its own pencil, applied
+    cell by cell (assembly.cell_operator; eigensolve.solved), and reports
+    method 'symbol'.  A simply supported problem's exact spectra of its
+    parity classes (symbol.block_spectra) give the final tau; each block
+    takes its class's pairs below it, and its count is the number of those
+    pairs, None (not converged) when its order is not its class's
+    eigenvalue count.  Every clamped block on the auto route takes its pairs
+    from the capacitance matrix of its class (capacitance.Capacitance.
+    pairs), smooths their vectors with one damped Jacobi step (eigensolve.
+    smoothed: it damps the rounding noise of the mode sum) and reports their
     Rayleigh-Ritz values in its pencil, M-normalized (eigensolve.
     rayleigh_ritz); it is counted below its tau by the same matrix
     (Capacitance.count).  A block the symbol cannot number gets no pairs
     and count None.
 
-    Only `solver` 'dense' assembles: it numbers the half box once, with
-    free mid-plane faces, in id order, and assembles it; each block is the
-    principal submatrix on its own free DOFs, solved with solve_smallest
+    Only `solver` 'dense' assembles: each clamped block assembles the pencil
+    of its own numbering (assembly.assemble), solved with solve_smallest
     (LAPACK's dense solver) and counted from the spectrum of its simply
     supported class (capacitance.Capacitance.count).  A block the symbol
     cannot count gets count None (not converged).
@@ -234,9 +234,9 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     import numpy as np
 
     from . import capacitance, eigensolve, symbol
-    from .assembly import (BC_SIMPLY_SUPPORTED, FACE_FREE, PARITY_EVEN, PARITY_ODD, assemble,
-                           build_dof_map, cell_diagonal, cell_operator, dof_coordinates,
-                           element_matrices, free_dof_count, restricted_dofs)
+    from .assembly import (BC_SIMPLY_SUPPORTED, PARITY_EVEN, PARITY_ODD, assemble, build_dof_map,
+                           cell_diagonal, cell_operator, dof_coordinates, element_matrices,
+                           free_dof_count)
     from .element import build_reference_element
     from .mesh import build_mesh
 
@@ -249,9 +249,8 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     if n % 2 == 0 and order >= SPLIT_MIN_ORDER[dim]:
         mesh = build_mesh(dim, n // 2, domain=((0.0,) * dim, (0.5,) * dim))
         parities = ["".join(p) for p in itertools.product("eo", repeat=dim)]
-        shared_faces = [bc, FACE_FREE] * dim
     else:
-        parities, shared_faces = [None], None
+        parities = [None]
     element = build_reference_element(dim)
 
     def block_of(parity):
@@ -271,9 +270,6 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     from_symbol = bc == BC_SIMPLY_SUPPORTED or solver == "auto"
     if from_symbol:
         local_matrices = element_matrices(element, mesh.half_width)
-    else:
-        dofmap = build_dof_map(mesh, bc, shared_faces)
-        shared = assemble(mesh, dofmap, element)
 
     def slice_tau():
         """(1 + REL_GAP) times the k-th merged value, inf if fewer: of the
@@ -295,17 +291,11 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
         faces = None if parity is None else [
             side for p in parity for side in (bc, PARITY_ODD if p == "o" else PARITY_EVEN)]
         tau = slice_tau()
+        own = build_dof_map(mesh, bc, faces)
+        block_order = own.num_free
         if from_symbol:
-            own = build_dof_map(mesh, bc, faces)
             a_op, m_op = (cell_operator(own, local) for local in local_matrices)
             values, waves, vectors = spectra[parity]
-            block_order = own.num_free
-        else:
-            a_mat, m_mat = shared
-            if parity is not None:
-                keep = restricted_dofs(dofmap, faces)
-                a_mat, m_mat = (mat[keep][:, keep] for mat in shared)
-            block_order = a_mat.shape[0]
         owed = dict(tau=tau) if tau < np.inf else dict(
             k=min(math.ceil(k / multiplicity[parity]), block_order))
         if bc == BC_SIMPLY_SUPPORTED:
@@ -337,7 +327,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
                 return capacitance.Capacitance(dim, n, parity, spectra[parity],
                                                block_order).count(tau)
 
-            return eigensolve.solve_smallest(a_mat, m_mat, count=count, **owed)
+            return eigensolve.solve_smallest(*assemble(mesh, own, element), count=count, **owed)
 
     solved = {}
     for parity in representatives:

@@ -57,6 +57,8 @@ from .element import build_reference_element, reference_corners
 
 # The method of a result whose pairs come from the symbol, with no solve.
 METHOD_SYMBOL = "symbol"
+
+
 def _single(dim: int, axis: int) -> int:
     """The index of the phase pattern with the cos part on `axis` alone."""
     return 1 << (dim - 1 - axis)
@@ -241,8 +243,6 @@ def block_spectra(dim: int, n: int, parities) -> dict:
     bounds = np.cumsum([0] + [len(block) for block in blocks])
     return {parity: _ascending(n, block, values[start:stop], vectors[start:stop])
             for parity, block, start, stop in zip(parities, blocks, bounds, bounds[1:])}
-
-
 
 
 def modes(coords: np.ndarray, n: int, waves: np.ndarray, vectors: np.ndarray,

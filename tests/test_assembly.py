@@ -12,7 +12,7 @@ from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, BLOCK_POINTS,
                                  build_dof_map, eigen_error_identity_terms,
                                  element_matrices, free_dof_count,
                                  interpolate_global, l2_norm_analytic,
-                                 reference_matrices, restricted_dofs)
+                                 reference_matrices)
 from rectmorley.eigensolve import smallest_k_dense
 from rectmorley.element import (build_reference_element, reference_dof_points,
                                 reference_dof_scale)
@@ -94,9 +94,6 @@ def test_bad_bc_rejected():
     for faces in ([BC_CLAMPED] * 3, [BC_CLAMPED] * 3 + ["periodic"]):
         with pytest.raises(ValueError, match="faces"):
             build_dof_map(mesh, BC_CLAMPED, faces)
-    # A restriction may constrain more than the numbering, never less.
-    with pytest.raises(ValueError, match="constrains"):
-        restricted_dofs(build_dof_map(mesh, BC_CLAMPED), [BC_SIMPLY_SUPPORTED] * 4)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rectmorley.assembly import BC_CLAMPED, FACE_FREE, build_dof_map
+from rectmorley.assembly import BC_CLAMPED, PARITY_EVEN, PARITY_ODD, build_dof_map
 from rectmorley.element import reference_dof_points
 from rectmorley.mesh import build_mesh
 
@@ -86,15 +86,22 @@ def test_boundary_flags_follow_multi_indices(dim, n, entity_ids):
     # clamping it fixes its vertices and the facets lying in it.
     mesh = build_mesh(dim, n)
     ids = entity_ids(mesh)
+
+    def fixed(face, others):
+        faces = [others] * (2 * dim)
+        faces[face] = BC_CLAMPED
+        return build_dof_map(mesh, BC_CLAMPED, faces).entity_dof < 0
+
     # Faces in the order (axis0 lower, axis0 upper, axis1 lower, ...).
     for face, (axis, side) in enumerate(itertools.product(range(dim), (0, n))):
-        faces = [FACE_FREE] * (2 * dim)
-        faces[face] = BC_CLAMPED
-        fixed = build_dof_map(mesh, BC_CLAMPED, faces).entity_dof < 0
-        for multi, v in ids.vertex.items():
-            assert fixed[v] == (multi[axis] == side)
+        # Odd faces fix vertices only, so the fixed facets are the clamped face's.
+        facets = fixed(face, PARITY_ODD)
         for (normal, multi), f in ids.facet.items():
-            assert fixed[f] == (normal == axis and multi[axis] == side)
+            assert facets[f] == (normal == axis and multi[axis] == side)
+        # Even faces fix facets only, so the fixed vertices are the clamped face's.
+        vertices = fixed(face, PARITY_EVEN)
+        for multi, v in ids.vertex.items():
+            assert vertices[v] == (multi[axis] == side)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

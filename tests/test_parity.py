@@ -13,8 +13,7 @@ import pytest
 import scipy.sparse.linalg as sla
 
 from rectmorley import capacitance, cli, eigensolve
-from rectmorley.assembly import (FACE_FREE, PARITY_EVEN, PARITY_ODD, assemble,
-                                 build_dof_map, restricted_dofs)
+from rectmorley.assembly import PARITY_EVEN, PARITY_ODD, assemble, build_dof_map
 from rectmorley.eigensolve import smallest_k_dense, solve_smallest
 from rectmorley.element import build_reference_element
 from rectmorley.mesh import build_mesh
@@ -148,35 +147,18 @@ def test_3d_n16_blocks_are_solved_for_what_they_owe(bc, monkeypatch, refuse_fact
 
 @pytest.mark.parametrize("dim,n", [(2, 8), (3, 6)])
 @pytest.mark.parametrize("bc", BCS)
-def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypatch):
-    # One numbering and one assembly of the half box with free mid-plane
-    # faces; each parity block is the principal submatrix on its free DOFs.
+def test_every_parity_block_solves_its_own_pencil(dim, n, bc, monkeypatch):
+    # Each parity block is the pencil of its own numbering of the half box,
+    # with its parity's conditions on the mid-plane faces, in id order.
     mesh, element = half_box(dim, n), build_reference_element(dim)
-
-    shared_map = build_dof_map(mesh, bc, [bc, FACE_FREE] * dim)
-    shared = assemble(mesh, shared_map, element)
-    slices = {}
+    pencils = {}
     for parity in map("".join, itertools.product("eo", repeat=dim)):
-        faces = parity_faces(bc, parity)
-        keep = restricted_dofs(shared_map, faces)
-        slices[parity] = [mat[keep][:, keep] for mat in shared]
-        own_map = build_dof_map(mesh, bc, faces)
-        # own[i]: the block's own DOF number of the i-th kept shared DOF,
-        # matched through the entity ids.
-        free = own_map.entity_dof >= 0
-        own = np.empty(len(keep), dtype=np.int64)
-        own[np.searchsorted(keep, shared_map.entity_dof[free])] = own_map.entity_dof[free]
-        assert np.array_equal(np.sort(own), np.arange(own_map.num_free))
-        for sliced, assembled in zip(slices[parity], assemble(mesh, own_map, element)):
-            assert sliced.has_canonical_format
-            assert (assembled[own][:, own] != sliced).nnz == 0
-        # A slice keeps id order.
-        assert np.array_equal(own, np.arange(own_map.num_free))
-    # solve_problem solves exactly these slices, representatives first: on
+        pencils[parity] = assemble(mesh, build_dof_map(mesh, bc, parity_faces(bc, parity)),
+                                   element)
+    # solve_problem solves exactly these pencils, representatives first: on
     # the dense route with solve_smallest, on the auto route by checking the
     # symbol's pairs in each block (eigensolve.solved) with operators that
-    # apply the block's pencil cell by cell, summed in another order, in the
-    # id order of its own numbering.
+    # apply the block's pencil cell by cell, summed in another order.
     monkeypatch.setitem(cli.SPLIT_MIN_ORDER, dim, 0)
     for solver in ("auto", "dense") if bc == "clamped" else ("auto",):
         solved = []
@@ -196,8 +178,9 @@ def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypa
         # One solve per representative: no block is solved twice.
         assert len(solved) == len(order)
         for parity, pencil in zip(order, solved):
-            for mat, expected in zip(pencil, slices[parity]):
+            for mat, expected in zip(pencil, pencils[parity]):
                 if assembled:
+                    assert mat.has_canonical_format
                     assert (mat != expected).nnz == 0
                 else:
                     applied, expected = mat @ np.eye(mat.shape[0]), expected.toarray()
@@ -208,10 +191,9 @@ def test_every_parity_block_is_a_slice_of_the_shared_pencil(dim, n, bc, monkeypa
                                       (3, 8, "simply-supported"), (3, 16, "simply-supported"),
                                       (2, 64, "clamped"), (3, 8, "clamped")])
 def test_only_clamped_solves_assemble(dim, n, bc, monkeypatch):
-    # A block on the auto route numbers its own DOFs and applies the element
-    # matrices cell by cell: no shared map, no assembly and no slices.  Only
-    # a clamped problem on the dense route numbers and assembles its shared
-    # map, once.
+    # Every block numbers its own DOFs once.  On the auto route it applies
+    # the element matrices cell by cell and assembles nothing; only a
+    # clamped block on the dense route assembles its own map, once.
     from rectmorley import assembly
 
     calls = []
@@ -224,16 +206,16 @@ def test_only_clamped_solves_assemble(dim, n, bc, monkeypatch):
             return function(*args, **kwargs)
         return call
 
-    for name in ("assemble", "build_dof_map", "restricted_dofs"):
+    for name in ("assemble", "build_dof_map"):
         monkeypatch.setattr(assembly, name, recorded(name))
     blocks = cli.solve_problem(dim, n, bc).metadata["blocks"]
     assert calls == ["build_dof_map"] * len(blocks)
     assert len(blocks) == (1 if n == 15 else dim + 1)
     if bc == "clamped":
         calls.clear()
-        assert cli.solve_problem(dim, 8, bc, solver="dense").converged
-        assert calls[:2] == ["build_dof_map", "assemble"]
-        assert calls.count("assemble") == 1
+        result = cli.solve_problem(dim, 8, bc, solver="dense")
+        assert result.converged
+        assert calls == ["build_dof_map", "assemble"] * len(result.metadata["blocks"])
 
 
 @pytest.mark.parametrize("dim,n,bc,k_closed", [(3, 4, "clamped", 7),
@@ -342,9 +324,9 @@ def test_a_block_the_symbol_cannot_number_gets_no_count(monkeypatch, refuse_fact
 
 @pytest.mark.parametrize("n", [4, 15, 16, 32, 64])
 def test_2d_clamped_solves_assemble_factor_and_run_no_eigensolver(n, monkeypatch):
-    # Every 2D clamped pair comes from the symbol: no assembly or slice, no
-    # factor, no eigsh and no solve_smallest call, in one block (n=4, 15,
-    # 16) or split (n=32, 64).
+    # Every 2D clamped pair comes from the symbol: no assembly, no factor,
+    # no eigsh and no solve_smallest call, in one block (n=4, 15, 16) or
+    # split (n=32, 64).
     from rectmorley import assembly
 
     calls = []
@@ -355,8 +337,7 @@ def test_2d_clamped_solves_assemble_factor_and_run_no_eigensolver(n, monkeypatch
             raise AssertionError(f"{name} called")
         return call
 
-    for module, name in ((assembly, "assemble"), (assembly, "restricted_dofs"),
-                         (sla, "splu"), (eigensolve, "solve_smallest"),
+    for module, name in ((assembly, "assemble"), (sla, "splu"), (eigensolve, "solve_smallest"),
                          (eigensolve, "smallest_k_dense"), (sla, "eigsh")):
         monkeypatch.setattr(module, name, refused(name))
     result = cli.solve_problem(2, n, "clamped")
@@ -370,7 +351,7 @@ def test_2d_clamped_solves_assemble_factor_and_run_no_eigensolver(n, monkeypatch
                                                  (3, 8, "auto", "solve_smallest")])
 def test_dense_and_3d_clamped_solves_still_assemble(dim, n, solver, route, monkeypatch):
     # Only --solver dense assembles: it solves every clamped block with
-    # smallest_k_dense on the assembled pencil.  A 3D clamped solve on the
+    # smallest_k_dense on the pencil of its own DOF map, assembled once.  A 3D clamped solve on the
     # auto route takes its pairs from the symbol: no assembly, no solve.
     from rectmorley import assembly
 
@@ -391,7 +372,7 @@ def test_dense_and_3d_clamped_solves_still_assemble(dim, n, solver, route, monke
     assert result.converged
     if solver == "dense":
         assert len(calls) >= len(result.metadata["blocks"])
-        assert assembled == [1]
+        assert len(assembled) == len(result.metadata["blocks"])
     else:
         assert calls == assembled == []
         assert result.method == "symbol"

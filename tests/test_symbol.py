@@ -10,9 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rectmorley import capacitance, cli, symbol
-from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, FACE_FREE, PARITY_EVEN,
-                                 PARITY_ODD, assemble, build_dof_map, dof_coordinates,
-                                 free_dof_count, restricted_dofs)
+from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, PARITY_EVEN, PARITY_ODD,
+                                 assemble, build_dof_map, dof_coordinates, free_dof_count)
 from rectmorley.eigensolve import REL_GAP, compute_residuals, rayleigh_ritz
 from rectmorley.element import build_reference_element
 from rectmorley.mesh import build_mesh
@@ -22,14 +21,15 @@ def parities(dim):
     return ["".join(letters) for letters in itertools.product("eo", repeat=dim)]
 
 
-def block_mesh_and_faces(dim, n, parity):
-    """The full box for parity None, else the half box with the parity's
-    mid-plane conditions ('o': odd, 'e': even on the upper face of axis a)."""
+def block_mesh_and_faces(dim, n, parity, bc=BC_SIMPLY_SUPPORTED):
+    """The full box for parity None, else the half box with bc on its outer
+    faces and the parity's mid-plane conditions ('o': odd, 'e': even on the
+    upper face of axis a)."""
     if parity is None:
         return build_mesh(dim, n), None
     mesh = build_mesh(dim, n // 2, domain=((0.0,) * dim, (0.5,) * dim))
     return mesh, [face for letter in parity for face in
-                  (BC_SIMPLY_SUPPORTED, PARITY_ODD if letter == "o" else PARITY_EVEN)]
+                  (bc, PARITY_ODD if letter == "o" else PARITY_EVEN)]
 
 
 def block_pencil(dim, n, parity, with_coordinates=False):
@@ -186,23 +186,17 @@ def test_solve_matches_the_symbol_past_the_dense_oracle(dim, n):
 
 def clamped_blocks(dim, n):
     """The clamped blocks solve_problem counts, {parity: (A, M)}: its
-    representatives of the half box (even n, split), or the full box, in id
-    order."""
-    mesh = build_mesh(dim, n)
-    faces = None
-    if n % 2 == 0 and free_dof_count(mesh, BC_CLAMPED) >= cli.SPLIT_MIN_ORDER[dim]:
-        mesh = build_mesh(dim, n // 2, domain=((0.0,) * dim, (0.5,) * dim))
-        faces = [BC_CLAMPED, FACE_FREE] * dim
-    dofmap = build_dof_map(mesh, BC_CLAMPED, faces)
-    shared = assemble(mesh, dofmap, build_reference_element(dim))
-    if faces is None:
-        return {None: shared}
-    blocks = {}
-    for parity in {"".join(sorted(p, reverse=True)) for p in parities(dim)}:
-        keep = restricted_dofs(dofmap, [face for letter in parity for face in
-                                        (BC_CLAMPED, PARITY_ODD if letter == "o" else PARITY_EVEN)])
-        blocks[parity] = tuple(mat[keep][:, keep] for mat in shared)
-    return blocks
+    representatives of the half box (even n, split), each in its own
+    numbering, or the full box, in id order."""
+    split = n % 2 == 0 and free_dof_count(build_mesh(dim, n), BC_CLAMPED) >= \
+        cli.SPLIT_MIN_ORDER[dim]
+    blocks = {"".join(sorted(p, reverse=True)) for p in parities(dim)} if split else {None}
+    element = build_reference_element(dim)
+    pencils = {}
+    for parity in blocks:
+        mesh, faces = block_mesh_and_faces(dim, n, parity, BC_CLAMPED)
+        pencils[parity] = assemble(mesh, build_dof_map(mesh, BC_CLAMPED, faces), element)
+    return pencils
 
 
 def midpoint_after(values, index):
