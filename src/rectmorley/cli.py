@@ -211,10 +211,10 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     and count None.
 
     Only `solver` 'dense' assembles: each clamped block assembles the pencil
-    of its own numbering (assembly.assemble), solved with solve_smallest
-    (LAPACK's dense solver) and counted from the spectrum of its simply
-    supported class (capacitance.Capacitance.count).  A block the symbol
-    cannot count gets count None (not converged).
+    of its own numbering (assembly.assemble) and solves it with
+    solve_smallest, which takes its whole spectrum from LAPACK and counts
+    it there.  That route uses neither the symbol nor the capacitance
+    matrix, so it checks both.
 
     Every clamped block is solved below the tau of the blocks merged before
     it; the first, with no tau yet, for k1 = ceil(k / multiplicity) pairs
@@ -261,14 +261,12 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     # Largest classes first, so that the first block's copies alone give k
     # values; the sort is stable, so ties keep their count of odd axes.
     representatives = sorted(multiplicity, key=multiplicity.get, reverse=True)
-    # The simply supported classes: every auto problem's pairs, and every
-    # clamped one's counts.
-    spectra = symbol.block_spectra(dim, n, representatives)
-
-    # Every problem on the auto route takes its pairs from the symbol; the
-    # dense route solves an assembled pencil.
+    # Every problem on the auto route takes its pairs from the symbol, with
+    # the spectra of the simply supported classes; the dense route solves
+    # an assembled pencil.
     from_symbol = bc == BC_SIMPLY_SUPPORTED or solver == "auto"
     if from_symbol:
+        spectra = symbol.block_spectra(dim, n, representatives)
         local_matrices = element_matrices(element, mesh.half_width)
 
     def slice_tau():
@@ -282,7 +280,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
         return eigensolve.tau_after(values, k)
 
     # solve_smallest is looked up at call time, so that a caller who swaps
-    # the module attribute (a tracer) sees every block solve and count.
+    # the module attribute (a tracer) sees every block solve.
     def solve_block(parity):
         """The certified result of one representative, solved below the tau
         of the blocks solved before it.  Its operators, vectors and
@@ -323,11 +321,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
             return eigensolve.certified(result, tau, None if matrix is None else
                                         eigensolve.count_owed(result, tau, matrix.count))
         else:
-            def count(tau):
-                return capacitance.Capacitance(dim, n, parity, spectra[parity],
-                                               block_order).count(tau)
-
-            return eigensolve.solve_smallest(*assemble(mesh, own, element), count=count, **owed)
+            return eigensolve.solve_smallest(*assemble(mesh, own, element), **owed)
 
     solved = {}
     for parity in representatives:

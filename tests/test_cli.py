@@ -115,11 +115,13 @@ def test_solve_json_reports_parity_blocks(capsys):
         assert run["parities"] == [None] * 6
 
 
-# The dense route solves the assembled blocks in id order, the auto route
-# takes its pairs from the symbol: they agree to the float64 accuracy of
-# the dense solve, 9.4e-11 at 2D n=32.  3D n=3 is one block, where k=20
-# cuts a cluster; 2D n=32 and 3D n=8 are split, and --solver applies to
-# every block, also to the one that owes nothing.
+# The dense route solves the assembled blocks in id order and counts each
+# from its whole LAPACK spectrum, the auto route takes its pairs and counts
+# from the symbol: they agree to the float64 accuracy of the dense solve,
+# 3.8e-11 at 2D n=32, and block for block in their counts, so the dense
+# route checks Capacitance.count.  3D n=3 is one block, where k=20 cuts a
+# cluster; 2D n=32 and 3D n=8 are split, and --solver applies to every
+# block, also to the one that owes nothing.
 @pytest.mark.parametrize("dim,n,k", [(2, 8, 6), (2, 12, 6), (2, 24, 6), (2, 32, 6),
                                      (3, 3, 20), (3, 4, 6), (3, 8, 6)])
 def test_dense_route_matches_the_auto_route(dim, n, k, capsys):
@@ -131,8 +133,76 @@ def test_dense_route_matches_the_auto_route(dim, n, k, capsys):
         runs[solver] = json.loads(out)["runs"][0]
     assert runs["dense"]["method"] == "dense"
     assert runs["dense"]["metadata"]["k_closed"] == runs["auto"]["metadata"]["k_closed"]
+    blocks = {solver: [(b["parity"], b["multiplicity"], b["count_below_tau"], b["converged"])
+                       for b in run["metadata"]["blocks"]] for solver, run in runs.items()}
+    assert blocks["dense"] == blocks["auto"]
     np.testing.assert_allclose(runs["dense"]["eigenvalues"], runs["auto"]["eigenvalues"],
                                rtol=2e-10, atol=0)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 8)])
+def test_the_dense_route_does_not_rely_on_the_symbol_count(dim, n, monkeypatch, capsys):
+    # A symbol count that reads one low drops eigenvalues on the auto route,
+    # which then exits 1; --solver dense counts its own spectrum, so it still
+    # returns the six smallest eigenvalues of the full clamped pencil,
+    # converged, without building a capacitance matrix or the symbol's
+    # spectra.
+    from rectmorley import symbol
+    from rectmorley.assembly import BC_CLAMPED, assemble, build_dof_map
+    from rectmorley.element import build_reference_element
+    from rectmorley.mesh import build_mesh
+
+    count, init, spectra = (capacitance.Capacitance.count, capacitance.Capacitance.__init__,
+                            symbol.block_spectra)
+    built, spectra_calls = [], []
+
+    def one_low(self, tau):
+        return count(self, tau) - 1
+
+    def recorded_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def recorded_spectra(*args, **kwargs):
+        spectra_calls.append(args)
+        return spectra(*args, **kwargs)
+
+    monkeypatch.setattr(capacitance.Capacitance, "count", one_low)
+    argv = ["solve", "--dim", str(dim), "--n", str(n), "--format", "json"]
+    assert run_cli(argv, capsys)[0] == 1
+    monkeypatch.setattr(capacitance.Capacitance, "__init__", recorded_init)
+    monkeypatch.setattr(symbol, "block_spectra", recorded_spectra)
+    code, out, err = run_cli(argv + ["--solver", "dense"], capsys)
+    assert code == 0 and err == ""
+    assert built == [] and spectra_calls == []
+    run = json.loads(out)["runs"][0]
+    assert run["method"] == "dense" and run["metadata"]["converged"]
+    mesh = build_mesh(dim, n)
+    dense = eigensolve.smallest_k_dense(
+        *assemble(mesh, build_dof_map(mesh, BC_CLAMPED), build_reference_element(dim)), 6)
+    np.testing.assert_allclose(run["eigenvalues"], dense.eigenvalues, rtol=2e-10, atol=0)
+
+
+def test_the_benchmark_warm_up_reaches_lapack(monkeypatch, capsys):
+    # The benchmark's untimed warm-up runs this argv to take the first
+    # sizeable LAPACK call's cost: 2D n=12 clamped is one block of order
+    # 385, below SPLIT_MIN_ORDER, solved by one solve_smallest call.
+    solves = []
+    solve_smallest = eigensolve.solve_smallest
+
+    def recorded(*args, **kwargs):
+        solves.append(args[0].shape)
+        return solve_smallest(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "solve_smallest", recorded)
+    code, out, err = run_cli(["solve", "--dim", "2", "--n", "12", "--solver", "dense",
+                              "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    run = json.loads(out)["runs"][0]
+    assert run["method"] == "dense"
+    (block,) = run["metadata"]["blocks"]
+    assert block["parity"] is None and block["order"] == 385 and block["converged"]
+    assert solves == [(385, 385)]
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 8)])
@@ -188,10 +258,10 @@ def test_solve_exits_1_when_the_symbol_cannot_count(dim, n, monkeypatch, capsys,
 def test_clamped_k_next_to_a_pole_is_certified(dim, n, k, method, capsys):
     # tau = lambda_k (1 + REL_GAP) lies 1e-6 above a simply supported
     # eigenvalue of another parity class, a pole of the capacitance matrix:
-    # each class block's rounding bound is its own, so the count holds, on
-    # the symbol's route and on --solver dense, which counts the same way.
-    # In 3D the count then finds a cluster that fills the pencil, or all
-    # but one pair of it.
+    # each class block's rounding bound is its own, so the symbol's count
+    # holds.  --solver dense counts its whole LAPACK spectrum instead, and
+    # must close the same clusters.  In 3D the count then finds a cluster
+    # that fills the pencil, or all but one pair of it.
     from rectmorley.assembly import BC_CLAMPED, assemble, build_dof_map
     from rectmorley.element import build_reference_element
     from rectmorley.mesh import build_mesh
@@ -235,9 +305,10 @@ def test_3d_n3_k59_and_k60_converge(k, capsys):
 def test_traced_solve_smallest_sees_every_block_solve_and_count(monkeypatch):
     # A traced benchmark run swaps eigensolve.solve_smallest for a wrapper
     # that opens an eigensolve span.  solve_problem must look it up at call
-    # time, and every count, from the symbol, must run inside it.  Only
-    # the dense route calls it: the auto route takes its pairs from the
-    # symbol (test_parity.py).
+    # time.  Every count runs inside it, on the block's own spectrum: the
+    # symbol's count (Capacitance.count) runs nowhere.  Only the dense
+    # route calls it: the auto route takes its pairs from the symbol
+    # (test_parity.py).
     solve_smallest, count = eigensolve.solve_smallest, capacitance.Capacitance.count
     open_spans, solves, counts = [], [], []
 
@@ -259,9 +330,9 @@ def test_traced_solve_smallest_sees_every_block_solve_and_count(monkeypatch):
     result = cli.solve_problem(3, 6, "clamped", solver="dense")
     assert result.converged
     # oee for ceil(k / 3) pairs, certified at its own tau; then ooe, eee
-    # and ooo below the running tau.  One solve and one count per block.
+    # and ooo below the running tau.  One solve per block.
     assert solves == [False, True, True, True]
-    assert counts == [["eigensolve"]] * 4
+    assert counts == []
 
 
 def test_solve_fine_2d_simply_supported_passes_residual_check(capsys):

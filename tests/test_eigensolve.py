@@ -109,30 +109,6 @@ def test_ordered_shift_invert_matches_dense(dim, n, bc, ref2, ref3, sparse_oracl
     assert sparse_oracle(a_mat, m_mat) == pytest.approx(dense.eigenvalues, rel=1e-10)
 
 
-def test_count_restores_skipped_copy(ref2, monkeypatch):
-    # A first solve that returns one copy of the double eigenvalue
-    # (1,3)/(3,1) and the next eigenvalue in place of the second copy, as
-    # ARPACK did on this mesh: the count below that next eigenvalue says two
-    # pairs are missing, and the k solve solves for all 8.
-    a_mat, m_mat = assembled(2, 4, BC_SIMPLY_SUPPORTED, ref2)
-    asked = []
-
-    def skipping(a_mat, m_mat, k):
-        asked.append(k)
-        if k != 6:
-            return smallest_k_dense(a_mat, m_mat, k)
-        result, keep = smallest_k_dense(a_mat, m_mat, 7), [0, 1, 2, 3, 4, 6]
-        return solved(a_mat, m_mat, METHOD_DENSE, result.eigenvalues[keep],
-                      result.eigenvectors[:, keep])
-
-    monkeypatch.setattr(eigensolve, "smallest_k_dense", skipping)
-    result = solve_smallest(a_mat, m_mat, 6)
-    assert asked == [6, 8]
-    assert result.converged
-    assert result.metadata["count_below_tau"] == 8 and len(result.eigenvalues) == 8
-    assert result.eigenvalues[5] == pytest.approx(result.eigenvalues[4], rel=1e-8)
-
-
 def test_a_k_solve_returns_the_whole_cut_cluster(ref3):
     # k=6 cuts the 8539.68 triple of the 3D n=4 clamped pencil: the k solve
     # counts below its own lambda_6 (1 + REL_GAP) and returns all 7 values.
@@ -171,26 +147,23 @@ def test_count_below_refuses_a_pivoted_factor(count_below):
 
 
 def test_infinite_thresholds_count_without_a_factor_and_nan_is_refused(ref2, refuse_factors):
-    # tau = -inf owes no pair and tau = inf every pair, without a count.
+    # tau = -inf owes no pair and tau = inf every pair.
     a_mat, m_mat = assembled(2, 4, BC_CLAMPED, ref2)
-
-    def refused(tau):
-        raise AssertionError("an infinite threshold needs no count")
-
-    below = solve_smallest(a_mat, m_mat, tau=-np.inf, count=refused)
+    below = solve_smallest(a_mat, m_mat, tau=-np.inf)
     assert below.converged and below.eigenvalues.size == 0
     assert below.metadata["count_below_tau"] == 0
-    every = solve_smallest(a_mat, m_mat, tau=np.inf, count=refused)
+    every = solve_smallest(a_mat, m_mat, tau=np.inf)
     assert every.converged and every.metadata["count_below_tau"] == a_mat.shape[0]
-    assert np.array_equal(every.eigenvalues,
-                          smallest_k_dense(a_mat, m_mat, a_mat.shape[0]).eigenvalues)
+    assert np.array_equal(every.eigenvalues, dla.eigh(a_mat.toarray(), m_mat.toarray())[0])
+    assert every.eigenvalues == pytest.approx(
+        smallest_k_dense(a_mat, m_mat, a_mat.shape[0]).eigenvalues, rel=1e-12)
     with pytest.raises(ValueError, match="tau must be a number.*nan"):
         solve_smallest(a_mat, m_mat, tau=np.nan)
 
 
 def test_solve_below_owes_nothing_without_a_factor(ref2, monkeypatch, refuse_factors):
-    # A threshold below lambda_1 owes no pair: the count is the only work,
-    # no pair is solved for, and no factor is built.
+    # A threshold below lambda_1 owes no pair: the whole spectrum counts
+    # none below it, no subset solve runs, and no factor is built.
     a_mat, m_mat = assembled(2, 6, BC_CLAMPED, ref2)
     asked = []
 
@@ -205,34 +178,6 @@ def test_solve_below_owes_nothing_without_a_factor(ref2, monkeypatch, refuse_fac
     assert asked == []
     with pytest.raises(ValueError, match="k or the threshold tau"):
         solve_smallest(a_mat, m_mat, 2, tau=1.0)
-
-
-def test_a_given_count_replaces_the_count_factor(ref2, refuse_factors):
-    # solve_smallest(count=) counts with the callable, at finite thresholds
-    # only, in place of the dense spectrum; neither count builds a factor.
-    # A count that raises ValueError leaves the pairs found uncertified.
-    a_mat, m_mat = assembled(2, 6, BC_CLAMPED, ref2)
-    asked = []
-
-    def oracle(tau):
-        asked.append(tau)
-        return int(np.count_nonzero(smallest_k_dense(a_mat, m_mat, 8).eigenvalues < tau))
-
-    def refused(tau):
-        raise ValueError("cannot count")
-
-    counted = solve_smallest(a_mat, m_mat, 2, count=oracle)
-    assert asked == [counted.metadata["tau"]]
-    # k=2 cuts the clamped square's double second eigenvalue: both copies.
-    assert counted.converged and counted.metadata["count_below_tau"] == 3
-    default = solve_smallest(a_mat, m_mat, 2)
-    assert np.array_equal(default.eigenvalues, counted.eigenvalues)
-    assert default.metadata == counted.metadata
-    assert solve_smallest(a_mat, m_mat, tau=np.inf, count=refused).metadata[
-        "count_below_tau"] == a_mat.shape[0]
-    uncounted = solve_smallest(a_mat, m_mat, 2, count=refused)
-    assert uncounted.metadata["count_below_tau"] is None and not uncounted.converged
-    assert uncounted.eigenvalues == pytest.approx(counted.eigenvalues[:2], rel=1e-12)
 
 
 def test_ordered_repeat_solves_are_bitwise_identical(ref3):

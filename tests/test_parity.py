@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg as dla
 import scipy.sparse.linalg as sla
 
 from rectmorley import capacitance, cli, eigensolve
@@ -226,7 +227,7 @@ def test_one_block_solve_builds_at_most_two_factors(dim, n, bc, k_closed, monkey
     # n=4, where ARPACK would skip a copy of the (1,3)/(3,1) pair, takes
     # both from the symbol.  solve_problem takes every pair from the symbol
     # and builds no factor, and neither does solve_smallest on the clamped
-    # pencil, which solves again for the copy its count finds.
+    # pencil, whose whole spectrum counts the copy that k cuts off.
     monkeypatch.setitem(cli.SPLIT_MIN_ORDER, dim, 10 ** 9)
     result = cli.solve_problem(dim, n, bc)
     assert result.converged and result.method == "symbol"
@@ -294,12 +295,14 @@ def test_simply_supported_blocks_are_sliced_at_the_final_tau(dim, n):
 @pytest.mark.parametrize("bc", BCS)
 def test_at_most_one_factor_is_alive(dim, n, bc, refuse_factors):
     # No factor is alive at any time: solve_problem builds none, and neither
-    # does solve_smallest, counted from the symbol.
+    # does the symbol's count, which agrees with the whole dense spectrum.
     assert cli.solve_problem(dim, n, bc).converged
     if bc == "clamped":
         a_mat, m_mat = full_pencil(dim, 4, bc)
+        spectrum = dla.eigh(a_mat.toarray(), m_mat.toarray(), eigvals_only=True)
         for k in (6, 8):
-            assert solve_smallest(a_mat, m_mat, k, count=symbol_count(dim, 4, a_mat)).converged
+            tau = eigensolve.tau_after(spectrum, k)
+            assert symbol_count(dim, 4, a_mat)(tau) == np.count_nonzero(spectrum < tau)
 
 
 def test_a_block_the_symbol_cannot_number_gets_no_count(monkeypatch, refuse_factors):
@@ -346,33 +349,35 @@ def test_2d_clamped_solves_assemble_factor_and_run_no_eigensolver(n, monkeypatch
     assert len(result.metadata["blocks"]) == (3 if n in (32, 64) else 1)
 
 
-@pytest.mark.parametrize("dim,n,solver,route", [(2, 8, "dense", "smallest_k_dense"),
-                                                 (2, 32, "dense", "smallest_k_dense"),
-                                                 (3, 8, "auto", "solve_smallest")])
-def test_dense_and_3d_clamped_solves_still_assemble(dim, n, solver, route, monkeypatch):
-    # Only --solver dense assembles: it solves every clamped block with
-    # smallest_k_dense on the pencil of its own DOF map, assembled once.  A 3D clamped solve on the
-    # auto route takes its pairs from the symbol: no assembly, no solve.
+@pytest.mark.parametrize("dim,n,solver,unused", [(2, 8, "dense", "smallest_k_dense"),
+                                                  (2, 32, "dense", "smallest_k_dense"),
+                                                  (3, 8, "auto", "solve_smallest")])
+def test_dense_and_3d_clamped_solves_still_assemble(dim, n, solver, unused, monkeypatch):
+    # Only --solver dense assembles: it solves every clamped block once with
+    # solve_smallest on the pencil of its own DOF map, assembled once, and
+    # takes the block's whole spectrum, not smallest_k_dense's subset.  A 3D
+    # clamped solve on the auto route takes its pairs from the symbol: no
+    # assembly, no solve.
     from rectmorley import assembly
 
-    calls, assembled = [], []
-    original, assemble_pencil = getattr(eigensolve, route), assembly.assemble
+    calls = []
 
-    def recorded(*args, **kwargs):
-        calls.append(route)
-        return original(*args, **kwargs)
+    def recorded(owner, name):
+        function = getattr(owner, name)
 
-    def recorded_assemble(*args, **kwargs):
-        assembled.append(1)
-        return assemble_pencil(*args, **kwargs)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        monkeypatch.setattr(owner, name, call)
 
-    monkeypatch.setattr(eigensolve, route, recorded)
-    monkeypatch.setattr(assembly, "assemble", recorded_assemble)
+    for owner, name in ((eigensolve, "solve_smallest"), (eigensolve, "smallest_k_dense"),
+                        (assembly, "assemble")):
+        recorded(owner, name)
     result = cli.solve_problem(dim, n, "clamped", solver=solver)
     assert result.converged
+    assert unused not in calls
     if solver == "dense":
-        assert len(calls) >= len(result.metadata["blocks"])
-        assert len(assembled) == len(result.metadata["blocks"])
+        assert calls == ["assemble", "solve_smallest"] * len(result.metadata["blocks"])
     else:
-        assert calls == assembled == []
+        assert calls == []
         assert result.method == "symbol"
