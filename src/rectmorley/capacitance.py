@@ -54,7 +54,13 @@ through the dense eigenproblem of the modal pencil (diag(lambda), I) on
 the null space of its facet weights, which gives the same pairs sooner.
 A mode whose facet weights vanish to rounding is a clamped pair on its own
 pole.  The pairs come as coefficients in the modes, which symbol.modes
-sums at the DOFs, one separable sum per DOF family.
+sums at the DOFs, one separable sum per DOF family, and their values are
+the ones a solve reports: a zero of C, found to 4 eps, or from the dense
+modal pencil the Rayleigh quotient sum_j lambda_j c_j^2 / sum_j c_j^2 of
+the pair's coefficients c, a sum of positive terms.  Next to a pole, the
+zero and its null vector are taken from C with that pole's terms kept out
+of the sum as a border (_Block.bordered): there C's large term swamps both
+with its rounding.
 """
 
 from __future__ import annotations
@@ -75,6 +81,13 @@ ROUNDING = 64 * np.finfo(float).eps
 # The relative distance from a pole at which its intervals are searched: a
 # root closer to a pole than this is not bracketed.
 POLE_MARGIN = 1e-10
+# A root closer to an end pole of its interval than this fraction of the
+# interval is found again, with its eigenvectors, on the bordered block
+# (_Block.bordered).  2D n=23 clamped, every pair, against the dense
+# solver: plain roots read up to 8.2e-11 relative below 1e-6 of the
+# interval, 3.2e-13 below 1e-4 and 1.6e-13 below 1e-3; bordered ones 1.7e-15,
+# 1.8e-15 and 3.5e-15.  Far from the poles the plain roots are the closer.
+BORDERED = 1e-3
 # Roots of one class block closer than this, relative, are one root of
 # higher multiplicity.
 COINCIDENT = 1e-10
@@ -179,8 +192,8 @@ class _Block:
     Row r of its class is scale[r] times its row index[r]."""
 
     def __init__(self, size: int, poles, rows, values, magnitudes, index, scale):
-        self.size, self.poles, self.rows, self.magnitudes = size, poles, rows, magnitudes
-        self.index, self.scale = index, scale
+        self.size, self.poles, self.rows, self.values = size, poles, rows, values
+        self.magnitudes, self.index, self.scale = magnitudes, index, scale
         self.products = (values[:, :, None] * values[:, None, :]).reshape(-1, rows.shape[1] ** 2)
         self.entries = (rows[:, :, None] * size + rows[:, None, :]).reshape(-1, rows.shape[1] ** 2)
 
@@ -188,6 +201,57 @@ class _Block:
         terms = self.products * (1.0 / (self.poles - tau))[:, None]
         return np.bincount(self.entries.ravel(), terms.ravel(), self.size ** 2).reshape(
             self.size, self.size)
+
+    def bordered(self, lower: float, upper: float) -> tuple:
+        """The block between two consecutive poles as a function of tau, with
+        the terms on both poles kept out of the sum, as a border:
+
+            B(tau) = [[C_rest(tau), H S], [S H^T, S^2 (tau - poles)]],
+
+        H the columns of those terms and S their magnitudes' norms over
+        upper - lower.  C(tau) is the Schur complement of the corner, so B is
+        singular where C is, and it has C's negative eigenvalues plus one per
+        term on the upper pole (Haynsworth).  Next to a pole, a term of C of
+        order 1/(pole - tau) swamps with its rounding the branch that crosses
+        zero there; B has no such entry.  A null vector (y, w) of B(tau) has
+        C(tau) y = 0, and the coefficients h_t^T y / (pole_t - tau) of its
+        clamped pair are S w on the border, free of cancellation.
+
+        Returns the function B, the number of terms on the upper pole, the
+        border's terms and S."""
+        ends = np.flatnonzero((self.poles == lower) | (self.poles == upper))
+        size, order = self.size, self.size + len(ends)
+        scale = np.linalg.norm(self.magnitudes[ends], axis=1) / (upper - lower)
+        border = np.zeros((size, len(ends)))
+        np.add.at(border, (self.rows[ends], np.arange(len(ends))[:, None]),
+                  self.values[ends] * scale[:, None])
+        corner = np.arange(size, order)
+
+        def matrix(tau: float) -> np.ndarray:
+            inverse = 1.0 / (self.poles - tau)
+            inverse[ends] = 0.0
+            out = np.zeros((order, order))
+            out[:size, :size] = np.bincount(self.entries.ravel(),
+                                            (self.products * inverse[:, None]).ravel(),
+                                            size ** 2).reshape(size, size)
+            out[:size, size:], out[size:, :size] = border, border.T
+            out[corner, corner] = scale * scale * (tau - self.poles[ends])
+            return out
+
+        return matrix, int(np.count_nonzero(self.poles[ends] == upper)), ends, scale
+
+    def null_coefficients(self, tau: float, lower: float, upper: float, count: int):
+        """Per term, the coefficients h_t^T y / (pole_t - tau) of the `count`
+        null vectors y of the block at its zero tau between the poles lower
+        and upper, shape (terms, count): from the null vectors of the
+        bordered matrix (bordered), those of its eigenvalues nearest 0."""
+        matrix, _, ends, scale = self.bordered(lower, upper)
+        values, vectors = lapack.dsyevr(matrix(tau))[:2]
+        null = vectors[:, np.argsort(np.abs(values), kind="stable")[:count]]
+        coefficients = np.einsum("ja,jac->jc", self.values, null[self.rows]) \
+            / (self.poles - tau)[:, None]
+        coefficients[ends] = scale[:, None] * null[self.size:]
+        return coefficients
 
     def negatives(self, tau: float) -> int:
         """The number of negative eigenvalues of the block at tau.
@@ -349,7 +413,10 @@ class Capacitance:
         order from one walk per class of at most DENSE_MODES modes (_dense)
         and per block of a larger class (_roots): a walk is sent the
         current limit and answers with its next pair below it; it is asked
-        again only when that pair is taken.
+        again only when that pair is taken.  Each walk is ascending.  An
+        isolated mode's value is its pole, a _roots walk's the zero of its
+        block, and a _dense walk's the modal Rayleigh quotient of its
+        coefficients.
         """
         limit = np.inf if tau is None else tau
         walks = [walk for size, lo, hi, blocks in self.classes
@@ -384,13 +451,19 @@ class Capacitance:
     def _dense(self, size: int, lo: int, hi: int):
         """The walk of the class of modes lo:hi, from the dense eigenproblem
         of its modal pencil (diag(lambda), I) on the null space of its facet
-        weights (the rows of C it reaches, of which it has `size`)."""
+        weights (the rows of C it reaches, of which it has `size`).  Each
+        pair's value is the Rayleigh quotient sum_j lambda_j c_j^2 / sum_j
+        c_j^2 of its coefficients c, in ascending order: the eigenvalue of
+        the projected pencil carries about eps lambda_max."""
         facets = np.zeros((size, hi - lo))
         np.add.at(facets, (self.rows[lo:hi], np.arange(hi - lo)[:, None]), self.weights[lo:hi])
         basis = np.linalg.qr(facets.T, mode="complete")[0][:, size:]
-        values, vectors = lapack.dsyevr(basis.T @ (self.poles[lo:hi, None] * basis))[:2]
+        coefficients = basis @ lapack.dsyevr(basis.T @ (self.poles[lo:hi, None] * basis))[1]
+        squares = coefficients * coefficients
+        values = self.poles[lo:hi] @ squares / squares.sum(axis=0)
+        order = np.argsort(values, kind="stable")
         limit = yield
-        for value, coefficient in zip(values, (basis @ vectors).T):
+        for value, coefficient in zip(values[order], coefficients[:, order].T):
             if value >= limit:
                 return
             limit = yield value, self.modes[lo:hi], coefficient
@@ -411,22 +484,26 @@ class Capacitance:
         multiplicity, whose eigenvectors take the null space there from the
         eigenvalues nearest 0.  An eigenvector is x = sum_j v_j (g_j^T c) /
         (lambda_j - lambda) over the class's modes, for c in that null
-        space lifted to the class's rows.
+        space lifted to the class's rows.  A root within BORDERED of its
+        interval from an end pole is found again on the bordered block, and
+        its eigenvectors come from the bordered class block
+        (_Block.null_coefficients).
         """
         poles, ranks = np.unique(block.poles, return_counts=True)
-        modes, weights, rows, gaps = (self.modes[lo:hi], self.weights[lo:hi], self.rows[lo:hi],
-                                      self.poles[lo:hi])
-        matrix = block.matrix
+        modes, weights, rows, gaps, magnitudes = (
+            part[lo:hi] for part in (self.modes, self.weights, self.rows, self.poles,
+                                     self.magnitudes))
 
         @functools.lru_cache(maxsize=None)
         def spectrum(tau):
-            return _eigenvalues(matrix(tau))
+            return _eigenvalues(block.matrix(tau))
 
         def negatives(tau):
             return int(np.count_nonzero(spectrum(tau) < 0))
 
         def branch(tau):
-            return lapack.dsyevr(matrix(tau), compute_v=0, range="I", il=after, iu=after)[0][0]
+            return lapack.dsyevr(matrix(tau), compute_v=0, range="I", il=after + shift,
+                                 iu=after + shift)[0][0]
 
         limit = yield
         below = 0
@@ -443,17 +520,30 @@ class Capacitance:
             if negatives(top) < after:
                 after = negatives(start)
             while after > negatives(top):
+                matrix, shift = block.matrix, 0
                 root = _brent(branch, start, top, spectrum(start)[after - 1],
                               spectrum(top)[after - 1])
+                near = min(root - lower, upper - root) < BORDERED * (upper - lower)
+                if near:
+                    matrix, shift, *_ = block.bordered(lower, upper)
+                    root = _brent(branch, start, top, branch(start), branch(top))
                 start = root * (1 + COINCIDENT)
                 cluster = min(max(after - negatives(start), 1), after - negatives(top))
                 after -= cluster
-                # The eigenvectors of the branches that cross 0 at the root.
-                null = lapack.dsyevr(matrix(root), range="I", il=after + 1,
-                                     iu=after + cluster)[1]
-                lifted = block.scale[:, None] * null[block.index]
-                coefficients = np.einsum("ja,jac->jc", weights, lifted[rows]) \
-                    / (gaps - root)[:, None]
+                if near:
+                    # From the class block, whose terms are the class's modes:
+                    # a swap half's zero is one of its class block too.
+                    size = len(block.index)
+                    coefficients = _Block(size, gaps, rows, weights, magnitudes, np.arange(size),
+                                          np.ones(size)).null_coefficients(root, lower, upper,
+                                                                           cluster)
+                else:
+                    # The eigenvectors of the branches that cross 0 at the root.
+                    null = lapack.dsyevr(block.matrix(root), range="I", il=after + 1,
+                                         iu=after + cluster)[1]
+                    lifted = block.scale[:, None] * null[block.index]
+                    coefficients = np.einsum("ja,jac->jc", weights, lifted[rows]) \
+                        / (gaps - root)[:, None]
                 for coefficient in (coefficients / np.linalg.norm(coefficients, axis=0)).T:
                     limit = yield root, modes, coefficient
                 top = min(stop, limit)

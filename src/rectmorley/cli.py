@@ -139,6 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
 # same rungs.  The split also sets the parity labels.
 SPLIT_MIN_ORDER = {2: 950, 3: 400}
 
+# The largest block order that --solver dense takes; a larger one is refused
+# before anything is assembled.  The dense solve holds about 50 order^2
+# bytes: one-block 2D rungs, one fresh process each, 2 vCPUs, peak RSS and
+# solve time: order 1776 221 MB 2.3 s, 3136 537 MB 4.0 s, 3960 813 MB
+# 8.1 s, 4880 1197 MB 13.4 s.  2D n=64 (three blocks of up to 3009) read
+# 501 MB and 10.5 s; 2D n=256 (48,897) would need about 120 GB.
+DENSE_MAX_ORDER = 4096
+
 
 @dataclass
 class Solution:
@@ -194,27 +202,30 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     On every route each block numbers its own DOFs once, in id order
     (build_dof_map with its parity's faces).  A simply supported problem,
     and a clamped one on the auto route, assemble nothing, and need no
-    factor and no eigensolver; each block takes its eigenvectors from
-    symbol.modes, checks them by their residuals in its own pencil, applied
-    cell by cell (assembly.cell_operator; eigensolve.solved), and reports
-    method 'symbol'.  A simply supported problem's exact spectra of its
-    parity classes (symbol.block_spectra) give the final tau; each block
-    takes its class's pairs below it, and its count is the number of those
-    pairs, None (not converged) when its order is not its class's
-    eigenvalue count.  Every clamped block on the auto route takes its pairs
-    from the capacitance matrix of its class (capacitance.Capacitance.
-    pairs), smooths their vectors with one damped Jacobi step (eigensolve.
-    smoothed: it damps the rounding noise of the mode sum) and reports their
-    Rayleigh-Ritz values in its pencil, M-normalized (eigensolve.
-    rayleigh_ritz); it is counted below its tau by the same matrix
-    (Capacitance.count).  A block the symbol cannot number gets no pairs
-    and count None.
+    factor and no eigensolver.  Each block takes its eigenvalues and the
+    coefficients of its eigenvectors in its class's simply supported modes
+    (symbol.block_spectra); sums the modes at its DOFs (symbol.modes);
+    M-normalizes the sums; checks each pair by its residual in its own
+    pencil, applied cell by cell (assembly.cell_operator; eigensolve.solved);
+    and reports method 'symbol' with the values it took.  A simply
+    supported problem's exact spectra of its parity classes give the final
+    tau; each block takes its class's pairs below it, with identity
+    coefficients, and its count is the number of those pairs, None (not
+    converged) when its order is not its class's eigenvalue count.  Every
+    clamped block on the auto route takes its pairs from the capacitance
+    matrix of its class (capacitance.Capacitance.pairs), smooths the mode
+    sums with one damped Jacobi step before normalizing them (eigensolve.
+    smoothed: it damps their rounding noise), and is counted below its tau
+    by the same matrix (Capacitance.count).  A block the symbol cannot
+    number gets no pairs and count None.
 
     Only `solver` 'dense' assembles: each clamped block assembles the pencil
     of its own numbering (assembly.assemble) and solves it with
     solve_smallest, which takes its whole spectrum from LAPACK and counts
     it there.  That route uses neither the symbol nor the capacitance
-    matrix, so it checks both.
+    matrix, so it checks both.  It takes blocks of order up to
+    DENSE_MAX_ORDER, and refuses a larger one with UsageError before it
+    assembles anything.
 
     Every clamped block is solved below the tau of the blocks merged before
     it; the first, with no tau yet, for k1 = ceil(k / multiplicity) pairs
@@ -279,6 +290,18 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
                                                  for p, v in blocks.items()])
         return eigensolve.tau_after(values, k)
 
+    def faces_of(parity):
+        """The conditions on the faces of parity's block: bc on the outer
+        faces and the parity's on the mid-plane ones; None on the full box."""
+        return None if parity is None else [
+            side for p in parity for side in (bc, PARITY_ODD if p == "o" else PARITY_EVEN)]
+
+    if not from_symbol:
+        largest = max(free_dof_count(mesh, bc, faces_of(p)) for p in representatives)
+        if largest > DENSE_MAX_ORDER:
+            raise UsageError(f"--solver dense solves blocks of order at most {DENSE_MAX_ORDER}; "
+                             f"this problem's largest block has order {largest}")
+
     # solve_smallest is looked up at call time, so that a caller who swaps
     # the module attribute (a tracer) sees every block solve.
     def solve_block(parity):
@@ -286,42 +309,39 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
         of the blocks solved before it.  Its operators, vectors and
         capacitance matrix are freed when it returns, before the next block
         builds its own."""
-        faces = None if parity is None else [
-            side for p in parity for side in (bc, PARITY_ODD if p == "o" else PARITY_EVEN)]
         tau = slice_tau()
-        own = build_dof_map(mesh, bc, faces)
+        own = build_dof_map(mesh, bc, faces_of(parity))
         block_order = own.num_free
-        if from_symbol:
-            a_op, m_op = (cell_operator(own, local) for local in local_matrices)
-            values, waves, vectors = spectra[parity]
         owed = dict(tau=tau) if tau < np.inf else dict(
             k=min(math.ceil(k / multiplicity[parity]), block_order))
+        if not from_symbol:
+            return eigensolve.solve_smallest(*assemble(mesh, own, element), **owed)
+        a_op, m_op = (cell_operator(own, local) for local in local_matrices)
+        values, waves, vectors = spectra[parity]
+        matrix = None
         if bc == BC_SIMPLY_SUPPORTED:
             below = int(np.searchsorted(values, tau))
-            modes = symbol.modes(dof_coordinates(own), n, waves[:below], vectors[:below],
-                                 np.eye(below))
-            modes /= np.sqrt(np.einsum("ij,ij->j", modes, m_op @ modes))
-            result = eigensolve.solved(a_op, m_op, symbol.METHOD_SYMBOL, values[:below], modes)
-            return eigensolve.certified(result, tau,
-                                        below if len(values) == block_order else None)
-        elif from_symbol:
+            reported, coefficients = values[:below], np.eye(len(values), below)
+            count = below if len(values) == block_order else None
+        else:
             try:
                 matrix = capacitance.Capacitance(dim, n, parity, spectra[parity], block_order)
-                roots, coefficients = matrix.pairs(**owed)
+                reported, coefficients = matrix.pairs(**owed)
             except ValueError:
                 # The class does not number the block: no pairs and no count.
-                matrix, roots, coefficients = None, np.empty(0), np.empty((len(values), 0))
-            basis = eigensolve.smoothed(
-                a_op, m_op, cell_diagonal(own, local_matrices[0]), roots,
-                symbol.modes(dof_coordinates(own), n, waves, vectors, coefficients))
-            result = eigensolve.solved(a_op, m_op, symbol.METHOD_SYMBOL,
-                                       *eigensolve.rayleigh_ritz(a_op, m_op, basis))
+                matrix, reported, coefficients = None, np.empty(0), np.empty((len(values), 0))
             if "k" in owed:
-                tau = eigensolve.tau_after(result.eigenvalues, owed["k"])
-            return eigensolve.certified(result, tau, None if matrix is None else
-                                        eigensolve.count_owed(result, tau, matrix.count))
-        else:
-            return eigensolve.solve_smallest(*assemble(mesh, own, element), **owed)
+                tau = eigensolve.tau_after(reported, owed["k"])
+            count = None
+        basis = symbol.modes(dof_coordinates(own), n, waves, vectors, coefficients)
+        if bc != BC_SIMPLY_SUPPORTED:
+            basis = eigensolve.smoothed(a_op, m_op, cell_diagonal(own, local_matrices[0]),
+                                        reported, basis)
+        basis /= np.sqrt(np.einsum("ij,ij->j", basis, m_op @ basis))
+        result = eigensolve.solved(a_op, m_op, symbol.METHOD_SYMBOL, reported, basis)
+        if matrix is not None:
+            count = eigensolve.count_owed(result, tau, matrix.count)
+        return eigensolve.certified(result, tau, count)
 
     solved = {}
     for parity in representatives:

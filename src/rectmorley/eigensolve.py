@@ -14,9 +14,12 @@ smallest_k_dense, LAPACK's solver for the k smallest pairs alone, is the
 tests' oracle and the identity suite's solver.  Results hold ascending
 eigenvalues with mass-orthonormal eigenvectors and per-pair relative
 residuals.  Pairs known without a solve (every block of cli.solve_problem
-on the auto route, from symbol.py; the clamped ones after a smoothing
-step, smoothed, and a Rayleigh-Ritz step, rayleigh_ritz) get the same
-residual check and certificate from solved, count_owed and certified.
+on the auto route: the simply supported ones from symbol.py, the clamped
+ones from capacitance.py, their vectors after a smoothing step, smoothed)
+get the same residual check and certificate from solved, count_owed and
+certified.  Their vectors are M-normalized, and a clamped block's are not
+M-orthogonal within a cluster of its eigenvalues; nothing reads them after
+the residual check.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ METHOD_DENSE = "dense"
 
 @dataclass
 class EigenResult:
-    """Eigenvalues (ascending), M-orthonormal eigenvectors, and residuals."""
+    """Eigenvalues (ascending), eigenvectors, and residuals.  A solve's
+    eigenvectors are M-orthonormal; a clamped symbol block's are only
+    M-normalized (see the module docstring)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -82,16 +87,6 @@ def solved(A, M, method: str, eigenvalues, eigenvectors, converged: bool = True,
     converged = bool(converged) and bool(np.all(residuals <= RESIDUAL_TOL))
     return EigenResult(eigenvalues, eigenvectors, residuals, method,
                        {"order": A.shape[0], "converged": converged, **metadata})
-
-
-def rayleigh_ritz(A, M, basis: np.ndarray) -> tuple:
-    """The Ritz pairs of the pencil (A, M) on the span of the columns of
-    `basis`: ascending values and M-orthonormal vectors.  A and M may be
-    scipy LinearOperators."""
-    a_small = basis.T @ (A @ basis)
-    m_small = basis.T @ (M @ basis)
-    w, z = dla.eigh(0.5 * (a_small + a_small.T), 0.5 * (m_small + m_small.T))
-    return w, basis @ z
 
 
 def smoothed(A, M, diagonal: np.ndarray, eigenvalues, basis: np.ndarray) -> np.ndarray:
@@ -171,7 +166,7 @@ def solve_smallest(A, M, k: int | None = None, tau: float | None = None) -> Eige
 def count_owed(result: EigenResult, tau: float, count):
     """The number of pairs that a result below tau owes, for a route that
     takes its pairs and its count from different places (the symbol's
-    clamped blocks: their Rayleigh-Ritz pairs, counted by capacitance.
+    clamped blocks: the pairs of capacitance.Capacitance.pairs, counted by
     Capacitance.count): count(tau), or None when count raises ValueError
     (it cannot count there).  tau = +-inf owes every pair of the pencil or
     none, and a result that holds every pair of its pencil, all below tau,

@@ -55,6 +55,42 @@ def inertia_count(a_mat, m_mat, tau):
     return int(np.count_nonzero(no_pivot_factor(a_mat - tau * m_mat).U.diagonal() < 0))
 
 
+def longdouble_negatives(block, tau) -> int:
+    """The number of negative eigenvalues of a block of the capacitance
+    matrix (capacitance._Block) at tau: its terms summed in np.longdouble,
+    and by Sylvester's law of inertia the negative pivots of its L D L^T
+    factor without pivoting, in np.longdouble too."""
+    tau = np.longdouble(tau)
+    terms = block.products.astype(np.longdouble) \
+        / (block.poles.astype(np.longdouble) - tau)[:, None]
+    matrix = np.zeros(block.size ** 2, dtype=np.longdouble)
+    np.add.at(matrix, block.entries.ravel(), terms.ravel())
+    matrix = matrix.reshape(block.size, block.size)
+    negatives = 0
+    for j in range(block.size):
+        negatives += int(matrix[j, j] < 0)
+        matrix[j + 1:, j + 1:] -= np.outer(matrix[j + 1:, j] / matrix[j, j], matrix[j, j + 1:])
+    return negatives
+
+
+def longdouble_root(block, value, rel=1e-9):
+    """The zero of the capacitance block `block` within rel of value, by
+    bisection on longdouble_negatives to the resolution of np.longdouble,
+    or None when its count of negative eigenvalues does not fall there."""
+    lo, hi = np.longdouble(value) * (1 - rel), np.longdouble(value) * (1 + rel)
+    below = longdouble_negatives(block, lo)
+    if below <= longdouble_negatives(block, hi):
+        return None
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return mid
+        if longdouble_negatives(block, mid) == below:
+            lo = mid
+        else:
+            hi = mid
+
+
 # Pencils of at most this order are solved densely by smallest_six: ARPACK
 # keeps a basis of 20 vectors (scipy's default for 8 pairs).
 SMALLEST_SIX_DENSE_ORDER = 20
@@ -97,6 +133,13 @@ def refuse_factors(monkeypatch):
 def count_below():
     """The inertia-count oracle: count_below(A, M, tau)."""
     return inertia_count
+
+
+@pytest.fixture(scope="session")
+def capacitance_root():
+    """The long-double zero oracle of a capacitance block:
+    capacitance_root(block, value, rel=1e-9), see longdouble_root."""
+    return longdouble_root
 
 
 @pytest.fixture(scope="session")

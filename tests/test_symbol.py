@@ -9,10 +9,10 @@ import scipy.linalg as dla
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rectmorley import capacitance, cli, symbol
+from rectmorley import capacitance, cli, eigensolve, symbol
 from rectmorley.assembly import (BC_CLAMPED, BC_SIMPLY_SUPPORTED, PARITY_EVEN, PARITY_ODD,
                                  assemble, build_dof_map, dof_coordinates, free_dof_count)
-from rectmorley.eigensolve import REL_GAP, compute_residuals, rayleigh_ritz
+from rectmorley.eigensolve import REL_GAP, compute_residuals
 from rectmorley.element import build_reference_element
 from rectmorley.mesh import build_mesh
 
@@ -304,10 +304,11 @@ def test_clamped_pairs_are_every_eigenpair_of_the_block(dim, n, dense_modes_limi
     values, coefficients = matrix.pairs(k=a_mat.shape[0])
     assert len(values) == a_mat.shape[0]
     np.testing.assert_allclose(values, dense, rtol=1e-12, atol=0)
-    # Their vectors span the eigenvectors: after Rayleigh-Ritz, as the solve
-    # takes them, every residual is at rounding.
-    ritz, vectors = rayleigh_ritz(a_mat, m_mat,
-                                  symbol.modes(coords, n, *spectrum[1:], coefficients))
+    # Their vectors span the eigenvectors: the Ritz pairs of their span have
+    # every residual at rounding.
+    basis = symbol.modes(coords, n, *spectrum[1:], coefficients)
+    ritz, ritz_vectors = dla.eigh(basis.T @ (a_mat @ basis), basis.T @ (m_mat @ basis))
+    vectors = basis @ ritz_vectors
     np.testing.assert_allclose(ritz, dense, rtol=1e-12, atol=0)
     assert np.max(compute_residuals(a_mat, m_mat, ritz, vectors)) <= 1e-12
 
@@ -375,11 +376,87 @@ def test_2d_clamped_solve_keeps_the_shift_invert_pairs_and_counts(n):
 
 def test_one_block_mirror_pair_agrees():
     # 2D n=16 is one block: lambda_2 and lambda_3 are the roots of the
-    # capacitance blocks of two mirror classes, Rayleigh-Ritz values of
-    # vectors found apart.
+    # capacitance blocks of two mirror classes, found apart.
     result = cli.solve_problem(2, 16, BC_CLAMPED)
     assert result.metadata["blocks"][0]["parity"] is None
     assert result.eigenvalues[1] == pytest.approx(result.eigenvalues[2], rel=1e-12, abs=0)
+
+
+def test_dense_walked_mirror_pair_agrees():
+    # 2D n=8 is one block whose classes (48 and 49 modes) are walked by
+    # their dense modal pencils: lambda_2 and lambda_3 come from two mirror
+    # classes, as the Rayleigh quotients of their coefficients.  The
+    # projected pencils' own eigenvalues, which carry about eps lambda_max,
+    # put them 4.7e-13 apart.
+    assert capacitance.DENSE_MODES >= 49
+    result = cli.solve_problem(2, 8, BC_CLAMPED)
+    assert result.metadata["blocks"][0]["parity"] is None
+    assert result.eigenvalues[1] == pytest.approx(result.eigenvalues[2], rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (3, 8), (3, 16)])
+def test_clamped_blocks_report_the_walks_own_values(dim, n, monkeypatch):
+    # Each clamped block of the auto route reports the values that
+    # Capacitance.pairs returns, bit for bit, and checks them with their
+    # own vectors.
+    walked, reported = [], []
+    pairs, certified = capacitance.Capacitance.pairs, eigensolve.certified
+
+    def recorded_pairs(self, *args, **kwargs):
+        values, coefficients = pairs(self, *args, **kwargs)
+        walked.append(values)
+        return values, coefficients
+
+    def recorded_certified(result, *args):
+        reported.append(result.eigenvalues)
+        return certified(result, *args)
+
+    monkeypatch.setattr(capacitance.Capacitance, "pairs", recorded_pairs)
+    monkeypatch.setattr(eigensolve, "certified", recorded_certified)
+    result = cli.solve_problem(dim, n, BC_CLAMPED)
+    assert result.converged and len(result.metadata["blocks"]) == dim + 1
+    assert len(walked) == len(reported) == dim + 1
+    for values, eigenvalues in zip(walked, reported):
+        assert values.tobytes() == eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_reported_clamped_values_are_zeros_of_the_capacitance_matrix(index, solve_cached,
+                                                                     capacitance_root):
+    # lambda_1 (block ee) and lambda_2 (oe) of 2D n=64, against the zero of
+    # their capacitance block summed and factored in np.longdouble: 4.3e-16
+    # and 5.2e-17 relative.  Their Rayleigh-Ritz values read 1.0e-12 and
+    # 2.1e-14.
+    result = solve_cached(2, 64, BC_CLAMPED)
+    value, label = result.eigenvalues[index], result.parities[index]
+    parity = "".join(sorted(label, reverse=True))
+    (order,) = [b["order"] for b in result.metadata["blocks"] if b["parity"] == parity]
+    matrix = capacitance.Capacitance(2, 64, parity, symbol.block_spectra(2, 64, [parity])[parity],
+                                     order)
+    roots = [root for *_, blocks in matrix.classes for block in blocks
+             for root in [capacitance_root(block, value)] if root is not None]
+    assert len(roots) == 1
+    assert abs(np.longdouble(value) - roots[0]) <= 2e-15 * roots[0]
+
+
+def test_a_zero_next_to_a_pole_is_found_on_the_bordered_block():
+    # 2D n=23 is one block.  Two mirror classes have a zero 2.9e-10
+    # (relative) below the simply supported eigenvalue 206527386.815 of a
+    # mode whose facet weights are of order 1, whose term in C is some 1e8
+    # times the rest.  Found on C itself, these zeros were 8.2e-11 and
+    # 7.4e-11 off the dense oracle and the residuals of their vectors read
+    # 3e-7; found on the bordered block, 1.7e-15 and 2.3e-14.
+    dim, n = 2, 23
+    a_mat, m_mat, coords = clamped_pencil(dim, n)
+    dense = dla.eigh(a_mat.toarray(), m_mat.toarray(), eigvals_only=True)
+    spectrum = symbol.block_spectra(dim, n, [None])[None]
+    matrix = capacitance.Capacitance(dim, n, None, spectrum, a_mat.shape[0])
+    values, coefficients = matrix.pairs(tau=2.0652739e8)
+    near = np.flatnonzero(np.abs(values - 206527386.755) < 1.0)
+    assert len(values) == 895 and len(near) == 2
+    np.testing.assert_allclose(values[near], dense[near], rtol=1e-14, atol=0)
+    vectors = symbol.modes(coords, n, *spectrum[1:], coefficients[:, near])
+    assert np.max(compute_residuals(a_mat, m_mat, values[near], vectors)) <= 1e-12
 
 
 def test_a_mode_whose_facet_weights_vanish_is_a_pair_on_its_pole():
