@@ -197,8 +197,9 @@ class _Block:
         self.products = (values[:, :, None] * values[:, None, :]).reshape(-1, rows.shape[1] ** 2)
         self.entries = (rows[:, :, None] * size + rows[:, None, :]).reshape(-1, rows.shape[1] ** 2)
 
-    def matrix(self, tau: float) -> np.ndarray:
-        terms = self.products * (1.0 / (self.poles - tau))[:, None]
+    def matrix(self, tau: float, skip=False) -> np.ndarray:
+        """The block at tau, without the terms where the mask `skip` is set."""
+        terms = self.products * np.where(skip, 0.0, 1.0 / (self.poles - tau))[:, None]
         return np.bincount(self.entries.ravel(), terms.ravel(), self.size ** 2).reshape(
             self.size, self.size)
 
@@ -218,22 +219,18 @@ class _Block:
         clamped pair are S w on the border, free of cancellation.
 
         Returns the function B, the number of terms on the upper pole, the
-        border's terms and S."""
-        ends = np.flatnonzero((self.poles == lower) | (self.poles == upper))
-        size, order = self.size, self.size + len(ends)
+        border's terms (a mask) and S."""
+        ends = (self.poles == lower) | (self.poles == upper)
+        size, order = self.size, self.size + np.count_nonzero(ends)
         scale = np.linalg.norm(self.magnitudes[ends], axis=1) / (upper - lower)
-        border = np.zeros((size, len(ends)))
-        np.add.at(border, (self.rows[ends], np.arange(len(ends))[:, None]),
+        border = np.zeros((size, order - size))
+        np.add.at(border, (self.rows[ends], np.arange(order - size)[:, None]),
                   self.values[ends] * scale[:, None])
         corner = np.arange(size, order)
 
         def matrix(tau: float) -> np.ndarray:
-            inverse = 1.0 / (self.poles - tau)
-            inverse[ends] = 0.0
             out = np.zeros((order, order))
-            out[:size, :size] = np.bincount(self.entries.ravel(),
-                                            (self.products * inverse[:, None]).ravel(),
-                                            size ** 2).reshape(size, size)
+            out[:size, :size] = self.matrix(tau, ends)
             out[:size, size:], out[size:, :size] = border, border.T
             out[corner, corner] = scale * scale * (tau - self.poles[ends])
             return out
@@ -248,8 +245,7 @@ class _Block:
         matrix, _, ends, scale = self.bordered(lower, upper)
         values, vectors = lapack.dsyevr(matrix(tau))[:2]
         null = vectors[:, np.argsort(np.abs(values), kind="stable")[:count]]
-        coefficients = np.einsum("ja,jac->jc", self.values, null[self.rows]) \
-            / (self.poles - tau)[:, None]
+        coefficients = _coefficients(self.values, self.rows, self.poles, null, tau)
         coefficients[ends] = scale[:, None] * null[self.size:]
         return coefficients
 
@@ -490,6 +486,9 @@ class Capacitance:
         (_Block.null_coefficients).
         """
         poles, ranks = np.unique(block.poles, return_counts=True)
+        # The class block, for the near roots: the block itself unless it is
+        # a swap half, whose class block is built at its first near root.
+        whole = block if len(block.index) == block.size else None
         modes, weights, rows, gaps, magnitudes = (
             part[lo:hi] for part in (self.modes, self.weights, self.rows, self.poles,
                                      self.magnitudes))
@@ -533,23 +532,28 @@ class Capacitance:
                 if near:
                     # From the class block, whose terms are the class's modes:
                     # a swap half's zero is one of its class block too.
-                    size = len(block.index)
-                    coefficients = _Block(size, gaps, rows, weights, magnitudes, np.arange(size),
-                                          np.ones(size)).null_coefficients(root, lower, upper,
-                                                                           cluster)
+                    whole = whole or _Block(len(block.index), gaps, rows, weights, magnitudes,
+                                            np.arange(len(block.index)), np.ones(len(block.index)))
+                    coefficients = whole.null_coefficients(root, lower, upper, cluster)
                 else:
                     # The eigenvectors of the branches that cross 0 at the root.
                     null = lapack.dsyevr(block.matrix(root), range="I", il=after + 1,
                                          iu=after + cluster)[1]
-                    lifted = block.scale[:, None] * null[block.index]
-                    coefficients = np.einsum("ja,jac->jc", weights, lifted[rows]) \
-                        / (gaps - root)[:, None]
+                    coefficients = _coefficients(weights, rows, gaps,
+                                                 block.scale[:, None] * null[block.index], root)
                 for coefficient in (coefficients / np.linalg.norm(coefficients, axis=0)).T:
                     limit = yield root, modes, coefficient
                 top = min(stop, limit)
             if stop > limit:
                 return
             below = negatives(stop)
+
+
+def _coefficients(values, rows, poles, null, tau):
+    """Per term, h^T c / (pole - tau) for each column c of null: the
+    coefficients in the terms of the clamped pairs at tau whose null
+    vectors are those columns, h the term's `values` at its `rows`."""
+    return np.einsum("ja,jac->jc", values, null[rows]) / (poles - tau)[:, None]
 
 
 def _brent(f, a, b, fa, fb):

@@ -148,6 +148,43 @@ SPLIT_MIN_ORDER = {2: 950, 3: 400}
 DENSE_MAX_ORDER = 4096
 
 
+def _split(dim: int, n: int, bc: str, solver: str = "auto") -> tuple:
+    """The free DOFs of a problem, the mesh that solve_problem solves it on
+    and its parity labels: the half box and every parity (one letter per
+    axis) for even n with at least SPLIT_MIN_ORDER[dim] free DOFs, else the
+    full box and [None].
+
+    Raises UsageError for a clamped problem on solver 'dense' whose largest
+    block is of order above DENSE_MAX_ORDER: the blocks are counted, not
+    numbered or assembled."""
+    import itertools
+
+    from .assembly import BC_SIMPLY_SUPPORTED, free_dof_count
+    from .mesh import build_mesh
+
+    mesh = build_mesh(dim, n)
+    order = free_dof_count(mesh, bc)
+    parities = [None]
+    if n % 2 == 0 and order >= SPLIT_MIN_ORDER[dim]:
+        mesh = build_mesh(dim, n // 2, domain=((0.0,) * dim, (0.5,) * dim))
+        parities = ["".join(p) for p in itertools.product("eo", repeat=dim)]
+    if solver == "dense" and bc != BC_SIMPLY_SUPPORTED:
+        largest = max(free_dof_count(mesh, bc, _faces(bc, p)) for p in parities)
+        if largest > DENSE_MAX_ORDER:
+            raise UsageError(f"--solver dense solves blocks of order at most {DENSE_MAX_ORDER}; "
+                             f"this problem's largest block has order {largest}")
+    return order, mesh, parities
+
+
+def _faces(bc: str, parity):
+    """The conditions on the faces of parity's block: bc on the outer faces
+    and the parity's on the mid-plane ones; None on the full box."""
+    from .assembly import PARITY_EVEN, PARITY_ODD
+
+    return None if parity is None else [
+        side for p in parity for side in (bc, PARITY_ODD if p == "o" else PARITY_EVEN)]
+
+
 @dataclass
 class Solution:
     """The k smallest eigenvalues of one problem, merged over its parity blocks.
@@ -238,30 +275,21 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
     tau, k_closed, converged (every block converged and passed its count),
     and blocks, in solve order.
     """
-    import itertools
     import math
     from collections import Counter
 
     import numpy as np
 
     from . import capacitance, eigensolve, symbol
-    from .assembly import (BC_SIMPLY_SUPPORTED, PARITY_EVEN, PARITY_ODD, assemble, build_dof_map,
-                           cell_diagonal, cell_operator, dof_coordinates, element_matrices,
-                           free_dof_count)
+    from .assembly import (BC_SIMPLY_SUPPORTED, assemble, build_dof_map, cell_diagonal,
+                           cell_operator, dof_coordinates, element_matrices)
     from .element import build_reference_element
-    from .mesh import build_mesh
 
     if solver not in ("auto", eigensolve.METHOD_DENSE):
         raise ValueError(f"unknown solver method {solver!r}")
-    mesh = build_mesh(dim, n)
-    order = free_dof_count(mesh, bc)
+    order, mesh, parities = _split(dim, n, bc, solver)
     if not 1 <= k <= order:
         raise UsageError(f"k={k} out of range for this mesh ({order} free DOFs)")
-    if n % 2 == 0 and order >= SPLIT_MIN_ORDER[dim]:
-        mesh = build_mesh(dim, n // 2, domain=((0.0,) * dim, (0.5,) * dim))
-        parities = ["".join(p) for p in itertools.product("eo", repeat=dim)]
-    else:
-        parities = [None]
     element = build_reference_element(dim)
 
     def block_of(parity):
@@ -290,18 +318,6 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
                                                  for p, v in blocks.items()])
         return eigensolve.tau_after(values, k)
 
-    def faces_of(parity):
-        """The conditions on the faces of parity's block: bc on the outer
-        faces and the parity's on the mid-plane ones; None on the full box."""
-        return None if parity is None else [
-            side for p in parity for side in (bc, PARITY_ODD if p == "o" else PARITY_EVEN)]
-
-    if not from_symbol:
-        largest = max(free_dof_count(mesh, bc, faces_of(p)) for p in representatives)
-        if largest > DENSE_MAX_ORDER:
-            raise UsageError(f"--solver dense solves blocks of order at most {DENSE_MAX_ORDER}; "
-                             f"this problem's largest block has order {largest}")
-
     # solve_smallest is looked up at call time, so that a caller who swaps
     # the module attribute (a tracer) sees every block solve.
     def solve_block(parity):
@@ -310,7 +326,7 @@ def solve_problem(dim: int, n: int, bc: str, k: int = DEFAULT_K,
         capacitance matrix are freed when it returns, before the next block
         builds its own."""
         tau = slice_tau()
-        own = build_dof_map(mesh, bc, faces_of(parity))
+        own = build_dof_map(mesh, bc, _faces(bc, parity))
         block_order = own.num_free
         owed = dict(tau=tau) if tau < np.inf else dict(
             k=min(math.ceil(k / multiplicity[parity]), block_order))
@@ -482,6 +498,10 @@ def _solve_rungs(dim: int, ladder, bc: str, k: int, solver: str = "auto"):
 
 def _cmd_solve(args) -> Output:
     _check_ladder(args.dim, args.n)
+    if args.solver == "dense":
+        # An oversized dense rung is refused before any rung is solved.
+        for n in args.n:
+            _split(args.dim, n, args.bc, args.solver)
     solutions, _, converged = _solve_rungs(args.dim, args.n, args.bc, args.k, args.solver)
     runs = list(zip(args.n, solutions))
     text = [f"# solve dim={args.dim} bc={args.bc} k={args.k}"]

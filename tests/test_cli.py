@@ -205,24 +205,28 @@ def test_the_benchmark_warm_up_reaches_lapack(monkeypatch, capsys):
     assert solves == [(385, 385)]
 
 
-def test_a_dense_solve_past_its_order_bound_is_refused_before_assembly(monkeypatch, capsys):
+@pytest.mark.parametrize("rungs", [["256"], ["12", "256"]])
+def test_a_dense_solve_past_its_order_bound_is_refused_before_assembly(rungs, monkeypatch,
+                                                                        capsys):
     # 2D n=256 splits into blocks of order up to 48,897: about 19 GB per
-    # dense matrix.  The largest block is counted, not numbered or built.
+    # dense matrix.  The largest block is counted, not numbered or built,
+    # and every rung is checked before the first is solved.
     from rectmorley import assembly
 
     built = []
     monkeypatch.setattr(assembly, "assemble", lambda *args: built.append(args))
-    code, out, err = run_cli(["solve", "--dim", "2", "--n", "256", "--solver", "dense"], capsys)
+    ladder = [arg for n in rungs for arg in ("--n", n)]
+    code, out, err = run_cli(["solve", "--dim", "2", *ladder, "--solver", "dense"], capsys)
     assert code == cli.EXIT_BAD_ARGS and out == "" and built == []
     assert f"at most {cli.DENSE_MAX_ORDER}" in err and "order 48897" in err
 
 
 def test_2d_n238_clamped_converges(capsys):
-    # The largest relative residual, 8.4e-9 against RESIDUAL_TOL = 1e-8 on
-    # one and on two BLAS threads, was 1.03e-8 with Rayleigh-Ritz values.
+    # The largest relative residual read 8.4e-9 on one and on two BLAS
+    # threads; it was 1.03e-8 with Rayleigh-Ritz values (exit 1).
     code, out, err = run_cli(["solve", "--dim", "2", "--n", "238", "--format", "json"], capsys)
     assert code == 0 and err == ""
-    assert max(json.loads(out)["runs"][0]["residuals"]) <= 9e-9
+    assert max(json.loads(out)["runs"][0]["residuals"]) <= eigensolve.RESIDUAL_TOL
 
 
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 8)])
